@@ -5,6 +5,7 @@ use std::io;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use crate::commands::Cmd;
 use crate::frame::{read_frame, write_frame};
 use crate::json::Json;
 
@@ -76,7 +77,7 @@ impl Client {
     /// response carries the merged aggregate view plus a per-shard
     /// breakdown under `"shards"` and the `shard_count` field.
     pub fn stats(&mut self) -> io::Result<Json> {
-        self.call_ok(&crate::protocol::bare_request("stats"))
+        self.call_ok(&crate::protocol::bare_request(Cmd::Stats.name()))
     }
 
     /// Query a mapping's correspondences (`limit == 0` means all rows).
@@ -87,18 +88,10 @@ impl Client {
     }
 
     fn batch_call(&mut self, req: Json) -> io::Result<Vec<Json>> {
-        let resp = self.call_ok(&req)?;
         // Move the per-item results out of the envelope rather than
         // cloning them — batches exist to amortize per-op overhead.
-        if let Json::Obj(fields) = resp {
-            for (key, value) in fields {
-                if key == "results" {
-                    if let Json::Arr(results) = value {
-                        return Ok(results);
-                    }
-                    break;
-                }
-            }
+        if let Some(Json::Arr(results)) = self.call_ok(&req)?.take_field("results") {
+            return Ok(results);
         }
         Err(io::Error::other("batch response missing `results`"))
     }

@@ -43,6 +43,7 @@ use moma_simstring::SimFn;
 use moma_table::MappingTable;
 
 use crate::checkpoint;
+use crate::commands::{self, Cmd};
 use crate::json::Json;
 use crate::protocol;
 use crate::wal::{RotationPolicy, Wal};
@@ -65,6 +66,23 @@ pub struct CommandCounts {
     /// by the router so its mappings stay patched; excluded from the
     /// aggregate `commands.delta` count.
     pub repl_deltas: u64,
+}
+
+impl CommandCounts {
+    /// The counters in wire order under their wire keys — the one
+    /// spelling behind `stats`, checkpoints and both dump manifests.
+    pub(crate) fn rows(&self) -> [(&'static str, u64); 4] {
+        [
+            (Cmd::Match.name(), self.matches),
+            (Cmd::Compose.name(), self.composes),
+            (Cmd::Delta.name(), self.deltas),
+            ("repl_delta", self.repl_deltas),
+        ]
+    }
+
+    fn to_json(self) -> Json {
+        Json::obj(self.rows().map(|(k, v)| (k, Json::Uint(v))).to_vec())
+    }
 }
 
 /// Summary of a `--replay` startup.
@@ -308,45 +326,40 @@ impl Engine {
     }
 
     /// Whether `cmd` mutates engine state (and therefore must be
-    /// WAL-logged and serialized through the write lock). `install` is
-    /// the router's materialization of a cross-shard compose; it never
-    /// arrives from clients directly but replays like any other record.
+    /// WAL-logged and serialized through the write lock): the
+    /// [`LoggedWrite`](commands::Class::LoggedWrite) rows of the
+    /// command table. `install` is the router's materialization of a
+    /// cross-shard compose; it never arrives from clients directly but
+    /// replays like any other record.
     pub fn is_mutating(cmd: &str) -> bool {
-        matches!(
-            cmd,
-            "match" | "compose" | "delta" | "batch_delta" | "install"
-        )
+        commands::lookup(cmd).is_some_and(|c| c.class.is_logged())
     }
 
     /// Whether `cmd` needs the server's write lock. `checkpoint` is not
     /// WAL-logged (it mutates the disk layout, not the logical state)
     /// but must still be serialized with writers.
     pub fn needs_write_lock(cmd: &str) -> bool {
-        Engine::is_mutating(cmd) || cmd == "checkpoint"
+        commands::lookup(cmd).is_some_and(|c| c.class.takes_write_lock())
     }
 
     /// Execute a mutating command: append it to the WAL (fsync'd), then
     /// apply it. Read-only commands are delegated to
     /// [`Engine::execute_read`] for embedded convenience.
     pub fn execute(&mut self, req: &Json) -> Json {
-        let Some(cmd) = req.str_field("cmd") else {
-            return err_response("request missing `cmd`");
+        let command = match commands::of_request(req) {
+            Ok(command) => command,
+            Err(e) => return err_response(&e),
         };
-        if cmd == "checkpoint" {
-            return match self.do_checkpoint() {
-                Ok(resp) => resp,
-                Err(e) => err_response(&e),
-            };
+        match command.cmd {
+            Cmd::Checkpoint => respond(self.do_checkpoint()),
+            Cmd::BatchDelta => respond(self.cmd_batch_delta(req)),
+            _ if command.class.is_logged() => self.log_and_apply(req),
+            _ => self.execute_read(req),
         }
-        if cmd == "batch_delta" {
-            return match self.cmd_batch_delta(req) {
-                Ok(resp) => resp,
-                Err(e) => err_response(&e),
-            };
-        }
-        if !Engine::is_mutating(cmd) {
-            return self.execute_read(req);
-        }
+    }
+
+    /// Append `req` to the WAL, then apply it.
+    fn log_and_apply(&mut self, req: &Json) -> Json {
         let seq = if let Some(wal) = &mut self.wal {
             let payload = req.to_string();
             match wal.append(payload.as_bytes()) {
@@ -390,17 +403,17 @@ impl Engine {
 
     /// Apply an already-logged mutating command (also the replay path).
     fn apply_logged(&mut self, req: &Json, seq: Option<u64>) -> Json {
-        let cmd = req.str_field("cmd").unwrap_or_default().to_owned();
-        let result = match cmd.as_str() {
-            "match" => {
+        let name = req.str_field("cmd").unwrap_or_default();
+        let result = match commands::lookup(name).map(|c| c.cmd) {
+            Some(Cmd::Match) => {
                 self.commands.matches += 1;
                 self.cmd_match(req)
             }
-            "compose" => {
+            Some(Cmd::Compose) => {
                 self.commands.composes += 1;
                 self.cmd_compose(req)
             }
-            "delta" => {
+            Some(Cmd::Delta) => {
                 // Replica copies fanned out by the shard router carry
                 // `"repl": true` and are tallied separately so the
                 // aggregate `commands.delta` counts each client delta
@@ -412,38 +425,33 @@ impl Engine {
                 }
                 self.cmd_delta(req, seq)
             }
-            "install" => {
+            Some(Cmd::Install) => {
                 self.commands.composes += 1;
                 self.cmd_install(req)
             }
-            other => Err(format!("`{other}` is not a mutating command")),
+            _ => Err(format!("`{name}` is not a mutating command")),
         };
-        match result {
-            Ok(resp) => resp,
-            Err(e) => err_response(&e),
-        }
+        respond(result)
     }
 
     /// Execute a read-only command against the current state.
     pub fn execute_read(&self, req: &Json) -> Json {
-        let Some(cmd) = req.str_field("cmd") else {
-            return err_response("request missing `cmd`");
+        let command = match commands::of_request(req) {
+            Ok(command) => command,
+            Err(e) => return err_response(&e),
         };
-        let result = match cmd {
-            "ping" => Ok(Json::obj(vec![("ok", Json::Bool(true))])),
-            "query" => self.cmd_query(req),
-            "batch_query" => self.cmd_batch_query(req),
-            "stats" => Ok(self.stats()),
-            "dump" => self.cmd_dump(req),
-            "checkpoint" => Err("`checkpoint` must go through the write path".into()),
-            other => Err(format!(
-                "unknown command `{other}` (expected ping/match/compose/query/batch_query/delta/batch_delta/checkpoint/stats/dump/shutdown)"
-            )),
+        let result = match command.cmd {
+            Cmd::Ping => Ok(Json::obj(vec![("ok", Json::Bool(true))])),
+            Cmd::Query => self.cmd_query(req),
+            Cmd::BatchQuery => self.cmd_batch_query(req),
+            Cmd::Stats => Ok(self.stats()),
+            Cmd::Dump => self.cmd_dump(req),
+            _ if command.class.takes_write_lock() => {
+                Err(format!("`{}` must go through the write path", command.name))
+            }
+            _ => Err(commands::unknown_command(command.name)),
         };
-        match result {
-            Ok(resp) => resp,
-            Err(e) => err_response(&e),
-        }
+        respond(result)
     }
 
     // ---- mutating commands ------------------------------------------
@@ -693,7 +701,7 @@ impl Engine {
         let reqs: Vec<Json> = items
             .iter()
             .map(|item| {
-                let mut fields = vec![("cmd".to_owned(), Json::Str("delta".into()))];
+                let mut fields = vec![("cmd".to_owned(), Json::Str(Cmd::Delta.name().into()))];
                 if let Json::Obj(src) = item {
                     for (k, v) in src {
                         if k != "cmd" {
@@ -774,14 +782,9 @@ impl Engine {
 
         let snapshot = self.repository.snapshot();
         let Some(entry) = snapshot.iter().find(|e| e.name == name) else {
-            let names: Vec<&str> = snapshot.iter().map(|e| e.name.as_str()).collect();
-            return Err(format!(
-                "unknown mapping `{name}` (have: {})",
-                if names.is_empty() {
-                    "none".to_owned()
-                } else {
-                    names.join(", ")
-                }
+            return Err(unknown_mapping(
+                name,
+                snapshot.iter().map(|e| e.name.as_str()),
             ));
         };
         let dom = self.registry.lds(entry.mapping.domain);
@@ -884,15 +887,7 @@ impl Engine {
             .collect();
         Json::obj(vec![
             ("ok", Json::Bool(true)),
-            (
-                "commands",
-                Json::obj(vec![
-                    ("match", Json::Uint(self.commands.matches)),
-                    ("compose", Json::Uint(self.commands.composes)),
-                    ("delta", Json::Uint(self.commands.deltas)),
-                    ("repl_delta", Json::Uint(self.commands.repl_deltas)),
-                ]),
-            ),
+            ("commands", self.commands.to_json()),
             (
                 "wal",
                 match &self.wal {
@@ -927,13 +922,8 @@ impl Engine {
         // Deterministic manifest: version stamps, row counts and durable
         // counters, so two state dumps are byte-comparable with `diff -r`.
         let mut manifest = String::from("# moma dump manifest\n");
-        manifest.push_str(&format!(
-            "commands\t{}\t{}\t{}\t{}\n",
-            self.commands.matches,
-            self.commands.composes,
-            self.commands.deltas,
-            self.commands.repl_deltas
-        ));
+        let [m, c, d, r] = self.commands.rows().map(|(_, v)| v);
+        manifest.push_str(&format!("commands\t{m}\t{c}\t{d}\t{r}\n"));
         let snapshot = self.repository.snapshot();
         for e in &snapshot {
             manifest.push_str(&format!(
@@ -1123,15 +1113,7 @@ impl Engine {
         );
         Ok(Json::obj(vec![
             ("seq", Json::Uint(seq)),
-            (
-                "commands",
-                Json::obj(vec![
-                    ("match", Json::Uint(self.commands.matches)),
-                    ("compose", Json::Uint(self.commands.composes)),
-                    ("delta", Json::Uint(self.commands.deltas)),
-                    ("repl_delta", Json::Uint(self.commands.repl_deltas)),
-                ]),
-            ),
+            ("commands", self.commands.to_json()),
             (
                 "version_counter",
                 Json::Uint(self.repository.version_counter()),
@@ -1164,9 +1146,9 @@ impl Engine {
                 .ok_or_else(|| format!("checkpoint command counter `{name}` missing"))
         };
         let counts = CommandCounts {
-            matches: count("match")?,
-            composes: count("compose")?,
-            deltas: count("delta")?,
+            matches: count(Cmd::Match.name())?,
+            composes: count(Cmd::Compose.name())?,
+            deltas: count(Cmd::Delta.name())?,
             // Absent in pre-shard checkpoints; those logged no replicas.
             repl_deltas: commands_json
                 .get("repl_delta")
@@ -1423,6 +1405,27 @@ pub fn err_response(msg: &str) -> Json {
         ("ok", Json::Bool(false)),
         ("error", Json::Str(msg.into())),
     ])
+}
+
+/// A handler's outcome as a response: its reply, or its error wrapped
+/// by [`err_response`].
+fn respond(result: Result<Json, String>) -> Json {
+    result.unwrap_or_else(|e| err_response(&e))
+}
+
+/// The `unknown mapping` error, listing the `known` names — worded
+/// once for the engine (which knows its repository) and the shard
+/// router (which knows every shard's).
+pub(crate) fn unknown_mapping<'a>(name: &str, known: impl Iterator<Item = &'a str>) -> String {
+    let known: Vec<&str> = known.collect();
+    format!(
+        "unknown mapping `{name}` (have: {})",
+        if known.is_empty() {
+            "none".to_owned()
+        } else {
+            known.join(", ")
+        }
+    )
 }
 
 pub(crate) fn parse_combine(name: &str) -> Result<PathCombine, String> {

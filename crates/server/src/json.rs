@@ -76,6 +76,27 @@ impl Json {
         }
     }
 
+    /// Move the value of `key` (first occurrence, as [`Json::get`]) out
+    /// of an object, dropping the rest — how a batch envelope gives up
+    /// its `results` without cloning them.
+    pub fn take_field(self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(members) => members.into_iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Replace-or-insert: drop every existing `key` member and append
+    /// `(key, value)`, so [`Json::get`] (which returns the first
+    /// occurrence) sees the new value. A non-object is returned as is.
+    pub fn set_field(mut self, key: &str, value: Json) -> Json {
+        if let Json::Obj(members) = &mut self {
+            members.retain(|(k, _)| k != key);
+            members.push((key.to_owned(), value));
+        }
+        self
+    }
+
     /// The string contents, if a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

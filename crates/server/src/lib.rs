@@ -8,7 +8,7 @@
 //! plain `std::net::TcpListener` — no async runtime, thread per
 //! connection ([`server`]).
 //!
-//! Three properties carry the design (see the module docs for details):
+//! These properties carry the design (see the module docs for details):
 //!
 //! * **Durability** ([`wal`], [`checkpoint`]): every mutating command
 //!   is appended to an fsync'd, CRC-framed, segment-rotated write-ahead
@@ -33,6 +33,13 @@
 //!   merges `stats`. Writes to distinct shards no longer serialize
 //!   behind one lock, and each shard recovers from its own WAL
 //!   independently.
+//! * **One serve path** ([`commands`], [`server`]): every command is
+//!   declared once in a table — name, lock/WAL class, routing rule,
+//!   visibility — that both dispatchers branch on, and every request,
+//!   at every shard count, goes router plan → one executor (admission
+//!   slots, engine locks in ascending order, panic containment) →
+//!   gather. A one-shard server is that path with N = 1 and answers
+//!   byte for byte like an embedded [`engine::Engine`].
 //! * **Overload hardening** ([`server`]): bounded admission budgets per
 //!   command class ([`server::Limits`]) answer excess traffic with
 //!   explicit `busy`/`overloaded` frames instead of unbounded queueing,
@@ -47,6 +54,7 @@
 
 pub mod checkpoint;
 pub mod client;
+pub mod commands;
 pub mod engine;
 pub mod frame;
 pub mod json;
@@ -58,9 +66,6 @@ pub mod wal;
 pub use client::Client;
 pub use engine::{CommandCounts, DurabilityPolicy, Engine, ReplaySummary};
 pub use json::Json;
-pub use server::{
-    run, run_sharded, run_with_limits, spawn, spawn_sharded, spawn_with_limits, Limits,
-    ServerHandle,
-};
+pub use server::{run_sharded, spawn, spawn_sharded, spawn_with_limits, Limits, ServerHandle};
 pub use shard::ShardRouter;
 pub use wal::Wal;

@@ -9,32 +9,40 @@
 //!
 //! ## Commands
 //!
-//! | cmd        | mutating | effect |
-//! |------------|----------|--------|
-//! | `ping`     | no       | liveness check |
-//! | `match`    | yes      | execute + prime an attribute matcher, store the mapping |
-//! | `compose`  | yes      | store a derived `compose(left, right, f, g)` mapping |
-//! | `query`    | no       | read correspondences from a snapshot |
-//! | `batch_query` | no    | N `query` items in one frame, per-item result array |
-//! | `delta`    | yes      | ingest a source delta, patch mappings incrementally |
-//! | `batch_delta` | yes   | N `delta` items, one WAL group commit, per-item status array |
-//! | `checkpoint` | write lock | publish an atomic state checkpoint, prune covered WAL segments |
-//! | `stats`    | no       | server/engine counters (per-shard + aggregate when sharded) |
-//! | `dump`     | no       | persist repository + manifest to a directory |
-//! | `install`  | yes      | *internal*: store a literal mapping table (cross-shard compose result) |
-//! | `shutdown` | no       | stop the server after responding |
+//! The wire-visible rows of the [command table](crate::commands),
+//! rendered (a test there fails when the two drift apart):
 //!
-//! `checkpoint` is not WAL-logged (it changes the disk layout, not the
-//! logical state, and does not bump the command counters) but it is
-//! serialized through the engine write lock like a mutating command.
-//! When the server runs sharded (`moma serve --shards N`), `checkpoint`
-//! checkpoints every shard and its response carries a per-shard array.
+//! | `cmd` | class | routing | effect |
+//! |---|---|---|---|
+//! | `ping` | read | shard 0 | liveness check |
+//! | `match` | logged write | placed | execute + prime an attribute matcher, store the mapping |
+//! | `compose` | logged write | compose plan | store a derived `compose(left, right, f, g)` mapping |
+//! | `query` | read | by mapping | read correspondences from a snapshot |
+//! | `batch_query` | read | by mapping, per item | N `query` items in one frame, per-item result array |
+//! | `delta` | logged write | by source, fan-out | ingest a source delta, patch mappings incrementally |
+//! | `batch_delta` | logged write | by source, per item | N `delta` items, one WAL group commit, per-item status array |
+//! | `checkpoint` | unlogged write | scatter | publish an atomic state checkpoint, prune covered WAL segments |
+//! | `stats` | read | scatter | server/engine counters (per-shard + aggregate when sharded) |
+//! | `dump` | read | scatter | persist repository + manifest to a directory |
+//! | `shutdown` | coordinator | — | stop the server after responding |
+//!
+//! *Class* is the lock and durability a command runs under: a `read`
+//! takes a shard's read lock against a repository snapshot; a
+//! `logged write` is appended to the WAL before it is applied under
+//! the write lock; an `unlogged write` is serialized through the write
+//! lock but changes the disk layout, not the logical state (so
+//! `checkpoint` neither replays nor bumps the command counters); a
+//! `coordinator` command is answered by the server itself. *Routing*
+//! is how the shard router picks the shard(s) — see [`crate::shard`];
+//! with one shard every rule picks that shard. Scattered commands
+//! answer per shard when there are several: `checkpoint` lists a
+//! per-shard array, `stats` merges, `dump` writes one subtree each.
 //!
 //! ## Shard routing fields
 //!
 //! Against a sharded server, requests and responses gain a few fields
-//! (all absent/ignored at `--shards 1`, so single-shard wire traffic is
-//! unchanged):
+//! (all absent/ignored at `--shards 1`, where every reply is byte for
+//! byte an embedded [`Engine`](crate::engine::Engine)'s):
 //!
 //! * `match` may carry a `"shard": N` placement hint (see
 //!   [`with_shard`]); it is refused if it contradicts an existing
@@ -43,8 +51,9 @@
 //!   `"shards"`) that served them.
 //! * `install` is the record a cross-shard `compose` writes to the
 //!   installing shard's WAL: the computed rows as literals, so each
-//!   shard's log replays independently. It is refused from the wire on
-//!   a sharded server (the router owns it); see [`install_request`].
+//!   shard's log replays independently. It is router-internal — a
+//!   logged write that is refused from the wire at every shard count;
+//!   see [`install_request`].
 //!
 //! ## Examples
 //!
@@ -93,7 +102,7 @@
 //! `AttrValue`s travel as `{"t": kind, "v": value}` with kinds `text`,
 //! `list`, `int`, `year`, `real`.
 
-use moma_model::{AttrValue, DeltaOp, SourceDelta, SourceRegistry};
+use moma_model::{AttrValue, DeltaOp, ModelError, SourceDelta, SourceRegistry};
 
 use crate::json::Json;
 
@@ -222,13 +231,19 @@ pub fn delta_request(lds_name: &str, ops: &[DeltaOp]) -> Json {
     ])
 }
 
+/// The error for a `delta` naming a source the registry does not have
+/// — worded once for the engine and the shard router.
+pub(crate) fn unknown_source(name: &str, e: &ModelError) -> String {
+    format!("unknown source `{name}`: {e}")
+}
+
 /// Decode the `lds`/`ops` fields of a `delta` request against a
 /// registry (resolving the source name to its handle).
 pub fn parse_delta(registry: &SourceRegistry, req: &Json) -> Result<SourceDelta, String> {
     let name = req.str_field("lds").ok_or("delta request missing `lds`")?;
     let lds = registry
         .resolve(name)
-        .map_err(|e| format!("unknown source `{name}`: {e}"))?;
+        .map_err(|e| unknown_source(name, &e))?;
     let ops_json = req
         .get("ops")
         .and_then(Json::as_arr)
@@ -337,22 +352,15 @@ pub fn batch_delta_request(items: Vec<Json>) -> Json {
 /// assert_eq!(req.to_string(), r#"{"cmd":"ping","shard":3}"#);
 /// ```
 pub fn with_shard(req: Json, shard: usize) -> Json {
-    match req {
-        Json::Obj(mut fields) => {
-            fields.retain(|(k, _)| k != "shard");
-            fields.push(("shard".to_owned(), Json::Uint(shard as u64)));
-            Json::Obj(fields)
-        }
-        other => other,
-    }
+    req.set_field("shard", Json::Uint(shard as u64))
 }
 
 /// Build an `install` request: store a mapping as a literal table of
 /// `[domain_idx, range_idx, sim]` rows. This is the record a
 /// cross-shard `compose` writes to the installing shard's WAL — rows,
 /// not a recipe, so the shard's log replays without consulting any
-/// other shard. A sharded server refuses it from the wire; a
-/// single-shard server accepts it (it is just a literal store).
+/// other shard. Servers refuse it from the wire; an embedded
+/// [`Engine`](crate::engine::Engine) executes it (that is replay).
 pub fn install_request(
     name: &str,
     domain: &str,

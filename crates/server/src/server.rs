@@ -1,17 +1,44 @@
-//! TCP server: accept loop, per-connection threads, graceful shutdown.
+//! TCP server: accept loop, per-connection threads, graceful shutdown —
+//! and the one request path every command takes.
 //!
 //! Plain `std::net` — a listener thread accepts connections and hands
 //! each one to its own handler thread (the service holds a handful of
 //! long-lived clients, not ten thousand; thread-per-connection keeps
-//! the whole stack dependency-free and easy to reason about). The
-//! engines sit behind a [`ShardRouter`]: with one shard (the default)
-//! every mutating command serializes through that shard's write lock —
-//! so WAL order equals apply order — while `query`/`stats`/`dump` run
-//! concurrently under the read lock against repository snapshots. With
-//! `--shards N` the router places mutating commands by source ownership
-//! and scatters reads, so writes to distinct shards no longer serialize
-//! behind one lock (see the [`crate::shard`] module docs and
-//! `docs/ARCHITECTURE.md` for the routing invariants).
+//! the whole stack dependency-free and easy to reason about).
+//!
+//! ## The request path
+//!
+//! The engines sit behind a [`ShardRouter`], and a default one-shard
+//! server *is* that router with N = 1: there is no second path.
+//! `dispatch` looks the request's command up in the
+//! [command table](crate::commands), checks who may send it, and hands
+//! it to the routing function its [`Route`] names. A routing function
+//! is "plan the target shards, run a closure on them, gather": the
+//! plan comes from [`crate::shard`], the gather step lives there too
+//! (and is the identity over one shard, so a one-shard server answers
+//! byte for byte like an embedded [`Engine`]), and the closure runs in
+//! **the executor**, `run` — the only place on the request path that
+//! takes admission slots or engine locks:
+//!
+//! 1. the targets are put in ascending order, without repeats;
+//! 2. one admission slot per target is taken from the class's
+//!    per-shard budget, or the request is answered `overloaded`;
+//! 3. the engine locks are taken in that ascending order (read locks
+//!    for [`Class::Read`](crate::commands::Class::Read), write locks
+//!    otherwise), a poisoned one is recovered and noted as `degraded`;
+//! 4. the closure runs inside `catch_unwind`: a panic becomes an
+//!    `internal error` reply and a `degraded` flag, never a dropped
+//!    connection or a poison cascade.
+//!
+//! So the lock discipline of `docs/ARCHITECTURE.md` — engine locks in
+//! ascending shard order, the router's index lock never held across
+//! one — holds by construction: no routing function can take a lock in
+//! another order because none takes a lock at all. (The background
+//! checkpointer is the only other lock taker, and holds one shard's
+//! lock at a time.) Mutating commands serialize through their shard's
+//! write lock — so WAL order equals apply order — while reads run
+//! concurrently under read locks against repository snapshots; writes
+//! to distinct shards do not serialize behind one lock.
 //!
 //! Shutdown: a `shutdown` command (or [`ServerHandle::stop`]) sets a
 //! stop flag; the nonblocking accept loop notices within ~15 ms, stops
@@ -29,17 +56,21 @@
 //! auto-checkpoints when a shard's durability thresholds are exceeded,
 //! off the delta path.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::convert::identity;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use crate::engine::{err_response, Engine};
+use crate::commands::{self, missing_field, Cmd, Command, Route, Visibility};
+use crate::engine::{err_response, parse_agg, parse_combine, Engine};
 use crate::frame::write_frame;
 use crate::json::Json;
-use crate::shard::{self, ComposePlan, ShardRouter};
+use crate::protocol::install_request;
+use crate::shard::{self, ComposePlan, Shard, ShardRouter};
 
 /// How long handler threads block in `read` before re-checking the stop
 /// flag (also bounds shutdown latency).
@@ -141,10 +172,6 @@ impl Shared {
             self.degraded.store(true, Ordering::Relaxed);
         }
     }
-
-    fn debug_write_cmd(&self, cmd: &str) -> bool {
-        self.limits.debug_commands && matches!(cmd, "debug_panic" | "debug_sleep_write")
-    }
 }
 
 /// RAII in-flight slot for one admission class; dropping it releases
@@ -169,20 +196,48 @@ fn admit(counter: &AtomicU64, budget: u64) -> Option<Admission<'_>> {
     }
 }
 
-/// Take a write slot on shard `i`.
-fn admit_write(shared: &Shared, i: usize) -> Option<Admission<'_>> {
-    admit(
-        &shared.router.shard(i).inflight_writes,
-        shared.limits.max_pending_writes,
-    )
+/// An admission class: which per-shard in-flight counter a request
+/// takes its slots from, and against which budget.
+struct Budget {
+    /// How `overloaded` responses name the class.
+    class: &'static str,
+    limit: u64,
+    inflight: fn(&Shard) -> &AtomicU64,
 }
 
-/// Take a read slot on shard `i`.
-fn admit_read(shared: &Shared, i: usize) -> Option<Admission<'_>> {
-    admit(
-        &shared.router.shard(i).inflight_reads,
-        shared.limits.max_pending_reads,
-    )
+impl Shared {
+    fn read_budget(&self) -> Budget {
+        Budget {
+            class: "read",
+            limit: self.limits.max_pending_reads,
+            inflight: |shard| &shard.inflight_reads,
+        }
+    }
+
+    fn write_budget(&self) -> Budget {
+        Budget {
+            class: "mutating",
+            limit: self.limits.max_pending_writes,
+            inflight: |shard| &shard.inflight_writes,
+        }
+    }
+}
+
+/// Take one slot from `budget` on every shard in `targets`, or answer
+/// `overloaded` (slots already taken are released on return).
+fn admit_all<'a>(
+    shared: &'a Shared,
+    budget: &Budget,
+    targets: &[usize],
+) -> Result<Vec<Admission<'a>>, Json> {
+    let mut slots = Vec::with_capacity(targets.len());
+    for &i in targets {
+        match admit((budget.inflight)(shared.router.shard(i)), budget.limit) {
+            Some(slot) => slots.push(slot),
+            None => return Err(overloaded_response(shared, budget.class)),
+        }
+    }
+    Ok(slots)
 }
 
 /// RAII active-connection slot, paired with the accept loop's
@@ -245,18 +300,6 @@ pub fn spawn_sharded(engines: Vec<Engine>, addr: &str, limits: Limits) -> io::Re
         shared,
         thread,
     })
-}
-
-/// Bind `addr` and serve on the current thread until shutdown, with
-/// default [`Limits`].
-pub fn run(engine: Engine, addr: &str) -> io::Result<()> {
-    run_with_limits(engine, addr, Limits::default())
-}
-
-/// Bind `addr` and serve on the current thread until shutdown, with
-/// explicit admission limits.
-pub fn run_with_limits(engine: Engine, addr: &str, limits: Limits) -> io::Result<()> {
-    run_sharded(vec![engine], addr, limits)
 }
 
 /// Bind `addr` and serve `engines` (one per shard) on the current
@@ -565,7 +608,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         };
         shared.requests.fetch_add(1, Ordering::Relaxed);
         let resp = dispatch(&payload, &shared);
-        if resp.get("ok").and_then(Json::as_bool) != Some(true) {
+        if !response_ok(&resp) {
             shared.errors.fetch_add(1, Ordering::Relaxed);
         }
         let stop_after = resp.get("stopping").and_then(Json::as_bool) == Some(true);
@@ -605,27 +648,75 @@ fn internal_error_response(shared: &Shared) -> Json {
     err_response("internal error: command handler panicked; engine marked degraded (see stats)")
 }
 
-/// Clone a request object with one extra field appended.
-fn with_field(req: &Json, key: &str, value: Json) -> Json {
-    let mut fields = match req {
-        Json::Obj(fields) => fields.clone(),
-        _ => Vec::new(),
-    };
-    fields.push((key.to_owned(), value));
-    Json::Obj(fields)
-}
-
-/// Append `(key, value)` to an object response (no-op otherwise).
-fn annotate(mut resp: Json, key: &str, value: Json) -> Json {
-    if let Json::Obj(fields) = &mut resp {
-        fields.push((key.to_owned(), value));
-    }
-    resp
-}
-
 fn response_ok(resp: &Json) -> bool {
     resp.get("ok").and_then(Json::as_bool) == Some(true)
 }
+
+// ---- the executor -----------------------------------------------------
+
+/// **The executor**: run `f` on the engines of `targets`, locked by
+/// `lock`. Every engine access of the request path goes through here,
+/// which is what makes the discipline in the module docs hold by
+/// construction — ascending, repeat-free lock order; one admission
+/// slot per target, released on every way out; poisoned locks
+/// recovered and noted; and `f` inside `catch_unwind`. `Err` carries
+/// the reply to send instead (`overloaded`, or `internal error` after
+/// a panic — in `f` or in a lock acquisition).
+fn run<G, T>(
+    shared: &Shared,
+    budget: Budget,
+    targets: &[usize],
+    lock: impl Fn(usize) -> (G, bool),
+    f: impl FnOnce(&mut [(usize, G)]) -> T,
+) -> Result<T, Json> {
+    let mut targets = targets.to_vec();
+    targets.sort_unstable();
+    targets.dedup();
+    let _slots = admit_all(shared, &budget, &targets)?;
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut held = Vec::with_capacity(targets.len());
+        for &i in &targets {
+            let (guard, recovered) = lock(i);
+            shared.note_recovered(recovered);
+            held.push((i, guard));
+        }
+        f(&mut held)
+    }))
+    .map_err(|_| internal_error_response(shared))
+}
+
+/// [`run`] under read locks and the read budget.
+fn run_read<'a, T>(
+    shared: &'a Shared,
+    targets: &[usize],
+    f: impl FnOnce(&mut [(usize, RwLockReadGuard<'a, Engine>)]) -> T,
+) -> Result<T, Json> {
+    let lock = |i| shared.router.engine_read(i);
+    run(shared, shared.read_budget(), targets, lock, f)
+}
+
+/// [`run`] under write locks and the write budget.
+fn run_write<'a, T>(
+    shared: &'a Shared,
+    targets: &[usize],
+    f: impl FnOnce(&mut [(usize, RwLockWriteGuard<'a, Engine>)]) -> T,
+) -> Result<T, Json> {
+    let lock = |i| shared.router.engine_write(i);
+    run(shared, shared.write_budget(), targets, lock, f)
+}
+
+/// Run `req` as it stands on shard `i`, under the lock its command's
+/// class declares; a refusal from the executor is the reply.
+fn run_on(shared: &Shared, command: &Command, i: usize, req: &Json) -> Json {
+    let outcome = if command.class.takes_write_lock() {
+        run_write(shared, &[i], |held| held[0].1.execute(req))
+    } else {
+        run_read(shared, &[i], |held| held[0].1.execute_read(req))
+    };
+    outcome.unwrap_or_else(identity)
+}
+
+// ---- dispatch and routing ---------------------------------------------
 
 fn dispatch(payload: &[u8], shared: &Shared) -> Json {
     let req = match std::str::from_utf8(payload)
@@ -635,753 +726,514 @@ fn dispatch(payload: &[u8], shared: &Shared) -> Json {
         Ok(req) => req,
         Err(e) => return err_response(&format!("bad request: {e}")),
     };
-    let Some(cmd) = req.str_field("cmd") else {
-        return err_response("request missing `cmd`");
+    let command = match commands::of_request(&req) {
+        Ok(command) => command,
+        Err(e) => return err_response(&e),
     };
-    match cmd {
-        "shutdown" => {
+    match command.visibility {
+        Visibility::Wire => {}
+        Visibility::Debug if shared.limits.debug_commands => {}
+        Visibility::Debug => return err_response(&commands::unknown_command(command.name)),
+        // Written by the router itself (and re-applied by WAL replay);
+        // accepting one from the wire would bypass the ownership index.
+        Visibility::Internal => {
+            return err_response(&format!(
+                "`{}` is internal to the shard router",
+                command.name
+            ))
+        }
+    }
+    let routed = match command.route {
+        // `shutdown`, the one unrouted command a client may send.
+        Route::Unrouted => {
             shared.request_stop();
-            Json::obj(vec![
+            Ok(Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("stopping", Json::Bool(true)),
-            ])
+            ]))
         }
-        "stats" => stats_response(shared, &req),
-        c if Engine::needs_write_lock(c) || shared.debug_write_cmd(c) => {
-            write_path(c, &req, shared)
-        }
-        _ => read_path(&req, shared),
-    }
-}
-
-/// `stats`: gather every shard's engine stats (each under its own read
-/// admission + lock, in ascending shard order), merge them when sharded
-/// and append the server-level counters.
-fn stats_response(shared: &Shared, req: &Json) -> Json {
-    let n = shared.router.len();
-    let mut per_shard = Vec::with_capacity(n);
-    for i in 0..n {
-        let Some(_slot) = admit_read(shared, i) else {
-            return overloaded_response(shared, "read");
-        };
-        let (engine, recovered) = shared.router.engine_read(i);
-        shared.note_recovered(recovered);
-        per_shard.push(engine.execute_read(req));
-    }
-    let mut resp = if n == 1 {
-        per_shard.pop().expect("one shard")
-    } else {
-        shard::merge_stats(&shared.router, &per_shard)
+        Route::ShardZero => on_shard_zero(shared, command, &req),
+        Route::ByMapping => route_by_mapping(shared, command, &req),
+        Route::ByMappingItems => route_batch_query(shared, command, &req),
+        Route::BySource => route_delta(shared, command, &req),
+        Route::BySourceItems => route_batch_delta(shared, command, &req),
+        Route::Place => route_match(shared, command, &req),
+        Route::Compose => route_compose(shared, command, &req),
+        Route::Scatter => scatter(shared, command, &req),
     };
-    if let Json::Obj(fields) = &mut resp {
-        fields.push((
-            "uptime_ms".to_owned(),
-            Json::Uint(shared.started.elapsed().as_millis() as u64),
-        ));
-        fields.push((
-            "requests".to_owned(),
-            Json::Uint(shared.requests.load(Ordering::Relaxed)),
-        ));
-        fields.push((
-            "request_errors".to_owned(),
-            Json::Uint(shared.errors.load(Ordering::Relaxed)),
-        ));
-        fields.push((
-            "connections".to_owned(),
-            Json::Uint(shared.connections.load(Ordering::Relaxed)),
-        ));
-        fields.push((
-            "active_connections".to_owned(),
-            Json::Uint(shared.active_connections.load(Ordering::Relaxed)),
-        ));
-        fields.push((
-            "busy_refusals".to_owned(),
-            Json::Uint(shared.busy_refusals.load(Ordering::Relaxed)),
-        ));
-        fields.push((
-            "overloaded_rejections".to_owned(),
-            Json::Uint(shared.overloaded_rejections.load(Ordering::Relaxed)),
-        ));
-        fields.push((
-            "auto_checkpoints".to_owned(),
-            Json::Uint(shared.auto_checkpoints.load(Ordering::Relaxed)),
-        ));
-        fields.push((
-            "shard_count".to_owned(),
-            Json::Uint(shared.router.len() as u64),
-        ));
-        fields.push((
-            "degraded".to_owned(),
-            Json::Bool(shared.degraded.load(Ordering::Relaxed)),
-        ));
-    }
-    resp
+    routed.unwrap_or_else(identity)
 }
 
-/// Run a read-only request on shard `i` under its read admission slot.
-fn run_read_on(shared: &Shared, i: usize, req: &Json) -> Json {
-    let Some(_slot) = admit_read(shared, i) else {
-        return overloaded_response(shared, "read");
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let (engine, recovered) = shared.router.engine_read(i);
-        shared.note_recovered(recovered);
-        engine.execute_read(req)
-    }));
-    match outcome {
-        Ok(resp) => resp,
-        Err(_) => internal_error_response(shared),
-    }
+/// A required routing field of `req`.
+fn field<'r>(req: &'r Json, command: &Command, name: &str) -> Result<&'r str, String> {
+    req.str_field(name)
+        .ok_or_else(|| missing_field(command.name, name))
 }
 
-/// The router's "unknown mapping" error — same shape as the engine's,
-/// so clients see one error grammar regardless of shard count.
-fn unknown_mapping_response(shared: &Shared, name: &str) -> Json {
-    let known = shared.router.known_mappings();
-    let names: Vec<String> = known.iter().map(|(n, _)| n.clone()).collect();
-    err_response(&format!(
-        "unknown mapping `{name}` (have: {})",
-        if names.is_empty() {
-            "none".to_owned()
-        } else {
-            names.join(", ")
-        }
-    ))
+/// Several required routing fields at once.
+fn fields<'r, const N: usize>(
+    req: &'r Json,
+    command: &Command,
+    names: [&str; N],
+) -> Result<[&'r str; N], String> {
+    let mut out = [""; N];
+    for (slot, name) in out.iter_mut().zip(names) {
+        *slot = field(req, command, name)?;
+    }
+    Ok(out)
 }
 
-fn read_path(req: &Json, shared: &Shared) -> Json {
-    if shared.router.is_single() {
-        return run_read_on(shared, 0, req);
-    }
-    let cmd = req.str_field("cmd").unwrap_or_default();
-    match cmd {
-        "ping" => Json::obj(vec![("ok", Json::Bool(true))]),
-        "query" => {
-            let Some(name) = req.str_field("name") else {
-                return err_response("query request missing `name`");
-            };
-            match shared.router.mapping_shard(name) {
-                Some(i) => annotate(run_read_on(shared, i, req), "shard", Json::Uint(i as u64)),
-                None => unknown_mapping_response(shared, name),
-            }
-        }
-        "batch_query" => sharded_batch_query(shared, req),
-        "dump" => sharded_dump(shared, req),
-        // Anything else lands on shard 0 for the canonical error
-        // message (`unknown command ...`).
-        _ => run_read_on(shared, 0, req),
-    }
+/// Settle a plan: the router's own, else whatever
+/// [`ShardRouter::unplanned`] makes of its refusal.
+fn planned<T>(
+    shared: &Shared,
+    plan: Result<T, String>,
+    on_shard: impl FnOnce(usize) -> T,
+) -> Result<T, Json> {
+    plan.or_else(|refusal| shared.router.unplanned(refusal).map(on_shard))
+        .map_err(|refusal| err_response(&refusal))
 }
 
-/// Sharded `batch_query`: group items by their mapping's shard, visit
-/// shards in ascending order (one read admission + lock acquisition
-/// per shard), and reassemble the per-item results in request order.
-fn sharded_batch_query(shared: &Shared, req: &Json) -> Json {
-    let Some(Json::Arr(items)) = req.get("items") else {
-        return err_response("batch_query request missing `items` array");
-    };
-    if items.is_empty() {
-        return err_response("batch_query needs a non-empty `items` array");
-    }
-    let mut results: Vec<Option<Json>> = vec![None; items.len()];
-    let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-    for (k, item) in items.iter().enumerate() {
-        match item.str_field("name") {
-            None => results[k] = Some(err_response("query request missing `name`")),
-            Some(name) => match shared.router.mapping_shard(name) {
-                Some(i) => groups.entry(i).or_default().push(k),
-                None => results[k] = Some(unknown_mapping_response(shared, name)),
-            },
-        }
-    }
-    for (i, idxs) in groups {
-        let Some(_slot) = admit_read(shared, i) else {
-            return overloaded_response(shared, "read");
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let (engine, recovered) = shared.router.engine_read(i);
-            shared.note_recovered(recovered);
-            idxs.iter()
-                .map(|&k| {
-                    let q = with_field(&items[k], "cmd", Json::Str("query".into()));
-                    (k, engine.execute_read(&q))
-                })
-                .collect::<Vec<_>>()
-        }));
-        match outcome {
-            Ok(pairs) => {
-                for (k, resp) in pairs {
-                    results[k] = Some(annotate(resp, "shard", Json::Uint(i as u64)));
-                }
-            }
-            Err(_) => return internal_error_response(shared),
-        }
-    }
-    let results: Vec<Json> = results
-        .into_iter()
-        .map(|r| r.expect("every batch_query item answered"))
-        .collect();
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("count", Json::Uint(results.len() as u64)),
-        ("results", Json::Arr(results)),
-    ])
+fn shard_list(shards: &[usize]) -> Json {
+    Json::Arr(shards.iter().map(|&i| Json::Uint(i as u64)).collect())
 }
 
-/// Sharded `dump`: each shard persists into `dir/shard.<i>/` (its own
-/// deterministic manifest included), and the coordinator writes a
-/// top-level `manifest.tsv` with the aggregate command counters — so an
-/// N-shard recovered state remains byte-comparable to a clean N-shard
-/// run with `diff -r`.
-fn sharded_dump(shared: &Shared, req: &Json) -> Json {
-    let Some(dir) = req.str_field("dir") else {
-        return err_response("dump request missing `dir`");
-    };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        return err_response(&format!("create {dir}: {e}"));
-    }
-    let n = shared.router.len();
-    let mut total_mappings = 0u64;
-    let mut sums = [0u64; 4];
-    let mut shard_lines = String::new();
-    for i in 0..n {
-        let Some(_slot) = admit_read(shared, i) else {
-            return overloaded_response(shared, "read");
-        };
-        let sub = format!("{dir}/shard.{i}");
-        let sub_req = with_field(req, "dir", Json::Str(sub.clone()));
-        // `with_field` appends, but `str_field` returns the first
-        // occurrence — rebuild the request instead.
-        let sub_req = match sub_req {
-            Json::Obj(fields) => Json::Obj(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "dir")
-                    .chain(std::iter::once(("dir".to_owned(), Json::Str(sub.clone()))))
-                    .collect(),
-            ),
-            other => other,
-        };
-        let (engine, recovered) = shared.router.engine_read(i);
-        shared.note_recovered(recovered);
-        let resp = engine.execute_read(&sub_req);
-        if !response_ok(&resp) {
-            return annotate(resp, "shard", Json::Uint(i as u64));
-        }
-        let mappings = resp.get("mappings").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        total_mappings += mappings;
-        let counts = engine.command_counts();
-        sums[0] += counts.matches;
-        sums[1] += counts.composes;
-        sums[2] += counts.deltas;
-        sums[3] += counts.repl_deltas;
-        shard_lines.push_str(&format!(
-            "shard\t{i}\t{mappings}\t{}\t{}\t{}\t{}\n",
-            counts.matches, counts.composes, counts.deltas, counts.repl_deltas
-        ));
-    }
-    let mut manifest = String::from("# moma shard dump manifest\n");
-    manifest.push_str(&format!("shards\t{n}\n"));
-    manifest.push_str(&format!(
-        "commands\t{}\t{}\t{}\t{}\n",
-        sums[0], sums[1], sums[2], sums[3]
-    ));
-    manifest.push_str(&shard_lines);
-    let path = std::path::Path::new(dir).join("manifest.tsv");
-    if let Err(e) = std::fs::write(&path, manifest) {
-        return err_response(&format!("write {}: {e}", path.display()));
-    }
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("dir", Json::Str(dir.into())),
-        ("shards", Json::Uint(n as u64)),
-        ("mappings", Json::Num(total_mappings as f64)),
-    ])
-}
-
-fn write_path(c: &str, req: &Json, shared: &Shared) -> Json {
-    // `debug_sleep_write` occupies its admission slot without touching
-    // an engine lock: it models a slow writer filling the queue, so
-    // overload tests can saturate the write budget while reads keep
-    // answering. Debug commands always target shard 0.
-    if c == "debug_sleep_write" || c == "debug_panic" {
-        let Some(_slot) = admit_write(shared, 0) else {
-            return overloaded_response(shared, "mutating");
-        };
-        if c == "debug_sleep_write" {
+/// `ping` runs on shard 0 like any read. The two fault injectors model
+/// a writer there: `debug_panic` panics holding the write lock;
+/// `debug_sleep_write` occupies a write admission slot *without*
+/// touching the lock — a slow writer filling the queue, so overload
+/// tests can saturate the write budget while reads keep answering.
+fn on_shard_zero(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+    match command.cmd {
+        Cmd::DebugSleepWrite => {
+            let _slot = admit_all(shared, &shared.write_budget(), &[0])?;
             let ms = req
                 .get("ms")
                 .and_then(Json::as_u64)
                 .unwrap_or(250)
                 .min(10_000);
             std::thread::sleep(Duration::from_millis(ms));
-            return Json::obj(vec![("ok", Json::Bool(true)), ("slept_ms", Json::Uint(ms))]);
+            Ok(Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("slept_ms", Json::Uint(ms)),
+            ]))
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let (_engine, recovered) = shared.router.engine_write(0);
-            shared.note_recovered(recovered);
-            panic!("debug_panic: injected handler panic");
-        }));
-        let _: Result<(), _> = outcome;
-        return internal_error_response(shared);
-    }
-    if shared.router.is_single() {
-        let Some(_slot) = admit_write(shared, 0) else {
-            return overloaded_response(shared, "mutating");
-        };
-        // A panicked handler must not take the server down (or poison
-        // every later request): catch it, answer an `internal_error`,
-        // and let the router recover the lock next time around.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let (mut engine, recovered) = shared.router.engine_write(0);
-            shared.note_recovered(recovered);
-            engine.execute(req)
-        }));
-        return match outcome {
-            Ok(resp) => resp,
-            Err(_) => internal_error_response(shared),
-        };
-    }
-    match c {
-        "checkpoint" => sharded_checkpoint(shared, req),
-        "match" => route_match(shared, req),
-        "compose" => route_compose(shared, req),
-        "delta" => route_delta(shared, req),
-        "batch_delta" => route_batch_delta(shared, req),
-        // `install` records are written by the router itself (and by
-        // WAL replay); accepting them from the wire would bypass the
-        // ownership index.
-        "install" => err_response("`install` is internal to the shard router"),
-        other => err_response(&format!("`{other}` is not routable")),
+        Cmd::DebugPanic => run_write(shared, &[0], |_| -> Json {
+            panic!("debug_panic: injected handler panic")
+        }),
+        _ => Ok(run_on(shared, command, 0, req)),
     }
 }
 
-/// `checkpoint` on every shard, ascending; the response aggregates the
-/// per-shard sequence numbers (their sum is what the `wal.seq` /
-/// `wal.checkpoint_seq` stats aggregates count).
-fn sharded_checkpoint(shared: &Shared, req: &Json) -> Json {
-    let n = shared.router.len();
-    let mut per_shard = Vec::with_capacity(n);
-    let mut seq_sum = 0u64;
-    for i in 0..n {
-        let Some(_slot) = admit_write(shared, i) else {
-            return overloaded_response(shared, "mutating");
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let (mut engine, recovered) = shared.router.engine_write(i);
-            shared.note_recovered(recovered);
-            engine.execute(req)
-        }));
-        let resp = match outcome {
-            Ok(resp) => resp,
-            Err(_) => return internal_error_response(shared),
-        };
-        if !response_ok(&resp) {
-            return annotate(resp, "shard", Json::Uint(i as u64));
-        }
-        seq_sum += resp.get("seq").and_then(Json::as_u64).unwrap_or(0);
-        per_shard.push(annotate(resp, "shard", Json::Uint(i as u64)));
+fn route_by_mapping(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+    let router = &shared.router;
+    let plan = field(req, command, "name").and_then(|name| router.plan_mapping(name));
+    let shard = planned(shared, plan, identity)?;
+    Ok(router.annotate_shard(run_on(shared, command, shard, req), shard))
+}
+
+/// The `"items"` of a batch request.
+fn batch_items<'r>(command: &Command, req: &'r Json) -> Result<&'r [Json], Json> {
+    let name = command.name;
+    match req.get("items") {
+        Some(Json::Arr(items)) if !items.is_empty() => Ok(items),
+        Some(Json::Arr(_)) => Err(err_response(&format!(
+            "{name} needs a non-empty `items` array"
+        ))),
+        _ => Err(err_response(&format!(
+            "{name} request missing `items` array"
+        ))),
     }
+}
+
+/// The part of a batch that goes to one shard.
+fn sub_batch(command: &Command, items: Vec<Json>) -> Json {
     Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("seq", Json::Uint(seq_sum)),
-        ("shards", Json::Arr(per_shard)),
+        ("cmd", Json::Str(command.name.into())),
+        ("items", Json::Arr(items)),
     ])
 }
 
-fn route_match(shared: &Shared, req: &Json) -> Json {
-    let Some(name) = req.str_field("name") else {
-        return err_response("match request missing `name`");
-    };
-    let Some(domain) = req.str_field("domain") else {
-        return err_response("match request missing `domain`");
-    };
-    let Some(range) = req.str_field("range") else {
-        return err_response("match request missing `range`");
-    };
+/// `batch_query`: group the items by their mapping's shard (an item no
+/// shard can answer gets its refusal inline), send each shard its
+/// sub-batch — the request itself when one shard takes every item —
+/// one shard at a time in ascending order, and reassemble the answers
+/// in request order.
+fn route_batch_query(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+    let router = &shared.router;
+    let items = batch_items(command, req)?;
+    let mut results: Vec<Option<Json>> = vec![None; items.len()];
+    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (k, item) in items.iter().enumerate() {
+        let plan = item
+            .str_field("name")
+            .ok_or_else(|| missing_field(Cmd::Query.name(), "name"))
+            .and_then(|name| router.plan_mapping(name));
+        match planned(shared, plan, identity) {
+            Ok(shard) => groups.entry(shard).or_default().push(k),
+            Err(refusal) => results[k] = Some(refusal),
+        }
+    }
+    for (shard, picks) in groups {
+        let part;
+        let part_req = if picks.len() == items.len() {
+            req
+        } else {
+            part = sub_batch(command, picks.iter().map(|&k| items[k].clone()).collect());
+            &part
+        };
+        let resp = run_on(shared, command, shard, part_req);
+        if !response_ok(&resp) {
+            return Err(resp);
+        }
+        if let Some(Json::Arr(answers)) = resp.take_field("results") {
+            for (k, answer) in picks.into_iter().zip(answers) {
+                results[k] = Some(router.annotate_shard(answer, shard));
+            }
+        }
+    }
+    let results: Vec<Json> = results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|| err_response("batch item result missing")))
+        .collect();
+    Ok(Json::obj(vec![
+        ("ok", Json::Bool(true)),
+        ("count", Json::Uint(results.len() as u64)),
+        ("results", Json::Arr(results)),
+    ]))
+}
+
+/// Walk the shards ascending, one at a time, collecting `step`'s
+/// replies; a refusal or failed reply ends the walk and is the answer
+/// (annotated with its shard).
+fn each_shard(shared: &Shared, mut step: impl FnMut(usize) -> Json) -> Result<Vec<Json>, Json> {
+    let router = &shared.router;
+    let mut replies = Vec::with_capacity(router.len());
+    for shard in 0..router.len() {
+        let resp = step(shard);
+        if !response_ok(&resp) {
+            return Err(router.annotate_shard(resp, shard));
+        }
+        replies.push(resp);
+    }
+    Ok(replies)
+}
+
+/// `stats`, `dump`, `checkpoint`: every shard answers in turn and
+/// [`shard::gather`] merges the replies.
+fn scatter(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+    let router = &shared.router;
+    let as_it_stands = |shard| run_on(shared, command, shard, req);
+    match command.cmd {
+        Cmd::Dump => {
+            // The one scattered command whose request differs per
+            // shard: each persists into its own directory, and the
+            // merged manifest records each shard's durable counters as
+            // of the same lock hold.
+            let dir = field(req, command, "dir").map_err(|e| err_response(&e))?;
+            let mut counts = Vec::with_capacity(router.len());
+            let replies = each_shard(shared, |shard| {
+                let part = Json::Str(router.shard_dir(dir, shard));
+                let part_req = req.clone().set_field("dir", part);
+                run_read(shared, &[shard], |held| {
+                    counts.push(held[0].1.command_counts());
+                    held[0].1.execute_read(&part_req)
+                })
+                .unwrap_or_else(identity)
+            })?;
+            Ok(shard::gather(replies, |all| {
+                shard::merge_dump(dir, all, &counts)
+            }))
+        }
+        Cmd::Stats => {
+            let replies = each_shard(shared, as_it_stands)?;
+            let merged = shard::gather(replies, |all| shard::merge_stats(router, all));
+            Ok(with_server_counters(shared, merged))
+        }
+        _ => {
+            let replies = each_shard(shared, as_it_stands)?;
+            Ok(shard::gather(replies, shard::merge_checkpoint))
+        }
+    }
+}
+
+/// Append the server-level counters to a `stats` reply.
+fn with_server_counters(shared: &Shared, mut stats: Json) -> Json {
+    let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let counters = [
+        ("uptime_ms", shared.started.elapsed().as_millis() as u64),
+        ("requests", count(&shared.requests)),
+        ("request_errors", count(&shared.errors)),
+        ("connections", count(&shared.connections)),
+        ("active_connections", count(&shared.active_connections)),
+        ("busy_refusals", count(&shared.busy_refusals)),
+        (
+            "overloaded_rejections",
+            count(&shared.overloaded_rejections),
+        ),
+        ("auto_checkpoints", count(&shared.auto_checkpoints)),
+        ("shard_count", shared.router.len() as u64),
+    ];
+    if let Json::Obj(fields) = &mut stats {
+        fields.extend(counters.map(|(k, v)| (k.to_owned(), Json::Uint(v))));
+        let degraded = shared.degraded.load(Ordering::Relaxed);
+        fields.push(("degraded".to_owned(), Json::Bool(degraded)));
+    }
+    stats
+}
+
+/// `match`: placed by the ownership cascade; a success claims its
+/// sources for the shard it ran on.
+fn route_match(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+    let router = &shared.router;
+    let ends = fields(req, command, ["name", "domain", "range"]);
     let hint = req.get("shard").and_then(Json::as_u64).map(|v| v as usize);
-    let target = match shared.router.plan_match(domain, range, hint) {
-        Ok(t) => t,
-        Err(e) => return err_response(&e),
-    };
-    let Some(_slot) = admit_write(shared, target) else {
-        return overloaded_response(shared, "mutating");
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let (mut engine, recovered) = shared.router.engine_write(target);
-        shared.note_recovered(recovered);
-        engine.execute(req)
-    }));
-    match outcome {
-        Ok(resp) => {
-            if response_ok(&resp) {
-                shared.router.note_match(name, domain, range, target);
+    let plan = ends
+        .clone()
+        .and_then(|[_, domain, range]| router.plan_match(domain, range, hint));
+    let shard = planned(shared, plan, identity)?;
+    let resp = run_on(shared, command, shard, req);
+    if let (true, Ok([name, domain, range])) = (response_ok(&resp), ends) {
+        router.note_match(name, domain, range, shard);
+    }
+    Ok(router.annotate_shard(resp, shard))
+}
+
+/// `compose`: unchanged on the shard holding both inputs, else the
+/// cross-shard path.
+fn route_compose(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+    let router = &shared.router;
+    let ends = fields(req, command, ["name", "left", "right"]);
+    let plan = ends
+        .clone()
+        .and_then(|[_, left, right]| router.plan_compose(left, right));
+    match planned(shared, plan, ComposePlan::Single)? {
+        ComposePlan::Single(shard) => {
+            let resp = run_on(shared, command, shard, req);
+            if let (true, Ok([name, ..])) = (response_ok(&resp), ends) {
+                router.note_mapping(name, shard);
             }
-            annotate(resp, "shard", Json::Uint(target as u64))
+            Ok(router.annotate_shard(resp, shard))
         }
-        Err(_) => internal_error_response(shared),
+        ComposePlan::Cross { left, right } => {
+            let names = ends.map_err(|e| err_response(&e))?;
+            cross_shard_compose(shared, req, names, left, right)
+        }
     }
 }
 
-fn route_compose(shared: &Shared, req: &Json) -> Json {
-    let Some(name) = req.str_field("name") else {
-        return err_response("compose request missing `name`");
-    };
-    let Some(left) = req.str_field("left") else {
-        return err_response("compose request missing `left`");
-    };
-    let Some(right) = req.str_field("right") else {
-        return err_response("compose request missing `right`");
-    };
-    match shared.router.plan_compose(left, right) {
-        Err(e) => err_response(&e),
-        Ok(ComposePlan::Single(i)) => {
-            let Some(_slot) = admit_write(shared, i) else {
-                return overloaded_response(shared, "mutating");
-            };
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let (mut engine, recovered) = shared.router.engine_write(i);
-                shared.note_recovered(recovered);
-                engine.execute(req)
-            }));
-            match outcome {
-                Ok(resp) => {
-                    if response_ok(&resp) {
-                        shared.router.note_mapping(name, i);
-                    }
-                    annotate(resp, "shard", Json::Uint(i as u64))
-                }
-                Err(_) => internal_error_response(shared),
-            }
-        }
-        Ok(ComposePlan::Cross {
-            left: ls,
-            right: rs,
-            install,
-        }) => cross_shard_compose(shared, req, name, left, right, ls, rs, install),
-    }
-}
-
-/// The coordinator's gather-then-compute path: read-lock each input's
-/// shard in turn (never both at once — cheap Arc clones make holding
-/// two shard locks unnecessary), compute the compose locally with the
-/// exact single-shard recipe evaluation, then log the *result* as an
-/// `install` record on the left input's shard. The installed mapping is
-/// a point-in-time snapshot of its inputs; the response records their
-/// versions so a client can detect staleness and re-compose.
-#[allow(clippy::too_many_arguments)]
+/// The coordinator's gather-then-compute path: read each input on its
+/// shard in turn (never both locked at once — cheap `Arc` clones make
+/// holding two shard locks unnecessary), compute the compose locally
+/// with the exact single-shard recipe evaluation, then log the
+/// *result* as an `install` record on the left input's shard. The
+/// installed mapping is a point-in-time snapshot of its inputs; the
+/// response records their versions so a client can detect staleness
+/// and re-compose.
 fn cross_shard_compose(
     shared: &Shared,
     req: &Json,
-    name: &str,
-    left: &str,
-    right: &str,
-    ls: usize,
-    rs: usize,
-    install: usize,
-) -> Json {
-    let f = req.str_field("f").unwrap_or("min").to_owned();
-    let g = req.str_field("g").unwrap_or("max").to_owned();
-    let (f, g) = match (
-        crate::engine::parse_combine(&f),
-        crate::engine::parse_agg(&g),
-    ) {
-        (Ok(f), Ok(g)) => (f, g),
-        (Err(e), _) | (_, Err(e)) => return err_response(&e),
+    [name, left, right]: [&str; 3],
+    left_shard: usize,
+    right_shard: usize,
+) -> Result<Json, Json> {
+    let f = parse_combine(req.str_field("f").unwrap_or("min")).map_err(|e| err_response(&e))?;
+    let g = parse_agg(req.str_field("g").unwrap_or("max")).map_err(|e| err_response(&e))?;
+    // One input's mapping `Arc`, version, end-point source names and
+    // the shard's execution parameters.
+    let gather = |shard: usize, mapping: &str| {
+        run_read(shared, &[shard], |held| -> Result<_, Json> {
+            let engine = &held[0].1;
+            let m = engine.repository().get(mapping).ok_or_else(|| {
+                err_response(&format!(
+                    "unknown mapping `{mapping}` on shard {shard} (routing index stale?)"
+                ))
+            })?;
+            let version = engine.repository().version(mapping).unwrap_or(0);
+            let domain = engine.registry().lds(m.domain).name();
+            let range = engine.registry().lds(m.range).name();
+            Ok((m, version, domain, range, engine.parallelism()))
+        })?
     };
-    // Gather: clone each input's mapping Arc plus the metadata the
-    // install record needs, one shard at a time.
-    let gather = |i: usize,
-                  mapping_name: &str|
-     -> Result<
-        (
-            std::sync::Arc<moma_core::Mapping>,
-            u64,
-            String,
-            String,
-            moma_core::exec::Parallelism,
-        ),
-        Json,
-    > {
-        let Some(_slot) = admit_read(shared, i) else {
-            return Err(overloaded_response(shared, "read"));
-        };
-        let (engine, recovered) = shared.router.engine_read(i);
-        shared.note_recovered(recovered);
-        let Some(m) = engine.repository().get(mapping_name) else {
-            return Err(err_response(&format!(
-                "unknown mapping `{mapping_name}` on shard {i} (routing index stale?)"
-            )));
-        };
-        let version = engine.repository().version(mapping_name).unwrap_or(0);
-        let domain_name = engine.registry().lds(m.domain).name();
-        let range_name = engine.registry().lds(m.range).name();
-        Ok((m, version, domain_name, range_name, engine.parallelism()))
-    };
-    let (left_map, left_ver, left_domain, _left_range, par) = match gather(ls, left) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let (right_map, right_ver, _right_domain, right_range, _) = match gather(rs, right) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let (rows, assoc) = match shard::compose_gathered(&left_map, &right_map, f, g, &par) {
-        Ok(v) => v,
-        Err(e) => return err_response(&e),
-    };
-    let rows_json: Vec<Json> = rows
-        .iter()
-        .map(|&(d, r, sim)| {
-            Json::Arr(vec![
-                Json::Num(d as f64),
-                Json::Num(r as f64),
-                Json::Num(sim),
-            ])
-        })
-        .collect();
-    let mut install_fields = vec![
-        ("cmd".to_owned(), Json::Str("install".into())),
-        ("name".to_owned(), Json::Str(name.into())),
-        ("domain".to_owned(), Json::Str(left_domain)),
-        ("range".to_owned(), Json::Str(right_range)),
-        ("rows".to_owned(), Json::Arr(rows_json)),
-        (
-            "inputs".to_owned(),
-            Json::Arr(vec![
-                Json::Arr(vec![Json::Str(left.into()), Json::Uint(left_ver)]),
-                Json::Arr(vec![Json::Str(right.into()), Json::Uint(right_ver)]),
-            ]),
-        ),
-    ];
+    let (left_map, left_ver, domain, _, par) = gather(left_shard, left)?;
+    let (right_map, right_ver, _, range, _) = gather(right_shard, right)?;
+    let (rows, assoc) =
+        shard::compose_gathered(&left_map, &right_map, f, g, &par).map_err(|e| err_response(&e))?;
+    let inputs = Json::Arr(vec![
+        Json::Arr(vec![Json::Str(left.into()), Json::Uint(left_ver)]),
+        Json::Arr(vec![Json::Str(right.into()), Json::Uint(right_ver)]),
+    ]);
+    let mut install =
+        install_request(name, &domain, &range, &rows, None).set_field("inputs", inputs.clone());
     if let Some(t) = assoc {
-        install_fields.push(("assoc".to_owned(), Json::Str(t)));
+        install = install.set_field("assoc", Json::Str(t));
     }
-    let install_req = Json::Obj(install_fields);
-    let Some(_slot) = admit_write(shared, install) else {
-        return overloaded_response(shared, "mutating");
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let (mut engine, recovered) = shared.router.engine_write(install);
-        shared.note_recovered(recovered);
-        engine.execute(&install_req)
-    }));
-    match outcome {
-        Ok(resp) => {
-            if !response_ok(&resp) {
-                return resp;
-            }
-            shared.router.note_mapping(name, install);
-            let resp = annotate(resp, "shard", Json::Uint(install as u64));
-            let resp = annotate(resp, "cross_shard", Json::Bool(true));
-            let resp = annotate(resp, "left_shard", Json::Uint(ls as u64));
-            let resp = annotate(resp, "right_shard", Json::Uint(rs as u64));
-            annotate(
-                resp,
-                "inputs",
-                Json::Arr(vec![
-                    Json::Arr(vec![Json::Str(left.into()), Json::Uint(left_ver)]),
-                    Json::Arr(vec![Json::Str(right.into()), Json::Uint(right_ver)]),
-                ]),
-            )
-        }
-        Err(_) => internal_error_response(shared),
+    let resp = run_write(shared, &[left_shard], |held| held[0].1.execute(&install))?;
+    if !response_ok(&resp) {
+        return Err(resp);
     }
+    shared.router.note_mapping(name, left_shard);
+    Ok(shared.router.annotate(
+        resp,
+        [
+            ("shard", Json::Uint(left_shard as u64)),
+            ("cross_shard", Json::Bool(true)),
+            ("left_shard", Json::Uint(left_shard as u64)),
+            ("right_shard", Json::Uint(right_shard as u64)),
+            ("inputs", inputs),
+        ],
+    ))
 }
 
-fn route_delta(shared: &Shared, req: &Json) -> Json {
-    let Some(source) = req.str_field("lds") else {
-        return err_response("delta request missing `lds`");
-    };
-    // Unknown sources get the registry's own error (routable: it names
-    // the source and the registry is identical on every shard).
-    {
-        let (engine, recovered) = shared.router.engine_read(0);
-        shared.note_recovered(recovered);
-        if let Err(e) = engine.registry().resolve(source) {
-            return err_response(&format!("unknown source `{source}`: {e}"));
-        }
-    }
-    let targets = match shared.router.plan_delta(source) {
-        Ok(t) => t,
-        Err(e) => return err_response(&e),
-    };
-    apply_fanout_delta(shared, req, &targets)
+/// A copy of a delta (or delta item) for a shard other than its
+/// accounting shard. The router owns `repl`: whatever the client put
+/// there is replaced.
+fn replica(delta: &Json) -> Json {
+    delta.clone().set_field("repl", Json::Bool(true))
 }
 
-/// Apply one delta to its target shards: admission on every target,
-/// write locks in ascending shard order (all held until every copy is
-/// applied, so concurrent deltas to overlapping shard sets cannot
-/// interleave differently on different shards), accounting copy on the
-/// lowest target, `"repl": true` replicas on the rest.
-fn apply_fanout_delta(shared: &Shared, req: &Json, targets: &[usize]) -> Json {
-    let mut slots = Vec::with_capacity(targets.len());
-    for &i in targets {
-        match admit_write(shared, i) {
-            Some(s) => slots.push(s),
-            None => return overloaded_response(shared, "mutating"),
-        }
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut guards = Vec::with_capacity(targets.len());
-        for &i in targets {
-            let (g, recovered) = shared.router.engine_write(i);
-            shared.note_recovered(recovered);
-            guards.push((i, g));
-        }
-        let mut primary = None;
-        for (k, (i, engine)) in guards.iter_mut().enumerate() {
-            if k == 0 {
-                primary = Some(engine.execute(req));
-            } else {
-                let repl_req = with_field(req, "repl", Json::Bool(true));
-                let resp = engine.execute(&repl_req);
-                if !response_ok(&resp) {
-                    // A replica that fails while the accounting copy
-                    // succeeded means the shards have diverged; keep
-                    // serving but flag it loudly.
-                    eprintln!(
-                        "moma serve: warning: replica delta diverged on shard {i}: {}",
-                        resp.str_field("error").unwrap_or("unknown error")
-                    );
-                    shared.degraded.store(true, Ordering::Relaxed);
-                }
+/// `delta`: write locks on every target, all held until every copy is
+/// applied (so concurrent deltas to overlapping shard sets cannot
+/// interleave differently on different shards); the request itself on
+/// the lowest target — the accounting copy — and replicas on the rest.
+fn route_delta(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+    let router = &shared.router;
+    let plan = field(req, command, "lds").and_then(|source| router.plan_delta(source));
+    let targets = planned(shared, plan, |shard| vec![shard])?;
+    let resp = run_write(shared, &targets, |held| {
+        let mut copies = held.iter_mut();
+        let (_, accounting) = copies.next().expect("a planned delta has a target");
+        let resp = accounting.execute(req);
+        for (shard, engine) in copies {
+            let copied = engine.execute(&replica(req));
+            if !response_ok(&copied) {
+                // A replica that fails while the accounting copy
+                // succeeded means the shards have diverged; keep
+                // serving but flag it loudly.
+                eprintln!(
+                    "moma serve: warning: replica delta diverged on shard {shard}: {}",
+                    copied.str_field("error").unwrap_or("unknown error")
+                );
+                shared.degraded.store(true, Ordering::Relaxed);
             }
         }
-        primary.expect("at least one delta target")
-    }));
-    match outcome {
-        Ok(resp) => annotate(
-            resp,
-            "shards",
-            Json::Arr(targets.iter().map(|&i| Json::Uint(i as u64)).collect()),
-        ),
-        Err(_) => internal_error_response(shared),
-    }
+        resp
+    })?;
+    Ok(router.annotate(resp, [("shards", shard_list(&targets))]))
 }
 
-/// Sharded `batch_delta`. When every item routes to one shard the whole
-/// batch forwards there unchanged — one WAL group commit, contiguous
-/// sequence numbers, exactly the single-shard semantics. A batch
-/// spanning shards is decomposed into per-shard sub-batches (one group
-/// commit per shard, write locks held across all of them in ascending
-/// order); per-item results are reassembled in request order and the
-/// envelope's `first_seq`/`last_seq` are `null` because no single
-/// shard's sequence range covers the batch.
-fn route_batch_delta(shared: &Shared, req: &Json) -> Json {
-    let Some(Json::Arr(items)) = req.get("items") else {
-        return err_response("batch_delta request missing `items` array");
-    };
-    if items.is_empty() {
-        return err_response("batch_delta needs a non-empty `items` array");
-    }
+/// `batch_delta`. When every item routes to one shard the whole batch
+/// forwards there unchanged — one WAL group commit, contiguous
+/// sequence numbers. A batch spanning shards is decomposed into
+/// per-shard sub-batches (one group commit per shard, write locks held
+/// across all of them); per-item results are reassembled in request
+/// order and the envelope's `first_seq`/`last_seq` are `null` because
+/// no single shard's sequence range covers the batch. An item that
+/// cannot be planned refuses the whole batch: all items or none.
+fn route_batch_delta(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+    let router = &shared.router;
+    let items = batch_items(command, req)?;
     let mut item_targets: Vec<Vec<usize>> = Vec::with_capacity(items.len());
     for (k, item) in items.iter().enumerate() {
-        let Some(source) = item.str_field("lds") else {
-            return err_response(&format!("batch_delta item {k} missing `lds`"));
+        let plan = match item.str_field("lds") {
+            None => Err(format!("{} item {k} missing `lds`", command.name)),
+            Some(source) => router
+                .plan_delta(source)
+                .map_err(|e| format!("{} item {k}: {e}", command.name)),
         };
-        {
-            let (engine, recovered) = shared.router.engine_read(0);
-            shared.note_recovered(recovered);
-            if let Err(e) = engine.registry().resolve(source) {
-                return err_response(&format!(
-                    "batch_delta item {k}: unknown source `{source}`: {e}"
-                ));
-            }
-        }
-        match shared.router.plan_delta(source) {
-            Ok(t) => item_targets.push(t),
-            Err(e) => return err_response(&format!("batch_delta item {k}: {e}")),
-        }
+        item_targets.push(planned(shared, plan, |shard| vec![shard])?);
     }
-    let union: std::collections::BTreeSet<usize> = item_targets.iter().flatten().copied().collect();
-    if union.len() == 1 {
-        let i = *union.iter().next().expect("non-empty union");
-        let Some(_slot) = admit_write(shared, i) else {
-            return overloaded_response(shared, "mutating");
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let (mut engine, recovered) = shared.router.engine_write(i);
-            shared.note_recovered(recovered);
-            engine.execute(req)
-        }));
-        return match outcome {
-            Ok(resp) => annotate(resp, "shards", Json::Arr(vec![Json::Uint(i as u64)])),
-            Err(_) => internal_error_response(shared),
-        };
+    let union: BTreeSet<usize> = item_targets.iter().flatten().copied().collect();
+    let union: Vec<usize> = union.into_iter().collect();
+    let shards = ("shards", shard_list(&union));
+    if let [only] = union[..] {
+        return Ok(router.annotate(run_on(shared, command, only, req), [shards]));
     }
-
-    // Multi-shard batch: per-shard sub-batches under all write locks.
-    let mut slots = Vec::with_capacity(union.len());
-    for &i in &union {
-        match admit_write(shared, i) {
-            Some(s) => slots.push(s),
-            None => return overloaded_response(shared, "mutating"),
-        }
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut guards = Vec::with_capacity(union.len());
-        for &i in &union {
-            let (g, recovered) = shared.router.engine_write(i);
-            shared.note_recovered(recovered);
-            guards.push((i, g));
-        }
+    let results = run_write(shared, &union, |held| {
         let mut results: Vec<Option<Json>> = vec![None; items.len()];
-        for (i, engine) in guards.iter_mut() {
-            // Sub-batch for shard i, in request order. An item's
-            // accounting copy goes to its lowest target; other targets
-            // get replicas.
-            let mut sub_items = Vec::new();
-            let mut accounted = Vec::new();
+        for (shard, engine) in held.iter_mut() {
+            // This shard's sub-batch, in request order. An item's
+            // accounting copy goes to its lowest target, whose answer
+            // is the item's result; other targets get replicas.
+            let mut part = Vec::new();
+            let mut answers_for = Vec::new();
             for (k, targets) in item_targets.iter().enumerate() {
-                if !targets.contains(i) {
-                    continue;
+                if targets.contains(shard) {
+                    let accounting = targets.first() == Some(shard);
+                    part.push(if accounting {
+                        items[k].clone()
+                    } else {
+                        replica(&items[k])
+                    });
+                    answers_for.push(accounting.then_some(k));
                 }
-                let is_accounting = targets.first() == Some(i);
-                let item = if is_accounting {
-                    items[k].clone()
-                } else {
-                    with_field(&items[k], "repl", Json::Bool(true))
-                };
-                sub_items.push(item);
-                accounted.push(if is_accounting { Some(k) } else { None });
             }
-            let sub_req = Json::obj(vec![
-                ("cmd", Json::Str("batch_delta".into())),
-                ("items", Json::Arr(sub_items)),
-            ]);
-            let resp = engine.execute(&sub_req);
+            let resp = engine.execute(&sub_batch(command, part));
             if !response_ok(&resp) {
-                return Err(annotate(resp, "shard", Json::Uint(*i as u64)));
+                return Err(router.annotate_shard(resp, *shard));
             }
-            if let Some(Json::Arr(sub_results)) = resp.get("results") {
-                for (j, slot) in accounted.iter().enumerate() {
-                    if let Some(k) = slot {
-                        results[*k] = sub_results.get(j).cloned();
+            if let Some(Json::Arr(answers)) = resp.take_field("results") {
+                for (k, answer) in answers_for.into_iter().zip(answers) {
+                    if let Some(k) = k {
+                        results[k] = Some(answer);
                     }
                 }
             }
         }
         Ok(results)
-    }));
-    let results = match outcome {
-        Ok(Ok(results)) => results,
-        Ok(Err(resp)) => return resp,
-        Err(_) => return internal_error_response(shared),
-    };
+    })??;
     let results: Vec<Json> = results
         .into_iter()
-        .map(|r| r.unwrap_or_else(|| err_response("batch_delta item result missing")))
+        .map(|r| r.unwrap_or_else(|| err_response("batch item result missing")))
         .collect();
-    Json::obj(vec![
+    Ok(Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("count", Json::Uint(results.len() as u64)),
         ("first_seq", Json::Null),
         ("last_seq", Json::Null),
         ("results", Json::Arr(results)),
-        (
-            "shards",
-            Json::Arr(union.iter().map(|&i| Json::Uint(i as u64)).collect()),
-        ),
-    ])
+        shards,
+    ]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moma_core::exec::Parallelism;
+    use moma_model::SourceRegistry;
+
+    /// A panic anywhere under the executor — here in the closure, with
+    /// the write lock held — is answered, flagged and survived.
+    #[test]
+    fn executor_contains_a_panicking_closure() {
+        let engine = Engine::new(SourceRegistry::new(), Parallelism::sequential());
+        let shared = new_shared(vec![engine], Limits::default());
+
+        let refusal = run_write(&shared, &[0], |_| -> Json { panic!("injected") })
+            .expect_err("a panic is a refusal, not a return");
+        assert!(!response_ok(&refusal));
+        let error = refusal.str_field("error").unwrap_or_default();
+        assert!(error.starts_with("internal error"), "{refusal}");
+        assert!(shared.degraded.load(Ordering::Relaxed));
+
+        // The admission slot is back and the poisoned lock is usable:
+        // the same shard serves the next write and the next read.
+        let inflight = &shared.router.shard(0).inflight_writes;
+        assert_eq!(inflight.load(Ordering::Acquire), 0);
+        assert_eq!(run_write(&shared, &[0], |held| held.len()), Ok(1));
+        let stats = run_read(&shared, &[0], |held| held[0].1.stats()).expect("read");
+        assert!(response_ok(&stats));
+    }
+
+    /// Whatever order (and however often) a caller names its targets,
+    /// the executor locks them ascending, once each.
+    #[test]
+    fn executor_locks_ascending_and_once() {
+        let engines = (0..3).map(|_| Engine::new(SourceRegistry::new(), Parallelism::sequential()));
+        let shared = new_shared(engines.collect(), Limits::default());
+        let order = run_write(&shared, &[2, 0, 2, 1], |held| {
+            held.iter().map(|(i, _)| *i).collect::<Vec<_>>()
+        });
+        assert_eq!(order, Ok(vec![0, 1, 2]));
+    }
 }

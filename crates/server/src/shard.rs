@@ -34,6 +34,18 @@
 //!   record on the left input's shard — replay never reaches across
 //!   shards, so per-shard recovery stays independent and bit-identical.
 //!
+//! ## One shard is the same router
+//!
+//! A default `moma serve` is this router with N = 1 — there is no
+//! second code path. Two rules make its replies byte-identical to an
+//! embedded [`Engine`]'s: a plan that cannot be made (unknown mapping,
+//! unhosted source, missing routing field) falls through to the only
+//! shard there is, whose engine words the error itself
+//! ([`ShardRouter::unplanned`]); and every gather step — the
+//! `shard`/`shards` annotations ([`ShardRouter::annotate`]), the
+//! per-shard dump directories ([`ShardRouter::shard_dir`]) and the
+//! `merge_*` functions — is the identity over one shard.
+//!
 //! Because every placement decision is a pure function of the index,
 //! and the index is a deterministic fold of the (per-shard-serialized)
 //! command history, an N-shard run is reproducible: replaying each
@@ -46,9 +58,11 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use moma_core::exec::Parallelism;
 use moma_core::{Mapping, MappingRepository, Recipe};
+use moma_model::ModelError;
 
-use crate::engine::Engine;
+use crate::engine::{err_response, unknown_mapping, CommandCounts, Engine};
 use crate::json::Json;
+use crate::protocol::unknown_source;
 
 /// One shard: an engine plus its private admission counters. The
 /// in-flight budgets in [`crate::server::Limits`] apply **per shard**,
@@ -83,13 +97,8 @@ pub enum ComposePlan {
     /// there.
     Single(usize),
     /// Inputs live on different shards: gather both tables, compute on
-    /// the coordinator, `install` the result on `install` (the left
-    /// input's shard).
-    Cross {
-        left: usize,
-        right: usize,
-        install: usize,
-    },
+    /// the coordinator, `install` the result on the left input's shard.
+    Cross { left: usize, right: usize },
 }
 
 /// FNV-1a — the default placement hash for unclaimed domains. Stable
@@ -108,6 +117,10 @@ fn fnv1a(s: &str) -> u64 {
 /// multi-shard operations take engine locks in ascending shard order.
 pub struct ShardRouter {
     shards: Vec<Shard>,
+    /// Names of the boot image's sources. Every shard registers the
+    /// same ones and none is added later, so the router can tell an
+    /// unknown source from an unhosted one without an engine lock.
+    sources: BTreeSet<String>,
     index: RwLock<RouteIndex>,
 }
 
@@ -118,6 +131,11 @@ impl ShardRouter {
     /// recovered states prove.
     pub fn new(engines: Vec<Engine>) -> ShardRouter {
         assert!(!engines.is_empty(), "a server needs at least one shard");
+        let sources = engines[0]
+            .registry()
+            .iter()
+            .map(|(_, lds)| lds.name())
+            .collect();
         let shards: Vec<Shard> = engines
             .into_iter()
             .map(|e| Shard {
@@ -128,6 +146,7 @@ impl ShardRouter {
             .collect();
         let router = ShardRouter {
             shards,
+            sources,
             index: RwLock::new(RouteIndex::default()),
         };
         router.rebuild_index();
@@ -143,11 +162,6 @@ impl ShardRouter {
     /// `len`/`is_empty` convention only.
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
-    }
-
-    /// `true` when running unsharded (the dispatch fast path).
-    pub fn is_single(&self) -> bool {
-        self.shards.len() == 1
     }
 
     /// The `i`-th shard.
@@ -275,8 +289,13 @@ impl ShardRouter {
     /// element is the accounting shard; the rest receive `"repl": true`
     /// replicas. A source no shard hosts (and no claim covers) is
     /// refused — there is nothing the delta could patch, and accepting
-    /// it would leave replicas diverging silently.
+    /// it would leave replicas diverging silently. (With one shard
+    /// that shard hosts every source: see [`ShardRouter::unplanned`].)
     pub fn plan_delta(&self, source: &str) -> Result<Vec<usize>, String> {
+        if !self.sources.contains(source) {
+            let unknown = ModelError::UnknownSource(source.to_owned());
+            return Err(unknown_source(source, &unknown));
+        }
         let idx = self.index_read();
         if let Some(hosts) = idx.hosts.get(source) {
             if !hosts.is_empty() {
@@ -321,32 +340,64 @@ impl ShardRouter {
             .unwrap_or(0)
     }
 
+    /// The shard a `query` of mapping `name` runs on, or the same
+    /// `unknown mapping` error an engine gives — listing the mappings
+    /// of every shard.
+    pub fn plan_mapping(&self, name: &str) -> Result<usize, String> {
+        let idx = self.index_read();
+        idx.mappings
+            .get(name)
+            .copied()
+            .ok_or_else(|| unknown_mapping(name, idx.mappings.keys().map(String::as_str)))
+    }
+
     /// Where a `compose` of `left` × `right` must run.
     pub fn plan_compose(&self, left: &str, right: &str) -> Result<ComposePlan, String> {
-        let idx = self.index_read();
-        let find = |name: &str| -> Result<usize, String> {
-            idx.mappings.get(name).copied().ok_or_else(|| {
-                let names: Vec<&str> = idx.mappings.keys().map(String::as_str).collect();
-                format!(
-                    "unknown mapping `{name}` (have: {})",
-                    if names.is_empty() {
-                        "none".to_owned()
-                    } else {
-                        names.join(", ")
-                    }
-                )
-            })
-        };
-        let l = find(left)?;
-        let r = find(right)?;
+        let l = self.plan_mapping(left)?;
+        let r = self.plan_mapping(right)?;
         if l == r {
             Ok(ComposePlan::Single(l))
         } else {
-            Ok(ComposePlan::Cross {
-                left: l,
-                right: r,
-                install: l,
-            })
+            Ok(ComposePlan::Cross { left: l, right: r })
+        }
+    }
+
+    /// What becomes of a request no plan could be made for. With
+    /// several shards the `refusal` is the reply: guessing a shard
+    /// would be the one wrong answer. With one shard there is nothing
+    /// to guess — it hosts every source and every mapping — so the
+    /// request runs there and the engine words the error itself (and,
+    /// for a mutating command, logs and counts it) exactly as an
+    /// embedded [`Engine`] would.
+    pub fn unplanned(&self, refusal: String) -> Result<usize, String> {
+        match self.shards.as_slice() {
+            [_] => Ok(0),
+            _ => Err(refusal),
+        }
+    }
+
+    /// Gather step for routed replies: append the `fields` that say
+    /// where the request ran (`shard`, `shards`, …). With one shard
+    /// there is nothing to say and the reply is returned untouched.
+    pub fn annotate<const N: usize>(&self, mut resp: Json, fields: [(&str, Json); N]) -> Json {
+        if let ([_, _, ..], Json::Obj(out)) = (self.shards.as_slice(), &mut resp) {
+            out.extend(fields.map(|(k, v)| (k.to_owned(), v)));
+        }
+        resp
+    }
+
+    /// [`ShardRouter::annotate`] with the one shard that served `resp`.
+    pub fn annotate_shard(&self, resp: Json, shard: usize) -> Json {
+        self.annotate(resp, [("shard", Json::Uint(shard as u64))])
+    }
+
+    /// Where shard `i` persists its part of a `dump` into `dir`: a
+    /// `shard.<i>` subdirectory, or `dir` itself when it is the only
+    /// shard.
+    pub fn shard_dir(&self, dir: &str, i: usize) -> String {
+        match self.shards.as_slice() {
+            [_] => dir.to_owned(),
+            _ => format!("{dir}/shard.{i}"),
         }
     }
 }
@@ -393,6 +444,74 @@ pub fn compose_gathered(
     Ok((rows, assoc))
 }
 
+/// The gather step over the per-shard replies of a scattered command:
+/// `merge` them — unless one shard is all there is, whose reply *is*
+/// the answer, byte for byte what an embedded [`Engine`] would give.
+pub fn gather(mut replies: Vec<Json>, merge: impl FnOnce(&[Json]) -> Json) -> Json {
+    match replies.as_slice() {
+        [_] => replies.pop().expect("one reply"),
+        all => merge(all),
+    }
+}
+
+/// Merge per-shard `checkpoint` replies: the per-shard replies under
+/// `"shards"` and the sum of their sequence numbers (what the merged
+/// `wal.seq` / `wal.checkpoint_seq` stats count).
+pub fn merge_checkpoint(per_shard: &[Json]) -> Json {
+    let seq = per_shard
+        .iter()
+        .map(|r| r.get("seq").and_then(Json::as_u64).unwrap_or(0))
+        .sum();
+    let rows = per_shard
+        .iter()
+        .enumerate()
+        .map(|(i, r)| r.clone().set_field("shard", Json::Uint(i as u64)));
+    Json::obj(vec![
+        ("ok", Json::Bool(true)),
+        ("seq", Json::Uint(seq)),
+        ("shards", Json::Arr(rows.collect())),
+    ])
+}
+
+/// Merge per-shard `dump` replies. Shard `i` has persisted into
+/// `dir/shard.<i>/` (its own deterministic manifest included); this
+/// writes the top-level `manifest.tsv` with each shard's durable
+/// command counters (`counts`, read under the same lock as its dump)
+/// and their sums — so an N-shard recovered state remains
+/// byte-comparable to a clean N-shard run with `diff -r`.
+pub fn merge_dump(dir: &str, per_shard: &[Json], counts: &[CommandCounts]) -> Json {
+    let n = per_shard.len();
+    let mut total_mappings = 0u64;
+    let mut sums = [0u64; 4];
+    let mut shard_lines = String::new();
+    for (i, (resp, c)) in per_shard.iter().zip(counts).enumerate() {
+        let mappings = resp.get("mappings").and_then(Json::as_f64).unwrap_or(0.0) as u64;
+        total_mappings += mappings;
+        let row = c.rows().map(|(_, v)| v);
+        for (sum, v) in sums.iter_mut().zip(row) {
+            *sum += v;
+        }
+        shard_lines.push_str(&format!(
+            "shard\t{i}\t{mappings}\t{}\t{}\t{}\t{}\n",
+            row[0], row[1], row[2], row[3]
+        ));
+    }
+    let manifest = format!(
+        "# moma shard dump manifest\nshards\t{n}\ncommands\t{}\t{}\t{}\t{}\n{shard_lines}",
+        sums[0], sums[1], sums[2], sums[3]
+    );
+    let path = std::path::Path::new(dir).join("manifest.tsv");
+    if let Err(e) = std::fs::write(&path, manifest) {
+        return err_response(&format!("write {}: {e}", path.display()));
+    }
+    Json::obj(vec![
+        ("ok", Json::Bool(true)),
+        ("dir", Json::Str(dir.into())),
+        ("shards", Json::Uint(n as u64)),
+        ("mappings", Json::Num(total_mappings as f64)),
+    ])
+}
+
 /// Merge per-shard engine stats into the sharded `stats` response:
 /// summed `commands` and `wal` aggregates (so dot-paths like
 /// `commands.delta` and `wal.lag` stay meaningful), authoritative
@@ -411,15 +530,11 @@ pub fn merge_stats(router: &ShardRouter, per_shard: &[Json]) -> Json {
             })
             .sum()
     };
-    let commands = Json::obj(vec![
-        ("match", Json::Uint(sum_field(&["commands", "match"]))),
-        ("compose", Json::Uint(sum_field(&["commands", "compose"]))),
-        ("delta", Json::Uint(sum_field(&["commands", "delta"]))),
-        (
-            "repl_delta",
-            Json::Uint(sum_field(&["commands", "repl_delta"])),
-        ),
-    ]);
+    let commands = CommandCounts::default().rows().map(|(key, _)| {
+        let sum = sum_field(&["commands", key]);
+        (key, Json::Uint(sum))
+    });
+    let commands = Json::obj(commands.to_vec());
     let any_wal = per_shard
         .iter()
         .any(|s| !matches!(s.get("wal"), None | Some(Json::Null)));

@@ -701,3 +701,132 @@ fn restart_after_checkpoint_replays_only_the_suffix() {
 
     let _ = fs::remove_dir_all(&work);
 }
+
+/// A one-shard server is the router with N = 1, and a gather over one
+/// shard is the identity: every reply — to reads, writes, refusals and
+/// malformed requests alike — is byte for byte what an embedded
+/// `Engine` answers, and the dumped state agrees file for file.
+#[test]
+fn one_shard_server_answers_byte_for_byte_like_an_embedded_engine() {
+    let work = tmp_dir("twin");
+    let dump_dir = work.join("dump");
+    let dump_dir = dump_dir.to_str().unwrap();
+    let handle = spawn(engine(None), "127.0.0.1:0").expect("spawn");
+    let mut c =
+        Client::connect_retry(&handle.addr.to_string(), Duration::from_secs(5)).expect("connect");
+    let mut twin = engine(None);
+
+    let gs_items = |ids: [usize; 2]| {
+        ids.map(|i| delta_req(i).take_field("ops").expect("ops"))
+            .map(|ops| {
+                Json::obj(vec![
+                    ("lds", Json::Str("Publication@GS".into())),
+                    ("ops", ops),
+                ])
+            })
+            .to_vec()
+    };
+    let without = |req: Json, key: &str| match req {
+        Json::Obj(fields) => Json::Obj(fields.into_iter().filter(|(k, _)| k != key).collect()),
+        other => other,
+    };
+    let mut requests = script(); // match ×2, compose, delta ×4
+    requests.extend([
+        protocol::batch_delta_request(gs_items([10, 11])),
+        protocol::query_request("c_dg", 5, None),
+        protocol::batch_query_request(vec![
+            protocol::query_item("m_da", 3, Some(0.8)),
+            protocol::query_item("c_dg", 0, None),
+        ]),
+        protocol::bare_request("ping"),
+        protocol::checkpoint_request(), // no WAL: refused
+        protocol::bare_request("frobnicate"),
+        protocol::query_request("no_such_mapping", 1, None),
+        // Requests no plan can be made for: the lone shard's engine
+        // words (and, for writes, logs and counts) the refusal.
+        without(script()[0].clone(), "name"),
+        protocol::compose_request("c_bad", "m_da", "ghost", "min", "max"),
+        protocol::delta_request("Venue@Nowhere", &[]),
+        protocol::delta_request("Venue@DBLP", &[]), // hosted by no mapping
+        protocol::batch_delta_request(vec![Json::obj(vec![("ops", Json::Arr(vec![]))])]),
+        protocol::batch_query_request(vec![
+            protocol::query_item("ghost", 1, None),
+            Json::obj(vec![("limit", Json::Uint(1))]),
+        ]),
+        protocol::batch_query_request(vec![]),
+        Json::obj(vec![("name", Json::Str("no cmd".into()))]),
+    ]);
+    for req in &requests {
+        let served = c.call(req).expect("transport ok").to_string();
+        assert_eq!(served, twin.execute(req).to_string(), "request: {req}");
+    }
+
+    // `dump`: same reply, same files.
+    let dump = protocol::dump_request(dump_dir);
+    let served = c.call(&dump).expect("transport ok").to_string();
+    let served_files = dir_contents(Path::new(dump_dir));
+    fs::remove_dir_all(dump_dir).expect("clear dump");
+    assert_eq!(served, twin.execute(&dump).to_string());
+    assert_eq!(served_files, dir_contents(Path::new(dump_dir)));
+
+    // `stats`: the engine's object, unmerged, with the server's
+    // counters appended — the durable counters agree because every
+    // refusal above was logged and counted the same on both sides.
+    let served = c.stats().expect("stats").to_string();
+    let embedded = twin.stats().to_string();
+    let engine_part = embedded.strip_suffix('}').expect("an object");
+    assert!(served.starts_with(engine_part), "{served}\nvs\n{embedded}");
+    assert!(served[engine_part.len()..].starts_with(",\"uptime_ms\":"));
+
+    handle.stop();
+    let _ = fs::remove_dir_all(&work);
+}
+
+/// The command table is total and consistent: classes agree with
+/// `is_mutating`/`needs_write_lock`, every wire-visible command has a
+/// `protocol::` builder, and the `unknown command` error names exactly
+/// the wire-visible commands.
+#[test]
+fn command_table_is_total() {
+    use moma_server::commands::{Class, Cmd, Visibility, COMMANDS};
+
+    let mut wire = Vec::new();
+    for row in COMMANDS {
+        assert_eq!(row.cmd.row().name, row.name, "one row per Cmd");
+        let (logged, locked) = match row.class {
+            Class::LoggedWrite => (true, true),
+            Class::UnloggedWrite => (false, true),
+            Class::Read | Class::Coordinator => (false, false),
+        };
+        assert_eq!(Engine::is_mutating(row.name), logged, "{}", row.name);
+        assert_eq!(Engine::needs_write_lock(row.name), locked, "{}", row.name);
+        assert!(!row.summary.is_empty(), "{}", row.name);
+        if row.visibility != Visibility::Wire {
+            continue;
+        }
+        wire.push(row.name);
+        let built = match row.cmd {
+            Cmd::Match => protocol::match_request("m", "d", "r", "a", "a", "trigram", 0.5),
+            Cmd::Compose => protocol::compose_request("c", "l", "r", "min", "max"),
+            Cmd::Query => protocol::query_request("m", 1, None),
+            Cmd::BatchQuery => protocol::batch_query_request(vec![]),
+            Cmd::Delta => protocol::delta_request("s", &[]),
+            Cmd::BatchDelta => protocol::batch_delta_request(vec![]),
+            Cmd::Checkpoint => protocol::checkpoint_request(),
+            Cmd::Dump => protocol::dump_request("dir"),
+            Cmd::Ping | Cmd::Stats | Cmd::Shutdown => protocol::bare_request(row.name),
+            Cmd::Install | Cmd::DebugPanic | Cmd::DebugSleepWrite => {
+                panic!("`{}` is not a wire command", row.name)
+            }
+        };
+        assert_eq!(built.str_field("cmd"), Some(row.name));
+    }
+
+    let reply = engine(None).execute_read(&protocol::bare_request("frobnicate"));
+    let error = reply.str_field("error").expect("an error");
+    let listed = error
+        .split_once("(expected ")
+        .and_then(|(_, rest)| rest.strip_suffix(')'))
+        .expect("the expected-list");
+    assert_eq!(listed.split('/').collect::<Vec<_>>(), wire);
+}

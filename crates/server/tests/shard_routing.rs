@@ -549,3 +549,75 @@ fn torn_wal_on_one_shard_recovers_independently() {
 
     let _ = fs::remove_dir_all(&work);
 }
+
+fn pub_match(name: &str, domain: &str, range: &str) -> Json {
+    protocol::match_request(
+        name,
+        &format!("Publication@{domain}"),
+        &format!("Publication@{range}"),
+        "title",
+        "title",
+        "trigram",
+        0.7,
+    )
+}
+
+/// A one-shard server is the same router: a runtime `match`/`compose`
+/// lands in its ownership index, not only in the engine.
+#[test]
+fn one_shard_router_keeps_its_ownership_index_current() {
+    let (handle, mut c) = spawn_cluster(shard_engines(1, None));
+    c.call_ok(&pub_match("m_da", "DBLP", "ACM")).expect("match");
+    c.call_ok(&pub_match("m_ag", "ACM", "GS")).expect("match");
+    c.call_ok(&protocol::compose_request(
+        "c_dg", "m_da", "m_ag", "min", "max",
+    ))
+    .expect("compose");
+
+    let router = &handle.shared().router;
+    for name in ["m_da", "m_ag", "c_dg"] {
+        assert_eq!(router.mapping_shard(name), Some(0), "{name}");
+    }
+    assert_eq!(router.plan_delta("Publication@DBLP"), Ok(vec![0]));
+    let known: Vec<String> = router.known_mappings().into_iter().map(|m| m.0).collect();
+    assert_eq!(known, ["c_dg", "m_ag", "m_da"]);
+    handle.stop();
+}
+
+/// The router owns the `repl` flag of a fanned-out delta and the `cmd`
+/// of a batch item: what a client puts there changes nothing.
+#[test]
+fn client_supplied_repl_and_item_cmd_are_overridden() {
+    // Publication@GS is hosted on both shards: as m_dg's range on
+    // shard 0 and as m_ga's domain on shard 1.
+    let (handle, mut c) = spawn_cluster(shard_engines(2, None));
+    c.call_ok(&protocol::with_shard(pub_match("m_dg", "DBLP", "GS"), 0))
+        .expect("left match");
+    c.call_ok(&protocol::with_shard(pub_match("m_ga", "GS", "ACM"), 1))
+        .expect("right match");
+
+    let delta = delta_req("Publication@GS", "title", "repl_probe")
+        .set_field("repl", Json::Bool(false))
+        .set_field("note", Json::Str("`repl` is not the last field".into()));
+    let r = c.call_ok(&delta).expect("delta");
+    assert_eq!(
+        r.get("shards").and_then(Json::as_arr).map(<[_]>::len),
+        Some(2)
+    );
+    let commands = c.stats().expect("stats");
+    let commands = commands.get("commands").expect("commands");
+    assert_eq!(commands.get("delta").and_then(Json::as_u64), Some(1));
+    assert_eq!(commands.get("repl_delta").and_then(Json::as_u64), Some(1));
+
+    // Items on two shards, so the batch is split; the first claims to
+    // be another command and is answered as the query it is.
+    let impostor =
+        protocol::query_item("m_dg", 1, None).set_field("cmd", Json::Str("stats".into()));
+    let results = c
+        .batch_query(vec![impostor, protocol::query_item("m_ga", 1, None)])
+        .expect("batch_query");
+    assert_eq!(results[0].str_field("name"), Some("m_dg"), "{}", results[0]);
+    assert!(results[0].get("rows").is_some(), "{}", results[0]);
+    assert_eq!(results[1].str_field("name"), Some("m_ga"));
+    handle.stop();
+}
