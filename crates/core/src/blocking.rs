@@ -1,24 +1,27 @@
 //! Candidate generation (blocking) for attribute matchers.
 //!
 //! Matching large web sources all-pairs is quadratic — the paper's own
-//! Google Scholar dataset has 64k entries. This module owns MOMA's two
-//! index-based candidate generators:
+//! Google Scholar dataset has 64k entries. This module owns MOMA's three
+//! index-based candidate generators. The two string ones are a
+//! tokenizer and a probe over the same maintained inverted index
+//! ([`moma_table::GramIndex`], wrapped with its tokenizer as
+//! [`TokenIndex`]); the third indexes cached TF-IDF vectors:
 //!
 //! * **Prefix-filtered trigram blocking** ([`TrigramIndex`],
-//!   [`Blocking::TrigramPrefix`]): range values are indexed by character
-//!   trigram; a domain value probes only its rarest trigrams, whose
-//!   number is derived from the similarity threshold so that any range
-//!   value clearing the threshold must share at least one probed gram
-//!   (standard prefix-filtering argument, transferred from Jaccard to
-//!   Dice via `t_j = t_d / (2 - t_d)`). Cheap, near-exact, and usable as
-//!   a lossy pre-filter for *non*-trigram measures via a conservative
-//!   Dice floor.
+//!   [`Blocking::TrigramPrefix`]): range values are indexed by their
+//!   *set* of character trigrams; a domain value probes only its rarest
+//!   trigrams ([`moma_table::GramIndex::rarest_union`]), whose number is
+//!   derived from the similarity threshold so that any range value whose
+//!   trigram-set Dice clears the threshold must share at least one
+//!   probed gram (standard prefix-filtering argument, transferred from
+//!   Jaccard to Dice via `t_j = t_d / (2 - t_d)`). Cheap, exact for
+//!   values without repeated trigrams, and usable as a lossy pre-filter
+//!   for *non*-trigram measures via a conservative Dice floor.
 //! * **Threshold-exact blocking** ([`ThresholdIndex`],
 //!   [`Blocking::Threshold`]): the SimString/CPMerge *T-occurrence*
 //!   engine. Values are tokenized into occurrence-tagged q-grams (so the
-//!   scoring multisets become sets without losing multiplicities) and
-//!   indexed partitioned by gram count
-//!   ([`moma_table::SizeBucketedIndex`]); a probe applies the exact
+//!   scoring multisets become sets without losing multiplicities); a
+//!   probe ([`moma_table::GramIndex::candidates`]) applies the exact
 //!   per-measure size window and minimum-overlap bounds of
 //!   [`moma_simstring::bounds`] *before* any similarity is computed.
 //!   The candidate set provably contains every pair reaching the
@@ -28,47 +31,50 @@
 //! * **Weighted-prefix TF-IDF blocking** ([`TfIdfIndex`]): the max-weight
 //!   prefix filter of [`moma_simstring::wbounds`] applied to cached
 //!   TF-IDF unit vectors. Range vectors are indexed by token id (one
-//!   [`moma_table::BlockPostings`] per token); a probe unions the
+//!   [`moma_table::Postings`] per token); a probe unions the
 //!   postings of only its heaviest tokens — the minimal descending-weight
 //!   prefix whose squared mass reaches `1 − t²` — and screens each
 //!   candidate against the exact size-window and minimum-shared-token
 //!   bounds. Like the T-occurrence engine this is lossless: matcher
-//!   results are bit-identical to all-pairs scoring.
+//!   results are bit-identical to all-pairs scoring. It is built per
+//!   match and never patched (the corpus shifts under every delta).
 //!
-//! The posting-list storage — tombstoned removal, amortized compaction —
-//! is [`moma_table::GramIndex`] / [`moma_table::SizeBucketedIndex`] /
-//! [`moma_table::BlockPostings`]; this module owns tokenization and the
-//! threshold arithmetic.
+//! Posting storage, tombstoned removal and amortized compaction live in
+//! `moma-table`; this module owns tokenization and the threshold
+//! arithmetic.
 //!
 //! ## Read-only shared-index probing
 //!
-//! A built [`TrigramIndex`] is immutable through `&self`: every probe
-//! method only reads the postings, so one index can be probed
-//! concurrently from any number of matcher worker threads without locks
-//! (`&TrigramIndex` is `Send + Sync`). This is exactly how the parallel
-//! attribute matchers use it — the range side is indexed once, then the
-//! domain values are sharded across threads (see [`crate::exec`]) and
-//! each shard probes the shared index independently. Because probing
-//! never mutates, the per-shard candidate sets — and hence the
-//! concatenated result — are bit-identical to a sequential run.
+//! A built index is immutable through `&self`: every probe method only
+//! reads the postings, so one index can be probed concurrently from any
+//! number of matcher worker threads without locks (the index types are
+//! `Send + Sync`). This is exactly how the parallel attribute matchers
+//! use it — the range side is indexed once, then the domain values are
+//! sharded across threads (see [`crate::exec`]) and each shard probes
+//! the shared index independently. Because probing never mutates, the
+//! per-shard candidate sets — and hence the concatenated result — are
+//! bit-identical to a sequential run.
 //!
 //! ## Incremental maintenance
 //!
-//! For evolving sources the index need not be rebuilt:
-//! [`TrigramIndex::insert`], [`TrigramIndex::remove`] (tombstone) and
-//! [`TrigramIndex::update`] (surgical posting swap) patch it in place —
-//! the machinery behind [`crate::delta`]'s incremental matching.
-//! Removal leaves dead posting entries behind until the underlying
-//! [`GramIndex`] compacts; probes filter them,
-//! so candidate sets are always tombstone-exact, while [`TrigramIndex::df`]
-//! may over-count between compactions (harmless for the prefix-filter
-//! guarantee, which holds for *any* choice of probed grams).
+//! For evolving sources a string index need not be rebuilt:
+//! [`TokenIndex::insert`], [`TokenIndex::remove`] (tombstone) and
+//! [`TokenIndex::update`] (surgical posting swap) patch it in place —
+//! the machinery behind [`crate::delta`]'s incremental matching, reached
+//! through [`CandidateIndex`]. Removal leaves dead posting entries
+//! behind until the underlying [`GramIndex`] compacts; probes filter
+//! them, so candidate sets are always tombstone-exact, while the gram
+//! frequencies behind the prefix filter's rarest-first choice may
+//! over-count between compactions (harmless for its guarantee, which
+//! holds for *any* choice of probed grams).
+
+use std::ops::{Deref, DerefMut};
 
 use moma_simstring::bounds::{qgram_measure_of, QgramMeasure};
 use moma_simstring::tokenize::{qgrams, trigrams};
 use moma_simstring::{wbounds, SimFn};
 use moma_table::exec::Parallelism;
-use moma_table::{BlockPostings, FxHashMap, FxHashSet, GramIndex, SizeBucketedIndex};
+use moma_table::{FxHashMap, FxHashSet, GramIndex, Postings};
 
 /// Deduplicated trigram list of a value.
 fn unique_trigrams(value: &str) -> Vec<String> {
@@ -106,48 +112,81 @@ pub(crate) fn tagged_qgrams(value: &str, q: usize) -> Vec<String> {
     grams
 }
 
-/// Inverted trigram index over a set of `(id, value)` pairs.
-#[derive(Debug, Default, Clone)]
-pub struct TrigramIndex {
-    inner: GramIndex,
+/// The two tokenizers a [`TokenIndex`] can sit behind.
+#[derive(Debug, Clone, Copy)]
+enum Tokens {
+    /// The value's set of padded character trigrams (prefix filter).
+    UniqueTrigrams,
+    /// The value's padded q-gram multiset, occurrence-tagged
+    /// (T-occurrence engine).
+    TaggedQgrams(usize),
 }
 
-impl TrigramIndex {
-    /// Build the index.
-    pub fn build<'a>(values: impl IntoIterator<Item = (u32, &'a str)>) -> Self {
-        let mut idx = Self::default();
+impl Tokens {
+    fn of(self, value: &str) -> Vec<String> {
+        match self {
+            Tokens::UniqueTrigrams => unique_trigrams(value),
+            Tokens::TaggedQgrams(q) => tagged_qgrams(value, q),
+        }
+    }
+}
+
+/// A [`GramIndex`] behind the tokenizer that feeds it: the build and
+/// maintenance half of both string index families, which differ only in
+/// how they tokenize and probe. [`TrigramIndex`], [`ThresholdIndex`] and
+/// [`CandidateIndex`] dereference to it, so `index.insert(id, value)`
+/// works on all three.
+#[derive(Debug, Clone)]
+pub struct TokenIndex {
+    grams: GramIndex,
+    tokens: Tokens,
+}
+
+impl TokenIndex {
+    fn new(tokens: Tokens) -> Self {
+        debug_assert!(
+            !matches!(tokens, Tokens::TaggedQgrams(0)),
+            "q-gram length must be at least 1"
+        );
+        Self {
+            grams: GramIndex::new(),
+            tokens,
+        }
+    }
+
+    fn build<'a>(tokens: Tokens, values: impl IntoIterator<Item = (u32, &'a str)>) -> Self {
+        let mut idx = Self::new(tokens);
         for (id, value) in values {
             idx.insert(id, value);
         }
         idx
     }
 
-    /// Build the index by sharding `values` across threads: each shard
-    /// builds a private postings map, and the maps are merged in shard
-    /// order. Per-gram posting lists therefore hold ids in input order —
-    /// exactly as [`TrigramIndex::build`] produces them — so the parallel
-    /// build is observationally identical to the sequential one.
-    pub fn build_par<V: AsRef<str> + Sync>(values: &[(u32, V)], par: &Parallelism) -> Self {
+    /// Build by sharding `values` across threads: each shard builds a
+    /// private index, and the shards are merged in shard order. Posting
+    /// lists stay id-sorted, so the parallel build is observationally
+    /// identical to the sequential one.
+    fn build_par<V: AsRef<str> + Sync>(
+        tokens: Tokens,
+        values: &[(u32, V)],
+        par: &Parallelism,
+    ) -> Self {
         let mut parts = par
             .run_sharded(values, |shard| {
-                let mut idx = Self::default();
-                for (id, v) in shard {
-                    idx.insert(*id, v.as_ref());
-                }
-                idx
+                Self::build(tokens, shard.iter().map(|(id, v)| (*id, v.as_ref())))
             })
             .into_iter();
-        let mut merged = parts.next().unwrap_or_default();
+        let mut merged = parts.next().unwrap_or_else(|| Self::new(tokens));
         for part in parts {
-            merged.inner.absorb(part.inner);
+            merged.grams.absorb(part.grams);
         }
         merged
     }
 
     /// Index one value. Returns `false` (a no-op) if `id` is already
-    /// live — use [`TrigramIndex::update`] to change an indexed value.
+    /// live — use [`TokenIndex::update`] to change an indexed value.
     pub fn insert(&mut self, id: u32, value: &str) -> bool {
-        self.inner.insert(id, &unique_trigrams(value))
+        self.grams.insert(id, &self.tokens.of(value))
     }
 
     /// Tombstone an indexed value (see module docs); returns whether the
@@ -155,7 +194,7 @@ impl TrigramIndex {
     /// the underlying index once they exceed a fixed fraction of the
     /// live population.
     pub fn remove(&mut self, id: u32) -> bool {
-        self.inner.remove(id)
+        self.grams.remove(id)
     }
 
     /// Replace a live value in place. The caller supplies the old value
@@ -163,83 +202,97 @@ impl TrigramIndex {
     /// surgically, the new value's appended. Returns `false` if `id` is
     /// not live.
     pub fn update(&mut self, id: u32, old_value: &str, new_value: &str) -> bool {
-        self.inner
-            .replace(id, &unique_trigrams(old_value), &unique_trigrams(new_value))
+        self.grams
+            .replace(id, &self.tokens.of(old_value), &self.tokens.of(new_value))
     }
 
     /// Sweep tombstoned entries out of the posting lists now.
     pub fn compact(&mut self) {
-        self.inner.compact();
-    }
-
-    /// Override the underlying auto-compaction policy (builder style);
-    /// see [`GramIndex::with_compaction`].
-    pub fn with_compaction(mut self, ratio: f64, floor: usize) -> Self {
-        self.inner = self.inner.with_compaction(ratio, floor);
-        self
+        self.grams.compact();
     }
 
     /// Number of unswept tombstones.
     pub fn tombstone_count(&self) -> usize {
-        self.inner.tombstone_count()
+        self.grams.tombstone_count()
     }
 
     /// Whether `id` is indexed and not removed.
     pub fn is_live(&self, id: u32) -> bool {
-        self.inner.is_live(id)
+        self.grams.is_live(id)
     }
 
-    /// Number of live indexed *values* (not postings): every `(id,
-    /// value)` pair passed to `build` counts once, including values that
-    /// yield no trigrams and can therefore never be returned by
-    /// [`TrigramIndex::candidates`].
+    /// Number of live indexed *values* (not postings): every indexed
+    /// `(id, value)` pair counts once, including values that yield no
+    /// grams and can therefore only be returned to a gramless query.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.grams.len()
     }
 
     /// Whether no values are indexed. Note an index built only from
-    /// gram-less values (e.g. empty strings) is *not* empty by this
+    /// gramless values (e.g. empty strings) is *not* empty by this
     /// definition even though its postings are.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.grams.is_empty()
+    }
+}
+
+/// Inverted trigram index over a set of `(id, value)` pairs, probed with
+/// the prefix filter.
+#[derive(Debug, Clone)]
+pub struct TrigramIndex(TokenIndex);
+
+impl Deref for TrigramIndex {
+    type Target = TokenIndex;
+    fn deref(&self) -> &TokenIndex {
+        &self.0
+    }
+}
+
+impl DerefMut for TrigramIndex {
+    fn deref_mut(&mut self) -> &mut TokenIndex {
+        &mut self.0
+    }
+}
+
+impl TrigramIndex {
+    /// Build the index.
+    pub fn build<'a>(values: impl IntoIterator<Item = (u32, &'a str)>) -> Self {
+        Self(TokenIndex::build(Tokens::UniqueTrigrams, values))
     }
 
-    /// Document frequency of a gram (may over-count by unswept
-    /// tombstones; exact after [`TrigramIndex::compact`]).
-    pub fn df(&self, gram: &str) -> usize {
-        self.inner.df(gram)
+    /// Build the index by sharding `values` across threads
+    /// (observationally identical to [`TrigramIndex::build`]).
+    pub fn build_par<V: AsRef<str> + Sync>(values: &[(u32, V)], par: &Parallelism) -> Self {
+        Self(TokenIndex::build_par(Tokens::UniqueTrigrams, values, par))
     }
 
     /// Candidate range ids for `query` under Dice threshold
     /// `dice_threshold`: union of the postings of the query's rarest
-    /// `k = ⌊(1 − t_j)·|G|⌋ + 1` grams (`t_j` the Jaccard equivalent).
+    /// `k = |G| − ⌈t_j·|G|⌉ + 1` grams (`t_j` the Jaccard equivalent) —
+    /// a value reaching the threshold shares at least `⌈t_j·|G|⌉` of the
+    /// query's `|G|` grams, so it cannot miss all `k`.
     ///
     /// A query producing no trigrams returns exactly the indexed values
     /// that also produced none: two empty gram multisets are identical
     /// (trigram Dice 1.0), so those — and only those — can clear any
     /// threshold.
     pub fn candidates(&self, query: &str, dice_threshold: f64) -> FxHashSet<u32> {
-        let mut grams = unique_trigrams(query);
+        let grams = unique_trigrams(query);
         if grams.is_empty() {
-            return self.inner.gramless_ids();
+            return self.0.grams.gramless_ids();
         }
+        let n = grams.len();
         let t_d = dice_threshold.clamp(0.0, 1.0);
-        let t_j = if t_d >= 1.0 { 1.0 } else { t_d / (2.0 - t_d) };
-        let k = (((1.0 - t_j) * grams.len() as f64).floor() as usize + 1).min(grams.len());
-        self.inner.candidates(&mut grams, k)
-    }
-
-    /// Live ids whose values produced no trigrams (see
-    /// [`TrigramIndex::candidates`] on the gramless edge).
-    pub fn gramless_ids(&self) -> FxHashSet<u32> {
-        self.inner.gramless_ids()
-    }
-
-    /// All live ids as candidates (used when the caller disables blocking
-    /// for one probe) — including values that produced no trigrams, so
-    /// this always has exactly [`TrigramIndex::len`] entries.
-    pub fn all_ids(&self) -> FxHashSet<u32> {
-        self.inner.all_ids()
+        // ⌈t_j·n⌉ is the low end of the Dice size window (a match is at
+        // least as large as its overlap), computed there with the
+        // epsilon guard that keeps `(1 − t_j)·n = 1.9999999999999996`
+        // from costing a gram.
+        let must_share = if t_d > 0.0 {
+            QgramMeasure::Dice.size_window(t_d, n).0
+        } else {
+            1
+        };
+        self.0.grams.rarest_union(&grams, n - must_share + 1)
     }
 }
 
@@ -256,47 +309,53 @@ impl TrigramIndex {
 /// superset of exactly the values whose similarity to the query reaches
 /// the threshold — **no true match is ever pruned**. Like
 /// [`TrigramIndex`] it is read-only-probeable from any number of
-/// threads and incrementally maintainable (insert / tombstoned remove /
-/// surgical update / compact), which is what lets the delta engine keep
-/// one on each side of a mapping.
+/// threads and incrementally maintainable through its [`TokenIndex`],
+/// which is what lets the delta engine keep one on each side of a
+/// mapping.
 #[derive(Debug, Clone)]
 pub struct ThresholdIndex {
-    inner: SizeBucketedIndex,
+    index: TokenIndex,
     measure: QgramMeasure,
-    q: usize,
     threshold: f64,
 }
 
+impl Deref for ThresholdIndex {
+    type Target = TokenIndex;
+    fn deref(&self) -> &TokenIndex {
+        &self.index
+    }
+}
+
+impl DerefMut for ThresholdIndex {
+    fn deref_mut(&mut self) -> &mut TokenIndex {
+        &mut self.index
+    }
+}
+
 impl ThresholdIndex {
-    /// Empty index for `measure` over `q`-grams at `threshold` (> 0 —
-    /// at 0 nothing can be pruned and the caller should not block).
-    pub fn new(measure: QgramMeasure, q: usize, threshold: f64) -> Self {
-        debug_assert!(q >= 1, "q-gram length must be at least 1");
+    fn over(index: TokenIndex, measure: QgramMeasure, threshold: f64) -> Self {
         debug_assert!(threshold > 0.0, "threshold blocking needs t > 0");
         Self {
-            inner: SizeBucketedIndex::new(),
+            index,
             measure,
-            q,
             threshold,
         }
     }
 
-    /// Build the index.
+    /// Build the index for `measure` over `q`-grams at `threshold` (> 0
+    /// — at 0 nothing can be pruned and the caller should not block).
     pub fn build<'a>(
         measure: QgramMeasure,
         q: usize,
         threshold: f64,
         values: impl IntoIterator<Item = (u32, &'a str)>,
     ) -> Self {
-        let mut idx = Self::new(measure, q, threshold);
-        for (id, value) in values {
-            idx.insert(id, value);
-        }
-        idx
+        let index = TokenIndex::build(Tokens::TaggedQgrams(q), values);
+        Self::over(index, measure, threshold)
     }
 
-    /// Build the index by sharding `values` across threads (merged in
-    /// shard order; observationally identical to [`ThresholdIndex::build`]).
+    /// Build the index by sharding `values` across threads
+    /// (observationally identical to [`ThresholdIndex::build`]).
     pub fn build_par<V: AsRef<str> + Sync>(
         measure: QgramMeasure,
         q: usize,
@@ -304,86 +363,8 @@ impl ThresholdIndex {
         values: &[(u32, V)],
         par: &Parallelism,
     ) -> Self {
-        let mut parts = par
-            .run_sharded(values, |shard| {
-                let mut idx = Self::new(measure, q, threshold);
-                for (id, v) in shard {
-                    idx.insert(*id, v.as_ref());
-                }
-                idx
-            })
-            .into_iter();
-        let mut merged = parts
-            .next()
-            .unwrap_or_else(|| Self::new(measure, q, threshold));
-        for part in parts {
-            merged.inner.absorb(part.inner);
-        }
-        merged
-    }
-
-    fn grams(&self, value: &str) -> Vec<String> {
-        tagged_qgrams(value, self.q)
-    }
-
-    /// Index one value. Returns `false` (a no-op) if `id` is already
-    /// live — use [`ThresholdIndex::update`] to change an indexed value.
-    pub fn insert(&mut self, id: u32, value: &str) -> bool {
-        self.inner.insert(id, &self.grams(value))
-    }
-
-    /// Tombstone an indexed value; returns whether the id was live.
-    pub fn remove(&mut self, id: u32) -> bool {
-        self.inner.remove(id)
-    }
-
-    /// Replace a live value in place (the caller supplies the old value;
-    /// the index stores none). Returns `false` if `id` is not live.
-    pub fn update(&mut self, id: u32, old_value: &str, new_value: &str) -> bool {
-        self.inner
-            .replace(id, &self.grams(old_value), &self.grams(new_value))
-    }
-
-    /// Sweep tombstoned entries out of the posting buckets now.
-    pub fn compact(&mut self) {
-        self.inner.compact();
-    }
-
-    /// Override the underlying auto-compaction policy (builder style);
-    /// see [`SizeBucketedIndex::with_compaction`].
-    pub fn with_compaction(mut self, ratio: f64, floor: usize) -> Self {
-        self.inner = self.inner.with_compaction(ratio, floor);
-        self
-    }
-
-    /// Number of unswept tombstones.
-    pub fn tombstone_count(&self) -> usize {
-        self.inner.tombstone_count()
-    }
-
-    /// Whether `id` is indexed and not removed.
-    pub fn is_live(&self, id: u32) -> bool {
-        self.inner.is_live(id)
-    }
-
-    /// Number of live indexed values (gramless ones included).
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no values are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// The measure/q/threshold configuration this index prunes for.
-    pub fn config(&self) -> (QgramMeasure, usize, f64) {
-        (self.measure, self.q, self.threshold)
-    }
-
-    /// All live ids (diagnostics; a probe never needs this).
-    pub fn all_ids(&self) -> FxHashSet<u32> {
-        self.inner.all_ids()
+        let index = TokenIndex::build_par(Tokens::TaggedQgrams(q), values, par);
+        Self::over(index, measure, threshold)
     }
 
     /// Candidate ids for `query`: every live value whose similarity to
@@ -392,10 +373,10 @@ impl ThresholdIndex {
     /// count bound). A gramless query returns exactly the gramless
     /// values — the only ones it can match (similarity 1.0).
     pub fn candidates(&self, query: &str) -> FxHashSet<u32> {
-        let grams = self.grams(query);
+        let grams = self.index.tokens.of(query);
         if grams.is_empty() {
             return if self.threshold <= 1.0 {
-                self.inner.gramless_ids()
+                self.index.grams.gramless_ids()
             } else {
                 FxHashSet::default()
             };
@@ -406,7 +387,8 @@ impl ThresholdIndex {
         }
         let clamp = |s: usize| s.min(u32::MAX as usize) as u32;
         let (x, t, m) = (grams.len(), self.threshold, self.measure);
-        self.inner
+        self.index
+            .grams
             .candidates(&grams, clamp(lo), clamp(hi), &|cand_size| {
                 clamp(m.min_overlap(t, x, cand_size as usize))
             })
@@ -420,7 +402,7 @@ impl ThresholdIndex {
 /// *cached unit vectors* ([`moma_simstring::TfIdfCorpus::vector`]) of
 /// the range side, with the corpus frozen for the duration of the match
 /// (the attribute matcher builds it from both columns first). Each
-/// token id owns a [`BlockPostings`] list of the indexed ids whose
+/// token id owns a [`Postings`] list of the indexed ids whose
 /// vectors contain it; per-id metadata (token count, maximum weight)
 /// backs the candidate-side screens.
 ///
@@ -432,153 +414,60 @@ impl ThresholdIndex {
 /// tests), so scoring the surviving candidates reproduces all-pairs
 /// results bit-identically.
 ///
-/// Maintenance mirrors the other index families: tombstoned
-/// [`TfIdfIndex::remove`], surgical [`TfIdfIndex::update`] (the caller
-/// supplies the old vector), amortized [`TfIdfIndex::compact`]. Note
-/// the vectors must come from the index's frozen corpus — if the corpus
-/// itself changes (document frequencies shift), the index must be
-/// rebuilt, which is why the delta engine treats TF-IDF matchers as
-/// non-incremental.
+/// The index is build-and-probe only: its vectors must come from one
+/// frozen corpus, and when the corpus changes (document frequencies
+/// shift under every delta) every vector does — which is why the delta
+/// engine treats TF-IDF matchers as non-incremental and re-matches.
 #[derive(Debug, Clone)]
 pub struct TfIdfIndex {
     threshold: f64,
     /// `postings[token id]` = ids of indexed vectors containing it.
-    postings: Vec<BlockPostings>,
-    /// Live id → (token count, max weight) of its non-empty vector.
+    postings: Vec<Postings>,
+    /// Id → (token count, max weight) of its non-empty vector.
     meta: FxHashMap<u32, (u32, f64)>,
-    /// Live ids whose vectors are empty (token-free values) — the exact
+    /// Ids whose vectors are empty (token-free values) — the exact
     /// match set of an empty query (cosine 1.0), unreachable via
     /// postings.
     empties: FxHashSet<u32>,
-    /// Removed ids whose posting entries have not been swept yet.
-    tombstones: FxHashSet<u32>,
 }
 
 impl TfIdfIndex {
-    /// Empty index pruning for TF-IDF cosine at `threshold` (> 0 — at 0
-    /// nothing can be pruned and the caller should score all pairs).
-    pub fn new(threshold: f64) -> Self {
-        debug_assert!(threshold > 0.0, "TF-IDF blocking needs t > 0");
-        Self {
-            threshold,
-            postings: Vec::new(),
-            meta: FxHashMap::default(),
-            empties: FxHashSet::default(),
-            tombstones: FxHashSet::default(),
-        }
-    }
-
-    /// Build from `(id, cached vector)` pairs.
+    /// Build from `(id, cached vector)` pairs, pruning for TF-IDF cosine
+    /// at `threshold` (> 0 — at 0 nothing can be pruned and the caller
+    /// should score all pairs). The first vector of an id wins.
     pub fn build<'a>(
         threshold: f64,
         vectors: impl IntoIterator<Item = (u32, &'a [(u32, f64)])>,
     ) -> Self {
-        let mut idx = Self::new(threshold);
-        for (id, v) in vectors {
-            idx.insert(id, v);
+        debug_assert!(threshold > 0.0, "TF-IDF blocking needs t > 0");
+        let mut idx = Self {
+            threshold,
+            postings: Vec::new(),
+            meta: FxHashMap::default(),
+            empties: FxHashSet::default(),
+        };
+        for (id, vector) in vectors {
+            if idx.meta.contains_key(&id) || idx.empties.contains(&id) {
+                continue;
+            }
+            if vector.is_empty() {
+                idx.empties.insert(id);
+                continue;
+            }
+            let maxw = vector.iter().map(|e| e.1).fold(0.0, f64::max);
+            idx.meta.insert(id, (vector.len() as u32, maxw));
+            for &(tid, _) in vector {
+                let tid = tid as usize;
+                if tid >= idx.postings.len() {
+                    idx.postings.resize_with(tid + 1, Postings::new);
+                }
+                idx.postings[tid].insert(id);
+            }
         }
         idx
     }
 
-    fn posting_mut(&mut self, tid: u32) -> &mut BlockPostings {
-        let tid = tid as usize;
-        if tid >= self.postings.len() {
-            self.postings.resize_with(tid + 1, BlockPostings::new);
-        }
-        &mut self.postings[tid]
-    }
-
-    /// Index one value's cached vector. Returns `false` (a no-op) if
-    /// `id` is already live — use [`TfIdfIndex::update`] to change an
-    /// indexed vector.
-    pub fn insert(&mut self, id: u32, vector: &[(u32, f64)]) -> bool {
-        if self.is_live(id) {
-            return false;
-        }
-        if self.tombstones.contains(&id) {
-            // Re-inserting a removed id must not resurrect its stale
-            // postings; purge them first.
-            self.compact();
-        }
-        if vector.is_empty() {
-            self.empties.insert(id);
-            return true;
-        }
-        let maxw = vector.iter().map(|e| e.1).fold(0.0, f64::max);
-        self.meta.insert(id, (vector.len() as u32, maxw));
-        for &(tid, _) in vector {
-            self.posting_mut(tid).insert(id);
-        }
-        true
-    }
-
-    /// Tombstone a live id; returns whether it was live. Sweeps once
-    /// tombstones exceed a quarter of the live population.
-    pub fn remove(&mut self, id: u32) -> bool {
-        if self.empties.remove(&id) {
-            return true;
-        }
-        if self.meta.remove(&id).is_none() {
-            return false;
-        }
-        self.tombstones.insert(id);
-        if self.tombstones.len() >= 16 && self.tombstones.len() * 4 > self.meta.len() {
-            self.compact();
-        }
-        true
-    }
-
-    /// Replace a live vector in place. The caller supplies the old
-    /// vector (the index stores none); its postings are removed
-    /// surgically, the new vector's appended. Returns `false` if `id`
-    /// is not live.
-    pub fn update(&mut self, id: u32, old: &[(u32, f64)], new: &[(u32, f64)]) -> bool {
-        if !self.is_live(id) {
-            return false;
-        }
-        for &(tid, _) in old {
-            if let Some(p) = self.postings.get_mut(tid as usize) {
-                p.remove(id);
-            }
-        }
-        self.meta.remove(&id);
-        self.empties.remove(&id);
-        if new.is_empty() {
-            self.empties.insert(id);
-            return true;
-        }
-        let maxw = new.iter().map(|e| e.1).fold(0.0, f64::max);
-        self.meta.insert(id, (new.len() as u32, maxw));
-        for &(tid, _) in new {
-            self.posting_mut(tid).insert(id);
-        }
-        true
-    }
-
-    /// Sweep tombstoned entries out of the posting lists now.
-    pub fn compact(&mut self) {
-        if self.tombstones.is_empty() {
-            return;
-        }
-        let dead = std::mem::take(&mut self.tombstones);
-        for p in &mut self.postings {
-            if !p.is_empty() {
-                p.retain(|id| !dead.contains(&id));
-            }
-        }
-    }
-
-    /// Number of unswept tombstones.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones.len()
-    }
-
-    /// Whether `id` is indexed and not removed.
-    pub fn is_live(&self, id: u32) -> bool {
-        self.meta.contains_key(&id) || self.empties.contains(&id)
-    }
-
-    /// Number of live indexed vectors (empty ones included).
+    /// Number of indexed vectors (empty ones included).
     pub fn len(&self) -> usize {
         self.meta.len() + self.empties.len()
     }
@@ -588,15 +477,10 @@ impl TfIdfIndex {
         self.meta.is_empty() && self.empties.is_empty()
     }
 
-    /// The threshold this index prunes for.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Candidate ids for a query vector: every live vector whose cosine
-    /// with `query` reaches the index threshold is returned (plus only
-    /// such near-misses as also clear the exact weighted bounds). An
-    /// empty query returns exactly the empty-vector values — the only
+    /// Candidate ids for a query vector: every indexed vector whose
+    /// cosine with `query` reaches the index threshold is returned (plus
+    /// only such near-misses as also clear the exact weighted bounds).
+    /// An empty query returns exactly the empty-vector values — the only
     /// ones it can match (cosine 1.0).
     pub fn candidates(&self, query: &[(u32, f64)]) -> FxHashSet<u32> {
         if query.is_empty() {
@@ -620,7 +504,7 @@ impl TfIdfIndex {
                 continue;
             };
             for id in list.iter() {
-                if out.contains(&id) || self.tombstones.contains(&id) {
+                if out.contains(&id) {
                     continue;
                 }
                 let (size, maxw_c) = self.meta[&id];
@@ -640,15 +524,16 @@ impl TfIdfIndex {
     }
 }
 
-/// A built candidate index of either family, with its probe parameters
-/// baked in — the runtime form of a resolved [`Blocking`] choice,
-/// shared by full matcher execution and the incremental delta engine
-/// (both sides of a [`crate::delta::DeltaMatchState`] hold one).
+/// A built candidate index of either string family, with its probe
+/// parameters baked in — the runtime form of a resolved [`Blocking`]
+/// choice, shared by full matcher execution and the incremental delta
+/// engine (both sides of a [`crate::delta::DeltaMatchState`] hold one
+/// and patch it through its [`TokenIndex`]).
 #[derive(Debug, Clone)]
 pub enum CandidateIndex {
     /// Prefix-filtered trigram index probed at a fixed Dice bound
-    /// (the matcher threshold when scoring trigram Dice — near-exact —
-    /// or a conservative floor for other measures — lossy by design).
+    /// (the matcher threshold when scoring trigram Dice, or a
+    /// conservative floor for other measures — lossy by design).
     Prefix {
         /// The trigram index over the indexed side.
         index: TrigramIndex,
@@ -659,36 +544,31 @@ pub enum CandidateIndex {
     Threshold(ThresholdIndex),
 }
 
+impl Deref for CandidateIndex {
+    type Target = TokenIndex;
+    fn deref(&self) -> &TokenIndex {
+        match self {
+            CandidateIndex::Prefix { index, .. } => index,
+            CandidateIndex::Threshold(index) => index,
+        }
+    }
+}
+
+impl DerefMut for CandidateIndex {
+    fn deref_mut(&mut self) -> &mut TokenIndex {
+        match self {
+            CandidateIndex::Prefix { index, .. } => index,
+            CandidateIndex::Threshold(index) => index,
+        }
+    }
+}
+
 impl CandidateIndex {
     /// Candidate ids for one probe value.
     pub fn candidates(&self, query: &str) -> FxHashSet<u32> {
         match self {
             CandidateIndex::Prefix { index, dice_bound } => index.candidates(query, *dice_bound),
             CandidateIndex::Threshold(index) => index.candidates(query),
-        }
-    }
-
-    /// Index one value (delta maintenance).
-    pub fn insert(&mut self, id: u32, value: &str) -> bool {
-        match self {
-            CandidateIndex::Prefix { index, .. } => index.insert(id, value),
-            CandidateIndex::Threshold(index) => index.insert(id, value),
-        }
-    }
-
-    /// Tombstone an indexed value (delta maintenance).
-    pub fn remove(&mut self, id: u32) -> bool {
-        match self {
-            CandidateIndex::Prefix { index, .. } => index.remove(id),
-            CandidateIndex::Threshold(index) => index.remove(id),
-        }
-    }
-
-    /// Replace a live value in place (delta maintenance).
-    pub fn update(&mut self, id: u32, old_value: &str, new_value: &str) -> bool {
-        match self {
-            CandidateIndex::Prefix { index, .. } => index.update(id, old_value, new_value),
-            CandidateIndex::Threshold(index) => index.update(id, old_value, new_value),
         }
     }
 }
@@ -698,10 +578,13 @@ impl CandidateIndex {
 pub enum Blocking {
     /// Score every domain×range pair. Exact, quadratic.
     AllPairs,
-    /// Prefix-filtered trigram blocking (see module docs). Near-exact for
-    /// trigram-Dice scoring at thresholds ≥ ~0.4; lossy (conservative
-    /// Dice floor) for other measures; orders of magnitude fewer
-    /// comparisons than all-pairs.
+    /// Prefix-filtered trigram blocking (see module docs). For
+    /// trigram-Dice scoring it is exact on values without repeated
+    /// trigrams; the filter reasons over trigram *sets* while the scorer
+    /// counts multisets, so repeat-heavy pairs can be dismissed
+    /// (`"caccccc"` / `"ccccc"` score 0.75 and are missed at 0.75). Lossy
+    /// by design (conservative Dice floor) for other measures; orders of
+    /// magnitude fewer comparisons than all-pairs.
     TrigramPrefix,
     /// Threshold-exact blocking (the default): for q-gram measures
     /// (trigram Dice, `qgram:*`, `qgramjaccard:*`, `qgramcosine:*`,
@@ -809,18 +692,19 @@ mod tests {
     }
 
     #[test]
-    fn df_and_len() {
-        let idx = TrigramIndex::build(titles());
-        assert_eq!(idx.len(), 5);
-        assert!(!idx.is_empty());
-        assert!(idx.df("##a") >= 2); // two titles start with 'a'
-        assert_eq!(idx.df("zzz"), 0);
-    }
-
-    #[test]
-    fn all_ids_complete() {
-        let idx = TrigramIndex::build(titles());
-        assert_eq!(idx.all_ids().len(), 5);
+    fn prefix_length_survives_float_rounding() {
+        // Trigram Dice of "bcbc" {##b #bc bcb cbc bc# c##} and "bc"
+        // {##b #bc bc# c##} is exactly 2·4/(6+4) = 0.8. At t = 0.8 the
+        // six-gram query needs k = 6 − ⌈(2/3)·6⌉ + 1 = 3 probed grams;
+        // (1 − t_j)·6 evaluates to 1.9999999999999996, and flooring that
+        // probed only {bcb, cbc} — both absent from "bc".
+        for (long, short) in [("bcbc", "bc"), (" dbdb", " db")] {
+            assert_eq!(trigram(long, short), 0.8);
+            let idx = TrigramIndex::build([(0, short)]);
+            assert!(idx.candidates(long, 0.8).contains(&0), "{long} / {short}");
+            let idx = TrigramIndex::build([(0, long)]);
+            assert!(idx.candidates(short, 0.8).contains(&0), "{short} / {long}");
+        }
     }
 
     #[test]
@@ -830,7 +714,7 @@ mod tests {
         let idx = TrigramIndex::build([(0, "abc"), (1, "abc")]);
         assert_eq!(idx.len(), 2);
         assert!(!idx.is_empty());
-        assert_eq!(idx.df("abc"), 2);
+        assert_eq!(idx.candidates("abc", 1.0).len(), 2);
     }
 
     #[test]
@@ -840,10 +724,7 @@ mod tests {
         let idx = TrigramIndex::build([(0, ""), (1, "!!"), (2, "data")]);
         assert_eq!(idx.len(), 3);
         assert!(!idx.is_empty());
-        // all_ids still reports every indexed value.
-        let all = idx.all_ids();
-        assert_eq!(all.len(), 3);
-        assert!(all.contains(&0) && all.contains(&1) && all.contains(&2));
+        assert!(idx.is_live(0) && idx.is_live(1) && idx.is_live(2));
         // Probing anything never surfaces the gram-less values.
         for t in [0.3, 0.8] {
             assert!(!idx.candidates("data", t).contains(&0));
@@ -854,7 +735,6 @@ mod tests {
         assert_eq!(gramless.len(), 1);
         assert!(!gramless.is_empty());
         assert!(gramless.candidates("anything", 0.5).is_empty());
-        assert_eq!(gramless.all_ids().len(), 1);
     }
 
     #[test]
@@ -864,11 +744,10 @@ mod tests {
         // are reachable candidates — the <3-char edge of `trigrams`.
         let idx = TrigramIndex::build([(0, "a"), (1, "ab")]);
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.df("##a"), 2);
-        assert_eq!(idx.df("#a#"), 1);
         assert!(idx.candidates("a", 0.9).contains(&0));
         assert!(idx.candidates("ab", 0.9).contains(&1));
-        assert_eq!(idx.all_ids().len(), 2);
+        // Both hold "##a": a probe over all of "a"'s grams reaches both.
+        assert_eq!(idx.candidates("a", 0.0).len(), 2);
     }
 
     #[test]
@@ -884,16 +763,17 @@ mod tests {
             let par = Parallelism::new(threads).with_min_shard_size(1);
             let p = TrigramIndex::build_par(&with_edges, &par);
             assert_eq!(p.len(), seq.len(), "threads={threads}");
-            assert_eq!(p.all_ids(), seq.all_ids());
-            // Same postings: same df for every gram, and candidate sets
-            // (with identical insertion order) for every probe.
-            for (_, v) in &with_edges {
-                for g in moma_simstring::tokenize::trigrams(v) {
-                    assert_eq!(p.df(&g), seq.df(&g), "gram {g}");
+            // Same postings: the same candidate set for every probe, at
+            // prefix lengths from one gram to all of them.
+            for (id, v) in &with_edges {
+                assert!(p.is_live(*id));
+                for t in [0.0, 0.5, 0.9, 1.0] {
+                    assert_eq!(
+                        p.candidates(v, t),
+                        seq.candidates(v, t),
+                        "probe {v} t={t} threads={threads}"
+                    );
                 }
-                let cp: Vec<u32> = p.candidates(v, 0.5).into_iter().collect();
-                let cs: Vec<u32> = seq.candidates(v, 0.5).into_iter().collect();
-                assert_eq!(cp, cs, "probe {v} threads={threads}");
             }
         }
     }
@@ -934,7 +814,7 @@ mod tests {
             (5, "Data Cleaning: Problems and Current Approaches"),
         ]);
         assert_eq!(idx.len(), fresh.len());
-        assert_eq!(idx.all_ids(), fresh.all_ids());
+        assert!((0..=5).all(|id| idx.is_live(id) == fresh.is_live(id)));
         for q in [
             "view selection",
             "reference reconciliation",
@@ -957,7 +837,6 @@ mod tests {
         let c = idx.candidates("A formal perspective on the view selection problem", 0.4);
         assert!(!c.contains(&0));
         assert!(c.contains(&4));
-        assert!(!idx.all_ids().contains(&0));
         assert!(!idx.is_live(0) && idx.is_live(4));
     }
 }
@@ -1077,7 +956,7 @@ mod threshold_tests {
             ],
         );
         assert_eq!(idx.len(), fresh.len());
-        assert_eq!(idx.all_ids(), fresh.all_ids());
+        assert!((0..=5).all(|id| idx.is_live(id) == fresh.is_live(id)));
         for q in [
             "view selection",
             "reference reconciliation",
@@ -1208,65 +1087,6 @@ mod tfidf_tests {
         let c = idx.candidates(&corpus.vector("?!"));
         assert_eq!(c, [0u32, 1].into_iter().collect::<FxHashSet<_>>());
         assert!(!idx.candidates(&corpus.vector("data cleaning")).contains(&0));
-    }
-
-    #[test]
-    fn maintenance_matches_rebuild() {
-        // The corpus covers every value that ever enters the index —
-        // out-of-corpus tokens get call-local ids, which are only
-        // coherent within one scoring call, never across index inserts.
-        let mut data = super::tests::titles();
-        data.push((90, "Reference Reconciliation in Complex Spaces"));
-        data.push((91, "Data Cleaning: Problems and Current Approaches"));
-        let (corpus, vecs) = corpus_and_vectors(&data);
-        let vecs = &vecs[..5];
-        let mut idx = build(0.5, vecs);
-        // Remove one, update one, re-insert the removed id with a new
-        // vector (exercises the stale-posting purge), duplicate-reject.
-        assert!(idx.remove(2));
-        assert!(!idx.remove(2));
-        let replacement = corpus.vector("Reference Reconciliation in Complex Spaces");
-        assert!(idx.update(1, &vecs[1].1, &replacement));
-        let fresh_two = corpus.vector("Data Cleaning: Problems and Current Approaches");
-        assert!(idx.insert(2, &fresh_two));
-        assert!(!idx.insert(2, &fresh_two));
-        idx.compact();
-
-        let final_vecs: Vec<(u32, Vec<(u32, f64)>)> = vec![
-            (0, vecs[0].1.clone()),
-            (1, replacement),
-            (2, fresh_two),
-            (3, vecs[3].1.clone()),
-            (4, vecs[4].1.clone()),
-        ];
-        let fresh = build(0.5, &final_vecs);
-        assert_eq!(idx.len(), fresh.len());
-        for q in [
-            "view selection problem",
-            "reference reconciliation",
-            "data cleaning problems",
-            "fuzzy match online",
-        ] {
-            let qv = corpus.vector(q);
-            assert_eq!(idx.candidates(&qv), fresh.candidates(&qv), "probe {q}");
-        }
-        // Pruned candidates really are pruned (soundness is covered
-        // above; this pins that maintenance didn't degrade to all-ids).
-        let qv = corpus.vector("zzzz qqqq");
-        assert!(idx.candidates(&qv).is_empty());
-    }
-
-    #[test]
-    fn tombstoned_ids_never_surface() {
-        let data = super::tests::titles();
-        let (corpus, vecs) = corpus_and_vectors(&data);
-        let mut idx = build(0.4, &vecs);
-        idx.remove(0);
-        let qv = corpus.vector("A formal perspective on the view selection problem");
-        let c = idx.candidates(&qv);
-        assert!(!c.contains(&0));
-        assert!(c.contains(&4));
-        assert!(!idx.is_live(0) && idx.is_live(4));
     }
 
     #[test]

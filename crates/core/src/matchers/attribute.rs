@@ -123,7 +123,7 @@ impl AttributeMatcher {
         }
     }
 
-    /// Enable prefix-filtered trigram blocking (builder style).
+    /// Pin the candidate-generation strategy (builder style).
     pub fn with_blocking(mut self, blocking: Blocking) -> Self {
         self.blocking = blocking;
         self

@@ -19,14 +19,13 @@
 //! * [`exec`] — the deterministic sharded-execution layer
 //!   ([`Parallelism`]) behind the parallel joins and matchers,
 //! * [`agg`] — grouped path aggregation for the compose operator,
-//! * [`gram_index`] — an incrementally maintainable inverted gram index
-//!   (tombstoned removal + amortized compaction) backing the blocking
-//!   index of `moma-core` and its delta maintenance,
-//! * [`size_index`] — the size-bucketed variant with CPMerge-style
-//!   count-filtered candidate merging, backing threshold-exact blocking,
-//! * [`postings`] — the block-compressed posting-list representation
-//!   (per-block maxima, galloping intersection, chunked membership
-//!   lanes) both gram indexes store their id lists in,
+//! * [`gram_index`] — the one incrementally maintainable inverted gram
+//!   index (size-bucketed postings, tombstoned removal + amortized
+//!   compaction) under both string probes of `moma-core`'s blocking:
+//!   CPMerge-style count-filtered merging for threshold-exact plans and
+//!   the rarest-grams union for the prefix filter,
+//! * [`postings`] — the sorted id list every inverted index stores, and
+//!   the galloping lower bound the count-filtered probe searches it with,
 //! * [`tsv`] — plain-text persistence of mapping tables,
 //! * [`hash`] — a fast FxHash-style hasher used for all internal maps
 //!   (integer-keyed hashing is on the hot path of every join).
@@ -44,16 +43,14 @@ pub mod interner;
 pub mod join;
 pub mod mapping_table;
 pub mod postings;
-pub mod size_index;
 pub mod stats;
 pub mod tsv;
 
 pub use exec::Parallelism;
-pub use gram_index::{GramIndex, GramIndexDelta};
+pub use gram_index::GramIndex;
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::Adjacency;
 pub use interner::StringInterner;
 pub use mapping_table::{Correspondence, MappingTable};
-pub use postings::BlockPostings;
-pub use size_index::SizeBucketedIndex;
+pub use postings::Postings;
 pub use stats::TableStats;

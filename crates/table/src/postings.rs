@@ -1,69 +1,29 @@
-//! Block-compressed posting lists with galloping intersection.
+//! Sorted posting lists with a galloping lower bound.
 //!
-//! [`BlockPostings`] stores a sorted, duplicate-free `u32` id list in
-//! fixed-size blocks of [`BLOCK`] entries with a per-block maximum
-//! (roaring-bitmap flavored, but keeping the ids verbatim — posting
-//! lists here are small enough that the win is *skipping*, not bit
-//! packing). The layout buys three things on the probe hot path:
+//! [`Postings`] is a sorted, duplicate-free `u32` id list — the value
+//! type of every inverted index in MOMA ([`crate::gram_index`] keeps
+//! one per gram and size bucket, `moma_core::blocking::TfIdfIndex` one
+//! per token). It offers exactly what index maintenance and the probes
+//! use: sorted `insert` / `remove`, a `retain` sweep for compaction, a
+//! `merge` for shard-built indexes, and read access as a slice or an
+//! iterator. In-order appends (the batch-build case) are O(1).
 //!
-//! * **membership** ([`BlockPostings::contains`]) locates the one block
-//!   that can hold the id via `partition_point` over the block maxima,
-//!   then scans that ≤ [`BLOCK`]-entry block in branch-free chunks of
-//!   `CHUNK` equality compares — a shape LLVM autovectorizes into
-//!   SIMD lanes,
-//! * **intersection** ([`intersect_gallop`]) walks the smaller list and
-//!   *gallops* (exponential search + binary refine) through the larger
-//!   one, so a rare-gram list meets a frequent-gram list in
-//!   `O(small · log(large/small))` instead of `O(small + large)`
-//!   ([`BlockPostings::intersect_blocked`] adds block-max skipping for the mid
-//!   selectivity range; [`intersect_linear`] is the naive merge both are
-//!   property-tested against),
-//! * **maintenance** stays cheap: sorted insert/remove only rebuild the
-//!   block maxima from the touched block onward, and in-order appends
-//!   (the batch-build case) are O(1).
-//!
-//! When does galloping beat the linear merge? When the length ratio is
-//! skewed: the crossover is roughly `small · log₂(large) < small +
-//! large`, i.e. a ratio beyond ~16×. Candidate probes intersect a
-//! query's *rarest* grams against frequent ones, which is exactly that
-//! skewed regime; the criterion bench `postings` pins the crossover
-//! empirically.
+//! [`gallop_lower_bound`] is the one search primitive the T-occurrence
+//! probe needs: it walks a short sorted survivor set through a long
+//! posting list in `O(small · log(large/small))` instead of
+//! `O(small + large)`.
 
-/// Ids per block; one `block_max` entry summarizes each block.
-pub const BLOCK: usize = 64;
-
-/// Equality-compare lane width inside a block scan. Eight `u32`s fill a
-/// 256-bit vector register.
-const CHUNK: usize = 8;
-
-/// A sorted, duplicate-free `u32` posting list in [`BLOCK`]-sized blocks
-/// with per-block maxima.
+/// A sorted, duplicate-free `u32` posting list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BlockPostings {
+pub struct Postings {
     /// Strictly increasing ids.
     ids: Vec<u32>,
-    /// `block_max[b]` = last (largest) id of block `b`.
-    block_max: Vec<u32>,
 }
 
-impl BlockPostings {
+impl Postings {
     /// Empty list.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Build from an already strictly-increasing id list.
-    pub fn from_sorted(ids: Vec<u32>) -> Self {
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "ids must be strictly increasing"
-        );
-        let mut p = Self {
-            ids,
-            block_max: Vec::new(),
-        };
-        p.rebuild_blocks_from(0);
-        p
     }
 
     /// Number of ids.
@@ -86,45 +46,21 @@ impl BlockPostings {
         self.ids.iter().copied()
     }
 
-    /// Recompute `block_max` for every block from `from_block` on.
-    fn rebuild_blocks_from(&mut self, from_block: usize) {
-        let nblocks = self.ids.len().div_ceil(BLOCK);
-        self.block_max.truncate(from_block.min(nblocks));
-        for b in self.block_max.len()..nblocks {
-            let end = ((b + 1) * BLOCK).min(self.ids.len());
-            self.block_max.push(self.ids[end - 1]);
-        }
-    }
-
     /// Insert `id`, keeping the list sorted; `false` if already present.
-    /// In-order appends (id larger than everything present) are O(1);
-    /// out-of-order inserts shift and rebuild maxima from the touched
-    /// block, O(n/[`BLOCK`]) beyond the shift itself.
+    /// In-order appends (id larger than everything present) are O(1).
     pub fn insert(&mut self, id: u32) -> bool {
         match self.ids.last() {
-            None => {
-                self.ids.push(id);
-                self.block_max.push(id);
-                true
-            }
-            Some(&last) if id > last => {
-                self.ids.push(id);
-                let b = (self.ids.len() - 1) / BLOCK;
-                if b == self.block_max.len() {
-                    self.block_max.push(id);
-                } else {
-                    self.block_max[b] = id;
-                }
-                true
-            }
-            Some(_) => match self.ids.binary_search(&id) {
+            Some(&last) if id <= last => match self.ids.binary_search(&id) {
                 Ok(_) => false,
                 Err(pos) => {
                     self.ids.insert(pos, id);
-                    self.rebuild_blocks_from(pos / BLOCK);
                     true
                 }
             },
+            _ => {
+                self.ids.push(id);
+                true
+            }
         }
     }
 
@@ -133,7 +69,6 @@ impl BlockPostings {
         match self.ids.binary_search(&id) {
             Ok(pos) => {
                 self.ids.remove(pos);
-                self.rebuild_blocks_from(pos / BLOCK);
                 true
             }
             Err(_) => false,
@@ -143,39 +78,12 @@ impl BlockPostings {
     /// Keep only ids satisfying the predicate (compaction sweep).
     pub fn retain(&mut self, mut pred: impl FnMut(u32) -> bool) {
         self.ids.retain(|&id| pred(id));
-        self.rebuild_blocks_from(0);
-    }
-
-    /// Block-guided membership test: locate the single block whose max
-    /// is ≥ `id`, then scan it in `CHUNK`-wide branch-free equality
-    /// lanes.
-    pub fn contains(&self, id: u32) -> bool {
-        let b = self.block_max.partition_point(|&m| m < id);
-        if b >= self.block_max.len() {
-            return false;
-        }
-        let start = b * BLOCK;
-        let end = (start + BLOCK).min(self.ids.len());
-        let block = &self.ids[start..end];
-        let mut hit = 0u32;
-        let mut chunks = block.chunks_exact(CHUNK);
-        for ch in &mut chunks {
-            let mut lane = 0u32;
-            for &v in ch {
-                lane |= u32::from(v == id);
-            }
-            hit |= lane;
-        }
-        for &v in chunks.remainder() {
-            hit |= u32::from(v == id);
-        }
-        hit != 0
     }
 
     /// Merge another (disjoint or overlapping) list in; duplicates
     /// collapse. The contiguous-shard case (`other` entirely after
     /// `self`) appends without re-merging.
-    pub fn merge(&mut self, other: BlockPostings) {
+    pub fn merge(&mut self, other: Postings) {
         if other.is_empty() {
             return;
         }
@@ -183,10 +91,8 @@ impl BlockPostings {
             *self = other;
             return;
         }
-        let tail_block = (self.ids.len() - 1) / BLOCK;
         if self.ids.last() < other.ids.first() {
             self.ids.extend(other.ids);
-            self.rebuild_blocks_from(tail_block);
             return;
         }
         let mut merged = Vec::with_capacity(self.ids.len() + other.ids.len());
@@ -212,58 +118,14 @@ impl BlockPostings {
         merged.extend_from_slice(&a[i..]);
         merged.extend_from_slice(&b[j..]);
         self.ids = merged;
-        self.rebuild_blocks_from(0);
-    }
-
-    /// Block-max-skipping intersection: blocks of `self` whose range
-    /// cannot overlap the frontier of `other` are skipped wholesale,
-    /// the rest merge linearly. The mid-selectivity lane between
-    /// [`intersect_linear`] and [`intersect_gallop`].
-    pub fn intersect_blocked(&self, other: &BlockPostings) -> Vec<u32> {
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let mut out = Vec::new();
-        let mut j = 0usize; // frontier into large.ids
-        for (b, &bmax) in small.block_max.iter().enumerate() {
-            if j >= large.ids.len() {
-                break;
-            }
-            // Skip this whole block if even its max precedes the large
-            // frontier...
-            if bmax < large.ids[j] {
-                continue;
-            }
-            let start = b * BLOCK;
-            let end = (start + BLOCK).min(small.ids.len());
-            // ...and fast-forward the large frontier past blocks that
-            // cannot contain this block's smallest id.
-            let lb = large.block_max[j / BLOCK..].partition_point(|&m| m < small.ids[start]);
-            j = ((j / BLOCK + lb) * BLOCK).max(j);
-            let mut i = start;
-            while i < end && j < large.ids.len() {
-                match small.ids[i].cmp(&large.ids[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        out.push(small.ids[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
 /// Index of the first element of `slice` ≥ `target`, found by
 /// exponential (galloping) search: probe offsets 1, 2, 4, … then binary
 /// refine inside the bracketing window. `O(log d)` where `d` is the
-/// answer's distance from the front — the reason galloping wins when
-/// intersection advances in small hops through a long list.
+/// answer's distance from the front — the reason galloping wins when a
+/// probe advances in small hops through a long list.
 pub fn gallop_lower_bound(slice: &[u32], target: u32) -> usize {
     if slice.is_empty() || slice[0] >= target {
         return 0;
@@ -277,123 +139,49 @@ pub fn gallop_lower_bound(slice: &[u32], target: u32) -> usize {
     lo + slice[lo..hi].partition_point(|&v| v < target)
 }
 
-/// Intersect two sorted duplicate-free id slices by galloping through
-/// the larger from the smaller. Output is sorted.
-pub fn intersect_gallop(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for &id in small {
-        j += gallop_lower_bound(&large[j..], id);
-        if j >= large.len() {
-            break;
-        }
-        if large[j] == id {
-            out.push(id);
-            j += 1;
-        }
-    }
-    out
-}
-
-/// Naive linear-merge intersection of two sorted duplicate-free id
-/// slices — the reference the compressed lanes are property-tested
-/// against, and the faster choice when the lists are near-equal length.
-pub fn intersect_linear(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn invariants(p: &BlockPostings) {
-        assert!(p.ids.windows(2).all(|w| w[0] < w[1]), "ids not sorted");
-        assert_eq!(p.block_max.len(), p.ids.len().div_ceil(BLOCK));
-        for (b, &m) in p.block_max.iter().enumerate() {
-            let end = ((b + 1) * BLOCK).min(p.ids.len());
-            assert_eq!(m, p.ids[end - 1], "block {b} max stale");
+    fn from_sorted(ids: impl IntoIterator<Item = u32>) -> Postings {
+        let mut p = Postings::new();
+        for id in ids {
+            assert!(p.insert(id));
         }
+        p
     }
 
     #[test]
-    fn insert_remove_contains() {
-        let mut p = BlockPostings::new();
+    fn insert_remove_keep_the_list_sorted() {
+        let mut p = Postings::new();
         assert!(p.insert(5));
         assert!(p.insert(3)); // out of order
         assert!(p.insert(9));
         assert!(!p.insert(5)); // duplicate
-        invariants(&p);
         assert_eq!(p.ids(), &[3, 5, 9]);
-        assert!(p.contains(5) && p.contains(3) && p.contains(9));
-        assert!(!p.contains(4) && !p.contains(10) && !p.contains(0));
         assert!(p.remove(5));
         assert!(!p.remove(5));
-        invariants(&p);
-        assert!(!p.contains(5));
+        assert_eq!(p.ids(), &[3, 9]);
         assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn spans_multiple_blocks() {
-        let mut p = BlockPostings::new();
-        for i in 0..500u32 {
-            assert!(p.insert(i * 3));
-        }
-        invariants(&p);
-        assert_eq!(p.len(), 500);
-        for i in 0..1500u32 {
-            assert_eq!(p.contains(i), i % 3 == 0, "id {i}");
-        }
-        // Out-of-order insert into a middle block.
-        assert!(p.insert(100)); // 100 % 3 != 0
-        invariants(&p);
-        assert!(p.contains(100));
-        // Remove across a block boundary.
-        assert!(p.remove(3 * BLOCK as u32));
-        invariants(&p);
-        assert!(!p.contains(3 * BLOCK as u32));
-    }
-
-    #[test]
-    fn retain_rebuilds_blocks() {
-        let mut p = BlockPostings::from_sorted((0..300).collect());
-        p.retain(|id| id % 2 == 0);
-        invariants(&p);
-        assert_eq!(p.len(), 150);
-        assert!(p.contains(148) && !p.contains(149));
+        p.retain(|id| id != 3);
+        assert_eq!(p.iter().collect::<Vec<_>>(), [9]);
     }
 
     #[test]
     fn merge_appends_or_interleaves() {
         // Contiguous shards: pure append.
-        let mut a = BlockPostings::from_sorted((0..100).collect());
-        a.merge(BlockPostings::from_sorted((100..200).collect()));
-        invariants(&a);
-        assert_eq!(a.len(), 200);
+        let mut a = from_sorted(0..100);
+        a.merge(from_sorted(100..200));
+        assert_eq!(a, from_sorted(0..200));
         // Interleaved with duplicates: collapsed merge.
-        let mut b = BlockPostings::from_sorted(vec![1, 4, 7]);
-        b.merge(BlockPostings::from_sorted(vec![2, 4, 9]));
-        invariants(&b);
+        let mut b = from_sorted([1, 4, 7]);
+        b.merge(from_sorted([2, 4, 9]));
         assert_eq!(b.ids(), &[1, 2, 4, 7, 9]);
         // Merging into/from empty.
-        let mut e = BlockPostings::new();
+        let mut e = Postings::new();
         e.merge(b.clone());
         assert_eq!(e, b);
-        e.merge(BlockPostings::new());
+        e.merge(Postings::new());
         assert_eq!(e, b);
     }
 
@@ -409,19 +197,6 @@ mod tests {
         }
         assert_eq!(gallop_lower_bound(&[], 3), 0);
     }
-
-    #[test]
-    fn intersections_agree_on_examples() {
-        let a: Vec<u32> = (0..200).map(|i| i * 2).collect();
-        let b: Vec<u32> = (0..80).map(|i| i * 5).collect();
-        let naive = intersect_linear(&a, &b);
-        assert_eq!(intersect_gallop(&a, &b), naive);
-        assert_eq!(
-            BlockPostings::from_sorted(a.clone()).intersect_blocked(&BlockPostings::from_sorted(b)),
-            naive
-        );
-        assert!(naive.iter().all(|&x| x % 10 == 0));
-    }
 }
 
 #[cfg(test)]
@@ -429,40 +204,14 @@ mod prop_tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sorted(mut v: Vec<u32>) -> Vec<u32> {
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     proptest! {
-        /// Galloping and block-skipping intersections are multiset-equal
-        /// to the naive linear merge on arbitrary sorted inputs —
-        /// including heavily skewed length ratios.
+        /// Random insert/remove interleavings agree with a `BTreeSet`
+        /// model op by op, and leave exactly its sorted contents.
         #[test]
-        fn intersections_match_naive_merge(
-            a in prop::collection::vec(0u32..600, 0..300),
-            b in prop::collection::vec(0u32..600, 0..40),
-        ) {
-            let (a, b) = (sorted(a), sorted(b));
-            let naive = intersect_linear(&a, &b);
-            prop_assert_eq!(&intersect_gallop(&a, &b), &naive);
-            let (pa, pb) = (
-                BlockPostings::from_sorted(a.clone()),
-                BlockPostings::from_sorted(b.clone()),
-            );
-            prop_assert_eq!(&pa.intersect_blocked(&pb), &naive);
-            prop_assert_eq!(&pb.intersect_blocked(&pa), &naive);
-        }
-
-        /// Random insert/remove interleavings preserve the block
-        /// invariants, and membership always agrees with a plain binary
-        /// search over the final id set.
-        #[test]
-        fn maintenance_preserves_membership(
+        fn maintenance_matches_a_sorted_set(
             ops in prop::collection::vec((0u32..400, 0u8..2), 0..200),
         ) {
-            let mut p = BlockPostings::new();
+            let mut p = Postings::new();
             let mut model = std::collections::BTreeSet::new();
             for (id, op) in ops {
                 if op == 1 {
@@ -473,9 +222,6 @@ mod prop_tests {
             }
             let want: Vec<u32> = model.iter().copied().collect();
             prop_assert_eq!(p.ids(), want.as_slice());
-            for id in 0..400u32 {
-                prop_assert_eq!(p.contains(id), model.contains(&id));
-            }
         }
     }
 }
