@@ -592,10 +592,8 @@ pub enum Blocking {
     /// *before* scoring via the T-occurrence engine, and for TF-IDF
     /// cosine via the weighted-prefix engine ([`TfIdfIndex`]) — zero
     /// loss of matches either way. For every other configuration —
-    /// non-q-gram fixed measures, a custom candidate floor, or a
-    /// threshold of 0 — it transparently falls back: to all-pairs
-    /// (exact) when no sound bound exists, or to the prefix filter when
-    /// a candidate floor explicitly opts into lossy pruning. Matcher
+    /// non-q-gram fixed measures or a threshold of 0, where no sound
+    /// bound exists — it transparently falls back to all-pairs. Matcher
     /// results under this variant are therefore always identical to
     /// [`Blocking::AllPairs`].
     #[default]

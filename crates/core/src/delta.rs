@@ -38,19 +38,19 @@
 //!   T-occurrence bounds are exact and *symmetric*, so both-side
 //!   [`ThresholdIndex`](crate::blocking::ThresholdIndex)es are
 //!   maintained, and
-//! * trigram-Dice scoring ([`SimFn::Trigram`] / `QgramDice(3)` without a
-//!   custom candidate floor) with [`Blocking::TrigramPrefix`];
+//! * trigram-Dice scoring ([`SimFn::Trigram`] / `QgramDice(3)`) with
+//!   [`Blocking::TrigramPrefix`];
 //!
 //! [`Blocking::AllPairs`]: crate::blocking::Blocking::AllPairs
 //! [`Blocking::Threshold`]: crate::blocking::Blocking::Threshold
 //! [`Blocking::TrigramPrefix`]: crate::blocking::Blocking::TrigramPrefix
 //!
 //! for every other configuration — TF-IDF (its corpus is global: one
-//! added document changes every weight) or blocked scoring with a
-//! conservative candidate floor (the floor makes results depend on the
-//! probe direction) — it transparently falls back to a full re-match,
-//! still returning the correct mapping. [`DeltaMatchState::is_incremental`]
-//! reports which regime a state is in.
+//! added document changes every weight) or any other measure under
+//! [`Blocking::TrigramPrefix`] (the conservative Dice floor makes results
+//! depend on the probe direction) — it transparently falls back to a
+//! full re-match, still returning the correct mapping.
+//! [`DeltaMatchState::is_incremental`] reports which regime a state is in.
 //!
 //! Downstream, patched repository mappings invalidate the compose /
 //! set-op / merge results derived from them via version stamps; see
@@ -108,7 +108,7 @@ pub struct DeltaMatchState {
 /// *resolved* candidate plan: all-pairs and threshold-exact plans are
 /// always incremental for fixed measures; prefix-filtered plans only
 /// when the filter is exact for the scoring measure (trigram Dice at
-/// the matcher threshold, no custom floor).
+/// the matcher threshold).
 fn supports_incremental(m: &AttributeMatcher) -> bool {
     if matches!(m.sim, MatcherSim::TfIdf) {
         return false;
@@ -124,7 +124,7 @@ fn supports_incremental(m: &AttributeMatcher) -> bool {
             matches!(
                 m.sim,
                 MatcherSim::Fixed(SimFn::Trigram) | MatcherSim::Fixed(SimFn::QgramDice(3))
-            ) && m.candidate_floor.is_none()
+            )
         }
     }
 }

@@ -36,7 +36,8 @@ pub(crate) enum CandidatePlan {
     AllPairs,
     /// Prefix-filtered trigram index probed at a fixed Dice bound.
     Prefix {
-        /// Dice bound of every probe (matcher threshold or custom floor).
+        /// Dice bound of every probe (matcher threshold, or
+        /// [`PREFIX_DICE_FLOOR`] when the measure is not trigram Dice).
         dice_bound: f64,
     },
     /// Threshold-exact T-occurrence index (matcher threshold baked in).
@@ -51,6 +52,13 @@ pub(crate) enum CandidatePlan {
     /// execution time and frozen for the match.
     TfIdf,
 }
+
+/// Dice bound of the trigram prefix filter under
+/// [`Blocking::TrigramPrefix`] when the scoring measure is not trigram
+/// Dice: the filter's guarantee does not carry over to other measures,
+/// so a conservative bound lets near-matches under e.g. person-name
+/// similarity still surface as candidates.
+pub(crate) const PREFIX_DICE_FLOOR: f64 = 0.3;
 
 /// Generic single-attribute matcher.
 #[derive(Debug, Clone)]
@@ -68,19 +76,6 @@ pub struct AttributeMatcher {
     /// Per-matcher parallelism override; `None` (the default) inherits
     /// the [`MatchContext`]'s configuration.
     pub parallelism: Option<Parallelism>,
-    /// Dice bound used for prefix-filtered candidate generation. The
-    /// prefix-filter guarantee only holds when the scoring measure *is*
-    /// trigram Dice; for any other measure a conservative floor is used
-    /// (default 0.3) so near-matches under e.g. person-name similarity
-    /// still surface as candidates.
-    ///
-    /// Setting a floor is an **explicit opt-in to lossy pruning**: under
-    /// both blocked modes — [`Blocking::TrigramPrefix`] *and* the
-    /// default [`Blocking::Threshold`] — a `Some` floor routes candidate
-    /// generation through the prefix filter at that bound, dropping
-    /// pairs whose trigram Dice falls below it even if the scoring
-    /// measure would clear the matcher threshold.
-    pub candidate_floor: Option<f64>,
 }
 
 impl AttributeMatcher {
@@ -102,7 +97,6 @@ impl AttributeMatcher {
             threshold,
             blocking: Blocking::Threshold,
             parallelism: None,
-            candidate_floor: None,
         }
     }
 
@@ -119,7 +113,6 @@ impl AttributeMatcher {
             threshold,
             blocking: Blocking::Threshold,
             parallelism: None,
-            candidate_floor: None,
         }
     }
 
@@ -149,27 +142,15 @@ impl AttributeMatcher {
         self
     }
 
-    /// Override the candidate-generation Dice floor (builder style).
-    /// This opts the matcher into **lossy** prefix-filtered pruning at
-    /// `floor` under both blocked modes, including the default
-    /// [`Blocking::Threshold`] (which is otherwise exact) — see
-    /// [`AttributeMatcher::candidate_floor`]. Pin
-    /// [`Blocking::AllPairs`] explicitly if you need exact results with
-    /// a floor configured.
-    pub fn with_candidate_floor(mut self, floor: f64) -> Self {
-        self.candidate_floor = Some(floor);
-        self
-    }
-
     /// Dice bound handed to the trigram prefix filter: the matcher
     /// threshold itself when scoring with trigram Dice (exact), otherwise
-    /// the configured floor (conservative default 0.3).
+    /// [`PREFIX_DICE_FLOOR`].
     pub(crate) fn effective_candidate_threshold(&self) -> f64 {
-        match (&self.sim, self.candidate_floor) {
-            (_, Some(floor)) => floor,
-            (MatcherSim::Fixed(SimFn::Trigram), None)
-            | (MatcherSim::Fixed(SimFn::QgramDice(3)), None) => self.threshold,
-            _ => 0.3,
+        match &self.sim {
+            MatcherSim::Fixed(SimFn::Trigram) | MatcherSim::Fixed(SimFn::QgramDice(3)) => {
+                self.threshold
+            }
+            _ => PREFIX_DICE_FLOOR,
         }
     }
 
@@ -177,8 +158,6 @@ impl AttributeMatcher {
     /// function into the concrete candidate-generation plan. This is
     /// where [`Blocking::Threshold`]'s transparent fallback lives:
     ///
-    /// * a custom candidate floor explicitly opts into lossy prefix
-    ///   filtering (same as under [`Blocking::TrigramPrefix`]),
     /// * a fixed q-gram measure with a positive threshold gets the exact
     ///   T-occurrence engine,
     /// * TF-IDF with a positive threshold gets the exact weighted-prefix
@@ -192,9 +171,6 @@ impl AttributeMatcher {
                 dice_bound: self.effective_candidate_threshold(),
             },
             Blocking::Threshold => {
-                if let Some(floor) = self.candidate_floor {
-                    return CandidatePlan::Prefix { dice_bound: floor };
-                }
                 if self.threshold > 0.0 {
                     match &self.sim {
                         MatcherSim::Fixed(sim) => {
@@ -567,13 +543,6 @@ mod tests {
         assert_eq!(
             AttributeMatcher::new("title", "name", SimFn::Trigram, 0.0).candidate_plan(),
             CandidatePlan::AllPairs
-        );
-        // A custom candidate floor opts into lossy prefix filtering.
-        assert_eq!(
-            AttributeMatcher::new("title", "name", SimFn::Jaro, 0.9)
-                .with_candidate_floor(0.2)
-                .candidate_plan(),
-            CandidatePlan::Prefix { dice_bound: 0.2 }
         );
     }
 

@@ -6,12 +6,12 @@
 //! that prints the same rows the paper reports; EXPERIMENTS.md records
 //! paper-vs-measured values.
 //!
-//! Run everything via the `repro` binary in `moma-bench`:
+//! Run everything via this crate's `repro` binary:
 //!
 //! ```text
-//! cargo run --release -p moma-bench --bin repro -- all
-//! cargo run --release -p moma-bench --bin repro -- table4
-//! cargo run --release -p moma-bench --bin repro -- fig6
+//! cargo run --release -p moma-eval --bin repro -- all
+//! cargo run --release -p moma-eval --bin repro -- table4
+//! cargo run --release -p moma-eval --bin repro -- fig6
 //! ```
 
 pub mod experiments;

@@ -1,22 +1,18 @@
-//! `moma_load` — load generator and protocol driver for `moma serve`.
+//! `moma_load` — protocol driver for `moma serve`: the client half of
+//! `scripts/serve_smoke.sh`. (Load generation and timing live in the
+//! `benchmark/` package, workloads `serve_read` / `serve_write`.)
 //!
 //! Modes (first argument):
 //!
-//! * `load`     — latency/throughput measurement: N reader threads issue
-//!   `query`/`stats` while the main thread streams deltas; reports
-//!   p50/p99 per class and overall throughput, optionally into a
-//!   `BENCH_*.json` report with a trend gate against a baseline.
 //! * `smoke`    — endpoint conformance: drives every endpoint with a
 //!   fixed, deterministic command sequence and asserts the responses.
+//! * `batch`    — a deterministic delta batch as one `batch_delta` frame
+//!   or as singles, plus `batch_query` ≡ singleton `query` byte identity.
+//! * `overload` — embedded-server admission-control end-to-end.
 //! * `stream`   — deterministic delta traffic: generates the evolving
 //!   scenario's delta stream against a local shadow registry (so the
 //!   i-th delta is identical across runs with the same seeds) and sends
 //!   each one as a `delta` command.
-//! * `shard`    — multi-shard write-scaling bench: boots an embedded
-//!   sharded server, places one self-match per source group via explicit
-//!   shard hints, streams deltas from one writer thread per group and
-//!   compares write throughput at `--shards N` against a 1-shard run of
-//!   the same workload; writes the `serve_shard` report section.
 //! * `scatter`  — sharded-server priming: one hinted self-match per
 //!   shard over a distinct source, then deterministic deltas to each,
 //!   so the sharded crash-recovery gate has traffic on every shard.
@@ -41,9 +37,6 @@ const USAGE: &str = "\
 usage: moma_load <mode> [options]
 
 modes:
-  load      [--addr H:P] [--readers 4] [--requests 200] [--deltas 30]
-            [--seed 11] [--churn 0.02] [--scenario-seed 7] [--threads N]
-            [--report FILE] [--baseline FILE]
   smoke      --addr H:P
   batch      --addr H:P [--items 6] [--singles 0|1]
             apply a deterministic delta batch (one batch_delta frame, or
@@ -51,14 +44,10 @@ modes:
             assert batch_query responses are byte-identical to
             singleton queries
   overload  [--conn-cap 8] [--sleep-ms 1500] [--writers 4]
+            [--scenario-seed 7]
             embedded-server overload e2e: saturate the write budget,
             assert explicit overloaded/busy frames, responsive reads,
             recovery, and zero panics
-  shard     [--shards 4] [--deltas 300] [--ops 1] [--threads 1] [--wal 0|1]
-            [--report FILE] [--baseline FILE]
-            embedded multi-shard write-scaling bench: per-group writer
-            threads stream deltas at --shards N and at 1 shard; the
-            N-shard run must beat the 1-shard baseline
   stream     --addr H:P [--steps 50] [--seed 11] [--churn 0.02]
             [--scenario-seed 7] [--sleep-ms 0]
   scatter    --addr H:P [--shards 4] [--deltas 6]
@@ -71,34 +60,55 @@ modes:
   shutdown   --addr H:P
 ";
 
+/// One row per mode: name, the `--flags` of its [`USAGE`] block, handler.
+/// A flag the mode does not list is a usage error, not a silent default:
+/// the crash-recovery harness diffs server states that depend on how
+/// many deltas `--steps` sent.
+const MODES: &[(&str, &[&str], fn(&Opts) -> Result<ExitCode, String>)] = &[
+    ("smoke", &["addr"], cmd_smoke),
+    ("batch", &["addr", "items", "singles"], cmd_batch),
+    (
+        "overload",
+        &["conn-cap", "sleep-ms", "writers", "scenario-seed"],
+        cmd_overload,
+    ),
+    (
+        "stream",
+        &[
+            "addr",
+            "steps",
+            "seed",
+            "churn",
+            "scenario-seed",
+            "sleep-ms",
+        ],
+        cmd_stream,
+    ),
+    ("scatter", &["addr", "shards", "deltas"], cmd_scatter),
+    ("stat", &["addr", "key"], cmd_stat),
+    ("dump", &["addr", "dir"], cmd_dump),
+    ("checkpoint", &["addr"], cmd_checkpoint),
+    ("shutdown", &["addr"], cmd_shutdown),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(mode) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(1);
     };
-    let opts = match parse_opts(&args[1..]) {
+    let Some((_, accepted, run)) = MODES.iter().find(|(name, ..)| name == mode) else {
+        eprintln!("moma_load: unknown mode `{mode}`\n{USAGE}");
+        return ExitCode::from(1);
+    };
+    let opts = match parse_opts(&args[1..], accepted) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("moma_load: {e}\n{USAGE}");
+            eprintln!("moma_load {mode}: {e}\n{USAGE}");
             return ExitCode::from(1);
         }
     };
-    let result = match mode.as_str() {
-        "load" => cmd_load(&opts),
-        "smoke" => cmd_smoke(&opts),
-        "batch" => cmd_batch(&opts),
-        "overload" => cmd_overload(&opts),
-        "shard" => cmd_shard(&opts),
-        "stream" => cmd_stream(&opts),
-        "scatter" => cmd_scatter(&opts),
-        "stat" => cmd_stat(&opts),
-        "dump" => cmd_dump(&opts),
-        "checkpoint" => cmd_checkpoint(&opts),
-        "shutdown" => cmd_shutdown(&opts),
-        other => Err(format!("unknown mode `{other}`\n{USAGE}")),
-    };
-    match result {
+    match run(&opts) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("moma_load {mode}: {e}");
@@ -109,13 +119,14 @@ fn main() -> ExitCode {
 
 type Opts = BTreeMap<String, String>;
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+fn parse_opts(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
     let mut out = Opts::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let key = flag
             .strip_prefix("--")
-            .ok_or_else(|| format!("expected a --flag, got `{flag}`"))?;
+            .filter(|key| accepted.contains(key))
+            .ok_or_else(|| format!("unexpected argument `{flag}`"))?;
         let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
         out.insert(key.to_owned(), value.clone());
     }
@@ -650,259 +661,6 @@ fn cmd_overload(opts: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-// ---- shard ----------------------------------------------------------
-
-/// One write-scaling trial: boot `shards` engines over clones of the
-/// scenario registry (each with its own WAL unless `--wal 0`), place
-/// one self-match per source group via an explicit shard hint
-/// (`group k → shard k % shards`), then run one writer thread per group
-/// streaming `deltas` single-delta commands of `ops` adds each. Returns
-/// `(write_rps, wall_seconds)` over the write phase only.
-fn shard_trial(
-    shards: usize,
-    groups: &[(&str, &str)],
-    deltas: usize,
-    ops: usize,
-    par: moma_core::exec::Parallelism,
-    wal_base: Option<&std::path::Path>,
-) -> Result<(f64, f64), String> {
-    use moma_model::{AttrValue, DeltaOp};
-    let mut engines = Vec::with_capacity(shards);
-    for i in 0..shards {
-        let s = {
-            let mut cfg = WorldConfig::small();
-            cfg.seed = 7;
-            Scenario::generate(cfg)
-        };
-        let mut engine = moma_server::Engine::new(s.registry, par);
-        if let Some(base) = wal_base {
-            let dir = base.join(format!("shard.{i}"));
-            engine
-                .wal_create(&dir, moma_server::DurabilityPolicy::default())
-                .map_err(|e| format!("wal {}: {e}", dir.display()))?;
-        }
-        engines.push(engine);
-    }
-    let handle = moma_server::spawn_sharded(engines, "127.0.0.1:0", moma_server::Limits::default())
-        .map_err(|e| format!("spawn sharded server: {e}"))?;
-    let addr = handle.addr.to_string();
-
-    let mut c = Client::connect_retry(&addr, Duration::from_secs(10))
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    for (k, (source, attr)) in groups.iter().enumerate() {
-        let req = protocol::with_shard(
-            protocol::match_request(
-                &format!("m_shard_{k}"),
-                source,
-                source,
-                attr,
-                attr,
-                "trigram",
-                0.9,
-            ),
-            k % shards,
-        );
-        let r = c
-            .call_ok(&req)
-            .map_err(|e| format!("group {k} match: {e}"))?;
-        if shards > 1 {
-            ensure(
-                r.get("shard").and_then(Json::as_u64) == Some((k % shards) as u64),
-                &format!("group {k} placed on its hinted shard: {r}"),
-            )?;
-        }
-    }
-
-    // Writers connect and then rendezvous on a barrier, so the timed
-    // window measures only the write phase — not connection setup or
-    // the accept loop's poll latency.
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(groups.len() + 1));
-    let mut writers = Vec::new();
-    for (k, (source, attr)) in groups.iter().enumerate() {
-        let addr = addr.clone();
-        let source = source.to_string();
-        let attr = attr.to_string();
-        let barrier = std::sync::Arc::clone(&barrier);
-        writers.push(std::thread::spawn(move || -> Result<(), String> {
-            let mut c = Client::connect_retry(&addr, Duration::from_secs(10))
-                .map_err(|e| format!("writer {k}: connect: {e}"))?;
-            c.call_ok(&protocol::bare_request("ping"))
-                .map_err(|e| format!("writer {k}: ping: {e}"))?;
-            barrier.wait();
-            for step in 0..deltas {
-                let ops: Vec<DeltaOp> = (0..ops)
-                    .map(|j| DeltaOp::Add {
-                        id: format!("sb_{k}_{step}_{j}"),
-                        fields: vec![(
-                            attr.clone(),
-                            AttrValue::Text(format!("shard bench probe {k} {step} {j}")),
-                        )],
-                    })
-                    .collect();
-                let r = c
-                    .call(&protocol::delta_request(&source, &ops))
-                    .map_err(|e| format!("writer {k} delta {step}: {e}"))?;
-                if !is_ok(&r) {
-                    return Err(format!("writer {k} delta {step}: {r}"));
-                }
-            }
-            Ok(())
-        }));
-    }
-    barrier.wait();
-    let t0 = Instant::now();
-    for w in writers {
-        w.join().map_err(|_| "writer thread panicked")??;
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let total = (groups.len() * deltas) as f64;
-
-    // The aggregate stats must account every delta exactly once (the
-    // repl exclusion invariant) and report the shard layout.
-    let stats = c
-        .call_ok(&protocol::bare_request("stats"))
-        .map_err(|e| e.to_string())?;
-    let counted = stats
-        .get("commands")
-        .and_then(|c| c.get("delta"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    ensure(
-        counted == total as u64,
-        &format!("aggregate commands.delta {counted} == {total} deltas sent"),
-    )?;
-    ensure(
-        stats.get("shard_count").and_then(Json::as_u64) == Some(shards as u64),
-        &format!("stats reports shard_count {shards}"),
-    )?;
-    ensure(
-        stats.get("degraded").and_then(Json::as_bool) == Some(false),
-        "server not degraded after the write phase",
-    )?;
-    handle.stop();
-    Ok((total / wall.max(1e-9), wall))
-}
-
-fn cmd_shard(opts: &Opts) -> Result<ExitCode, String> {
-    let shards: usize = opt_num(opts, "shards", 4)?;
-    let deltas: usize = opt_num(opts, "deltas", 300)?;
-    let ops: usize = opt_num(opts, "ops", 1)?;
-    let use_wal: u8 = opt_num(opts, "wal", 1)?;
-    ensure(shards >= 2, "--shards must be at least 2")?;
-    // Sequential engines by default: this bench isolates the *lock and
-    // log* scaling of sharding (concurrent write locks, overlapping
-    // per-shard fsyncs), which intra-delta parallelism would mask by
-    // saturating the cores from a single shard.
-    let par = match opt_num::<usize>(opts, "threads", 1)? {
-        0 => moma_core::exec::Parallelism::from_env(),
-        n => moma_core::exec::Parallelism::new(n),
-    };
-    // One group per writer: distinct sources so each group's ownership
-    // claim (and therefore its write lock and WAL) lands on its hinted
-    // shard and deltas never fan out.
-    let groups: Vec<(&str, &str)> = vec![
-        ("Publication@DBLP", "title"),
-        ("Publication@ACM", "title"),
-        ("Publication@GS", "title"),
-        ("Author@DBLP", "name"),
-    ];
-
-    let tmp = std::env::temp_dir().join(format!("moma-shard-bench-{}", std::process::id()));
-    let wal_base = |trial: &str| -> Result<Option<std::path::PathBuf>, String> {
-        if use_wal == 0 {
-            return Ok(None);
-        }
-        let dir = tmp.join(trial);
-        std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        Ok(Some(dir))
-    };
-
-    eprintln!(
-        "shard: 1-shard baseline ({} groups x {deltas} deltas x {ops} ops)...",
-        groups.len()
-    );
-    let single_base = wal_base("single")?;
-    let (single_rps, single_wall) =
-        shard_trial(1, &groups, deltas, ops, par, single_base.as_deref())?;
-    eprintln!("shard: 1 shard: {single_rps:.0} deltas/s ({single_wall:.2}s)");
-
-    eprintln!("shard: {shards}-shard run...");
-    let sharded_base = wal_base("sharded")?;
-    let (shard_rps, shard_wall) =
-        shard_trial(shards, &groups, deltas, ops, par, sharded_base.as_deref())?;
-    eprintln!("shard: {shards} shards: {shard_rps:.0} deltas/s ({shard_wall:.2}s)");
-    let _ = std::fs::remove_dir_all(&tmp);
-
-    let speedup = shard_rps / single_rps.max(1e-9);
-    eprintln!("shard: write scaling {speedup:.2}x over the 1-shard baseline");
-    ensure(
-        shard_rps > single_rps,
-        &format!(
-            "{shards}-shard write throughput ({shard_rps:.0} rps) beats the 1-shard \
-             baseline ({single_rps:.0} rps)"
-        ),
-    )?;
-
-    let report = Json::obj(vec![
-        ("shards", Json::Num(shards as f64)),
-        ("groups", Json::Num(groups.len() as f64)),
-        ("deltas_per_group", Json::Num(deltas as f64)),
-        ("ops_per_delta", Json::Num(ops as f64)),
-        ("wal", Json::Bool(use_wal != 0)),
-        ("single_shard_rps", Json::Num(round3(single_rps))),
-        ("sharded_rps", Json::Num(round3(shard_rps))),
-        ("speedup", Json::Num(round3(speedup))),
-        ("single_shard_wall_s", Json::Num(round3(single_wall))),
-        ("sharded_wall_s", Json::Num(round3(shard_wall))),
-    ]);
-    if let Some(path) = opts.get("report") {
-        write_report(path, "serve_shard", &report)?;
-        eprintln!("shard: serve_shard section written to {path}");
-    }
-    if let Some(baseline) = opts.get("baseline") {
-        gate_shard_baseline(baseline, &report)?;
-    }
-    println!("SHARD_SCALING_OK {speedup:.2}");
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Trend gate for the `serve_shard` section: a missing baseline file or
-/// section degrades to a warning (this is the first PR with the
-/// section); a present one bounds throughput collapse and requires the
-/// scaling property itself.
-fn gate_shard_baseline(path: &str, report: &Json) -> Result<(), String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => {
-            eprintln!("shard: warning: baseline {path} missing — serve_shard trend gate skipped");
-            return Ok(());
-        }
-    };
-    let base = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let Some(base) = base.get("serve_shard") else {
-        eprintln!(
-            "shard: warning: baseline {path} has no serve_shard section — trend gate skipped"
-        );
-        return Ok(());
-    };
-    for key in ["sharded_rps", "speedup"] {
-        let (Some(b), Some(n)) = (base.num_field(key), report.num_field(key)) else {
-            continue;
-        };
-        if b <= 0.0 {
-            continue;
-        }
-        if n < b / 4.0 {
-            return Err(format!(
-                "serve_shard trend gate: {key} = {n:.3} vs baseline {b:.3} (bound {:.3})",
-                b / 4.0
-            ));
-        }
-        eprintln!("shard: trend {key}: {n:.3} (baseline {b:.3}) ok");
-    }
-    Ok(())
-}
-
 // ---- stream ---------------------------------------------------------
 
 /// Build the local shadow of the server's generated scenario, so delta
@@ -1086,358 +844,60 @@ fn cmd_shutdown(opts: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-// ---- load -----------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = (p * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
-fn cmd_load(opts: &Opts) -> Result<ExitCode, String> {
-    let readers: usize = opt_num(opts, "readers", 4)?;
-    let requests: usize = opt_num(opts, "requests", 200)?;
-    let deltas: usize = opt_num(opts, "deltas", 30)?;
-    let seed: u64 = opt_num(opts, "seed", 11)?;
-    let churn: f64 = opt_num(opts, "churn", 0.02)?;
-
-    // Embedded server unless --addr points at a running one.
-    let s = shadow_scenario(opts)?;
-    let mut shadow = s.registry.clone();
-    let gs = s.ids.pub_gs;
-    let gs_name = shadow.lds(gs).name();
-    let (addr, handle) = match opts.get("addr") {
-        Some(a) => (a.clone(), None),
-        None => {
-            let par = match opt_num::<usize>(opts, "threads", 0)? {
-                0 => moma_core::exec::Parallelism::from_env(),
-                n => moma_core::exec::Parallelism::new(n),
-            };
-            let engine = moma_server::Engine::new(s.registry, par);
-            let handle = moma_server::spawn(engine, "127.0.0.1:0")
-                .map_err(|e| format!("spawn server: {e}"))?;
-            (handle.addr.to_string(), Some(handle))
-        }
-    };
-
-    let mut c = Client::connect_retry(&addr, Duration::from_secs(10))
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let r = c
-        .call_ok(&protocol::match_request(
-            "m_load",
-            "Publication@DBLP",
-            "Publication@GS",
-            "title",
-            "title",
-            "trigram",
-            0.75,
-        ))
-        .map_err(|e| e.to_string())?;
-    ensure(
-        r.get("incremental").and_then(Json::as_bool) == Some(true),
-        "m_load is incrementally maintainable",
-    )?;
-    let rows0 = r.num_field("rows").unwrap_or(0.0) as u64;
-
-    // Reader fan-out: queries with varying limits, a stats call every
-    // 16th request.
-    let t0 = Instant::now();
-    let mut reader_threads = Vec::new();
-    for r_id in 0..readers {
-        let addr = addr.clone();
-        reader_threads.push(std::thread::spawn(
-            move || -> Result<(Vec<f64>, Vec<f64>), String> {
-                let mut c = Client::connect_retry(&addr, Duration::from_secs(10))
-                    .map_err(|e| format!("reader {r_id}: connect: {e}"))?;
-                let mut q_ms = Vec::with_capacity(requests);
-                let mut s_ms = Vec::new();
-                for i in 0..requests {
-                    let t = Instant::now();
-                    let (req, sink) = if i % 16 == 15 {
-                        (protocol::bare_request("stats"), &mut s_ms)
-                    } else {
-                        let limit = (i % 97 + 1) as u64;
-                        (protocol::query_request("m_load", limit, None), &mut q_ms)
-                    };
-                    let resp = c
-                        .call(&req)
-                        .map_err(|e| format!("reader {r_id} request {i}: {e}"))?;
-                    if !is_ok(&resp) {
-                        return Err(format!("reader {r_id} request {i}: {resp}"));
-                    }
-                    sink.push(t.elapsed().as_secs_f64() * 1e3);
-                }
-                Ok((q_ms, s_ms))
-            },
-        ));
+    fn parse(mode: &str, args: &[&str]) -> Result<Opts, String> {
+        let (_, accepted, _) = MODES
+            .iter()
+            .find(|(name, ..)| *name == mode)
+            .expect("mode exists");
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse_opts(&args, accepted)
     }
 
-    // Writer on the main thread: deterministic delta stream.
-    let mut stream = DeltaStream::new(
-        EvolveConfig {
-            seed,
-            ..EvolveConfig::with_churn(churn)
-        },
-        gs,
-    );
-    let mut d_ms = Vec::with_capacity(deltas);
-    let mut all_incremental = true;
-    let empty: [Json; 0] = [];
-    for step in 1..=deltas {
-        let delta = stream.next_delta(&shadow);
-        let req = protocol::delta_request(&gs_name, &delta.ops);
-        let t = Instant::now();
-        let resp = c.call(&req).map_err(|e| format!("delta {step}: {e}"))?;
-        d_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        if !is_ok(&resp) {
-            return Err(format!("delta {step}: {resp}"));
+    #[test]
+    fn accepts_the_flags_a_mode_lists() {
+        let opts = parse(
+            "stream",
+            &["--addr", "h:1", "--steps", "400", "--sleep-ms", "25"],
+        )
+        .expect("listed flags parse");
+        assert_eq!(opts.get("steps").map(String::as_str), Some("400"));
+        assert_eq!(opts.get("sleep-ms").map(String::as_str), Some("25"));
+        assert!(parse("overload", &[]).expect("no flags").is_empty());
+    }
+
+    #[test]
+    fn rejects_flags_the_mode_does_not_list() {
+        // Typos of real flags, a flag of another mode, a positional.
+        for args in [
+            &["--addr", "h:1", "--step", "100"][..],
+            &["--addr", "h:1", "--sleep_ms", "25"],
+            &["--addr", "h:1", "--items", "6"],
+            &["extra"],
+        ] {
+            let err = parse("stream", args).expect_err("must be refused");
+            assert!(err.starts_with("unexpected argument `"), "{err}");
         }
-        for m in resp
-            .get("mappings")
-            .and_then(Json::as_arr)
-            .unwrap_or(&empty)
-        {
-            if m.str_field("name") == Some("m_load")
-                && m.get("incremental").and_then(Json::as_bool) != Some(true)
-            {
-                all_incremental = false;
+    }
+
+    #[test]
+    fn a_listed_flag_needs_its_value() {
+        assert_eq!(
+            parse("stat", &["--addr", "h:1", "--key"]).unwrap_err(),
+            "--key needs a value"
+        );
+    }
+
+    #[test]
+    fn every_listed_flag_is_in_the_usage_text() {
+        for (mode, accepted, _) in MODES {
+            assert!(USAGE.contains(&format!("\n  {mode} ")), "{mode}");
+            for flag in *accepted {
+                assert!(USAGE.contains(&format!("--{flag} ")), "{mode} --{flag}");
             }
         }
-        shadow
-            .apply_delta(&delta)
-            .map_err(|e| format!("shadow apply {step}: {e}"))?;
     }
-
-    let mut q_ms = Vec::new();
-    let mut s_ms = Vec::new();
-    for t in reader_threads {
-        let (q, s) = t.join().map_err(|_| "reader thread panicked")??;
-        q_ms.extend(q);
-        s_ms.extend(s);
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    let total_requests = q_ms.len() + s_ms.len() + d_ms.len();
-    let throughput = total_requests as f64 / wall_s.max(1e-9);
-
-    // Quiesced amortization passes: the same work framed as singleton
-    // requests vs batches of `batch_size`, no concurrent traffic — the
-    // per-op difference is pure frame/JSON/syscall overhead.
-    use moma_model::{AttrValue, DeltaOp};
-    let batch_size = 8usize;
-    let passes = 40usize;
-    let mut single_q_ms = Vec::with_capacity(passes);
-    for _ in 0..passes {
-        let t = Instant::now();
-        for _ in 0..batch_size {
-            let r = c
-                .call(&protocol::query_request("m_load", 8, None))
-                .map_err(|e| format!("singleton query pass: {e}"))?;
-            ensure(is_ok(&r), "singleton query pass")?;
-        }
-        single_q_ms.push(t.elapsed().as_secs_f64() * 1e3 / batch_size as f64);
-    }
-    let mut batch_q_ms = Vec::with_capacity(passes);
-    for _ in 0..passes {
-        let items = vec![protocol::query_item("m_load", 8, None); batch_size];
-        let t = Instant::now();
-        let results = c
-            .batch_query(items)
-            .map_err(|e| format!("batch query pass: {e}"))?;
-        batch_q_ms.push(t.elapsed().as_secs_f64() * 1e3 / batch_size as f64);
-        ensure(results.iter().all(is_ok), "batch query pass")?;
-    }
-    let delta_passes = 10usize;
-    let mut single_d_ms = Vec::with_capacity(delta_passes);
-    let mut batch_d_ms = Vec::with_capacity(delta_passes);
-    for pass in 0..delta_passes {
-        let mk_ops = |tag: &str, j: usize| {
-            vec![DeltaOp::Add {
-                id: format!("bload_{tag}_{pass}_{j}"),
-                fields: vec![(
-                    "title".into(),
-                    AttrValue::Text(format!("batch load probe {tag} {pass}/{j}")),
-                )],
-            }]
-        };
-        let t = Instant::now();
-        for j in 0..batch_size {
-            let r = c
-                .call(&protocol::delta_request(&gs_name, &mk_ops("s", j)))
-                .map_err(|e| format!("singleton delta pass: {e}"))?;
-            ensure(is_ok(&r), "singleton delta pass")?;
-        }
-        single_d_ms.push(t.elapsed().as_secs_f64() * 1e3 / batch_size as f64);
-        let items = (0..batch_size)
-            .map(|j| protocol::delta_item(&gs_name, &mk_ops("b", j)))
-            .collect();
-        let t = Instant::now();
-        let results = c
-            .batch_delta(items)
-            .map_err(|e| format!("batch delta pass: {e}"))?;
-        batch_d_ms.push(t.elapsed().as_secs_f64() * 1e3 / batch_size as f64);
-        ensure(results.iter().all(is_ok), "batch delta pass")?;
-    }
-
-    let rows_final = c
-        .call_ok(&protocol::query_request("m_load", 1, None))
-        .map_err(|e| e.to_string())?
-        .num_field("total")
-        .unwrap_or(0.0) as u64;
-    if let Some(h) = handle {
-        h.stop();
-    }
-
-    q_ms.sort_by(|a, b| a.total_cmp(b));
-    d_ms.sort_by(|a, b| a.total_cmp(b));
-    s_ms.sort_by(|a, b| a.total_cmp(b));
-    single_q_ms.sort_by(|a, b| a.total_cmp(b));
-    batch_q_ms.sort_by(|a, b| a.total_cmp(b));
-    single_d_ms.sort_by(|a, b| a.total_cmp(b));
-    batch_d_ms.sort_by(|a, b| a.total_cmp(b));
-    let singleton_q_p50 = percentile(&single_q_ms, 0.50);
-    let batch_q_p50 = percentile(&batch_q_ms, 0.50);
-    let report = Json::obj(vec![
-        ("readers", Json::Num(readers as f64)),
-        ("requests_per_reader", Json::Num(requests as f64)),
-        ("deltas", Json::Num(deltas as f64)),
-        ("query_p50_ms", Json::Num(round3(percentile(&q_ms, 0.50)))),
-        ("query_p99_ms", Json::Num(round3(percentile(&q_ms, 0.99)))),
-        ("delta_p50_ms", Json::Num(round3(percentile(&d_ms, 0.50)))),
-        ("delta_p99_ms", Json::Num(round3(percentile(&d_ms, 0.99)))),
-        ("stats_p99_ms", Json::Num(round3(percentile(&s_ms, 0.99)))),
-        ("throughput_rps", Json::Num(round3(throughput))),
-        ("all_incremental", Json::Bool(all_incremental)),
-        ("rows_initial", Json::Num(rows0 as f64)),
-        ("rows_final", Json::Num(rows_final as f64)),
-        ("batch_size", Json::Num(batch_size as f64)),
-        ("singleton_query_p50_ms", Json::Num(round3(singleton_q_p50))),
-        ("batch_query_per_op_p50_ms", Json::Num(round3(batch_q_p50))),
-        (
-            "batch_query_per_op_p99_ms",
-            Json::Num(round3(percentile(&batch_q_ms, 0.99))),
-        ),
-        (
-            "singleton_delta_per_op_p50_ms",
-            Json::Num(round3(percentile(&single_d_ms, 0.50))),
-        ),
-        (
-            "batch_delta_per_op_p50_ms",
-            Json::Num(round3(percentile(&batch_d_ms, 0.50))),
-        ),
-        (
-            "batch_delta_per_op_p99_ms",
-            Json::Num(round3(percentile(&batch_d_ms, 0.99))),
-        ),
-        (
-            "batch_query_speedup",
-            Json::Num(round3(singleton_q_p50 / batch_q_p50.max(1e-9))),
-        ),
-    ]);
-    eprintln!(
-        "load: {} requests in {:.2}s ({:.0} req/s); query p50 {:.3} ms p99 {:.3} ms; \
-         delta p50 {:.3} ms p99 {:.3} ms; incremental={}",
-        total_requests,
-        wall_s,
-        throughput,
-        percentile(&q_ms, 0.50),
-        percentile(&q_ms, 0.99),
-        percentile(&d_ms, 0.50),
-        percentile(&d_ms, 0.99),
-        all_incremental,
-    );
-    ensure(all_incremental, "m_load stayed on the incremental path")?;
-    eprintln!(
-        "load: batch amortization: query per-op p50 {:.3} ms (singleton {:.3} ms, {:.1}x); \
-         delta per-op p50 {:.3} ms (singleton {:.3} ms)",
-        batch_q_p50,
-        singleton_q_p50,
-        singleton_q_p50 / batch_q_p50.max(1e-9),
-        percentile(&batch_d_ms, 0.50),
-        percentile(&single_d_ms, 0.50),
-    );
-    ensure(
-        batch_q_p50 < singleton_q_p50,
-        &format!(
-            "batch query per-op p50 ({batch_q_p50:.3} ms) beats singleton p50 \
-             ({singleton_q_p50:.3} ms) at batch size {batch_size}"
-        ),
-    )?;
-
-    if let Some(path) = opts.get("report") {
-        write_report(path, "serve_load", &report)?;
-        eprintln!("load: serve_load section written to {path}");
-    }
-    if let Some(baseline) = opts.get("baseline") {
-        gate_against_baseline(baseline, &report)?;
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
-}
-
-/// Insert/replace one named section of a bench report. An existing
-/// report is parsed and re-emitted (pretty-printed) with the section
-/// added; a missing file becomes `{"<name>": ...}`.
-fn write_report(path: &str, name: &str, section: &Json) -> Result<(), String> {
-    let mut root = match std::fs::read_to_string(path) {
-        Ok(text) => Json::parse(&text).map_err(|e| format!("{path}: {e}"))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Json::Obj(Vec::new()),
-        Err(e) => return Err(format!("{path}: {e}")),
-    };
-    let Json::Obj(fields) = &mut root else {
-        return Err(format!("{path}: report root is not an object"));
-    };
-    fields.retain(|(k, _)| k != name);
-    fields.push((name.to_owned(), section.clone()));
-    std::fs::write(path, root.pretty() + "\n").map_err(|e| format!("{path}: {e}"))
-}
-
-/// Trend gate: compare against the committed previous-PR report. A
-/// missing baseline file or section degrades to a warning (first PR
-/// with the section); a present baseline enforces generous bounds that
-/// tolerate CI hardware variance but catch order-of-magnitude
-/// regressions.
-fn gate_against_baseline(path: &str, report: &Json) -> Result<(), String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => {
-            eprintln!("load: warning: baseline {path} missing — serve_load trend gate skipped");
-            return Ok(());
-        }
-    };
-    let base = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let Some(base) = base.get("serve_load") else {
-        eprintln!("load: warning: baseline {path} has no serve_load section — trend gate skipped");
-        return Ok(());
-    };
-    let pairs = [
-        ("query_p99_ms", false),
-        ("delta_p99_ms", false),
-        ("throughput_rps", true),
-        ("batch_query_per_op_p50_ms", false),
-    ];
-    for (key, higher_is_better) in pairs {
-        let (Some(b), Some(n)) = (base.num_field(key), report.num_field(key)) else {
-            continue;
-        };
-        if b <= 0.0 {
-            continue;
-        }
-        let (ok, bound) = if higher_is_better {
-            (n >= b / 4.0, b / 4.0)
-        } else {
-            (n <= b * 4.0, b * 4.0)
-        };
-        if !ok {
-            return Err(format!(
-                "serve_load trend gate: {key} = {n:.3} vs baseline {b:.3} (bound {bound:.3})"
-            ));
-        }
-        eprintln!("load: trend {key}: {n:.3} (baseline {b:.3}) ok");
-    }
-    Ok(())
 }

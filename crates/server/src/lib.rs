@@ -47,10 +47,10 @@
 //!   group commit per delta batch), and automatic checkpoints run on a
 //!   server-owned background thread, off the delta path.
 //!
-//! The `moma_load` binary in this crate is the load generator and
-//! protocol swiss-army knife used by CI: `load` (latency/throughput
-//! report), `smoke` (endpoint conformance), `stream` (deterministic
-//! delta traffic), `dump`, `stat`, `shutdown`.
+//! The `moma_load` binary in this crate is the protocol driver
+//! `scripts/serve_smoke.sh` runs against live servers: `smoke` (endpoint
+//! conformance), `stream` (deterministic delta traffic), `batch`,
+//! `scatter`, `overload`, `dump`, `stat`, `checkpoint`, `shutdown`.
 
 pub mod checkpoint;
 pub mod client;

@@ -2,16 +2,15 @@
 //!
 //! Composition of mappings is a relational join: rows `(a, c, s1)` of the
 //! left table meet rows `(c, b, s2)` of the right table on the shared
-//! object `c` (paper Section 3.2 / 5.3). Three strategies are provided —
-//! hash join (default), sort-merge join, and a nested-loop reference used
-//! to property-test the other two — plus parallel variants
-//! ([`par_hash_join`], [`par_sort_merge_join`]) that shard the left table
-//! across threads and emit results in an order bit-identical to their
-//! sequential counterparts (see [`crate::exec`]).
+//! object `c` (paper Section 3.2 / 5.3). Two strategies are provided —
+//! the hash join and a nested-loop reference used to property-test it —
+//! plus a parallel variant ([`par_hash_join`]) that shards the left table
+//! across threads and emits results in an order bit-identical to the
+//! sequential hash join (see [`crate::exec`]).
 
 use crate::exec::Parallelism;
 use crate::index::Adjacency;
-use crate::mapping_table::{Correspondence, MappingTable};
+use crate::mapping_table::MappingTable;
 
 /// A joined compose path `(a, c, b)` with both path similarities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,8 +50,8 @@ pub fn hash_join(left: &MappingTable, right: &MappingTable, mut sink: impl FnMut
 /// shard order, so the emitted sequence is bit-identical to
 /// [`hash_join`]. With `par.threads == 1` this *is* [`hash_join`].
 ///
-/// Memory note: unlike the streaming sequential joins, the parallel
-/// variants buffer the whole join output (`O(paths)`) before sinking —
+/// Memory note: unlike the streaming sequential join, the parallel
+/// variant buffers the whole join output (`O(paths)`) before sinking —
 /// the price of the deterministic merge order. For joins whose output
 /// vastly exceeds the input (heavily skewed keys), prefer
 /// `Parallelism::sequential()`.
@@ -82,104 +81,6 @@ pub fn par_hash_join(
         out
     });
     for shard in shards {
-        for p in shard {
-            sink(p);
-        }
-    }
-}
-
-/// Merge two sorted runs (left sorted by `range`, right sorted by
-/// `domain`) — the inner loop shared by the sequential and parallel
-/// sort-merge joins.
-fn merge_runs(lr: &[Correspondence], rr: &[Correspondence], sink: &mut impl FnMut(JoinedPath)) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lr.len() && j < rr.len() {
-        let key_l = lr[i].range;
-        let key_r = rr[j].domain;
-        if key_l < key_r {
-            i += 1;
-        } else if key_l > key_r {
-            j += 1;
-        } else {
-            // Extent of equal keys on both sides.
-            let i_end = lr[i..].iter().take_while(|c| c.range == key_l).count() + i;
-            let j_end = rr[j..].iter().take_while(|c| c.domain == key_r).count() + j;
-            for li in &lr[i..i_end] {
-                for rj in &rr[j..j_end] {
-                    sink(JoinedPath {
-                        a: li.domain,
-                        c: key_l,
-                        b: rj.range,
-                        s1: li.sim,
-                        s2: rj.sim,
-                    });
-                }
-            }
-            i = i_end;
-            j = j_end;
-        }
-    }
-}
-
-/// Sort-merge join: sorts the left table by range and the right table by
-/// domain, then merges the two sorted runs.
-pub fn sort_merge_join(
-    left: &MappingTable,
-    right: &MappingTable,
-    mut sink: impl FnMut(JoinedPath),
-) {
-    let mut l = left.clone();
-    l.sort_by_range();
-    let mut r = right.clone();
-    r.sort_by_domain();
-    merge_runs(l.rows(), r.rows(), &mut sink);
-}
-
-/// Parallel sort-merge join: both inputs are sorted exactly as in
-/// [`sort_merge_join`], then the left run is cut into key-aligned shards
-/// (a run of equal join keys never straddles a shard boundary). Each
-/// worker binary-searches its starting position in the shared right run
-/// and merges independently; shard outputs are concatenated in order, so
-/// the emitted sequence is bit-identical to the sequential join.
-pub fn par_sort_merge_join(
-    left: &MappingTable,
-    right: &MappingTable,
-    par: &Parallelism,
-    mut sink: impl FnMut(JoinedPath),
-) {
-    let shards = par.shard_count(left.len());
-    if shards <= 1 {
-        return sort_merge_join(left, right, sink);
-    }
-    let mut l = left.clone();
-    l.sort_by_range();
-    let mut r = right.clone();
-    r.sort_by_domain();
-    let (lr, rr) = (l.rows(), r.rows());
-
-    // Key-aligned shard boundaries over the sorted left run.
-    let target = lr.len().div_ceil(shards);
-    let mut bounds: Vec<(usize, usize)> = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    while start < lr.len() {
-        let mut end = (start + target).min(lr.len());
-        while end < lr.len() && lr[end].range == lr[end - 1].range {
-            end += 1;
-        }
-        bounds.push((start, end));
-        start = end;
-    }
-
-    let outs = par.run_tasks(bounds.len(), |t| {
-        let (s, e) = bounds[t];
-        let shard = &lr[s..e];
-        // Skip right rows that cannot meet this shard's smallest key.
-        let j0 = rr.partition_point(|c| c.domain < shard[0].range);
-        let mut out = Vec::new();
-        merge_runs(shard, &rr[j0..], &mut |p| out.push(p));
-        out
-    });
-    for shard in outs {
         for p in shard {
             sink(p);
         }
@@ -266,10 +167,8 @@ mod tests {
     fn strategies_agree_on_fig6() {
         let (m1, m2) = fig6_tables();
         let h = collect_sorted(|l, r, s| hash_join(l, r, s), &m1, &m2);
-        let sm = collect_sorted(|l, r, s| sort_merge_join(l, r, s), &m1, &m2);
         let nl = collect_sorted(|l, r, s| nested_loop_join(l, r, s), &m1, &m2);
         assert_eq!(h, nl);
-        assert_eq!(sm, nl);
     }
 
     #[test]
@@ -277,7 +176,6 @@ mod tests {
         let l = MappingTable::from_triples([(0, 1, 0.5)]);
         let r = MappingTable::from_triples([(2, 3, 0.5)]);
         assert!(collect_sorted(|l, r, s| hash_join(l, r, s), &l, &r).is_empty());
-        assert!(collect_sorted(|l, r, s| sort_merge_join(l, r, s), &l, &r).is_empty());
     }
 
     #[test]
@@ -285,13 +183,13 @@ mod tests {
         let e = MappingTable::new();
         let t = MappingTable::from_triples([(0, 1, 0.5)]);
         assert!(collect_sorted(|l, r, s| hash_join(l, r, s), &e, &t).is_empty());
-        assert!(collect_sorted(|l, r, s| sort_merge_join(l, r, s), &t, &e).is_empty());
+        assert!(collect_sorted(|l, r, s| hash_join(l, r, s), &t, &e).is_empty());
     }
 
     #[test]
     fn parallel_joins_emit_identical_sequences() {
         // Not just the same multiset: the *emission order* into the sink
-        // must be bit-identical to the sequential strategies.
+        // must be bit-identical to the sequential hash join.
         let (m1, m2) = fig6_tables();
         let collect = |f: &dyn Fn(&mut dyn FnMut(JoinedPath))| {
             let mut v = Vec::new();
@@ -299,13 +197,10 @@ mod tests {
             v
         };
         let seq_hash = collect(&|s| hash_join(&m1, &m2, s));
-        let seq_sm = collect(&|s| sort_merge_join(&m1, &m2, s));
         for threads in [1usize, 2, 8] {
             let par = Parallelism::new(threads).with_min_shard_size(1);
             let ph = collect(&|s| par_hash_join(&m1, &m2, &par, s));
-            let psm = collect(&|s| par_sort_merge_join(&m1, &m2, &par, s));
             assert_eq!(ph, seq_hash, "hash, threads={threads}");
-            assert_eq!(psm, seq_sm, "sort-merge, threads={threads}");
         }
     }
 
@@ -316,7 +211,7 @@ mod tests {
         let par = Parallelism::new(4).with_min_shard_size(1);
         assert!(collect_sorted(|l, r, s| par_hash_join(l, r, &par, s), &e, &t).is_empty());
         assert!(collect_sorted(|l, r, s| par_hash_join(l, r, &par, s), &t, &e).is_empty());
-        assert!(collect_sorted(|l, r, s| par_sort_merge_join(l, r, &par, s), &e, &e).is_empty());
+        assert!(collect_sorted(|l, r, s| par_hash_join(l, r, &par, s), &e, &e).is_empty());
     }
 
     #[test]
@@ -326,9 +221,7 @@ mod tests {
         let par = Parallelism::new(2).with_min_shard_size(1);
         let reference = collect_multiset(|l, r, s| nested_loop_join(l, r, s), &t, &t);
         let ph = collect_multiset(|l, r, s| par_hash_join(l, r, &par, s), &t, &t);
-        let psm = collect_multiset(|l, r, s| par_sort_merge_join(l, r, &par, s), &t, &t);
         assert_eq!(ph, reference);
-        assert_eq!(psm, reference);
     }
 
     #[test]
@@ -380,17 +273,7 @@ mod prop_tests {
             prop_assert_eq!(h, n);
         }
 
-        #[test]
-        fn sort_merge_join_equals_nested_loop(
-            l in arb_table(24, 60),
-            r in arb_table(24, 60),
-        ) {
-            let sm = collect_sorted(|l, r, s| sort_merge_join(l, r, s), &l, &r);
-            let n = collect_sorted(|l, r, s| nested_loop_join(l, r, s), &l, &r);
-            prop_assert_eq!(sm, n);
-        }
-
-        /// All five strategies produce the same multiset of `JoinedPath`s
+        /// All three strategies produce the same multiset of `JoinedPath`s
         /// — on raw tables with duplicate rows (including the empty table:
         /// `0..60` rows starts at zero) and across thread counts 1/2/8.
         #[test]
@@ -400,16 +283,11 @@ mod prop_tests {
         ) {
             let reference = collect_multiset(|l, r, s| nested_loop_join(l, r, s), &l, &r);
             let h = collect_multiset(|l, r, s| hash_join(l, r, s), &l, &r);
-            let sm = collect_multiset(|l, r, s| sort_merge_join(l, r, s), &l, &r);
             prop_assert_eq!(&h, &reference);
-            prop_assert_eq!(&sm, &reference);
             for threads in [1usize, 2, 8] {
                 let par = Parallelism::new(threads).with_min_shard_size(1);
                 let ph = collect_multiset(|l, r, s| par_hash_join(l, r, &par, s), &l, &r);
-                let psm =
-                    collect_multiset(|l, r, s| par_sort_merge_join(l, r, &par, s), &l, &r);
                 prop_assert_eq!(&ph, &reference, "par_hash threads={}", threads);
-                prop_assert_eq!(&psm, &reference, "par_sort_merge threads={}", threads);
             }
         }
 
@@ -423,10 +301,7 @@ mod prop_tests {
             for threads in [2usize, 8] {
                 let par = Parallelism::new(threads).with_min_shard_size(1);
                 let ph = collect_multiset(|l, r, s| par_hash_join(l, r, &par, s), &t, &t);
-                let psm =
-                    collect_multiset(|l, r, s| par_sort_merge_join(l, r, &par, s), &t, &t);
                 prop_assert_eq!(&ph, &reference, "threads={}", threads);
-                prop_assert_eq!(&psm, &reference, "threads={}", threads);
             }
         }
     }

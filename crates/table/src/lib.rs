@@ -14,8 +14,9 @@
 //! * [`Adjacency`] — a CSR-style index over either column, providing both
 //!   neighbor lookup and the *degree* counts `n(a)` / `n(b)` needed by the
 //!   paper's Relative similarity functions (Figure 5),
-//! * [`join`] — hash, sort-merge and nested-loop join strategies, each
-//!   with a sharded parallel variant producing bit-identical output,
+//! * [`join`] — the hash join with a sharded parallel variant producing
+//!   bit-identical output, and the nested-loop reference it is tested
+//!   against,
 //! * [`exec`] — the deterministic sharded-execution layer
 //!   ([`Parallelism`]) behind the parallel joins and matchers,
 //! * [`agg`] — grouped path aggregation for the compose operator,

@@ -4,12 +4,17 @@
 #
 # Fails if:
 #   1. a workspace crate (crates/*/) is not mentioned in the book,
-#   2. the book names a `moma-<x>` crate that does not exist,
+#   2. the book or README.md names a `moma-<x>` crate that does not exist,
 #   3. a serve-path module the book's data-flow diagram walks through
 #      has been renamed or removed,
 #   4. README.md or docs/*.md quotes a `moma_<crate>::…::<Item>` path
 #      whose last segment crates/<crate>/src no longer declares as a
-#      public struct / enum / trait / fn / type / const / mod.
+#      public struct / enum / trait / fn / type / const / mod,
+#   5. a command quoted in README.md, docs/*.md, the CI workflow,
+#      scripts/*.sh or a verify skill names a `-p moma-<crate>` that
+#      does not exist, or a `--bin <name>` that the `-p` crate on the
+#      same line (any crate, without one) neither keeps as
+#      src/bin/<name>.rs nor declares as `[[bin]] name`.
 #
 # Run from the repo root: scripts/docs_drift.sh
 set -u
@@ -31,15 +36,16 @@ for dir in crates/*/; do
     fi
 done
 
-# 2. Every crate the book names must exist.
-while read -r crate; do
-    [[ "$crate" == "moma" ]] && continue
+# 2. Every crate the book or the README names must exist.
+while read -r hit; do
+    file="${hit%%:*}"
+    crate="${hit#*:}"
     short="${crate#moma-}"
     if [[ ! -d "crates/$short" ]]; then
-        echo "docs_drift: $ARCH names \`$crate\` but crates/$short does not exist" >&2
+        echo "docs_drift: $file names \`$crate\` but crates/$short does not exist" >&2
         fail=1
     fi
-done < <(grep -o '\bmoma-[a-z]*\b' "$ARCH" | sort -u)
+done < <(grep -o '\bmoma-[a-z]*\b' "$ARCH" README.md | sort -u)
 
 # 3. The serve-path modules the book's diagram walks through.
 for m in server shard engine commands wal checkpoint protocol frame json client; do
@@ -61,6 +67,33 @@ while read -r hit; do
         fail=1
     fi
 done < <(grep -oE '`moma_[a-z]+(::[A-Za-z0-9_]+)+`' README.md docs/*.md | tr -d '`' | sort -u)
+
+# 5. Quoted cargo commands must name packages and binaries that exist.
+has_bin() { # has_bin <crate dir> <bin name>
+    [[ -f "$1/src/bin/$2.rs" ]] ||
+        grep -A1 '^\[\[bin\]\]' "$1/Cargo.toml" 2>/dev/null | grep -q "^name = \"$2\""
+}
+while IFS=: read -r file _ line; do
+    pkgs=$(grep -oE -- '-p +moma-[a-z]+' <<<"$line" | sed -E 's/-p +moma-//')
+    for pkg in $pkgs; do
+        if [[ ! -d "crates/$pkg" ]]; then
+            echo "docs_drift: $file quotes \`-p moma-$pkg\` but crates/$pkg does not exist" >&2
+            fail=1
+        fi
+    done
+    pkg=${pkgs%%$'\n'*}
+    for bin in $(grep -oE -- '--bin +[A-Za-z0-9_-]+' <<<"$line" | sed -E 's/--bin +//'); do
+        found=0
+        for dir in crates/${pkg:-*}; do
+            has_bin "$dir" "$bin" && found=1
+        done
+        if [[ "$found" -eq 0 ]]; then
+            echo "docs_drift: $file quotes \`--bin $bin\` but no such binary exists in ${pkg:+crates/}${pkg:-any crate}" >&2
+            fail=1
+        fi
+    done
+done < <(grep -nE -- '(--bin|-p) +[A-Za-z0-9_-]+' README.md docs/*.md .github/workflows/ci.yml \
+    scripts/*.sh .claude/skills/*/SKILL.md)
 
 if [[ "$fail" -ne 0 ]]; then
     echo "docs_drift: the docs are out of date — update them alongside the code" >&2

@@ -26,13 +26,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use moma::core::blocking::Blocking;
+use moma::core::blocking::{Blocking, TfIdfIndex, ThresholdIndex, TrigramIndex};
 use moma::core::exec::Parallelism;
 use moma::core::matchers::multi_attribute::{AttrPair, MultiAttributeMatcher};
 use moma::core::matchers::{AttributeMatcher, MatchContext, Matcher};
 use moma::datagen::{Scenario, WorldConfig};
 use moma::model::{AttrDef, LogicalSource, ObjectType, SourceRegistry};
-use moma::simstring::SimFn;
+use moma::simstring::{QgramMeasure, SimFn, TfIdfCorpus};
 use proptest::prelude::*;
 
 /// Thread counts under test; 1 must hit the sequential path, 8 must
@@ -296,6 +296,71 @@ fn multi_attribute_threshold_exact() {
             }
         }
     }
+}
+
+/// Candidate dominance on generated titles: probing every DBLP title
+/// against the GS title indexes at t = 0.8, the threshold-exact engine
+/// generates no more candidates than the prefix filter and prunes ≥ 3×
+/// harder, and the TF-IDF weighted-prefix index ≥ 10× harder than
+/// all-pairs. These are properties of datagen titles, not theorems: the
+/// set-based prefix filter and the multiset T-occurrence filter are not
+/// nested per query (`"caccccc"` / `"ccccc"` at 0.75 passes the latter
+/// and is missed by the former), so only the sums are compared. The
+/// exactly-repeating counts behind the ratios are `blocking.candidates`
+/// and `tfidf.candidates` of the benchmark's `match_cold --trace 1`.
+#[test]
+fn threshold_candidates_dominate_prefix_on_generated_titles() {
+    const T: f64 = 0.8;
+    let mut cfg = WorldConfig::small();
+    cfg.seed = 7;
+    // 182 × 8 297 titles: the largest scenario that keeps this test
+    // under ~2 s in a debug build.
+    cfg.gs_noise_entries = 8_000;
+    let s = Scenario::generate(cfg);
+    let titles = |lds| -> Vec<(u32, String)> {
+        s.registry
+            .lds(lds)
+            .project("title")
+            .unwrap()
+            .into_iter()
+            .map(|(i, v)| (i, v.to_match_string()))
+            .collect()
+    };
+    let (dblp, gs) = (titles(s.ids.pub_dblp), titles(s.ids.pub_gs));
+    let all_pairs = dblp.len() * gs.len();
+
+    let prefix_index = TrigramIndex::build_par(&gs, &par(1));
+    let threshold_index = ThresholdIndex::build_par(QgramMeasure::Dice, 3, T, &gs, &par(1));
+    let sum = |candidates: &dyn Fn(&str) -> usize| -> usize {
+        dblp.iter().map(|(_, v)| candidates(v)).sum()
+    };
+    let prefix = sum(&|v| prefix_index.candidates(v, T).len());
+    let threshold = sum(&|v| threshold_index.candidates(v).len());
+    assert!(
+        threshold <= prefix,
+        "threshold {threshold} > prefix {prefix}"
+    );
+    assert!(
+        prefix as f64 / threshold.max(1) as f64 >= 3.0,
+        "prefix {prefix} / threshold {threshold} < 3"
+    );
+
+    // The matcher's TF-IDF path: one corpus over both columns, cached
+    // vectors, the weighted-prefix index over the range side.
+    let corpus = TfIdfCorpus::build(dblp.iter().chain(&gs).map(|(_, v)| v.as_str()));
+    let gs_vecs: Vec<Vec<(u32, f64)>> = gs.iter().map(|(_, v)| corpus.vector(v)).collect();
+    let tfidf_index = TfIdfIndex::build(
+        T,
+        gs_vecs
+            .iter()
+            .enumerate()
+            .map(|(p, v)| (p as u32, v.as_slice())),
+    );
+    let tfidf = sum(&|v| tfidf_index.candidates(&corpus.vector(v)).len());
+    assert!(
+        all_pairs as f64 / tfidf.max(1) as f64 >= 10.0,
+        "all-pairs {all_pairs} / tf-idf {tfidf} < 10"
+    );
 }
 
 proptest! {
