@@ -7,7 +7,7 @@
 //! determine the duplicates within dirty sources … represent them as
 //! self-mappings … then compose with same-mappings").
 
-use moma_table::{FxHashMap, MappingTable};
+use moma_table::MappingTable;
 
 use crate::error::{CoreError, Result};
 use crate::mapping::Mapping;
@@ -77,52 +77,54 @@ impl UnionFind {
 /// least two members, sorted by smallest member (deterministic).
 ///
 /// `n` is the instance count of the LDS. Fails if the mapping is not a
-/// self-mapping.
+/// self-mapping or holds an instance id `>= n`.
 pub fn clusters(self_mapping: &Mapping, n: u32) -> Result<Vec<Vec<u32>>> {
+    let reps = component_reps("clusters", self_mapping, n)?;
+    // Members are visited ascending and a representative is its cluster's
+    // smallest member, so both levels come out sorted.
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+    for (x, &rep) in reps.iter().enumerate() {
+        members[rep as usize].push(x as u32);
+    }
+    members.retain(|g| g.len() > 1);
+    Ok(members)
+}
+
+/// Map each instance to its cluster representative (smallest member id);
+/// singletons map to themselves. Fails like [`clusters`].
+pub fn representatives(self_mapping: &Mapping, n: u32) -> Result<Vec<u32>> {
+    component_reps("representatives", self_mapping, n)
+}
+
+fn component_reps(what: &str, self_mapping: &Mapping, n: u32) -> Result<Vec<u32>> {
     if !self_mapping.is_self_mapping() {
         return Err(CoreError::Incompatible(format!(
-            "clusters need a self-mapping, got ({}, {})",
+            "{what} need a self-mapping, got ({}, {})",
             self_mapping.domain.0, self_mapping.range.0
         )));
     }
     let mut uf = UnionFind::new(n);
     for c in self_mapping.table.iter() {
-        uf.union(c.domain, c.range);
-    }
-    let mut groups: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for x in 0..n {
-        groups.entry(uf.find(x)).or_default().push(x);
-    }
-    let mut out: Vec<Vec<u32>> = groups.into_values().filter(|g| g.len() > 1).collect();
-    for g in &mut out {
-        g.sort_unstable();
-    }
-    out.sort_by_key(|g| g[0]);
-    Ok(out)
-}
-
-/// Map each instance to its cluster representative (smallest member id);
-/// singletons map to themselves.
-pub fn representatives(self_mapping: &Mapping, n: u32) -> Result<Vec<u32>> {
-    if !self_mapping.is_self_mapping() {
-        return Err(CoreError::Incompatible(
-            "representatives need a self-mapping".into(),
-        ));
-    }
-    let mut uf = UnionFind::new(n);
-    for c in self_mapping.table.iter() {
-        uf.union(c.domain, c.range);
-    }
-    // Smallest member of each component as canonical representative.
-    let mut smallest: FxHashMap<u32, u32> = FxHashMap::default();
-    for x in 0..n {
-        let root = uf.find(x);
-        let entry = smallest.entry(root).or_insert(x);
-        if x < *entry {
-            *entry = x;
+        let id = c.domain.max(c.range);
+        if id >= n {
+            return Err(CoreError::Incompatible(format!(
+                "{what}: `{}` holds instance id {id}, but the source has {n} instances",
+                self_mapping.name
+            )));
         }
+        uf.union(c.domain, c.range);
     }
-    Ok((0..n).map(|x| smallest[&uf.find(x)]).collect())
+    // Ascending scan: the first member seen of a component is its
+    // smallest, recorded at the component's root.
+    let mut smallest = vec![u32::MAX; n as usize];
+    let rep_of = |x: u32| {
+        let root = uf.find(x) as usize;
+        if smallest[root] == u32::MAX {
+            smallest[root] = x;
+        }
+        smallest[root]
+    };
+    Ok((0..n).map(rep_of).collect())
 }
 
 /// Rewrite a mapping's *domain* column through a representative table
@@ -146,19 +148,20 @@ pub fn collapse_domain(mapping: &Mapping, reps: &[u32]) -> Mapping {
 /// the paper's "find more correspondences" composition of self-mappings
 /// with same-mappings.
 pub fn expand_domain(mapping: &Mapping, reps: &[u32]) -> Mapping {
-    let mut members: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for (i, &r) in reps.iter().enumerate() {
-        members.entry(r).or_default().push(i as u32);
-    }
+    // `(representative, member)` sorted: each cluster is one run.
+    let mut members: Vec<(u32, u32)> = (0u32..).zip(reps).map(|(m, &rep)| (rep, m)).collect();
+    members.sort_unstable();
     let mut table = MappingTable::new();
     for c in mapping.table.iter() {
-        if let Some(ms) = members.get(&c.domain) {
-            for &m in ms {
-                table.push(m, c.range, c.sim);
-            }
-        } else {
+        let from = members.partition_point(|&(rep, _)| rep < c.domain);
+        let cluster = members[from..]
+            .iter()
+            .take_while(|&&(rep, _)| rep == c.domain);
+        let mut cluster = cluster.map(|&(_, m)| m).peekable();
+        if cluster.peek().is_none() {
             table.push(c.domain, c.range, c.sim);
         }
+        cluster.for_each(|m| table.push(m, c.range, c.sim));
     }
     table.dedup_max();
     Mapping {
@@ -216,6 +219,30 @@ mod tests {
         let m = Mapping::same("x", LdsId(0), LdsId(1), MappingTable::new());
         assert!(clusters(&m, 3).is_err());
         assert!(representatives(&m, 3).is_err());
+    }
+
+    /// A mapping older than its shrunken source, or a caller's wrong `n`.
+    #[test]
+    fn out_of_range_ids_are_errors_not_panics() {
+        for (a, b) in [(0, 7), (7, 0), (9, 9)] {
+            let m = Mapping::same(
+                "stale",
+                LdsId(0),
+                LdsId(0),
+                MappingTable::from_triples([(0, 1, 0.9), (a, b, 0.8)]),
+            );
+            for err in [
+                clusters(&m, 7).unwrap_err(),
+                representatives(&m, 7).unwrap_err(),
+            ] {
+                let CoreError::Incompatible(msg) = err else {
+                    panic!("expected Incompatible, got {err:?}");
+                };
+                assert!(msg.contains(&format!("instance id {}", a.max(b))), "{msg}");
+                assert!(msg.contains("7 instances"), "{msg}");
+            }
+            assert!(clusters(&m, 10).is_ok());
+        }
     }
 
     #[test]

@@ -464,10 +464,9 @@ impl DeltaMatchState {
         if !repository.contains(name) {
             return Err(CoreError::UnknownMapping(name.into()));
         }
-        let par = self.matcher.parallelism.unwrap_or(ctx.parallelism);
         self.apply(ctx, deltas)?;
         repository.patch(name, self.mapping.clone().named(name));
-        repository.refresh_stale(&par)
+        repository.refresh_stale()
     }
 }
 
@@ -774,7 +773,6 @@ mod tests {
                 f: PathCombine::Min,
                 g: PathAgg::Max,
             },
-            &par,
         )
         .unwrap();
 

@@ -11,8 +11,7 @@
 //!   candidates independently, and the per-shard correspondence lists are
 //!   concatenated in shard order.
 //! * **Workflow steps** execute independent matcher inputs of one step
-//!   concurrently, and route the compose operator through the parallel
-//!   hash join ([`moma_table::join::par_hash_join`]).
+//!   concurrently.
 //! * **Index construction**
 //!   ([`TrigramIndex::build_par`](crate::blocking::TrigramIndex::build_par))
 //!   builds per-shard postings maps merged in shard order.
@@ -20,6 +19,13 @@
 //! All three are bit-identical to their sequential counterparts — the
 //! shards are contiguous input ranges and the merge order is fixed — so
 //! determinism guarantees (and their tests) hold at every thread count.
+//!
+//! The mapping operators ([`crate::ops`], [`crate::cluster`]) are
+//! sequential run scans over sorted tables and take no [`Parallelism`]:
+//! sharding the compose loop measured 0.92–1.00× at two threads
+//! (`exec.par_speedup` on the benchmark's `workflow_ops` workload).
+//! [`compose_with`](crate::ops::compose::compose_with) is an alias of
+//! `compose` kept for the frozen benchmark.
 //!
 //! The default for a fresh context is [`Parallelism::from_env`]: the
 //! `MOMA_THREADS` environment variable when set (`1` forces sequential

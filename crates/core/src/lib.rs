@@ -31,8 +31,9 @@
 //! * [`cluster`] — duplicate clusters from self-mappings (Section 4.3).
 //! * [`exec`] — deterministic parallel execution: a [`Parallelism`]
 //!   config threaded through [`MatchContext`] shards matcher probing,
-//!   compose joins and workflow steps across threads with bit-identical
-//!   results at every thread count.
+//!   index construction and workflow steps across threads with
+//!   bit-identical results at every thread count (the mapping operators
+//!   are sequential).
 //! * [`delta`] — incremental matching for evolving sources: a
 //!   [`DeltaMatchState`] patches a materialized mapping under source
 //!   deltas in time proportional to the delta, bit-identical to a full

@@ -13,9 +13,9 @@
 //! same-mapping. The second compose uses a Relative aggregation so that
 //! correspondences reached via multiple compose paths score higher.
 
-use std::collections::{HashMap, HashSet};
-
 use moma_model::LdsId;
+use moma_table::agg::PathStats;
+use moma_table::{FxHashMap, MappingTable};
 
 use crate::error::{CoreError, Result};
 use crate::mapping::Mapping;
@@ -42,34 +42,19 @@ pub fn nh_match(asso1: &Mapping, same: &Mapping, asso2: &Mapping, g: PathAgg) ->
     Ok(result)
 }
 
-/// Per-group similarity statistics used by the threshold pruner.
-#[derive(Clone, Copy, Default)]
-struct GroupStats {
-    max: f64,
-    sum: f64,
-    count: u32,
-}
-
-impl GroupStats {
-    fn add(&mut self, sim: f64) {
-        self.max = self.max.max(sim);
-        self.sum += sim;
-        self.count += 1;
-    }
-}
-
 /// Upper bound on the final similarity any pair with domain object `a`
 /// can reach in `compose(temp, asso2, Min, g)`, from the *unpruned*
 /// stats of `a`'s rows in `temp`.
 ///
-/// Soundness (both tables hold unique `(domain, range)` pairs, so each
-/// compose path of a pair `(a, b)` uses a distinct `temp` row of `a` and
-/// a distinct `asso2` row of `b`): with `PathCombine::Min` every path
+/// Soundness (compose reads both tables in canonical form, i.e. with
+/// unique `(domain, range)` pairs, so each compose path of a pair
+/// `(a, b)` uses a distinct `temp` row of `a` and a distinct `asso2` row
+/// of `b`): with `PathCombine::Min` every path
 /// similarity `f ≤ s_temp ≤ max(a)`, so `Avg`/`Min`/`Max` are bounded by
 /// `max(a)`; the Relative family divides a path sum `≤ sum(a)` (resp.
 /// `≤ #paths·max(a)` with `#paths ≤ min(n(a), n(b))`) by `n(a)`, `n(b)`
 /// or their mean, giving the bounds below.
-fn domain_bound(g: PathAgg, st: &GroupStats) -> f64 {
+fn domain_bound(g: PathAgg, st: &PathStats) -> f64 {
     match g {
         PathAgg::Avg | PathAgg::Min | PathAgg::Max | PathAgg::RelativeRight => st.max,
         PathAgg::RelativeLeft => st.sum / st.count as f64,
@@ -79,7 +64,7 @@ fn domain_bound(g: PathAgg, st: &GroupStats) -> f64 {
 
 /// Mirror of [`domain_bound`] for a range object `b`, from the unpruned
 /// stats of `b`'s rows in `asso2`.
-fn range_bound(g: PathAgg, st: &GroupStats) -> f64 {
+fn range_bound(g: PathAgg, st: &PathStats) -> f64 {
     match g {
         PathAgg::Avg | PathAgg::Min | PathAgg::Max | PathAgg::RelativeLeft => st.max,
         PathAgg::RelativeRight => st.sum / st.count as f64,
@@ -110,46 +95,49 @@ pub fn nh_match_threshold(
     threshold: f64,
 ) -> Result<Mapping> {
     let temp = compose(asso1, same, PathCombine::Min, PathAgg::Avg)?;
-
-    // The bound arguments assume unique (domain, range) pairs. `temp`
-    // is a compose output (always deduplicated); `asso2` is caller
-    // input — if it does carry duplicates, skip pruning rather than
-    // risk an unsound bound.
-    let mut seen = HashSet::with_capacity(asso2.table.len());
-    let asso2_unique = asso2.table.iter().all(|c| seen.insert((c.domain, c.range)));
-
-    let mut result = if asso2_unique {
-        let mut domain_stats: HashMap<u32, GroupStats> = HashMap::new();
-        for c in temp.table.iter() {
-            domain_stats.entry(c.domain).or_default().add(c.sim);
-        }
-        let mut range_stats: HashMap<u32, GroupStats> = HashMap::new();
-        for c in asso2.table.iter() {
-            range_stats.entry(c.range).or_default().add(c.sim);
-        }
-        let cut = threshold - 1e-9;
-        let pruned_temp = Mapping {
-            name: temp.name.clone(),
-            kind: temp.kind.clone(),
-            domain: temp.domain,
-            range: temp.range,
-            table: temp
-                .table
-                .filtered(|c| domain_bound(g, &domain_stats[&c.domain]) >= cut),
-        };
-        let pruned_asso2 = Mapping {
-            name: asso2.name.clone(),
-            kind: asso2.kind.clone(),
-            domain: asso2.domain,
-            range: asso2.range,
-            table: asso2
-                .table
-                .filtered(|c| range_bound(g, &range_stats[&c.range]) >= cut),
-        };
-        compose(&pruned_temp, &pruned_asso2, PathCombine::Min, g)?
-    } else {
-        compose(&temp, asso2, PathCombine::Min, g)?
+    let cut = threshold - 1e-9;
+    let with_table = |m: &Mapping, table| Mapping {
+        name: m.name.clone(),
+        kind: m.kind.clone(),
+        domain: m.domain,
+        range: m.range,
+        table,
     };
+
+    // Domain side: `temp` is a compose output, so the rows of a domain
+    // object are one run of it.
+    let mut pruned_temp = MappingTable::new();
+    for run in temp.table.rows().chunk_by(|x, y| x.domain == y.domain) {
+        let mut st = PathStats::one(run[0].sim);
+        run[1..].iter().for_each(|c| st.add(c.sim));
+        if domain_bound(g, &st) >= cut {
+            run.iter()
+                .for_each(|c| pruned_temp.push(c.domain, c.range, c.sim));
+        }
+    }
+    // Range side: canonical order does not group by range object, so the
+    // stats are gathered in a map.
+    let asso2_rows = asso2.table.canonical();
+    let mut range_stats: FxHashMap<u32, PathStats> = FxHashMap::default();
+    for c in asso2_rows.iter() {
+        range_stats
+            .entry(c.range)
+            .and_modify(|st| st.add(c.sim))
+            .or_insert_with(|| PathStats::one(c.sim));
+    }
+    let mut pruned_asso2 = MappingTable::new();
+    for c in asso2_rows.iter() {
+        if range_bound(g, &range_stats[&c.range]) >= cut {
+            pruned_asso2.push(c.domain, c.range, c.sim);
+        }
+    }
+
+    let mut result = compose(
+        &with_table(&temp, pruned_temp),
+        &with_table(asso2, pruned_asso2),
+        PathCombine::Min,
+        g,
+    )?;
     result.name = format!("nhMatch({}, {}, {})", asso1.name, same.name, asso2.name);
     result.kind = crate::mapping::MappingKind::Same;
     Ok(select(&result, &Selection::Threshold(threshold)))

@@ -7,7 +7,8 @@
 //! down others) or treated as similarity 0 (precision-oriented; `Min`
 //! with zero-fill is exactly mapping intersection).
 
-use moma_table::{FxHashMap, MappingTable};
+use moma_table::agg::cogroup;
+use moma_table::MappingTable;
 
 use crate::error::{CoreError, Result};
 use crate::mapping::{Mapping, MappingKind};
@@ -24,8 +25,8 @@ pub enum MergeFn {
     Max,
     /// Weighted average; one weight per input mapping.
     Weighted(Vec<f64>),
-    /// Prefer input `i`: keep all its correspondences, add others only
-    /// for domain objects it does not cover.
+    /// Prefer input `i`: keep all its correspondences, add others (max
+    /// similarity per pair) only for domain objects it does not cover.
     Prefer(usize),
 }
 
@@ -70,6 +71,7 @@ pub fn merge(inputs: &[&Mapping], f: MergeFn, missing: MissingPolicy) -> Result<
             ));
         }
     }
+    let tables: Vec<&MappingTable> = inputs.iter().map(|m| &m.table).collect();
     if let MergeFn::Prefer(i) = f {
         if i >= inputs.len() {
             return Err(CoreError::InvalidConfig(format!(
@@ -77,27 +79,17 @@ pub fn merge(inputs: &[&Mapping], f: MergeFn, missing: MissingPolicy) -> Result<
                 inputs.len()
             )));
         }
-        return Ok(finish(inputs, prefer(inputs, i)));
+        return Ok(finish(inputs, prefer(&tables, i)));
     }
 
-    // Gather per-pair similarity vectors (one slot per input).
-    let n = inputs.len();
-    let mut pairs: FxHashMap<(u32, u32), Vec<Option<f64>>> = FxHashMap::default();
-    for (i, m) in inputs.iter().enumerate() {
-        for c in m.table.iter() {
-            pairs
-                .entry((c.domain, c.range))
-                .or_insert_with(|| vec![None; n])[i] = Some(c.sim);
-        }
-    }
-
-    let mut table = MappingTable::with_capacity(pairs.len());
-    for ((a, b), sims) in pairs {
-        if let Some(s) = combine(&f, missing, &sims) {
+    // One co-scan gathers each pair's similarity vector (one slot per
+    // input) and emits the combined rows in canonical order.
+    let mut table = MappingTable::new();
+    cogroup(&tables, |a, b, sims| {
+        if let Some(s) = combine(&f, missing, sims) {
             table.push(a, b, s);
         }
-    }
-    table.dedup_max();
+    });
     Ok(finish(inputs, table))
 }
 
@@ -157,25 +149,27 @@ fn combine(f: &MergeFn, missing: MissingPolicy, sims: &[Option<f64>]) -> Option<
 }
 
 /// PreferMap merge: all correspondences of the preferred input, plus
-/// correspondences from other inputs for uncovered domain objects.
-fn prefer(inputs: &[&Mapping], idx: usize) -> MappingTable {
-    let preferred = inputs[idx];
-    let covered = preferred.table.domain_degrees();
-    let mut table = MappingTable::with_capacity(preferred.len());
-    for c in preferred.table.iter() {
-        table.push(c.domain, c.range, c.sim);
-    }
-    for (i, m) in inputs.iter().enumerate() {
-        if i == idx {
-            continue;
+/// correspondences from other inputs (max similarity per pair) for
+/// uncovered domain objects.
+fn prefer(tables: &[&MappingTable], idx: usize) -> MappingTable {
+    // Pairs arrive domain-ascending, so one cursor over the preferred
+    // input's domain runs tells whether it covers a pair's domain.
+    let preferred = tables[idx].canonical();
+    let mut at = 0;
+    let mut table = MappingTable::new();
+    cogroup(tables, |a, b, sims| {
+        while preferred.get(at).is_some_and(|c| c.domain < a) {
+            at += 1;
         }
-        for c in m.table.iter() {
-            if !covered.contains_key(&c.domain) {
-                table.push(c.domain, c.range, c.sim);
-            }
+        let covered = preferred.get(at).is_some_and(|c| c.domain == a);
+        let kept = match sims[idx] {
+            None if !covered => sims.iter().flatten().copied().reduce(f64::max),
+            preferred_sim => preferred_sim,
+        };
+        if let Some(s) = kept {
+            table.push(a, b, s);
         }
-    }
-    table.dedup_max();
+    });
     table
 }
 
@@ -199,6 +193,7 @@ fn finish(inputs: &[&Mapping], table: MappingTable) -> Mapping {
 mod tests {
     use super::*;
     use moma_model::LdsId;
+    use moma_table::Correspondence;
 
     /// The exact inputs of paper Figure 4. Objects: a1=1, a2=2, a3=3;
     /// b1=11, b2=12, b3=13, b5=15.
@@ -324,6 +319,26 @@ mod tests {
             t.dedup_max();
             t
         });
+    }
+
+    /// Duplicate rows of a raw-pushed input collapse to their maximum —
+    /// the table's own rule (`dedup_max`), whatever the row order.
+    #[test]
+    fn duplicate_input_rows_keep_max() {
+        for sims in [[0.9, 0.2], [0.2, 0.9]] {
+            let mut raw = MappingTable::new();
+            for s in sims {
+                raw.push(0, 0, s);
+            }
+            let m = Mapping::same("raw", LdsId(0), LdsId(1), raw);
+            for f in [MergeFn::Avg, MergeFn::Min, MergeFn::Max, MergeFn::Prefer(0)] {
+                let r = merge(&[&m], f.clone(), MissingPolicy::Ignore).unwrap();
+                assert_eq!(r.table.rows(), &[Correspondence::new(0, 0, 0.9)], "{f:?}");
+            }
+            let both = merge(&[&m, &m], MergeFn::Avg, MissingPolicy::Zero).unwrap();
+            let same = crate::ops::setops::union(&m, &m).unwrap();
+            assert_eq!(both.table, same.table);
+        }
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! less likely correspondences from a same-mapping. Supported techniques
 //! mirror the paper exactly — Threshold, Best-n, Best-1+Delta (absolute or
 //! relative) and object-value constraints.
+//!
+//! Every technique marks positions of the mapping's canonical rows and
+//! emits the marked rows in order. Per-instance techniques scan runs: the
+//! rows themselves are grouped by domain object, and one stable sort of
+//! the row positions by range object groups them by range object.
 
-use moma_table::{Adjacency, MappingTable};
+use moma_table::{Correspondence, MappingTable};
 
 use crate::mapping::Mapping;
 
@@ -58,26 +63,41 @@ impl Selection {
 
 /// Apply a selection to a mapping.
 pub fn select(mapping: &Mapping, sel: &Selection) -> Mapping {
-    let table = match sel {
-        Selection::Threshold(t) => mapping.table.filtered(|c| c.sim >= *t),
-        Selection::BestN { n, side } => apply_sided(&mapping.table, *side, |keep, adj, key| {
-            best_n_keys(keep, adj, key, *n);
+    let rows = mapping.table.canonical();
+    let sim = |i: u32| rows[i as usize].sim;
+    let keep: Vec<bool> = match sel {
+        Selection::Threshold(t) => rows.iter().map(|c| c.sim >= *t).collect(),
+        Selection::BestN { n, side } => keep_per_instance(&rows, *side, |run, keep| {
+            // Similarity descending; the sort is stable, so ties stay in
+            // the run's order — lower other id first.
+            run.sort_by(|&i, &j| {
+                sim(j)
+                    .partial_cmp(&sim(i))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            run.iter().take(*n).for_each(|&i| keep[i as usize] = true);
         }),
         Selection::Best1Delta {
             delta,
             relative,
             side,
-        } => apply_sided(&mapping.table, *side, |keep, adj, key| {
-            best1_delta_keys(keep, adj, key, *delta, *relative);
+        } => keep_per_instance(&rows, *side, |run, keep| {
+            let best = run
+                .iter()
+                .map(|&i| sim(i))
+                .fold(f64::NEG_INFINITY, f64::max);
+            let cutoff = if *relative {
+                best * (1.0 - delta)
+            } else {
+                best - delta
+            };
+            for &i in run.iter().filter(|&&i| sim(i) >= cutoff) {
+                keep[i as usize] = true;
+            }
         }),
     };
-    Mapping {
-        name: format!("select({})", mapping.name),
-        kind: mapping.kind.clone(),
-        domain: mapping.domain,
-        range: mapping.range,
-        table,
-    }
+    let kept = rows.iter().zip(keep).filter(|(_, k)| *k).map(|(c, _)| c);
+    selected(mapping, kept)
 }
 
 /// Keep only correspondences satisfying an object-value predicate.
@@ -91,94 +111,59 @@ pub fn select_constraint(
     mapping: &Mapping,
     mut pred: impl FnMut(u32, u32, f64) -> bool,
 ) -> Mapping {
+    let rows = mapping.table.canonical();
+    let kept = rows.iter().filter(|c| pred(c.domain, c.range, c.sim));
+    selected(mapping, kept)
+}
+
+/// The selection result holding `kept` — canonical rows of `mapping`, in
+/// order.
+fn selected<'a>(mapping: &Mapping, kept: impl Iterator<Item = &'a Correspondence>) -> Mapping {
+    let mut table = MappingTable::new();
+    kept.for_each(|c| table.push(c.domain, c.range, c.sim));
     Mapping {
         name: format!("select({})", mapping.name),
         kind: mapping.kind.clone(),
         domain: mapping.domain,
         range: mapping.range,
-        table: mapping.table.filtered(|c| pred(c.domain, c.range, c.sim)),
+        table,
     }
 }
 
-/// Run a per-key selection over domain side, range side, or both
-/// (intersection).
-fn apply_sided(
-    table: &MappingTable,
+/// Mark the positions of `rows` (canonical) that `rule` keeps, run by run,
+/// on the domain side, the range side, or both (intersection). `rule`
+/// gets one instance's row positions, ascending by the other object's id,
+/// and may reorder them.
+fn keep_per_instance(
+    rows: &[Correspondence],
     side: Side,
-    per_key: impl Fn(&mut Vec<(u32, u32)>, &Adjacency, u32),
-) -> MappingTable {
-    let run_side = |domain_side: bool| -> Vec<(u32, u32)> {
-        let adj = if domain_side {
-            Adjacency::over_domain(table)
-        } else {
-            Adjacency::over_range(table)
-        };
-        let mut kept = Vec::new();
-        for key in adj.keys() {
-            let mut local = Vec::new();
-            per_key(&mut local, &adj, key);
-            for (key_obj, other) in local {
-                // Normalize back to (domain, range) orientation.
-                if domain_side {
-                    kept.push((key_obj, other));
-                } else {
-                    kept.push((other, key_obj));
-                }
+    rule: impl Fn(&mut [u32], &mut [bool]),
+) -> Vec<bool> {
+    let mark = |by_domain: bool| {
+        let key = |i: &u32| {
+            let c = &rows[*i as usize];
+            if by_domain {
+                c.domain
+            } else {
+                c.range
             }
+        };
+        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+        if !by_domain {
+            order.sort_by_key(key);
         }
-        kept
+        let mut keep = vec![false; rows.len()];
+        for run in order.chunk_by_mut(|i, j| key(i) == key(j)) {
+            rule(run, &mut keep);
+        }
+        keep
     };
-    let keep_pairs: moma_table::FxHashSet<(u32, u32)> = match side {
-        Side::Domain => run_side(true).into_iter().collect(),
-        Side::Range => run_side(false).into_iter().collect(),
+    match side {
+        Side::Domain => mark(true),
+        Side::Range => mark(false),
         Side::Both => {
-            let d: moma_table::FxHashSet<(u32, u32)> = run_side(true).into_iter().collect();
-            run_side(false)
-                .into_iter()
-                .filter(|p| d.contains(p))
-                .collect()
-        }
-    };
-    table.filtered(|c| keep_pairs.contains(&(c.domain, c.range)))
-}
-
-fn best_n_keys(keep: &mut Vec<(u32, u32)>, adj: &Adjacency, key: u32, n: usize) {
-    let mut neighbors: Vec<(u32, f64)> = adj.neighbors(key).to_vec();
-    // Sort by similarity descending, tie-break on the other id for
-    // determinism.
-    neighbors.sort_by(|(o1, s1), (o2, s2)| {
-        s2.partial_cmp(s1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(o1.cmp(o2))
-    });
-    for (other, _) in neighbors.into_iter().take(n) {
-        keep.push((key, other));
-    }
-}
-
-fn best1_delta_keys(
-    keep: &mut Vec<(u32, u32)>,
-    adj: &Adjacency,
-    key: u32,
-    delta: f64,
-    relative: bool,
-) {
-    let neighbors = adj.neighbors(key);
-    let best = neighbors
-        .iter()
-        .map(|(_, s)| *s)
-        .fold(f64::NEG_INFINITY, f64::max);
-    if !best.is_finite() {
-        return;
-    }
-    let cutoff = if relative {
-        best * (1.0 - delta)
-    } else {
-        best - delta
-    };
-    for &(other, s) in neighbors {
-        if s >= cutoff {
-            keep.push((key, other));
+            let (d, r) = (mark(true), mark(false));
+            d.iter().zip(r).map(|(d, r)| *d && r).collect()
         }
     }
 }

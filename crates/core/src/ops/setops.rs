@@ -4,72 +4,57 @@
 //! round out the algebra for workflow authors: union, intersection,
 //! difference on correspondence sets (similarity-aware).
 
+use moma_table::agg::cogroup;
 use moma_table::MappingTable;
 
 use crate::error::{CoreError, Result};
 use crate::mapping::Mapping;
 
-fn check_compatible(a: &Mapping, b: &Mapping, op: &str) -> Result<()> {
+/// One co-scan of both tables: `pick(sim in a, sim in b)` decides each
+/// pair's output similarity (`None` drops the pair).
+fn set_op(
+    op: &str,
+    a: &Mapping,
+    b: &Mapping,
+    pick: impl Fn(Option<f64>, Option<f64>) -> Option<f64>,
+) -> Result<Mapping> {
     if a.domain != b.domain || a.range != b.range {
         return Err(CoreError::Incompatible(format!(
             "{op} requires equal sources: ({},{}) vs ({},{})",
             a.domain.0, a.range.0, b.domain.0, b.range.0
         )));
     }
-    Ok(())
-}
-
-/// Union of correspondences; overlapping pairs take the max similarity.
-pub fn union(a: &Mapping, b: &Mapping) -> Result<Mapping> {
-    check_compatible(a, b, "union")?;
-    let mut table = MappingTable::with_capacity(a.len() + b.len());
-    for c in a.table.iter().chain(b.table.iter()) {
-        table.push(c.domain, c.range, c.sim);
-    }
-    table.dedup_max();
+    let mut table = MappingTable::new();
+    cogroup(&[&a.table, &b.table], |d, r, sims| {
+        if let Some(s) = pick(sims[0], sims[1]) {
+            table.push(d, r, s);
+        }
+    });
     Ok(Mapping {
-        name: format!("union({}, {})", a.name, b.name),
+        name: format!("{op}({}, {})", a.name, b.name),
         kind: a.kind.clone(),
         domain: a.domain,
         range: a.range,
         table,
+    })
+}
+
+/// Union of correspondences; overlapping pairs take the max similarity.
+pub fn union(a: &Mapping, b: &Mapping) -> Result<Mapping> {
+    set_op("union", a, b, |sa, sb| match (sa, sb) {
+        (Some(x), Some(y)) => Some(x.max(y)),
+        _ => sa.or(sb),
     })
 }
 
 /// Intersection: pairs present in both, similarity is the minimum.
 pub fn intersection(a: &Mapping, b: &Mapping) -> Result<Mapping> {
-    check_compatible(a, b, "intersection")?;
-    let pairs_b = b.table.pair_set();
-    let mut table = MappingTable::new();
-    for c in a.table.iter() {
-        if pairs_b.contains(&(c.domain, c.range)) {
-            let sb = b.table.sim_of(c.domain, c.range).expect("pair in set");
-            table.push(c.domain, c.range, c.sim.min(sb));
-        }
-    }
-    table.dedup_max();
-    Ok(Mapping {
-        name: format!("intersection({}, {})", a.name, b.name),
-        kind: a.kind.clone(),
-        domain: a.domain,
-        range: a.range,
-        table,
-    })
+    set_op("intersection", a, b, |sa, sb| Some(sa?.min(sb?)))
 }
 
 /// Difference: pairs of `a` not present in `b`.
 pub fn difference(a: &Mapping, b: &Mapping) -> Result<Mapping> {
-    check_compatible(a, b, "difference")?;
-    let pairs_b = b.table.pair_set();
-    Ok(Mapping {
-        name: format!("difference({}, {})", a.name, b.name),
-        kind: a.kind.clone(),
-        domain: a.domain,
-        range: a.range,
-        table: a
-            .table
-            .filtered(|c| !pairs_b.contains(&(c.domain, c.range))),
-    })
+    set_op("difference", a, b, |sa, sb| sa.filter(|_| sb.is_none()))
 }
 
 #[cfg(test)]

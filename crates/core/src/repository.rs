@@ -19,11 +19,9 @@
 //! [`MappingRepository::store_derived`] records its [`Recipe`] plus the
 //! versions of its inputs at derivation time. [`MappingRepository::is_stale`]
 //! detects drift, and [`MappingRepository::refresh_stale`] recomputes
-//! exactly the stale entries, in dependency order, routing compose joins
-//! through the given [`Parallelism`] so refreshes stay
-//! parallel-deterministic. Entries stored without a recipe are *leaves*
-//! and are never recomputed (storing over a derived name turns it back
-//! into a leaf).
+//! exactly the stale entries, in dependency order. Entries stored
+//! without a recipe are *leaves* and are never recomputed (storing over a
+//! derived name turns it back into a leaf).
 
 use std::fs;
 use std::path::Path;
@@ -34,11 +32,11 @@ use std::sync::RwLock;
 
 use moma_model::SourceRegistry;
 use moma_table::tsv::{escape_field, unescape_field};
-use moma_table::{FxHashMap, MappingTable, Parallelism};
+use moma_table::{FxHashMap, MappingTable};
 
 use crate::error::{CoreError, Result};
 use crate::mapping::{Mapping, MappingKind};
-use crate::ops::compose::{compose_with, PathAgg, PathCombine};
+use crate::ops::compose::{compose, PathAgg, PathCombine};
 use crate::ops::merge::{merge, MergeFn, MissingPolicy};
 use crate::ops::setops;
 
@@ -102,14 +100,14 @@ impl Recipe {
 
     /// Recompute the derived mapping from the repository's current
     /// entries.
-    fn recompute(&self, repo: &MappingRepository, par: &Parallelism) -> Result<Mapping> {
+    fn recompute(&self, repo: &MappingRepository) -> Result<Mapping> {
         let binary = |l: &str, r: &str| -> Result<(Arc<Mapping>, Arc<Mapping>)> {
             Ok((repo.require(l)?, repo.require(r)?))
         };
         match self {
             Recipe::Compose { left, right, f, g } => {
                 let (a, b) = binary(left, right)?;
-                compose_with(a.as_ref(), b.as_ref(), *f, *g, par)
+                compose(a.as_ref(), b.as_ref(), *f, *g)
             }
             Recipe::Union { left, right } => {
                 let (a, b) = binary(left, right)?;
@@ -277,16 +275,10 @@ impl MappingRepository {
 
     /// Compute a derived mapping from current entries via `recipe` and
     /// store it under `name`, recording the recipe and the input
-    /// versions for later staleness checks. Compose recipes join through
-    /// `par`, so derivation is parallel-deterministic.
-    pub fn store_derived(
-        &self,
-        name: impl Into<String>,
-        recipe: Recipe,
-        par: &Parallelism,
-    ) -> Result<Arc<Mapping>> {
+    /// versions for later staleness checks.
+    pub fn store_derived(&self, name: impl Into<String>, recipe: Recipe) -> Result<Arc<Mapping>> {
         let name = name.into();
-        let mapping = recipe.recompute(self, par)?.named(name.clone());
+        let mapping = recipe.recompute(self)?.named(name.clone());
         Ok(self.store_entry(name, mapping, Some(recipe)))
     }
 
@@ -356,10 +348,9 @@ impl MappingRepository {
     /// recomputation order. Staleness cascades: refreshing an entry
     /// bumps its version, which marks *its* dependents stale in turn.
     ///
-    /// Compose recipes join through `par` — identical results at every
-    /// thread count. Errors if a recipe input is missing or if derived
-    /// entries form a dependency cycle.
-    pub fn refresh_stale(&self, par: &Parallelism) -> Result<Vec<String>> {
+    /// Errors if a recipe input is missing or if derived entries form a
+    /// dependency cycle.
+    pub fn refresh_stale(&self) -> Result<Vec<String>> {
         let mut refreshed = Vec::new();
         loop {
             let stale = self.stale_names();
@@ -376,7 +367,7 @@ impl MappingRepository {
                 if recipe.inputs().iter().any(|i| self.is_stale(i)) {
                     continue;
                 }
-                let mapping = recipe.recompute(self, par)?.named(name.clone());
+                let mapping = recipe.recompute(self)?.named(name.clone());
                 self.store_entry(name.clone(), mapping, Some(recipe));
                 refreshed.push(name.clone());
                 progressed = true;
@@ -667,7 +658,6 @@ mod tests {
 
     #[test]
     fn derived_entries_track_staleness() {
-        let par = Parallelism::sequential();
         let repo = MappingRepository::new();
         repo.store(Mapping::same(
             "A",
@@ -688,7 +678,6 @@ mod tests {
                     left: "A".into(),
                     right: "B".into(),
                 },
-                &par,
             )
             .unwrap();
         assert_eq!(u.len(), 3);
@@ -709,7 +698,7 @@ mod tests {
         );
         assert!(repo.is_stale("U"));
         assert_eq!(repo.stale_names(), vec!["U".to_owned()]);
-        let refreshed = repo.refresh_stale(&par).unwrap();
+        let refreshed = repo.refresh_stale().unwrap();
         assert_eq!(refreshed, vec!["U".to_owned()]);
         assert!(!repo.is_stale("U"));
         assert_eq!(repo.get("U").unwrap().len(), 4);
@@ -717,7 +706,6 @@ mod tests {
 
     #[test]
     fn refresh_cascades_through_chains() {
-        let par = Parallelism::sequential();
         let repo = MappingRepository::new();
         repo.store(Mapping::same(
             "A",
@@ -737,7 +725,6 @@ mod tests {
                 left: "A".into(),
                 right: "B".into(),
             },
-            &par,
         )
         .unwrap();
         repo.store_derived(
@@ -746,7 +733,6 @@ mod tests {
                 left: "U".into(),
                 right: "A".into(),
             },
-            &par,
         )
         .unwrap();
         repo.patch(
@@ -760,7 +746,7 @@ mod tests {
         );
         // Both derived entries are stale; refresh handles U before I.
         assert_eq!(repo.stale_names().len(), 2);
-        let order = repo.refresh_stale(&par).unwrap();
+        let order = repo.refresh_stale().unwrap();
         assert_eq!(order, vec!["U".to_owned(), "I".to_owned()]);
         assert_eq!(repo.get("I").unwrap().len(), 2);
         assert!(repo.stale_names().is_empty());
@@ -768,7 +754,6 @@ mod tests {
 
     #[test]
     fn refresh_errors_on_missing_input_and_cycles() {
-        let par = Parallelism::sequential();
         let repo = MappingRepository::new();
         repo.store(mapping("A"));
         repo.store(mapping("B"));
@@ -778,12 +763,11 @@ mod tests {
                 left: "A".into(),
                 right: "B".into(),
             },
-            &par,
         )
         .unwrap();
         repo.remove("B");
         assert!(repo.is_stale("U")); // missing input counts as stale
-        assert!(repo.refresh_stale(&par).is_err());
+        assert!(repo.refresh_stale().is_err());
         // Unknown-input derivation errors up front too.
         assert!(matches!(
             repo.store_derived(
@@ -792,7 +776,6 @@ mod tests {
                     left: "A".into(),
                     right: "ghost".into()
                 },
-                &par
             ),
             Err(CoreError::UnknownMapping(_))
         ));
@@ -800,7 +783,6 @@ mod tests {
 
     #[test]
     fn compose_recipe_derives_and_refreshes() {
-        let par = Parallelism::sequential();
         let repo = MappingRepository::new();
         // A: 0 -> 0, 1 -> 1 ; B: LDS1 self-identity.
         repo.store(Mapping::same(
@@ -824,7 +806,6 @@ mod tests {
                     f: PathCombine::Min,
                     g: PathAgg::Max,
                 },
-                &par,
             )
             .unwrap();
         assert_eq!(c.table.sim_of(1, 1), Some(0.8));
@@ -837,7 +818,7 @@ mod tests {
                 MappingTable::from_triples([(1, 1, 0.5)]),
             ),
         );
-        repo.refresh_stale(&par).unwrap();
+        repo.refresh_stale().unwrap();
         let c = repo.get("C").unwrap();
         assert_eq!(c.table.sim_of(1, 1), Some(0.5));
         assert_eq!(c.table.sim_of(0, 0), None);
@@ -845,7 +826,6 @@ mod tests {
 
     #[test]
     fn merge_recipe_refreshes() {
-        let par = Parallelism::sequential();
         let repo = MappingRepository::new();
         repo.store(Mapping::same(
             "A",
@@ -866,7 +846,6 @@ mod tests {
                 f: MergeFn::Avg,
                 missing: MissingPolicy::Ignore,
             },
-            &par,
         )
         .unwrap();
         assert_eq!(repo.get("M").unwrap().table.sim_of(0, 0), Some(0.75));
@@ -879,13 +858,12 @@ mod tests {
                 MappingTable::from_triples([(0, 0, 1.0)]),
             ),
         );
-        repo.refresh_stale(&par).unwrap();
+        repo.refresh_stale().unwrap();
         assert_eq!(repo.get("M").unwrap().table.sim_of(0, 0), Some(1.0));
     }
 
     #[test]
     fn snapshot_is_immutable_and_dep_consistent() {
-        let par = Parallelism::sequential();
         let repo = MappingRepository::new();
         repo.store(Mapping::same(
             "A",
@@ -900,7 +878,6 @@ mod tests {
                 left: "A".into(),
                 right: "B".into(),
             },
-            &par,
         )
         .unwrap();
 
@@ -930,7 +907,7 @@ mod tests {
                 MappingTable::from_triples([(0, 0, 1.0), (7, 7, 0.9)]),
             ),
         );
-        repo.refresh_stale(&par).unwrap();
+        repo.refresh_stale().unwrap();
         assert_eq!(snap[0].version, a_version);
         assert_eq!(snap[0].mapping.len(), 1, "snapshot kept pre-delta rows");
         assert!(repo.version("A").unwrap() > a_version);

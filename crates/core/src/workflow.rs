@@ -14,7 +14,7 @@ use moma_model::LdsId;
 use crate::error::{CoreError, Result};
 use crate::mapping::Mapping;
 use crate::matchers::{MatchContext, Matcher};
-use crate::ops::compose::{compose_with, PathAgg, PathCombine};
+use crate::ops::compose::{compose, PathAgg, PathCombine};
 use crate::ops::merge::{merge, MergeFn, MissingPolicy};
 use crate::ops::select::{select, Selection};
 use crate::repository::MappingCache;
@@ -238,7 +238,7 @@ impl Workflow {
                     let first = iter.next().expect("non-empty inputs");
                     let mut acc = first.clone();
                     for next in iter {
-                        acc = compose_with(&acc, next, *f, *g, &ctx.parallelism)?;
+                        acc = compose(&acc, next, *f, *g)?;
                     }
                     acc
                 }

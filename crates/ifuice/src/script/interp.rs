@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use moma_core::exec::Parallelism;
 use moma_core::matchers::{AttributeMatcher, MatchContext, Matcher};
-use moma_core::ops::compose::{compose_with, PathAgg, PathCombine};
+use moma_core::ops::compose::{compose, PathAgg, PathCombine};
 use moma_core::ops::merge::{merge, MergeFn, MissingPolicy};
 use moma_core::ops::select::{select, select_constraint, Selection, Side};
 use moma_core::ops::setops;
@@ -173,8 +173,8 @@ enum Flow {
 }
 
 impl<'a> Interpreter<'a> {
-    /// New interpreter over a registry and repository. Matchers and the
-    /// compose builtin execute with [`Parallelism::from_env`]
+    /// New interpreter over a registry and repository. Matchers execute
+    /// with [`Parallelism::from_env`]
     /// (`MOMA_THREADS` or one thread per CPU) unless overridden with
     /// [`with_parallelism`](Self::with_parallelism).
     pub fn new(registry: &'a SourceRegistry, repository: &'a MappingRepository) -> Self {
@@ -603,15 +603,7 @@ impl<'a> Interpreter<'a> {
             Some(Value::Sym(s)) | Some(Value::Str(s)) => parse_path_agg(s)?,
             _ => PathAgg::Avg,
         };
-        // Same parallelism the interpreter's match contexts use; the
-        // parallel join is bit-identical to the sequential one.
-        Ok(Value::Mapping(Arc::new(compose_with(
-            &m1,
-            &m2,
-            f,
-            g,
-            &self.parallelism,
-        )?)))
+        Ok(Value::Mapping(Arc::new(compose(&m1, &m2, f, g)?)))
     }
 
     /// `nhMatch($asso1, $same, $asso2 [, G])` builtin (used when the

@@ -541,7 +541,7 @@ impl Engine {
         };
         let mapping = self
             .repository
-            .store_derived(name, recipe, &self.par)
+            .store_derived(name, recipe)
             .map_err(|e| e.to_string())?;
         Ok(Json::obj(vec![
             ("ok", Json::Bool(true)),
@@ -656,7 +656,7 @@ impl Engine {
         }
         let refreshed = self
             .repository
-            .refresh_stale(&self.par)
+            .refresh_stale()
             .map_err(|e| format!("refresh stale: {e}"))?;
 
         Ok(Json::obj(vec![
@@ -1389,13 +1389,6 @@ impl Engine {
             .into_iter()
             .map(|e| e.name)
             .collect()
-    }
-
-    /// The engine's parallelism setting (the router's cross-shard
-    /// compose path reuses it so a gathered compose runs with the same
-    /// execution parameters as a single-shard one).
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
     }
 }
 

@@ -1039,8 +1039,7 @@ fn cross_shard_compose(
 ) -> Result<Json, Json> {
     let f = parse_combine(req.str_field("f").unwrap_or("min")).map_err(|e| err_response(&e))?;
     let g = parse_agg(req.str_field("g").unwrap_or("max")).map_err(|e| err_response(&e))?;
-    // One input's mapping `Arc`, version, end-point source names and
-    // the shard's execution parameters.
+    // One input's mapping `Arc`, version and end-point source names.
     let gather = |shard: usize, mapping: &str| {
         run_read(shared, &[shard], |held| -> Result<_, Json> {
             let engine = &held[0].1;
@@ -1052,13 +1051,13 @@ fn cross_shard_compose(
             let version = engine.repository().version(mapping).unwrap_or(0);
             let domain = engine.registry().lds(m.domain).name();
             let range = engine.registry().lds(m.range).name();
-            Ok((m, version, domain, range, engine.parallelism()))
+            Ok((m, version, domain, range))
         })?
     };
-    let (left_map, left_ver, domain, _, par) = gather(left_shard, left)?;
-    let (right_map, right_ver, _, range, _) = gather(right_shard, right)?;
+    let (left_map, left_ver, domain, _) = gather(left_shard, left)?;
+    let (right_map, right_ver, _, range) = gather(right_shard, right)?;
     let (rows, assoc) =
-        shard::compose_gathered(&left_map, &right_map, f, g, &par).map_err(|e| err_response(&e))?;
+        shard::compose_gathered(&left_map, &right_map, f, g).map_err(|e| err_response(&e))?;
     let inputs = Json::Arr(vec![
         Json::Arr(vec![Json::Str(left.into()), Json::Uint(left_ver)]),
         Json::Arr(vec![Json::Str(right.into()), Json::Uint(right_ver)]),

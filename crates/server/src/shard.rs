@@ -56,7 +56,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicU64;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use moma_core::exec::Parallelism;
 use moma_core::{Mapping, MappingRepository, Recipe};
 use moma_model::ModelError;
 
@@ -414,7 +413,6 @@ pub fn compose_gathered(
     right: &Mapping,
     f: moma_core::ops::compose::PathCombine,
     g: moma_core::ops::compose::PathAgg,
-    par: &Parallelism,
 ) -> Result<(Vec<(u32, u32, f64)>, Option<String>), String> {
     let repo = MappingRepository::new();
     repo.store_as("__cross_left", left.clone());
@@ -428,7 +426,6 @@ pub fn compose_gathered(
                 f,
                 g,
             },
-            par,
         )
         .map_err(|e| e.to_string())?;
     let rows = out

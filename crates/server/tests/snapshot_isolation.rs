@@ -199,7 +199,6 @@ fn repository_snapshot_is_atomic_under_direct_concurrent_patching() {
     use moma_table::MappingTable;
 
     let repo = Arc::new(MappingRepository::new());
-    let par = Parallelism::new(2);
     let chain = |d: u32, r: u32, s: u32| {
         moma_core::Mapping::same(
             "m",
@@ -218,7 +217,6 @@ fn repository_snapshot_is_atomic_under_direct_concurrent_patching() {
             f: PathCombine::Min,
             g: PathAgg::Max,
         },
-        &par,
     )
     .unwrap();
 
@@ -254,7 +252,7 @@ fn repository_snapshot_is_atomic_under_direct_concurrent_patching() {
     }
     for s in 0..40u32 {
         repo.patch("left", chain(0, 1, s % 6));
-        repo.refresh_stale(&par).unwrap();
+        repo.refresh_stale().unwrap();
     }
     done.store(true, Ordering::Relaxed);
     for r in readers {

@@ -1,12 +1,40 @@
-//! Grouped aggregation of compose paths.
+//! Grouping over canonical mapping tables.
 //!
-//! The compose operator reduces all paths `(a, c_i, b)` reaching the same
-//! output pair `(a, b)` into one similarity value. The aggregator keeps,
-//! per pair, the running `min`, `max`, `sum` and `count` of the per-path
-//! similarities — sufficient statistics for every aggregation function `g`
-//! of the paper (Avg, Min, Max, RelativeLeft/Right, Relative; Figure 5).
+//! Every table is `(domain, range)`-sorted and pair-unique (see
+//! [`MappingTable`]), so "group rows by pair" is a co-scan and "group rows
+//! by instance" a run scan (`slice::chunk_by`) — never a hash build:
+//!
+//! * [`cogroup`] — the one co-scan under `merge`, `union`, `intersection`
+//!   and `difference`: visits every pair of any input once, in canonical
+//!   order, with its similarity in each input;
+//! * [`PathStats`] — the running `min`, `max`, `sum` and `count` the
+//!   compose operator folds over the compose paths `(a, c_i, b)` of one
+//!   output pair — sufficient statistics for every aggregation function
+//!   `g` of the paper (Avg, Min, Max, RelativeLeft/Right, Relative;
+//!   Figure 5).
 
-use crate::hash::{fx_map_with_capacity, FxHashMap};
+use crate::mapping_table::MappingTable;
+
+/// Co-scan `inputs` in canonical order: `visit(domain, range, sims)` is
+/// called once per distinct pair of the union of all inputs, pairs
+/// ascending, with `sims[i]` the pair's similarity in `inputs[i]` (`None`
+/// where absent). Rows a visitor emits in call order are canonical.
+pub fn cogroup(inputs: &[&MappingTable], mut visit: impl FnMut(u32, u32, &[Option<f64>])) {
+    let rows: Vec<_> = inputs.iter().map(|t| t.canonical()).collect();
+    let mut pos = vec![0usize; rows.len()];
+    let mut sims = vec![None; rows.len()];
+    let head = |i: usize, pos: &[usize]| rows[i].get(pos[i]).map(|c| (c.domain, c.range));
+    while let Some(pair) = (0..rows.len()).filter_map(|i| head(i, &pos)).min() {
+        for i in 0..rows.len() {
+            sims[i] = None;
+            if head(i, &pos) == Some(pair) {
+                sims[i] = Some(rows[i][pos[i]].sim);
+                pos[i] += 1;
+            }
+        }
+        visit(pair.0, pair.1, &sims);
+    }
+}
 
 /// Sufficient statistics for the path similarities of one output pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,7 +50,8 @@ pub struct PathStats {
 }
 
 impl PathStats {
-    fn one(sim: f64) -> Self {
+    /// Statistics of a single path.
+    pub fn one(sim: f64) -> Self {
         Self {
             min: sim,
             max: sim,
@@ -31,7 +60,8 @@ impl PathStats {
         }
     }
 
-    fn add(&mut self, sim: f64) {
+    /// Fold in one more path.
+    pub fn add(&mut self, sim: f64) {
         self.min = self.min.min(sim);
         self.max = self.max.max(sim);
         self.sum += sim;
@@ -44,63 +74,19 @@ impl PathStats {
     }
 }
 
-/// Accumulates per-pair path statistics.
-#[derive(Debug, Default)]
-pub struct PairAggregator {
-    pairs: FxHashMap<(u32, u32), PathStats>,
-}
-
-impl PairAggregator {
-    /// Empty aggregator.
-    pub fn new() -> Self {
-        Self {
-            pairs: fx_map_with_capacity(64),
-        }
-    }
-
-    /// Record one compose path for pair `(a, b)` with path similarity `sim`.
-    pub fn add(&mut self, a: u32, b: u32, sim: f64) {
-        self.pairs
-            .entry((a, b))
-            .and_modify(|st| st.add(sim))
-            .or_insert_with(|| PathStats::one(sim));
-    }
-
-    /// Number of distinct output pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether no paths were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Statistics for one pair.
-    pub fn get(&self, a: u32, b: u32) -> Option<&PathStats> {
-        self.pairs.get(&(a, b))
-    }
-
-    /// Iterate `((a, b), stats)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&(u32, u32), &PathStats)> {
-        self.pairs.iter()
-    }
-
-    /// Consume into the underlying map.
-    pub fn into_map(self) -> FxHashMap<(u32, u32), PathStats> {
-        self.pairs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn groups(inputs: &[&MappingTable]) -> Vec<(u32, u32, Vec<Option<f64>>)> {
+        let mut out = Vec::new();
+        cogroup(inputs, |d, r, sims| out.push((d, r, sims.to_vec())));
+        out
+    }
+
     #[test]
-    fn single_path() {
-        let mut agg = PairAggregator::new();
-        agg.add(1, 2, 0.6);
-        let st = agg.get(1, 2).unwrap();
+    fn path_stats_single_path() {
+        let st = PathStats::one(0.6);
         assert_eq!(st.count, 1);
         assert_eq!(st.sum, 0.6);
         assert_eq!(st.min, 0.6);
@@ -109,44 +95,66 @@ mod tests {
     }
 
     #[test]
-    fn multiple_paths_accumulate() {
-        let mut agg = PairAggregator::new();
-        // Figure 6: (v1, v'1) is reached via p1 (sim 1) and p2 (sim 1).
-        agg.add(1, 11, 1.0);
-        agg.add(1, 11, 1.0);
-        let st = agg.get(1, 11).unwrap();
-        assert_eq!(st.count, 2);
-        assert_eq!(st.sum, 2.0);
-        assert_eq!(st.avg(), 1.0);
-    }
-
-    #[test]
-    fn min_max_tracking() {
-        let mut agg = PairAggregator::new();
-        agg.add(0, 0, 0.9);
-        agg.add(0, 0, 0.3);
-        agg.add(0, 0, 0.6);
-        let st = agg.get(0, 0).unwrap();
+    fn path_stats_accumulate() {
+        let mut st = PathStats::one(0.9);
+        st.add(0.3);
+        st.add(0.6);
+        assert_eq!(st.count, 3);
         assert_eq!(st.min, 0.3);
         assert_eq!(st.max, 0.9);
         assert!((st.avg() - 0.6).abs() < 1e-12);
     }
 
     #[test]
-    fn pairs_are_independent() {
-        let mut agg = PairAggregator::new();
-        agg.add(0, 1, 0.5);
-        agg.add(1, 0, 0.7);
-        assert_eq!(agg.len(), 2);
-        assert_eq!(agg.get(0, 1).unwrap().sum, 0.5);
-        assert_eq!(agg.get(1, 0).unwrap().sum, 0.7);
-        assert!(agg.get(9, 9).is_none());
+    fn cogroup_no_inputs_visits_nothing() {
+        assert!(groups(&[]).is_empty());
     }
 
     #[test]
-    fn empty() {
-        let agg = PairAggregator::new();
-        assert!(agg.is_empty());
-        assert_eq!(agg.len(), 0);
+    fn cogroup_one_input_visits_its_canonical_rows() {
+        let mut raw = MappingTable::new();
+        raw.push(2, 1, 0.5);
+        raw.push(0, 3, 0.2);
+        raw.push(2, 1, 0.7);
+        assert_eq!(
+            groups(&[&raw]),
+            vec![(0, 3, vec![Some(0.2)]), (2, 1, vec![Some(0.7)])]
+        );
+    }
+
+    #[test]
+    fn cogroup_three_inputs_align_by_pair() {
+        let a = MappingTable::from_triples([(0, 1, 0.1), (1, 1, 0.2)]);
+        let b = MappingTable::from_triples([(0, 1, 0.3), (0, 2, 0.4)]);
+        let c = MappingTable::from_triples([(1, 1, 0.5), (9, 9, 0.6)]);
+        assert_eq!(
+            groups(&[&a, &b, &c]),
+            vec![
+                (0, 1, vec![Some(0.1), Some(0.3), None]),
+                (0, 2, vec![None, Some(0.4), None]),
+                (1, 1, vec![Some(0.2), None, Some(0.5)]),
+                (9, 9, vec![None, None, Some(0.6)]),
+            ]
+        );
+    }
+
+    #[test]
+    fn cogroup_empty_inputs() {
+        let e = MappingTable::new();
+        let t = MappingTable::from_triples([(4, 5, 0.5)]);
+        assert!(groups(&[&e, &e]).is_empty());
+        assert_eq!(groups(&[&e, &t]), vec![(4, 5, vec![None, Some(0.5)])]);
+        assert_eq!(groups(&[&t, &e]), vec![(4, 5, vec![Some(0.5), None])]);
+    }
+
+    #[test]
+    fn cogroup_all_equal_inputs() {
+        let t = MappingTable::from_triples([(0, 0, 0.9), (0, 1, 0.8), (3, 2, 0.7)]);
+        let got = groups(&[&t, &t, &t]);
+        assert_eq!(got.len(), t.len());
+        for ((d, r, sims), c) in got.iter().zip(t.iter()) {
+            assert_eq!((*d, *r), (c.domain, c.range));
+            assert_eq!(sims, &vec![Some(c.sim); 3]);
+        }
     }
 }

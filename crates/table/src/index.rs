@@ -1,94 +1,45 @@
-//! CSR-style adjacency index over a mapping table column.
+//! CSR-style adjacency index over a mapping table's domain column.
 //!
-//! Composing mappings and evaluating the Relative similarity functions
-//! both need, per object, (a) its neighbor list and (b) its degree
-//! (`n(a)` / `n(b)` in paper Figure 5). The [`Adjacency`] packs neighbor
-//! entries contiguously and locates an object's slice through one hash
-//! lookup.
+//! Composing mappings needs, per intermediate object, its neighbor list
+//! in the right-hand table. The [`Adjacency`] packs neighbor entries
+//! contiguously and locates an object's slice through one hash lookup.
 
 use crate::hash::{fx_map_with_capacity, FxHashMap};
 use crate::mapping_table::MappingTable;
 
-/// Index over one column of a [`MappingTable`].
+/// Index over the domain column of a [`MappingTable`].
 #[derive(Debug, Clone)]
 pub struct Adjacency {
     /// key -> (start, end) range into `entries`.
     spans: FxHashMap<u32, (u32, u32)>,
-    /// Flattened `(other object, similarity)` entries grouped by key.
+    /// Flattened `(range object, similarity)` entries grouped by key, in
+    /// canonical order.
     entries: Vec<(u32, f64)>,
 }
 
 impl Adjacency {
-    /// Build an index keyed by the *domain* column.
+    /// Build an index keyed by the *domain* column from the table's
+    /// canonical rows: one span per domain run.
     pub fn over_domain(table: &MappingTable) -> Self {
-        let mut sorted = table.clone();
-        sorted.sort_by_domain();
-        Self::build(sorted.rows().iter().map(|c| (c.domain, c.range, c.sim)))
-    }
-
-    /// Build an index keyed by the *range* column.
-    pub fn over_range(table: &MappingTable) -> Self {
-        let mut sorted = table.clone();
-        sorted.sort_by_range();
-        Self::build(sorted.rows().iter().map(|c| (c.range, c.domain, c.sim)))
-    }
-
-    fn build(sorted_rows: impl Iterator<Item = (u32, u32, f64)>) -> Self {
+        let rows = table.canonical();
         let mut spans: FxHashMap<u32, (u32, u32)> = fx_map_with_capacity(16);
-        let mut entries: Vec<(u32, f64)> = Vec::new();
-        let mut current: Option<u32> = None;
         let mut start = 0u32;
-        for (key, other, sim) in sorted_rows {
-            if current != Some(key) {
-                if let Some(prev) = current {
-                    spans.insert(prev, (start, entries.len() as u32));
-                }
-                current = Some(key);
-                start = entries.len() as u32;
-            }
-            entries.push((other, sim));
+        for run in rows.chunk_by(|x, y| x.domain == y.domain) {
+            let end = start + run.len() as u32;
+            spans.insert(run[0].domain, (start, end));
+            start = end;
         }
-        if let Some(prev) = current {
-            spans.insert(prev, (start, entries.len() as u32));
-        }
+        let entries = rows.iter().map(|c| (c.range, c.sim)).collect();
         Self { spans, entries }
     }
 
-    /// Neighbors of `key`: `(other object, similarity)` slice.
+    /// Neighbors of `key`: `(range object, similarity)` slice, ascending
+    /// by range object.
     pub fn neighbors(&self, key: u32) -> &[(u32, f64)] {
         match self.spans.get(&key) {
             Some(&(s, e)) => &self.entries[s as usize..e as usize],
             None => &[],
         }
-    }
-
-    /// Degree of `key` — the `n(·)` of the Relative functions.
-    pub fn degree(&self, key: u32) -> u32 {
-        self.spans.get(&key).map(|&(s, e)| e - s).unwrap_or(0)
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Total number of entries.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Iterate all keys.
-    pub fn keys(&self) -> impl Iterator<Item = u32> + '_ {
-        self.spans.keys().copied()
-    }
-
-    /// Similarity of a specific `(key, other)` entry (linear over the
-    /// key's neighbor slice).
-    pub fn sim(&self, key: u32, other: u32) -> Option<f64> {
-        self.neighbors(key)
-            .iter()
-            .find(|(o, _)| *o == other)
-            .map(|(_, s)| *s)
     }
 }
 
@@ -108,46 +59,28 @@ mod tests {
     }
 
     #[test]
-    fn domain_index_neighbors_and_degree() {
+    fn domain_index_neighbors() {
         let adj = Adjacency::over_domain(&fig6_map1());
-        assert_eq!(adj.degree(1), 3);
-        assert_eq!(adj.degree(2), 2);
-        assert_eq!(adj.degree(99), 0);
-        let mut n1: Vec<u32> = adj.neighbors(1).iter().map(|(o, _)| *o).collect();
-        n1.sort_unstable();
-        assert_eq!(n1, vec![101, 102, 103]);
+        assert_eq!(adj.neighbors(1), &[(101, 1.0), (102, 1.0), (103, 0.6)]);
+        assert_eq!(adj.neighbors(2), &[(102, 0.6), (103, 1.0)]);
         assert!(adj.neighbors(99).is_empty());
     }
 
     #[test]
-    fn range_index() {
-        let adj = Adjacency::over_range(&fig6_map1());
-        assert_eq!(adj.degree(102), 2);
-        assert_eq!(adj.degree(101), 1);
-        let owners: Vec<u32> = adj.neighbors(102).iter().map(|(o, _)| *o).collect();
-        assert_eq!(owners.len(), 2);
-        assert!(owners.contains(&1) && owners.contains(&2));
-    }
-
-    #[test]
-    fn sim_lookup() {
-        let adj = Adjacency::over_domain(&fig6_map1());
-        assert_eq!(adj.sim(1, 103), Some(0.6));
-        assert_eq!(adj.sim(1, 999), None);
-    }
-
-    #[test]
-    fn counts() {
-        let adj = Adjacency::over_domain(&fig6_map1());
-        assert_eq!(adj.key_count(), 2);
-        assert_eq!(adj.entry_count(), 5);
+    fn raw_table_is_indexed_in_canonical_form() {
+        let mut raw = MappingTable::new();
+        raw.push(2, 7, 0.4);
+        raw.push(1, 9, 0.5);
+        raw.push(2, 3, 0.6);
+        raw.push(2, 7, 0.8);
+        let adj = Adjacency::over_domain(&raw);
+        assert_eq!(adj.neighbors(1), &[(9, 0.5)]);
+        assert_eq!(adj.neighbors(2), &[(3, 0.6), (7, 0.8)]);
     }
 
     #[test]
     fn empty_table() {
         let adj = Adjacency::over_domain(&MappingTable::new());
-        assert_eq!(adj.key_count(), 0);
-        assert_eq!(adj.entry_count(), 0);
         assert!(adj.neighbors(0).is_empty());
     }
 
@@ -156,7 +89,7 @@ mod tests {
         let t = fig6_map1();
         let adj = Adjacency::over_domain(&t);
         for (k, d) in t.domain_degrees() {
-            assert_eq!(adj.degree(k), d);
+            assert_eq!(adj.neighbors(k).len() as u32, d);
         }
     }
 }

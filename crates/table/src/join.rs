@@ -3,12 +3,11 @@
 //! Composition of mappings is a relational join: rows `(a, c, s1)` of the
 //! left table meet rows `(c, b, s2)` of the right table on the shared
 //! object `c` (paper Section 3.2 / 5.3). Two strategies are provided —
-//! the hash join and a nested-loop reference used to property-test it —
-//! plus a parallel variant ([`par_hash_join`]) that shards the left table
-//! across threads and emits results in an order bit-identical to the
-//! sequential hash join (see [`crate::exec`]).
+//! the hash join and a nested-loop reference used to property-test it.
+//! Both are sequential; the compose operator probes the same
+//! [`Adjacency`] once per domain group of its left table
+//! (`moma_core::ops::compose`).
 
-use crate::exec::Parallelism;
 use crate::index::Adjacency;
 use crate::mapping_table::MappingTable;
 
@@ -27,8 +26,9 @@ pub struct JoinedPath {
     pub s2: f64,
 }
 
-/// Hash join: builds an [`Adjacency`] over the right table's domain
-/// column and probes with the left table's range column.
+/// Hash join: builds an [`Adjacency`] over the right table's canonical
+/// rows and probes it with the range column of the left table's rows as
+/// stored.
 pub fn hash_join(left: &MappingTable, right: &MappingTable, mut sink: impl FnMut(JoinedPath)) {
     let right_adj = Adjacency::over_domain(right);
     for l in left.iter() {
@@ -40,49 +40,6 @@ pub fn hash_join(left: &MappingTable, right: &MappingTable, mut sink: impl FnMut
                 s1: l.sim,
                 s2,
             });
-        }
-    }
-}
-
-/// Parallel hash join: the right-side [`Adjacency`] is built once and
-/// probed read-only by every worker; the left table is sharded into
-/// contiguous row ranges. Per-shard outputs are drained into `sink` in
-/// shard order, so the emitted sequence is bit-identical to
-/// [`hash_join`]. With `par.threads == 1` this *is* [`hash_join`].
-///
-/// Memory note: unlike the streaming sequential join, the parallel
-/// variant buffers the whole join output (`O(paths)`) before sinking —
-/// the price of the deterministic merge order. For joins whose output
-/// vastly exceeds the input (heavily skewed keys), prefer
-/// `Parallelism::sequential()`.
-pub fn par_hash_join(
-    left: &MappingTable,
-    right: &MappingTable,
-    par: &Parallelism,
-    mut sink: impl FnMut(JoinedPath),
-) {
-    if par.shard_count(left.len()) <= 1 {
-        return hash_join(left, right, sink);
-    }
-    let right_adj = Adjacency::over_domain(right);
-    let shards = par.run_sharded(left.rows(), |shard| {
-        let mut out = Vec::new();
-        for l in shard {
-            for &(b, s2) in right_adj.neighbors(l.range) {
-                out.push(JoinedPath {
-                    a: l.domain,
-                    c: l.range,
-                    b,
-                    s1: l.sim,
-                    s2,
-                });
-            }
-        }
-        out
-    });
-    for shard in shards {
-        for p in shard {
-            sink(p);
         }
     }
 }
@@ -187,44 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_joins_emit_identical_sequences() {
-        // Not just the same multiset: the *emission order* into the sink
-        // must be bit-identical to the sequential hash join.
-        let (m1, m2) = fig6_tables();
-        let collect = |f: &dyn Fn(&mut dyn FnMut(JoinedPath))| {
-            let mut v = Vec::new();
-            f(&mut |p| v.push(p));
-            v
-        };
-        let seq_hash = collect(&|s| hash_join(&m1, &m2, s));
-        for threads in [1usize, 2, 8] {
-            let par = Parallelism::new(threads).with_min_shard_size(1);
-            let ph = collect(&|s| par_hash_join(&m1, &m2, &par, s));
-            assert_eq!(ph, seq_hash, "hash, threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_joins_on_empty_inputs() {
-        let e = MappingTable::new();
-        let t = MappingTable::from_triples([(0, 1, 0.5)]);
-        let par = Parallelism::new(4).with_min_shard_size(1);
-        assert!(collect_sorted(|l, r, s| par_hash_join(l, r, &par, s), &e, &t).is_empty());
-        assert!(collect_sorted(|l, r, s| par_hash_join(l, r, &par, s), &t, &e).is_empty());
-        assert!(collect_sorted(|l, r, s| par_hash_join(l, r, &par, s), &e, &e).is_empty());
-    }
-
-    #[test]
-    fn parallel_self_join() {
-        // Self-composition: the left and right tables are the same table.
-        let t = MappingTable::from_triples([(0, 1, 0.9), (1, 0, 0.8), (1, 1, 0.7), (2, 1, 0.6)]);
-        let par = Parallelism::new(2).with_min_shard_size(1);
-        let reference = collect_multiset(|l, r, s| nested_loop_join(l, r, s), &t, &t);
-        let ph = collect_multiset(|l, r, s| par_hash_join(l, r, &par, s), &t, &t);
-        assert_eq!(ph, reference);
-    }
-
-    #[test]
     fn similarities_flow_through() {
         let l = MappingTable::from_triples([(7, 8, 0.25)]);
         let r = MappingTable::from_triples([(8, 9, 0.75)]);
@@ -273,36 +192,19 @@ mod prop_tests {
             prop_assert_eq!(h, n);
         }
 
-        /// All three strategies produce the same multiset of `JoinedPath`s
-        /// — on raw tables with duplicate rows (including the empty table:
-        /// `0..60` rows starts at zero) and across thread counts 1/2/8.
+        /// Duplicate left rows flow through; the right side is read in
+        /// canonical order, so the hash join equals the nested loop over
+        /// the right table's canonical form (including the empty table:
+        /// `0..60` rows starts at zero).
         #[test]
-        fn all_strategies_same_multiset(
+        fn hash_join_equals_nested_loop_on_raw_tables(
             l in arb_dup_table(8, 60),
             r in arb_dup_table(8, 60),
         ) {
-            let reference = collect_multiset(|l, r, s| nested_loop_join(l, r, s), &l, &r);
+            let canonical_r = MappingTable::from_rows(r.rows().to_vec());
+            let reference = collect_multiset(|l, r, s| nested_loop_join(l, r, s), &l, &canonical_r);
             let h = collect_multiset(|l, r, s| hash_join(l, r, s), &l, &r);
             prop_assert_eq!(&h, &reference);
-            for threads in [1usize, 2, 8] {
-                let par = Parallelism::new(threads).with_min_shard_size(1);
-                let ph = collect_multiset(|l, r, s| par_hash_join(l, r, &par, s), &l, &r);
-                prop_assert_eq!(&ph, &reference, "par_hash threads={}", threads);
-            }
-        }
-
-        /// Self-join: composing a raw (possibly duplicate-row) table with
-        /// itself agrees with the nested-loop reference in parallel too.
-        #[test]
-        fn parallel_self_join_equals_nested_loop(
-            t in arb_dup_table(10, 50),
-        ) {
-            let reference = collect_multiset(|l, r, s| nested_loop_join(l, r, s), &t, &t);
-            for threads in [2usize, 8] {
-                let par = Parallelism::new(threads).with_min_shard_size(1);
-                let ph = collect_multiset(|l, r, s| par_hash_join(l, r, &par, s), &t, &t);
-                prop_assert_eq!(&ph, &reference, "threads={}", threads);
-            }
         }
     }
 }

@@ -10,16 +10,17 @@
 //! This crate is that storage and join engine:
 //!
 //! * [`MappingTable`] — a dense vector of [`Correspondence`] rows
-//!   (`u32` domain index, `u32` range index, `f64` similarity),
-//! * [`Adjacency`] — a CSR-style index over either column, providing both
-//!   neighbor lookup and the *degree* counts `n(a)` / `n(b)` needed by the
-//!   paper's Relative similarity functions (Figure 5),
-//! * [`join`] — the hash join with a sharded parallel variant producing
-//!   bit-identical output, and the nested-loop reference it is tested
+//!   (`u32` domain index, `u32` range index, `f64` similarity) kept in
+//!   canonical order: `(domain, range)`-sorted and pair-unique,
+//! * [`agg`] — grouping over that order: [`agg::cogroup`], the co-scan
+//!   under merge and the set operations, and [`agg::PathStats`], the
+//!   per-pair fold of the compose operator,
+//! * [`Adjacency`] — a CSR-style index over the domain column: the
+//!   neighbor lookup the join probes,
+//! * [`join`] — the hash join and the nested-loop reference it is tested
 //!   against,
 //! * [`exec`] — the deterministic sharded-execution layer
-//!   ([`Parallelism`]) behind the parallel joins and matchers,
-//! * [`agg`] — grouped path aggregation for the compose operator,
+//!   ([`Parallelism`]) behind the parallel matchers,
 //! * [`gram_index`] — the one incrementally maintainable inverted gram
 //!   index (size-bucketed postings, tombstoned removal + amortized
 //!   compaction) under both string probes of `moma-core`'s blocking:

@@ -1,5 +1,7 @@
 //! The three-column mapping table (paper Definition 1).
 
+use std::borrow::Cow;
+
 use crate::hash::{fx_map_with_capacity, FxHashMap};
 
 /// One row of a mapping table: a correspondence `(a, b, s)`.
@@ -25,10 +27,19 @@ impl Correspondence {
 
 /// A mapping table: the set of correspondences of one instance mapping.
 ///
-/// The table enforces *pair uniqueness* lazily: [`MappingTable::push`]
-/// appends freely, and [`MappingTable::dedup_max`] (called by all mapping
-/// operators before emitting results) collapses duplicate `(a, b)` pairs
-/// keeping the maximum similarity.
+/// **Canonical order** is the table's contract: rows strictly increasing
+/// by `(domain, range)` — sorted and pair-unique. Every producer in the
+/// workspace guarantees it: [`MappingTable::from_rows`] /
+/// [`MappingTable::from_triples`] and [`MappingTable::dedup_max`]
+/// establish it (duplicate pairs keep the maximum similarity),
+/// [`MappingTable::filtered`] / [`MappingTable::retain`] keep it,
+/// [`MappingTable::inverted`] restores it, and every operator emits its
+/// rows in it. [`MappingTable::push`] is a raw append and checks nothing —
+/// a caller that pushes out of order or pushes a pair twice holds a
+/// non-canonical table until it calls `dedup_max`. Operators therefore
+/// read their inputs through [`MappingTable::canonical`], which borrows a
+/// canonical table and repairs a copy of any other, and group rows by
+/// scanning runs of that slice instead of hashing pairs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MappingTable {
     rows: Vec<Correspondence>,
@@ -89,6 +100,22 @@ impl MappingTable {
         self.rows.iter()
     }
 
+    /// The rows in canonical order: borrowed when they already are
+    /// strictly increasing by `(domain, range)` (one linear check — every
+    /// table the workspace produces), otherwise a [`dedup_max`]-ed copy
+    /// (a table an API user raw-[`push`]ed).
+    ///
+    /// [`dedup_max`]: MappingTable::dedup_max
+    /// [`push`]: MappingTable::push
+    pub fn canonical(&self) -> Cow<'_, [Correspondence]> {
+        let key = |c: &Correspondence| (c.domain, c.range);
+        if self.rows.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+            Cow::Borrowed(&self.rows)
+        } else {
+            Cow::Owned(Self::from_rows(self.rows.clone()).rows)
+        }
+    }
+
     /// Similarity of pair `(a, b)`, if present (linear scan; use
     /// [`crate::Adjacency`] for repeated lookups).
     pub fn sim_of(&self, domain: u32, range: u32) -> Option<f64> {
@@ -101,11 +128,6 @@ impl MappingTable {
     /// Sort rows by `(domain, range)`.
     pub fn sort_by_domain(&mut self) {
         self.rows.sort_unstable_by_key(|x| (x.domain, x.range));
-    }
-
-    /// Sort rows by `(range, domain)`.
-    pub fn sort_by_range(&mut self) {
-        self.rows.sort_unstable_by_key(|x| (x.range, x.domain));
     }
 
     /// Collapse duplicate `(a,b)` pairs keeping the maximum similarity;
@@ -294,14 +316,52 @@ mod tests {
     }
 
     #[test]
-    fn sort_orders() {
-        let mut t = MappingTable::from_triples([(2, 0, 0.1), (0, 2, 0.2), (1, 1, 0.3)]);
-        t.sort_by_range();
-        let ranges: Vec<u32> = t.iter().map(|c| c.range).collect();
-        assert_eq!(ranges, vec![0, 1, 2]);
+    fn sort_by_domain_orders_rows() {
+        let mut t = MappingTable::new();
+        for (a, b, s) in [(2, 0, 0.1), (0, 2, 0.2), (1, 1, 0.3)] {
+            t.push(a, b, s);
+        }
         t.sort_by_domain();
         let domains: Vec<u32> = t.iter().map(|c| c.domain).collect();
         assert_eq!(domains, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn canonical_borrows_what_producers_build() {
+        let t = MappingTable::from_triples([(2, 0, 0.1), (0, 2, 0.2), (0, 1, 0.3)]);
+        for table in [
+            t.clone(),
+            t.inverted(),
+            t.filtered(|c| c.sim > 0.15),
+            MappingTable::new(),
+        ] {
+            assert!(matches!(table.canonical(), Cow::Borrowed(_)));
+            assert_eq!(&*table.canonical(), table.rows());
+        }
+    }
+
+    #[test]
+    fn canonical_repairs_a_raw_pushed_table() {
+        let mut raw = MappingTable::new();
+        raw.push(1, 1, 0.2);
+        raw.push(0, 5, 0.5);
+        raw.push(1, 1, 0.9);
+        let rows = raw.canonical();
+        assert!(matches!(rows, Cow::Owned(_)));
+        assert_eq!(
+            &*rows,
+            &[
+                Correspondence::new(0, 5, 0.5),
+                Correspondence::new(1, 1, 0.9)
+            ]
+        );
+        // `push` keeps the rows as appended.
+        assert_eq!(raw.len(), 3);
+        // Sorted but with a repeated pair is not canonical either.
+        let mut dup = MappingTable::new();
+        dup.push(0, 0, 0.9);
+        dup.push(0, 0, 0.2);
+        assert_eq!(&*dup.canonical(), &[Correspondence::new(0, 0, 0.9)]);
     }
 
     #[test]

@@ -63,17 +63,6 @@ impl TableStats {
             max_domain_fanout: max_fan,
         }
     }
-
-    /// Histogram of similarity values in `buckets` equal-width bins over
-    /// `[0, 1]`.
-    pub fn sim_histogram(table: &MappingTable, buckets: usize) -> Vec<usize> {
-        let mut hist = vec![0usize; buckets.max(1)];
-        for c in table.iter() {
-            let i = ((c.sim * buckets as f64) as usize).min(buckets - 1);
-            hist[i] += 1;
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -100,15 +89,5 @@ mod tests {
         assert!((s.mean_sim - 0.5).abs() < 1e-12);
         assert_eq!(s.max_domain_fanout, 2);
         assert!((s.mean_domain_fanout - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let t = MappingTable::from_triples([(0, 1, 0.05), (1, 2, 0.55), (2, 3, 1.0)]);
-        let h = TableStats::sim_histogram(&t, 10);
-        assert_eq!(h[0], 1);
-        assert_eq!(h[5], 1);
-        assert_eq!(h[9], 1); // 1.0 clamps into the last bucket
-        assert_eq!(h.iter().sum::<usize>(), 3);
     }
 }

@@ -65,7 +65,6 @@ fn main() {
                 f: PathCombine::Min,
                 g: PathAgg::Max,
             },
-            &moma::core::Parallelism::from_env(),
         )
         .expect("derive compose");
 

@@ -1,12 +1,12 @@
 //! Parallel matching: the `Parallelism` knob end to end.
 //!
-//! MOMA's hot paths — attribute-matcher probing, mapping-table joins,
-//! trigram-index construction — shard their input across threads and
-//! merge per-shard results in a fixed order, so the output is
-//! bit-identical to a sequential run at every thread count. This example
-//! demonstrates exactly that on a generated bibliographic world and
-//! prints the wall-clock times (speedup appears on multi-core hardware;
-//! determinism holds everywhere).
+//! MOMA's hot paths — attribute-matcher probing and trigram-index
+//! construction — shard their input across threads and merge per-shard
+//! results in a fixed order, so the output is bit-identical to a
+//! sequential run at every thread count. This example demonstrates
+//! exactly that on a generated bibliographic world and prints the
+//! wall-clock times (speedup appears on multi-core hardware; determinism
+//! holds everywhere). The mapping operators are sequential.
 //!
 //! ```bash
 //! cargo run --release --example parallel_matching
@@ -20,7 +20,6 @@ use moma::core::exec::Parallelism;
 use moma::core::matchers::{AttributeMatcher, MatchContext, Matcher};
 use moma::datagen::{Scenario, WorldConfig};
 use moma::simstring::SimFn;
-use moma::table::join::{collect_multiset, hash_join, par_hash_join};
 
 fn main() {
     // A mid-size world: enough rows for sharding to engage.
@@ -63,25 +62,6 @@ fn main() {
         sequential.len(),
         par.threads
     );
-
-    // --- joins: the hash join at every thread count, one multiset ------
-    let left = scenario
-        .repository
-        .require("DBLP.VenuePub")
-        .expect("association")
-        .table
-        .clone();
-    let right = left.inverted();
-    let reference = collect_multiset(|l, r, s| hash_join(l, r, s), &left, &right);
-    for threads in [1usize, 2, 4, 8] {
-        let p = Parallelism::new(threads).with_min_shard_size(1);
-        let ph = collect_multiset(|l, r, s| par_hash_join(l, r, &p, s), &left, &right);
-        assert_eq!(ph, reference);
-        println!(
-            "join VenuePub ∘ VenuePub⁻¹ at {threads} thread(s): {} paths (identical)",
-            ph.len()
-        );
-    }
 
     println!("deterministic at every thread count ✓");
 }

@@ -258,7 +258,7 @@ fn downstream_compose_refresh_matches_recompute() {
             f: PathCombine::Min,
             g: PathAgg::Max,
         };
-        repo.store_derived("Composed", recipe.clone(), &p).unwrap();
+        repo.store_derived("Composed", recipe.clone()).unwrap();
 
         let mut s = stream(11, 0.1, gs);
         for _ in 0..3 {
@@ -277,7 +277,7 @@ fn downstream_compose_refresh_matches_recompute() {
                 reg.lds(dblp).len() as u32,
             ));
             let fresh = from_scratch
-                .store_derived("Composed", recipe.clone(), &p)
+                .store_derived("Composed", recipe.clone())
                 .unwrap();
             assert_eq!(
                 repo.get("Composed").unwrap().table.rows(),
