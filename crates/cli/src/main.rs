@@ -228,9 +228,9 @@ fn cmd_delta(args: &[String]) -> Result<(), String> {
     let mut registry = s.registry;
     let (dblp, gs) = (s.ids.pub_dblp, s.ids.pub_gs);
     // Default: threshold-exact blocking (trigram is a q-gram measure).
-    let blocking = blocking.unwrap_or_else(|| Blocking::auto_for(&SimFn::Trigram));
-    let matcher =
-        AttributeMatcher::new("title", "title", SimFn::Trigram, 0.75).with_blocking(blocking);
+    let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.75);
+    let blocking = blocking.unwrap_or_else(|| Blocking::auto_for(&matcher.sim));
+    let matcher = matcher.with_blocking(blocking);
 
     let t0 = Instant::now();
     let ctx = MatchContext::new(&registry).with_parallelism(par);

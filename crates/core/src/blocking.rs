@@ -72,9 +72,11 @@ use std::ops::{Deref, DerefMut};
 
 use moma_simstring::bounds::{qgram_measure_of, QgramMeasure};
 use moma_simstring::tokenize::{qgrams, trigrams};
-use moma_simstring::{wbounds, SimFn};
+use moma_simstring::wbounds;
 use moma_table::exec::Parallelism;
 use moma_table::{FxHashMap, FxHashSet, GramIndex, Postings};
+
+use crate::matchers::MatcherSim;
 
 /// Deduplicated trigram list of a value.
 fn unique_trigrams(value: &str) -> Vec<String> {
@@ -525,10 +527,11 @@ impl TfIdfIndex {
 }
 
 /// A built candidate index of either string family, with its probe
-/// parameters baked in — the runtime form of a resolved [`Blocking`]
-/// choice, shared by full matcher execution and the incremental delta
-/// engine (both sides of a [`crate::delta::DeltaMatchState`] hold one
-/// and patch it through its [`TokenIndex`]).
+/// parameters baked in — what a resolved candidate plan puts in front
+/// of one side of a match (a plan that scores all pairs puts nothing
+/// there). The match kernel probes it for full execution and for delta
+/// patches alike; the sides of a [`crate::delta::DeltaMatchState`] keep
+/// theirs current through its [`TokenIndex`].
 #[derive(Debug, Clone)]
 pub enum CandidateIndex {
     /// Prefix-filtered trigram index probed at a fixed Dice bound
@@ -601,16 +604,15 @@ pub enum Blocking {
 }
 
 impl Blocking {
-    /// The best self-configuring choice for a similarity function:
-    /// [`Blocking::Threshold`] when the exact bounds apply (q-gram
-    /// family), otherwise [`Blocking::TrigramPrefix`] (lossy floor-based
-    /// pruning — the historical default of scripts and the CLI, which
-    /// prefer speed over exactness for non-q-gram measures).
-    pub fn auto_for(sim: &SimFn) -> Blocking {
-        if qgram_measure_of(sim).is_some() {
-            Blocking::Threshold
-        } else {
-            Blocking::TrigramPrefix
+    /// The best self-configuring choice for a matcher similarity:
+    /// [`Blocking::Threshold`] when exact bounds apply (the q-gram
+    /// family and TF-IDF), otherwise [`Blocking::TrigramPrefix`] (lossy
+    /// floor-based pruning — the historical default of scripts and the
+    /// CLI, which prefer speed over exactness for non-q-gram measures).
+    pub fn auto_for(sim: &MatcherSim) -> Blocking {
+        match sim {
+            MatcherSim::Fixed(f) if qgram_measure_of(f).is_none() => Blocking::TrigramPrefix,
+            _ => Blocking::Threshold,
         }
     }
 
@@ -843,6 +845,7 @@ mod tests {
 mod threshold_tests {
     use super::*;
     use moma_simstring::ngram::{qgram_cosine, qgram_dice, qgram_jaccard, qgram_overlap};
+    use moma_simstring::SimFn;
 
     fn eval(m: QgramMeasure, a: &str, b: &str, q: usize) -> f64 {
         match m {
@@ -1009,12 +1012,11 @@ mod threshold_tests {
     #[test]
     fn blocking_helpers() {
         assert_eq!(Blocking::default(), Blocking::Threshold);
-        assert_eq!(Blocking::auto_for(&SimFn::Trigram), Blocking::Threshold);
-        assert_eq!(
-            Blocking::auto_for(&SimFn::QgramJaccard(2)),
-            Blocking::Threshold
-        );
-        assert_eq!(Blocking::auto_for(&SimFn::Jaro), Blocking::TrigramPrefix);
+        let auto = |sim| Blocking::auto_for(&MatcherSim::Fixed(sim));
+        assert_eq!(auto(SimFn::Trigram), Blocking::Threshold);
+        assert_eq!(auto(SimFn::QgramJaccard(2)), Blocking::Threshold);
+        assert_eq!(auto(SimFn::Jaro), Blocking::TrigramPrefix);
+        assert_eq!(Blocking::auto_for(&MatcherSim::TfIdf), Blocking::Threshold);
         assert_eq!(Blocking::parse("threshold"), Some(Blocking::Threshold));
         assert_eq!(Blocking::parse("ALL-PAIRS"), Some(Blocking::AllPairs));
         assert_eq!(Blocking::parse("prefix"), Some(Blocking::TrigramPrefix));

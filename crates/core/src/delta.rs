@@ -5,39 +5,46 @@
 //! repository are cheaper to adapt than to recompute (paper Section 2.2,
 //! Figure 3). This module is the runtime form of that idea for evolving
 //! sources. A [`DeltaMatchState`] — created by
-//! [`AttributeMatcher::prime`] — caches the matcher's projected values
-//! and (in blocked mode) *both-side* trigram indexes. When a
+//! [`AttributeMatcher::prime`] — is the mapping plus the two sides the
+//! match ran over: `prime` *keeps* the match's own projections and its
+//! range index, and builds only the domain index on top. Which index
+//! family a side carries (none, prefix, threshold) is the matcher's
+//! resolved plan, not a property of this module. When a
 //! [`SourceDelta`](moma_model::SourceDelta) is applied to the registry,
 //! feeding the resulting [`AppliedDelta`] to [`DeltaMatchState::apply`]
 //!
-//! 1. patches the cached projections and incrementally maintains the
-//!    indexes (tombstones + compaction, see [`crate::blocking`]),
+//! 1. syncs both sides with the registry (values patched, indexes
+//!    maintained in place — tombstones + compaction, see
+//!    [`crate::blocking`]),
 //! 2. drops the mapping rows whose domain or range instance was touched,
-//! 3. re-probes **only** the touched domain values against the range
-//!    side, and the touched range values against the domain side (the
-//!    inverse probe — Dice is symmetric, so prefix filtering loses
-//!    nothing in either direction),
+//! 3. probes **only** the touched domain values against the range side
+//!    (forward) and the touched range values against the domain side
+//!    (inverse) — two calls of the one match kernel
+//!    (`matchers::kernel::probe`), which keeps `(domain, range)` argument
+//!    order in both directions,
 //!
 //! giving per-delta cost proportional to `|delta|`, not `|source|`.
 //! Probes are sharded through the caller's
 //! [`Parallelism`](crate::exec::Parallelism) exactly like full matcher
 //! execution, and the result is **bit-for-bit identical to a full
 //! re-match** at every thread count (property-tested in
-//! `tests/incremental_equivalence.rs`).
+//! `tests/incremental_equivalence.rs`). A self-mapping (domain and range
+//! are the same source) is the same code: one delta touches both sides,
+//! and the overlap of the forward and inverse probes collapses when the
+//! table is canonicalized.
 //!
 //! ## When incremental execution applies
 //!
 //! The identical-result guarantee needs the candidate filter to be exact
-//! with respect to the scoring measure. [`DeltaMatchState::apply`]
-//! therefore runs incrementally for
+//! with respect to the scoring measure *in both probe directions*.
+//! [`DeltaMatchState::apply`] therefore runs incrementally for
 //!
 //! * any fixed similarity function whose resolved plan scores all pairs
 //!   (explicit [`Blocking::AllPairs`], or [`Blocking::Threshold`]
 //!   falling back for a non-q-gram measure),
 //! * any q-gram measure under [`Blocking::Threshold`] — the
-//!   T-occurrence bounds are exact and *symmetric*, so both-side
-//!   [`ThresholdIndex`](crate::blocking::ThresholdIndex)es are
-//!   maintained, and
+//!   T-occurrence bounds are exact and *symmetric*, so both sides carry
+//!   a [`ThresholdIndex`](crate::blocking::ThresholdIndex), and
 //! * trigram-Dice scoring ([`SimFn::Trigram`] / `QgramDice(3)`) with
 //!   [`Blocking::TrigramPrefix`];
 //!
@@ -57,14 +64,15 @@
 //! [`MappingRepository::refresh_stale`](crate::repository::MappingRepository::refresh_stale)
 //! and [`DeltaMatchState::patch_and_refresh`].
 
-use moma_model::{AppliedDelta, LdsId};
+use moma_model::{AppliedDelta, LdsId, LogicalSource};
 use moma_simstring::SimFn;
 use moma_table::{Correspondence, FxHashSet, MappingTable};
 
 use crate::blocking::CandidateIndex;
 use crate::error::{CoreError, Result};
 use crate::mapping::Mapping;
-use crate::matchers::attribute::CandidatePlan;
+use crate::matchers::attribute::{CandidatePlan, StringSide};
+use crate::matchers::kernel::{present, probe, Side};
 use crate::matchers::{AttributeMatcher, MatchContext, Matcher, MatcherSim};
 use crate::repository::MappingRepository;
 
@@ -75,20 +83,13 @@ pub struct DeltaMatchState {
     matcher: AttributeMatcher,
     domain: LdsId,
     range: LdsId,
-    /// Cached match-string projection of the domain attribute, indexed
-    /// by arena index; `None` = instance removed or attribute missing.
-    domain_vals: Vec<Option<String>>,
-    /// Same for the range attribute.
-    range_vals: Vec<Option<String>>,
-    /// Incrementally maintained candidate index over live range values
-    /// (blocked-incremental mode only; prefix or threshold family per
-    /// the matcher's resolved plan).
-    range_index: Option<CandidateIndex>,
-    /// Index over live domain values, probed *inversely* by touched
-    /// range values (blocked-incremental mode only).
-    domain_index: Option<CandidateIndex>,
+    /// The `(domain, range)` columns the match ran over, each behind the
+    /// index the matcher's plan calls for: touched domain values probe
+    /// the range side, touched range values probe the domain side
+    /// *inversely*. `None` = not incremental (every apply re-matches
+    /// from the registry, so there is nothing to keep).
+    sides: Option<(StringSide, StringSide)>,
     mapping: Mapping,
-    incremental: bool,
     /// Rows re-scored by the last [`DeltaMatchState::apply`] call
     /// (0 after a full-fallback apply).
     pub last_rescored: usize,
@@ -110,112 +111,69 @@ pub struct DeltaMatchState {
 /// when the filter is exact for the scoring measure (trigram Dice at
 /// the matcher threshold).
 fn supports_incremental(m: &AttributeMatcher) -> bool {
-    if matches!(m.sim, MatcherSim::TfIdf) {
+    // TF-IDF: the weighted-prefix index is exact for a *frozen* corpus,
+    // but any delta shifts the corpus-global weights, so every apply
+    // must be a full re-match.
+    let MatcherSim::Fixed(sim) = &m.sim else {
         return false;
-    }
+    };
     match m.candidate_plan() {
         CandidatePlan::AllPairs | CandidatePlan::Threshold { .. } => true,
-        // Only arises for `MatcherSim::TfIdf`, rejected above: the
-        // weighted-prefix index is exact for a *frozen* corpus, but any
-        // delta shifts the corpus-global weights, so every apply must be
-        // a full re-match.
+        CandidatePlan::Prefix { .. } => matches!(sim, SimFn::Trigram | SimFn::QgramDice(3)),
         CandidatePlan::TfIdf => false,
-        CandidatePlan::Prefix { .. } => {
-            matches!(
-                m.sim,
-                MatcherSim::Fixed(SimFn::Trigram) | MatcherSim::Fixed(SimFn::QgramDice(3))
-            )
-        }
     }
 }
 
 impl AttributeMatcher {
     /// Execute the matcher fully and capture a [`DeltaMatchState`] so
-    /// that subsequent source deltas can be matched incrementally.
+    /// that subsequent source deltas can be matched incrementally. The
+    /// state keeps the projections and the range index the match itself
+    /// ran over; only the domain index is built on top.
     pub fn prime(
         &self,
         ctx: &MatchContext<'_>,
         domain: LdsId,
         range: LdsId,
     ) -> Result<DeltaMatchState> {
-        let mapping = self.execute(ctx, domain, range)?;
-        let par = self.parallelism.unwrap_or(ctx.parallelism);
-        let incremental = supports_incremental(self);
-
-        let project = |lds: LdsId, attr: &str| -> Result<Vec<Option<String>>> {
-            let lds = ctx.registry.lds(lds);
-            let mut vals: Vec<Option<String>> = vec![None; lds.len()];
-            for (i, v) in lds.project(attr)? {
-                vals[i as usize] = Some(v.to_match_string());
-            }
-            Ok(vals)
-        };
-        let domain_vals = project(domain, &self.domain_attr)?;
-        let range_vals = project(range, &self.range_attr)?;
-
-        let build = |vals: &[Option<String>]| -> Option<CandidateIndex> {
-            let pairs: Vec<(u32, &str)> = vals
-                .iter()
-                .enumerate()
-                .filter_map(|(i, v)| v.as_deref().map(|v| (i as u32, v)))
-                .collect();
-            self.build_candidate_index(&pairs, &par)
-        };
-        let (domain_index, range_index) = if incremental {
-            // `build_candidate_index` returns None for all-pairs plans,
-            // so only genuinely blocked configurations pay for indexes.
-            (build(&domain_vals), build(&range_vals))
-        } else {
-            (None, None)
-        };
-
+        let (table, domain_vals, range_side) = self.full_match(ctx, domain, range)?;
+        let sides = supports_incremental(self).then(|| {
+            let index = self.build_candidate_index(&present(&domain_vals), &ctx.parallelism);
+            let domain_side = Side {
+                vals: domain_vals,
+                index,
+            };
+            (domain_side, range_side)
+        });
         Ok(DeltaMatchState {
             matcher: self.clone(),
             domain,
             range,
-            domain_vals,
-            range_vals,
-            range_index,
-            domain_index,
-            mapping,
-            incremental,
+            sides,
+            mapping: Mapping::same(self.name(), domain, range, table),
             last_rescored: 0,
             last_touched: false,
             last_full_rematch: false,
             full_rematches: 0,
         })
     }
-
-    /// Delta-aware execution: patch `state` (captured by
-    /// [`AttributeMatcher::prime`] for this matcher) under applied
-    /// deltas and return the updated mapping. Equivalent to
-    /// [`DeltaMatchState::apply`]; provided on the matcher for symmetry
-    /// with [`Matcher::execute`].
-    pub fn execute_delta<'s>(
-        &self,
-        ctx: &MatchContext<'_>,
-        state: &'s mut DeltaMatchState,
-        deltas: &[&AppliedDelta],
-    ) -> Result<&'s Mapping> {
-        state.apply(ctx, deltas)
-    }
 }
 
-/// Sync one side's cached value and (if present) its trigram index with
-/// the registry's current state. Idempotent: re-applying the same delta
-/// finds the cache already current and degenerates to no-ops.
-fn sync_value(
-    vals: &mut Vec<Option<String>>,
-    index: &mut Option<CandidateIndex>,
-    id: u32,
-    new: Option<String>,
-) {
-    if vals.len() <= id as usize {
-        vals.resize(id as usize + 1, None);
+/// Sync one side's value (and index, if the plan has one) for arena
+/// index `id` with the registry's current state. Idempotent: re-applying
+/// the same delta finds the side already current and degenerates to
+/// no-ops.
+fn sync_value(side: &mut StringSide, lds: &LogicalSource, id: u32, attr: &str) -> Result<()> {
+    let new = if lds.is_live(id) {
+        lds.attr_of(id, attr)?.map(|v| v.to_match_string())
+    } else {
+        None
+    };
+    if side.vals.len() <= id as usize {
+        side.vals.resize(id as usize + 1, None);
     }
-    let old = std::mem::replace(&mut vals[id as usize], new.clone());
-    if let Some(idx) = index {
-        match (&old, &new) {
+    let old = std::mem::replace(&mut side.vals[id as usize], new);
+    if let Some(idx) = &mut side.index {
+        match (&old, &side.vals[id as usize]) {
             (Some(o), Some(n)) => {
                 if !idx.update(id, o, n) {
                     idx.insert(id, n);
@@ -230,6 +188,19 @@ fn sync_value(
             (None, None) => {}
         }
     }
+    Ok(())
+}
+
+/// The touched ids of one side as kernel queries: deduplicated (an id
+/// updated twice probes once, on its final value) and restricted to the
+/// values still present.
+fn queries<'a>(touched: &[u32], side: &'a StringSide) -> Vec<(u32, &'a String)> {
+    let mut ids = touched.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter()
+        .filter_map(|i| Some((i, side.vals.get(i as usize)?.as_ref()?)))
+        .collect()
 }
 
 impl DeltaMatchState {
@@ -241,7 +212,7 @@ impl DeltaMatchState {
     /// Whether deltas are executed incrementally (`false`: every apply
     /// is a transparent full re-match; see module docs).
     pub fn is_incremental(&self) -> bool {
-        self.incremental
+        self.sides.is_some()
     }
 
     /// Whether the last [`DeltaMatchState::apply`] call changed anything
@@ -311,33 +282,25 @@ impl DeltaMatchState {
             return Ok(&self.mapping);
         }
         self.last_touched = true;
-        if !self.incremental {
+        let (Some((domain_side, range_side)), MatcherSim::Fixed(sim)) =
+            (&mut self.sides, &self.matcher.sim)
+        else {
             self.last_rescored = 0;
             self.last_full_rematch = true;
             self.full_rematches += 1;
             self.mapping = self.matcher.execute(ctx, self.domain, self.range)?;
             return Ok(&self.mapping);
-        }
+        };
         self.last_full_rematch = false;
-        let par = self.matcher.parallelism.unwrap_or(ctx.parallelism);
 
-        // 2. Sync cached projections and indexes with the registry.
+        // 2. Sync both sides with the registry.
         let d_lds = ctx.registry.lds(self.domain);
         let r_lds = ctx.registry.lds(self.range);
-        let fetch =
-            |lds: &moma_model::LogicalSource, id: u32, attr: &str| -> Result<Option<String>> {
-                if !lds.is_live(id) {
-                    return Ok(None);
-                }
-                Ok(lds.attr_of(id, attr)?.map(|v| v.to_match_string()))
-            };
-        for &id in dropped_d.iter() {
-            let new = fetch(d_lds, id, &self.matcher.domain_attr)?;
-            sync_value(&mut self.domain_vals, &mut self.domain_index, id, new);
+        for &id in &dropped_d {
+            sync_value(domain_side, d_lds, id, &self.matcher.domain_attr)?;
         }
-        for &id in dropped_r.iter() {
-            let new = fetch(r_lds, id, &self.matcher.range_attr)?;
-            sync_value(&mut self.range_vals, &mut self.range_index, id, new);
+        for &id in &dropped_r {
+            sync_value(range_side, r_lds, id, &self.matcher.range_attr)?;
         }
 
         // 3. Drop every row touching a changed instance.
@@ -349,97 +312,26 @@ impl DeltaMatchState {
             .filter(|c| !drop_d.contains(&c.domain) && !drop_r.contains(&c.range))
             .collect();
 
-        // 4. Re-probe touched values. Deduplicate + order the probe
-        //    lists (an id updated twice probes once, on its final
-        //    value), then shard through `par` — shard outputs are merged
-        //    in input order and the final table is sorted, so results
-        //    are identical at every thread count.
-        let plist = |probe: &[u32], vals: &[Option<String>]| -> Vec<(u32, String)> {
-            let mut ids: Vec<u32> = probe.to_vec();
-            ids.sort_unstable();
-            ids.dedup();
-            ids.into_iter()
-                .filter_map(|i| vals.get(i as usize)?.clone().map(|v| (i, v)))
-                .collect()
-        };
-        let probe_d = plist(&probe_d, &self.domain_vals);
-        let probe_r = plist(&probe_r, &self.range_vals);
+        // 4. Re-probe touched values: domain values forward against the
+        //    range side, range values inverse against the domain side.
+        let probe_d = queries(&probe_d, domain_side);
+        let probe_r = queries(&probe_r, range_side);
         self.last_rescored = probe_d.len() + probe_r.len();
-
-        let MatcherSim::Fixed(simfn) = self.matcher.sim.clone() else {
-            unreachable!("TfIdf never reaches the incremental path");
-        };
-        let threshold = self.matcher.threshold;
-
-        // 4a. Touched domain values × current range side.
-        let range_vals = &self.range_vals;
-        let range_index = &self.range_index;
-        let forward = |chunk: &[(u32, String)]| -> Vec<Correspondence> {
-            let mut out = Vec::new();
-            for (d_idx, d_val) in chunk {
-                match range_index {
-                    Some(idx) => {
-                        for cand in idx.candidates(d_val) {
-                            let r_val = range_vals[cand as usize]
-                                .as_deref()
-                                .expect("live candidate has a value");
-                            let s = simfn.eval(d_val, r_val);
-                            if s >= threshold {
-                                out.push(Correspondence::new(*d_idx, cand, s));
-                            }
-                        }
-                    }
-                    None => {
-                        for (r_idx, r_val) in range_vals.iter().enumerate() {
-                            let Some(r_val) = r_val else { continue };
-                            let s = simfn.eval(d_val, r_val);
-                            if s >= threshold {
-                                out.push(Correspondence::new(*d_idx, r_idx as u32, s));
-                            }
-                        }
-                    }
-                }
-            }
-            out
-        };
-        for shard in par.run_sharded(&probe_d, forward) {
-            rows.extend(shard);
-        }
-
-        // 4b. Touched range values × current domain side (inverse probe).
-        let domain_vals = &self.domain_vals;
-        let domain_index = &self.domain_index;
-        let inverse = |chunk: &[(u32, String)]| -> Vec<Correspondence> {
-            let mut out = Vec::new();
-            for (r_idx, r_val) in chunk {
-                match domain_index {
-                    Some(idx) => {
-                        for cand in idx.candidates(r_val) {
-                            let d_val = domain_vals[cand as usize]
-                                .as_deref()
-                                .expect("live candidate has a value");
-                            let s = simfn.eval(d_val, r_val);
-                            if s >= threshold {
-                                out.push(Correspondence::new(cand, *r_idx, s));
-                            }
-                        }
-                    }
-                    None => {
-                        for (d_idx, d_val) in domain_vals.iter().enumerate() {
-                            let Some(d_val) = d_val else { continue };
-                            let s = simfn.eval(d_val, r_val);
-                            if s >= threshold {
-                                out.push(Correspondence::new(d_idx as u32, *r_idx, s));
-                            }
-                        }
-                    }
-                }
-            }
-            out
-        };
-        for shard in par.run_sharded(&probe_r, inverse) {
-            rows.extend(shard);
-        }
+        let candidates = |index: &CandidateIndex, query: &String| index.candidates(query);
+        let score = |d: &String, r: &String| sim.eval(d, r);
+        let (par, t) = (ctx.parallelism, self.matcher.threshold);
+        rows.extend(probe(
+            par, &probe_d, range_side, candidates, score, t, false,
+        ));
+        rows.extend(probe(
+            par,
+            &probe_r,
+            domain_side,
+            candidates,
+            score,
+            t,
+            true,
+        ));
 
         // 5. Rebuild the table: dedup_max collapses the overlap between
         //    the forward and inverse probes (identical scores) and
@@ -644,10 +536,7 @@ mod tests {
             .apply_delta(&SourceDelta::new(d).update("d0", "year", Some(2001u16.into())))
             .unwrap();
         let ctx = MatchContext::new(&reg);
-        // The matcher-side entry point delegates to `apply`.
-        matcher
-            .execute_delta(&ctx, &mut state, &[&applied])
-            .unwrap();
+        state.apply(&ctx, &[&applied]).unwrap();
         assert_eq!(state.last_rescored, 0);
         assert!(!state.last_touched());
         assert!(!state.last_was_full_rematch());

@@ -4,17 +4,23 @@
 //! that is provided with a pair of attributes to be matched, a similarity
 //! function to be evaluated (e.g. n-gram, TF/IDF or affix) and a
 //! similarity threshold to be exceeded by result correspondences."
+//!
+//! `AttributeMatcher::candidate_plan` is the single place a [`Blocking`]
+//! choice is resolved; the resolved plan decides which index a side of
+//! the match gets, and the one match kernel (`matchers::kernel::probe`)
+//! runs it.
 
-use moma_model::LdsId;
+use moma_model::{LdsId, LogicalSource};
 use moma_simstring::bounds::{qgram_measure_of, QgramMeasure};
 use moma_simstring::tfidf::cosine_vectors;
 use moma_simstring::{SimFn, TfIdfCorpus};
-use moma_table::{Correspondence, MappingTable};
+use moma_table::MappingTable;
 
 use crate::blocking::{Blocking, CandidateIndex, TfIdfIndex, ThresholdIndex, TrigramIndex};
 use crate::error::Result;
 use crate::exec::Parallelism;
 use crate::mapping::Mapping;
+use crate::matchers::kernel::{present, probe, Side};
 use crate::matchers::{MatchContext, Matcher};
 
 /// Similarity configuration of an attribute matcher.
@@ -60,6 +66,19 @@ pub(crate) enum CandidatePlan {
 /// similarity still surface as candidates.
 pub(crate) const PREFIX_DICE_FLOOR: f64 = 0.3;
 
+/// One string column of a match behind the index its plan calls for.
+pub(crate) type StringSide = Side<String, CandidateIndex>;
+
+/// Match-string projection of `attr` by arena index; `None` = instance
+/// removed or attribute missing.
+fn project(lds: &LogicalSource, attr: &str) -> Result<Vec<Option<String>>> {
+    let mut vals = vec![None; lds.len()];
+    for (i, v) in lds.project(attr)? {
+        vals[i as usize] = Some(v.to_match_string());
+    }
+    Ok(vals)
+}
+
 /// Generic single-attribute matcher.
 #[derive(Debug, Clone)]
 pub struct AttributeMatcher {
@@ -73,9 +92,6 @@ pub struct AttributeMatcher {
     pub threshold: f64,
     /// Candidate-generation strategy.
     pub blocking: Blocking,
-    /// Per-matcher parallelism override; `None` (the default) inherits
-    /// the [`MatchContext`]'s configuration.
-    pub parallelism: Option<Parallelism>,
 }
 
 impl AttributeMatcher {
@@ -96,7 +112,6 @@ impl AttributeMatcher {
             sim: MatcherSim::Fixed(sim),
             threshold,
             blocking: Blocking::Threshold,
-            parallelism: None,
         }
     }
 
@@ -112,7 +127,6 @@ impl AttributeMatcher {
             sim: MatcherSim::TfIdf,
             threshold,
             blocking: Blocking::Threshold,
-            parallelism: None,
         }
     }
 
@@ -122,80 +136,52 @@ impl AttributeMatcher {
         self
     }
 
-    /// Enable or force-disable parallel scoring (builder style):
-    /// `true` pins one thread per CPU, `false` pins sequential scoring.
-    /// Either value *overrides* the [`MatchContext`] configuration and
-    /// with it the `MOMA_THREADS` environment variable — prefer leaving
-    /// the matcher untouched and configuring the context instead.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallelism = Some(if parallel {
-            Parallelism::auto()
-        } else {
-            Parallelism::sequential()
-        });
-        self
-    }
-
-    /// Pin an explicit parallelism configuration (builder style).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = Some(parallelism);
-        self
-    }
-
-    /// Dice bound handed to the trigram prefix filter: the matcher
-    /// threshold itself when scoring with trigram Dice (exact), otherwise
-    /// [`PREFIX_DICE_FLOOR`].
-    pub(crate) fn effective_candidate_threshold(&self) -> f64 {
-        match &self.sim {
-            MatcherSim::Fixed(SimFn::Trigram) | MatcherSim::Fixed(SimFn::QgramDice(3)) => {
-                self.threshold
-            }
-            _ => PREFIX_DICE_FLOOR,
-        }
-    }
-
     /// Resolve the configured [`Blocking`] against the similarity
-    /// function into the concrete candidate-generation plan. This is
-    /// where [`Blocking::Threshold`]'s transparent fallback lives:
+    /// function into the concrete candidate-generation plan — the only
+    /// place the choice is made; everything downstream runs the plan.
     ///
-    /// * a fixed q-gram measure with a positive threshold gets the exact
-    ///   T-occurrence engine,
+    /// * [`Blocking::AllPairs`] scores all pairs.
     /// * TF-IDF with a positive threshold gets the exact weighted-prefix
-    ///   engine over cached vectors,
-    /// * everything else (non-q-gram fixed measures, `t ≤ 0`) scores
-    ///   all pairs — exactly what [`Blocking::AllPairs`] would do.
+    ///   engine over cached vectors under either pruning variant (a
+    ///   trigram filter says nothing about corpus-weighted cosine).
+    /// * [`Blocking::TrigramPrefix`] probes the trigram prefix filter at
+    ///   the matcher threshold when scoring trigram Dice (exact),
+    ///   otherwise at [`PREFIX_DICE_FLOOR`].
+    /// * [`Blocking::Threshold`] gives a fixed q-gram measure with a
+    ///   positive threshold the exact T-occurrence engine.
+    /// * Everything else (non-q-gram fixed measures under `Threshold`,
+    ///   `t ≤ 0`) scores all pairs — the transparent fallback.
     pub(crate) fn candidate_plan(&self) -> CandidatePlan {
-        match self.blocking {
-            Blocking::AllPairs => CandidatePlan::AllPairs,
-            Blocking::TrigramPrefix => CandidatePlan::Prefix {
-                dice_bound: self.effective_candidate_threshold(),
+        match (self.blocking, &self.sim) {
+            (Blocking::AllPairs, _) => CandidatePlan::AllPairs,
+            (_, MatcherSim::TfIdf) if self.threshold > 0.0 => CandidatePlan::TfIdf,
+            (Blocking::TrigramPrefix, MatcherSim::Fixed(sim)) => CandidatePlan::Prefix {
+                dice_bound: match sim {
+                    SimFn::Trigram | SimFn::QgramDice(3) => self.threshold,
+                    _ => PREFIX_DICE_FLOOR,
+                },
             },
-            Blocking::Threshold => {
-                if self.threshold > 0.0 {
-                    match &self.sim {
-                        MatcherSim::Fixed(sim) => {
-                            if let Some((measure, q)) = qgram_measure_of(sim) {
-                                return CandidatePlan::Threshold { measure, q };
-                            }
-                        }
-                        MatcherSim::TfIdf => return CandidatePlan::TfIdf,
-                    }
+            (Blocking::Threshold, MatcherSim::Fixed(sim)) if self.threshold > 0.0 => {
+                match qgram_measure_of(sim) {
+                    Some((measure, q)) => CandidatePlan::Threshold { measure, q },
+                    None => CandidatePlan::AllPairs,
                 }
-                CandidatePlan::AllPairs
             }
+            _ => CandidatePlan::AllPairs,
         }
     }
 
-    /// Build the candidate index the plan calls for over one side's
-    /// `(instance index, match string)` projection (sharded through
-    /// `par`); `None` means score all pairs.
+    /// Build the string index the resolved plan calls for over one
+    /// column's `(arena index, match string)` values (sharded through
+    /// `par`); `None` means score all pairs. The TF-IDF plan indexes
+    /// cached vectors, not strings (see [`AttributeMatcher::full_match`]).
     pub(crate) fn build_candidate_index<V: AsRef<str> + Sync>(
         &self,
         values: &[(u32, V)],
         par: &Parallelism,
     ) -> Option<CandidateIndex> {
         match self.candidate_plan() {
-            CandidatePlan::AllPairs => None,
+            CandidatePlan::AllPairs | CandidatePlan::TfIdf => None,
             CandidatePlan::Prefix { dice_bound } => Some(CandidateIndex::Prefix {
                 index: TrigramIndex::build_par(values, par),
                 dice_bound,
@@ -203,152 +189,77 @@ impl AttributeMatcher {
             CandidatePlan::Threshold { measure, q } => Some(CandidateIndex::Threshold(
                 ThresholdIndex::build_par(measure, q, self.threshold, values, par),
             )),
-            // The TF-IDF engine indexes cached vectors, not strings — it
-            // lives inside the scoring path (see `score_tfidf`), and the
-            // delta engine never asks for it (TF-IDF matchers are
-            // non-incremental: the corpus shifts under every delta).
-            CandidatePlan::TfIdf => None,
         }
     }
 
-    /// Score a prepared candidate list. `domain_vals` / `range_vals` are
-    /// `(instance index, match string)` projections. The domain values
-    /// are sharded across `par` worker threads; every shard probes the
-    /// shared read-only index, and shard outputs are concatenated in
-    /// input order, so the result is identical at every thread count.
-    fn score(
-        &self,
-        par: Parallelism,
-        domain_vals: &[(u32, String)],
-        range_vals: &[(u32, String)],
-    ) -> MappingTable {
-        let MatcherSim::Fixed(simfn) = &self.sim else {
-            return self.score_tfidf(par, domain_vals, range_vals);
-        };
-        let score_one = |a: &str, b: &str| -> f64 { simfn.eval(a, b) };
-
-        // Candidate index (per the resolved plan), built sharded.
-        let index = self.build_candidate_index(range_vals, &par);
-        // Position lookup for blocked mode: instance index -> slice pos.
-        let pos_of: moma_table::FxHashMap<u32, usize> = match index {
-            Some(_) => range_vals
-                .iter()
-                .enumerate()
-                .map(|(p, (i, _))| (*i, p))
-                .collect(),
-            None => Default::default(),
-        };
-
-        let score_chunk = |chunk: &[(u32, String)]| -> Vec<Correspondence> {
-            let mut out = Vec::new();
-            for (d_idx, d_val) in chunk {
-                match &index {
-                    None => {
-                        for (r_idx, r_val) in range_vals {
-                            let s = score_one(d_val, r_val);
-                            if s >= self.threshold {
-                                out.push(Correspondence::new(*d_idx, *r_idx, s));
-                            }
-                        }
-                    }
-                    Some(idx) => {
-                        for cand in idx.candidates(d_val) {
-                            let (r_idx, r_val) = &range_vals[pos_of[&cand]];
-                            let s = score_one(d_val, r_val);
-                            if s >= self.threshold {
-                                out.push(Correspondence::new(*d_idx, *r_idx, s));
-                            }
-                        }
-                    }
-                }
-            }
-            out
-        };
-
-        let mut rows = Vec::new();
-        for shard in par.run_sharded(domain_vals, score_chunk) {
-            rows.extend(shard);
-        }
-        MappingTable::from_rows(rows)
-    }
-
-    /// TF-IDF scoring over cached vectors. The corpus is built from both
-    /// columns, every value's unit vector is computed once (sharded
-    /// across `par`), and *all* scoring — pruned or not — runs through
+    /// The full match: project both columns once, put the range column
+    /// behind the plan's index, probe every domain value against it.
+    /// Returns the canonical table together with the domain projection
+    /// and the range side the match ran over, so that
+    /// [`AttributeMatcher::prime`] keeps them instead of rebuilding.
+    ///
+    /// TF-IDF builds its corpus from both columns, caches every value's
+    /// unit vector (the expensive tokenization pass, sharded) and runs
+    /// the same kernel over the vectors, indexed by [`TfIdfIndex`] under
+    /// [`CandidatePlan::TfIdf`]; pruned or not, all scoring goes through
     /// [`cosine_vectors`] on those cached vectors, so the pruned plan is
-    /// bit-identical to all-pairs by construction. Under
-    /// [`CandidatePlan::TfIdf`] the range vectors are additionally
-    /// indexed in a [`TfIdfIndex`] keyed by range *position*, and each
-    /// domain vector scores only its weighted-prefix candidates.
-    fn score_tfidf(
+    /// bit-identical to all-pairs by construction.
+    pub(crate) fn full_match(
         &self,
-        par: Parallelism,
-        domain_vals: &[(u32, String)],
-        range_vals: &[(u32, String)],
-    ) -> MappingTable {
-        let mut corpus = TfIdfCorpus::new();
-        for (_, v) in domain_vals.iter().chain(range_vals.iter()) {
-            corpus.add_document(v);
-        }
-        // Cache every value's unit vector (the expensive tokenization +
-        // weighting pass), preserving input order across shards.
-        let vectorize = |vals: &[(u32, String)]| -> Vec<(u32, Vec<(u32, f64)>)> {
-            let mut out = Vec::with_capacity(vals.len());
-            for shard in par.run_sharded(vals, |chunk| {
-                chunk
-                    .iter()
-                    .map(|(i, v)| (*i, corpus.vector(v)))
-                    .collect::<Vec<_>>()
-            }) {
-                out.extend(shard);
-            }
-            out
+        ctx: &MatchContext<'_>,
+        domain: LdsId,
+        range: LdsId,
+    ) -> Result<(MappingTable, Vec<Option<String>>, StringSide)> {
+        let par = ctx.parallelism;
+        let d_vals = project(ctx.registry.lds(domain), &self.domain_attr)?;
+        let r_vals = project(ctx.registry.lds(range), &self.range_attr)?;
+        let index = self.build_candidate_index(&present(&r_vals), &par);
+        let range = Side {
+            vals: r_vals,
+            index,
         };
-        let d_items = vectorize(domain_vals);
-        let r_items = vectorize(range_vals);
-
-        let index = match self.candidate_plan() {
-            CandidatePlan::TfIdf => Some(TfIdfIndex::build(
+        let rows = match &self.sim {
+            MatcherSim::Fixed(sim) => probe(
+                par,
+                &present(&d_vals),
+                &range,
+                |index, query| index.candidates(query),
+                |d, r| sim.eval(d, r),
                 self.threshold,
-                r_items
-                    .iter()
-                    .enumerate()
-                    .map(|(p, (_, v))| (p as u32, v.as_slice())),
-            )),
-            _ => None,
-        };
-
-        let score_chunk = |chunk: &[(u32, Vec<(u32, f64)>)]| -> Vec<Correspondence> {
-            let mut out = Vec::new();
-            for (d_idx, d_vec) in chunk {
-                match &index {
-                    None => {
-                        for (r_idx, r_vec) in &r_items {
-                            let s = cosine_vectors(d_vec, r_vec);
-                            if s >= self.threshold {
-                                out.push(Correspondence::new(*d_idx, *r_idx, s));
-                            }
-                        }
-                    }
-                    Some(idx) => {
-                        for p in idx.candidates(d_vec) {
-                            let (r_idx, r_vec) = &r_items[p as usize];
-                            let s = cosine_vectors(d_vec, r_vec);
-                            if s >= self.threshold {
-                                out.push(Correspondence::new(*d_idx, *r_idx, s));
-                            }
-                        }
-                    }
+                false,
+            ),
+            MatcherSim::TfIdf => {
+                let mut corpus = TfIdfCorpus::new();
+                for v in d_vals.iter().chain(&range.vals).flatten() {
+                    corpus.add_document(v);
                 }
+                let vectorize = |vals: &[Option<String>]| -> Vec<Option<Vec<(u32, f64)>>> {
+                    let vector = |v: &Option<String>| v.as_ref().map(|v| corpus.vector(v));
+                    par.run_sharded(vals, |chunk| chunk.iter().map(vector).collect::<Vec<_>>())
+                        .concat()
+                };
+                let d_vecs = vectorize(&d_vals);
+                let r_vecs = vectorize(&range.vals);
+                let index = (self.candidate_plan() == CandidatePlan::TfIdf).then(|| {
+                    let vectors = present(&r_vecs).into_iter();
+                    TfIdfIndex::build(self.threshold, vectors.map(|(i, v)| (i, v.as_slice())))
+                });
+                let r_vecs = Side {
+                    vals: r_vecs,
+                    index,
+                };
+                probe(
+                    par,
+                    &present(&d_vecs),
+                    &r_vecs,
+                    |index, query| index.candidates(query),
+                    |d, r| cosine_vectors(d, r),
+                    self.threshold,
+                    false,
+                )
             }
-            out
         };
-
-        let mut rows = Vec::new();
-        for shard in par.run_sharded(&d_items, score_chunk) {
-            rows.extend(shard);
-        }
-        MappingTable::from_rows(rows)
+        Ok((MappingTable::from_rows(rows), d_vals, range))
     }
 }
 
@@ -365,20 +276,7 @@ impl Matcher for AttributeMatcher {
     }
 
     fn execute(&self, ctx: &MatchContext<'_>, domain: LdsId, range: LdsId) -> Result<Mapping> {
-        let d_lds = ctx.registry.lds(domain);
-        let r_lds = ctx.registry.lds(range);
-        let d_vals: Vec<(u32, String)> = d_lds
-            .project(&self.domain_attr)?
-            .into_iter()
-            .map(|(i, v)| (i, v.to_match_string()))
-            .collect();
-        let r_vals: Vec<(u32, String)> = r_lds
-            .project(&self.range_attr)?
-            .into_iter()
-            .map(|(i, v)| (i, v.to_match_string()))
-            .collect();
-        let par = self.parallelism.unwrap_or(ctx.parallelism);
-        let table = self.score(par, &d_vals, &r_vals);
+        let (table, _, _) = self.full_match(ctx, domain, range)?;
         Ok(Mapping::same(self.name(), domain, range, table))
     }
 }
@@ -534,11 +432,21 @@ mod tests {
             AttributeMatcher::tfidf("title", "name", 0.6).candidate_plan(),
             CandidatePlan::TfIdf
         );
-        // ...but a TF-IDF threshold of 0 can prune nothing.
-        assert_eq!(
-            AttributeMatcher::tfidf("title", "name", 0.0).candidate_plan(),
-            CandidatePlan::AllPairs
-        );
+        // ...under either pruning variant: a trigram filter says nothing
+        // about corpus-weighted cosine, so `TrigramPrefix` resolves to
+        // the same exact plan instead of scoring all pairs.
+        let prefix_tfidf =
+            AttributeMatcher::tfidf("title", "name", 0.6).with_blocking(Blocking::TrigramPrefix);
+        assert_eq!(prefix_tfidf.candidate_plan(), CandidatePlan::TfIdf);
+        // A TF-IDF threshold of 0 can prune nothing.
+        for blocking in [Blocking::Threshold, Blocking::TrigramPrefix] {
+            assert_eq!(
+                AttributeMatcher::tfidf("title", "name", 0.0)
+                    .with_blocking(blocking)
+                    .candidate_plan(),
+                CandidatePlan::AllPairs
+            );
+        }
         // Threshold 0 can prune nothing.
         assert_eq!(
             AttributeMatcher::new("title", "name", SimFn::Trigram, 0.0).candidate_plan(),
@@ -565,12 +473,6 @@ mod tests {
                 .unwrap();
             assert_eq!(seq.table.rows(), par.table.rows(), "threads={threads}");
         }
-        // The legacy builder toggle still routes through the same engine.
-        let via_builder = AttributeMatcher::new("title", "name", SimFn::Trigram, 0.5)
-            .with_parallel(true)
-            .execute(&MatchContext::new(&reg), d, a)
-            .unwrap();
-        assert_eq!(seq.table.rows(), via_builder.table.rows());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! a match process, in particular they generate a same-mapping."
 
 pub mod attribute;
+pub(crate) mod kernel;
 pub mod multi_attribute;
 pub mod neighborhood;
 

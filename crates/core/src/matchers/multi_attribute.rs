@@ -4,16 +4,29 @@
 //! and combines the similarity for multiple attribute pairs, e.g., for
 //! publication title and publication year."
 
-use moma_model::LdsId;
-use moma_simstring::bounds::qgram_measure_of;
+use moma_model::{LdsId, LogicalSource};
 use moma_simstring::SimFn;
-use moma_table::MappingTable;
+use moma_table::{FxHashSet, MappingTable};
 
-use crate::blocking::{Blocking, ThresholdIndex, TrigramIndex};
+use crate::blocking::{Blocking, CandidateIndex};
 use crate::error::{CoreError, Result};
 use crate::mapping::Mapping;
-use crate::matchers::{MatchContext, Matcher};
+use crate::matchers::kernel::{present, probe, Side};
+use crate::matchers::{AttributeMatcher, MatchContext, Matcher};
 use crate::ops::merge::MissingPolicy;
+
+/// One instance's match strings, aligned to the matcher's `attrs`.
+type Row = Vec<Option<String>>;
+
+/// The candidate index of one attribute over the range rows.
+struct AttrIndex {
+    /// Position in `attrs` (and in every [`Row`]).
+    k: usize,
+    index: CandidateIndex,
+    /// Range rows with a missing attribute-`k` value: unconditional
+    /// candidates for this attribute (they can pass through the others).
+    unindexed: Vec<u32>,
+}
 
 /// One attribute pair with its similarity function and weight.
 #[derive(Debug, Clone)]
@@ -59,7 +72,10 @@ pub struct MultiAttributeMatcher {
     /// Candidate-generation strategy. [`Blocking::TrigramPrefix`] blocks
     /// on the primary attribute only; [`Blocking::Threshold`] prunes
     /// through *every* attribute that admits a sound derived bound and
-    /// intersects the per-attribute candidate sets.
+    /// intersects the per-attribute candidate sets. Either way an
+    /// attribute is indexed at its *derived* bound
+    /// ([`MultiAttributeMatcher::derived_threshold`]), resolved exactly
+    /// as an [`AttributeMatcher`] on that attribute would.
     pub blocking: Blocking,
 }
 
@@ -117,7 +133,9 @@ impl MultiAttributeMatcher {
         self.derived_threshold(0)
     }
 
-    fn combined_sim(&self, d_vals: &[Option<String>], r_vals: &[Option<String>]) -> Option<f64> {
+    /// Combined similarity of two rows; NaN (never reaches a threshold)
+    /// when no attribute is comparable.
+    fn combined_sim(&self, d_vals: &Row, r_vals: &Row) -> f64 {
         let mut num = 0.0;
         let mut den = 0.0;
         let mut any = false;
@@ -136,10 +154,97 @@ impl MultiAttributeMatcher {
             }
         }
         if !any || den <= 0.0 {
-            None
+            f64::NAN
         } else {
-            Some(num / den)
+            num / den
         }
+    }
+
+    /// Per-instance value rows by arena index (`None` = removed).
+    fn project(&self, lds: &LogicalSource, domain_side: bool) -> Result<Vec<Option<Row>>> {
+        let slots: Vec<usize> = self
+            .attrs
+            .iter()
+            .map(|p| {
+                let attr = if domain_side {
+                    &p.domain_attr
+                } else {
+                    &p.range_attr
+                };
+                lds.attr_slot(attr).map_err(CoreError::from)
+            })
+            .collect::<Result<_>>()?;
+        let mut rows = vec![None; lds.len()];
+        for (i, inst) in lds.iter() {
+            let value = |&slot: &usize| inst.value(slot).map(|v| v.to_match_string());
+            rows[i as usize] = Some(slots.iter().map(value).collect());
+        }
+        Ok(rows)
+    }
+
+    /// The per-attribute indexes over the range rows. The blocking
+    /// choice only selects *which* attributes may get one (none, the
+    /// primary, all); whether and how attribute `k` is indexed is what
+    /// [`AttributeMatcher::candidate_plan`] resolves for its measure at
+    /// its derived bound — an attribute with a vacuous bound, or one the
+    /// plan scores all-pairs, prunes nothing. `None` (no attribute
+    /// indexed) scores all pairs.
+    fn index_range(&self, range: &[Option<Row>], ctx: &MatchContext<'_>) -> Option<Vec<AttrIndex>> {
+        let eligible = match self.blocking {
+            Blocking::AllPairs => 0,
+            Blocking::TrigramPrefix => 1,
+            Blocking::Threshold => self.attrs.len(),
+        };
+        let rows = present(range);
+        let indexes: Vec<AttrIndex> = (0..eligible)
+            .filter_map(|k| {
+                let pair = &self.attrs[k];
+                let bound = self.derived_threshold(k)?;
+                let values: Vec<(u32, &str)> = rows
+                    .iter()
+                    .filter_map(|(i, row)| Some((*i, row[k].as_deref()?)))
+                    .collect();
+                let (d_attr, r_attr) = (&pair.domain_attr, &pair.range_attr);
+                let index = AttributeMatcher::new(d_attr, r_attr, pair.sim.clone(), bound)
+                    .with_blocking(self.blocking)
+                    .build_candidate_index(&values, &ctx.parallelism)?;
+                let unindexed = rows
+                    .iter()
+                    .filter_map(|(i, row)| row[k].is_none().then_some(*i))
+                    .collect();
+                Some(AttrIndex {
+                    k,
+                    index,
+                    unindexed,
+                })
+            })
+            .collect();
+        (!indexes.is_empty()).then_some(indexes)
+    }
+}
+
+/// Intersect the per-attribute candidate sets of one domain row. An
+/// attribute whose domain value is missing prunes nothing (the pair can
+/// still clear the combined threshold through the others); with every
+/// indexed attribute missing, all of `range` is a candidate.
+fn candidates(indexes: &[AttrIndex], d_row: &Row, range: &[Option<Row>]) -> Vec<u32> {
+    let mut surviving: Option<FxHashSet<u32>> = None;
+    for ai in indexes {
+        let Some(value) = &d_row[ai.k] else { continue };
+        let mut set = ai.index.candidates(value);
+        set.extend(ai.unindexed.iter().copied());
+        let set = match surviving {
+            None => set,
+            Some(prev) => prev.intersection(&set).copied().collect(),
+        };
+        if set.is_empty() {
+            return Vec::new();
+        }
+        surviving = Some(set);
+    }
+    match surviving {
+        Some(set) => set.into_iter().collect(),
+        None => present(range).into_iter().map(|(i, _)| i).collect(),
     }
 }
 
@@ -159,181 +264,24 @@ impl Matcher for MultiAttributeMatcher {
                 "multi-attribute matcher needs attributes".into(),
             ));
         }
-        let d_lds = ctx.registry.lds(domain);
-        let r_lds = ctx.registry.lds(range);
-
-        // Per-instance value rows aligned to `attrs`.
-        let project = |lds: &moma_model::LogicalSource,
-                       side_domain: bool|
-         -> Result<Vec<(u32, Vec<Option<String>>)>> {
-            let slots: Vec<usize> = self
-                .attrs
-                .iter()
-                .map(|p| {
-                    lds.attr_slot(if side_domain {
-                        &p.domain_attr
-                    } else {
-                        &p.range_attr
-                    })
-                    .map_err(CoreError::from)
-                })
-                .collect::<Result<_>>()?;
-            Ok(lds
-                .iter()
-                .map(|(i, inst)| {
-                    let row = slots
-                        .iter()
-                        .map(|&s| inst.value(s).map(|v| v.to_match_string()))
-                        .collect();
-                    (i, row)
-                })
-                .collect())
+        let d_rows = self.project(ctx.registry.lds(domain), true)?;
+        let r_rows = self.project(ctx.registry.lds(range), false)?;
+        let index = self.index_range(&r_rows, ctx);
+        let r_side = Side {
+            vals: r_rows,
+            index,
         };
-        let d_rows = project(d_lds, true)?;
-        let r_rows = project(r_lds, false)?;
-
-        // Blocking (indexes built sharded, probed read-only by every
-        // scoring thread).
-        //
-        // * `TrigramPrefix` indexes the *primary* attribute and probes
-        //   at the *combined* threshold — fast and historically lossy: a
-        //   pair whose primary similarity is below it can still clear
-        //   the combined threshold through the other attributes, and
-        //   rows with a missing primary are skipped entirely.
-        // * `Threshold` is exact and *multi-index*: every attribute
-        //   whose measure is q-gram-boundable and whose derived bound
-        //   (see `derived_threshold`) is sound gets its own
-        //   T-occurrence index at that bound, and a pair must survive
-        //   **all** of them — the per-attribute candidate sets are
-        //   intersected. Range rows missing an attribute's value stay
-        //   unconditional candidates for that attribute (they can pass
-        //   through the others), and a domain row missing the value
-        //   makes that attribute prune nothing for it. When no
-        //   attribute admits a sound bound it falls back to the
-        //   all-pairs scan — results always match `AllPairs`.
-        enum BlockingIndex {
-            Prefix(TrigramIndex),
-            /// One exact index per boundable attribute (non-empty).
-            Threshold(Vec<AttrIndex>),
-        }
-        struct AttrIndex {
-            /// Position in `attrs` (and the projected value rows).
-            k: usize,
-            index: ThresholdIndex,
-            /// Positions of range rows with a missing attribute-`k`
-            /// value (always candidates for this attribute).
-            unindexed: Vec<usize>,
-        }
-        // Per-attribute value projections are only collected for the
-        // attributes that get an index — all-pairs modes (explicit or
-        // fallback) skip the O(|range|) allocations entirely.
-        let indexed_values = |k: usize| -> Vec<(u32, &str)> {
-            r_rows
-                .iter()
-                .filter_map(|(i, row)| row[k].as_deref().map(|v| (*i, v)))
-                .collect()
-        };
-        let index = match self.blocking {
-            Blocking::AllPairs => None,
-            Blocking::TrigramPrefix => Some(BlockingIndex::Prefix(TrigramIndex::build_par(
-                &indexed_values(0),
-                &ctx.parallelism,
-            ))),
-            Blocking::Threshold => {
-                let indexes: Vec<AttrIndex> = (0..self.attrs.len())
-                    .filter_map(|k| {
-                        let t_k = self.derived_threshold(k)?;
-                        let (measure, q) = qgram_measure_of(&self.attrs[k].sim)?;
-                        Some(AttrIndex {
-                            k,
-                            index: ThresholdIndex::build_par(
-                                measure,
-                                q,
-                                t_k,
-                                &indexed_values(k),
-                                &ctx.parallelism,
-                            ),
-                            unindexed: r_rows
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, (_, row))| row[k].is_none())
-                                .map(|(p, _)| p)
-                                .collect(),
-                        })
-                    })
-                    .collect();
-                // No boundable attribute = all-pairs fallback.
-                (!indexes.is_empty()).then_some(BlockingIndex::Threshold(indexes))
-            }
-        };
-        let pos_of: moma_table::FxHashMap<u32, usize> = r_rows
-            .iter()
-            .enumerate()
-            .map(|(p, (i, _))| (*i, p))
-            .collect();
-
-        // Shard the domain rows; per-shard outputs concatenate in input
-        // order, so the table matches the sequential scan exactly.
-        let shard_rows = ctx.parallelism.run_sharded(&d_rows, |shard| {
-            let mut rows: Vec<(u32, u32, f64)> = Vec::new();
-            for (d_idx, d_row) in shard {
-                let candidates: Vec<usize> = match (&index, &d_row[0]) {
-                    (Some(BlockingIndex::Prefix(idx)), Some(primary)) => idx
-                        .candidates(primary, self.threshold)
-                        .into_iter()
-                        .map(|c| pos_of[&c])
-                        .collect(),
-                    (Some(BlockingIndex::Prefix(_)), None) => Vec::new(),
-                    (Some(BlockingIndex::Threshold(indexes)), _) => {
-                        // Intersect the per-attribute candidate sets;
-                        // an attribute whose domain value is missing
-                        // prunes nothing (the pair can still clear the
-                        // combined threshold through the others).
-                        let mut surviving: Option<moma_table::FxHashSet<usize>> = None;
-                        for ai in indexes {
-                            let Some(dv) = &d_row[ai.k] else { continue };
-                            let mut set: moma_table::FxHashSet<usize> = ai
-                                .index
-                                .candidates(dv)
-                                .into_iter()
-                                .map(|c| pos_of[&c])
-                                .collect();
-                            set.extend(ai.unindexed.iter().copied());
-                            surviving = Some(match surviving {
-                                None => set,
-                                Some(prev) => prev.intersection(&set).copied().collect(),
-                            });
-                            if surviving.as_ref().is_some_and(|s| s.is_empty()) {
-                                break;
-                            }
-                        }
-                        match surviving {
-                            Some(s) => s.into_iter().collect(),
-                            // Every indexed attribute missing on the
-                            // domain side: nothing can be pruned.
-                            None => (0..r_rows.len()).collect(),
-                        }
-                    }
-                    (None, _) => (0..r_rows.len()).collect(),
-                };
-                for p in candidates {
-                    let (r_idx, r_row) = &r_rows[p];
-                    if let Some(s) = self.combined_sim(d_row, r_row) {
-                        if s >= self.threshold {
-                            rows.push((*d_idx, *r_idx, s));
-                        }
-                    }
-                }
-            }
-            rows
-        });
-        let mut table = MappingTable::new();
-        for rows in shard_rows {
-            for (d, r, s) in rows {
-                table.push(d, r, s);
-            }
-        }
-        table.dedup_max();
+        // The same kernel as the attribute matcher, over value rows.
+        let rows = probe(
+            ctx.parallelism,
+            &present(&d_rows),
+            &r_side,
+            |indexes, d_row| candidates(indexes, d_row, &r_side.vals),
+            |d, r| self.combined_sim(d, r),
+            self.threshold,
+            false,
+        );
+        let table = MappingTable::from_rows(rows);
         Ok(Mapping::same(self.name(), domain, range, table))
     }
 }
@@ -507,8 +455,8 @@ mod tests {
     #[test]
     fn threshold_blocking_exact_with_missing_primaries() {
         // A range row with a *missing primary* can still clear the
-        // combined threshold (Ignore renormalizes onto the year) — the
-        // prefix filter drops such pairs, the exact engine must not.
+        // combined threshold (Ignore renormalizes onto the year) — no
+        // blocking variant may drop such pairs.
         let mut reg = SourceRegistry::new();
         let mut dblp = LogicalSource::new(
             "DBLP",
@@ -562,14 +510,53 @@ mod tests {
         // renormalized similarity 1.0): d0×a0 and d1×a1.
         assert_eq!(exact.table.sim_of(0, 0), Some(1.0));
         assert_eq!(exact.table.sim_of(1, 1), Some(1.0));
-        // ...and the prefix filter would have lost them (documented
-        // lossiness, pinned so the decision table stays honest).
+        // ...and so does the prefix filter: an unindexed (missing-primary)
+        // range row stays a candidate, and a domain row without a
+        // primary prunes nothing.
         let prefix = m
             .clone()
             .with_blocking(Blocking::TrigramPrefix)
             .execute(&ctx, d, a)
             .unwrap();
-        assert_eq!(prefix.table.sim_of(0, 0), None);
+        assert_eq!(all.table.rows(), prefix.table.rows());
+    }
+
+    #[test]
+    fn prefix_blocking_probes_at_the_derived_bound() {
+        // Title Dice 0.767 is below the combined threshold 0.8 but above
+        // the derived primary bound 0.7, and the year match lifts the
+        // pair to 0.844: probing the prefix filter at the *combined*
+        // threshold lost it.
+        let mut reg = SourceRegistry::new();
+        let mk = |name: &str, title: &str| {
+            let mut lds = LogicalSource::new(
+                name,
+                ObjectType::new("Publication"),
+                vec![AttrDef::text("title"), AttrDef::year("year")],
+            );
+            lds.insert_record("x", vec![("title", title.into()), ("year", 2001u16.into())])
+                .unwrap();
+            lds
+        };
+        let d = reg
+            .register(mk("DBLP", "generic schema matching selection"))
+            .unwrap();
+        let a = reg.register(mk("ACM", "generic schema matching")).unwrap();
+        let ctx = MatchContext::new(&reg);
+        let all = matcher()
+            .with_blocking(Blocking::AllPairs)
+            .execute(&ctx, d, a)
+            .unwrap();
+        assert_eq!(all.len(), 1);
+        let s = all.table.sim_of(0, 0).unwrap();
+        assert!((0.84..0.85).contains(&s), "combined = {s}");
+        for blocking in [Blocking::Threshold, Blocking::TrigramPrefix] {
+            let blocked = matcher()
+                .with_blocking(blocking)
+                .execute(&ctx, d, a)
+                .unwrap();
+            assert_eq!(all.table.rows(), blocked.table.rows(), "{blocking:?}");
+        }
     }
 
     #[test]

@@ -164,12 +164,10 @@ impl Workflow {
             // workers split the context's thread budget between them
             // (each matcher shards its own scoring with the remainder),
             // so the configured cap bounds total workers, not workers
-            // per level — unless a matcher pins its own parallelism
-            // (e.g. `with_parallel(true)`), which overrides the split
-            // budget and can oversubscribe. With one matcher or one
-            // thread, matchers run lazily inside the input loop below —
-            // preserving the sequential semantics that an earlier
-            // failing input stops later matchers from executing at all.
+            // per level. With one matcher or one thread, matchers run
+            // lazily inside the input loop below — preserving the
+            // sequential semantics that an earlier failing input stops
+            // later matchers from executing at all.
             let matchers: Vec<&Arc<dyn Matcher>> = step
                 .inputs
                 .iter()

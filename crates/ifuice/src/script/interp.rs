@@ -4,8 +4,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use moma_core::blocking::Blocking;
 use moma_core::exec::Parallelism;
-use moma_core::matchers::{AttributeMatcher, MatchContext, Matcher};
+use moma_core::matchers::{AttributeMatcher, MatchContext, Matcher, MatcherSim};
 use moma_core::ops::compose::{compose, PathAgg, PathCombine};
 use moma_core::ops::merge::{merge, MergeFn, MissingPolicy};
 use moma_core::ops::select::{select, select_constraint, Selection, Side};
@@ -164,7 +165,7 @@ pub struct Interpreter<'a> {
     parallelism: Parallelism,
     /// Candidate-generation override for `attrMatch`/`multiAttrMatch`;
     /// `None` picks per-measure ([`moma_core::blocking::Blocking::auto_for`]).
-    blocking: Option<moma_core::blocking::Blocking>,
+    blocking: Option<Blocking>,
 }
 
 enum Flow {
@@ -199,7 +200,7 @@ impl<'a> Interpreter<'a> {
     /// `attrMatch`/`multiAttrMatch` in the script (builder style; the
     /// CLI's `--blocking` flag). Default: per-measure auto-selection —
     /// threshold-exact for q-gram measures, prefix-filtered otherwise.
-    pub fn with_blocking(mut self, blocking: moma_core::blocking::Blocking) -> Self {
+    pub fn with_blocking(mut self, blocking: Blocking) -> Self {
         self.blocking = Some(blocking);
         self
     }
@@ -470,16 +471,11 @@ impl<'a> Interpreter<'a> {
         };
         // Pick the best blocking for the measure unless the caller
         // pinned one: threshold-exact for q-gram measures and TF-IDF
-        // (identical results, pruned before scoring — TF-IDF gained an
-        // exact weighted-prefix bound over its frozen match corpus), the
-        // historical lossy prefix filter for the remaining non-q-gram
-        // measures, whose script results are unchanged.
-        let blocking = self.blocking.unwrap_or_else(|| match &matcher.sim {
-            moma_core::matchers::MatcherSim::Fixed(sim) => {
-                moma_core::blocking::Blocking::auto_for(sim)
-            }
-            moma_core::matchers::MatcherSim::TfIdf => moma_core::blocking::Blocking::Threshold,
-        });
+        // (identical results, pruned before scoring), the historical
+        // lossy prefix filter for the remaining non-q-gram measures.
+        let blocking = self
+            .blocking
+            .unwrap_or_else(|| Blocking::auto_for(&matcher.sim));
         let matcher = matcher.with_blocking(blocking);
         let ctx = MatchContext::with_repository(self.registry, self.repository)
             .with_parallelism(self.parallelism);
@@ -536,7 +532,7 @@ impl<'a> Interpreter<'a> {
         // prefix filter otherwise; a caller-pinned strategy wins.
         let blocking = self
             .blocking
-            .unwrap_or_else(|| moma_core::blocking::Blocking::auto_for(&pairs[0].sim));
+            .unwrap_or_else(|| Blocking::auto_for(&MatcherSim::Fixed(pairs[0].sim.clone())));
         let matcher = MultiAttributeMatcher::new(pairs, threshold).with_blocking(blocking);
         let ctx = MatchContext::with_repository(self.registry, self.repository)
             .with_parallelism(self.parallelism);

@@ -483,18 +483,17 @@ impl Engine {
             .resolve(range)
             .map_err(|e| format!("range: {e}"))?;
 
-        let mut matcher = if sim == "tfidf" {
+        let matcher = if sim == "tfidf" {
             AttributeMatcher::tfidf(domain_attr, range_attr, threshold)
         } else {
             let f = SimFn::parse(sim).ok_or_else(|| format!("unknown similarity `{sim}`"))?;
-            let blocking = Blocking::auto_for(&f);
-            AttributeMatcher::new(domain_attr, range_attr, f, threshold).with_blocking(blocking)
+            AttributeMatcher::new(domain_attr, range_attr, f, threshold)
         };
-        if let Some(b) = req.str_field("blocking") {
-            let b = Blocking::parse(b).ok_or_else(|| format!("unknown blocking `{b}`"))?;
-            matcher = matcher.with_blocking(b);
-        }
-        Ok((matcher, d, r))
+        let blocking = match req.str_field("blocking") {
+            Some(b) => Blocking::parse(b).ok_or_else(|| format!("unknown blocking `{b}`"))?,
+            None => Blocking::auto_for(&matcher.sim),
+        };
+        Ok((matcher.with_blocking(blocking), d, r))
     }
 
     fn cmd_match(&mut self, req: &Json) -> Result<Json, String> {

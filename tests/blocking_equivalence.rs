@@ -118,7 +118,9 @@ fn assert_matches_allpairs(
 
 /// As [`assert_matches_allpairs`] for the TF-IDF matcher (the corpus is
 /// rebuilt from both columns inside every execution, so pruned and
-/// unpruned runs see identical weights).
+/// unpruned runs see identical weights) under every [`Blocking`]
+/// variant: both pruning choices resolve to the exact weighted-prefix
+/// plan.
 fn assert_tfidf_matches_allpairs(
     reg: &SourceRegistry,
     domain: moma::model::LdsId,
@@ -133,17 +135,23 @@ fn assert_tfidf_matches_allpairs(
             range,
         )
         .unwrap();
-    for threads in THREADS {
-        let ctx = MatchContext::new(reg).with_parallelism(par(threads));
-        let pruned = AttributeMatcher::tfidf("title", "title", threshold)
-            .with_blocking(Blocking::Threshold)
-            .execute(&ctx, domain, range)
-            .unwrap();
-        assert_eq!(
-            reference.table.rows(),
-            pruned.table.rows(),
-            "tfidf t={threshold} threads={threads}"
-        );
+    for blocking in [
+        Blocking::AllPairs,
+        Blocking::Threshold,
+        Blocking::TrigramPrefix,
+    ] {
+        for threads in THREADS {
+            let ctx = MatchContext::new(reg).with_parallelism(par(threads));
+            let pruned = AttributeMatcher::tfidf("title", "title", threshold)
+                .with_blocking(blocking)
+                .execute(&ctx, domain, range)
+                .unwrap();
+            assert_eq!(
+                reference.table.rows(),
+                pruned.table.rows(),
+                "tfidf t={threshold} blocking={blocking:?} threads={threads}"
+            );
+        }
     }
 }
 
@@ -235,7 +243,8 @@ fn threshold_fallback_exact_for_non_qgram_measures() {
 
 /// Multi-attribute: per-attribute threshold indexes (derived bounds,
 /// intersection, missing-value handling) ≡ all-pairs on random
-/// scenarios with genuinely missing values.
+/// scenarios with genuinely missing values, and the primary-only prefix
+/// index ⊆ all-pairs.
 ///
 /// Two configurations stress complementary paths:
 /// - DBLP ↔ GS adds a `pages` q-gram attribute that Google Scholar
@@ -282,16 +291,27 @@ fn multi_attribute_threshold_exact() {
                     .unwrap();
                 for threads in THREADS {
                     let ctx = MatchContext::new(reg).with_parallelism(par(threads));
-                    let blocked = base
-                        .clone()
-                        .with_blocking(Blocking::Threshold)
-                        .execute(&ctx, domain, range)
-                        .unwrap();
+                    let run = |blocking| {
+                        let m = base.clone().with_blocking(blocking);
+                        m.execute(&ctx, domain, range).unwrap()
+                    };
                     assert_eq!(
                         reference.table.rows(),
-                        blocked.table.rows(),
+                        run(Blocking::Threshold).table.rows(),
                         "seed={seed} t={t} threads={threads}"
                     );
+                    // The prefix filter on the primary probes at the
+                    // derived bound: every row it returns is an all-pairs
+                    // row with the bit-equal similarity. Its set-vs-multiset
+                    // carve-out still allows a miss on repeat-heavy
+                    // titles, so only the subset direction is a property.
+                    for c in run(Blocking::TrigramPrefix).table.iter() {
+                        assert_eq!(
+                            reference.table.sim_of(c.domain, c.range),
+                            Some(c.sim),
+                            "seed={seed} t={t} threads={threads} row={c:?}"
+                        );
+                    }
                 }
             }
         }

@@ -7,9 +7,10 @@
 //! to re-executing the matcher from scratch on the mutated registry.
 //! These properties drive that promise across randomly generated datagen
 //! scenarios, random delta streams (adds / removes / attribute updates,
-//! deliberately including duplicate removals and no-op updates), both
-//! supported blocking regimes, and thread counts 1 and 8 (the same
-//! extremes CI's MOMA_THREADS matrix pins for the whole suite).
+//! deliberately including duplicate removals and no-op updates), every
+//! resolved candidate plan plus the full-re-match fallbacks (the `PLANS`
+//! table), self-mappings, and thread counts 1 and 8 (the same extremes
+//! CI's MOMA_THREADS matrix pins for the whole suite).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -20,7 +21,7 @@ use moma::core::matchers::{AttributeMatcher, MatchContext, Matcher};
 use moma::core::ops::compose::{PathAgg, PathCombine};
 use moma::core::{MappingRepository, Recipe};
 use moma::datagen::{DeltaStream, EvolveConfig, Scenario, WorldConfig};
-use moma::model::SourceDelta;
+use moma::model::{LdsId, SourceDelta};
 use moma::simstring::SimFn;
 use proptest::prelude::*;
 
@@ -60,7 +61,7 @@ fn par(threads: usize) -> Parallelism {
 
 /// A churny delta stream with plenty of junk ops (duplicate removals,
 /// no-op updates) — the robustness half of the property.
-fn stream(seed: u64, churn: f64, lds: moma::model::LdsId) -> DeltaStream {
+fn stream(seed: u64, churn: f64, lds: LdsId) -> DeltaStream {
     let mut cfg = EvolveConfig::with_churn(churn);
     cfg.seed = seed;
     cfg.junk_prob = 0.3;
@@ -69,46 +70,128 @@ fn stream(seed: u64, churn: f64, lds: moma::model::LdsId) -> DeltaStream {
     DeltaStream::new(cfg, lds)
 }
 
-/// Drive `steps` delta batches (alternating between the domain and the
-/// range source) through the incremental engine at every thread count,
-/// asserting bit-identity with a full re-match after each batch.
+/// The matcher configurations under test, by name: each resolved
+/// candidate plan the delta engine patches incrementally, and the two
+/// kinds of configuration it must re-match in full (`incremental ==
+/// false`).
+struct Plan {
+    name: &'static str,
+    matcher: fn() -> AttributeMatcher,
+    incremental: bool,
+}
+
+fn title(sim: SimFn, t: f64, blocking: Blocking) -> AttributeMatcher {
+    AttributeMatcher::new("title", "title", sim, t).with_blocking(blocking)
+}
+
+const PLANS: [Plan; 7] = [
+    Plan {
+        name: "allpairs-trigram",
+        matcher: || title(SimFn::Trigram, 0.7, Blocking::AllPairs),
+        incremental: true,
+    },
+    Plan {
+        name: "threshold-trigram",
+        matcher: || title(SimFn::Trigram, 0.7, Blocking::Threshold),
+        incremental: true,
+    },
+    Plan {
+        name: "threshold-qgramjaccard2",
+        matcher: || title(SimFn::QgramJaccard(2), 0.6, Blocking::Threshold),
+        incremental: true,
+    },
+    Plan {
+        name: "prefix-trigram",
+        matcher: || title(SimFn::Trigram, 0.6, Blocking::TrigramPrefix),
+        incremental: true,
+    },
+    // No q-gram bound: `Threshold` falls back to all pairs.
+    Plan {
+        name: "fallback-jarowinkler",
+        matcher: || title(SimFn::JaroWinkler, 0.9, Blocking::Threshold),
+        incremental: true,
+    },
+    // The corpus shifts under every delta.
+    Plan {
+        name: "tfidf",
+        matcher: || AttributeMatcher::tfidf("title", "title", 0.6),
+        incremental: false,
+    },
+    // The Dice floor is not exact for Jaro in either probe direction.
+    Plan {
+        name: "prefix-jaro",
+        matcher: || title(SimFn::Jaro, 0.9, Blocking::TrigramPrefix),
+        incremental: false,
+    },
+];
+
+fn plan(name: &str) -> &'static Plan {
+    PLANS
+        .iter()
+        .find(|p| p.name == name)
+        .unwrap_or_else(|| panic!("no plan named {name}"))
+}
+
+/// Drive `steps` delta batches (alternating between the range and the
+/// domain source; a self-mapping gets every batch on both sides) through
+/// the delta engine at every thread count, asserting bit-identity with a
+/// full re-match after each batch — and that the state runs in the
+/// regime the plan names: incremental states never re-match, the others
+/// pay exactly one full re-match per relevant batch.
 fn assert_equivalence(
-    matcher: &AttributeMatcher,
-    seed: u64,
+    plan: &Plan,
+    (domain, range): (LdsId, LdsId),
+    scenario: &Scenario,
     stream_seed: u64,
     churn: f64,
     steps: usize,
 ) {
-    let scenario = random_world(seed);
-    let (dblp, gs) = (scenario.ids.pub_dblp, scenario.ids.pub_gs);
+    let matcher = (plan.matcher)();
     for threads in THREADS {
         let mut reg = scenario.registry.clone();
         let ctx = MatchContext::new(&reg).with_parallelism(par(threads));
-        let mut state = matcher.prime(&ctx, dblp, gs).unwrap();
-        assert!(state.is_incremental());
-        let mut dblp_stream = stream(stream_seed, churn, dblp);
-        let mut gs_stream = stream(stream_seed.wrapping_add(1), churn, gs);
+        let mut state = matcher.prime(&ctx, domain, range).unwrap();
+        assert_eq!(state.is_incremental(), plan.incremental, "{}", plan.name);
+        let mut domain_stream = stream(stream_seed, churn, domain);
+        let mut range_stream = stream(stream_seed.wrapping_add(1), churn, range);
         for step in 0..steps {
-            let delta = if step % 2 == 0 {
-                gs_stream.next_delta(&reg)
+            // (One stream per source: two would mint the same new ids.)
+            let delta = if step % 2 == 0 || domain == range {
+                range_stream.next_delta(&reg)
             } else {
-                dblp_stream.next_delta(&reg)
+                domain_stream.next_delta(&reg)
             };
             let applied = reg.apply_delta(&delta).unwrap();
             let ctx = MatchContext::new(&reg).with_parallelism(par(threads));
+            let before = state.full_rematches();
             let incremental = state.apply(&ctx, &[&applied]).unwrap();
-            let full = matcher.execute(&ctx, dblp, gs).unwrap();
+            let full = matcher.execute(&ctx, domain, range).unwrap();
             assert_eq!(
                 incremental.table.rows(),
                 full.table.rows(),
-                "seed={seed} stream={stream_seed} threads={threads} step={step}"
+                "plan={} stream={stream_seed} threads={threads} step={step}",
+                plan.name
+            );
+            let relevant = state.last_touched() && !plan.incremental;
+            assert_eq!(
+                state.full_rematches() - before,
+                u64::from(relevant),
+                "plan={} step={step}",
+                plan.name
             );
         }
     }
 }
 
+/// [`assert_equivalence`] on the DBLP × GS titles of a random world.
+fn assert_dblp_gs(name: &str, seed: u64, stream_seed: u64, churn: f64, steps: usize) {
+    let scenario = random_world(seed);
+    let sources = (scenario.ids.pub_dblp, scenario.ids.pub_gs);
+    assert_equivalence(plan(name), sources, &scenario, stream_seed, churn, steps);
+}
+
 proptest! {
-    /// All-pairs blocking, trigram scoring.
+    /// Explicit all-pairs, trigram scoring.
     #[test]
     fn incremental_equals_full_allpairs(
         seed in 0u64..6,
@@ -116,8 +199,21 @@ proptest! {
         churn in 0.02f64..0.15,
         steps in 1usize..4,
     ) {
-        let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.7);
-        assert_equivalence(&matcher, seed, stream_seed, churn, steps);
+        assert_dblp_gs("allpairs-trigram", seed, stream_seed, churn, steps);
+    }
+
+    /// The default plan: threshold-exact indexes on both sides, for two
+    /// q-gram measures.
+    #[test]
+    fn incremental_equals_full_threshold(
+        seed in 0u64..6,
+        stream_seed in 0u64..1000,
+        churn in 0.02f64..0.15,
+        steps in 1usize..4,
+        measure in 0usize..2,
+    ) {
+        let name = ["threshold-trigram", "threshold-qgramjaccard2"][measure];
+        assert_dblp_gs(name, seed, stream_seed, churn, steps);
     }
 
     /// Prefix-filtered trigram blocking (both-side index maintenance,
@@ -129,9 +225,7 @@ proptest! {
         churn in 0.02f64..0.15,
         steps in 1usize..4,
     ) {
-        let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.6)
-            .with_blocking(Blocking::TrigramPrefix);
-        assert_equivalence(&matcher, seed, stream_seed, churn, steps);
+        assert_dblp_gs("prefix-trigram", seed, stream_seed, churn, steps);
     }
 
     /// A non-trigram measure under all-pairs blocking is also exactly
@@ -142,8 +236,33 @@ proptest! {
         seed in 0u64..4,
         stream_seed in 0u64..1000,
     ) {
-        let matcher = AttributeMatcher::new("title", "title", SimFn::JaroWinkler, 0.9);
-        assert_equivalence(&matcher, seed, stream_seed, 0.08, 2);
+        assert_dblp_gs("fallback-jarowinkler", seed, stream_seed, 0.08, 2);
+    }
+
+    /// Configurations without the identical-result guarantee re-match in
+    /// full — once per relevant batch — and still return the right
+    /// mapping.
+    #[test]
+    fn full_rematch_fallback_equals_full(
+        seed in 0u64..4,
+        stream_seed in 0u64..1000,
+        config in 0usize..2,
+    ) {
+        assert_dblp_gs(["tfidf", "prefix-jaro"][config], seed, stream_seed, 0.08, 2);
+    }
+
+    /// Self-mapping (duplicate detection inside one source): every delta
+    /// touches both sides, and the forward and inverse probes overlap.
+    #[test]
+    fn incremental_equals_full_self_mapping(
+        seed in 0u64..4,
+        stream_seed in 0u64..1000,
+        churn in 0.02f64..0.15,
+        plan_ix in 0usize..4, // the four indexed / all-pairs trigram and q-gram rows
+    ) {
+        let scenario = random_world(seed);
+        let acm = scenario.ids.pub_acm;
+        assert_equivalence(&PLANS[plan_ix], (acm, acm), &scenario, stream_seed, churn, 3);
     }
 }
 
