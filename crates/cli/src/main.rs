@@ -33,7 +33,7 @@ usage:
              [--scale small|paper] [--seed <n>] [--threads <n>] \\
              [--wal <dir>] [--replay] [--shards <n>] \\
              [--segment-records <n>] [--segment-bytes <n>] \\
-             [--checkpoint-every-records <n>] [--checkpoint-every-bytes <n>] \\
+             [--checkpoint-every-records <n>] \\
              [--max-connections <n>] [--max-pending-writes <n>] \\
              [--max-pending-reads <n>] [--retry-after-ms <n>]
                                   long-lived matching service (see below)
@@ -70,9 +70,9 @@ generated evolving scenario when none are given (--scale/--seed as in
 `moma delta`). With --wal DIR every mutating command is appended to an
 fsync'd, segmented write-ahead log before it is applied; segments rotate
 at --segment-records / --segment-bytes (default 8 MiB). A `checkpoint`
-command (or the --checkpoint-every-records / --checkpoint-every-bytes
-auto thresholds, serviced by a background thread off the delta path)
-publishes an atomic state dump and prunes covered segments. `--replay`
+command (or the --checkpoint-every-records auto threshold, serviced by
+a background thread off the delta path) publishes an atomic state dump
+and prunes covered segments. `--replay`
 recovers an existing log directory on startup: the newest valid
 checkpoint is loaded and only the WAL suffix after it is re-executed,
 restoring the pre-crash repository bit-identically.
@@ -357,9 +357,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--checkpoint-every-records" => {
                 policy.checkpoint_every_records = num_flag(arg, it.next())?;
             }
-            "--checkpoint-every-bytes" => {
-                policy.checkpoint_every_bytes = num_flag(arg, it.next())?;
-            }
             "--max-connections" => limits.max_connections = num_flag(arg, it.next())?,
             "--max-pending-writes" => limits.max_pending_writes = num_flag(arg, it.next())?,
             "--max-pending-reads" => limits.max_pending_reads = num_flag(arg, it.next())?,
@@ -371,8 +368,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         && (replay
             || policy.segment_records != moma_server::DurabilityPolicy::default().segment_records
             || policy.segment_bytes != moma_server::DurabilityPolicy::default().segment_bytes
-            || policy.checkpoint_every_records != 0
-            || policy.checkpoint_every_bytes != 0)
+            || policy.checkpoint_every_records != 0)
     {
         return Err("--replay and the --segment-*/--checkpoint-every-* flags require --wal".into());
     }

@@ -23,12 +23,16 @@
 //! rows come out in canonical order. [`compose_with`] is an alias kept
 //! only because the frozen benchmark calls it.
 
+use std::fmt;
+use std::str::FromStr;
+
 use moma_table::agg::PathStats;
 use moma_table::{Adjacency, FxHashMap, MappingTable};
 
 use crate::error::{CoreError, Result};
 use crate::exec::Parallelism;
 use crate::mapping::{Mapping, MappingKind};
+use crate::ops::{name_param, parse_name, print_name};
 
 /// Per-path combination function `f` over `(s1, s2)` (same menu as merge).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,6 +61,43 @@ impl PathCombine {
     }
 }
 
+impl PathCombine {
+    /// Accepted spellings of the unit values (see [`crate::ops`]);
+    /// `weighted:W` spells [`PathCombine::Weighted`].
+    pub const NAMES: &'static [(&'static str, PathCombine)] = &[
+        ("avg", PathCombine::Avg),
+        ("average", PathCombine::Avg),
+        ("min", PathCombine::Min),
+        ("max", PathCombine::Max),
+        ("product", PathCombine::Product),
+    ];
+}
+
+impl FromStr for PathCombine {
+    type Err = String;
+
+    fn from_str(s: &str) -> std::result::Result<Self, String> {
+        match name_param(s, "weighted") {
+            Some(w) => match w.parse() {
+                Ok(w) => Ok(PathCombine::Weighted(w)),
+                Err(e) => Err(format!("weighted:{w}: {e}")),
+            },
+            None => parse_name(Self::NAMES, &["weighted:W"], "path combine", s),
+        }
+    }
+}
+
+impl fmt::Display for PathCombine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            // `f64`'s `Display` is shortest-round-trip, so parsing
+            // recovers the exact weight.
+            PathCombine::Weighted(w) => write!(f, "weighted:{w}"),
+            unit => f.write_str(print_name(Self::NAMES, unit)),
+        }
+    }
+}
+
 /// Aggregation function `g` over all compose paths of a pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathAgg {
@@ -74,6 +115,35 @@ pub enum PathAgg {
     RelativeRight,
     /// `2·s(a,b) / (n(a)+n(b))` — harmonic mean of left and right.
     Relative,
+}
+
+impl PathAgg {
+    /// Accepted spellings (see [`crate::ops`]).
+    pub const NAMES: &'static [(&'static str, PathAgg)] = &[
+        ("avg", PathAgg::Avg),
+        ("average", PathAgg::Avg),
+        ("min", PathAgg::Min),
+        ("max", PathAgg::Max),
+        ("relative", PathAgg::Relative),
+        ("relative-left", PathAgg::RelativeLeft),
+        ("relativeleft", PathAgg::RelativeLeft),
+        ("relative-right", PathAgg::RelativeRight),
+        ("relativeright", PathAgg::RelativeRight),
+    ];
+}
+
+impl FromStr for PathAgg {
+    type Err = String;
+
+    fn from_str(s: &str) -> std::result::Result<Self, String> {
+        parse_name(Self::NAMES, &[], "path aggregation", s)
+    }
+}
+
+impl fmt::Display for PathAgg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(print_name(Self::NAMES, self))
+    }
 }
 
 /// Compose `map1 : A → C` with `map2 : C → B`.

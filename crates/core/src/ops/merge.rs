@@ -7,11 +7,15 @@
 //! down others) or treated as similarity 0 (precision-oriented; `Min`
 //! with zero-fill is exactly mapping intersection).
 
+use std::fmt;
+use std::str::FromStr;
+
 use moma_table::agg::cogroup;
 use moma_table::MappingTable;
 
 use crate::error::{CoreError, Result};
 use crate::mapping::{Mapping, MappingKind};
+use crate::ops::{name_param, parse_name, print_name};
 
 /// Combination function for merge (paper: Avg / Min / Max / Weighted /
 /// PreferMap).
@@ -38,6 +42,75 @@ pub enum MissingPolicy {
     Ignore,
     /// Assume similarity 0 for missing inputs (`Min-0`, `Avg-0`, …).
     Zero,
+}
+
+impl MergeFn {
+    /// Accepted spellings of the unit values (see [`crate::ops`]);
+    /// `weighted:W1,W2,…` spells [`MergeFn::Weighted`] and `prefer:I`
+    /// (0-based) [`MergeFn::Prefer`].
+    pub const NAMES: &'static [(&'static str, MergeFn)] = &[
+        ("avg", MergeFn::Avg),
+        ("average", MergeFn::Avg),
+        ("min", MergeFn::Min),
+        ("max", MergeFn::Max),
+    ];
+}
+
+impl FromStr for MergeFn {
+    type Err = String;
+
+    fn from_str(s: &str) -> std::result::Result<Self, String> {
+        if let Some(ws) = name_param(s, "weighted") {
+            let ws: std::result::Result<Vec<f64>, _> = ws.split(',').map(str::parse).collect();
+            return match ws {
+                Ok(ws) => Ok(MergeFn::Weighted(ws)),
+                Err(e) => Err(format!("{s}: {e}")),
+            };
+        }
+        if let Some(i) = name_param(s, "prefer") {
+            return match i.parse() {
+                Ok(i) => Ok(MergeFn::Prefer(i)),
+                Err(e) => Err(format!("{s}: {e}")),
+            };
+        }
+        let forms = ["weighted:W1,W2,…", "prefer:I"];
+        parse_name(Self::NAMES, &forms, "merge function", s)
+    }
+}
+
+impl fmt::Display for MergeFn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MergeFn::Weighted(ws) => {
+                let ws: Vec<String> = ws.iter().map(f64::to_string).collect();
+                write!(f, "weighted:{}", ws.join(","))
+            }
+            MergeFn::Prefer(i) => write!(f, "prefer:{i}"),
+            unit => f.write_str(print_name(Self::NAMES, unit)),
+        }
+    }
+}
+
+impl MissingPolicy {
+    /// Accepted spellings (see [`crate::ops`]).
+    pub const NAMES: &'static [(&'static str, MissingPolicy)] = &[
+        ("ignore", MissingPolicy::Ignore),
+        ("zero", MissingPolicy::Zero),
+    ];
+}
+
+impl FromStr for MissingPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> std::result::Result<Self, String> {
+        parse_name(Self::NAMES, &[], "merge option", s)
+    }
+}
+
+impl fmt::Display for MissingPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(print_name(Self::NAMES, self))
+    }
 }
 
 /// Merge `inputs` with combination function `f` under `missing` policy.

@@ -10,9 +10,13 @@
 //! rows themselves are grouped by domain object, and one stable sort of
 //! the row positions by range object groups them by range object.
 
+use std::fmt;
+use std::str::FromStr;
+
 use moma_table::{Correspondence, MappingTable};
 
 use crate::mapping::Mapping;
+use crate::ops::{parse_name, print_name};
 
 /// Which side Best-n / Best-1+Delta operates on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +28,29 @@ pub enum Side {
     /// Both: a correspondence must survive the domain-side *and* the
     /// range-side selection.
     Both,
+}
+
+impl Side {
+    /// Accepted spellings (see [`crate::ops`]).
+    pub const NAMES: &'static [(&'static str, Side)] = &[
+        ("domain", Side::Domain),
+        ("range", Side::Range),
+        ("both", Side::Both),
+    ];
+}
+
+impl FromStr for Side {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        parse_name(Self::NAMES, &[], "side", s)
+    }
+}
+
+impl fmt::Display for Side {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(print_name(Self::NAMES, self))
+    }
 }
 
 /// A selection technique.

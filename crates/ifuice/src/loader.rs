@@ -60,20 +60,6 @@ impl From<moma_model::ModelError> for LoadError {
     }
 }
 
-fn parse_kind(s: &str, line: usize) -> Result<AttrKind, LoadError> {
-    match s.to_ascii_lowercase().as_str() {
-        "text" | "str" | "string" => Ok(AttrKind::Text),
-        "list" | "textlist" => Ok(AttrKind::TextList),
-        "int" | "integer" => Ok(AttrKind::Int),
-        "year" => Ok(AttrKind::Year),
-        "real" | "float" => Ok(AttrKind::Real),
-        other => Err(LoadError::Format {
-            line,
-            msg: format!("unknown attribute kind `{other}`"),
-        }),
-    }
-}
-
 fn parse_value(kind: AttrKind, raw: &str, line: usize) -> Result<AttrValue, LoadError> {
     Ok(match kind {
         AttrKind::Text => AttrValue::Text(raw.to_owned()),
@@ -156,7 +142,10 @@ pub fn parse_source(text: &str) -> Result<LogicalSource, LoadError> {
         };
         schema.push(AttrDef::new(
             name.trim(),
-            parse_kind(kind.trim(), header_no + 1)?,
+            kind.trim().parse().map_err(|msg| LoadError::Format {
+                line: header_no + 1,
+                msg,
+            })?,
         ));
     }
 

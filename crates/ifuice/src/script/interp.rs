@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use moma_core::blocking::Blocking;
@@ -314,10 +315,7 @@ impl<'a> Interpreter<'a> {
             }
             "bestN" => {
                 let n = self.num_arg(&args, 0, "bestN")? as usize;
-                let side = match args.get(1) {
-                    Some(v) => parse_side(v)?,
-                    None => Side::Domain,
-                };
+                let side = spec_arg(args.get(1), "side")?.unwrap_or(Side::Domain);
                 Ok(Value::Selection(Selection::BestN { n, side }))
             }
             "best1delta" => {
@@ -332,10 +330,7 @@ impl<'a> Interpreter<'a> {
                         )))
                     }
                 };
-                let side = match args.get(2) {
-                    Some(v) => parse_side(v)?,
-                    None => Side::Domain,
-                };
+                let side = spec_arg(args.get(2), "side")?.unwrap_or(Side::Domain);
                 Ok(Value::Selection(Selection::Best1Delta {
                     delta: d,
                     relative,
@@ -559,30 +554,21 @@ impl<'a> Interpreter<'a> {
                 ))
             }
         };
-        let mut missing = MissingPolicy::Ignore;
-        let f = match f_sym.to_ascii_lowercase().as_str() {
-            "avg" | "average" => MergeFn::Avg,
-            "min" => MergeFn::Min,
-            "max" => MergeFn::Max,
-            "prefer" => {
-                let idx = match rest.next() {
-                    Some(Value::Num(n)) => n as usize,
-                    _ => return Err(rt("merge Prefer needs a 1-based mapping index")),
-                };
+        // `Prefer, i` (1-based) is the script's way to write the
+        // function's indexed spelling, `prefer:I` (0-based).
+        let f: MergeFn = match rest.peek() {
+            Some(&Value::Num(n)) => {
+                let idx = n as usize;
                 if idx == 0 || idx > maps.len() {
-                    return Err(rt(format!("merge Prefer index {idx} out of range")));
+                    return Err(rt(format!("merge {f_sym} index {idx} out of range")));
                 }
-                MergeFn::Prefer(idx - 1)
+                rest.next();
+                format!("{f_sym}:{}", idx - 1).parse().map_err(rt)?
             }
-            other => return Err(rt(format!("unknown merge function `{other}`"))),
+            _ => f_sym.parse().map_err(rt)?,
         };
-        if let Some(Value::Sym(s)) | Some(Value::Str(s)) = rest.next() {
-            if s.eq_ignore_ascii_case("zero") {
-                missing = MissingPolicy::Zero;
-            } else {
-                return Err(rt(format!("unknown merge option `{s}`")));
-            }
-        }
+        let missing = spec_arg(rest.next().as_ref(), "merge option")?;
+        let missing = missing.unwrap_or(MissingPolicy::Ignore);
         let refs: Vec<&Mapping> = maps.iter().map(|m| m.as_ref()).collect();
         Ok(Value::Mapping(Arc::new(merge(&refs, f, missing)?)))
     }
@@ -591,14 +577,8 @@ impl<'a> Interpreter<'a> {
     fn builtin_compose(&mut self, args: Vec<Value>) -> Result<Value, ScriptError> {
         let m1 = self.mapping_arg(&args, 0, "compose")?;
         let m2 = self.mapping_arg(&args, 1, "compose")?;
-        let f = match args.get(2) {
-            Some(Value::Sym(s)) | Some(Value::Str(s)) => parse_path_combine(s)?,
-            _ => PathCombine::Min,
-        };
-        let g = match args.get(3) {
-            Some(Value::Sym(s)) | Some(Value::Str(s)) => parse_path_agg(s)?,
-            _ => PathAgg::Avg,
-        };
+        let f = spec_arg(args.get(2), "compose function")?.unwrap_or(PathCombine::Min);
+        let g = spec_arg(args.get(3), "compose aggregation")?.unwrap_or(PathAgg::Avg);
         Ok(Value::Mapping(Arc::new(compose(&m1, &m2, f, g)?)))
     }
 
@@ -608,16 +588,7 @@ impl<'a> Interpreter<'a> {
         let a1 = self.mapping_arg(&args, 0, "nhMatch")?;
         let same = self.mapping_arg(&args, 1, "nhMatch")?;
         let a2 = self.mapping_arg(&args, 2, "nhMatch")?;
-        let g = match args.get(3) {
-            Some(Value::Sym(s)) | Some(Value::Str(s)) => parse_path_agg(s)?,
-            None => PathAgg::Relative,
-            Some(v) => {
-                return Err(rt(format!(
-                    "nhMatch aggregation must be a symbol, got {}",
-                    v.type_name()
-                )))
-            }
-        };
+        let g = spec_arg(args.get(3), "nhMatch aggregation")?.unwrap_or(PathAgg::Relative);
         let r = moma_core::matchers::neighborhood::nh_match(&a1, &same, &a2, g)?;
         Ok(Value::Mapping(Arc::new(r)))
     }
@@ -708,40 +679,19 @@ impl<'a> Interpreter<'a> {
     }
 }
 
-fn parse_side(v: &Value) -> Result<Side, ScriptError> {
-    match v {
-        Value::Str(s) | Value::Sym(s) => match s.to_ascii_lowercase().as_str() {
-            "domain" => Ok(Side::Domain),
-            "range" => Ok(Side::Range),
-            "both" => Ok(Side::Both),
-            other => Err(rt(format!("unknown side `{other}`"))),
-        },
-        other => Err(rt(format!(
-            "side must be a symbol, got {}",
+/// An optional spec-name argument (`Min`, `relative-left`, `both`,
+/// …): each type parses its own spellings (see `moma_core::ops`).
+fn spec_arg<T: FromStr<Err = String>>(
+    arg: Option<&Value>,
+    what: &str,
+) -> Result<Option<T>, ScriptError> {
+    match arg {
+        None => Ok(None),
+        Some(Value::Str(s)) | Some(Value::Sym(s)) => s.parse().map(Some).map_err(rt),
+        Some(other) => Err(rt(format!(
+            "{what} must be a symbol, got {}",
             other.type_name()
         ))),
-    }
-}
-
-fn parse_path_combine(s: &str) -> Result<PathCombine, ScriptError> {
-    match s.to_ascii_lowercase().as_str() {
-        "avg" | "average" => Ok(PathCombine::Avg),
-        "min" => Ok(PathCombine::Min),
-        "max" => Ok(PathCombine::Max),
-        "product" => Ok(PathCombine::Product),
-        other => Err(rt(format!("unknown path combine function `{other}`"))),
-    }
-}
-
-fn parse_path_agg(s: &str) -> Result<PathAgg, ScriptError> {
-    match s.to_ascii_lowercase().as_str() {
-        "avg" | "average" => Ok(PathAgg::Avg),
-        "min" => Ok(PathAgg::Min),
-        "max" => Ok(PathAgg::Max),
-        "relative" => Ok(PathAgg::Relative),
-        "relativeleft" => Ok(PathAgg::RelativeLeft),
-        "relativeright" => Ok(PathAgg::RelativeRight),
-        other => Err(rt(format!("unknown aggregation function `{other}`"))),
     }
 }
 

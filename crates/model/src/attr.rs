@@ -5,6 +5,7 @@
 //! optional: every instance stores `Option<AttrValue>` per schema slot.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// The dynamic kind of an attribute, declared in an LDS schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,16 +22,39 @@ pub enum AttrKind {
     Real,
 }
 
+impl AttrKind {
+    /// Accepted spellings (matched ignoring ASCII case). A kind's first
+    /// spelling is the one `Display` prints — the kind in a TSV header,
+    /// the `"t"` tag of a value on the wire, in WAL records and in
+    /// checkpoints.
+    pub const NAMES: &'static [(&'static str, AttrKind)] = &[
+        ("text", AttrKind::Text),
+        ("str", AttrKind::Text),
+        ("string", AttrKind::Text),
+        ("list", AttrKind::TextList),
+        ("textlist", AttrKind::TextList),
+        ("int", AttrKind::Int),
+        ("integer", AttrKind::Int),
+        ("year", AttrKind::Year),
+        ("real", AttrKind::Real),
+        ("float", AttrKind::Real),
+    ];
+}
+
+impl FromStr for AttrKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let hit = Self::NAMES.iter().find(|(n, _)| n.eq_ignore_ascii_case(s));
+        hit.map(|&(_, kind)| kind)
+            .ok_or_else(|| format!("unknown attr kind `{s}`"))
+    }
+}
+
 impl fmt::Display for AttrKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AttrKind::Text => "Text",
-            AttrKind::TextList => "TextList",
-            AttrKind::Int => "Int",
-            AttrKind::Year => "Year",
-            AttrKind::Real => "Real",
-        };
-        f.write_str(s)
+        let hit = Self::NAMES.iter().find(|(_, kind)| kind == self);
+        f.write_str(hit.expect("every kind has a spelling").0)
     }
 }
 
@@ -237,6 +261,35 @@ mod tests {
 
     #[test]
     fn display_kind() {
-        assert_eq!(AttrKind::TextList.to_string(), "TextList");
+        assert_eq!(AttrKind::TextList.to_string(), "list");
+    }
+
+    /// `parse(print(k)) == k`, and every spelling the TSV loader (any
+    /// case) and the serving engine (the canonical five) accepted
+    /// before the table moved here still names the same kind.
+    #[test]
+    fn kind_names_round_trip_and_keep_every_old_spelling() {
+        use AttrKind::*;
+        for kind in [Text, TextList, Int, Year, Real] {
+            assert_eq!(kind.to_string().parse(), Ok(kind));
+            assert_eq!(kind.to_string().to_uppercase().parse(), Ok(kind));
+        }
+        for (spelling, kind) in [
+            ("text", Text),
+            ("str", Text),
+            ("String", Text),
+            ("list", TextList),
+            ("textlist", TextList),
+            ("TextList", TextList),
+            ("int", Int),
+            ("integer", Int),
+            ("year", Year),
+            ("real", Real),
+            ("float", Real),
+        ] {
+            assert_eq!(spelling.parse(), Ok(kind), "{spelling}");
+        }
+        let unknown = "date".parse::<AttrKind>();
+        assert_eq!(unknown, Err("unknown attr kind `date`".to_owned()));
     }
 }

@@ -147,8 +147,8 @@ impl LogicalSource {
             if v.kind() != expected {
                 return Err(ModelError::KindMismatch {
                     attr: attr.into(),
-                    expected: expected.to_string(),
-                    got: v.kind().to_string(),
+                    expected: format!("{expected:?}"),
+                    got: format!("{:?}", v.kind()),
                 });
             }
         }
@@ -181,8 +181,8 @@ impl LogicalSource {
             if value.kind() != expected {
                 return Err(ModelError::KindMismatch {
                     attr: name.into(),
-                    expected: expected.to_string(),
-                    got: value.kind().to_string(),
+                    expected: format!("{expected:?}"),
+                    got: format!("{:?}", value.kind()),
                 });
             }
             inst.set(slot, value);

@@ -106,8 +106,8 @@ impl SourceRegistry {
                         if value.kind() != expected {
                             return Err(ModelError::KindMismatch {
                                 attr: name.clone(),
-                                expected: expected.to_string(),
-                                got: value.kind().to_string(),
+                                expected: format!("{expected:?}"),
+                                got: format!("{:?}", value.kind()),
                             });
                         }
                         inst.set(slot, value.clone());

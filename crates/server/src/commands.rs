@@ -4,23 +4,24 @@
 //! A row says what a command *is* — its wire name, the lock and
 //! durability class it runs under, how the shard router places it, and
 //! who may send it. Everything that used to spell command names out by
-//! hand is derived from [`COMMANDS`]: [`Engine::is_mutating`] and
-//! [`Engine::needs_write_lock`], the engine's and the server's
-//! dispatch (both look the request up with [`of_request`] and branch
-//! on the row's [`Class`], [`Route`] and [`Cmd`]), the
-//! `unknown command … (expected …)` error, and — through the drift
-//! tests at the bottom of this file — the command tables in the
-//! [`crate::protocol`] docs and the README.
+//! hand is derived from [`COMMANDS`]: whether a command is logged and
+//! which lock it takes ([`Class`]), the server's routing and the state
+//! machine's dispatch (both look the request up with [`of_request`] /
+//! [`lookup`] and branch on the row's [`Route`] and [`Cmd`]), the
+//! `unknown command … (expected …)` and `… request missing …` errors,
+//! and — through the drift tests at the bottom of this file — the
+//! command tables in the [`crate::protocol`] docs and the README.
 //!
 //! Adding an endpoint is therefore one row here (with its [`Cmd`]
-//! variant), its `cmd_*` handler on [`Engine`] with the dispatch arm
-//! that calls it, its request builder in [`crate::protocol`], and a
-//! test; a read routed [`Route::ByMapping`] or [`Route::ShardZero`]
-//! needs nothing in `server.rs`.
+//! variant), its handler on [`State`] with its arm in
+//! [the dispatch](crate::state) — shell → machine → handler; the
+//! [`Engine`] shell names a command only when it does I/O — its request
+//! builder in [`crate::protocol`], and a test; a read routed
+//! [`Route::ByMapping`] or [`Route::ShardZero`] needs nothing in
+//! `server.rs`.
 //!
 //! [`Engine`]: crate::engine::Engine
-//! [`Engine::is_mutating`]: crate::engine::Engine::is_mutating
-//! [`Engine::needs_write_lock`]: crate::engine::Engine::needs_write_lock
+//! [`State`]: crate::state::State
 
 use crate::json::Json;
 
@@ -204,7 +205,7 @@ pub fn lookup(name: &str) -> Option<&'static Command> {
 
 /// The row for a request's `"cmd"` field, or the error to answer with.
 pub fn of_request(req: &Json) -> Result<&'static Command, String> {
-    let name = req.str_field("cmd").ok_or("request missing `cmd`")?;
+    let name = req.need("request", "cmd", Json::as_str)?;
     lookup(name).ok_or_else(|| unknown_command(name))
 }
 
@@ -218,10 +219,32 @@ pub fn unknown_command(name: &str) -> String {
     format!("unknown command `{name}` (expected {})", expected.join("/"))
 }
 
-/// The error for an absent required field ("match request missing
-/// \`name\`"), worded the same by the engine and the router.
-pub fn missing_field(command: &str, field: &str) -> String {
-    format!("{command} request missing `{field}`")
+impl Command {
+    /// A required field of a request for this command, read through
+    /// `get` — [`Json::need`] with the wording handlers and router
+    /// share ("match request missing \`name\`").
+    pub fn field<'r, T>(
+        &self,
+        req: &'r Json,
+        name: &str,
+        get: impl FnOnce(&'r Json) -> Option<T>,
+    ) -> Result<T, String> {
+        req.need(format_args!("{} request", self.name), name, get)
+    }
+
+    /// [`Command::field`] for an array field.
+    pub fn array<'r>(&self, req: &'r Json, name: &str) -> Result<&'r [Json], String> {
+        req.need_arr(format_args!("{} request", self.name), name)
+    }
+
+    /// The non-empty `"items"` of a batch request for this command.
+    pub fn items<'r>(&self, req: &'r Json) -> Result<&'r [Json], String> {
+        let items = self.array(req, "items")?;
+        if items.is_empty() {
+            return Err(format!("{} needs a non-empty `items` array", self.name));
+        }
+        Ok(items)
+    }
 }
 
 #[cfg(test)]

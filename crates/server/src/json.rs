@@ -34,6 +34,9 @@ pub enum Json {
     /// JSON integer; the parser produces this variant only for integer
     /// literals too large for an exact `f64`.
     Uint(u64),
+    /// [`Json::Uint`]'s negative half: an integer below -2^53 (an `int`
+    /// attribute value) that must round-trip exactly.
+    Int(i64),
     /// A string.
     Str(String),
     /// An array.
@@ -49,6 +52,7 @@ impl PartialEq for Json {
             (Json::Bool(a), Json::Bool(b)) => a == b,
             (Json::Num(a), Json::Num(b)) => a == b,
             (Json::Uint(a), Json::Uint(b)) => a == b,
+            (Json::Int(a), Json::Int(b)) => a == b,
             // Numeric equality across representations: `Num(7.0)` and
             // `Uint(7)` are the same JSON number.
             (Json::Num(f), Json::Uint(u)) | (Json::Uint(u), Json::Num(f)) => {
@@ -66,6 +70,16 @@ impl Json {
     /// Build an object from `(key, value)` pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// The exact JSON number for `n`: a double where that is exact, as
+    /// the parser would read its literal, else the integer variants.
+    pub fn int(n: i64) -> Json {
+        match n {
+            _ if n.unsigned_abs() <= 1 << 53 => Json::Num(n as f64),
+            _ if n < 0 => Json::Int(n),
+            _ => Json::Uint(n as u64),
+        }
     }
 
     /// Borrow the value of `key` if this is an object containing it.
@@ -112,6 +126,19 @@ impl Json {
         match self {
             Json::Num(n) => Some(*n),
             Json::Uint(n) => Some(*n as f64),
+            Json::Int(n) => Some(*n as f64),
+            _ => None,
+        }
+    }
+
+    /// The number as an `i64`, if it is exactly one: a double only up
+    /// to ±2^53 (beyond that a literal the parser had to round is not
+    /// the integer it spelled), the integer variants over their range.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Json::Num(n) if n.fract() == 0.0 && n.abs() <= (1u64 << 53) as f64 => Some(*n as i64),
+            Json::Uint(n) => i64::try_from(*n).ok(),
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -142,6 +169,26 @@ impl Json {
             Json::Arr(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// The required field `key` read through `get` ([`Json::as_str`],
+    /// [`Json::as_u64`], …) — or, when it is absent or of another type,
+    /// the one wording every decoder of requests, records and
+    /// checkpoint images answers with: "`what` missing \`key\`".
+    pub fn need<'j, T>(
+        &'j self,
+        what: impl fmt::Display,
+        key: &str,
+        get: impl FnOnce(&'j Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let found = self.get(key).and_then(get);
+        found.ok_or_else(|| format!("{what} missing `{key}`"))
+    }
+
+    /// [`Json::need`] for an array field ("… missing \`key\` array").
+    pub fn need_arr(&self, what: impl fmt::Display, key: &str) -> Result<&[Json], String> {
+        let found = self.get(key).and_then(Json::as_arr);
+        found.ok_or_else(|| format!("{what} missing `{key}` array"))
     }
 
     /// Convenience: `get(key)` as `&str`.
@@ -223,6 +270,7 @@ impl fmt::Display for Json {
                 }
             }
             Json::Uint(n) => write!(f, "{n}"),
+            Json::Int(n) => write!(f, "{n}"),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
@@ -385,6 +433,10 @@ impl Parser<'_> {
                 if v > (1u64 << 53) {
                     return Ok(Json::Uint(v));
                 }
+            }
+        } else if let Ok(v) = text.parse::<i64>() {
+            if v < -(1i64 << 53) {
+                return Ok(Json::Int(v));
             }
         }
         text.parse::<f64>()
@@ -611,6 +663,31 @@ mod tests {
         let obj = Json::obj(vec![("seq", Json::Uint(u64::MAX - 1))]);
         let back = Json::parse(&obj.to_string()).unwrap();
         assert_eq!(back.get("seq").and_then(Json::as_u64), Some(u64::MAX - 1));
+    }
+
+    /// `Json::int` builds what the parser reads back: a double where
+    /// that is exact, the integer variants beyond ±2^53.
+    #[test]
+    fn int_roundtrips_exactly_over_all_of_i64() {
+        for v in [
+            i64::MIN,
+            -(1 << 53) - 1,
+            -(1 << 53),
+            -3,
+            0,
+            1 << 53,
+            (1 << 53) + 1,
+            i64::MAX,
+        ] {
+            let built = Json::int(v);
+            assert_eq!(built.to_string(), v.to_string());
+            let back = Json::parse(&v.to_string()).unwrap();
+            assert_eq!(back.as_i64(), Some(v));
+            assert_eq!(back, built);
+            assert_eq!(matches!(back, Json::Num(_)), v.unsigned_abs() <= 1 << 53);
+        }
+        assert_eq!(Json::Num(1.5).as_i64(), None);
+        assert_eq!(Json::Uint(1 << 63).as_i64(), None);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! # moma-server — the MOMA serving layer
 //!
 //! `moma serve` turns the matching framework into a long-lived service:
-//! a [`engine::Engine`] owns a [`moma_model::SourceRegistry`], a
-//! [`moma_core::MappingRepository`] and the primed
-//! [`moma_core::DeltaMatchState`]s, and answers concurrent traffic over
-//! a length-prefixed JSON frame protocol ([`frame`], [`protocol`]) on a
-//! plain `std::net::TcpListener` — no async runtime, thread per
-//! connection ([`server`]).
+//! a [`state::State`] — an I/O-free state machine — holds a
+//! [`moma_model::SourceRegistry`], a [`moma_core::MappingRepository`]
+//! and the primed [`moma_core::DeltaMatchState`]s; an
+//! [`engine::Engine`] puts a write-ahead log in front of it; and a
+//! server answers concurrent traffic over a length-prefixed JSON frame
+//! protocol ([`frame`], [`protocol`]) on a plain
+//! `std::net::TcpListener` — no async runtime, thread per connection
+//! ([`server`]).
 //!
 //! These properties carry the design (see the module docs for details):
 //!
@@ -14,11 +16,11 @@
 //!   is appended to an fsync'd, CRC-framed, segment-rotated write-ahead
 //!   log *before* it is applied, and checkpoints bound how much of it a
 //!   restart must replay. `moma serve --replay` restores the newest
-//!   valid checkpoint, re-executes only the log suffix after it and —
-//!   because all engine operations are parallel-deterministic —
+//!   valid checkpoint, re-applies only the log suffix after it and —
+//!   because the state machine is deterministic ([`state`]) —
 //!   restores the pre-crash repository bit-identically: same
 //!   correspondences, same version stamps, same counters.
-//! * **Snapshot isolation** ([`engine`]): readers start from
+//! * **Snapshot isolation** ([`state`]): readers start from
 //!   [`moma_core::MappingRepository::snapshot`], a point-in-time image
 //!   captured under one lock acquisition; a query never observes a
 //!   half-applied delta.
@@ -35,7 +37,8 @@
 //!   independently.
 //! * **One serve path** ([`commands`], [`server`]): every command is
 //!   declared once in a table — name, lock/WAL class, routing rule,
-//!   visibility — that both dispatchers branch on, and every request,
+//!   visibility — that the server's routing and the machine's one
+//!   dispatch branch on, and every request,
 //!   at every shard count, goes router plan → one executor (admission
 //!   slots, engine locks in ascending order, panic containment) →
 //!   gather. A one-shard server is that path with N = 1 and answers
@@ -61,11 +64,13 @@ pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod shard;
+pub mod state;
 pub mod wal;
 
 pub use client::Client;
-pub use engine::{CommandCounts, DurabilityPolicy, Engine, ReplaySummary};
+pub use engine::{DurabilityPolicy, Engine, ReplaySummary};
 pub use json::Json;
 pub use server::{run_sharded, spawn, spawn_sharded, spawn_with_limits, Limits, ServerHandle};
 pub use shard::ShardRouter;
+pub use state::{CommandCounts, State};
 pub use wal::Wal;

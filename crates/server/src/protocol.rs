@@ -99,63 +99,102 @@
 //! `{"overloaded": true, "retry_after_ms": N}` when the per-class
 //! in-flight budget is exhausted (the connection stays usable).
 //!
-//! `AttrValue`s travel as `{"t": kind, "v": value}` with kinds `text`,
-//! `list`, `int`, `year`, `real`.
+//! `AttrValue`s travel as `{"t": kind, "v": value}`; an `int` is an
+//! exact integer literal over all of `i64`.
+//!
+//! ## Accepted names
+//!
+//! A field that names an operator function or an attribute kind is
+//! parsed — ignoring ASCII case — and printed by the type it names
+//! (`moma_core::ops`, `moma_model::AttrKind`): the same `NAMES` tables
+//! iFuice scripts and TSV headers go through, rendered here (a test
+//! below fails when they drift). A value's first spelling is the
+//! canonical one, which is what replies, WAL records and checkpoints
+//! carry.
+//!
+//! | field | type | accepted names |
+//! |---|---|---|
+//! | `compose` / recipe `f` | `PathCombine` | `avg` = `average`, `min`, `max`, `product`, `weighted:W` |
+//! | `compose` / recipe `g` | `PathAgg` | `avg` = `average`, `min`, `max`, `relative`, `relative-left` = `relativeleft`, `relative-right` = `relativeright` |
+//! | `merge` recipe `f` | `MergeFn` | `avg` = `average`, `min`, `max`, `weighted:W1,W2,…`, `prefer:I` |
+//! | `merge` recipe `missing` | `MissingPolicy` | `ignore`, `zero` |
+//! | value `t`, schema `kind` | `AttrKind` | `text` = `str` = `string`, `list` = `textlist`, `int` = `integer`, `year`, `real` = `float` |
 
-use moma_model::{AttrValue, DeltaOp, ModelError, SourceDelta, SourceRegistry};
+use std::fmt;
 
+use moma_core::ops::{PathAgg, PathCombine};
+use moma_model::{AttrKind, AttrValue, DeltaOp, ModelError, SourceDelta, SourceRegistry};
+use moma_table::MappingTable;
+
+use crate::commands::Cmd;
 use crate::json::Json;
+
+/// `{"ok": false, "error": msg}`.
+pub fn err_response(msg: &str) -> Json {
+    Json::obj(vec![
+        ("ok", Json::Bool(false)),
+        ("error", Json::Str(msg.into())),
+    ])
+}
+
+/// A handler's outcome as a response: its reply, or its error wrapped
+/// by [`err_response`].
+pub(crate) fn respond(result: Result<Json, String>) -> Json {
+    result.unwrap_or_else(|e| err_response(&e))
+}
+
+/// The `unknown mapping` error, listing the `known` names — worded
+/// once for the state machine (which knows its repository) and the
+/// shard router (which knows every shard's).
+pub(crate) fn unknown_mapping<'a>(name: &str, known: impl Iterator<Item = &'a str>) -> String {
+    let known: Vec<&str> = known.collect();
+    format!(
+        "unknown mapping `{name}` (have: {})",
+        if known.is_empty() {
+            "none".to_owned()
+        } else {
+            known.join(", ")
+        }
+    )
+}
 
 /// Encode an [`AttrValue`] as `{"t": ..., "v": ...}`.
 pub fn attr_value_to_json(v: &AttrValue) -> Json {
-    let (t, v) = match v {
-        AttrValue::Text(s) => ("text", Json::Str(s.clone())),
-        AttrValue::TextList(items) => (
-            "list",
-            Json::Arr(items.iter().map(|s| Json::Str(s.clone())).collect()),
-        ),
-        AttrValue::Int(n) => ("int", Json::Num(*n as f64)),
-        AttrValue::Year(y) => ("year", Json::Num(*y as f64)),
-        AttrValue::Real(x) => ("real", Json::Num(*x)),
+    let body = match v {
+        AttrValue::Text(s) => Json::Str(s.clone()),
+        AttrValue::TextList(items) => {
+            Json::Arr(items.iter().map(|s| Json::Str(s.clone())).collect())
+        }
+        AttrValue::Int(n) => Json::int(*n),
+        AttrValue::Year(y) => Json::Num(*y as f64),
+        AttrValue::Real(x) => Json::Num(*x),
     };
-    Json::obj(vec![("t", Json::Str(t.into())), ("v", v)])
+    Json::obj(vec![("t", Json::Str(v.kind().to_string())), ("v", body)])
 }
 
 /// Decode an [`AttrValue`] from its wire form.
 pub fn attr_value_from_json(j: &Json) -> Result<AttrValue, String> {
-    let t = j.str_field("t").ok_or("attr value missing `t`")?;
-    let v = j.get("v").ok_or("attr value missing `v`")?;
-    match t {
-        "text" => Ok(AttrValue::Text(
-            v.as_str().ok_or("text value must be a string")?.to_owned(),
-        )),
-        "list" => {
-            let items = v.as_arr().ok_or("list value must be an array")?;
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(
-                    item.as_str()
-                        .ok_or("list items must be strings")?
-                        .to_owned(),
-                );
-            }
-            Ok(AttrValue::TextList(out))
+    let kind: AttrKind = j.need("attr value", "t", Json::as_str)?.parse()?;
+    let v = j.need("attr value", "v", Some)?;
+    let wrong = |expected: &str| format!("{kind} value must be {expected}");
+    Ok(match kind {
+        AttrKind::Text => AttrValue::Text(v.as_str().ok_or_else(|| wrong("a string"))?.to_owned()),
+        AttrKind::TextList => {
+            let items = v.as_arr().ok_or_else(|| wrong("an array"))?;
+            let items = items.iter().map(|item| item.as_str().map(str::to_owned));
+            let items: Option<Vec<String>> = items.collect();
+            AttrValue::TextList(items.ok_or("list items must be strings")?)
         }
-        "int" => Ok(AttrValue::Int(
-            v.as_f64().ok_or("int value must be a number")? as i64,
-        )),
-        "year" => {
-            let y = v.as_f64().ok_or("year value must be a number")?;
+        AttrKind::Int => AttrValue::Int(v.as_i64().ok_or_else(|| wrong("an integer"))?),
+        AttrKind::Year => {
+            let y = v.as_f64().ok_or_else(|| wrong("a number"))?;
             if !(0.0..=u16::MAX as f64).contains(&y) {
                 return Err(format!("year {y} out of range"));
             }
-            Ok(AttrValue::Year(y as u16))
+            AttrValue::Year(y as u16)
         }
-        "real" => Ok(AttrValue::Real(
-            v.as_f64().ok_or("real value must be a number")?,
-        )),
-        other => Err(format!("unknown attr kind `{other}`")),
-    }
+        AttrKind::Real => AttrValue::Real(v.as_f64().ok_or_else(|| wrong("a number"))?),
+    })
 }
 
 fn op_to_json(op: &DeltaOp) -> Json {
@@ -193,8 +232,8 @@ fn op_to_json(op: &DeltaOp) -> Json {
 }
 
 fn op_from_json(j: &Json) -> Result<DeltaOp, String> {
-    let op = j.str_field("op").ok_or("delta op missing `op`")?;
-    let id = j.str_field("id").ok_or("delta op missing `id`")?.to_owned();
+    let op = j.need("delta op", "op", Json::as_str)?;
+    let id = j.need("delta op", "id", Json::as_str)?.to_owned();
     match op {
         "add" => {
             let Some(Json::Obj(fields)) = j.get("fields") else {
@@ -208,10 +247,7 @@ fn op_from_json(j: &Json) -> Result<DeltaOp, String> {
         }
         "remove" => Ok(DeltaOp::Remove { id }),
         "update" => {
-            let attr = j
-                .str_field("attr")
-                .ok_or("update op missing `attr`")?
-                .to_owned();
+            let attr = j.need("update op", "attr", Json::as_str)?.to_owned();
             let value = match j.get("value") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(attr_value_from_json(v)?),
@@ -240,18 +276,13 @@ pub(crate) fn unknown_source(name: &str, e: &ModelError) -> String {
 /// Decode the `lds`/`ops` fields of a `delta` request against a
 /// registry (resolving the source name to its handle).
 pub fn parse_delta(registry: &SourceRegistry, req: &Json) -> Result<SourceDelta, String> {
-    let name = req.str_field("lds").ok_or("delta request missing `lds`")?;
+    let command = Cmd::Delta.row();
+    let name = command.field(req, "lds", Json::as_str)?;
     let lds = registry
         .resolve(name)
         .map_err(|e| unknown_source(name, &e))?;
-    let ops_json = req
-        .get("ops")
-        .and_then(Json::as_arr)
-        .ok_or("delta request missing `ops` array")?;
-    let mut ops = Vec::with_capacity(ops_json.len());
-    for op in ops_json {
-        ops.push(op_from_json(op)?);
-    }
+    let ops = command.array(req, "ops")?;
+    let ops = ops.iter().map(op_from_json).collect::<Result<_, _>>()?;
     Ok(SourceDelta { lds, ops })
 }
 
@@ -373,25 +404,67 @@ pub fn install_request(
         ("name".to_owned(), Json::Str(name.into())),
         ("domain".to_owned(), Json::Str(domain.into())),
         ("range".to_owned(), Json::Str(range.into())),
-        (
-            "rows".to_owned(),
-            Json::Arr(
-                rows.iter()
-                    .map(|&(d, r, sim)| {
-                        Json::Arr(vec![
-                            Json::Num(d as f64),
-                            Json::Num(r as f64),
-                            Json::Num(sim),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows".to_owned(), rows_to_json(rows.iter().copied())),
     ];
     if let Some(t) = assoc {
         fields.push(("assoc".to_owned(), Json::Str(t.into())));
     }
     Json::Obj(fields)
+}
+
+/// Encode mapping rows as `[domain_idx, range_idx, sim]` triples — the
+/// literal table of an `install` record and of a checkpointed mapping.
+pub fn rows_to_json(rows: impl Iterator<Item = (u32, u32, f64)>) -> Json {
+    let triple = |(d, r, sim)| {
+        Json::Arr(vec![
+            Json::Num(d as f64),
+            Json::Num(r as f64),
+            Json::Num(sim),
+        ])
+    };
+    Json::Arr(rows.map(triple).collect())
+}
+
+/// Decode [`rows_to_json`]'s triples. Persisted rows are outside input:
+/// an index must fit `u32` and lie inside its source's arena
+/// (`domain_len` / `range_len`) and a sim must be finite, or the whole
+/// table is refused — a truncated or dangling index would otherwise
+/// surface much later, as an empty id in a `query`.
+pub fn rows_from_json(
+    what: impl fmt::Display,
+    rows: &[Json],
+    domain_len: usize,
+    range_len: usize,
+) -> Result<MappingTable, String> {
+    let index = |j: &Json, len: usize| {
+        let i = u32::try_from(j.as_u64()?).ok()?;
+        ((i as usize) < len).then_some(i)
+    };
+    let triple = |row: &Json| match row.as_arr()? {
+        [d, r, sim] => Some((
+            index(d, domain_len)?,
+            index(r, range_len)?,
+            sim.as_f64().filter(|s| s.is_finite())?,
+        )),
+        _ => None,
+    };
+    let mut triples = Vec::with_capacity(rows.len());
+    for row in rows {
+        triples.push(triple(row).ok_or_else(|| {
+            format!(
+                "{what}: row {row} is not a [domain, range, sim] triple of indices inside \
+                 the sources' arenas ({domain_len} / {range_len}) and a finite sim"
+            )
+        })?);
+    }
+    Ok(MappingTable::from_triples(triples))
+}
+
+/// The `f` / `g` of a `compose` request (defaults `min` / `max`).
+pub(crate) fn compose_params(req: &Json) -> Result<(PathCombine, PathAgg), String> {
+    let f = req.str_field("f").unwrap_or("min").parse()?;
+    let g = req.str_field("g").unwrap_or("max").parse()?;
+    Ok((f, g))
 }
 
 /// Build a bare request carrying only a command name.
@@ -415,6 +488,55 @@ pub fn dump_request(dir: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moma_core::ops::{MergeFn, MissingPolicy};
+
+    /// One cell of the accepted-names table: the spellings of a `NAMES`
+    /// table grouped by value (`a` = `b`), then the parameterized forms
+    /// the type's `unknown …` error lists beside them.
+    fn names_cell<T: PartialEq>(names: &[(&str, T)], unknown: Result<T, String>) -> String {
+        let mut groups: Vec<(&T, Vec<String>)> = Vec::new();
+        for (name, value) in names {
+            let spelled = format!("`{name}`");
+            match groups.iter_mut().find(|(v, _)| *v == value) {
+                Some((_, group)) => group.push(spelled),
+                None => groups.push((value, vec![spelled])),
+            }
+        }
+        let mut cells: Vec<String> = groups.iter().map(|(_, g)| g.join(" = ")).collect();
+        let error = unknown.err().expect("`?` names nothing");
+        let listed = error.split_once('(').map_or("", |(_, list)| list);
+        let listed = listed.trim_end_matches(')').split('/');
+        let forms = listed.filter(|entry| entry.contains(':'));
+        cells.extend(forms.map(|form| format!("`{form}`")));
+        cells.join(", ")
+    }
+
+    /// Docs drift: the accepted-names table in the module docs is the
+    /// types' `NAMES` tables, rendered.
+    #[test]
+    fn docs_list_the_accepted_names() {
+        let expect = [
+            ("PathCombine", names_cell(PathCombine::NAMES, "?".parse())),
+            ("PathAgg", names_cell(PathAgg::NAMES, "?".parse())),
+            ("MergeFn", names_cell(MergeFn::NAMES, "?".parse())),
+            (
+                "MissingPolicy",
+                names_cell(MissingPolicy::NAMES, "?".parse()),
+            ),
+            ("AttrKind", names_cell(AttrKind::NAMES, "?".parse())),
+        ];
+        let docs: Vec<&str> = include_str!("protocol.rs")
+            .lines()
+            .skip_while(|line| *line != "//! | field | type | accepted names |")
+            .skip(2)
+            .take_while(|line| line.starts_with("//! |"))
+            .collect();
+        assert_eq!(docs.len(), expect.len(), "{docs:#?}");
+        for (row, (ty, names)) in docs.iter().zip(expect) {
+            let cells = format!("| `{ty}` | {names} |");
+            assert!(row.ends_with(&cells), "docs row {row:?} vs {cells:?}");
+        }
+    }
 
     #[test]
     fn attr_value_roundtrip() {

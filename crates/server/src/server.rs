@@ -65,11 +65,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use crate::commands::{self, missing_field, Cmd, Command, Route, Visibility};
-use crate::engine::{err_response, parse_agg, parse_combine, Engine};
+use moma_core::ops::compose::compose;
+use moma_core::MappingKind;
+
+use crate::commands::{self, Cmd, Command, Route, Visibility};
+use crate::engine::Engine;
 use crate::frame::write_frame;
 use crate::json::Json;
-use crate::protocol::install_request;
+use crate::protocol::{compose_params, err_response, install_request};
 use crate::shard::{self, ComposePlan, Shard, ShardRouter};
 
 /// How long handler threads block in `read` before re-checking the stop
@@ -764,12 +767,6 @@ fn dispatch(payload: &[u8], shared: &Shared) -> Json {
     routed.unwrap_or_else(identity)
 }
 
-/// A required routing field of `req`.
-fn field<'r>(req: &'r Json, command: &Command, name: &str) -> Result<&'r str, String> {
-    req.str_field(name)
-        .ok_or_else(|| missing_field(command.name, name))
-}
-
 /// Several required routing fields at once.
 fn fields<'r, const N: usize>(
     req: &'r Json,
@@ -778,7 +775,7 @@ fn fields<'r, const N: usize>(
 ) -> Result<[&'r str; N], String> {
     let mut out = [""; N];
     for (slot, name) in out.iter_mut().zip(names) {
-        *slot = field(req, command, name)?;
+        *slot = command.field(req, name, Json::as_str)?;
     }
     Ok(out)
 }
@@ -827,23 +824,10 @@ fn on_shard_zero(shared: &Shared, command: &Command, req: &Json) -> Result<Json,
 
 fn route_by_mapping(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
     let router = &shared.router;
-    let plan = field(req, command, "name").and_then(|name| router.plan_mapping(name));
+    let name = command.field(req, "name", Json::as_str);
+    let plan = name.and_then(|name| router.plan_mapping(name));
     let shard = planned(shared, plan, identity)?;
     Ok(router.annotate_shard(run_on(shared, command, shard, req), shard))
-}
-
-/// The `"items"` of a batch request.
-fn batch_items<'r>(command: &Command, req: &'r Json) -> Result<&'r [Json], Json> {
-    let name = command.name;
-    match req.get("items") {
-        Some(Json::Arr(items)) if !items.is_empty() => Ok(items),
-        Some(Json::Arr(_)) => Err(err_response(&format!(
-            "{name} needs a non-empty `items` array"
-        ))),
-        _ => Err(err_response(&format!(
-            "{name} request missing `items` array"
-        ))),
-    }
 }
 
 /// The part of a batch that goes to one shard.
@@ -861,14 +845,12 @@ fn sub_batch(command: &Command, items: Vec<Json>) -> Json {
 /// in request order.
 fn route_batch_query(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
     let router = &shared.router;
-    let items = batch_items(command, req)?;
+    let items = command.items(req).map_err(|e| err_response(&e))?;
     let mut results: Vec<Option<Json>> = vec![None; items.len()];
     let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (k, item) in items.iter().enumerate() {
-        let plan = item
-            .str_field("name")
-            .ok_or_else(|| missing_field(Cmd::Query.name(), "name"))
-            .and_then(|name| router.plan_mapping(name));
+        let name = Cmd::Query.row().field(item, "name", Json::as_str);
+        let plan = name.and_then(|name| router.plan_mapping(name));
         match planned(shared, plan, identity) {
             Ok(shard) => groups.entry(shard).or_default().push(k),
             Err(refusal) => results[k] = Some(refusal),
@@ -930,13 +912,14 @@ fn scatter(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json>
             // shard: each persists into its own directory, and the
             // merged manifest records each shard's durable counters as
             // of the same lock hold.
-            let dir = field(req, command, "dir").map_err(|e| err_response(&e))?;
+            let dir = command.field(req, "dir", Json::as_str);
+            let dir = dir.map_err(|e| err_response(&e))?;
             let mut counts = Vec::with_capacity(router.len());
             let replies = each_shard(shared, |shard| {
                 let part = Json::Str(router.shard_dir(dir, shard));
                 let part_req = req.clone().set_field("dir", part);
                 run_read(shared, &[shard], |held| {
-                    counts.push(held[0].1.command_counts());
+                    counts.push(held[0].1.machine().command_counts());
                     held[0].1.execute_read(&part_req)
                 })
                 .unwrap_or_else(identity)
@@ -1037,8 +1020,7 @@ fn cross_shard_compose(
     left_shard: usize,
     right_shard: usize,
 ) -> Result<Json, Json> {
-    let f = parse_combine(req.str_field("f").unwrap_or("min")).map_err(|e| err_response(&e))?;
-    let g = parse_agg(req.str_field("g").unwrap_or("max")).map_err(|e| err_response(&e))?;
+    let (f, g) = compose_params(req).map_err(|e| err_response(&e))?;
     // One input's mapping `Arc`, version and end-point source names.
     let gather = |shard: usize, mapping: &str| {
         run_read(shared, &[shard], |held| -> Result<_, Json> {
@@ -1056,15 +1038,20 @@ fn cross_shard_compose(
     };
     let (left_map, left_ver, domain, _) = gather(left_shard, left)?;
     let (right_map, right_ver, _, range) = gather(right_shard, right)?;
-    let (rows, assoc) =
-        shard::compose_gathered(&left_map, &right_map, f, g).map_err(|e| err_response(&e))?;
+    // Arena indices agree across shards (every registry is a clone of
+    // one boot image and arenas are append-only), so this is the very
+    // compose the single-shard recipe path evaluates.
+    let composed = compose(&left_map, &right_map, f, g);
+    let composed = composed.map_err(|e| err_response(&e.to_string()))?;
+    let rows = composed.table.rows().iter();
+    let rows: Vec<(u32, u32, f64)> = rows.map(|c| (c.domain, c.range, c.sim)).collect();
     let inputs = Json::Arr(vec![
         Json::Arr(vec![Json::Str(left.into()), Json::Uint(left_ver)]),
         Json::Arr(vec![Json::Str(right.into()), Json::Uint(right_ver)]),
     ]);
     let mut install =
         install_request(name, &domain, &range, &rows, None).set_field("inputs", inputs.clone());
-    if let Some(t) = assoc {
+    if let MappingKind::Association(t) = composed.kind {
         install = install.set_field("assoc", Json::Str(t));
     }
     let resp = run_write(shared, &[left_shard], |held| held[0].1.execute(&install))?;
@@ -1097,7 +1084,8 @@ fn replica(delta: &Json) -> Json {
 /// the lowest target — the accounting copy — and replicas on the rest.
 fn route_delta(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
     let router = &shared.router;
-    let plan = field(req, command, "lds").and_then(|source| router.plan_delta(source));
+    let source = command.field(req, "lds", Json::as_str);
+    let plan = source.and_then(|source| router.plan_delta(source));
     let targets = planned(shared, plan, |shard| vec![shard])?;
     let resp = run_write(shared, &targets, |held| {
         let mut copies = held.iter_mut();
@@ -1131,15 +1119,14 @@ fn route_delta(shared: &Shared, command: &Command, req: &Json) -> Result<Json, J
 /// cannot be planned refuses the whole batch: all items or none.
 fn route_batch_delta(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
     let router = &shared.router;
-    let items = batch_items(command, req)?;
+    let items = command.items(req).map_err(|e| err_response(&e))?;
     let mut item_targets: Vec<Vec<usize>> = Vec::with_capacity(items.len());
     for (k, item) in items.iter().enumerate() {
-        let plan = match item.str_field("lds") {
-            None => Err(format!("{} item {k} missing `lds`", command.name)),
-            Some(source) => router
-                .plan_delta(source)
-                .map_err(|e| format!("{} item {k}: {e}", command.name)),
-        };
+        let what = format_args!("{} item {k}", command.name);
+        let plan = item.need(what, "lds", Json::as_str).and_then(|source| {
+            let plan = router.plan_delta(source);
+            plan.map_err(|e| format!("{} item {k}: {e}", command.name))
+        });
         item_targets.push(planned(shared, plan, |shard| vec![shard])?);
     }
     let union: BTreeSet<usize> = item_targets.iter().flatten().copied().collect();

@@ -56,12 +56,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicU64;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use moma_core::{Mapping, MappingRepository, Recipe};
 use moma_model::ModelError;
 
-use crate::engine::{err_response, unknown_mapping, CommandCounts, Engine};
+use crate::engine::Engine;
 use crate::json::Json;
-use crate::protocol::unknown_source;
+use crate::protocol::{err_response, unknown_mapping, unknown_source};
+use crate::state::CommandCounts;
 
 /// One shard: an engine plus its private admission counters. The
 /// in-flight budgets in [`crate::server::Limits`] apply **per shard**,
@@ -202,14 +202,14 @@ impl ShardRouter {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            for (name, domain, range) in engine.state_endpoints() {
+            for (name, domain, range) in engine.machine().state_endpoints() {
                 idx.owner.entry(domain.clone()).or_insert(i);
                 idx.hosts.entry(domain).or_default().insert(i);
                 idx.hosts.entry(range).or_default().insert(i);
                 idx.mappings.insert(name, i);
             }
-            for name in engine.mapping_names() {
-                idx.mappings.entry(name).or_insert(i);
+            for entry in engine.snapshot() {
+                idx.mappings.entry(entry.name).or_insert(i);
             }
         }
         *self.index.write().unwrap_or_else(|p| p.into_inner()) = idx;
@@ -399,46 +399,6 @@ impl ShardRouter {
             _ => format!("{dir}/shard.{i}"),
         }
     }
-}
-
-/// Compute a compose on the coordinator from two gathered mapping
-/// tables. Runs the exact `Recipe::Compose` evaluation the single-shard
-/// path uses (via a throwaway repository), so a cross-shard compose
-/// produces bit-identical rows to the same compose run on one shard.
-/// Arena indices are consistent across shards because every shard's
-/// registry is a clone of the same boot image and arenas are
-/// append-only.
-pub fn compose_gathered(
-    left: &Mapping,
-    right: &Mapping,
-    f: moma_core::ops::compose::PathCombine,
-    g: moma_core::ops::compose::PathAgg,
-) -> Result<(Vec<(u32, u32, f64)>, Option<String>), String> {
-    let repo = MappingRepository::new();
-    repo.store_as("__cross_left", left.clone());
-    repo.store_as("__cross_right", right.clone());
-    let out = repo
-        .store_derived(
-            "__cross_out",
-            Recipe::Compose {
-                left: "__cross_left".into(),
-                right: "__cross_right".into(),
-                f,
-                g,
-            },
-        )
-        .map_err(|e| e.to_string())?;
-    let rows = out
-        .table
-        .rows()
-        .iter()
-        .map(|c| (c.domain, c.range, c.sim))
-        .collect();
-    let assoc = match &out.kind {
-        moma_core::MappingKind::Association(t) => Some(t.clone()),
-        moma_core::MappingKind::Same => None,
-    };
-    Ok((rows, assoc))
 }
 
 /// The gather step over the per-shard replies of a scattered command:

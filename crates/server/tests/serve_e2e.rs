@@ -782,13 +782,13 @@ fn one_shard_server_answers_byte_for_byte_like_an_embedded_engine() {
     let _ = fs::remove_dir_all(&work);
 }
 
-/// The command table is total and consistent: classes agree with
-/// `is_mutating`/`needs_write_lock`, every wire-visible command has a
+/// The command table is total and consistent: a row's class says
+/// whether it is logged and whether it locks, every wire-visible command has a
 /// `protocol::` builder, and the `unknown command` error names exactly
 /// the wire-visible commands.
 #[test]
 fn command_table_is_total() {
-    use moma_server::commands::{Class, Cmd, Visibility, COMMANDS};
+    use moma_server::commands::{lookup, Class, Cmd, Visibility, COMMANDS};
 
     let mut wire = Vec::new();
     for row in COMMANDS {
@@ -798,8 +798,9 @@ fn command_table_is_total() {
             Class::UnloggedWrite => (false, true),
             Class::Read | Class::Coordinator => (false, false),
         };
-        assert_eq!(Engine::is_mutating(row.name), logged, "{}", row.name);
-        assert_eq!(Engine::needs_write_lock(row.name), locked, "{}", row.name);
+        let class = lookup(row.name).expect("a row by its own name").class;
+        assert_eq!(class.is_logged(), logged, "{}", row.name);
+        assert_eq!(class.takes_write_lock(), locked, "{}", row.name);
         assert!(!row.summary.is_empty(), "{}", row.name);
         if row.visibility != Visibility::Wire {
             continue;

@@ -48,7 +48,7 @@ while read -r hit; do
 done < <(grep -o '\bmoma-[a-z]*\b' "$ARCH" README.md | sort -u)
 
 # 3. The serve-path modules the book's diagram walks through.
-for m in server shard engine commands wal checkpoint protocol frame json client; do
+for m in server shard engine state commands wal checkpoint protocol frame json client; do
     if [[ ! -f "crates/server/src/$m.rs" ]]; then
         echo "docs_drift: $ARCH documents serve module \`$m\` but crates/server/src/$m.rs does not exist" >&2
         fail=1

@@ -58,27 +58,34 @@ fn section_4_3_script_equals_api() {
 
 #[test]
 fn script_compose_equals_api_compose() {
+    use moma::core::ops::compose::PathCombine;
     let scenario = Scenario::small();
-    let script_result = run_script(
-        "RETURN compose(get(\"DBLP.VenuePub\"), get(\"DBLP.PubAuthor\"), Min, Relative);",
-        &scenario.registry,
-        &scenario.repository,
-    )
-    .unwrap();
-    let via_script = script_result.as_mapping().unwrap();
-
     let venue_pub = scenario.repository.require("DBLP.VenuePub").unwrap();
     let pub_author = scenario.repository.require("DBLP.PubAuthor").unwrap();
-    let via_api = moma::core::ops::compose::compose(
-        &venue_pub,
-        &pub_author,
-        moma::core::ops::compose::PathCombine::Min,
-        PathAgg::Relative,
-    )
-    .unwrap();
-    assert_same_mapping(via_script, &via_api);
-    // Semantic check: venue -> authors publishing there.
-    assert!(!via_api.is_empty());
+    for (script_fg, f, g) in [
+        ("Min, Relative", PathCombine::Min, PathAgg::Relative),
+        // The serve protocol's spellings: one vocabulary for both front
+        // ends (the interpreter used to refuse both names).
+        (
+            "\"weighted:0.3\", \"relative-left\"",
+            PathCombine::Weighted(0.3),
+            PathAgg::RelativeLeft,
+        ),
+    ] {
+        let script_result = run_script(
+            &format!(
+                "RETURN compose(get(\"DBLP.VenuePub\"), get(\"DBLP.PubAuthor\"), {script_fg});"
+            ),
+            &scenario.registry,
+            &scenario.repository,
+        )
+        .unwrap();
+        let via_script = script_result.as_mapping().unwrap();
+        let via_api = moma::core::ops::compose::compose(&venue_pub, &pub_author, f, g).unwrap();
+        assert_same_mapping(via_script, &via_api);
+        // Semantic check: venue -> authors publishing there.
+        assert!(!via_api.is_empty());
+    }
 }
 
 #[test]
