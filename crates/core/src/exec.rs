@@ -1,4 +1,4 @@
-//! Parallel execution configuration for matchers and workflows.
+//! Parallel execution configuration for matchers.
 //!
 //! This module re-exports the deterministic sharded-execution layer from
 //! [`moma_table::exec`] and is the canonical place the rest of the
@@ -10,13 +10,11 @@
 //!   [`TrigramIndex`](crate::blocking::TrigramIndex) and scores its
 //!   candidates independently, and the per-shard correspondence lists are
 //!   concatenated in shard order.
-//! * **Workflow steps** execute independent matcher inputs of one step
-//!   concurrently.
 //! * **Index construction**
 //!   ([`TrigramIndex::build_par`](crate::blocking::TrigramIndex::build_par))
 //!   builds per-shard postings maps merged in shard order.
 //!
-//! All three are bit-identical to their sequential counterparts — the
+//! Both are bit-identical to their sequential counterparts — the
 //! shards are contiguous input ranges and the merge order is fixed — so
 //! determinism guarantees (and their tests) hold at every thread count.
 //!

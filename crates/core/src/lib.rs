@@ -23,16 +23,14 @@
 //!   [`matchers::MultiAttributeMatcher`], and the
 //!   [`matchers::neighborhood::nh_match`] neighborhood matcher built from
 //!   two composes (Section 4.2).
-//! * [`workflow`] — match workflows: sequences of steps, each executing
-//!   matchers and/or combining existing mappings, followed by selection
-//!   (Section 2.2, Figure 3).
-//! * [`repository`] — the mapping repository and cache that make results
-//!   reusable across match tasks.
+//! * [`repository`] — the mapping repository that makes results reusable
+//!   across match tasks. A match workflow (Section 2.2, Figure 3) is an
+//!   iFuice script (`moma-ifuice`) or a sequence of direct calls of the
+//!   items above.
 //! * [`cluster`] — duplicate clusters from self-mappings (Section 4.3).
 //! * [`exec`] — deterministic parallel execution: a [`Parallelism`]
-//!   config threaded through [`MatchContext`] shards matcher probing,
-//!   index construction and workflow steps across threads with
-//!   bit-identical results at every thread count (the mapping operators
+//!   config threaded through [`MatchContext`] shards matcher probing
+//!   and index construction across threads with bit-identical results at every thread count (the mapping operators
 //!   are sequential).
 //! * [`delta`] — incremental matching for evolving sources: a
 //!   [`DeltaMatchState`] patches a materialized mapping under source
@@ -74,12 +72,10 @@ pub mod mapping;
 pub mod matchers;
 pub mod ops;
 pub mod repository;
-pub mod workflow;
 
 pub use delta::DeltaMatchState;
 pub use error::{CoreError, Result};
 pub use exec::Parallelism;
 pub use mapping::{Mapping, MappingKind};
 pub use matchers::{MatchContext, Matcher};
-pub use repository::{MappingCache, MappingRepository, Recipe, SnapshotEntry};
-pub use workflow::{CombineOp, Combiner, StepInput, Workflow, WorkflowStep};
+pub use repository::{MappingRepository, Recipe, SnapshotEntry};

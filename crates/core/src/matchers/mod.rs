@@ -28,7 +28,7 @@ pub struct MatchContext<'a> {
     pub registry: &'a SourceRegistry,
     /// Existing mappings available for reuse.
     pub repository: Option<&'a MappingRepository>,
-    /// Parallel execution of matchers, workflow steps and composes.
+    /// Parallel execution of matcher probing and index construction.
     /// Defaults to [`Parallelism::from_env`] (`MOMA_THREADS` or one
     /// thread per CPU); results are identical at every thread count.
     pub parallelism: Parallelism,
@@ -63,7 +63,7 @@ impl<'a> MatchContext<'a> {
 /// A matcher: executes against two logical sources and produces a
 /// same-mapping.
 pub trait Matcher: Send + Sync {
-    /// Matcher name (for workflow traces and the matcher library).
+    /// Matcher name (for traces).
     fn name(&self) -> String;
 
     /// Run the matcher for `domain` × `range`.

@@ -175,10 +175,6 @@ pub struct MappingRepository {
     next_version: AtomicU64,
 }
 
-/// The mapping cache holds intermediate workflow results; structurally it
-/// is a second repository instance.
-pub type MappingCache = MappingRepository;
-
 impl MappingRepository {
     /// Empty repository.
     pub fn new() -> Self {

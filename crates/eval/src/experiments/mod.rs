@@ -1,4 +1,5 @@
-//! One module per evaluation table (paper Section 5).
+//! One module per evaluation table (paper Section 5), each exporting its
+//! [`Artifact`](crate::Artifact) row next to its `run`.
 
 pub mod extension;
 pub mod profile;
@@ -13,24 +14,3 @@ pub mod table7;
 pub mod table8;
 pub mod table9;
 pub mod tuning;
-
-use crate::report::Report;
-use crate::setup::EvalContext;
-
-/// Run every table experiment in order.
-pub fn run_all(ctx: &EvalContext) -> Vec<Report> {
-    vec![
-        table1::run(ctx),
-        table2::run(ctx),
-        table3::run(ctx),
-        table4::run(ctx),
-        table5::run(ctx),
-        table6::run(ctx),
-        table7::run(ctx),
-        table8::run(ctx),
-        table9::run(ctx),
-        table10::run(ctx),
-        extension::run(ctx),
-        tuning::run(ctx),
-    ]
-}

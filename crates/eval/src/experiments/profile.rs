@@ -5,8 +5,12 @@
 
 use moma_table::TableStats;
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::report::Report;
 use crate::setup::EvalContext;
+
+const CONFERENCES: &str = "DBLP.VenuePub (conferences)";
+const JOURNALS: &str = "DBLP.VenuePub (journal issues)";
 
 /// Profile the key association mappings.
 pub fn run(ctx: &EvalContext) -> Report {
@@ -15,6 +19,17 @@ pub fn run(ctx: &EvalContext) -> Report {
         "Dataset profile: association mapping statistics",
         vec!["Mapping", "Rows", "Domains", "Mean fanout", "Max fanout"],
     );
+    let mut profile = |label: &str, s: TableStats| {
+        r.row(
+            label,
+            vec![
+                s.rows.to_string(),
+                s.distinct_domains.to_string(),
+                format!("{:.1}", s.mean_domain_fanout),
+                s.max_domain_fanout.to_string(),
+            ],
+        );
+    };
     for name in [
         "DBLP.VenuePub",
         "DBLP.PubAuthor",
@@ -25,82 +40,35 @@ pub fn run(ctx: &EvalContext) -> Report {
         "GS.Clusters",
         "GS.LinksACM",
     ] {
-        let Some(m) = repo.get(name) else { continue };
-        let s = TableStats::of(&m.table);
-        r.row(
-            name,
-            vec![
-                s.rows.to_string(),
-                s.distinct_domains.to_string(),
-                format!("{:.1}", s.mean_domain_fanout),
-                s.max_domain_fanout.to_string(),
-            ],
-        );
+        let mapping = repo.get(name).expect("scenario mapping");
+        profile(name, TableStats::of(&mapping.table));
     }
     // Conference vs journal neighborhood sizes (the Table 4 mechanism).
     let venue_pub = repo.get("DBLP.VenuePub").expect("assoc");
-    let degrees = venue_pub.table.domain_degrees();
     let is_conf = &ctx.scenario.dblp_venue_is_conf;
-    let (mut conf, mut journal) = (Vec::new(), Vec::new());
-    for (&v, &d) in degrees.iter() {
-        if is_conf[v as usize] {
-            conf.push(d);
-        } else {
-            journal.push(d);
-        }
+    for (label, conference) in [(CONFERENCES, true), (JOURNALS, false)] {
+        let venues = venue_pub
+            .table
+            .filtered(|c| is_conf[c.domain as usize] == conference);
+        profile(label, TableStats::of(&venues));
     }
-    let avg = |v: &[u32]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<u32>() as f64 / v.len() as f64
-        }
-    };
-    r.note(format!(
-        "mean publications per conference: {:.1} (paper: 60-120); per journal issue: {:.1} (paper: 2-26)",
-        avg(&conf),
-        avg(&journal)
-    ));
-    let pub_author = repo.get("DBLP.PubAuthor").expect("assoc");
-    r.note(format!(
-        "mean authors per publication: {:.1} (paper: ~3)",
-        TableStats::of(&pub_author.table).mean_domain_fanout
-    ));
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn profile_matches_paper_regime() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        assert!(r.rows.len() >= 7);
-        // Authors per publication around 3.
-        let note = r
-            .notes
-            .iter()
-            .find(|n| n.contains("authors per publication"))
-            .unwrap();
-        let mean: f64 = note
-            .split(':')
-            .nth(1)
-            .unwrap()
-            .trim()
-            .split(' ')
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!((2.0..=4.0).contains(&mean), "authors/pub {mean}");
-        // Conferences dwarf journal issues.
-        let sizes = r
-            .notes
-            .iter()
-            .find(|n| n.contains("per conference"))
-            .unwrap();
-        assert!(sizes.contains("per journal issue"));
-    }
-}
+/// The neighborhood sizes the paper's Sections 5.4.1-5.4.3 quote.
+pub const ARTIFACT: Artifact = Artifact {
+    id: "profile",
+    group: Group::Extra,
+    run,
+    paper: &[("DBLP.PubAuthor", "Mean fanout", 3.0)],
+    claims: &[
+        Claim {
+            text: "about 3 authors per paper on average",
+            holds: |r| (2.0..=4.0).contains(&r.num("DBLP.PubAuthor", "Mean fanout")),
+        },
+        Claim {
+            text: "conferences (60-120 publications in the paper) dwarf journal issues (2-26)",
+            holds: |r| r.num(CONFERENCES, "Mean fanout") > 2.0 * r.num(JOURNALS, "Mean fanout"),
+        },
+    ],
+};

@@ -1,8 +1,6 @@
 //! Table 1: number of instances for the considered data sources.
-//!
-//! Paper values: DBLP 130 venues / 2,616 publications / 3,319 authors;
-//! ACM DL 128 / 2,294 / 3,547; Google Scholar — / 64,263 / (81,296).
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::report::Report;
 use crate::setup::EvalContext;
 
@@ -38,39 +36,41 @@ pub fn run(ctx: &EvalContext) -> Report {
             format!("({})", reg.lds(ids.author_gs).len()),
         ],
     );
-    r.note("paper: DBLP 130/2616/3319, ACM 128/2294/3547, GS -/64263/(81296)");
     r.note("GS authors parenthesized: author *name strings*, not resolved entities");
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shape_matches_paper() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        assert_eq!(r.rows.len(), 3);
-        let dblp_venues: usize = r.cell("DBLP", "Venues").unwrap().parse().unwrap();
-        let acm_venues: usize = r.cell("ACM DL", "Venues").unwrap().parse().unwrap();
-        // ACM misses VLDB 2002/2003.
-        assert_eq!(acm_venues, dblp_venues - 2);
-        let dblp_pubs: usize = r.cell("DBLP", "Publications").unwrap().parse().unwrap();
-        let acm_pubs: usize = r.cell("ACM DL", "Publications").unwrap().parse().unwrap();
-        let gs_pubs: usize = r
-            .cell("Google Scholar", "Publications")
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!(acm_pubs < dblp_pubs);
-        assert!(
-            gs_pubs > dblp_pubs,
-            "GS must dwarf DBLP (duplicates + noise)"
-        );
-        // ACM splits author identities: more authors despite fewer pubs.
-        let dblp_auth: usize = r.cell("DBLP", "Authors").unwrap().parse().unwrap();
-        let acm_auth: usize = r.cell("ACM DL", "Authors").unwrap().parse().unwrap();
-        assert!(acm_auth > dblp_auth);
-    }
-}
+/// Table 1 of the paper.
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table1",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("DBLP", "Venues", 130.0),
+        ("DBLP", "Publications", 2616.0),
+        ("DBLP", "Authors", 3319.0),
+        ("ACM DL", "Venues", 128.0),
+        ("ACM DL", "Publications", 2294.0),
+        ("ACM DL", "Authors", 3547.0),
+        ("Google Scholar", "Publications", 64263.0),
+        ("Google Scholar", "Authors", 81296.0),
+    ],
+    claims: &[
+        Claim {
+            text: "ACM lacks exactly two DBLP venues (VLDB 2002/2003)",
+            holds: |r| r.num("ACM DL", "Venues") == r.num("DBLP", "Venues") - 2.0,
+        },
+        Claim {
+            text: "ACM covers fewer publications than DBLP",
+            holds: |r| r.num("ACM DL", "Publications") < r.num("DBLP", "Publications"),
+        },
+        Claim {
+            text: "Google Scholar dwarfs DBLP (duplicates and noise entries)",
+            holds: |r| r.num("Google Scholar", "Publications") > r.num("DBLP", "Publications"),
+        },
+        Claim {
+            text: "ACM splits author identities: more authors than DBLP despite fewer publications",
+            holds: |r| r.num("ACM DL", "Authors") > r.num("DBLP", "Authors"),
+        },
+    ],
+};

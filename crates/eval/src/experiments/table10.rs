@@ -1,8 +1,6 @@
 //! Table 10: summary of matching results (F-measure).
-//!
-//! Paper values: DBLP-ACM venues 98.8, publications 98.6, authors 96.9;
-//! DBLP-GS publications 88.9; GS-ACM publications 88.2.
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::experiments::{table5, table6, table7, table8};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
@@ -38,31 +36,38 @@ pub fn run(ctx: &EvalContext) -> Report {
         "GS - ACM",
         vec!["-".into(), Report::pct(pub_ga_f * 100.0), "-".into()],
     );
-    r.note("paper: DBLP-ACM 98.8/98.6/96.9, DBLP-GS -/88.9/-, GS-ACM -/88.2/-");
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table10_shape() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        let venues = r.cell_pct("DBLP - ACM", "Venues").unwrap();
-        let pubs_da = r.cell_pct("DBLP - ACM", "Publications").unwrap();
-        let authors = r.cell_pct("DBLP - ACM", "Authors").unwrap();
-        let pubs_dg = r.cell_pct("DBLP - GS", "Publications").unwrap();
-        let pubs_ga = r.cell_pct("GS - ACM", "Publications").unwrap();
-        // DBLP-ACM results are excellent (paper: 96.9-98.8).
-        assert!(venues > 90.0, "venues {venues}");
-        assert!(pubs_da > 90.0, "pubs {pubs_da}");
-        assert!(authors > 85.0, "authors {authors}");
-        // GS pairs trail DBLP-ACM (paper: ~88 vs ~98).
-        assert!(pubs_dg < pubs_da);
-        assert!(pubs_ga < pubs_da);
-        assert!(pubs_dg > 60.0, "DBLP-GS too weak: {pubs_dg}");
-        assert!(pubs_ga > 60.0, "GS-ACM too weak: {pubs_ga}");
-    }
-}
+/// Table 10 of the paper.
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table10",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("DBLP - ACM", "Venues", 98.8),
+        ("DBLP - ACM", "Publications", 98.6),
+        ("DBLP - ACM", "Authors", 96.9),
+        ("DBLP - GS", "Publications", 88.9),
+        ("GS - ACM", "Publications", 88.2),
+    ],
+    claims: &[
+        Claim {
+            text: "the best DBLP-ACM workflows are excellent: venues and publications above 90%, authors above 85%",
+            holds: |r| {
+                r.num("DBLP - ACM", "Venues") > 90.0
+                    && r.num("DBLP - ACM", "Publications") > 90.0
+                    && r.num("DBLP - ACM", "Authors") > 85.0
+            },
+        },
+        Claim {
+            text: "both Google Scholar pairs trail the clean pair yet stay above 60%",
+            holds: |r| {
+                ["DBLP - GS", "GS - ACM"].iter().all(|pair| {
+                    let dirty = r.num(pair, "Publications");
+                    dirty < r.num("DBLP - ACM", "Publications") && dirty > 60.0
+                })
+            },
+        },
+    ],
+};

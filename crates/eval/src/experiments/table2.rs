@@ -1,12 +1,10 @@
 //! Table 2: matching DBLP-ACM publications with attribute matchers.
 //!
-//! Paper values (P/R/F): Title 86.7/97.7/91.9, Author 38.0/87.9/53.1,
-//! Year 0.4/100/0.8, Merge 97.3/93.9/95.5. The shape to reproduce: the
-//! title matcher dominates but is imperfect (conference/journal twins,
-//! recurring newsletter titles); year matching alone is hopeless
-//! (precision ≈ 0 at perfect recall); merging with Avg and an 80%
-//! threshold lifts precision above the title matcher at a small recall
-//! cost.
+//! The shape to reproduce: the title matcher dominates but is imperfect
+//! (conference/journal twins, recurring newsletter titles); year matching
+//! alone is hopeless (precision ≈ 0 at perfect recall); merging with Avg
+//! and an 80% threshold lifts precision above the title matcher at a
+//! small recall cost.
 
 use std::sync::Arc;
 
@@ -14,6 +12,7 @@ use moma_core::ops::merge::{merge, MergeFn, MissingPolicy};
 use moma_core::ops::select::{select, Selection};
 use moma_core::Mapping;
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
@@ -43,51 +42,48 @@ pub fn run(ctx: &EvalContext) -> Report {
         "Table 2. Matching DBLP-ACM publications using attribute matchers",
         vec!["Metric", "Title", "Author", "Year", "Merge"],
     );
-    for (label, pick) in [("Precision", 0usize), ("Recall", 1), ("F-Measure", 2)] {
-        let cell = |q: &MatchQuality| {
-            let (p, rc, f) = q.as_percentages();
-            Report::pct([p, rc, f][pick])
-        };
-        r.row(
-            label,
-            vec![cell(&title), cell(&author), cell(&year), cell(&merged)],
-        );
-    }
-    r.note("paper: Title 86.7/97.7/91.9, Author 38.0/87.9/53.1, Year 0.4/100/0.8, Merge 97.3/93.9/95.5");
+    r.quality_rows(&[title, author, year, merged]);
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table2_shape() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        let f = |col: &str| r.cell_pct("F-Measure", col).unwrap();
-        let p = |col: &str| r.cell_pct("Precision", col).unwrap();
-        let rec = |col: &str| r.cell_pct("Recall", col).unwrap();
-        // Title dominates author and year.
-        assert!(
-            f("Title") > f("Author"),
-            "title {} vs author {}",
-            f("Title"),
-            f("Author")
-        );
-        assert!(f("Title") > f("Year"));
-        // Year: near-perfect recall (a few ACM records carry off-by-one
-        // print years), near-zero precision.
-        assert!(rec("Year") > 88.0);
-        assert!(p("Year") < 15.0);
-        // Merge improves precision over the title matcher.
-        assert!(
-            p("Merge") > p("Title"),
-            "merge P {} vs title P {}",
-            p("Merge"),
-            p("Title")
-        );
-        // Merge F at least on par with title.
-        assert!(f("Merge") + 2.0 >= f("Title"));
-    }
-}
+/// Table 2 of the paper.
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table2",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("Precision", "Title", 86.7),
+        ("Recall", "Title", 97.7),
+        ("F-Measure", "Title", 91.9),
+        ("Precision", "Author", 38.0),
+        ("Recall", "Author", 87.9),
+        ("F-Measure", "Author", 53.1),
+        ("Precision", "Year", 0.4),
+        ("Recall", "Year", 100.0),
+        ("F-Measure", "Year", 0.8),
+        ("Precision", "Merge", 97.3),
+        ("Recall", "Merge", 93.9),
+        ("F-Measure", "Merge", 95.5),
+    ],
+    claims: &[
+        Claim {
+            text: "the title matcher dominates the author and year matchers",
+            holds: |r| {
+                let title = r.num("F-Measure", "Title");
+                title > r.num("F-Measure", "Author") && title > r.num("F-Measure", "Year")
+            },
+        },
+        Claim {
+            text: "year matching alone is hopeless: near-perfect recall, near-zero precision",
+            holds: |r| r.num("Recall", "Year") > 88.0 && r.num("Precision", "Year") < 15.0,
+        },
+        Claim {
+            text: "merging the three matchers lifts precision above the title matcher",
+            holds: |r| r.num("Precision", "Merge") > r.num("Precision", "Title"),
+        },
+        Claim {
+            text: "the merge is at least on par with the title matcher (within 2 points of F)",
+            holds: |r| r.num("F-Measure", "Merge") + 2.0 >= r.num("F-Measure", "Title"),
+        },
+    ],
+};

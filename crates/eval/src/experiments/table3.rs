@@ -1,163 +1,112 @@
 //! Table 3: matching publications via different compose paths.
 //!
-//! Paper values (F-measure):
-//!
-//! | Matcher  | DBLP-GS (via ACM) | DBLP-ACM (via GS) | GS-ACM (via DBLP) |
-//! |----------|-------------------|-------------------|-------------------|
-//! | Direct   | 81.3              | 91.9              | 35.3              |
-//! | Compose  | 33.9              | 63.7              | 83.9              |
-//! | Merge    | 81.3              | 91.6              | 83.7              |
-//!
-//! Shape: the native GS→ACM links are poor (recall 21.6% in the paper);
-//! composing via the clean hub DBLP beats them decisively; composing
-//! through GS or the GS-ACM links degrades; merging direct and composed
-//! retains the better alternative per pair.
-
-use std::sync::Arc;
+//! Shape: the native GS→ACM links are poor; composing via the clean hub
+//! DBLP beats them decisively; composing through GS or the GS-ACM links
+//! degrades; merging direct and composed retains the better alternative
+//! per pair.
 
 use moma_core::ops::compose::{compose, PathAgg, PathCombine};
 use moma_core::ops::merge::{merge, MergeFn, MissingPolicy};
 use moma_core::Mapping;
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
 
-/// Direct, composed and merged mappings for the three source pairs.
-pub struct Table3Mappings {
-    /// Direct DBLP→GS (title matcher).
-    pub direct_dg: Arc<Mapping>,
-    /// Direct DBLP→ACM (title matcher).
-    pub direct_da: Arc<Mapping>,
-    /// Direct GS→ACM (the native GS links).
-    pub direct_ga: Arc<Mapping>,
-    /// DBLP→GS composed via ACM.
-    pub compose_dg: Mapping,
-    /// DBLP→ACM composed via GS.
-    pub compose_da: Mapping,
-    /// GS→ACM composed via DBLP.
-    pub compose_ga: Mapping,
-    /// Merged (direct ∪ composed, Max).
-    pub merge_dg: Mapping,
-    /// Merged DBLP→ACM.
-    pub merge_da: Mapping,
-    /// Merged GS→ACM.
-    pub merge_ga: Mapping,
-}
-
-/// Build all nine mappings.
-pub fn mappings(ctx: &EvalContext) -> Table3Mappings {
+/// Run the Table 3 experiment.
+pub fn run(ctx: &EvalContext) -> Report {
+    let gold = &ctx.scenario.gold;
     let direct_dg = ctx.pub_title_dblp_gs();
     let direct_da = ctx.pub_title_dblp_acm();
     let direct_ga = ctx.scenario.repository.get("GS.LinksACM").expect("links");
-
-    let (f, g) = (PathCombine::Min, PathAgg::Max);
-    // DBLP -> ACM -> GS (inverse of the native links).
-    let compose_dg = compose(&direct_da, &direct_ga.inverse(), f, g).expect("compose dg");
-    // DBLP -> GS -> ACM.
-    let compose_da = compose(&direct_dg, &direct_ga, f, g).expect("compose da");
-    // GS -> DBLP -> ACM via the hub.
-    let compose_ga = compose(&direct_dg.inverse(), &direct_da, f, g).expect("compose ga");
-
-    let m = |a: &Mapping, b: &Mapping| {
-        merge(&[a, b], MergeFn::Max, MissingPolicy::Ignore).expect("merge")
-    };
-    let merge_dg = m(&direct_dg, &compose_dg);
-    let merge_da = m(&direct_da, &compose_da);
-    let merge_ga = m(&direct_ga, &compose_ga);
-    Table3Mappings {
-        direct_dg,
-        direct_da,
-        direct_ga,
-        compose_dg,
-        compose_da,
-        compose_ga,
-        merge_dg,
-        merge_da,
-        merge_ga,
-    }
-}
-
-/// Run the Table 3 experiment.
-pub fn run(ctx: &EvalContext) -> Report {
-    let m = mappings(ctx);
-    let gold = &ctx.scenario.gold;
-    let f = |mapping: &Mapping, gold: &moma_datagen::GoldStandard| {
-        Report::pct(MatchQuality::evaluate(mapping, gold).f1() * 100.0)
+    let via =
+        |a: &Mapping, b: &Mapping| compose(a, b, PathCombine::Min, PathAgg::Max).expect("compose");
+    // Per column: the direct mapping, the one composed via the third
+    // source (DBLP→ACM→GS, DBLP→GS→ACM, GS→DBLP→ACM) and the gold standard.
+    let columns = [
+        (
+            &*direct_dg,
+            via(&direct_da, &direct_ga.inverse()),
+            &gold.pub_dblp_gs,
+        ),
+        (&*direct_da, via(&direct_dg, &direct_ga), &gold.pub_dblp_acm),
+        (
+            &*direct_ga,
+            via(&direct_dg.inverse(), &direct_da),
+            &gold.pub_gs_acm,
+        ),
+    ];
+    let f =
+        |mapping: &Mapping, gold| Report::pct(MatchQuality::evaluate(mapping, gold).f1() * 100.0);
+    let merged = |direct: &Mapping, composed: &Mapping| {
+        merge(&[direct, composed], MergeFn::Max, MissingPolicy::Ignore).expect("merge")
     };
     let mut r = Report::new(
         "Table 3. Matching publications via different compose paths (F-Measure)",
-        vec![
-            "Matcher",
-            "DBLP-GS (via ACM)",
-            "DBLP-ACM (via GS)",
-            "GS-ACM (via DBLP)",
-        ],
+        vec!["Matcher", PAIRS[0], PAIRS[1], PAIRS[2]],
     );
-    r.row(
-        "Direct",
-        vec![
-            f(&m.direct_dg, &gold.pub_dblp_gs),
-            f(&m.direct_da, &gold.pub_dblp_acm),
-            f(&m.direct_ga, &gold.pub_gs_acm),
-        ],
-    );
-    r.row(
-        "Compose",
-        vec![
-            f(&m.compose_dg, &gold.pub_dblp_gs),
-            f(&m.compose_da, &gold.pub_dblp_acm),
-            f(&m.compose_ga, &gold.pub_gs_acm),
-        ],
-    );
+    r.row("Direct", columns.iter().map(|(d, _, g)| f(d, g)).collect());
+    r.row("Compose", columns.iter().map(|(_, c, g)| f(c, g)).collect());
     r.row(
         "Merge",
-        vec![
-            f(&m.merge_dg, &gold.pub_dblp_gs),
-            f(&m.merge_da, &gold.pub_dblp_acm),
-            f(&m.merge_ga, &gold.pub_gs_acm),
-        ],
+        columns
+            .iter()
+            .map(|(d, c, g)| f(&merged(d, c), g))
+            .collect(),
     );
-    let links_q = MatchQuality::evaluate(&m.direct_ga, &gold.pub_gs_acm);
-    r.note(format!(
-        "native GS-ACM links: recall {:.1}% (paper: 21.6%)",
-        links_q.recall() * 100.0
-    ));
-    r.note("paper F: Direct 81.3/91.9/35.3, Compose 33.9/63.7/83.9, Merge 81.3/91.6/83.7");
+    let links_recall = MatchQuality::evaluate(&direct_ga, &gold.pub_gs_acm).recall();
+    r.row(
+        "Direct (recall)",
+        vec!["-".into(), "-".into(), Report::pct(links_recall * 100.0)],
+    );
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+const PAIRS: [&str; 3] = [
+    "DBLP-GS (via ACM)",
+    "DBLP-ACM (via GS)",
+    "GS-ACM (via DBLP)",
+];
 
-    #[test]
-    fn table3_shape() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        let cell = |row: &str, col: &str| r.cell_pct(row, col).unwrap();
-        // Native GS-ACM links are poor; composing via DBLP is far better.
-        assert!(
-            cell("Compose", "GS-ACM (via DBLP)") > cell("Direct", "GS-ACM (via DBLP)") + 15.0,
-            "compose {} direct {}",
-            cell("Compose", "GS-ACM (via DBLP)"),
-            cell("Direct", "GS-ACM (via DBLP)")
-        );
-        // Composing through the poor GS-ACM mapping degrades vs direct.
-        assert!(cell("Compose", "DBLP-ACM (via GS)") < cell("Direct", "DBLP-ACM (via GS)"));
-        assert!(cell("Compose", "DBLP-GS (via ACM)") < cell("Direct", "DBLP-GS (via ACM)"));
-        // Merge roughly retains the best alternative per pair.
-        for col in [
-            "DBLP-GS (via ACM)",
-            "DBLP-ACM (via GS)",
-            "GS-ACM (via DBLP)",
-        ] {
-            let best = cell("Direct", col).max(cell("Compose", col));
-            assert!(
-                cell("Merge", col) >= best - 6.0,
-                "{col}: merge {} vs best {best}",
-                cell("Merge", col)
-            );
-        }
-    }
-}
+/// Table 3 of the paper (plus the recall of the native GS→ACM links
+/// its text quotes).
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table3",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("Direct", PAIRS[0], 81.3),
+        ("Direct", PAIRS[1], 91.9),
+        ("Direct", PAIRS[2], 35.3),
+        ("Compose", PAIRS[0], 33.9),
+        ("Compose", PAIRS[1], 63.7),
+        ("Compose", PAIRS[2], 83.9),
+        ("Merge", PAIRS[0], 81.3),
+        ("Merge", PAIRS[1], 91.6),
+        ("Merge", PAIRS[2], 83.7),
+        ("Direct (recall)", PAIRS[2], 21.6),
+    ],
+    claims: &[
+        Claim {
+            text: "composing via the hub DBLP beats the weak native GS-ACM links by more than 15 points",
+            holds: |r| r.num("Compose", PAIRS[2]) > r.num("Direct", PAIRS[2]) + 15.0,
+        },
+        Claim {
+            text: "composing through the dirty source or the weak links degrades the two good direct mappings",
+            holds: |r| {
+                r.num("Compose", PAIRS[1]) < r.num("Direct", PAIRS[1])
+                    && r.num("Compose", PAIRS[0]) < r.num("Direct", PAIRS[0])
+            },
+        },
+        Claim {
+            text: "merging direct and composed retains the better alternative per pair (within 6 points)",
+            holds: |r| {
+                PAIRS.iter().all(|pair| {
+                    let best = r.num("Direct", pair).max(r.num("Compose", pair));
+                    r.num("Merge", pair) >= best - 6.0
+                })
+            },
+        },
+    ],
+};

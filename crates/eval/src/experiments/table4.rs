@@ -1,17 +1,5 @@
 //! Table 4: matching DBLP-ACM venues with the 1:n neighborhood matcher.
 //!
-//! Reconstructed paper values (columns: Threshold 80% / 50% / Best-1):
-//!
-//! | Group       |      | 80%   | 50%   | Best-1 |
-//! |-------------|------|-------|-------|--------|
-//! | Conferences | P    | 100   | 100   | 94.7   |
-//! |             | R    | 100   | 100   | 100    |
-//! |             | F    | 100   | 100   | 97.3   |
-//! | Journals    | P    | 100   | 99.0  | 98.2   |
-//! |             | R    | 62.7  | 86.4  | 100    |
-//! |             | F    | 77.1  | 92.2  | 99.1   |
-//! | Overall     | F    | 80.9  | 93.4  | 98.8   |
-//!
 //! Shape: conferences (large neighborhoods) are matched perfectly by
 //! thresholds but Best-1 pays for the missing VLDB 2002/2003 in ACM;
 //! journals (small neighborhoods, 2–26 papers) lose recall at strict
@@ -19,6 +7,7 @@
 
 use moma_core::ops::select::{select, Selection};
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
@@ -62,36 +51,65 @@ pub fn run(ctx: &EvalContext) -> Report {
     r.row("Journals R", cells(MatchQuality::recall, 1));
     r.row("Journals F", cells(MatchQuality::f1, 1));
     r.row("Overall F", cells(MatchQuality::f1, 2));
-    r.note("paper: Conf F 100/100/97.3, Journal F 77.1/92.2/99.1, Overall F 80.9/93.4/98.8");
     r.note("Best-1 pays precision for the VLDB 2002/2003 venues missing in ACM");
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table4_shape() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        let cell = |row: &str, col: &str| r.cell_pct(row, col).unwrap();
-        // Conferences match perfectly at the strict threshold.
-        assert_eq!(cell("Conferences F", "80%"), 100.0);
-        assert_eq!(cell("Conferences R", "Best-1"), 100.0);
-        // Best-1 never beats the strict threshold on conference
-        // precision: the VLDB 2002/2003 venues missing from ACM can only
-        // contribute false positives under forced selection (at paper
-        // scale they do — Best-1 conference precision 94.7% in Table 4).
-        assert!(cell("Conferences P", "Best-1") <= cell("Conferences P", "80%"));
-        // Journals: recall grows monotonically toward Best-1.
-        assert!(cell("Journals R", "80%") <= cell("Journals R", "50%"));
-        assert!(cell("Journals R", "50%") <= cell("Journals R", "Best-1"));
-        // Conference precision never improves with permissiveness: the
-        // dropped VLDB venues can only add false positives.
-        assert!(cell("Conferences P", "50%") <= cell("Conferences P", "80%"));
-        // Every selection keeps overall quality high; at paper scale the
-        // progression is 77.5 -> 82.0 -> 99.2 (paper: 80.9/93.4/98.8).
-        assert!(cell("Overall F", "Best-1") > 90.0);
-    }
-}
+/// Table 4 of the paper (values reconstructed from its text).
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table4",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("Conferences P", "80%", 100.0),
+        ("Conferences P", "50%", 100.0),
+        ("Conferences P", "Best-1", 94.7),
+        ("Conferences R", "80%", 100.0),
+        ("Conferences R", "50%", 100.0),
+        ("Conferences R", "Best-1", 100.0),
+        ("Conferences F", "80%", 100.0),
+        ("Conferences F", "50%", 100.0),
+        ("Conferences F", "Best-1", 97.3),
+        ("Journals P", "80%", 100.0),
+        ("Journals P", "50%", 99.0),
+        ("Journals P", "Best-1", 98.2),
+        ("Journals R", "80%", 62.7),
+        ("Journals R", "50%", 86.4),
+        ("Journals R", "Best-1", 100.0),
+        ("Journals F", "80%", 77.1),
+        ("Journals F", "50%", 92.2),
+        ("Journals F", "Best-1", 99.1),
+        ("Overall F", "80%", 80.9),
+        ("Overall F", "50%", 93.4),
+        ("Overall F", "Best-1", 98.8),
+    ],
+    claims: &[
+        Claim {
+            text: "the strict threshold matches conferences (large neighborhoods) perfectly",
+            holds: |r| r.num("Conferences F", "80%") == 100.0,
+        },
+        Claim {
+            text: "Best-1 finds every conference",
+            holds: |r| r.num("Conferences R", "Best-1") == 100.0,
+        },
+        Claim {
+            text: "conference precision never improves with permissiveness: the VLDB 2002/2003 venues missing in ACM can only add false positives",
+            holds: |r| {
+                let strict = r.num("Conferences P", "80%");
+                r.num("Conferences P", "50%") <= strict && r.num("Conferences P", "Best-1") <= strict
+            },
+        },
+        Claim {
+            text: "journals (small neighborhoods) need Best-1: recall grows from 80% over 50% to Best-1, and F with it",
+            holds: |r| {
+                r.num("Journals R", "80%") <= r.num("Journals R", "50%")
+                    && r.num("Journals R", "50%") <= r.num("Journals R", "Best-1")
+                    && r.num("Journals F", "80%") <= r.num("Journals F", "Best-1")
+            },
+        },
+        Claim {
+            text: "Best-1 selection keeps overall quality above 90%",
+            holds: |r| r.num("Overall F", "Best-1") > 90.0,
+        },
+    ],
+};

@@ -1,19 +1,6 @@
 //! Table 5: improving the DBLP-ACM publication same-mapping with the n:1
 //! venue neighborhood matcher.
 //!
-//! Reconstructed paper values (columns Attribute(Title) /
-//! Neighborhood(Venue) / Merge):
-//!
-//! | Group       |   | Attr  | NH    | Merge |
-//! |-------------|---|-------|-------|-------|
-//! | Journals    | P | 72.8  | 6.5   | 99.7  |
-//! |             | R | 95.9  | 100   | 95.9  |
-//! |             | F | 82.8  | 12.2  | 97.8  |
-//! | Overall     | P | 96.7  | 1.2   | 99.2  |
-//! |             | R | 99.8  | 100   | 98.8  |
-//! |             | F | 91.9  | 3.36  | 98.6  |
-//! | Conferences | F | 97.7  | 2.4   | 99.0  |
-//!
 //! Shape: the venue neighborhood alone has ~100% recall at a few percent
 //! precision (it proposes all same-venue pairs); combining it with the
 //! title matcher removes the recurring-title and conference/journal-twin
@@ -26,6 +13,7 @@ use moma_core::ops::compose::PathAgg;
 use moma_core::ops::setops::intersection;
 use moma_core::Mapping;
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
@@ -87,12 +75,7 @@ pub fn run(ctx: &EvalContext) -> Report {
 
     let mut r = Report::new(
         "Table 5. Matching DBLP-ACM publications using neighborhood matcher (n:1 venue)",
-        vec![
-            "Metric",
-            "Attribute (Title)",
-            "Neighborhood (Venue)",
-            "Merge",
-        ],
+        vec!["Metric", ATTR, NH, "Merge"],
     );
     let row = |label: &str, pick: fn(&MatchQuality) -> f64, which: usize| {
         (
@@ -115,39 +98,62 @@ pub fn run(ctx: &EvalContext) -> Report {
     ] {
         r.row(label, cells);
     }
-    r.note("paper: Overall Attr 96.7/99.8/91.9*, NH 1.2/100/3.36, Merge 99.2/98.8/98.6 (P/R/F)");
-    r.note("paper journal F: Attr 82.8 -> Merge 97.8; conference F: 97.7 -> 99.0");
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+const ATTR: &str = "Attribute (Title)";
+const NH: &str = "Neighborhood (Venue)";
 
-    #[test]
-    fn table5_shape() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        let cell = |row: &str, col: &str| r.cell_pct(row, col).unwrap();
-        // Neighborhood alone: ~full recall, tiny precision.
-        assert!(cell("Overall R", "Neighborhood (Venue)") > 90.0);
-        assert!(cell("Overall P", "Neighborhood (Venue)") < 30.0);
-        // Merge beats the attribute matcher on precision.
-        assert!(
-            cell("Overall P", "Merge") > cell("Overall P", "Attribute (Title)"),
-            "merge P {} vs attr P {}",
-            cell("Overall P", "Merge"),
-            cell("Overall P", "Attribute (Title)")
-        );
-        // ... at (almost) no recall cost.
-        assert!(cell("Overall R", "Merge") + 4.0 >= cell("Overall R", "Attribute (Title)"));
-        // Overall F improves.
-        assert!(cell("Overall F", "Merge") >= cell("Overall F", "Attribute (Title)"));
-        // Both groups improve; at paper scale the journal improvement
-        // dominates (recurring newsletter titles live in journal issues).
-        let j_gain = cell("Journal F", "Merge") - cell("Journal F", "Attribute (Title)");
-        let c_gain = cell("Conference F", "Merge") - cell("Conference F", "Attribute (Title)");
-        assert!(j_gain > 0.0, "journal gain {j_gain}");
-        assert!(c_gain >= 0.0, "conference gain {c_gain}");
-    }
-}
+/// Table 5 of the paper (values reconstructed from its text).
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table5",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("Conference F", ATTR, 97.7),
+        ("Conference F", NH, 2.4),
+        ("Conference F", "Merge", 99.0),
+        ("Journal P", ATTR, 72.8),
+        ("Journal P", NH, 6.5),
+        ("Journal P", "Merge", 99.7),
+        ("Journal R", ATTR, 95.9),
+        ("Journal R", NH, 100.0),
+        ("Journal R", "Merge", 95.9),
+        ("Journal F", ATTR, 82.8),
+        ("Journal F", NH, 12.2),
+        ("Journal F", "Merge", 97.8),
+        ("Overall P", ATTR, 96.7),
+        ("Overall P", NH, 1.2),
+        ("Overall P", "Merge", 99.2),
+        ("Overall R", ATTR, 99.8),
+        ("Overall R", NH, 100.0),
+        ("Overall R", "Merge", 98.8),
+        ("Overall F", ATTR, 91.9),
+        ("Overall F", NH, 3.36),
+        ("Overall F", "Merge", 98.6),
+    ],
+    claims: &[
+        Claim {
+            text: "the venue neighborhood alone proposes all same-venue pairs: ~full recall at tiny precision",
+            holds: |r| r.num("Overall R", NH) > 90.0 && r.num("Overall P", NH) < 30.0,
+        },
+        Claim {
+            text: "merging it with the title matcher lifts precision at (almost) no recall cost",
+            holds: |r| {
+                r.num("Overall P", "Merge") > r.num("Overall P", ATTR)
+                    && r.num("Overall R", "Merge") + 4.0 >= r.num("Overall R", ATTR)
+            },
+        },
+        Claim {
+            text: "the merge is at least as good as the attribute matcher overall",
+            holds: |r| r.num("Overall F", "Merge") >= r.num("Overall F", ATTR),
+        },
+        Claim {
+            text: "journals gain (recurring newsletter titles live in journal issues) and conferences do not lose",
+            holds: |r| {
+                r.num("Journal F", "Merge") > r.num("Journal F", ATTR)
+                    && r.num("Conference F", "Merge") >= r.num("Conference F", ATTR)
+            },
+        },
+    ],
+};

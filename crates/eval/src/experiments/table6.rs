@@ -1,9 +1,6 @@
 //! Table 6: matching DBLP-ACM authors with the n:m publication
 //! neighborhood matcher.
 //!
-//! Paper values (P/R/F): Attribute(Name) 99.3/81.3/89.4,
-//! Neighborhood(Publication) 24.8/99.3/39.7, Merge 99.9/94.0/96.9.
-//!
 //! Shape: plain name matching is precise but misses abbreviated
 //! identities (ACM's "J. Smith"); the publication neighborhood alone
 //! over-matches co-author groups; the Min-merge of a permissive name
@@ -18,6 +15,7 @@ use moma_core::ops::merge::{merge, MergeFn, MissingPolicy};
 use moma_core::ops::select::{select, Selection};
 use moma_core::Mapping;
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
@@ -55,48 +53,53 @@ pub fn run(ctx: &EvalContext) -> Report {
 
     let mut r = Report::new(
         "Table 6. Matching DBLP-ACM authors using neighborhood matcher (n:m publication)",
-        vec![
-            "Metric",
-            "Attribute (Name)",
-            "Neighborhood (Publication)",
-            "Merge",
-        ],
+        vec!["Metric", ATTR, NH, "Merge"],
     );
-    for (label, pick) in [("Precision", 0usize), ("Recall", 1), ("F-Measure", 2)] {
-        let cell = |q: &MatchQuality| {
-            let v = q.as_percentages();
-            Report::pct([v.0, v.1, v.2][pick])
-        };
-        r.row(label, vec![cell(&attr), cell(&nh), cell(&merged)]);
-    }
-    r.note("paper: Attr 99.3/81.3/89.4, NH 24.8/99.3/39.7, Merge 99.9/94.0/96.9 (P/R/F)");
+    r.quality_rows(&[attr, nh, merged]);
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+const ATTR: &str = "Attribute (Name)";
+const NH: &str = "Neighborhood (Publication)";
 
-    #[test]
-    fn table6_shape() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        let cell = |row: &str, col: &str| r.cell_pct(row, col).unwrap();
-        // Name matching: high precision, limited recall (abbreviations).
-        assert!(cell("Precision", "Attribute (Name)") > 85.0);
-        assert!(cell("Recall", "Attribute (Name)") < 95.0);
-        // Neighborhood alone: high recall, poor precision.
-        assert!(cell("Recall", "Neighborhood (Publication)") > cell("Recall", "Attribute (Name)"));
-        assert!(cell("Precision", "Neighborhood (Publication)") < 70.0);
-        // Merge: recall above attribute-only at comparable precision.
-        assert!(
-            cell("Recall", "Merge") > cell("Recall", "Attribute (Name)"),
-            "merge R {} vs attr R {}",
-            cell("Recall", "Merge"),
-            cell("Recall", "Attribute (Name)")
-        );
-        assert!(cell("Precision", "Merge") + 8.0 >= cell("Precision", "Attribute (Name)"));
-        assert!(cell("F-Measure", "Merge") > cell("F-Measure", "Attribute (Name)"));
-        assert!(cell("F-Measure", "Merge") > cell("F-Measure", "Neighborhood (Publication)"));
-    }
-}
+/// Table 6 of the paper.
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table6",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("Precision", ATTR, 99.3),
+        ("Recall", ATTR, 81.3),
+        ("F-Measure", ATTR, 89.4),
+        ("Precision", NH, 24.8),
+        ("Recall", NH, 99.3),
+        ("F-Measure", NH, 39.7),
+        ("Precision", "Merge", 99.9),
+        ("Recall", "Merge", 94.0),
+        ("F-Measure", "Merge", 96.9),
+    ],
+    claims: &[
+        Claim {
+            text: "name matching is precise but misses abbreviated identities",
+            holds: |r| r.num("Precision", ATTR) > 85.0 && r.num("Recall", ATTR) < 95.0,
+        },
+        Claim {
+            text: "the publication neighborhood alone over-matches co-author groups: higher recall, poor precision",
+            holds: |r| r.num("Recall", NH) > r.num("Recall", ATTR) && r.num("Precision", NH) < 70.0,
+        },
+        Claim {
+            text: "the merge recovers abbreviated authors at comparable precision (within 8 points)",
+            holds: |r| {
+                r.num("Recall", "Merge") > r.num("Recall", ATTR)
+                    && r.num("Precision", "Merge") + 8.0 >= r.num("Precision", ATTR)
+            },
+        },
+        Claim {
+            text: "the merge beats both single matchers",
+            holds: |r| {
+                let merged = r.num("F-Measure", "Merge");
+                merged > r.num("F-Measure", ATTR) && merged > r.num("F-Measure", NH)
+            },
+        },
+    ],
+};

@@ -1,9 +1,6 @@
 //! Table 7: matching DBLP-GS publications with the n:m author
 //! neighborhood matcher.
 //!
-//! Paper values (P/R/F): Attribute(Title) 81.1/81.6/81.3,
-//! Neighborhood(Author) 15.2/76.0/25.4, Merge 85.1/92.9/88.9.
-//!
 //! Shape: Google Scholar's extraction-noisy titles cap plain title
 //! matching around 81%; the author neighborhood (with RelativeLeft,
 //! because GS author lists are truncated) recovers noisy-title entries,
@@ -17,6 +14,7 @@ use moma_core::ops::select::{select, Selection};
 use moma_core::ops::setops::{intersection, union};
 use moma_core::Mapping;
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
@@ -55,50 +53,51 @@ pub fn run(ctx: &EvalContext) -> Report {
 
     let mut r = Report::new(
         "Table 7. Matching DBLP-GS publications using neighborhood matcher (n:m author)",
-        vec![
-            "Metric",
-            "Attribute (Title)",
-            "Neighborhood (Author)",
-            "Merge",
-        ],
+        vec!["Metric", ATTR, NH, "Merge"],
     );
-    for (label, pick) in [("Precision", 0usize), ("Recall", 1), ("F-Measure", 2)] {
-        let cell = |q: &MatchQuality| {
-            let v = q.as_percentages();
-            Report::pct([v.0, v.1, v.2][pick])
-        };
-        r.row(label, vec![cell(&attr), cell(&nh), cell(&merged)]);
-    }
-    r.note("paper: Attr 81.1/81.6/81.3, NH 15.2/76.0/25.4, Merge 85.1/92.9/88.9 (P/R/F)");
+    r.quality_rows(&[attr, nh, merged]);
     r.note("RelativeLeft used because GS author lists are incomplete");
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) const ATTR: &str = "Attribute (Title)";
+pub(crate) const NH: &str = "Neighborhood (Author)";
 
-    #[test]
-    fn table7_shape() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        let cell = |row: &str, col: &str| r.cell_pct(row, col).unwrap();
-        // Dirty GS titles keep attribute-only matching well below the
-        // DBLP-ACM level.
-        assert!(cell("F-Measure", "Attribute (Title)") < 97.0);
-        // Neighborhood alone is weak on F (precision-poor).
-        assert!(
-            cell("Precision", "Neighborhood (Author)") < cell("Precision", "Attribute (Title)")
-        );
-        // Merge: the paper's signature — recall rises markedly...
-        assert!(
-            cell("Recall", "Merge") > cell("Recall", "Attribute (Title)") + 3.0,
-            "merge R {} vs attr R {}",
-            cell("Recall", "Merge"),
-            cell("Recall", "Attribute (Title)")
-        );
-        // ...while precision stays in the same region.
-        assert!(cell("Precision", "Merge") + 8.0 >= cell("Precision", "Attribute (Title)"));
-        assert!(cell("F-Measure", "Merge") > cell("F-Measure", "Attribute (Title)"));
-    }
-}
+/// Table 7 of the paper.
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table7",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("Precision", ATTR, 81.1),
+        ("Recall", ATTR, 81.6),
+        ("F-Measure", ATTR, 81.3),
+        ("Precision", NH, 15.2),
+        ("Recall", NH, 76.0),
+        ("F-Measure", NH, 25.4),
+        ("Precision", "Merge", 85.1),
+        ("Recall", "Merge", 92.9),
+        ("F-Measure", "Merge", 88.9),
+    ],
+    claims: &[
+        Claim {
+            text: "dirty GS titles keep attribute-only matching well below the DBLP-ACM level",
+            holds: |r| r.num("F-Measure", ATTR) < 97.0,
+        },
+        Claim {
+            text: "the author neighborhood alone is less precise than the title matcher",
+            holds: |r| r.num("Precision", NH) < r.num("Precision", ATTR),
+        },
+        Claim {
+            text: "the merge recovers noisy-title entries: recall rises by more than 3 points while precision holds (within 8)",
+            holds: |r| {
+                r.num("Recall", "Merge") > r.num("Recall", ATTR) + 3.0
+                    && r.num("Precision", "Merge") + 8.0 >= r.num("Precision", ATTR)
+            },
+        },
+        Claim {
+            text: "the merge beats the title matcher",
+            holds: |r| r.num("F-Measure", "Merge") > r.num("F-Measure", ATTR),
+        },
+    ],
+};

@@ -1,8 +1,6 @@
 //! Table 8: matching GS-ACM publications with the n:m author
 //! neighborhood matcher.
 //!
-//! Paper values (P/R/F): Attribute(Title) 86.7/81.7/84.1,
-//! Neighborhood(Author) 16.2/75.6/26.7, Merge 84.6/92.1/88.2.
 //! Same mechanism as Table 7 for the second dirty pair.
 
 use std::sync::Arc;
@@ -13,6 +11,8 @@ use moma_core::ops::select::{select, Selection};
 use moma_core::ops::setops::{intersection, union};
 use moma_core::Mapping;
 
+use crate::artifact::{Artifact, Claim, Group};
+use crate::experiments::table7::{ATTR, NH};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
@@ -50,42 +50,46 @@ pub fn run(ctx: &EvalContext) -> Report {
 
     let mut r = Report::new(
         "Table 8. Matching GS-ACM publications using neighborhood matcher (n:m author)",
-        vec![
-            "Metric",
-            "Attribute (Title)",
-            "Neighborhood (Author)",
-            "Merge",
-        ],
+        vec!["Metric", ATTR, NH, "Merge"],
     );
-    for (label, pick) in [("Precision", 0usize), ("Recall", 1), ("F-Measure", 2)] {
-        let cell = |q: &MatchQuality| {
-            let v = q.as_percentages();
-            Report::pct([v.0, v.1, v.2][pick])
-        };
-        r.row(label, vec![cell(&attr), cell(&nh), cell(&merged)]);
-    }
-    r.note("paper: Attr 86.7/81.7/84.1, NH 16.2/75.6/26.7, Merge 84.6/92.1/88.2 (P/R/F)");
+    r.quality_rows(&[attr, nh, merged]);
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table8_shape() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        let cell = |row: &str, col: &str| r.cell_pct(row, col).unwrap();
-        assert!(cell("F-Measure", "Attribute (Title)") < 97.0);
-        assert!(
-            cell("Recall", "Merge") > cell("Recall", "Attribute (Title)") + 2.0,
-            "merge R {} vs attr R {}",
-            cell("Recall", "Merge"),
-            cell("Recall", "Attribute (Title)")
-        );
-        assert!(cell("Precision", "Merge") + 10.0 >= cell("Precision", "Attribute (Title)"));
-        assert!(cell("F-Measure", "Merge") > cell("F-Measure", "Attribute (Title)"));
-        assert!(cell("F-Measure", "Merge") > cell("F-Measure", "Neighborhood (Author)"));
-    }
-}
+/// Table 8 of the paper.
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table8",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("Precision", ATTR, 86.7),
+        ("Recall", ATTR, 81.7),
+        ("F-Measure", ATTR, 84.1),
+        ("Precision", NH, 16.2),
+        ("Recall", NH, 75.6),
+        ("F-Measure", NH, 26.7),
+        ("Precision", "Merge", 84.6),
+        ("Recall", "Merge", 92.1),
+        ("F-Measure", "Merge", 88.2),
+    ],
+    claims: &[
+        Claim {
+            text: "dirty GS titles keep attribute-only matching well below the DBLP-ACM level",
+            holds: |r| r.num("F-Measure", ATTR) < 97.0,
+        },
+        Claim {
+            text: "the merge lifts recall by more than 2 points while precision holds (within 10)",
+            holds: |r| {
+                r.num("Recall", "Merge") > r.num("Recall", ATTR) + 2.0
+                    && r.num("Precision", "Merge") + 10.0 >= r.num("Precision", ATTR)
+            },
+        },
+        Claim {
+            text: "the merge beats both single matchers",
+            holds: |r| {
+                let merged = r.num("F-Measure", "Merge");
+                merged > r.num("F-Measure", ATTR) && merged > r.num("F-Measure", NH)
+            },
+        },
+    ],
+};

@@ -7,10 +7,11 @@
 //! similarities and shared co-author counts, checking them against the
 //! injected gold duplicates.
 
-use moma_core::Mapping;
 use moma_ifuice::script::run_script;
+use moma_simstring::ngram::trigram;
 use moma_table::{Adjacency, FxHashSet};
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::report::Report;
 use crate::setup::EvalContext;
 
@@ -28,42 +29,15 @@ $Result = select($Merged, "[domain.id]<>[range.id]");
 RETURN $Result;
 "#;
 
-/// One ranked duplicate candidate.
-#[derive(Debug, Clone)]
-pub struct Candidate {
-    /// First author name.
-    pub author_a: String,
-    /// Second author name.
-    pub author_b: String,
-    /// Trigram name similarity.
-    pub name_sim: f64,
-    /// Co-author neighborhood similarity.
-    pub coauthor_sim: f64,
-    /// Number of shared co-authors (compose paths).
-    pub shared_coauthors: usize,
-    /// Merged similarity (ranking key).
-    pub merged: f64,
-    /// Whether the pair is a true injected duplicate.
-    pub is_true_duplicate: bool,
-}
-
-/// Run the script and rank the top `k` candidates.
-pub fn top_candidates(ctx: &EvalContext, k: usize) -> Vec<Candidate> {
-    let result =
-        run_script(SCRIPT, &ctx.scenario.registry, &ctx.scenario.repository).expect("script runs");
-    let merged: &Mapping = result.as_mapping().expect("mapping result");
-    let coauth_sim = ctx
-        .scenario
-        .repository
-        .get("table9.coauth")
-        .expect("stored");
-    let name_sim_map = ctx.scenario.repository.get("table9.name").expect("stored");
-
-    let coauthor = ctx.scenario.repository.get("DBLP.CoAuthor").expect("assoc");
-    let adj = Adjacency::over_domain(&coauthor.table);
-    let lds = ctx.scenario.registry.lds(ctx.scenario.ids.author_dblp);
-    let gold = &ctx.scenario.gold.author_dup_dblp;
-
+/// Run the script and report the top five candidates, best first.
+pub fn run(ctx: &EvalContext) -> Report {
+    let scenario = &ctx.scenario;
+    let result = run_script(SCRIPT, &scenario.registry, &scenario.repository).expect("script runs");
+    let merged = result.as_mapping().expect("mapping result");
+    let stored = |name| scenario.repository.get(name).expect("stored mapping");
+    let (coauth_sim, name_sim) = (stored("table9.coauth"), stored("table9.name"));
+    let adj = Adjacency::over_domain(&stored("DBLP.CoAuthor").table);
+    let lds = scenario.registry.lds(scenario.ids.author_dblp);
     let name_of = |i: u32| -> String {
         lds.get(i)
             .and_then(|inst| inst.value(0))
@@ -72,54 +46,19 @@ pub fn top_candidates(ctx: &EvalContext, k: usize) -> Vec<Candidate> {
     };
 
     let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-    let mut rows: Vec<(f64, u32, u32)> = Vec::new();
+    let mut ranked: Vec<(f64, u32, u32)> = Vec::new();
     for c in merged.table.iter() {
         let key = (c.domain.min(c.range), c.domain.max(c.range));
         if seen.insert(key) {
-            rows.push((c.sim, key.0, key.1));
+            ranked.push((c.sim, key.0, key.1));
         }
     }
-    rows.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then((a.1, a.2).cmp(&(b.1, b.2)))
-    });
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
 
-    rows.into_iter()
-        .take(k)
-        .map(|(merged_sim, a, b)| {
-            let shared: usize = {
-                let na: FxHashSet<u32> = adj.neighbors(a).iter().map(|(o, _)| *o).collect();
-                adj.neighbors(b)
-                    .iter()
-                    .filter(|(o, _)| na.contains(o))
-                    .count()
-            };
-            let name_sim = name_sim_map
-                .table
-                .sim_of(a, b)
-                .unwrap_or_else(|| moma_simstring::ngram::trigram(&name_of(a), &name_of(b)));
-            let coauthor_sim = coauth_sim.table.sim_of(a, b).unwrap_or(0.0);
-            Candidate {
-                author_a: name_of(a),
-                author_b: name_of(b),
-                name_sim,
-                coauthor_sim,
-                shared_coauthors: shared,
-                merged: merged_sim,
-                is_true_duplicate: gold.contains(a, b),
-            }
-        })
-        .collect()
-}
-
-/// Run the Table 9 experiment.
-pub fn run(ctx: &EvalContext) -> Report {
-    let k = 5;
-    let candidates = top_candidates(ctx, k);
     let mut r = Report::new(
         "Table 9. Top-5 author duplicate candidates within DBLP",
         vec![
+            "Rank",
             "Author / Author",
             "Name",
             "Co-Author (paths)",
@@ -127,67 +66,73 @@ pub fn run(ctx: &EvalContext) -> Report {
             "True dup?",
         ],
     );
-    let mut hits = 0usize;
-    for c in &candidates {
-        if c.is_true_duplicate {
-            hits += 1;
-        }
+    for (rank, &(merged_sim, a, b)) in RANKS.iter().zip(&ranked) {
+        let coauthors_of_a: FxHashSet<u32> = adj.neighbors(a).iter().map(|(o, _)| *o).collect();
+        let shared = adj
+            .neighbors(b)
+            .iter()
+            .filter(|(o, _)| coauthors_of_a.contains(o));
+        let name = name_sim.table.sim_of(a, b);
+        let name = name.unwrap_or_else(|| trigram(&name_of(a), &name_of(b)));
+        let coauthor = coauth_sim.table.sim_of(a, b).unwrap_or(0.0);
+        let is_duplicate = scenario.gold.author_dup_dblp.contains(a, b);
         r.row(
-            format!("{} / {}", c.author_a, c.author_b),
+            *rank,
             vec![
-                Report::pct(c.name_sim * 100.0),
-                format!(
-                    "{} ({})",
-                    Report::pct(c.coauthor_sim * 100.0),
-                    c.shared_coauthors
-                ),
-                Report::pct(c.merged * 100.0),
-                if c.is_true_duplicate {
-                    "yes".into()
-                } else {
-                    "no".into()
-                },
+                format!("{} / {}", name_of(a), name_of(b)),
+                Report::pct(name * 100.0),
+                format!("{} ({})", Report::pct(coauthor * 100.0), shared.count()),
+                Report::pct(merged_sim * 100.0),
+                if is_duplicate { "yes" } else { "no" }.into(),
             ],
         );
     }
-    r.note(format!(
-        "{hits}/{k} top candidates are injected gold duplicates"
-    ));
-    r.note("paper top-5: Fan/Wei 64/100/82, Zarkesh 84/75/79, Barczyk 75/73/74, Trigoni 75/67/71, Yuen 62/67/65");
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+const RANKS: [&str; 5] = ["1", "2", "3", "4", "5"];
 
-    #[test]
-    fn table9_surfaces_true_duplicates() {
-        let ctx = EvalContext::small();
-        let candidates = top_candidates(&ctx, 5);
-        assert_eq!(candidates.len(), 5);
-        let hits = candidates.iter().filter(|c| c.is_true_duplicate).count();
-        assert!(
-            hits >= 3,
-            "only {hits}/5 top candidates are true duplicates"
-        );
-        // Ranking is by merged similarity, descending.
-        for w in candidates.windows(2) {
-            assert!(w[0].merged >= w[1].merged);
-        }
-        // Components are sane.
-        for c in &candidates {
-            assert!((0.0..=1.0).contains(&c.name_sim));
-            assert!((0.0..=1.0).contains(&c.coauthor_sim));
-            assert_ne!(c.author_a, c.author_b);
-        }
-    }
-
-    #[test]
-    fn report_renders() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        assert_eq!(r.rows.len(), 5);
-        assert!(r.render().contains("Co-Author"));
-    }
-}
+/// Table 9 of the paper (its top five: Fan/Wei, Zarkesh, Barczyk,
+/// Trigoni, Yuen).
+pub const ARTIFACT: Artifact = Artifact {
+    id: "table9",
+    group: Group::Table,
+    run,
+    paper: &[
+        ("1", "Name", 64.0),
+        ("1", "Co-Author (paths)", 100.0),
+        ("1", "Merge", 82.0),
+        ("2", "Name", 84.0),
+        ("2", "Co-Author (paths)", 75.0),
+        ("2", "Merge", 79.0),
+        ("3", "Name", 75.0),
+        ("3", "Co-Author (paths)", 73.0),
+        ("3", "Merge", 74.0),
+        ("4", "Name", 75.0),
+        ("4", "Co-Author (paths)", 67.0),
+        ("4", "Merge", 71.0),
+        ("5", "Name", 62.0),
+        ("5", "Co-Author (paths)", 67.0),
+        ("5", "Merge", 65.0),
+    ],
+    claims: &[
+        Claim {
+            text: "the ranking surfaces true duplicates: at least 3 of the top 5 are injected gold duplicates",
+            holds: |r| {
+                let hit = |rank: &&&str| r.cell(rank, "True dup?") == Some("yes");
+                RANKS.iter().filter(hit).count() >= 3
+            },
+        },
+        Claim {
+            text: "candidates are ranked by merged similarity, each the average of a name and a co-author similarity within [0, 100]%",
+            holds: |r| {
+                let ordered = RANKS.windows(2).all(|w| r.num(w[0], "Merge") >= r.num(w[1], "Merge"));
+                ordered
+                    && RANKS.iter().all(|rank| {
+                        let in_range = |column| (0.0..=100.0).contains(&r.num(rank, column));
+                        in_range("Name") && in_range("Co-Author (paths)")
+                    })
+            },
+        },
+    ],
+};

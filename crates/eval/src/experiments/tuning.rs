@@ -14,6 +14,7 @@ use moma_tune::{
     TreeConfig,
 };
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::report::Report;
 use crate::setup::EvalContext;
 
@@ -105,21 +106,23 @@ pub fn run(ctx: &EvalContext) -> Report {
     report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tuning_never_loses_to_default() {
-        let ctx = EvalContext::small();
-        let r = run(&ctx);
-        let default = r.cell_pct("Hand-picked (paper)", "Test F").unwrap();
-        let grid = r.cell_pct("Grid search", "Test F").unwrap();
-        let tree = r.cell_pct("Decision tree", "Test F").unwrap();
-        assert!(grid + 1e-9 >= default, "grid {grid} < default {default}");
-        // The tree can combine features (title AND year) and should be at
-        // least competitive.
-        assert!(tree + 5.0 >= grid, "tree {tree} far below grid {grid}");
-        assert!(tree > 50.0);
-    }
-}
+/// The Section 2.2 self-tuning outlook, as an experiment.
+pub const ARTIFACT: Artifact = Artifact {
+    id: "tuning",
+    group: Group::Extra,
+    run,
+    paper: &[],
+    claims: &[
+        Claim {
+            text: "a grid-searched configuration never loses to the hand-picked one",
+            holds: |r| r.num("Grid search", "Test F") + 1e-9 >= r.num("Hand-picked (paper)", "Test F"),
+        },
+        Claim {
+            text: "a decision tree over several similarity features is competitive: above 50% and within 5 points of the grid",
+            holds: |r| {
+                let tree = r.num("Decision tree", "Test F");
+                tree > 50.0 && tree + 5.0 >= r.num("Grid search", "Test F")
+            },
+        },
+    ],
+};

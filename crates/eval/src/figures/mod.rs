@@ -1,56 +1,10 @@
 //! Reproductions of the paper's figures.
 //!
 //! Figures 1, 4, 5, 6 and 9 are *worked examples* with concrete numbers —
-//! we re-execute them and assert the paper's values. Figures 2, 3, 7, 8,
+//! we re-execute them and claim the paper's values. Figures 2, 3, 7, 8,
 //! 10 and 11 are architectural/strategic illustrations — we realize each
 //! as a small executable scenario.
 
 pub mod architecture;
 pub mod strategies;
 pub mod worked_examples;
-
-use crate::report::Report;
-use crate::setup::EvalContext;
-
-pub use architecture::{fig2, fig3};
-pub use strategies::{fig10, fig7, fig8};
-pub use worked_examples::{fig1, fig4, fig5, fig6, fig9};
-
-/// Figure 11: the n:m match workflow (nhMatch ∥ attrMatch → merge →
-/// select), realized on the generated scenario (needs a context).
-pub fn fig11(ctx: &EvalContext) -> Report {
-    strategies::fig11(ctx)
-}
-
-/// Run every context-free figure.
-pub fn run_all(ctx: &EvalContext) -> Vec<Report> {
-    vec![
-        fig1(),
-        fig2(),
-        fig3(),
-        fig4(),
-        fig5(),
-        fig6(),
-        fig7(),
-        fig8(),
-        fig9(),
-        fig10(),
-        fig11(ctx),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn run_all_produces_eleven_reports() {
-        let ctx = EvalContext::small();
-        let reports = run_all(&ctx);
-        assert_eq!(reports.len(), 11);
-        for r in &reports {
-            assert!(r.title.starts_with("Figure"), "title: {}", r.title);
-            assert!(!r.render().is_empty());
-        }
-    }
-}

@@ -1,4 +1,4 @@
-//! Figures with concrete numbers: re-executed and asserted.
+//! Figures with concrete numbers: re-executed, the paper's values claimed.
 
 use moma_core::matchers::neighborhood::nh_match;
 use moma_core::ops::compose::{compose, PathAgg, PathCombine};
@@ -9,68 +9,90 @@ use moma_simstring::ngram::trigram;
 use moma_simstring::numeric::year_window;
 use moma_table::MappingTable;
 
+use crate::artifact::{Artifact, Claim, Group};
 use crate::report::Report;
+use crate::setup::EvalContext;
+
+const MADHAVAN: &str = "conf/VLDB/MadhavanBR01";
+const CHIRKOVA_CONF: &str = "conf/VLDB/ChirkovaHS01";
+const CHIRKOVA_JOURNAL: &str = "journals/VLDB/ChirkovaHS02";
 
 /// Figure 1: the DBLP/ACM publication instances and their same-mapping.
 ///
-/// We rebuild the three DBLP and three ACM instances from the figure,
-/// compute title+year similarities, and show that the resulting
-/// same-mapping contains the figure's correspondences (two exact matches
-/// with sim 1, the conference/journal cross pairs with reduced sim).
-pub fn fig1() -> Report {
+/// We rebuild the three DBLP and three ACM instances from the figure
+/// and compute the Avg-merge of title trigram and windowed year
+/// similarity; pairs below 0.6 are not correspondences.
+pub fn fig1(_: &EvalContext) -> Report {
+    let view_selection = "A formal perspective on the view selection problem";
     let dblp = [
-        (
-            "conf/VLDB/MadhavanBR01",
-            "Generic Schema Matching with Cupid",
-            2001u16,
-        ),
-        (
-            "conf/VLDB/ChirkovaHS01",
-            "A formal perspective on the view selection problem",
-            2001,
-        ),
-        (
-            "journals/VLDB/ChirkovaHS02",
-            "A formal perspective on the view selection problem",
-            2002,
-        ),
+        (MADHAVAN, "Generic Schema Matching with Cupid", 2001u16),
+        (CHIRKOVA_CONF, view_selection, 2001),
+        (CHIRKOVA_JOURNAL, view_selection, 2002),
     ];
     let acm = [
         ("P-672191", "Generic Schema Matching with Cupid", 2001u16),
-        (
-            "P-672216",
-            "A formal perspective on the view selection problem",
-            2001,
-        ),
-        (
-            "P-641272",
-            "A formal perspective on the view selection problem",
-            2002,
-        ),
+        ("P-672216", view_selection, 2001),
+        ("P-641272", view_selection, 2002),
     ];
     let mut r = Report::new(
         "Figure 1. Publication instances and same-mapping (DBLP vs ACM)",
-        vec!["DBLP key", "ACM id", "Sim"],
+        vec!["DBLP key", acm[0].0, acm[1].0, acm[2].0],
     );
-    for (dk, dt, dy) in dblp {
-        for (ak, at, ay) in acm {
-            // Avg-merge of title trigram and windowed year similarity.
-            let sim = (trigram(dt, at) + year_window(dy, ay, 1)) / 2.0;
+    for (dblp_key, dblp_title, dblp_year) in dblp {
+        let sims = acm.iter().map(|&(_, acm_title, acm_year)| {
+            let sim = (trigram(dblp_title, acm_title) + year_window(dblp_year, acm_year, 1)) / 2.0;
             if sim >= 0.6 {
-                r.row(dk, vec![ak.to_owned(), format!("{sim:.2}")]);
+                format!("{sim:.2}")
+            } else {
+                "-".into()
             }
-        }
+        });
+        r.row(dblp_key, sims.collect());
     }
-    r.note(
-        "paper mapping: MadhavanBR01~P-672191 (1), ChirkovaHS01~P-672216 (1), \
-            ChirkovaHS02~P-641272 (1), cross pairs at 0.6",
-    );
     r
 }
 
-/// Figure 4: the merge operator worked example — asserted against the
-/// paper's four result tables.
-pub fn fig4() -> Report {
+/// Figure 1 of the paper.
+pub const FIG1: Artifact = Artifact {
+    id: "fig1",
+    group: Group::Figure,
+    run: fig1,
+    paper: &[
+        (MADHAVAN, "P-672191", 1.0),
+        (CHIRKOVA_CONF, "P-672216", 1.0),
+        (CHIRKOVA_CONF, "P-641272", 0.6),
+        (CHIRKOVA_JOURNAL, "P-672216", 0.6),
+        (CHIRKOVA_JOURNAL, "P-641272", 1.0),
+    ],
+    claims: &[
+        Claim {
+            text: "the three true pairs match with similarity 1",
+            holds: |r| {
+                r.num(MADHAVAN, "P-672191") == 1.0
+                    && r.num(CHIRKOVA_CONF, "P-672216") == 1.0
+                    && r.num(CHIRKOVA_JOURNAL, "P-641272") == 1.0
+            },
+        },
+        Claim {
+            text: "the conference/journal twins are correspondences too, at a reduced similarity",
+            holds: |r| {
+                let reduced = |sim: f64| 0.0 < sim && sim < 1.0;
+                reduced(r.num(CHIRKOVA_CONF, "P-641272"))
+                    && reduced(r.num(CHIRKOVA_JOURNAL, "P-672216"))
+            },
+        },
+        Claim {
+            text: "unrelated publications are not correspondences",
+            holds: |r| {
+                r.cell(MADHAVAN, "P-672216") == Some("-")
+                    && r.cell(CHIRKOVA_CONF, "P-672191") == Some("-")
+            },
+        },
+    ],
+};
+
+/// Figure 4: the merge operator worked example.
+pub fn fig4(_: &EvalContext) -> Report {
     // a1=1, a2=2, a3=3; b1=11, b2=12, b3=13, b5=15.
     let map1 = Mapping::same(
         "map1",
@@ -88,16 +110,6 @@ pub fn fig4() -> Report {
     let avg = merge(&[&map1, &map2], MergeFn::Avg, MissingPolicy::Ignore).expect("merge");
     let avg0 = merge(&[&map1, &map2], MergeFn::Avg, MissingPolicy::Zero).expect("merge");
     let prefer = merge(&[&map1, &map2], MergeFn::Prefer(0), MissingPolicy::Ignore).expect("merge");
-
-    // Assert the paper's values.
-    assert_eq!(min0.table.sim_of(1, 11), Some(0.6));
-    assert_eq!(min0.len(), 1);
-    assert_eq!(avg.table.sim_of(1, 11), Some(0.8));
-    assert_eq!(avg0.table.sim_of(2, 12), Some(0.4));
-    assert_eq!(avg0.table.sim_of(1, 15), Some(0.5));
-    assert_eq!(avg0.table.sim_of(3, 13), Some(0.45));
-    assert_eq!(prefer.len(), 3);
-    assert_eq!(prefer.table.sim_of(1, 11), Some(1.0));
 
     let mut r = Report::new(
         "Figure 4. Merge operator worked example",
@@ -121,13 +133,47 @@ pub fn fig4() -> Report {
             vec![cell(&min0), cell(&avg), cell(&avg0), cell(&prefer)],
         );
     }
-    r.note("all values asserted equal to the paper's Figure 4");
     r
 }
 
+/// Figure 4 of the paper: its four result tables.
+pub const FIG4: Artifact = Artifact {
+    id: "fig4",
+    group: Group::Figure,
+    run: fig4,
+    paper: &[
+        ("a1-b1", "Min-0", 0.6),
+        ("a1-b1", "Avg", 0.8),
+        ("a2-b2", "Avg", 0.8),
+        ("a3-b3", "Avg", 0.9),
+        ("a1-b5", "Avg", 1.0),
+        ("a1-b1", "Avg-0", 0.8),
+        ("a2-b2", "Avg-0", 0.4),
+        ("a3-b3", "Avg-0", 0.45),
+        ("a1-b5", "Avg-0", 0.5),
+        ("a1-b1", "Prefer map1", 1.0),
+        ("a2-b2", "Prefer map1", 0.8),
+        ("a3-b3", "Prefer map1", 0.9),
+    ],
+    claims: &[
+        Claim {
+            text: "every merged similarity equals the paper's",
+            holds: |r| r.agrees_with(FIG4.paper, 0.005),
+        },
+        Claim {
+            text: "Min-0 keeps only the pair both mappings hold; Prefer map1 drops the pair a1 already has a partner for",
+            holds: |r| {
+                let absent = |pair, f| r.cell(pair, f) == Some("-");
+                ["a2-b2", "a3-b3", "a1-b5"].iter().all(|pair| absent(pair, "Min-0"))
+                    && absent("a1-b5", "Prefer map1")
+            },
+        },
+    ],
+};
+
 /// Figure 5: the auxiliary values n(a), n(b) and s(a,b) of the Relative
 /// similarity functions, computed for the Figure 6 inputs.
-pub fn fig5() -> Report {
+pub fn fig5(_: &EvalContext) -> Report {
     let (map1, map2) = fig6_inputs();
     let n_a = map1.table.domain_degrees();
     let n_b = map2.table.range_degrees();
@@ -139,13 +185,26 @@ pub fn fig5() -> Report {
     r.row("n(v2)", vec![n_a[&2].to_string()]);
     r.row("n(v'1)", vec![n_b[&11].to_string()]);
     r.row("n(v'2)", vec![n_b[&12].to_string()]);
-    assert_eq!(n_a[&1], 3);
-    assert_eq!(n_a[&2], 2);
-    assert_eq!(n_b[&11], 2);
-    assert_eq!(n_b[&12], 1);
     r.note("s(a,b) sums the per-path similarities (see Figure 6 results)");
     r
 }
+
+/// Figure 5 of the paper, on the Figure 6 inputs.
+pub const FIG5: Artifact = Artifact {
+    id: "fig5",
+    group: Group::Figure,
+    run: fig5,
+    paper: &[
+        ("n(v1)", "n(.)", 3.0),
+        ("n(v2)", "n(.)", 2.0),
+        ("n(v'1)", "n(.)", 2.0),
+        ("n(v'2)", "n(.)", 1.0),
+    ],
+    claims: &[Claim {
+        text: "n(a) and n(b) count the correspondences of each object as in the paper",
+        holds: |r| r.agrees_with(FIG5.paper, 0.0),
+    }],
+};
 
 fn fig6_inputs() -> (Mapping, Mapping) {
     // v1=1, v2=2; p1=101, p2=102, p3=103; v'1=11, v'2=12.
@@ -172,40 +231,48 @@ fn fig6_inputs() -> (Mapping, Mapping) {
     (map1, map2)
 }
 
-/// Figure 6: the compose operator worked example (f = Min, g = Relative)
-/// — asserted against the paper's four output similarities.
-pub fn fig6() -> Report {
+/// Figure 6: the compose operator worked example (f = Min, g = Relative).
+pub fn fig6(_: &EvalContext) -> Report {
     let (map1, map2) = fig6_inputs();
     let result = compose(&map1, &map2, PathCombine::Min, PathAgg::Relative).expect("compose");
-    let expect = [
-        (1u32, 11u32, 0.8, "v1-v'1 = 2*(1+1)/(3+2)"),
-        (1, 12, 0.3, "v1-v'2 = 2*0.6/(3+1)"),
-        (2, 11, 0.3, "v2-v'1 = 2*0.6/(2+2)"),
-        (2, 12, 2.0 / 3.0, "v2-v'2 = 2*1/(2+1)"),
+    let derivations = [
+        (1u32, 11u32, "v1-v'1 = 2*(1+1)/(3+2)"),
+        (1, 12, "v1-v'2 = 2*0.6/(3+1)"),
+        (2, 11, "v2-v'1 = 2*0.6/(2+2)"),
+        (2, 12, "v2-v'2 = 2*1/(2+1)"),
     ];
     let mut r = Report::new(
         "Figure 6. Compose operator worked example (f=Min, g=Relative)",
         vec!["Pair", "Sim", "Derivation"],
     );
-    for (a, b, want, derivation) in expect {
-        let got = result.table.sim_of(a, b).expect("pair present");
-        assert!(
-            (got - want).abs() < 1e-12,
-            "({a},{b}): got {got}, want {want}"
-        );
-        r.row(
-            format!("({a},{b})"),
-            vec![format!("{got:.2}"), derivation.to_owned()],
-        );
+    for (a, b, derivation) in derivations {
+        let sim = result.table.sim_of(a, b);
+        let sim = sim.map_or("-".into(), |s| format!("{s:.2}"));
+        r.row(format!("({a},{b})"), vec![sim, derivation.to_owned()]);
     }
-    r.note("all values asserted equal to the paper's Figure 6");
     r
 }
 
+/// Figure 6 of the paper: its four output similarities.
+pub const FIG6: Artifact = Artifact {
+    id: "fig6",
+    group: Group::Figure,
+    run: fig6,
+    paper: &[
+        ("(1,11)", "Sim", 0.8),
+        ("(1,12)", "Sim", 0.3),
+        ("(2,11)", "Sim", 0.3),
+        ("(2,12)", "Sim", 0.67),
+    ],
+    claims: &[Claim {
+        text: "every composed similarity equals the paper's; Relative rewards the pair reached via two paths",
+        holds: |r| r.agrees_with(FIG6.paper, 0.005),
+    }],
+};
+
 /// Figure 9: the neighborhood matcher sample execution on the Figure 1
-/// publication same-mapping — asserted against the paper's venue
-/// similarities.
-pub fn fig9() -> Report {
+/// publication same-mapping.
+pub fn fig9(_: &EvalContext) -> Report {
     // DBLP venues: conf/VLDB/2001=0, journals/VLDB/2002=1.
     // DBLP pubs: MadhavanBR01=0, ChirkovaHS01=1, ChirkovaHS02=2.
     // ACM pubs: P-672191=0, P-672216=1, P-641272=2.
@@ -237,73 +304,36 @@ pub fn fig9() -> Report {
         MappingTable::from_triples([(0, 0, 1.0), (1, 0, 1.0), (2, 1, 1.0)]),
     );
     let result = nh_match(&asso1, &same, &asso2, PathAgg::Relative).expect("nhMatch");
-    assert!((result.table.sim_of(0, 0).unwrap() - 0.8).abs() < 1e-12);
-    assert!((result.table.sim_of(0, 1).unwrap() - 0.3).abs() < 1e-12);
-    assert!((result.table.sim_of(1, 0).unwrap() - 0.3).abs() < 1e-12);
-    assert!((result.table.sim_of(1, 1).unwrap() - 2.0 / 3.0).abs() < 1e-12);
-
+    let (venue_d, venue_a) = (VENUES_DBLP, ["V-645927", "V-641268"]);
     let mut r = Report::new(
         "Figure 9. Neighborhood matcher execution for DBLP venues",
-        vec!["DBLP venue", "ACM venue", "Sim"],
+        vec!["DBLP venue", venue_a[0], venue_a[1]],
     );
-    let venue_d = ["conf/VLDB/2001", "journals/VLDB/2002"];
-    let venue_a = ["V-645927", "V-641268"];
-    for c in result.table.iter() {
-        r.row(
-            venue_d[c.domain as usize],
-            vec![
-                venue_a[c.range as usize].to_owned(),
-                format!("{:.2}", c.sim),
-            ],
-        );
+    for (d, label) in venue_d.iter().enumerate() {
+        let sims = (0..2).map(|a| {
+            let sim = result.table.sim_of(d as u32, a);
+            sim.map_or("-".into(), |s| format!("{s:.2}"))
+        });
+        r.row(*label, sims.collect());
     }
-    r.note("asserted: 0.8 / 0.3 / 0.3 / 0.67 as in the paper");
     r
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+const VENUES_DBLP: [&str; 2] = ["conf/VLDB/2001", "journals/VLDB/2002"];
 
-    #[test]
-    fn fig1_contains_paper_pairs() {
-        let r = fig1();
-        assert!(r
-            .rows
-            .iter()
-            .any(|(l, c)| l == "conf/VLDB/MadhavanBR01" && c[0] == "P-672191"));
-        // Cross pairs exist with reduced similarity.
-        assert!(r
-            .rows
-            .iter()
-            .any(|(l, c)| l == "conf/VLDB/ChirkovaHS01" && c[0] == "P-641272"));
-    }
-
-    #[test]
-    fn fig4_asserts_pass() {
-        let r = fig4();
-        assert_eq!(r.rows.len(), 4);
-        assert_eq!(r.cell("a1-b1", "Min-0"), Some("0.60"));
-        assert_eq!(r.cell("a2-b2", "Avg-0"), Some("0.40"));
-        assert_eq!(r.cell("a1-b5", "Prefer map1"), Some("-"));
-    }
-
-    #[test]
-    fn fig5_degrees() {
-        let r = fig5();
-        assert_eq!(r.cell("n(v1)", "n(.)"), Some("3"));
-    }
-
-    #[test]
-    fn fig6_asserts_pass() {
-        let r = fig6();
-        assert_eq!(r.rows.len(), 4);
-        assert_eq!(r.cell("(1,11)", "Sim"), Some("0.80"));
-    }
-
-    #[test]
-    fn fig9_asserts_pass() {
-        let r = fig9();
-        assert_eq!(r.rows.len(), 4);
-    }
-}
+/// Figure 9 of the paper: its four venue similarities.
+pub const FIG9: Artifact = Artifact {
+    id: "fig9",
+    group: Group::Figure,
+    run: fig9,
+    paper: &[
+        (VENUES_DBLP[0], "V-645927", 0.8),
+        (VENUES_DBLP[0], "V-641268", 0.3),
+        (VENUES_DBLP[1], "V-645927", 0.3),
+        (VENUES_DBLP[1], "V-641268", 0.67),
+    ],
+    claims: &[Claim {
+        text: "every venue similarity equals the paper's: the true venue pairs win",
+        holds: |r| r.agrees_with(FIG9.paper, 0.005),
+    }],
+};

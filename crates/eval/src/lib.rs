@@ -1,12 +1,14 @@
 //! # moma-eval — reproduction harness for the MOMA evaluation
 //!
-//! One module per table and figure of the paper (Thor & Rahm, CIDR 2007,
-//! Section 5). Each experiment takes an [`EvalContext`] (a generated
-//! scenario plus cached intermediate mappings) and returns a [`Report`]
-//! that prints the same rows the paper reports; EXPERIMENTS.md records
-//! paper-vs-measured values.
+//! One [`Artifact`] row per table and figure of the paper (Thor & Rahm,
+//! CIDR 2007, Section 5): its `run` takes an [`EvalContext`] (a
+//! generated scenario plus cached intermediate mappings) and returns a
+//! [`Report`] with the rows the paper reports, its `paper` holds the
+//! paper's numbers and its `claims` the paper's conclusions.
+//! `EXPERIMENTS.md` at the repository root is the output of `repro all`.
 //!
-//! Run everything via this crate's `repro` binary:
+//! Run everything via this crate's `repro` binary (exit status 1 when a
+//! claim fails):
 //!
 //! ```text
 //! cargo run --release -p moma-eval --bin repro -- all
@@ -14,12 +16,14 @@
 //! cargo run --release -p moma-eval --bin repro -- fig6
 //! ```
 
+pub mod artifact;
 pub mod experiments;
 pub mod figures;
 pub mod metrics;
 pub mod report;
 pub mod setup;
 
+pub use artifact::{Artifact, Claim, Group, ARTIFACTS};
 pub use metrics::MatchQuality;
 pub use report::Report;
 pub use setup::EvalContext;

@@ -10,15 +10,16 @@ use moma_core::matchers::neighborhood::nh_match;
 use moma_core::matchers::{AttributeMatcher, MatchContext, Matcher};
 use moma_core::ops::compose::PathAgg;
 use moma_core::ops::select::{select, Selection};
-use moma_core::{Mapping, MappingCache};
+use moma_core::{Mapping, MappingRepository};
 use moma_datagen::{Scenario, WorldConfig};
+use moma_model::LdsId;
 use moma_simstring::SimFn;
 
 /// Scenario plus cached derived mappings.
 pub struct EvalContext {
     /// The generated evaluation scenario.
     pub scenario: Scenario,
-    cache: MappingCache,
+    cache: MappingRepository,
 }
 
 impl EvalContext {
@@ -26,7 +27,7 @@ impl EvalContext {
     pub fn new(scenario: Scenario) -> Self {
         Self {
             scenario,
-            cache: MappingCache::new(),
+            cache: MappingRepository::new(),
         }
     }
 
@@ -58,212 +59,23 @@ impl EvalContext {
         self.cache.store_as(name, build())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Run one attribute matcher, once. Blocking is the rule over the
+    /// measure that every other front end applies.
     fn attr(
         &self,
         cache_key: &str,
-        domain: moma_model::LdsId,
-        range: moma_model::LdsId,
-        domain_attr: &str,
-        range_attr: &str,
+        (domain, range): (LdsId, LdsId),
+        attribute: &str,
         sim: SimFn,
         threshold: f64,
     ) -> Arc<Mapping> {
         self.cached(cache_key, || {
-            AttributeMatcher::new(domain_attr, range_attr, sim, threshold)
-                .with_blocking(Blocking::TrigramPrefix)
-                .execute(&self.match_ctx(), domain, range)
-                .expect("attribute matcher")
+            let matcher = AttributeMatcher::new(attribute, attribute, sim, threshold);
+            let blocking = Blocking::auto_for(&matcher.sim);
+            let matcher = matcher.with_blocking(blocking);
+            let matched = matcher.execute(&self.match_ctx(), domain, range);
+            matched.expect("attribute matcher")
         })
-    }
-
-    // ---- publication title matchers ----
-
-    /// DBLP→ACM title trigram at the paper's 0.8 threshold.
-    pub fn pub_title_dblp_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "title(D,A)@0.8",
-            ids.pub_dblp,
-            ids.pub_acm,
-            "title",
-            "title",
-            SimFn::Trigram,
-            0.8,
-        )
-    }
-
-    /// DBLP→ACM title trigram at a permissive 0.45 (merge input).
-    pub fn pub_title_low_dblp_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "title(D,A)@0.45",
-            ids.pub_dblp,
-            ids.pub_acm,
-            "title",
-            "title",
-            SimFn::Trigram,
-            0.45,
-        )
-    }
-
-    /// DBLP→GS title trigram at 0.75 (GS titles are extraction-noisy).
-    pub fn pub_title_dblp_gs(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "title(D,G)@0.75",
-            ids.pub_dblp,
-            ids.pub_gs,
-            "title",
-            "title",
-            SimFn::Trigram,
-            0.75,
-        )
-    }
-
-    /// DBLP→GS title trigram at 0.45.
-    pub fn pub_title_low_dblp_gs(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "title(D,G)@0.45",
-            ids.pub_dblp,
-            ids.pub_gs,
-            "title",
-            "title",
-            SimFn::Trigram,
-            0.45,
-        )
-    }
-
-    /// GS→ACM title trigram at 0.75.
-    pub fn pub_title_gs_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "title(G,A)@0.75",
-            ids.pub_gs,
-            ids.pub_acm,
-            "title",
-            "title",
-            SimFn::Trigram,
-            0.75,
-        )
-    }
-
-    /// GS→ACM title trigram at 0.45.
-    pub fn pub_title_low_gs_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "title(G,A)@0.45",
-            ids.pub_gs,
-            ids.pub_acm,
-            "title",
-            "title",
-            SimFn::Trigram,
-            0.45,
-        )
-    }
-
-    // ---- other publication matchers (Table 2) ----
-
-    /// DBLP→ACM author-list trigram at 0.8.
-    pub fn pub_author_dblp_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "authors(D,A)@0.8",
-            ids.pub_dblp,
-            ids.pub_acm,
-            "authors",
-            "authors",
-            SimFn::Trigram,
-            0.8,
-        )
-    }
-
-    /// DBLP→ACM author-list trigram at 0.45.
-    pub fn pub_author_low_dblp_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "authors(D,A)@0.45",
-            ids.pub_dblp,
-            ids.pub_acm,
-            "authors",
-            "authors",
-            SimFn::Trigram,
-            0.45,
-        )
-    }
-
-    /// DBLP→ACM year-equality matcher.
-    pub fn pub_year_dblp_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "year(D,A)",
-            ids.pub_dblp,
-            ids.pub_acm,
-            "year",
-            "year",
-            SimFn::Year(0),
-            1.0,
-        )
-    }
-
-    // ---- author matchers ----
-
-    /// DBLP→ACM author-name trigram at 0.8 (Table 6 attribute row).
-    pub fn author_name_dblp_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "name(D,A)@0.8",
-            ids.author_dblp,
-            ids.author_acm,
-            "name",
-            "name",
-            SimFn::Trigram,
-            0.8,
-        )
-    }
-
-    /// DBLP→ACM author-name trigram at 0.3 (merge input).
-    pub fn author_name_low_dblp_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "name(D,A)@0.3",
-            ids.author_dblp,
-            ids.author_acm,
-            "name",
-            "name",
-            SimFn::Trigram,
-            0.3,
-        )
-    }
-
-    /// DBLP→GS author same-mapping via the initials-aware person-name
-    /// measure (GS abbreviates first names, Section 5.4.3).
-    pub fn author_same_dblp_gs(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "name(D,G)@0.85",
-            ids.author_dblp,
-            ids.author_gs,
-            "name",
-            "name",
-            SimFn::PersonName,
-            0.85,
-        )
-    }
-
-    /// GS→ACM author same-mapping.
-    pub fn author_same_gs_acm(&self) -> Arc<Mapping> {
-        let ids = self.scenario.ids;
-        self.attr(
-            "name(G,A)@0.85",
-            ids.author_gs,
-            ids.author_acm,
-            "name",
-            "name",
-            SimFn::PersonName,
-            0.85,
-        )
     }
 
     // ---- derived same-mappings ----
@@ -274,12 +86,7 @@ impl EvalContext {
     /// selection").
     pub fn venue_same_dblp_acm(&self) -> Arc<Mapping> {
         self.cached("venueSame(D,A)", || {
-            let repo = &self.scenario.repository;
-            let asso1 = repo.get("DBLP.VenuePub").expect("assoc");
-            let asso2 = repo.get("ACM.PubVenue").expect("assoc");
-            let same = self.pub_title_dblp_acm();
-            let nh = nh_match(&asso1, &same, &asso2, PathAgg::Relative).expect("nh");
-            select(&nh, &Selection::best1())
+            select(&self.venue_nh_dblp_acm(), &Selection::best1())
         })
     }
 
@@ -294,6 +101,52 @@ impl EvalContext {
             nh_match(&asso1, &same, &asso2, PathAgg::Relative).expect("nh")
         })
     }
+}
+
+/// The attribute matchers the experiments share, one row each:
+/// `name: domain -> range, attribute, measure, threshold`.
+macro_rules! attribute_matchers {
+    ($($(#[$doc:meta])* $name:ident: $domain:ident -> $range:ident, $attr:literal, $sim:expr, $threshold:literal;)*) => {
+        impl EvalContext {
+            $(
+                $(#[$doc])*
+                pub fn $name(&self) -> Arc<Mapping> {
+                    let ids = self.scenario.ids;
+                    self.attr(stringify!($name), (ids.$domain, ids.$range), $attr, $sim, $threshold)
+                }
+            )*
+        }
+    };
+}
+
+attribute_matchers! {
+    /// DBLP→ACM title trigram at the paper's 0.8 threshold.
+    pub_title_dblp_acm: pub_dblp -> pub_acm, "title", SimFn::Trigram, 0.8;
+    /// DBLP→ACM title trigram at a permissive 0.45 (merge input).
+    pub_title_low_dblp_acm: pub_dblp -> pub_acm, "title", SimFn::Trigram, 0.45;
+    /// DBLP→GS title trigram at 0.75 (GS titles are extraction-noisy).
+    pub_title_dblp_gs: pub_dblp -> pub_gs, "title", SimFn::Trigram, 0.75;
+    /// DBLP→GS title trigram at 0.45.
+    pub_title_low_dblp_gs: pub_dblp -> pub_gs, "title", SimFn::Trigram, 0.45;
+    /// GS→ACM title trigram at 0.75.
+    pub_title_gs_acm: pub_gs -> pub_acm, "title", SimFn::Trigram, 0.75;
+    /// GS→ACM title trigram at 0.45.
+    pub_title_low_gs_acm: pub_gs -> pub_acm, "title", SimFn::Trigram, 0.45;
+    /// DBLP→ACM author-list trigram at 0.8 (Table 2).
+    pub_author_dblp_acm: pub_dblp -> pub_acm, "authors", SimFn::Trigram, 0.8;
+    /// DBLP→ACM author-list trigram at 0.45.
+    pub_author_low_dblp_acm: pub_dblp -> pub_acm, "authors", SimFn::Trigram, 0.45;
+    /// DBLP→ACM year-equality matcher.
+    pub_year_dblp_acm: pub_dblp -> pub_acm, "year", SimFn::Year(0), 1.0;
+    /// DBLP→ACM author-name trigram at 0.8 (Table 6 attribute row).
+    author_name_dblp_acm: author_dblp -> author_acm, "name", SimFn::Trigram, 0.8;
+    /// DBLP→ACM author-name trigram at 0.3 (merge input).
+    author_name_low_dblp_acm: author_dblp -> author_acm, "name", SimFn::Trigram, 0.3;
+    /// DBLP→GS author same-mapping via the initials-aware person-name
+    /// measure (GS abbreviates first names, Section 5.4.3).
+    author_same_dblp_gs: author_dblp -> author_gs, "name", SimFn::PersonName, 0.85;
+    /// GS→ACM author same-mapping.
+    author_same_gs_acm: author_gs -> author_acm, "name", SimFn::PersonName, 0.85;
 }
 
 #[cfg(test)]

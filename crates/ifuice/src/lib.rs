@@ -2,18 +2,13 @@
 //!
 //! MOMA "has been implemented within the iFuice data integration
 //! platform" (paper Section 4): iFuice contributes operators for querying
-//! data sources, accessing object instances by id, traversing mappings,
-//! and aggregating (fusing) objects interconnected by same-mappings, plus
-//! a *script* facility in which match workflows are written.
+//! data sources and traversing mappings, plus a *script* facility in
+//! which match workflows are written.
 //!
-//! This crate rebuilds exactly those capabilities:
+//! This crate rebuilds those capabilities:
 //!
-//! * [`source`] — the [`source::DataSource`] access layer distinguishing
-//!   downloadable sources (DBLP) from query-only web sources (ACM DL,
-//!   Google Scholar),
-//! * [`ops`] — query / get / traverse / map-range operators,
-//! * [`fusion`] — attribute fusion across same-mappings (e.g. enriching
-//!   DBLP publications with Google Scholar citation counts),
+//! * [`source`] — the [`source::DataSource`] keyword-query access layer,
+//! * [`ops`] — the traverse operator,
 //! * [`script`] — the iFuice script language: lexer, parser and
 //!   interpreter able to run the paper's own listings, e.g. the
 //!   Section 4.3 duplicate-author workflow:
@@ -26,7 +21,6 @@
 //! RETURN $Result;
 //! ```
 
-pub mod fusion;
 pub mod loader;
 pub mod ops;
 pub mod script;

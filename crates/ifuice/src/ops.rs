@@ -5,7 +5,7 @@
 //! aggregating objects interconnected by same-mappings."
 
 use moma_core::Mapping;
-use moma_table::{FxHashSet, MappingTable};
+use moma_table::FxHashSet;
 
 /// Traverse a mapping from a set of domain instances: the reached range
 /// instances (deduplicated, sorted).
@@ -22,57 +22,11 @@ pub fn traverse(mapping: &Mapping, domain_ids: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Restrict a mapping to a set of domain instances.
-pub fn restrict_domain(mapping: &Mapping, domain_ids: &[u32]) -> Mapping {
-    let wanted: FxHashSet<u32> = domain_ids.iter().copied().collect();
-    Mapping {
-        name: format!("restrict({})", mapping.name),
-        kind: mapping.kind.clone(),
-        domain: mapping.domain,
-        range: mapping.range,
-        table: mapping.table.filtered(|c| wanted.contains(&c.domain)),
-    }
-}
-
-/// Restrict a mapping to a set of range instances.
-pub fn restrict_range(mapping: &Mapping, range_ids: &[u32]) -> Mapping {
-    let wanted: FxHashSet<u32> = range_ids.iter().copied().collect();
-    Mapping {
-        name: format!("restrict({})", mapping.name),
-        kind: mapping.kind.clone(),
-        domain: mapping.domain,
-        range: mapping.range,
-        table: mapping.table.filtered(|c| wanted.contains(&c.range)),
-    }
-}
-
-/// Distinct domain instances of a mapping, sorted.
-pub fn domain_instances(mapping: &Mapping) -> Vec<u32> {
-    let mut v: Vec<u32> = mapping.table.iter().map(|c| c.domain).collect();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// Distinct range instances of a mapping, sorted.
-pub fn range_instances(mapping: &Mapping) -> Vec<u32> {
-    let mut v: Vec<u32> = mapping.table.iter().map(|c| c.range).collect();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// Build an association mapping table from explicit `(domain, range)`
-/// pairs with similarity 1 — how source-provided association data (e.g.
-/// DBLP publication lists per venue) enters the system.
-pub fn association_from_pairs(pairs: impl IntoIterator<Item = (u32, u32)>) -> MappingTable {
-    MappingTable::from_triples(pairs.into_iter().map(|(a, b)| (a, b, 1.0)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use moma_model::LdsId;
+    use moma_table::MappingTable;
 
     fn mapping() -> Mapping {
         Mapping::association(
@@ -97,31 +51,5 @@ mod tests {
         assert_eq!(traverse(&m, &[0, 1]), vec![10, 11, 12]);
         assert_eq!(traverse(&m, &[9]), Vec::<u32>::new());
         assert_eq!(traverse(&m, &[]), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn restrictions() {
-        let m = mapping();
-        let d = restrict_domain(&m, &[1]);
-        assert_eq!(d.len(), 2);
-        assert!(d.table.sim_of(1, 11).is_some());
-        let r = restrict_range(&m, &[11]);
-        assert_eq!(r.len(), 2);
-        assert!(r.table.sim_of(0, 11).is_some());
-        assert!(r.table.sim_of(1, 11).is_some());
-    }
-
-    #[test]
-    fn instance_sets() {
-        let m = mapping();
-        assert_eq!(domain_instances(&m), vec![0, 1, 2]);
-        assert_eq!(range_instances(&m), vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn association_builder() {
-        let t = association_from_pairs([(0, 1), (0, 1), (2, 3)]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.sim_of(0, 1), Some(1.0));
     }
 }

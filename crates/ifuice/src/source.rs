@@ -1,75 +1,33 @@
 //! Data-source access layer.
 //!
-//! The paper distinguishes sources that "can be completely downloaded"
-//! (DBLP) from web sources that "can both be accessed by queries" only
-//! (ACM DL, Google Scholar) — Section 5.1. A [`DataSource`] wraps one
-//! logical source with an access policy; full scans of query-only
-//! sources are rejected, forcing workflows through the query interface
-//! exactly as real integration scenarios do.
+//! The paper's web sources (ACM DL, Google Scholar) "can both be
+//! accessed by queries" (Section 5.1). A [`DataSource`] wraps one logical
+//! source with that keyword-query interface; the script builtin `query`
+//! goes through it.
 
 use moma_model::{AttrValue, LdsId, SourceRegistry};
 use moma_simstring::normalize::normalize;
-
-/// Errors from source access.
-#[derive(Debug, PartialEq, Eq)]
-pub enum SourceError {
-    /// A full scan was requested on a query-only source.
-    FullScanUnsupported(String),
-}
-
-impl std::fmt::Display for SourceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SourceError::FullScanUnsupported(s) => {
-                write!(f, "source `{s}` is query-only; full scans unsupported")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SourceError {}
 
 /// Access interface over one logical data source.
 pub trait DataSource: Send + Sync {
     /// The logical source this adapter serves.
     fn lds(&self) -> LdsId;
 
-    /// Whether all instances may be enumerated.
-    fn supports_full_scan(&self) -> bool;
-
-    /// All instance indexes (errors on query-only sources).
-    fn scan(&self, registry: &SourceRegistry) -> Result<Vec<u32>, SourceError>;
-
     /// Keyword query: instances whose text attributes contain every
     /// keyword token.
     fn query(&self, registry: &SourceRegistry, keywords: &str) -> Vec<u32>;
-
-    /// Resolve source ids to instance indexes (unknown ids skipped).
-    fn get(&self, registry: &SourceRegistry, ids: &[&str]) -> Vec<u32>;
 }
 
 /// In-memory adapter over a registry LDS.
 #[derive(Debug, Clone)]
 pub struct InMemorySource {
     lds: LdsId,
-    query_only: bool,
 }
 
 impl InMemorySource {
-    /// Downloadable source (full scans allowed).
+    /// Adapter over a source whose instances are all in the registry.
     pub fn downloadable(lds: LdsId) -> Self {
-        Self {
-            lds,
-            query_only: false,
-        }
-    }
-
-    /// Query-only web source.
-    pub fn query_only(lds: LdsId) -> Self {
-        Self {
-            lds,
-            query_only: true,
-        }
+        Self { lds }
     }
 }
 
@@ -83,19 +41,6 @@ fn value_text(v: &AttrValue) -> Option<String> {
 impl DataSource for InMemorySource {
     fn lds(&self) -> LdsId {
         self.lds
-    }
-
-    fn supports_full_scan(&self) -> bool {
-        !self.query_only
-    }
-
-    fn scan(&self, registry: &SourceRegistry) -> Result<Vec<u32>, SourceError> {
-        if self.query_only {
-            return Err(SourceError::FullScanUnsupported(
-                registry.lds(self.lds).name(),
-            ));
-        }
-        Ok(registry.lds(self.lds).iter().map(|(i, _)| i).collect())
     }
 
     fn query(&self, registry: &SourceRegistry, keywords: &str) -> Vec<u32> {
@@ -122,11 +67,6 @@ impl DataSource for InMemorySource {
             })
             .map(|(i, _)| i)
             .collect()
-    }
-
-    fn get(&self, registry: &SourceRegistry, ids: &[&str]) -> Vec<u32> {
-        let lds = registry.lds(self.lds);
-        ids.iter().filter_map(|id| lds.index_of(id)).collect()
     }
 }
 
@@ -173,30 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn downloadable_scans() {
-        let (reg, id) = setup();
-        let src = InMemorySource::downloadable(id);
-        assert!(src.supports_full_scan());
-        assert_eq!(src.scan(&reg).unwrap(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn query_only_rejects_scan() {
-        let (reg, id) = setup();
-        let src = InMemorySource::query_only(id);
-        assert!(!src.supports_full_scan());
-        let err = src.scan(&reg).unwrap_err();
-        assert_eq!(
-            err,
-            SourceError::FullScanUnsupported("Publication@GS".into())
-        );
-        assert!(err.to_string().contains("query-only"));
-    }
-
-    #[test]
     fn keyword_query_conjunctive() {
         let (reg, id) = setup();
-        let src = InMemorySource::query_only(id);
+        let src = InMemorySource::downloadable(id);
         assert_eq!(src.query(&reg, "data cleaning"), vec![0, 1]);
         assert_eq!(src.query(&reg, "fuzzy cleaning"), vec![0]);
         assert_eq!(src.query(&reg, "nothing matches this"), Vec::<u32>::new());
@@ -206,14 +125,7 @@ mod tests {
     #[test]
     fn query_searches_author_lists() {
         let (reg, id) = setup();
-        let src = InMemorySource::query_only(id);
-        assert_eq!(src.query(&reg, "chaudhuri"), vec![0]);
-    }
-
-    #[test]
-    fn get_by_ids() {
-        let (reg, id) = setup();
         let src = InMemorySource::downloadable(id);
-        assert_eq!(src.get(&reg, &["g2", "ghost", "g0"]), vec![2, 0]);
+        assert_eq!(src.query(&reg, "chaudhuri"), vec![0]);
     }
 }

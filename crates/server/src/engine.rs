@@ -869,6 +869,67 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Overwrite means overwrite: `compose` onto a primed name releases
+    /// its matcher. The history `match M; compose M from (A, B); delta
+    /// on M's domain` ends the same live, by WAL replay and by
+    /// checkpoint → restore, with M still the compose (the delta used
+    /// to patch the matcher's leaf mapping back over it, recipe
+    /// dropped, and a restored checkpoint re-primed the stale matcher).
+    #[test]
+    fn a_shadowed_matcher_is_released() {
+        let work = std::env::temp_dir().join("moma_engine_shadowed");
+        let _ = std::fs::remove_dir_all(&work);
+        let head = [
+            match_cmd("A", "Publication@DBLP", "Publication@ACM"),
+            match_cmd("B", "Publication@ACM", "Publication@GS"),
+            match_cmd("M", "Publication@DBLP", "Publication@GS"),
+            protocol::compose_request("M", "A", "B", "min", "max"),
+        ];
+        let title = AttrValue::Text("The g1 system paper".into());
+        let fields = vec![("title".into(), title)];
+        let add = DeltaOp::Add {
+            id: "d9".into(),
+            fields,
+        };
+        let delta = protocol::delta_request("Publication@DBLP", &[add]);
+
+        let mut dumps = Vec::new();
+        for with_checkpoint in [false, true] {
+            let dir = work.join(format!("wal.{with_checkpoint}"));
+            let mut live = Engine::new(tiny_registry(), Parallelism::sequential());
+            live.wal_create(&dir, DurabilityPolicy::default()).unwrap();
+            for req in &head {
+                let r = live.execute(req);
+                assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+            }
+            if with_checkpoint {
+                let r = live.execute(&protocol::checkpoint_request());
+                assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+            }
+            let r = live.execute(&delta);
+            let touched = r.get("mappings").and_then(Json::as_arr).unwrap();
+            let touched: Vec<_> = touched.iter().map(|m| m.str_field("name")).collect();
+            assert_eq!(touched, [Some("A")], "{r}");
+            assert!(r.to_string().contains(r#""refreshed":["M"]"#), "{r}");
+
+            let mut recovered = Engine::new(tiny_registry(), Parallelism::sequential());
+            let summary = recovered
+                .recover(&dir, DurabilityPolicy::default())
+                .unwrap();
+            let expect = if with_checkpoint { (4, 1) } else { (0, 5) };
+            assert_eq!((summary.checkpoint_seq, summary.replayed), expect);
+            assert_snapshots_identical(&live, &recovered);
+            for engine in [&live, &recovered] {
+                let recipe = engine.repository().recipe("M");
+                assert!(matches!(recipe, Some(moma_core::Recipe::Compose { .. })));
+                assert!(engine.repository().require("M").unwrap().len() > 2);
+                dumps.push(dump_of(engine, &work.join("dump")));
+            }
+        }
+        assert!(dumps.windows(2).all(|w| w[0] == w[1]));
+        let _ = std::fs::remove_dir_all(&work);
+    }
+
     fn previous_release_registry() -> SourceRegistry {
         let mut reg = SourceRegistry::new();
         for (pds, ids) in [

@@ -264,7 +264,17 @@ impl State {
         let recipe = Recipe::Compose { left, right, f, g };
         let stored = self.repository.store_derived(name, recipe);
         let mapping = stored.map_err(|e| e.to_string())?;
+        self.release_matcher(name);
         Ok(self.stored(name, mapping.len(), None))
+    }
+
+    /// Overwrite means overwrite: a name that `compose` or `install`
+    /// stores over stops being a primed matcher, so no later delta
+    /// patches the matcher's mapping back over the new entry and no
+    /// checkpoint re-primes it.
+    fn release_matcher(&mut self, name: &str) {
+        self.states.remove(name);
+        self.match_requests.remove(name);
     }
 
     /// Execute an `install`: store a literal, pre-computed mapping table
@@ -287,6 +297,7 @@ impl State {
         let mapping = self.literal_mapping(&what, req, &arenas)?;
         let (name, rows) = (mapping.name.clone(), mapping.len());
         self.repository.store_as(&name, mapping);
+        self.release_matcher(&name);
         Ok(self.stored(&name, rows, Some(("installed", true))))
     }
 

@@ -584,6 +584,39 @@ fn one_shard_router_keeps_its_ownership_index_current() {
     handle.stop();
 }
 
+/// Through a 2-shard router, `match M; compose M from (A, B)` with A
+/// and B on different shards installs the result over the primed M on
+/// A's shard — and releases M's matcher: a later delta on M's domain
+/// patches A only, and M stays the installed compose (it used to turn
+/// back into the matcher's leaf mapping).
+#[test]
+fn a_cross_shard_compose_onto_a_primed_name_releases_its_matcher() {
+    let (handle, mut c) = spawn_cluster(shard_engines(2, None));
+    c.call_ok(&protocol::with_shard(pub_match("A", "DBLP", "ACM"), 0))
+        .expect("match A");
+    c.call_ok(&protocol::with_shard(pub_match("B", "ACM", "GS"), 1))
+        .expect("match B");
+    c.call_ok(&pub_match("M", "DBLP", "GS")).expect("match M");
+    let leaf = c.query("M", 0, None).expect("query M");
+    let r = c
+        .call_ok(&protocol::compose_request("M", "A", "B", "min", "max"))
+        .expect("compose M");
+    assert_eq!(r.get("cross_shard").and_then(Json::as_bool), Some(true));
+    assert_eq!(r.get("shard").and_then(Json::as_u64), Some(0), "{r}");
+    let composed = c.query("M", 0, None).expect("query M");
+    assert_ne!(composed.get("rows"), leaf.get("rows"));
+
+    let r = c
+        .call_ok(&delta_req("Publication@DBLP", "title", "d-shadow"))
+        .expect("delta");
+    let touched = r.get("mappings").and_then(Json::as_arr).expect("mappings");
+    let touched: Vec<_> = touched.iter().map(|m| m.str_field("name")).collect();
+    assert_eq!(touched, [Some("A")], "{r}");
+    let after = c.query("M", 0, None).expect("query M");
+    assert_eq!(after.get("rows"), composed.get("rows"));
+    handle.stop();
+}
+
 /// The router owns the `repl` flag of a fanned-out delta and the `cmd`
 /// of a batch item: what a client puts there changes nothing.
 #[test]

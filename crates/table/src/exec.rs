@@ -10,13 +10,13 @@
 //! the shards or how they interleave. That guarantee is what lets the
 //! parallel paths share every determinism test with the sequential ones.
 //!
-//! The scheduler is intentionally work-stealing-free: plain
-//! [`std::thread::scope`] workers striding over a fixed task list. MOMA's
+//! The scheduler is intentionally work-stealing-free: one plain
+//! [`std::thread::scope`] worker per shard. MOMA's
 //! shards are statically balanced (equal-size input ranges), so the
 //! simplicity buys determinism without losing meaningful utilization.
 
-/// Parallel-execution configuration threaded through matchers, joins and
-/// workflows.
+/// Parallel-execution configuration threaded through matchers and index
+/// construction.
 ///
 /// `threads == 1` (or an input smaller than two minimum shards) means the
 /// work runs inline on the calling thread — the sequential code path,
@@ -121,45 +121,6 @@ impl Parallelism {
         self.threads.min((items / min).max(1))
     }
 
-    /// Run `tasks` independent jobs, returning their results **in task
-    /// order**. Sequential when `threads <= 1`; otherwise
-    /// `min(threads, tasks)` scoped workers stride over the task indexes.
-    pub fn run_tasks<R, F>(&self, tasks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if tasks == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.min(tasks);
-        if workers <= 1 {
-            return (0..tasks).map(f).collect();
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        (w..tasks)
-                            .step_by(workers)
-                            .map(|t| (t, f(t)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut out: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
-            for h in handles {
-                for (t, r) in h.join().expect("exec worker panicked") {
-                    out[t] = Some(r);
-                }
-            }
-            out.into_iter()
-                .map(|r| r.expect("every task index covered"))
-                .collect()
-        })
-    }
-
     /// Split `items` into contiguous shards, map every shard with `f`
     /// (possibly on worker threads probing shared read-only state), and
     /// return the per-shard results **in input order**. Concatenating the
@@ -175,8 +136,15 @@ impl Parallelism {
             return vec![f(items)];
         }
         let chunk = items.len().div_ceil(shards);
-        let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-        self.run_tasks(chunks.len(), |i| f(chunks[i]))
+        let f = &f;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = items
+                .chunks(chunk)
+                .map(|shard| scope.spawn(move || f(shard)))
+                .collect();
+            let joined = workers.into_iter().map(|w| w.join());
+            joined.map(|r| r.expect("exec worker panicked")).collect()
+        })
     }
 }
 
@@ -227,14 +195,6 @@ mod tests {
             let flat: Vec<u32> = shards.into_iter().flatten().collect();
             assert_eq!(flat, items, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn run_tasks_in_task_order() {
-        let p = Parallelism::new(4);
-        let out = p.run_tasks(11, |t| t * t);
-        assert_eq!(out, (0..11).map(|t| t * t).collect::<Vec<_>>());
-        assert!(p.run_tasks(0, |t| t).is_empty());
     }
 
     #[test]

@@ -2,16 +2,14 @@
 //!
 //! Mapping tables serialize to the obvious plain-text form — one
 //! correspondence per line, `domain \t range \t sim` — with a one-line
-//! header recording the row count. A variant keyed by *string ids*
-//! (resolved through a [`crate::StringInterner`]) keeps files stable
-//! across regenerations of the in-memory arena.
+//! header recording the row count. [`escape_field`] is what the
+//! repository's string-id files (`moma-core`) escape their ids with.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::interner::StringInterner;
 use crate::mapping_table::MappingTable;
 
 /// Errors from TSV load/store.
@@ -145,69 +143,6 @@ pub fn load(path: impl AsRef<Path>) -> Result<MappingTable, TsvError> {
     from_str(&fs::read_to_string(path)?)
 }
 
-/// Serialize with string ids: each row becomes
-/// `domain_id \t range_id \t sim`, ids resolved via the two interners
-/// and escaped with [`escape_field`] so ids containing tabs or newlines
-/// round-trip instead of corrupting the file.
-///
-/// Unresolvable handles are skipped (they reference instances that no
-/// longer exist).
-pub fn to_string_with_ids(
-    table: &MappingTable,
-    domain_ids: &StringInterner,
-    range_ids: &StringInterner,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "#moma-mapping-table-ids\t{}", table.len());
-    for c in table.iter() {
-        if let (Some(d), Some(r)) = (domain_ids.resolve(c.domain), range_ids.resolve(c.range)) {
-            let _ = writeln!(out, "{}\t{}\t{}", escape_field(d), escape_field(r), c.sim);
-        }
-    }
-    out
-}
-
-/// Parse a string-id TSV, interning unseen ids into the given interners.
-pub fn from_str_with_ids(
-    text: &str,
-    domain_ids: &mut StringInterner,
-    range_ids: &mut StringInterner,
-) -> Result<MappingTable, TsvError> {
-    let mut table = MappingTable::new();
-    for (no, line) in text.lines().enumerate() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split('\t');
-        let d = parts.next().ok_or_else(|| TsvError::Parse {
-            line: no + 1,
-            msg: "missing domain".into(),
-        })?;
-        let r = parts.next().ok_or_else(|| TsvError::Parse {
-            line: no + 1,
-            msg: "missing range".into(),
-        })?;
-        let s: f64 = parts
-            .next()
-            .ok_or_else(|| TsvError::Parse {
-                line: no + 1,
-                msg: "missing sim".into(),
-            })?
-            .parse()
-            .map_err(|e| TsvError::Parse {
-                line: no + 1,
-                msg: format!("sim: {e}"),
-            })?;
-        table.push(
-            domain_ids.intern(&unescape_field(d)),
-            range_ids.intern(&unescape_field(r)),
-            s,
-        );
-    }
-    table.dedup_max();
-    Ok(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,27 +172,6 @@ mod tests {
         }
         let err = from_str("0\tx\t0.5\n").unwrap_err();
         assert!(err.to_string().contains("range"));
-    }
-
-    #[test]
-    fn roundtrip_with_ids() {
-        let mut dom = StringInterner::new();
-        let mut ran = StringInterner::new();
-        let a = dom.intern("conf/VLDB/ChirkovaHS01");
-        let b = ran.intern("P-672216");
-        let t = MappingTable::from_triples([(a, b, 1.0)]);
-        let text = to_string_with_ids(&t, &dom, &ran);
-        assert!(text.contains("conf/VLDB/ChirkovaHS01\tP-672216\t1"));
-
-        let mut dom2 = StringInterner::new();
-        let mut ran2 = StringInterner::new();
-        let back = from_str_with_ids(&text, &mut dom2, &mut ran2).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(
-            dom2.resolve(back.rows()[0].domain),
-            Some("conf/VLDB/ChirkovaHS01")
-        );
-        assert_eq!(ran2.resolve(back.rows()[0].range), Some("P-672216"));
     }
 
     #[test]
@@ -303,30 +217,6 @@ mod tests {
         assert_eq!(unescape_field("a\\xb"), "a\\xb");
         assert_eq!(unescape_field("end\\"), "end\\");
     }
-
-    #[test]
-    fn id_tsv_round_trips_hostile_ids() {
-        let mut dom = StringInterner::new();
-        let mut ran = StringInterner::new();
-        let a = dom.intern("id with\ttab");
-        let b = ran.intern("id with\nnewline and \"quotes\" and é");
-        let t = MappingTable::from_triples([(a, b, 0.5)]);
-        let text = to_string_with_ids(&t, &dom, &ran);
-        // The file structure survives: exactly one data line, three columns.
-        let data: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
-        assert_eq!(data.len(), 1);
-        assert_eq!(data[0].split('\t').count(), 3);
-
-        let mut dom2 = StringInterner::new();
-        let mut ran2 = StringInterner::new();
-        let back = from_str_with_ids(&text, &mut dom2, &mut ran2).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(dom2.resolve(back.rows()[0].domain), Some("id with\ttab"));
-        assert_eq!(
-            ran2.resolve(back.rows()[0].range),
-            Some("id with\nnewline and \"quotes\" and é")
-        );
-    }
 }
 
 #[cfg(test)]
@@ -344,40 +234,6 @@ mod prop_tests {
             prop_assert_eq!(back.len(), t.len());
             for c in t.iter() {
                 let s = back.sim_of(c.domain, c.range).unwrap();
-                prop_assert!((s - c.sim).abs() < 1e-12);
-            }
-        }
-
-        /// Ids containing tabs, newlines, CRs, backslashes, quotes and
-        /// non-ASCII survive the string-id TSV round trip unchanged.
-        /// (The class below embeds real control characters.)
-        #[test]
-        fn id_roundtrip_survives_hostile_characters(
-            ids in prop::collection::vec("[\t\n\r\\\\\"'a-zé★ ]{1,12}", 1..12),
-            sims in prop::collection::vec(0.0f64..=1.0, 12..13),
-        ) {
-            let mut dom = StringInterner::new();
-            let mut ran = StringInterner::new();
-            let rows: Vec<(u32, u32, f64)> = ids
-                .iter()
-                .enumerate()
-                .map(|(i, id)| {
-                    (dom.intern(id), ran.intern(&format!("r-{id}")), sims[i % sims.len()])
-                })
-                .collect();
-            let t = MappingTable::from_triples(rows);
-            let text = to_string_with_ids(&t, &dom, &ran);
-            let mut dom2 = StringInterner::new();
-            let mut ran2 = StringInterner::new();
-            let back = from_str_with_ids(&text, &mut dom2, &mut ran2).unwrap();
-            prop_assert_eq!(back.len(), t.len());
-            for c in t.iter() {
-                let d = dom.resolve(c.domain).unwrap();
-                let r = ran.resolve(c.range).unwrap();
-                let (d2, r2) = (dom2.get(d), ran2.get(r));
-                prop_assert!(d2.is_some() && r2.is_some(),
-                    "id {:?} lost in round trip", d);
-                let s = back.sim_of(d2.unwrap(), r2.unwrap()).unwrap();
                 prop_assert!((s - c.sim).abs() < 1e-12);
             }
         }

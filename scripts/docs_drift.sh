@@ -7,9 +7,11 @@
 #   2. the book or README.md names a `moma-<x>` crate that does not exist,
 #   3. a serve-path module the book's data-flow diagram walks through
 #      has been renamed or removed,
-#   4. README.md or docs/*.md quotes a `moma_<crate>::…::<Item>` path
-#      whose last segment crates/<crate>/src no longer declares as a
-#      public struct / enum / trait / fn / type / const / mod,
+#   4. README.md or docs/*.md quotes a `moma_<crate>::…::<Item>` path —
+#      or Figure 3's component table (crates/eval/src/figures/
+#      architecture.rs) names one — whose last segment
+#      crates/<crate>/src no longer declares as a public struct / enum /
+#      trait / fn / type / const / mod,
 #   5. a command quoted in README.md, docs/*.md, the CI workflow,
 #      scripts/*.sh or a verify skill names a `-p moma-<crate>` that
 #      does not exist, or a `--bin <name>` that the `-p` crate on the
@@ -66,7 +68,10 @@ while read -r hit; do
         echo "docs_drift: $file names \`$path\` but crates/$crate/src declares no public \`$item\`" >&2
         fail=1
     fi
-done < <(grep -oE '`moma_[a-z]+(::[A-Za-z0-9_]+)+`' README.md docs/*.md | tr -d '`' | sort -u)
+done < <({
+    grep -oE '`moma_[a-z]+(::[A-Za-z0-9_]+)+`' README.md docs/*.md
+    grep -oHE 'moma_[a-z]+(::[A-Za-z0-9_]+)+' crates/eval/src/figures/architecture.rs
+} | tr -d '`' | sort -u)
 
 # 5. Quoted cargo commands must name packages and binaries that exist.
 has_bin() { # has_bin <crate dir> <bin name>

@@ -13,8 +13,8 @@
 //! | [`model`] | physical/logical data sources, object instances, the source-mapping model |
 //! | [`table`] | 3-column mapping tables in canonical order, the grouping co-scan, indexes, hash join, TSV persistence |
 //! | [`simstring`] | similarity measures: trigram, TF-IDF, affix, edit distances, person names, … |
-//! | [`core`] | **the paper's contribution**: merge/compose/selection operators, matcher library, neighborhood matcher, workflows, mapping repository |
-//! | [`ifuice`] | mini iFuice platform: source operators, fusion, the workflow script language |
+//! | [`core`] | **the paper's contribution**: merge/compose/selection operators, matcher library, neighborhood matcher, mapping repository |
+//! | [`ifuice`] | mini iFuice platform: source operators, the workflow script language |
 //! | [`datagen`] | synthetic bibliographic world (DBLP / ACM / Google Scholar views + gold standards) |
 //! | [`tune`] | self-tuning: grid search and decision trees over matcher configurations |
 //! | [`eval`] | reproduction harness for every table and figure of the paper |
@@ -58,8 +58,9 @@
 //! assert_eq!(result.len(), 1);
 //! ```
 //!
-//! See `examples/` for realistic scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the paper-reproduction map.
+//! See `examples/` for realistic scenarios, `docs/ARCHITECTURE.md` for
+//! the design and `EXPERIMENTS.md` (the output of `repro all`) for every
+//! table and figure of the paper, measured beside the paper's values.
 
 pub use moma_core as core;
 pub use moma_datagen as datagen;

@@ -50,26 +50,6 @@ fn duplicate_detection() {
 }
 
 #[test]
-fn bibliographic_integration() {
-    run_example("bibliographic_integration");
-}
-
-#[test]
-fn parallel_matching() {
-    run_example("parallel_matching");
-}
-
-#[test]
-fn hub_integration() {
-    run_example("hub_integration");
-}
-
-#[test]
-fn self_tuning() {
-    run_example("self_tuning");
-}
-
-#[test]
 fn incremental_matching() {
     run_example("incremental_matching");
 }
@@ -85,11 +65,7 @@ fn all_examples_are_covered() {
     let covered = [
         "quickstart",
         "duplicate_detection",
-        "bibliographic_integration",
-        "parallel_matching",
         "incremental_matching",
-        "hub_integration",
-        "self_tuning",
         "workflow_script",
     ];
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");

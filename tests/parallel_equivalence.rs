@@ -1,9 +1,8 @@
 //! Parallel ≡ sequential, property-tested across random worlds.
 //!
 //! The exec layer (`moma_core::exec`) promises that every parallel path
-//! — attribute-matcher sharding, multi-attribute sharding, workflow
-//! matcher fan-out, parallel compose joins — produces results
-//! *bit-identical* to sequential execution. These properties drive that
+//! — attribute-matcher sharding, multi-attribute sharding — produces
+//! results *bit-identical* to sequential execution. These properties drive that
 //! promise across randomly generated datagen scenarios and thread counts
 //! 1 / 2 / 8 (far oversubscribing small inputs on purpose: shard
 //! boundaries, not thread scheduling, are what could break equivalence).
@@ -16,10 +15,6 @@ use moma::core::exec::Parallelism;
 use moma::core::matchers::{
     AttrPair, AttributeMatcher, MatchContext, Matcher, MultiAttributeMatcher,
 };
-use moma::core::ops::merge::{MergeFn, MissingPolicy};
-use moma::core::ops::select::Selection;
-use moma::core::workflow::{CombineOp, Combiner, StepInput, Workflow, WorkflowStep};
-use moma::core::MappingCache;
 use moma::datagen::{Scenario, WorldConfig};
 use moma::simstring::SimFn;
 use proptest::prelude::*;
@@ -103,43 +98,6 @@ proptest! {
             let ctx = MatchContext::with_repository(&s.registry, &s.repository)
                 .with_parallelism(par(threads));
             let got = matcher.execute(&ctx, s.ids.pub_dblp, s.ids.pub_acm).unwrap();
-            prop_assert_eq!(
-                got.table.rows(), reference.table.rows(),
-                "seed={} threads={}", seed, threads
-            );
-        }
-    }
-
-    /// A full workflow — concurrent matcher fan-out, merge, selection —
-    /// returns the identical mapping at every thread count.
-    #[test]
-    fn workflow_parallel_equals_sequential(seed in 0u64..12) {
-        let s = random_world(seed);
-        let wf = Workflow::new("P", "Publication@DBLP", "Publication@ACM").step(WorkflowStep {
-            inputs: vec![
-                StepInput::Matcher(Arc::new(AttributeMatcher::new(
-                    "title", "title", SimFn::Trigram, 0.45,
-                ))),
-                StepInput::Matcher(Arc::new(AttributeMatcher::new(
-                    "authors", "authors", SimFn::Trigram, 0.45,
-                ))),
-                StepInput::Matcher(Arc::new(AttributeMatcher::new(
-                    "year", "year", SimFn::Year(0), 1.0,
-                ))),
-            ],
-            combiner: Combiner {
-                op: CombineOp::Merge { f: MergeFn::Avg, missing: MissingPolicy::Zero },
-                selections: vec![Selection::Threshold(0.8)],
-            },
-            publish: None,
-        });
-        let seq_ctx = MatchContext::with_repository(&s.registry, &s.repository)
-            .with_parallelism(Parallelism::sequential());
-        let reference = wf.run(&seq_ctx, &MappingCache::new()).unwrap();
-        for threads in THREADS {
-            let ctx = MatchContext::with_repository(&s.registry, &s.repository)
-                .with_parallelism(par(threads));
-            let got = wf.run(&ctx, &MappingCache::new()).unwrap();
             prop_assert_eq!(
                 got.table.rows(), reference.table.rows(),
                 "seed={} threads={}", seed, threads

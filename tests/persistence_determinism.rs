@@ -45,8 +45,7 @@ fn repository_roundtrip_through_disk() {
 fn full_pipeline_is_deterministic() {
     let run_once = || {
         let ctx = moma::eval::EvalContext::small();
-        let report = moma::eval::experiments::table2::run(&ctx);
-        report.render()
+        moma::eval::experiments::table2::run(&ctx)
     };
     assert_eq!(run_once(), run_once());
 }
@@ -85,8 +84,8 @@ fn different_seeds_give_different_worlds_same_shapes() {
     // matching on precision in both worlds (the Table 2 claim).
     for ctx in [&ctx_a, &ctx_b] {
         let r = moma::eval::experiments::table2::run(ctx);
-        let p_merge = r.cell_pct("Precision", "Merge").unwrap();
-        let p_title = r.cell_pct("Precision", "Title").unwrap();
+        let p_merge = r.num("Precision", "Merge");
+        let p_title = r.num("Precision", "Title");
         assert!(
             p_merge > p_title,
             "seed-dependent shape: merge {p_merge} vs title {p_title}"

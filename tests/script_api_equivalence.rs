@@ -4,9 +4,11 @@ use moma::core::matchers::neighborhood::nh_match;
 use moma::core::matchers::{AttributeMatcher, MatchContext, Matcher};
 use moma::core::ops::compose::PathAgg;
 use moma::core::ops::merge::{merge, MergeFn, MissingPolicy};
-use moma::core::ops::select::select_constraint;
+use moma::core::ops::select::{select, select_constraint, Selection};
 use moma::datagen::Scenario;
+use moma::eval::MatchQuality;
 use moma::ifuice::script::run_script;
+use moma::simstring::SimFn;
 
 fn assert_same_mapping(a: &moma::core::Mapping, b: &moma::core::Mapping) {
     assert_eq!(a.table.pair_set(), b.table.pair_set());
@@ -119,5 +121,68 @@ fn script_selection_builders_equal_api() {
         let via_script = run_script(&src, &scenario.registry, &scenario.repository).unwrap();
         let via_api = moma::core::ops::select::select(&mapping, &api_sel);
         assert_same_mapping(via_script.as_mapping().unwrap(), &via_api);
+    }
+}
+
+/// The Table 2 pipeline — title + authors + year matchers, `merge(…,
+/// Average, Zero)`, `select(…, 0.8)` — as a script and as direct calls.
+#[test]
+fn workflow_engine_reproduces_manual_pipeline() {
+    let scenario = Scenario::small();
+    let script_result = run_script(
+        r#"
+        $Title = attrMatch(DBLP.Publication, ACM.Publication, Trigram, 0.45, "[title]", "[title]");
+        $Authors = attrMatch(DBLP.Publication, ACM.Publication, Trigram, 0.45, "[authors]", "[authors]");
+        $Year = attrMatch(DBLP.Publication, ACM.Publication, Year, 1.0, "[year]", "[year]");
+        $Merged = merge($Title, $Authors, $Year, Average, Zero);
+        RETURN select($Merged, threshold(0.8));
+        "#,
+        &scenario.registry,
+        &scenario.repository,
+    )
+    .unwrap();
+    let via_script = script_result.as_mapping().unwrap();
+
+    let ctx = MatchContext::with_repository(&scenario.registry, &scenario.repository);
+    let (d, a) = (scenario.ids.pub_dblp, scenario.ids.pub_acm);
+    let matched = |attr: &str, sim: SimFn, threshold: f64| {
+        let matcher = AttributeMatcher::new(attr, attr, sim, threshold);
+        matcher.execute(&ctx, d, a).unwrap()
+    };
+    let title = matched("title", SimFn::Trigram, 0.45);
+    let authors = matched("authors", SimFn::Trigram, 0.45);
+    let year = matched("year", SimFn::Year(0), 1.0);
+    let merged = merge(
+        &[&title, &authors, &year],
+        MergeFn::Avg,
+        MissingPolicy::Zero,
+    )
+    .unwrap();
+    let via_api = select(&merged, &Selection::Threshold(0.8));
+
+    assert_same_mapping(via_script, &via_api);
+    let q = MatchQuality::evaluate(via_script, &scenario.gold.pub_dblp_acm);
+    assert!(q.f1() > 0.9, "workflow quality too low: {q}");
+}
+
+/// A second script consumes the mapping a first one stored.
+#[test]
+fn repository_reuse_between_workflows() {
+    let scenario = Scenario::small();
+    let run = |src: &str| run_script(src, &scenario.registry, &scenario.repository).unwrap();
+    run(
+        r#"store(attrMatch(DBLP.Publication, ACM.Publication, Trigram, 0.8, "[title]", "[title]"), "shared.title");"#,
+    );
+    let refined = run(r#"RETURN select(get("shared.title"), bestN(1, domain));"#);
+    let refined = refined.as_mapping().unwrap();
+
+    let shared = scenario.repository.require("shared.title").unwrap();
+    assert_same_mapping(refined, &select(&shared, &Selection::best1()));
+    assert!(!refined.is_empty());
+    for (_, count) in refined.table.domain_degrees() {
+        assert_eq!(
+            count, 1,
+            "best-1 must leave one correspondence per instance"
+        );
     }
 }
