@@ -3,30 +3,32 @@
 //! Matching large web sources all-pairs is quadratic — the paper's own
 //! Google Scholar dataset has 64k entries. This module owns MOMA's three
 //! index-based candidate generators. The two string ones are a
-//! tokenizer and a probe over the same maintained inverted index
-//! ([`moma_table::GramIndex`], wrapped with its tokenizer as
-//! [`TokenIndex`]); the third indexes cached TF-IDF vectors:
+//! tokenizer (`Tokens`) and a probe over the same maintained inverted
+//! index ([`moma_table::GramIndex`]), which stores and probes **gram
+//! ids** of one [`GramDict`]: a value is tokenized once, and build,
+//! maintenance and probe all take its id list. The third indexes cached
+//! TF-IDF vectors:
 //!
-//! * **Prefix-filtered trigram blocking** ([`TrigramIndex`],
-//!   [`Blocking::TrigramPrefix`]): range values are indexed by their
-//!   *set* of character trigrams; a domain value probes only its rarest
-//!   trigrams ([`moma_table::GramIndex::rarest_union`]), whose number is
-//!   derived from the similarity threshold so that any range value whose
+//! * **Prefix-filtered trigram blocking** ([`Blocking::TrigramPrefix`]):
+//!   range values are indexed by their *set* of character trigrams; a
+//!   domain value probes only its rarest trigrams
+//!   ([`moma_table::GramIndex::rarest_union`]), whose number is derived
+//!   from the similarity threshold so that any range value whose
 //!   trigram-set Dice clears the threshold must share at least one
 //!   probed gram (standard prefix-filtering argument, transferred from
 //!   Jaccard to Dice via `t_j = t_d / (2 - t_d)`). Cheap, exact for
 //!   values without repeated trigrams, and usable as a lossy pre-filter
 //!   for *non*-trigram measures via a conservative Dice floor.
-//! * **Threshold-exact blocking** ([`ThresholdIndex`],
-//!   [`Blocking::Threshold`]): the SimString/CPMerge *T-occurrence*
-//!   engine. Values are tokenized into occurrence-tagged q-grams (so the
-//!   scoring multisets become sets without losing multiplicities); a
-//!   probe ([`moma_table::GramIndex::candidates`]) applies the exact
-//!   per-measure size window and minimum-overlap bounds of
-//!   [`moma_simstring::bounds`] *before* any similarity is computed.
-//!   The candidate set provably contains every pair reaching the
-//!   matcher's threshold — and typically almost nothing else, so the
-//!   expensive scoring stage runs on a fraction of the prefix filter's
+//! * **Threshold-exact blocking** ([`Blocking::Threshold`]): the
+//!   SimString/CPMerge *T-occurrence* engine. Values are tokenized into
+//!   their q-gram multiset with every repeat of a gram under an id of
+//!   its own (so the scoring multisets become sets without losing
+//!   multiplicities); a probe ([`moma_table::GramIndex::candidates`])
+//!   applies the exact per-measure size window and minimum-overlap
+//!   bounds of [`moma_simstring::bounds`] *before* any similarity is
+//!   computed. The candidate set provably contains every pair reaching
+//!   the matcher's threshold — and typically almost nothing else, so
+//!   the scoring stage runs on a fraction of the prefix filter's
 //!   candidates.
 //! * **Weighted-prefix TF-IDF blocking** ([`TfIdfIndex`]): the max-weight
 //!   prefix filter of [`moma_simstring::wbounds`] applied to cached
@@ -39,6 +41,14 @@
 //!   results are bit-identical to all-pairs scoring. It is built per
 //!   match and never patched (the corpus shifts under every delta).
 //!
+//! The string generators come at two levels. The matchers hold
+//! [`CandidateIndex`]es: one gram dictionary per match tokenizes the
+//! values of *both* sides, every value keeps its ids, and index and
+//! probe never see a string. [`TrigramIndex`] and [`ThresholdIndex`]
+//! are the same postings and the same two probes behind a string
+//! interface for everyone else: each owns a dictionary, interns what it
+//! indexes and looks a probe value up read-only.
+//!
 //! Posting storage, tombstoned removal and amortized compaction live in
 //! `moma-table`; this module owns tokenization and the threshold
 //! arithmetic.
@@ -48,147 +58,187 @@
 //! A built index is immutable through `&self`: every probe method only
 //! reads the postings, so one index can be probed concurrently from any
 //! number of matcher worker threads without locks (the index types are
-//! `Send + Sync`). This is exactly how the parallel attribute matchers
-//! use it — the range side is indexed once, then the domain values are
-//! sharded across threads (see [`crate::exec`]) and each shard probes
-//! the shared index independently. Because probing never mutates, the
-//! per-shard candidate sets — and hence the concatenated result — are
+//! `Send + Sync`; the working memory of a T-occurrence probe is the
+//! caller's [`ProbeScratch`], one per worker). This is exactly how the
+//! parallel attribute matchers use it — the range side is indexed once,
+//! then the domain values are sharded across threads (see
+//! [`crate::exec`]) and each shard probes the shared index
+//! independently. Because probing never mutates, the per-shard
+//! candidate sets — and hence the concatenated result — are
 //! bit-identical to a sequential run.
 //!
 //! ## Incremental maintenance
 //!
 //! For evolving sources a string index need not be rebuilt:
-//! [`TokenIndex::insert`], [`TokenIndex::remove`] (tombstone) and
-//! [`TokenIndex::update`] (surgical posting swap) patch it in place —
-//! the machinery behind [`crate::delta`]'s incremental matching, reached
-//! through [`CandidateIndex`]. Removal leaves dead posting entries
-//! behind until the underlying [`GramIndex`] compacts; probes filter
-//! them, so candidate sets are always tombstone-exact, while the gram
-//! frequencies behind the prefix filter's rarest-first choice may
+//! `insert`, `remove` (tombstone) and `update` / `replace` (surgical
+//! posting swap) patch it in place — the machinery behind
+//! [`crate::delta`]'s incremental matching, which drives the
+//! [`GramIndex`] of a [`CandidateIndex`] with the ids its values carry
+//! ([`TokenIndex`] offers the same by string). Removal leaves dead
+//! posting entries behind until the [`GramIndex`] compacts; probes
+//! filter them, so candidate sets are always tombstone-exact, while the
+//! gram frequencies behind the prefix filter's rarest-first choice may
 //! over-count between compactions (harmless for its guarantee, which
 //! holds for *any* choice of probed grams).
 
 use std::ops::{Deref, DerefMut};
 
 use moma_simstring::bounds::{qgram_measure_of, QgramMeasure};
-use moma_simstring::tokenize::{qgrams, trigrams};
-use moma_simstring::wbounds;
+use moma_simstring::{wbounds, GramDict};
 use moma_table::exec::Parallelism;
-use moma_table::{FxHashMap, FxHashSet, GramIndex, Postings};
+use moma_table::{FxHashMap, FxHashSet, GramIndex, Postings, ProbeScratch};
 
 use crate::matchers::MatcherSim;
 
-/// Deduplicated trigram list of a value.
-fn unique_trigrams(value: &str) -> Vec<String> {
-    let mut grams = trigrams(value);
-    grams.sort_unstable();
-    grams.dedup();
-    grams
-}
-
-/// Occurrence-tagged q-grams: the value's padded gram **multiset**
-/// rendered as a duplicate-free list by suffixing the `k`-th repeat of
-/// a gram with `\u{0}k` (NUL cannot appear in normalized text). Set
-/// intersection of two tagged lists equals the multiset intersection of
-/// the raw gram profiles, and the list length equals the multiset
-/// size — exactly the quantities the q-gram scorers in
-/// [`moma_simstring::ngram`] use, which is what makes the
-/// [`ThresholdIndex`] bounds exact. Runs on every index insert, update
-/// and probe, so grams are tagged in place — no per-gram reallocation
-/// for the (overwhelmingly common) non-repeated ones.
-pub(crate) fn tagged_qgrams(value: &str, q: usize) -> Vec<String> {
-    use std::fmt::Write as _;
-    let mut grams = qgrams(value, q);
-    grams.sort_unstable();
-    let mut run = 0usize;
-    for i in 1..grams.len() {
-        // The untagged base of the current repeat streak sits `run + 1`
-        // slots back (everything between it and `i` is already tagged).
-        if grams[i] == grams[i - run - 1] {
-            run += 1;
-            let _ = write!(grams[i], "\u{0}{run}");
-        } else {
-            run = 0;
-        }
-    }
-    grams
-}
-
-/// The two tokenizers a [`TokenIndex`] can sit behind.
-#[derive(Debug, Clone, Copy)]
-enum Tokens {
-    /// The value's set of padded character trigrams (prefix filter).
+/// The two tokenizers a string index can sit behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tokens {
+    /// The value's set of padded character trigrams, in gram order
+    /// (prefix filter; the order is its frequency tie-break).
     UniqueTrigrams,
-    /// The value's padded q-gram multiset, occurrence-tagged
-    /// (T-occurrence engine).
+    /// The value's padded q-gram multiset, one id per occurrence, sorted
+    /// (T-occurrence engine, and what the q-gram measures score).
     TaggedQgrams(usize),
 }
 
 impl Tokens {
-    fn of(self, value: &str) -> Vec<String> {
+    /// Tokenize a value that is stored or indexed: its grams get ids.
+    pub(crate) fn intern(self, value: &str, dict: &mut GramDict) -> Box<[u32]> {
         match self {
-            Tokens::UniqueTrigrams => unique_trigrams(value),
-            Tokens::TaggedQgrams(q) => tagged_qgrams(value, q),
+            Tokens::UniqueTrigrams => dict.intern_qgram_set_ids(value, 3),
+            Tokens::TaggedQgrams(q) => dict.intern_qgram_ids(value, q),
+        }
+    }
+
+    /// Tokenize a value that only probes: the dictionary is left alone.
+    fn lookup(self, value: &str, dict: &GramDict) -> Vec<u32> {
+        match self {
+            Tokens::UniqueTrigrams => dict.lookup_qgram_set_ids(value, 3),
+            Tokens::TaggedQgrams(q) => dict.lookup_qgram_ids(value, q),
         }
     }
 }
 
-/// A [`GramIndex`] behind the tokenizer that feeds it: the build and
-/// maintenance half of both string index families, which differ only in
-/// how they tokenize and probe. [`TrigramIndex`], [`ThresholdIndex`] and
-/// [`CandidateIndex`] dereference to it, so `index.insert(id, value)`
-/// works on all three.
+/// Build a [`GramIndex`] over `(id, gram ids)` values by sharding them
+/// across threads: each shard builds a private index, and the shards
+/// are merged in shard order. The values are fed in `(size, id)` order —
+/// the order of the posting keys — so every insert appends and every
+/// shard's postings lie above the previous shard's. The result is
+/// observationally identical to a sequential build in any order.
+fn build_grams(mut values: Vec<(u32, &[u32])>, par: &Parallelism) -> GramIndex {
+    values.sort_unstable_by_key(|&(id, grams)| (grams.len(), id));
+    let mut parts = par
+        .run_sharded(&values, |shard| {
+            let mut part = GramIndex::new();
+            for &(id, grams) in shard {
+                part.insert(id, grams);
+            }
+            part
+        })
+        .into_iter();
+    let mut merged = parts.next().unwrap_or_default();
+    for part in parts {
+        merged.absorb(part);
+    }
+    merged
+}
+
+/// The prefix-filter probe: candidate ids for a query's trigram-set ids
+/// (in gram order) under Dice threshold `dice_threshold` — the union of
+/// the postings of the query's rarest `k = |G| − ⌈t_j·|G|⌉ + 1` grams
+/// (`t_j` the Jaccard equivalent): a value reaching the threshold shares
+/// at least `⌈t_j·|G|⌉` of the query's `|G|` grams, so it cannot miss
+/// all `k`.
+///
+/// A query producing no trigrams returns exactly the indexed values
+/// that also produced none: two empty gram multisets are identical
+/// (trigram Dice 1.0), so those — and only those — can clear any
+/// threshold.
+fn prefix_probe(index: &GramIndex, query: &[u32], dice_threshold: f64) -> Vec<u32> {
+    if query.is_empty() {
+        return index.gramless_ids();
+    }
+    let n = query.len();
+    let t_d = dice_threshold.clamp(0.0, 1.0);
+    // ⌈t_j·n⌉ is the low end of the Dice size window (a match is at
+    // least as large as its overlap), computed there with the
+    // epsilon guard that keeps `(1 − t_j)·n = 1.9999999999999996`
+    // from costing a gram.
+    let must_share = if t_d > 0.0 {
+        QgramMeasure::Dice.size_window(t_d, n).0
+    } else {
+        1
+    };
+    index.rarest_union(query, n - must_share + 1)
+}
+
+/// The T-occurrence probe: candidate ids for a query's occurrence-tagged
+/// q-gram ids under `measure` at `threshold` — every live value whose
+/// similarity to the query reaches the threshold (plus only such
+/// near-misses as also clear the exact count bound). A gramless query
+/// returns exactly the gramless values — the only ones it can match
+/// (similarity 1.0).
+fn threshold_probe(
+    index: &GramIndex,
+    query: &[u32],
+    measure: QgramMeasure,
+    threshold: f64,
+    scratch: &mut ProbeScratch,
+) -> Vec<u32> {
+    if query.is_empty() {
+        return if threshold <= 1.0 {
+            index.gramless_ids()
+        } else {
+            Vec::new()
+        };
+    }
+    let x = query.len();
+    let (lo, hi) = measure.size_window(threshold, x);
+    if lo > hi {
+        return Vec::new();
+    }
+    let clamp = |s: usize| s.min(u32::MAX as usize) as u32;
+    let min_overlap = |size: u32| clamp(measure.min_overlap(threshold, x, size as usize));
+    index.candidates(query, clamp(lo), clamp(hi), &min_overlap, scratch)
+}
+
+/// A [`GramIndex`] behind its own gram dictionary and the tokenizer
+/// that feeds it: the string-level build and maintenance half of both
+/// index families, which differ only in how they tokenize and probe.
+/// [`TrigramIndex`] and [`ThresholdIndex`] dereference to it, so
+/// `index.insert(id, value)` works on both.
 #[derive(Debug, Clone)]
 pub struct TokenIndex {
-    grams: GramIndex,
+    dict: GramDict,
     tokens: Tokens,
+    grams: GramIndex,
 }
 
 impl TokenIndex {
-    fn new(tokens: Tokens) -> Self {
-        debug_assert!(
-            !matches!(tokens, Tokens::TaggedQgrams(0)),
-            "q-gram length must be at least 1"
-        );
-        Self {
-            grams: GramIndex::new(),
-            tokens,
-        }
-    }
-
-    fn build<'a>(tokens: Tokens, values: impl IntoIterator<Item = (u32, &'a str)>) -> Self {
-        let mut idx = Self::new(tokens);
-        for (id, value) in values {
-            idx.insert(id, value);
-        }
-        idx
-    }
-
-    /// Build by sharding `values` across threads: each shard builds a
-    /// private index, and the shards are merged in shard order. Posting
-    /// lists stay id-sorted, so the parallel build is observationally
-    /// identical to the sequential one.
-    fn build_par<V: AsRef<str> + Sync>(
+    /// Index `values`: tokenize them in order (one dictionary), then
+    /// build the postings sharded through `par`.
+    fn build<'a>(
         tokens: Tokens,
-        values: &[(u32, V)],
+        values: impl IntoIterator<Item = (u32, &'a str)>,
         par: &Parallelism,
     ) -> Self {
-        let mut parts = par
-            .run_sharded(values, |shard| {
-                Self::build(tokens, shard.iter().map(|(id, v)| (*id, v.as_ref())))
-            })
-            .into_iter();
-        let mut merged = parts.next().unwrap_or_else(|| Self::new(tokens));
-        for part in parts {
-            merged.grams.absorb(part.grams);
+        let mut dict = GramDict::new();
+        let ids: Vec<(u32, Box<[u32]>)> = values
+            .into_iter()
+            .map(|(id, value)| (id, tokens.intern(value, &mut dict)))
+            .collect();
+        Self {
+            grams: build_grams(ids.iter().map(|(id, g)| (*id, &**g)).collect(), par),
+            dict,
+            tokens,
         }
-        merged
     }
 
     /// Index one value. Returns `false` (a no-op) if `id` is already
     /// live — use [`TokenIndex::update`] to change an indexed value.
     pub fn insert(&mut self, id: u32, value: &str) -> bool {
-        self.grams.insert(id, &self.tokens.of(value))
+        let grams = self.tokens.intern(value, &mut self.dict);
+        self.grams.insert(id, &grams)
     }
 
     /// Tombstone an indexed value (see module docs); returns whether the
@@ -204,8 +254,9 @@ impl TokenIndex {
     /// surgically, the new value's appended. Returns `false` if `id` is
     /// not live.
     pub fn update(&mut self, id: u32, old_value: &str, new_value: &str) -> bool {
-        self.grams
-            .replace(id, &self.tokens.of(old_value), &self.tokens.of(new_value))
+        let old = self.tokens.lookup(old_value, &self.dict);
+        let new = self.tokens.intern(new_value, &mut self.dict);
+        self.grams.replace(id, &old, &new)
     }
 
     /// Sweep tombstoned entries out of the posting lists now.
@@ -259,42 +310,24 @@ impl DerefMut for TrigramIndex {
 impl TrigramIndex {
     /// Build the index.
     pub fn build<'a>(values: impl IntoIterator<Item = (u32, &'a str)>) -> Self {
-        Self(TokenIndex::build(Tokens::UniqueTrigrams, values))
+        let par = Parallelism::sequential();
+        Self(TokenIndex::build(Tokens::UniqueTrigrams, values, &par))
     }
 
-    /// Build the index by sharding `values` across threads
+    /// Build the index with its postings sharded across threads
     /// (observationally identical to [`TrigramIndex::build`]).
     pub fn build_par<V: AsRef<str> + Sync>(values: &[(u32, V)], par: &Parallelism) -> Self {
-        Self(TokenIndex::build_par(Tokens::UniqueTrigrams, values, par))
+        let values = values.iter().map(|(id, v)| (*id, v.as_ref()));
+        Self(TokenIndex::build(Tokens::UniqueTrigrams, values, par))
     }
 
-    /// Candidate range ids for `query` under Dice threshold
-    /// `dice_threshold`: union of the postings of the query's rarest
-    /// `k = |G| − ⌈t_j·|G|⌉ + 1` grams (`t_j` the Jaccard equivalent) —
-    /// a value reaching the threshold shares at least `⌈t_j·|G|⌉` of the
-    /// query's `|G|` grams, so it cannot miss all `k`.
-    ///
-    /// A query producing no trigrams returns exactly the indexed values
-    /// that also produced none: two empty gram multisets are identical
-    /// (trigram Dice 1.0), so those — and only those — can clear any
-    /// threshold.
-    pub fn candidates(&self, query: &str, dice_threshold: f64) -> FxHashSet<u32> {
-        let grams = unique_trigrams(query);
-        if grams.is_empty() {
-            return self.0.grams.gramless_ids();
-        }
-        let n = grams.len();
-        let t_d = dice_threshold.clamp(0.0, 1.0);
-        // ⌈t_j·n⌉ is the low end of the Dice size window (a match is at
-        // least as large as its overlap), computed there with the
-        // epsilon guard that keeps `(1 − t_j)·n = 1.9999999999999996`
-        // from costing a gram.
-        let must_share = if t_d > 0.0 {
-            QgramMeasure::Dice.size_window(t_d, n).0
-        } else {
-            1
-        };
-        self.0.grams.rarest_union(&grams, n - must_share + 1)
+    /// Candidate range ids (sorted) for `query` under Dice threshold
+    /// `dice_threshold`: the union of the postings of the query's
+    /// rarest trigrams, as many as the threshold demands; a query
+    /// without trigrams gets the values without trigrams.
+    pub fn candidates(&self, query: &str, dice_threshold: f64) -> Vec<u32> {
+        let query = self.0.tokens.lookup(query, &self.0.dict);
+        prefix_probe(&self.0.grams, &query, dice_threshold)
     }
 }
 
@@ -311,9 +344,7 @@ impl TrigramIndex {
 /// superset of exactly the values whose similarity to the query reaches
 /// the threshold — **no true match is ever pruned**. Like
 /// [`TrigramIndex`] it is read-only-probeable from any number of
-/// threads and incrementally maintainable through its [`TokenIndex`],
-/// which is what lets the delta engine keep one on each side of a
-/// mapping.
+/// threads and incrementally maintainable through its [`TokenIndex`].
 #[derive(Debug, Clone)]
 pub struct ThresholdIndex {
     index: TokenIndex,
@@ -344,19 +375,21 @@ impl ThresholdIndex {
         }
     }
 
-    /// Build the index for `measure` over `q`-grams at `threshold` (> 0
-    /// — at 0 nothing can be pruned and the caller should not block).
+    /// Build the index for `measure` over `q`-grams (`q` ≥ 1) at
+    /// `threshold` (> 0 — at 0 nothing can be pruned and the caller
+    /// should not block).
     pub fn build<'a>(
         measure: QgramMeasure,
         q: usize,
         threshold: f64,
         values: impl IntoIterator<Item = (u32, &'a str)>,
     ) -> Self {
-        let index = TokenIndex::build(Tokens::TaggedQgrams(q), values);
+        let par = Parallelism::sequential();
+        let index = TokenIndex::build(Tokens::TaggedQgrams(q), values, &par);
         Self::over(index, measure, threshold)
     }
 
-    /// Build the index by sharding `values` across threads
+    /// Build the index with its postings sharded across threads
     /// (observationally identical to [`ThresholdIndex::build`]).
     pub fn build_par<V: AsRef<str> + Sync>(
         measure: QgramMeasure,
@@ -365,35 +398,22 @@ impl ThresholdIndex {
         values: &[(u32, V)],
         par: &Parallelism,
     ) -> Self {
-        let index = TokenIndex::build_par(Tokens::TaggedQgrams(q), values, par);
+        let values = values.iter().map(|(id, v)| (*id, v.as_ref()));
+        let index = TokenIndex::build(Tokens::TaggedQgrams(q), values, par);
         Self::over(index, measure, threshold)
     }
 
-    /// Candidate ids for `query`: every live value whose similarity to
-    /// `query` under the index's measure reaches the index's threshold
-    /// is returned (plus only such near-misses as also clear the exact
-    /// count bound). A gramless query returns exactly the gramless
-    /// values — the only ones it can match (similarity 1.0).
-    pub fn candidates(&self, query: &str) -> FxHashSet<u32> {
-        let grams = self.index.tokens.of(query);
-        if grams.is_empty() {
-            return if self.threshold <= 1.0 {
-                self.index.grams.gramless_ids()
-            } else {
-                FxHashSet::default()
-            };
-        }
-        let (lo, hi) = self.measure.size_window(self.threshold, grams.len());
-        if lo > hi {
-            return FxHashSet::default();
-        }
-        let clamp = |s: usize| s.min(u32::MAX as usize) as u32;
-        let (x, t, m) = (grams.len(), self.threshold, self.measure);
-        self.index
-            .grams
-            .candidates(&grams, clamp(lo), clamp(hi), &|cand_size| {
-                clamp(m.min_overlap(t, x, cand_size as usize))
-            })
+    /// Candidate ids (sorted) for `query`: every live value whose
+    /// similarity to `query` under the index's measure reaches the
+    /// index's threshold is returned (plus only such near-misses as
+    /// also clear the exact count bound). A gramless query returns
+    /// exactly the gramless values — the only ones it can match
+    /// (similarity 1.0).
+    pub fn candidates(&self, query: &str) -> Vec<u32> {
+        let query = self.index.tokens.lookup(query, &self.index.dict);
+        let mut scratch = ProbeScratch::default();
+        let grams = &self.index.grams;
+        threshold_probe(grams, &query, self.measure, self.threshold, &mut scratch)
     }
 }
 
@@ -526,52 +546,81 @@ impl TfIdfIndex {
     }
 }
 
-/// A built candidate index of either string family, with its probe
-/// parameters baked in — what a resolved candidate plan puts in front
-/// of one side of a match (a plan that scores all pairs puts nothing
-/// there). The match kernel probes it for full execution and for delta
-/// patches alike; the sides of a [`crate::delta::DeltaMatchState`] keep
-/// theirs current through its [`TokenIndex`].
-#[derive(Debug, Clone)]
-pub enum CandidateIndex {
-    /// Prefix-filtered trigram index probed at a fixed Dice bound
-    /// (the matcher threshold when scoring trigram Dice, or a
-    /// conservative floor for other measures — lossy by design).
+/// How a [`CandidateIndex`] tokenizes and probes, parameters baked in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Probe {
+    /// Prefix-filtered trigram sets probed at a fixed Dice bound (the
+    /// matcher threshold when scoring trigram Dice, or a conservative
+    /// floor for other measures — lossy by design).
     Prefix {
-        /// The trigram index over the indexed side.
-        index: TrigramIndex,
         /// Dice bound every probe uses.
         dice_bound: f64,
     },
-    /// Threshold-exact T-occurrence index (bounds baked in).
-    Threshold(ThresholdIndex),
+    /// Threshold-exact T-occurrence probe of `measure` over `q`-grams.
+    Threshold {
+        /// The q-gram measure the bounds are exact for.
+        measure: QgramMeasure,
+        /// Gram length.
+        q: usize,
+        /// Similarity threshold the bounds are computed at (> 0).
+        threshold: f64,
+    },
+}
+
+impl Probe {
+    /// The tokenizer whose ids the index stores and is probed with.
+    pub(crate) fn tokens(self) -> Tokens {
+        match self {
+            Probe::Prefix { .. } => Tokens::UniqueTrigrams,
+            Probe::Threshold { q, .. } => Tokens::TaggedQgrams(q),
+        }
+    }
+}
+
+/// A built candidate index of either string family over gram *ids*,
+/// with its probe parameters baked in — what a resolved candidate plan
+/// puts in front of one side of a match (a plan that scores all pairs
+/// puts nothing there). The match kernel probes it for full execution
+/// and for delta patches alike; the sides of a
+/// [`crate::delta::DeltaMatchState`] keep theirs current through the
+/// [`GramIndex`] it dereferences to, with the ids of the match's one
+/// dictionary.
+#[derive(Debug, Clone)]
+pub struct CandidateIndex {
+    grams: GramIndex,
+    probe: Probe,
 }
 
 impl Deref for CandidateIndex {
-    type Target = TokenIndex;
-    fn deref(&self) -> &TokenIndex {
-        match self {
-            CandidateIndex::Prefix { index, .. } => index,
-            CandidateIndex::Threshold(index) => index,
-        }
+    type Target = GramIndex;
+    fn deref(&self) -> &GramIndex {
+        &self.grams
     }
 }
 
 impl DerefMut for CandidateIndex {
-    fn deref_mut(&mut self) -> &mut TokenIndex {
-        match self {
-            CandidateIndex::Prefix { index, .. } => index,
-            CandidateIndex::Threshold(index) => index,
-        }
+    fn deref_mut(&mut self) -> &mut GramIndex {
+        &mut self.grams
     }
 }
 
 impl CandidateIndex {
-    /// Candidate ids for one probe value.
-    pub fn candidates(&self, query: &str) -> FxHashSet<u32> {
-        match self {
-            CandidateIndex::Prefix { index, dice_bound } => index.candidates(query, *dice_bound),
-            CandidateIndex::Threshold(index) => index.candidates(query),
+    /// Index `(id, gram ids)` values — ids of [`Probe::tokens`] — with
+    /// the postings sharded through `par`.
+    pub(crate) fn build(probe: Probe, values: Vec<(u32, &[u32])>, par: &Parallelism) -> Self {
+        Self {
+            grams: build_grams(values, par),
+            probe,
+        }
+    }
+
+    /// Candidate ids (sorted) for one probe value's gram ids.
+    pub(crate) fn candidates(&self, query: &[u32], scratch: &mut ProbeScratch) -> Vec<u32> {
+        match self.probe {
+            Probe::Prefix { dice_bound } => prefix_probe(&self.grams, query, dice_bound),
+            Probe::Threshold {
+                measure, threshold, ..
+            } => threshold_probe(&self.grams, query, measure, threshold, scratch),
         }
     }
 }
@@ -857,29 +906,6 @@ mod threshold_tests {
     }
 
     #[test]
-    fn tagged_qgrams_encode_multiplicity() {
-        // "aaaa" -> ##a #aa aaa aaa aa# a## : 6 grams, "aaa" twice.
-        let g = tagged_qgrams("aaaa", 3);
-        assert_eq!(g.len(), 6);
-        assert!(g.contains(&"aaa".to_owned()));
-        assert!(g.contains(&"aaa\u{0}1".to_owned()));
-        // All entries unique (the whole point of tagging).
-        let unique: FxHashSet<&String> = g.iter().collect();
-        assert_eq!(unique.len(), g.len());
-        // A long repeat streak tags every occurrence distinctly.
-        let long = tagged_qgrams(&"a".repeat(15), 3);
-        assert_eq!(long.len(), 17);
-        let unique: FxHashSet<&String> = long.iter().collect();
-        assert_eq!(unique.len(), long.len());
-        // Intersection of tagged sets == multiset intersection.
-        let h = tagged_qgrams("aaa", 3); // ##a #aa aaa aa# a## : 5 grams
-        let shared = g.iter().filter(|x| h.contains(x)).count();
-        let expected = qgram_dice("aaaa", "aaa", 3) * (g.len() + h.len()) as f64 / 2.0;
-        assert_eq!(shared as f64, expected.round());
-        assert!(tagged_qgrams("", 3).is_empty());
-    }
-
-    #[test]
     fn titles_threshold_probe_is_exact_superset() {
         let data = super::tests::titles();
         for m in moma_simstring::bounds::ALL_MEASURES {
@@ -922,7 +948,7 @@ mod threshold_tests {
         // similarity 1.0 and nothing else.
         for q in ["", "?!"] {
             let c = idx.candidates(q);
-            assert_eq!(c, [0u32, 1].into_iter().collect::<FxHashSet<_>>());
+            assert_eq!(c, [0, 1]);
         }
         assert!(!idx.candidates("data").contains(&0));
         assert!(idx.candidates("data").contains(&2));
@@ -986,27 +1012,43 @@ mod threshold_tests {
     }
 
     #[test]
-    fn candidate_index_dispatch() {
+    fn candidate_index_runs_on_the_ids_of_one_dictionary() {
         let data = super::tests::titles();
-        let mut prefix = CandidateIndex::Prefix {
-            index: TrigramIndex::build(data.iter().copied()),
-            dice_bound: 0.6,
-        };
-        let mut exact = CandidateIndex::Threshold(ThresholdIndex::build(
-            QgramMeasure::Dice,
-            3,
-            0.6,
-            data.iter().copied(),
-        ));
         let q = "A formal perspective on the view selection problem";
-        for idx in [&mut prefix, &mut exact] {
-            assert!(idx.candidates(q).contains(&0));
+        for probe in [
+            Probe::Prefix { dice_bound: 0.6 },
+            Probe::Threshold {
+                measure: QgramMeasure::Dice,
+                q: 3,
+                threshold: 0.6,
+            },
+        ] {
+            let mut dict = GramDict::new();
+            let mut ids = |v: &str| probe.tokens().intern(v, &mut dict);
+            let values: Vec<(u32, Box<[u32]>)> = data.iter().map(|(i, v)| (*i, ids(v))).collect();
+            let values: Vec<(u32, &[u32])> = values.iter().map(|(i, g)| (*i, &**g)).collect();
+            let par = Parallelism::new(2).with_min_shard_size(1);
+            let mut idx = CandidateIndex::build(probe, values, &par);
+            let mut scratch = ProbeScratch::default();
+            let (query, other) = (ids(q), ids("something else entirely"));
+            assert!(idx.candidates(&query, &mut scratch).contains(&0));
             assert!(idx.remove(0));
-            assert!(!idx.candidates(q).contains(&0));
-            assert!(idx.insert(0, q));
-            assert!(idx.update(0, q, "something else entirely"));
-            assert!(!idx.candidates(q).contains(&0));
+            assert!(!idx.candidates(&query, &mut scratch).contains(&0));
+            assert!(idx.insert(0, &query));
+            assert!(idx.replace(0, &query, &other));
+            assert!(!idx.candidates(&query, &mut scratch).contains(&0));
+            assert_eq!(idx.candidates(&other, &mut scratch), [0]);
+            assert!(scratch.is_clean());
         }
+    }
+
+    #[test]
+    fn a_value_with_more_grams_than_a_narrow_counter_holds_is_found() {
+        // 70 002 tagged trigrams: the probe counts in `u32`, so the only
+        // value that shares them all is still found at t = 1.
+        let huge = "a".repeat(70_000);
+        let idx = ThresholdIndex::build(QgramMeasure::Dice, 3, 1.0, [(0, huge.as_str()), (1, "a")]);
+        assert_eq!(idx.candidates(&huge), [0]);
     }
 
     #[test]

@@ -6,15 +6,19 @@
 //! Figure 3). This module is the runtime form of that idea for evolving
 //! sources. A [`DeltaMatchState`] — created by
 //! [`AttributeMatcher::prime`] — is the mapping plus the two sides the
-//! match ran over: `prime` *keeps* the match's own projections and its
-//! range index, and builds only the domain index on top. Which index
-//! family a side carries (none, prefix, threshold) is the matcher's
-//! resolved plan, not a property of this module. When a
+//! match ran over: `prime` *keeps* the match's own prepared columns
+//! (every value tokenized / parsed once, its grams as ids of the
+//! match's one dictionary), that dictionary and the range index, and
+//! builds only the domain index on top — from the ids the domain
+//! values already carry. Which index family a side carries (none,
+//! prefix, threshold) is the matcher's resolved plan, not a property
+//! of this module. When a
 //! [`SourceDelta`](moma_model::SourceDelta) is applied to the registry,
 //! feeding the resulting [`AppliedDelta`] to [`DeltaMatchState::apply`]
 //!
-//! 1. syncs both sides with the registry (values patched, indexes
-//!    maintained in place — tombstones + compaction, see
+//! 1. syncs both sides with the registry (each touched value prepared
+//!    once through the state's dictionary, indexes maintained in place
+//!    with the old and new ids — tombstones + compaction, see
 //!    [`crate::blocking`]),
 //! 2. drops the mapping rows whose domain or range instance was touched,
 //! 3. probes **only** the touched domain values against the range side
@@ -44,7 +48,7 @@
 //!   falling back for a non-q-gram measure),
 //! * any q-gram measure under [`Blocking::Threshold`] — the
 //!   T-occurrence bounds are exact and *symmetric*, so both sides carry
-//!   a [`ThresholdIndex`](crate::blocking::ThresholdIndex), and
+//!   a threshold [`CandidateIndex`](crate::blocking::CandidateIndex), and
 //! * trigram-Dice scoring ([`SimFn::Trigram`] / `QgramDice(3)`) with
 //!   [`Blocking::TrigramPrefix`];
 //!
@@ -65,13 +69,13 @@
 //! and [`DeltaMatchState::patch_and_refresh`].
 
 use moma_model::{AppliedDelta, LdsId, LogicalSource};
-use moma_simstring::SimFn;
+use moma_simstring::{GramDict, SimFn};
 use moma_table::{Correspondence, FxHashSet, MappingTable};
 
-use crate::blocking::CandidateIndex;
+use crate::blocking::Probe;
 use crate::error::{CoreError, Result};
 use crate::mapping::Mapping;
-use crate::matchers::attribute::{CandidatePlan, StringSide};
+use crate::matchers::attribute::{string_candidates, CandidatePlan, StringSide, Value};
 use crate::matchers::kernel::{present, probe, Side};
 use crate::matchers::{AttributeMatcher, MatchContext, Matcher, MatcherSim};
 use crate::repository::MappingRepository;
@@ -86,9 +90,11 @@ pub struct DeltaMatchState {
     /// The `(domain, range)` columns the match ran over, each behind the
     /// index the matcher's plan calls for: touched domain values probe
     /// the range side, touched range values probe the domain side
-    /// *inversely*. `None` = not incremental (every apply re-matches
-    /// from the registry, so there is nothing to keep).
-    sides: Option<(StringSide, StringSide)>,
+    /// *inversely* — next to the gram dictionary all their values were
+    /// prepared with (and every later value is). `None` = not
+    /// incremental (every apply re-matches from the registry, so there
+    /// is nothing to keep).
+    sides: Option<(GramDict, StringSide, StringSide)>,
     mapping: Mapping,
     /// Rows re-scored by the last [`DeltaMatchState::apply`] call
     /// (0 after a full-fallback apply).
@@ -118,8 +124,10 @@ fn supports_incremental(m: &AttributeMatcher) -> bool {
         return false;
     };
     match m.candidate_plan() {
-        CandidatePlan::AllPairs | CandidatePlan::Threshold { .. } => true,
-        CandidatePlan::Prefix { .. } => matches!(sim, SimFn::Trigram | SimFn::QgramDice(3)),
+        CandidatePlan::AllPairs | CandidatePlan::Index(Probe::Threshold { .. }) => true,
+        CandidatePlan::Index(Probe::Prefix { .. }) => {
+            matches!(sim, SimFn::Trigram | SimFn::QgramDice(3))
+        }
         CandidatePlan::TfIdf => false,
     }
 }
@@ -135,15 +143,17 @@ impl AttributeMatcher {
         domain: LdsId,
         range: LdsId,
     ) -> Result<DeltaMatchState> {
-        let (table, domain_vals, range_side) = self.full_match(ctx, domain, range)?;
-        let sides = supports_incremental(self).then(|| {
-            let index = self.build_candidate_index(&present(&domain_vals), &ctx.parallelism);
-            let domain_side = Side {
-                vals: domain_vals,
-                index,
-            };
-            (domain_side, range_side)
-        });
+        let (table, matched) = self.full_match(ctx, domain, range)?;
+        let sides = matched.filter(|_| supports_incremental(self)).map(
+            |(dict, domain_vals, range_side)| {
+                let index = self.build_candidate_index(&present(&domain_vals), &ctx.parallelism);
+                let domain_side = Side {
+                    vals: domain_vals,
+                    index,
+                };
+                (dict, domain_side, range_side)
+            },
+        );
         Ok(DeltaMatchState {
             matcher: self.clone(),
             domain,
@@ -159,12 +169,20 @@ impl AttributeMatcher {
 }
 
 /// Sync one side's value (and index, if the plan has one) for arena
-/// index `id` with the registry's current state. Idempotent: re-applying
-/// the same delta finds the side already current and degenerates to
-/// no-ops.
-fn sync_value(side: &mut StringSide, lds: &LogicalSource, id: u32, attr: &str) -> Result<()> {
+/// index `id` with the registry's current state: the new value is
+/// prepared once, through the state's dictionary. Idempotent:
+/// re-applying the same delta finds the side already current and
+/// degenerates to no-ops.
+fn sync_value(
+    side: &mut StringSide,
+    lds: &LogicalSource,
+    id: u32,
+    attr: &str,
+    prepare: &mut dyn FnMut(&str) -> Value,
+) -> Result<()> {
     let new = if lds.is_live(id) {
-        lds.attr_of(id, attr)?.map(|v| v.to_match_string())
+        lds.attr_of(id, attr)?
+            .map(|v| prepare(&v.to_match_string()))
     } else {
         None
     };
@@ -175,15 +193,15 @@ fn sync_value(side: &mut StringSide, lds: &LogicalSource, id: u32, attr: &str) -
     if let Some(idx) = &mut side.index {
         match (&old, &side.vals[id as usize]) {
             (Some(o), Some(n)) => {
-                if !idx.update(id, o, n) {
-                    idx.insert(id, n);
+                if !idx.replace(id, o.tokens(), n.tokens()) {
+                    idx.insert(id, n.tokens());
                 }
             }
             (Some(_), None) => {
                 idx.remove(id);
             }
             (None, Some(n)) => {
-                idx.insert(id, n);
+                idx.insert(id, n.tokens());
             }
             (None, None) => {}
         }
@@ -194,7 +212,7 @@ fn sync_value(side: &mut StringSide, lds: &LogicalSource, id: u32, attr: &str) -
 /// The touched ids of one side as kernel queries: deduplicated (an id
 /// updated twice probes once, on its final value) and restricted to the
 /// values still present.
-fn queries<'a>(touched: &[u32], side: &'a StringSide) -> Vec<(u32, &'a String)> {
+fn queries<'a>(touched: &[u32], side: &'a StringSide) -> Vec<(u32, &'a Value)> {
     let mut ids = touched.to_vec();
     ids.sort_unstable();
     ids.dedup();
@@ -282,7 +300,7 @@ impl DeltaMatchState {
             return Ok(&self.mapping);
         }
         self.last_touched = true;
-        let (Some((domain_side, range_side)), MatcherSim::Fixed(sim)) =
+        let (Some((dict, domain_side, range_side)), MatcherSim::Fixed(sim)) =
             (&mut self.sides, &self.matcher.sim)
         else {
             self.last_rescored = 0;
@@ -296,11 +314,15 @@ impl DeltaMatchState {
         // 2. Sync both sides with the registry.
         let d_lds = ctx.registry.lds(self.domain);
         let r_lds = ctx.registry.lds(self.range);
+        let probe_plan = self.matcher.probe();
+        let mut prepare = |text: &str| Value::prepare(text, sim, probe_plan, dict);
         for &id in &dropped_d {
-            sync_value(domain_side, d_lds, id, &self.matcher.domain_attr)?;
+            let attr = &self.matcher.domain_attr;
+            sync_value(domain_side, d_lds, id, attr, &mut prepare)?;
         }
         for &id in &dropped_r {
-            sync_value(range_side, r_lds, id, &self.matcher.range_attr)?;
+            let attr = &self.matcher.range_attr;
+            sync_value(range_side, r_lds, id, attr, &mut prepare)?;
         }
 
         // 3. Drop every row touching a changed instance.
@@ -317,21 +339,28 @@ impl DeltaMatchState {
         let probe_d = queries(&probe_d, domain_side);
         let probe_r = queries(&probe_r, range_side);
         self.last_rescored = probe_d.len() + probe_r.len();
-        let candidates = |index: &CandidateIndex, query: &String| index.candidates(query);
-        let score = |d: &String, r: &String| sim.eval(d, r);
+        let score = |d: &Value, r: &Value| Value::score(sim, d, r);
         let (par, t) = (ctx.parallelism, self.matcher.threshold);
-        rows.extend(probe(
-            par, &probe_d, range_side, candidates, score, t, false,
-        ));
-        rows.extend(probe(
+        let forward = probe(
+            par,
+            &probe_d,
+            range_side,
+            string_candidates,
+            score,
+            t,
+            false,
+        );
+        let inverse = probe(
             par,
             &probe_r,
             domain_side,
-            candidates,
+            string_candidates,
             score,
             t,
             true,
-        ));
+        );
+        rows.extend(forward);
+        rows.extend(inverse);
 
         // 5. Rebuild the table: dedup_max collapses the overlap between
         //    the forward and inverse probes (identical scores) and

@@ -7,14 +7,17 @@
 //!
 //! * **Attribute / multi-attribute matchers** shard their domain values
 //!   across threads; every shard probes the shared read-only
-//!   [`TrigramIndex`](crate::blocking::TrigramIndex) and scores its
+//!   [`CandidateIndex`](crate::blocking::CandidateIndex) and scores its
 //!   candidates independently, and the per-shard correspondence lists are
 //!   concatenated in shard order.
-//! * **Index construction**
-//!   ([`TrigramIndex::build_par`](crate::blocking::TrigramIndex::build_par))
-//!   builds per-shard postings maps merged in shard order.
+//! * **Column preparation** tokenizes a column in shards, each with a
+//!   gram dictionary of its own that the match's dictionary absorbs in
+//!   shard order.
+//! * **Index construction** (a `CandidateIndex`,
+//!   [`TrigramIndex::build_par`](crate::blocking::TrigramIndex::build_par))
+//!   builds per-shard postings merged in shard order.
 //!
-//! Both are bit-identical to their sequential counterparts — the
+//! All are bit-identical to their sequential counterparts — the
 //! shards are contiguous input ranges and the merge order is fixed — so
 //! determinism guarantees (and their tests) hold at every thread count.
 //!

@@ -11,12 +11,12 @@
 //! runs it.
 
 use moma_model::{LdsId, LogicalSource};
-use moma_simstring::bounds::{qgram_measure_of, QgramMeasure};
+use moma_simstring::bounds::qgram_measure_of;
 use moma_simstring::tfidf::cosine_vectors;
-use moma_simstring::{SimFn, TfIdfCorpus};
-use moma_table::MappingTable;
+use moma_simstring::{GramDict, Prepared, SimFn, TfIdfCorpus};
+use moma_table::{MappingTable, ProbeScratch};
 
-use crate::blocking::{Blocking, CandidateIndex, TfIdfIndex, ThresholdIndex, TrigramIndex};
+use crate::blocking::{Blocking, CandidateIndex, Probe, TfIdfIndex};
 use crate::error::Result;
 use crate::exec::Parallelism;
 use crate::mapping::Mapping;
@@ -40,19 +40,12 @@ pub enum MatcherSim {
 pub(crate) enum CandidatePlan {
     /// Score every pair.
     AllPairs,
-    /// Prefix-filtered trigram index probed at a fixed Dice bound.
-    Prefix {
-        /// Dice bound of every probe (matcher threshold, or
-        /// [`PREFIX_DICE_FLOOR`] when the measure is not trigram Dice).
-        dice_bound: f64,
-    },
-    /// Threshold-exact T-occurrence index (matcher threshold baked in).
-    Threshold {
-        /// The q-gram measure the matcher scores with.
-        measure: QgramMeasure,
-        /// Gram length.
-        q: usize,
-    },
+    /// A string index over the range column: the prefix filter at a
+    /// fixed Dice bound (the matcher threshold, or
+    /// [`PREFIX_DICE_FLOOR`] when the measure is not trigram Dice), or
+    /// the threshold-exact T-occurrence index (the matcher's measure,
+    /// gram length and threshold baked in).
+    Index(Probe),
     /// Threshold-exact weighted-prefix index over cached TF-IDF vectors
     /// (see [`TfIdfIndex`]); the corpus is built from both columns at
     /// execution time and frozen for the match.
@@ -66,8 +59,112 @@ pub(crate) enum CandidatePlan {
 /// similarity still surface as candidates.
 pub(crate) const PREFIX_DICE_FLOOR: f64 = 0.3;
 
+/// One match string, prepared once per match: everything the resolved
+/// plan's index and the similarity function derive from a single value.
+/// The text itself is not kept — nothing reads it after this.
+#[derive(Debug, Clone)]
+pub(crate) struct Value {
+    /// The gram ids the plan's index stores and is probed with, when it
+    /// tokenizes differently from the scorer (the prefix filter's
+    /// trigram set); `None`: the index, if any, reads the scorer's
+    /// grams (a threshold plan indexes exactly what its measure scores).
+    tokens: Option<Box<[u32]>>,
+    /// The value as the similarity function scores it.
+    scored: Prepared,
+}
+
+impl Value {
+    /// Prepare `text` for a match scoring with `sim`, indexed (if at
+    /// all) by `probe`. Grams become ids of `dict` — one dictionary per
+    /// match, shared by both sides.
+    pub(crate) fn prepare(
+        text: &str,
+        sim: &SimFn,
+        probe: Option<Probe>,
+        dict: &mut GramDict,
+    ) -> Self {
+        let scored = sim.prepare(text, dict);
+        let tokens = probe.and_then(|probe| match (probe, &scored) {
+            (Probe::Threshold { .. }, Prepared::Grams(_)) => None,
+            _ => Some(probe.tokens().intern(text, dict)),
+        });
+        Self { tokens, scored }
+    }
+
+    /// Move a value prepared with another dictionary over to the one
+    /// that absorbed it (`remap`: old id → new id).
+    fn remap(&mut self, remap: &[u32]) {
+        // Index tokens of their own are a trigram set in gram order:
+        // mapped, not re-sorted.
+        for id in self.tokens.iter_mut().flat_map(|tokens| tokens.iter_mut()) {
+            *id = remap[*id as usize];
+        }
+        self.scored.remap_grams(remap);
+    }
+
+    /// The gram ids the plan's index stores this value under and probes
+    /// for it with.
+    pub(crate) fn tokens(&self) -> &[u32] {
+        match (&self.tokens, &self.scored) {
+            (Some(tokens), _) => tokens,
+            (None, Prepared::Grams(grams)) => grams,
+            (None, _) => &[],
+        }
+    }
+
+    /// `sim` of two values prepared for it, `(domain, range)`.
+    pub(crate) fn score(sim: &SimFn, d: &Value, r: &Value) -> f64 {
+        sim.eval_prepared(&d.scored, &r.scored)
+    }
+}
+
 /// One string column of a match behind the index its plan calls for.
-pub(crate) type StringSide = Side<String, CandidateIndex>;
+pub(crate) type StringSide = Side<Value, CandidateIndex>;
+
+/// The candidates of one prepared query value: how the kernel walks a
+/// [`StringSide`]'s index.
+pub(crate) fn string_candidates(
+    index: &CandidateIndex,
+    query: &Value,
+    scratch: &mut ProbeScratch,
+) -> Vec<u32> {
+    index.candidates(query.tokens(), scratch)
+}
+
+/// What a fixed-measure match ran over, kept by
+/// [`AttributeMatcher::prime`]: the gram dictionary of the match, the
+/// prepared domain column and the range side.
+pub(crate) type MatchedSides = (GramDict, Vec<Option<Value>>, StringSide);
+
+/// Prepare a projected column for a match scoring with `sim`, indexed
+/// (if at all) by `probe`: sharded through `par`, each shard with a gram
+/// dictionary of its own, which `dict` — the dictionary of the match —
+/// then absorbs, the shard's values moving over to its ids.
+fn prepare_column(
+    texts: &[Option<String>],
+    sim: &SimFn,
+    probe: Option<Probe>,
+    dict: &mut GramDict,
+    par: &Parallelism,
+) -> Vec<Option<Value>> {
+    let shards = par.run_sharded(texts, |chunk| {
+        let mut local = GramDict::new();
+        let mut value = |t: &String| Value::prepare(t, sim, probe, &mut local);
+        let vals: Vec<Option<Value>> = chunk.iter().map(|t| t.as_ref().map(&mut value)).collect();
+        (local, vals)
+    });
+    let mut column = Vec::with_capacity(texts.len());
+    for (local, mut vals) in shards {
+        if dict.is_empty() {
+            *dict = local; // the first shard's ids stand as they are
+        } else {
+            let remap = dict.absorb(local);
+            vals.iter_mut().flatten().for_each(|v| v.remap(&remap));
+        }
+        column.extend(vals);
+    }
+    column
+}
 
 /// Match-string projection of `attr` by arena index; `None` = instance
 /// removed or attribute missing.
@@ -155,15 +252,21 @@ impl AttributeMatcher {
         match (self.blocking, &self.sim) {
             (Blocking::AllPairs, _) => CandidatePlan::AllPairs,
             (_, MatcherSim::TfIdf) if self.threshold > 0.0 => CandidatePlan::TfIdf,
-            (Blocking::TrigramPrefix, MatcherSim::Fixed(sim)) => CandidatePlan::Prefix {
-                dice_bound: match sim {
-                    SimFn::Trigram | SimFn::QgramDice(3) => self.threshold,
-                    _ => PREFIX_DICE_FLOOR,
-                },
-            },
+            (Blocking::TrigramPrefix, MatcherSim::Fixed(sim)) => {
+                CandidatePlan::Index(Probe::Prefix {
+                    dice_bound: match sim {
+                        SimFn::Trigram | SimFn::QgramDice(3) => self.threshold,
+                        _ => PREFIX_DICE_FLOOR,
+                    },
+                })
+            }
             (Blocking::Threshold, MatcherSim::Fixed(sim)) if self.threshold > 0.0 => {
                 match qgram_measure_of(sim) {
-                    Some((measure, q)) => CandidatePlan::Threshold { measure, q },
+                    Some((measure, q)) => CandidatePlan::Index(Probe::Threshold {
+                        measure,
+                        q,
+                        threshold: self.threshold,
+                    }),
                     None => CandidatePlan::AllPairs,
                 }
             }
@@ -171,75 +274,92 @@ impl AttributeMatcher {
         }
     }
 
-    /// Build the string index the resolved plan calls for over one
-    /// column's `(arena index, match string)` values (sharded through
-    /// `par`); `None` means score all pairs. The TF-IDF plan indexes
-    /// cached vectors, not strings (see [`AttributeMatcher::full_match`]).
-    pub(crate) fn build_candidate_index<V: AsRef<str> + Sync>(
+    /// How the resolved plan indexes and probes a string column; `None`
+    /// means score all pairs (the TF-IDF plan indexes cached vectors,
+    /// not strings — see [`AttributeMatcher::full_match`]).
+    pub(crate) fn probe(&self) -> Option<Probe> {
+        match self.candidate_plan() {
+            CandidatePlan::Index(probe) => Some(probe),
+            CandidatePlan::AllPairs | CandidatePlan::TfIdf => None,
+        }
+    }
+
+    /// Build the index the resolved plan calls for over one prepared
+    /// column's present values (postings sharded through `par`); `None`
+    /// means score all pairs.
+    pub(crate) fn build_candidate_index(
         &self,
-        values: &[(u32, V)],
+        values: &[(u32, &Value)],
         par: &Parallelism,
     ) -> Option<CandidateIndex> {
-        match self.candidate_plan() {
-            CandidatePlan::AllPairs | CandidatePlan::TfIdf => None,
-            CandidatePlan::Prefix { dice_bound } => Some(CandidateIndex::Prefix {
-                index: TrigramIndex::build_par(values, par),
-                dice_bound,
-            }),
-            CandidatePlan::Threshold { measure, q } => Some(CandidateIndex::Threshold(
-                ThresholdIndex::build_par(measure, q, self.threshold, values, par),
-            )),
-        }
+        let values = values.iter().map(|(i, v)| (*i, v.tokens())).collect();
+        Some(CandidateIndex::build(self.probe()?, values, par))
     }
 
     /// The full match: project both columns once, put the range column
     /// behind the plan's index, probe every domain value against it.
-    /// Returns the canonical table together with the domain projection
-    /// and the range side the match ran over, so that
-    /// [`AttributeMatcher::prime`] keeps them instead of rebuilding.
+    /// A fixed measure returns, next to the canonical table, what the
+    /// match ran over, so that [`AttributeMatcher::prime`] keeps it
+    /// instead of rebuilding.
     ///
-    /// TF-IDF builds its corpus from both columns, caches every value's
-    /// unit vector (the expensive tokenization pass, sharded) and runs
-    /// the same kernel over the vectors, indexed by [`TfIdfIndex`] under
-    /// [`CandidatePlan::TfIdf`]; pruned or not, all scoring goes through
-    /// [`cosine_vectors`] on those cached vectors, so the pruned plan is
-    /// bit-identical to all-pairs by construction.
+    /// A fixed measure prepares every value of both columns once (see
+    /// [`Value`]; sharded, all grams ending up as ids of one
+    /// [`GramDict`]) and runs the kernel over the prepared values: the
+    /// index is built from and probed with their gram ids, the score
+    /// reads their prepared form.
+    ///
+    /// TF-IDF builds its corpus from both columns, keeping every value's
+    /// token ids from that one tokenization pass, turns them into unit
+    /// vectors (sharded) and runs the same kernel over the vectors,
+    /// indexed by [`TfIdfIndex`] under [`CandidatePlan::TfIdf`]; pruned
+    /// or not, all scoring goes through [`cosine_vectors`] on those
+    /// cached vectors, so the pruned plan is bit-identical to all-pairs
+    /// by construction.
     pub(crate) fn full_match(
         &self,
         ctx: &MatchContext<'_>,
         domain: LdsId,
         range: LdsId,
-    ) -> Result<(MappingTable, Vec<Option<String>>, StringSide)> {
+    ) -> Result<(MappingTable, Option<MatchedSides>)> {
         let par = ctx.parallelism;
-        let d_vals = project(ctx.registry.lds(domain), &self.domain_attr)?;
-        let r_vals = project(ctx.registry.lds(range), &self.range_attr)?;
-        let index = self.build_candidate_index(&present(&r_vals), &par);
-        let range = Side {
-            vals: r_vals,
-            index,
-        };
-        let rows = match &self.sim {
-            MatcherSim::Fixed(sim) => probe(
-                par,
-                &present(&d_vals),
-                &range,
-                |index, query| index.candidates(query),
-                |d, r| sim.eval(d, r),
-                self.threshold,
-                false,
-            ),
+        let d_texts = project(ctx.registry.lds(domain), &self.domain_attr)?;
+        let r_texts = project(ctx.registry.lds(range), &self.range_attr)?;
+        match &self.sim {
+            MatcherSim::Fixed(sim) => {
+                let mut dict = GramDict::new();
+                let r_vals = prepare_column(&r_texts, sim, self.probe(), &mut dict, &par);
+                let d_vals = prepare_column(&d_texts, sim, self.probe(), &mut dict, &par);
+                let index = self.build_candidate_index(&present(&r_vals), &par);
+                let range = Side {
+                    vals: r_vals,
+                    index,
+                };
+                let rows = probe(
+                    par,
+                    &present(&d_vals),
+                    &range,
+                    string_candidates,
+                    |d, r| Value::score(sim, d, r),
+                    self.threshold,
+                    false,
+                );
+                let sides = (dict, d_vals, range);
+                Ok((MappingTable::from_rows(rows), Some(sides)))
+            }
             MatcherSim::TfIdf => {
                 let mut corpus = TfIdfCorpus::new();
-                for v in d_vals.iter().chain(&range.vals).flatten() {
-                    corpus.add_document(v);
-                }
-                let vectorize = |vals: &[Option<String>]| -> Vec<Option<Vec<(u32, f64)>>> {
-                    let vector = |v: &Option<String>| v.as_ref().map(|v| corpus.vector(v));
-                    par.run_sharded(vals, |chunk| chunk.iter().map(vector).collect::<Vec<_>>())
+                let mut tokenize = |texts: &[Option<String>]| -> Vec<Option<Vec<u32>>> {
+                    let mut ids = |t: &String| corpus.add_document_ids(t);
+                    texts.iter().map(|t| t.as_ref().map(&mut ids)).collect()
+                };
+                let (d_ids, r_ids) = (tokenize(&d_texts), tokenize(&r_texts));
+                let vectorize = |ids: &[Option<Vec<u32>>]| -> Vec<Option<Vec<(u32, f64)>>> {
+                    let vector = |v: &Option<Vec<u32>>| v.as_ref().map(|v| corpus.vector_of_ids(v));
+                    par.run_sharded(ids, |chunk| chunk.iter().map(vector).collect::<Vec<_>>())
                         .concat()
                 };
-                let d_vecs = vectorize(&d_vals);
-                let r_vecs = vectorize(&range.vals);
+                let d_vecs = vectorize(&d_ids);
+                let r_vecs = vectorize(&r_ids);
                 let index = (self.candidate_plan() == CandidatePlan::TfIdf).then(|| {
                     let vectors = present(&r_vecs).into_iter();
                     TfIdfIndex::build(self.threshold, vectors.map(|(i, v)| (i, v.as_slice())))
@@ -248,18 +368,18 @@ impl AttributeMatcher {
                     vals: r_vecs,
                     index,
                 };
-                probe(
+                let rows = probe(
                     par,
                     &present(&d_vecs),
                     &r_vecs,
-                    |index, query| index.candidates(query),
+                    |index, query, ()| index.candidates(query),
                     |d, r| cosine_vectors(d, r),
                     self.threshold,
                     false,
-                )
+                );
+                Ok((MappingTable::from_rows(rows), None))
             }
-        };
-        Ok((MappingTable::from_rows(rows), d_vals, range))
+        }
     }
 }
 
@@ -276,7 +396,7 @@ impl Matcher for AttributeMatcher {
     }
 
     fn execute(&self, ctx: &MatchContext<'_>, domain: LdsId, range: LdsId) -> Result<Mapping> {
-        let (table, _, _) = self.full_match(ctx, domain, range)?;
+        let (table, _) = self.full_match(ctx, domain, range)?;
         Ok(Mapping::same(self.name(), domain, range, table))
     }
 }
@@ -395,7 +515,7 @@ mod tests {
                 assert_eq!(default.blocking, Blocking::Threshold);
                 assert!(matches!(
                     default.candidate_plan(),
-                    CandidatePlan::Threshold { .. }
+                    CandidatePlan::Index(Probe::Threshold { .. })
                 ));
                 let exact = default.execute(&ctx, d, a).unwrap();
                 let all = AttributeMatcher::new("title", "name", sim.clone(), t)

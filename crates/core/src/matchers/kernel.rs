@@ -14,7 +14,13 @@
 //!   [`Parallelism::run_sharded`], walks either the index's candidates
 //!   or every present value of the target side, and keeps a pair when
 //!   its score reaches the threshold — the only threshold test of the
-//!   matcher layer.
+//!   matcher layer. Each shard owns one scratch (`S::default()`) that
+//!   it lends to every candidate lookup, so an index probe allocates
+//!   its working memory once per shard, not once per query.
+//!
+//! A value is whatever the matcher *prepared* from the instance's match
+//! string — tokenized, parsed or vectorized once per match — so neither
+//! `candidates` nor `score` derives anything from a single value again.
 //!
 //! `score` always receives `(domain value, range value)`: an inverse
 //! probe (range queries against the domain side) swaps the arguments
@@ -48,11 +54,11 @@ pub(crate) fn present<V>(vals: &[Option<V>]) -> Vec<(u32, &V)> {
 /// Score `queries` against `target` and return the pairs reaching
 /// `threshold`. With `inverse` the queries are range values probing the
 /// domain side; see the module docs for the argument-order contract.
-pub(crate) fn probe<V, I, C>(
+pub(crate) fn probe<V, I, C, S>(
     par: Parallelism,
     queries: &[(u32, &V)],
     target: &Side<V, I>,
-    candidates: impl Fn(&I, &V) -> C + Sync,
+    candidates: impl Fn(&I, &V, &mut S) -> C + Sync,
     score: impl Fn(&V, &V) -> f64 + Sync,
     threshold: f64,
     inverse: bool,
@@ -61,9 +67,11 @@ where
     V: Sync,
     I: Sync,
     C: IntoIterator<Item = u32>,
+    S: Default,
 {
     let probe_chunk = |chunk: &[(u32, &V)]| -> Vec<Correspondence> {
         let mut out = Vec::new();
+        let mut scratch = S::default();
         for &(q_id, q) in chunk {
             let mut visit = |t_id: u32, t: &V| {
                 let (s, d_id, r_id) = if inverse {
@@ -77,7 +85,7 @@ where
             };
             match &target.index {
                 Some(index) => {
-                    for t_id in candidates(index, q) {
+                    for t_id in candidates(index, q, &mut scratch) {
                         if let Some(Some(t)) = target.vals.get(t_id as usize) {
                             visit(t_id, t);
                         }
@@ -122,7 +130,7 @@ mod tests {
     fn forward_and_inverse_keep_domain_range_order() {
         let domain = side(&[Some("aaaa"), Some("a")], None);
         let range = side(&[Some("aa"), Some("aaaaaa")], None);
-        let all = |_: &Vec<u32>, _: &String| -> Vec<u32> { unreachable!("no index") };
+        let all = |_: &Vec<u32>, _: &String, _: &mut ()| -> Vec<u32> { unreachable!("no index") };
         let par = Parallelism::sequential();
         // Forward: domain queries × range side.
         let fwd = probe(
@@ -159,7 +167,7 @@ mod tests {
         let par = Parallelism::sequential();
         for index in [None, Some(vec![0, 1, 2, 9])] {
             let range = side(&holes, index);
-            let ids = |idx: &Vec<u32>, _: &String| idx.clone();
+            let ids = |idx: &Vec<u32>, _: &String, _: &mut ()| idx.clone();
             let fwd = probe(par, &present(&domain.vals), &range, ids, one, 1.0, false);
             assert_eq!(
                 sorted(fwd),
@@ -173,7 +181,7 @@ mod tests {
             par,
             &present(&holes.map(|v| v.map(str::to_owned))),
             &domain,
-            |idx: &Vec<u32>, _: &String| idx.clone(),
+            |idx: &Vec<u32>, _: &String, _: &mut ()| idx.clone(),
             one,
             1.0,
             true,
@@ -197,7 +205,7 @@ mod tests {
             par,
             &present(&domain.vals),
             &side(&words, None),
-            |idx: &Vec<u32>, _: &String| idx.clone(),
+            |idx: &Vec<u32>, _: &String, _: &mut ()| idx.clone(),
             same_initial,
             1.0,
             false,
@@ -207,7 +215,7 @@ mod tests {
             par,
             &present(&domain.vals),
             &side(&words, Some(vec![4, 3, 2, 0])),
-            |idx: &Vec<u32>, q: &String| -> Vec<u32> {
+            |idx: &Vec<u32>, q: &String, _: &mut ()| -> Vec<u32> {
                 idx.iter()
                     .copied()
                     .filter(|&i| words[i as usize].unwrap().as_bytes()[0] == q.as_bytes()[0])
@@ -222,6 +230,29 @@ mod tests {
     }
 
     #[test]
+    fn each_shard_lends_one_scratch_to_all_its_lookups() {
+        // The scratch counts the lookups it has seen; the "index"
+        // answers with that count as the candidate id.
+        let target = side(&[Some("a"), Some("b"), Some("c"), Some("d")], Some(vec![]));
+        let run = |par: Parallelism| {
+            let seen_so_far = |_: &Vec<u32>, _: &String, seen: &mut u32| {
+                *seen += 1;
+                vec![*seen - 1]
+            };
+            let queries = present(&target.vals);
+            let one = |_: &String, _: &String| 1.0;
+            let rows = probe(par, &queries, &target, seen_so_far, one, 1.0, false);
+            sorted(rows).iter().map(|c| c.range).collect::<Vec<_>>()
+        };
+        assert_eq!(run(Parallelism::sequential()), [0, 1, 2, 3]);
+        // Two shards of two queries: the count restarts with the shard.
+        assert_eq!(
+            run(Parallelism::new(2).with_min_shard_size(1)),
+            [0, 1, 0, 1]
+        );
+    }
+
+    #[test]
     fn thread_count_does_not_change_the_rows() {
         let words: Vec<Option<String>> = (0..40u32).map(|i| Some("a".repeat(i as usize))).collect();
         let target = Side::<String, Vec<u32>> {
@@ -233,7 +264,7 @@ mod tests {
                 par,
                 &present(&words),
                 &target,
-                |idx: &Vec<u32>, _: &String| idx.clone(),
+                |idx: &Vec<u32>, _: &String, _: &mut ()| idx.clone(),
                 LEN_DIFF,
                 5.0,
                 false,

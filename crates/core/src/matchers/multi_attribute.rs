@@ -5,26 +5,29 @@
 //! publication title and publication year."
 
 use moma_model::{LdsId, LogicalSource};
-use moma_simstring::SimFn;
-use moma_table::{FxHashSet, MappingTable};
+use moma_simstring::{GramDict, SimFn};
+use moma_table::{MappingTable, ProbeScratch};
 
-use crate::blocking::{Blocking, CandidateIndex};
+use crate::blocking::{Blocking, CandidateIndex, Probe};
 use crate::error::{CoreError, Result};
 use crate::mapping::Mapping;
+use crate::matchers::attribute::Value;
 use crate::matchers::kernel::{present, probe, Side};
 use crate::matchers::{AttributeMatcher, MatchContext, Matcher};
 use crate::ops::merge::MissingPolicy;
 
-/// One instance's match strings, aligned to the matcher's `attrs`.
-type Row = Vec<Option<String>>;
+/// One instance's match strings, aligned to the matcher's `attrs`, each
+/// prepared once for its attribute's measure and index.
+type Row = Vec<Option<Value>>;
 
 /// The candidate index of one attribute over the range rows.
 struct AttrIndex {
     /// Position in `attrs` (and in every [`Row`]).
     k: usize,
     index: CandidateIndex,
-    /// Range rows with a missing attribute-`k` value: unconditional
-    /// candidates for this attribute (they can pass through the others).
+    /// Range rows with a missing attribute-`k` value, ascending:
+    /// unconditional candidates for this attribute (they can pass
+    /// through the others).
     unindexed: Vec<u32>,
 }
 
@@ -142,7 +145,7 @@ impl MultiAttributeMatcher {
         for (k, pair) in self.attrs.iter().enumerate() {
             match (&d_vals[k], &r_vals[k]) {
                 (Some(a), Some(b)) => {
-                    num += pair.weight * pair.sim.eval(a, b);
+                    num += pair.weight * Value::score(&pair.sim, a, b);
                     den += pair.weight;
                     any = true;
                 }
@@ -160,8 +163,16 @@ impl MultiAttributeMatcher {
         }
     }
 
-    /// Per-instance value rows by arena index (`None` = removed).
-    fn project(&self, lds: &LogicalSource, domain_side: bool) -> Result<Vec<Option<Row>>> {
+    /// Per-instance value rows by arena index (`None` = removed), every
+    /// value prepared for its attribute's measure and — where
+    /// `probes[k]` names one — index, through the match's dictionary.
+    fn project(
+        &self,
+        lds: &LogicalSource,
+        domain_side: bool,
+        probes: &[Option<Probe>],
+        dict: &mut GramDict,
+    ) -> Result<Vec<Option<Row>>> {
         let slots: Vec<usize> = self
             .attrs
             .iter()
@@ -176,45 +187,61 @@ impl MultiAttributeMatcher {
             .collect::<Result<_>>()?;
         let mut rows = vec![None; lds.len()];
         for (i, inst) in lds.iter() {
-            let value = |&slot: &usize| inst.value(slot).map(|v| v.to_match_string());
-            rows[i as usize] = Some(slots.iter().map(value).collect());
+            let mut value = |k: usize| {
+                let text = inst.value(slots[k])?.to_match_string();
+                Some(Value::prepare(&text, &self.attrs[k].sim, probes[k], dict))
+            };
+            rows[i as usize] = Some((0..slots.len()).map(&mut value).collect());
         }
         Ok(rows)
     }
 
-    /// The per-attribute indexes over the range rows. The blocking
-    /// choice only selects *which* attributes may get one (none, the
-    /// primary, all); whether and how attribute `k` is indexed is what
-    /// [`AttributeMatcher::candidate_plan`] resolves for its measure at
-    /// its derived bound — an attribute with a vacuous bound, or one the
-    /// plan scores all-pairs, prunes nothing. `None` (no attribute
-    /// indexed) scores all pairs.
-    fn index_range(&self, range: &[Option<Row>], ctx: &MatchContext<'_>) -> Option<Vec<AttrIndex>> {
+    /// How each attribute is indexed and probed, if at all. The blocking
+    /// choice only selects *which* attributes may get an index (none,
+    /// the primary, all); whether and how attribute `k` is indexed is
+    /// what [`AttributeMatcher::candidate_plan`] resolves for its
+    /// measure at its derived bound — an attribute with a vacuous bound,
+    /// or one the plan scores all-pairs, prunes nothing.
+    fn probes(&self) -> Vec<Option<Probe>> {
         let eligible = match self.blocking {
             Blocking::AllPairs => 0,
             Blocking::TrigramPrefix => 1,
             Blocking::Threshold => self.attrs.len(),
         };
+        let probe_of = |(k, pair): (usize, &AttrPair)| {
+            let bound = self.derived_threshold(k).filter(|_| k < eligible)?;
+            let (d_attr, r_attr) = (&pair.domain_attr, &pair.range_attr);
+            AttributeMatcher::new(d_attr, r_attr, pair.sim.clone(), bound)
+                .with_blocking(self.blocking)
+                .probe()
+        };
+        self.attrs.iter().enumerate().map(probe_of).collect()
+    }
+
+    /// The per-attribute indexes over the range rows, one per attribute
+    /// with a probe. `None` (no attribute indexed) scores all pairs.
+    fn index_range(
+        &self,
+        range: &[Option<Row>],
+        probes: &[Option<Probe>],
+        ctx: &MatchContext<'_>,
+    ) -> Option<Vec<AttrIndex>> {
         let rows = present(range);
-        let indexes: Vec<AttrIndex> = (0..eligible)
-            .filter_map(|k| {
-                let pair = &self.attrs[k];
-                let bound = self.derived_threshold(k)?;
-                let values: Vec<(u32, &str)> = rows
+        let indexes: Vec<AttrIndex> = probes
+            .iter()
+            .enumerate()
+            .filter_map(|(k, probe)| {
+                let values: Vec<(u32, &[u32])> = rows
                     .iter()
-                    .filter_map(|(i, row)| Some((*i, row[k].as_deref()?)))
+                    .filter_map(|(i, row)| Some((*i, row[k].as_ref()?.tokens())))
                     .collect();
-                let (d_attr, r_attr) = (&pair.domain_attr, &pair.range_attr);
-                let index = AttributeMatcher::new(d_attr, r_attr, pair.sim.clone(), bound)
-                    .with_blocking(self.blocking)
-                    .build_candidate_index(&values, &ctx.parallelism)?;
                 let unindexed = rows
                     .iter()
                     .filter_map(|(i, row)| row[k].is_none().then_some(*i))
                     .collect();
                 Some(AttrIndex {
                     k,
-                    index,
+                    index: CandidateIndex::build((*probe)?, values, &ctx.parallelism),
                     unindexed,
                 })
             })
@@ -223,29 +250,34 @@ impl MultiAttributeMatcher {
     }
 }
 
-/// Intersect the per-attribute candidate sets of one domain row. An
-/// attribute whose domain value is missing prunes nothing (the pair can
-/// still clear the combined threshold through the others); with every
-/// indexed attribute missing, all of `range` is a candidate.
-fn candidates(indexes: &[AttrIndex], d_row: &Row, range: &[Option<Row>]) -> Vec<u32> {
-    let mut surviving: Option<FxHashSet<u32>> = None;
+/// Intersect the per-attribute candidate sets (sorted id lists) of one
+/// domain row. An attribute whose domain value is missing prunes nothing
+/// (the pair can still clear the combined threshold through the
+/// others); with every indexed attribute missing, all of `range` is a
+/// candidate.
+fn candidates(
+    indexes: &[AttrIndex],
+    d_row: &Row,
+    range: &[Option<Row>],
+    scratch: &mut ProbeScratch,
+) -> Vec<u32> {
+    let mut surviving: Option<Vec<u32>> = None;
     for ai in indexes {
         let Some(value) = &d_row[ai.k] else { continue };
-        let mut set = ai.index.candidates(value);
-        set.extend(ai.unindexed.iter().copied());
-        let set = match surviving {
-            None => set,
-            Some(prev) => prev.intersection(&set).copied().collect(),
-        };
+        let mut set = ai.index.candidates(value.tokens(), scratch);
+        if !ai.unindexed.is_empty() {
+            set.extend_from_slice(&ai.unindexed);
+            set.sort_unstable();
+        }
+        if let Some(prev) = &surviving {
+            set.retain(|id| prev.binary_search(id).is_ok());
+        }
         if set.is_empty() {
-            return Vec::new();
+            return set;
         }
         surviving = Some(set);
     }
-    match surviving {
-        Some(set) => set.into_iter().collect(),
-        None => present(range).into_iter().map(|(i, _)| i).collect(),
-    }
+    surviving.unwrap_or_else(|| present(range).into_iter().map(|(i, _)| i).collect())
 }
 
 impl Matcher for MultiAttributeMatcher {
@@ -264,9 +296,10 @@ impl Matcher for MultiAttributeMatcher {
                 "multi-attribute matcher needs attributes".into(),
             ));
         }
-        let d_rows = self.project(ctx.registry.lds(domain), true)?;
-        let r_rows = self.project(ctx.registry.lds(range), false)?;
-        let index = self.index_range(&r_rows, ctx);
+        let (probes, mut dict) = (self.probes(), GramDict::new());
+        let d_rows = self.project(ctx.registry.lds(domain), true, &probes, &mut dict)?;
+        let r_rows = self.project(ctx.registry.lds(range), false, &probes, &mut dict)?;
+        let index = self.index_range(&r_rows, &probes, ctx);
         let r_side = Side {
             vals: r_rows,
             index,
@@ -276,7 +309,7 @@ impl Matcher for MultiAttributeMatcher {
             ctx.parallelism,
             &present(&d_rows),
             &r_side,
-            |indexes, d_row| candidates(indexes, d_row, &r_side.vals),
+            |indexes, d_row, scratch| candidates(indexes, d_row, &r_side.vals, scratch),
             |d, r| self.combined_sim(d, r),
             self.threshold,
             false,

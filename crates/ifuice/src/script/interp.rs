@@ -1045,6 +1045,28 @@ mod tests {
     }
 
     #[test]
+    fn zero_length_qgrams_are_refused_by_the_script() {
+        // `qgram:0` used to parse, and panicked in the tokenizer at the
+        // first pair scored.
+        let (reg, repo) = setup();
+        for sim in [
+            "qgram:0",
+            "qgramjaccard:0",
+            "qgramcosine:0",
+            "qgramoverlap:0",
+        ] {
+            let text = format!(
+                r#"RETURN attrMatch(DBLP.Author, DBLP.Author, "{sim}", 0.5, "[name]", "[name]");"#
+            );
+            let err = Interpreter::new(&reg, &repo)
+                .run(&parse(&text).unwrap())
+                .unwrap_err();
+            let expected = format!("unknown similarity function `{sim}`");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
+    }
+
+    #[test]
     fn prefer_merge_in_script() {
         let (reg, repo) = setup();
         repo.store_as(

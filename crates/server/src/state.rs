@@ -894,6 +894,34 @@ mod tests {
         assert_eq!(cut.stats(), straight.stats());
     }
 
+    /// A `match` request naming a 0-gram measure is refused like any
+    /// unknown similarity — it used to be accepted, and panicked in the
+    /// tokenizer at the first pair scored.
+    #[test]
+    fn zero_length_qgrams_are_refused_on_the_wire() {
+        let mut state = machine();
+        for sim in [
+            "qgram:0",
+            "qgramjaccard:0",
+            "qgramcosine:0",
+            "qgramoverlap:0",
+        ] {
+            let (d, r) = ("Publication@DBLP", "Publication@ACM");
+            let req = protocol::match_request("m", d, r, "title", "title", sim, 0.5);
+            let reply = state.apply(&req, Some(1));
+            assert!(!ok(&reply), "{reply}");
+            let error = reply
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or_default();
+            assert!(error.contains("unknown similarity `"), "{reply}");
+        }
+        assert!(ok(&state.apply(
+            &match_cmd("m", "Publication@DBLP", "Publication@ACM"),
+            Some(1)
+        )));
+    }
+
     /// Persisted rows are outside input: an index that does not fit
     /// `u32` (it used to wrap — 4294967301 installed index 5), one past
     /// its source's arena (it used to render as an empty id in

@@ -21,50 +21,58 @@ pub fn common_suffix_len(a: &str, b: &str) -> usize {
         .count()
 }
 
-/// Prefix similarity: `lcp / max(|a|, |b|)` on normalized text.
-pub fn prefix_sim(a: &str, b: &str) -> f64 {
-    let (a, b) = (normalize(a), normalize(b));
+/// `common / max(|a|, |b|)` in chars; 1.0 for two empty strings.
+fn ratio_of_longer(common: fn(&str, &str) -> usize, a: &str, b: &str) -> f64 {
     let max = a.chars().count().max(b.chars().count());
     if max == 0 {
         return 1.0;
     }
-    common_prefix_len(&a, &b) as f64 / max as f64
+    common(a, b) as f64 / max as f64
+}
+
+/// Prefix similarity: `lcp / max(|a|, |b|)` on normalized text.
+pub fn prefix_sim(a: &str, b: &str) -> f64 {
+    ratio_of_longer(common_prefix_len, &normalize(a), &normalize(b))
 }
 
 /// Suffix similarity: `lcs / max(|a|, |b|)` on normalized text.
 pub fn suffix_sim(a: &str, b: &str) -> f64 {
-    let (a, b) = (normalize(a), normalize(b));
-    let max = a.chars().count().max(b.chars().count());
-    if max == 0 {
-        return 1.0;
-    }
-    common_suffix_len(&a, &b) as f64 / max as f64
+    ratio_of_longer(common_suffix_len, &normalize(a), &normalize(b))
 }
 
 /// Affix similarity: the better of prefix and suffix similarity. A
 /// truncated copy ("A formal perspective on the view…" vs the full title)
 /// still scores proportionally to the shared affix.
 pub fn affix_sim(a: &str, b: &str) -> f64 {
-    prefix_sim(a, b).max(suffix_sim(a, b))
+    affix_sim_normalized(&normalize(a), &normalize(b))
+}
+
+/// [`affix_sim`] of two already [`normalize`]d strings.
+pub fn affix_sim_normalized(na: &str, nb: &str) -> f64 {
+    ratio_of_longer(common_prefix_len, na, nb).max(ratio_of_longer(common_suffix_len, na, nb))
 }
 
 /// Containment-aware affix similarity: if one normalized string contains
 /// the other, score `|short| / |long|`; otherwise fall back to
 /// [`affix_sim`].
 pub fn affix_containment_sim(a: &str, b: &str) -> f64 {
-    let (na, nb) = (normalize(a), normalize(b));
+    affix_containment_sim_normalized(&normalize(a), &normalize(b))
+}
+
+/// [`affix_containment_sim`] of two already [`normalize`]d strings.
+pub fn affix_containment_sim_normalized(na: &str, nb: &str) -> f64 {
     if na.is_empty() && nb.is_empty() {
         return 1.0;
     }
     let (short, long) = if na.len() <= nb.len() {
-        (&na, &nb)
+        (na, nb)
     } else {
-        (&nb, &na)
+        (nb, na)
     };
-    if !short.is_empty() && long.contains(short.as_str()) {
+    if !short.is_empty() && long.contains(short) {
         return short.chars().count() as f64 / long.chars().count() as f64;
     }
-    affix_sim(a, b)
+    affix_sim_normalized(na, nb)
 }
 
 #[cfg(test)]

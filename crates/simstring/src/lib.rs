@@ -46,5 +46,6 @@ pub mod tokenize;
 pub mod wbounds;
 
 pub use bounds::{qgram_measure_of, QgramMeasure};
-pub use registry::{SimFn, Similarity};
+pub use registry::{Prepared, SimFn, Similarity};
 pub use tfidf::TfIdfCorpus;
+pub use tokenize::GramDict;

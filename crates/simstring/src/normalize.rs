@@ -7,30 +7,27 @@
 /// whitespace runs collapsed, trimmed.
 pub fn normalize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    normalize_into(s, &mut out);
+    out
+}
+
+/// [`normalize`] appended to `out` (a reusable buffer): the normal form
+/// of `s` follows whatever `out` already holds, which it leaves alone.
+pub fn normalize_into(s: &str, out: &mut String) {
+    let start = out.len();
     let mut last_space = true;
     for ch in s.chars() {
-        let c = if ch.is_alphanumeric() {
-            Some(ch.to_ascii_lowercase())
-        } else {
-            None
-        };
-        match c {
-            Some(c) => {
-                out.push(c);
-                last_space = false;
-            }
-            None => {
-                if !last_space {
-                    out.push(' ');
-                    last_space = true;
-                }
-            }
+        if ch.is_alphanumeric() {
+            out.push(ch.to_ascii_lowercase());
+            last_space = false;
+        } else if !last_space {
+            out.push(' ');
+            last_space = true;
         }
     }
-    if out.ends_with(' ') {
+    if out.len() > start && out.ends_with(' ') {
         out.pop();
     }
-    out
 }
 
 /// Normalize but keep periods (useful for abbreviated person names where

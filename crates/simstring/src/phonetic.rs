@@ -6,7 +6,7 @@
 //! [`person_name_sim`] measure treats an initial as compatible with any
 //! full name sharing that initial and scores surnames with Jaro–Winkler.
 
-use crate::jaro::jaro_winkler;
+use crate::jaro::jaro_winkler_chars;
 use crate::normalize::normalize_keep_periods;
 
 /// American Soundex code (letter + 3 digits) of a word; empty input gives
@@ -60,53 +60,53 @@ pub fn soundex(word: &str) -> String {
     code
 }
 
+/// Soundex code of the last token (surname) of a name; empty for a
+/// nameless value.
+pub fn surname_soundex(s: &str) -> String {
+    normalize_keep_periods(s)
+        .split(' ')
+        .rfind(|t| !t.is_empty())
+        .map(soundex)
+        .unwrap_or_default()
+}
+
 /// Soundex equality as a 0/1 similarity over the last token (surname).
+/// Two empty codes (both inputs nameless) compare equal as well.
 pub fn soundex_sim(a: &str, b: &str) -> f64 {
-    let last = |s: &str| {
-        normalize_keep_periods(s)
-            .split(' ')
-            .rfind(|t| !t.is_empty())
-            .map(soundex)
-            .unwrap_or_default()
-    };
-    let (sa, sb) = (last(a), last(b));
-    // Two empty codes (both inputs nameless) compare equal as well.
-    if sa == sb {
-        1.0
-    } else {
-        0.0
+    f64::from(surname_soundex(a) == surname_soundex(b))
+}
+
+/// Parsed person name: given tokens + surname, as chars (what
+/// Jaro–Winkler reads), trailing periods dropped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PersonName {
+    given: Vec<Vec<char>>,
+    surname: Vec<char>,
+}
+
+impl PersonName {
+    /// Parse a name; `None` for a value without any name token.
+    pub fn parse(s: &str) -> Option<PersonName> {
+        let norm = normalize_keep_periods(s);
+        let toks: Vec<&str> = norm.split(' ').filter(|t| !t.is_empty()).collect();
+        let (&surname, given) = toks.split_last()?;
+        let chars = |t: &str| t.trim_end_matches('.').chars().collect();
+        Some(PersonName {
+            given: given.iter().map(|t| chars(t)).collect(),
+            surname: chars(surname),
+        })
     }
 }
 
-/// Parsed person name: given tokens + surname.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PersonName {
-    given: Vec<String>,
-    surname: String,
-}
-
-fn parse_name(s: &str) -> Option<PersonName> {
-    let norm = normalize_keep_periods(s);
-    let toks: Vec<&str> = norm.split(' ').filter(|t| !t.is_empty()).collect();
-    let (&surname, given) = toks.split_last()?;
-    Some(PersonName {
-        given: given
-            .iter()
-            .map(|t| t.trim_end_matches('.').to_owned())
-            .collect(),
-        surname: surname.trim_end_matches('.').to_owned(),
-    })
-}
-
 /// Whether a given-name token is an initial (single letter).
-fn is_initial(t: &str) -> bool {
-    t.chars().count() == 1
+fn is_initial(t: &[char]) -> bool {
+    t.len() == 1
 }
 
 /// Similarity of two given-name token lists, initials-aware:
 /// an initial matches any name with the same first letter (score 0.85, a
 /// deliberate discount: "J." is compatible with but not equal to "John").
-fn given_sim(a: &[String], b: &[String]) -> f64 {
+fn given_sim(a: &[Vec<char>], b: &[Vec<char>]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -120,26 +120,21 @@ fn given_sim(a: &[String], b: &[String]) -> f64 {
         let (x, y) = (&a[i], &b[i]);
         total += if x == y {
             1.0
-        } else if (is_initial(x) || is_initial(y)) && x.chars().next() == y.chars().next() {
+        } else if (is_initial(x) || is_initial(y)) && x.first() == y.first() {
             0.85
         } else {
-            jaro_winkler(x, y) * 0.8
+            jaro_winkler_chars(x, y) * 0.8
         };
     }
     // Unmatched extra tokens (e.g. a middle name on one side) dilute mildly.
     total / (pairs as f64 + 0.3 * (a.len().max(b.len()) - pairs) as f64)
 }
 
-/// Initials-aware person-name similarity.
-///
-/// Surnames are compared with Jaro–Winkler (weight 0.6); given names with
-/// the initials-aware given-name comparison (weight 0.4). `"J. Smith"` vs
-/// `"John Smith"` scores ≈ 0.94 while `"J. Smith"` vs `"Jane Smyth"`
-/// stays lower.
-pub fn person_name_sim(a: &str, b: &str) -> f64 {
-    match (parse_name(a), parse_name(b)) {
+/// [`person_name_sim`] of two parsed names (`None` = nameless value).
+pub fn parsed_name_sim(a: Option<&PersonName>, b: Option<&PersonName>) -> f64 {
+    match (a, b) {
         (Some(na), Some(nb)) => {
-            let s_sur = jaro_winkler(&na.surname, &nb.surname);
+            let s_sur = jaro_winkler_chars(&na.surname, &nb.surname);
             if s_sur < 0.75 {
                 // Different surnames dominate: do not let given names rescue.
                 return s_sur * 0.55;
@@ -150,6 +145,16 @@ pub fn person_name_sim(a: &str, b: &str) -> f64 {
         (None, None) => 1.0,
         _ => 0.0,
     }
+}
+
+/// Initials-aware person-name similarity.
+///
+/// Surnames are compared with Jaro–Winkler (weight 0.6); given names with
+/// the initials-aware given-name comparison (weight 0.4). `"J. Smith"` vs
+/// `"John Smith"` scores ≈ 0.94 while `"J. Smith"` vs `"Jane Smyth"`
+/// stays lower.
+pub fn person_name_sim(a: &str, b: &str) -> f64 {
+    parsed_name_sim(PersonName::parse(a).as_ref(), PersonName::parse(b).as_ref())
 }
 
 #[cfg(test)]

@@ -5,15 +5,18 @@
 //! [`SimFn`] enum is the closed set of built-ins and [`Similarity`] the
 //! open extension point.
 
-use crate::affix::{affix_containment_sim, affix_sim};
+use crate::affix::{affix_containment_sim_normalized, affix_sim_normalized};
+use crate::bounds::qgram_measure_of;
 use crate::edit::{damerau_sim, levenshtein_sim};
-use crate::jaro::{jaro, jaro_winkler};
-use crate::ngram::{qgram_cosine, qgram_dice, qgram_jaccard, qgram_overlap, trigram};
+use crate::jaro::{jaro_chars, jaro_winkler_chars};
 use crate::normalize::normalize;
 use crate::numeric::{parse_year, year_window};
-use crate::phonetic::{person_name_sim, soundex_sim};
+use crate::phonetic::{parsed_name_sim, surname_soundex, PersonName};
 use crate::tfidf::TfIdfCorpus;
-use crate::token::{monge_elkan_sym, token_cosine, token_dice, token_jaccard};
+use crate::token::{
+    monge_elkan_sym_words, set_cosine, set_dice, set_jaccard, word_chars, word_set,
+};
+use crate::tokenize::{shared, GramDict};
 
 /// A similarity measure over two strings, yielding a value in `[0, 1]`.
 pub trait Similarity: Send + Sync {
@@ -67,43 +70,113 @@ pub enum SimFn {
     Year(u16),
 }
 
+/// A value in the form one [`SimFn`] scores: everything the measure
+/// derives from a single value — normalization, tokenization, parsing —
+/// done once by [`SimFn::prepare`], so that
+/// [`SimFn::eval_prepared`] only does the work that needs both values.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Prepared {
+    /// Normalized text (exact, edit distances, affix measures) or the
+    /// surname's Soundex code.
+    Text(String),
+    /// Normalized text as chars (Jaro, Jaro–Winkler).
+    Chars(Vec<char>),
+    /// Sorted occurrence-tagged q-gram ids of the match's [`GramDict`]
+    /// (the q-gram family).
+    Grams(Box<[u32]>),
+    /// Sorted distinct word tokens (token set measures).
+    WordSet(Vec<String>),
+    /// Word tokens in order, as chars (Monge–Elkan).
+    Words(Vec<Vec<char>>),
+    /// Parsed person name; `None` for a nameless value.
+    Name(Option<PersonName>),
+    /// Year parsed from the text, if any.
+    Year(Option<u16>),
+}
+
+impl Prepared {
+    /// Map the gram ids of a q-gram value through `remap` (old id → new
+    /// id, see [`GramDict::absorb`]), keeping the list sorted. Other
+    /// forms hold no ids.
+    pub fn remap_grams(&mut self, remap: &[u32]) {
+        if let Prepared::Grams(grams) = self {
+            grams.iter_mut().for_each(|id| *id = remap[*id as usize]);
+            grams.sort_unstable();
+        }
+    }
+}
+
 impl SimFn {
-    /// Evaluate the measure on two raw strings.
+    /// Evaluate the measure on two raw strings:
+    /// [`SimFn::eval_prepared`] of the two [`SimFn::prepare`]d values.
+    /// Scoring one value against many? Prepare it once instead.
     pub fn eval(&self, a: &str, b: &str) -> f64 {
+        let mut dict = GramDict::new();
+        let (a, b) = (self.prepare(a, &mut dict), self.prepare(b, &mut dict));
+        self.eval_prepared(&a, &b)
+    }
+
+    /// Put one value into the form this measure scores. Only the q-gram
+    /// family uses `dict` (its grams become ids of it), so two values
+    /// can be scored against each other only if they were prepared with
+    /// the same dictionary.
+    pub fn prepare(&self, value: &str, dict: &mut GramDict) -> Prepared {
         match self {
-            SimFn::Exact => {
-                if normalize(a) == normalize(b) {
-                    1.0
-                } else {
-                    0.0
-                }
+            SimFn::Trigram => Prepared::Grams(dict.intern_qgram_ids(value, 3)),
+            // The tokenizer refuses a gram length of 0.
+            SimFn::QgramDice(q)
+            | SimFn::QgramJaccard(q)
+            | SimFn::QgramCosine(q)
+            | SimFn::QgramOverlap(q) => Prepared::Grams(dict.intern_qgram_ids(value, *q)),
+            SimFn::Exact
+            | SimFn::Levenshtein
+            | SimFn::Damerau
+            | SimFn::Affix
+            | SimFn::AffixContainment => Prepared::Text(normalize(value)),
+            SimFn::Jaro | SimFn::JaroWinkler => Prepared::Chars(normalize(value).chars().collect()),
+            SimFn::TokenJaccard | SimFn::TokenDice | SimFn::TokenCosine => {
+                Prepared::WordSet(word_set(value))
             }
-            SimFn::Trigram => trigram(a, b),
-            SimFn::QgramDice(q) => qgram_dice(a, b, *q),
-            SimFn::QgramJaccard(q) => qgram_jaccard(a, b, *q),
-            SimFn::QgramCosine(q) => qgram_cosine(a, b, *q),
-            SimFn::QgramOverlap(q) => qgram_overlap(a, b, *q),
-            SimFn::Levenshtein => levenshtein_sim(&normalize(a), &normalize(b)),
-            SimFn::Damerau => damerau_sim(&normalize(a), &normalize(b)),
-            SimFn::Jaro => jaro(&normalize(a), &normalize(b)),
-            SimFn::JaroWinkler => jaro_winkler(&normalize(a), &normalize(b)),
-            SimFn::TokenJaccard => token_jaccard(a, b),
-            SimFn::TokenDice => token_dice(a, b),
-            SimFn::TokenCosine => token_cosine(a, b),
-            SimFn::MongeElkan => monge_elkan_sym(a, b),
-            SimFn::Affix => affix_sim(a, b),
-            SimFn::AffixContainment => affix_containment_sim(a, b),
-            SimFn::Soundex => soundex_sim(a, b),
-            SimFn::PersonName => person_name_sim(a, b),
-            SimFn::Year(window) => match (parse_year(a), parse_year(b)) {
-                (Some(x), Some(y)) => year_window(x, y, *window),
+            SimFn::MongeElkan => Prepared::Words(word_chars(value)),
+            SimFn::Soundex => Prepared::Text(surname_soundex(value)),
+            SimFn::PersonName => Prepared::Name(PersonName::parse(value)),
+            SimFn::Year(_) => Prepared::Year(parse_year(value)),
+        }
+    }
+
+    /// Evaluate the measure on two values [`SimFn::prepare`]d by it (for
+    /// the q-gram family: with one dictionary). Panics on values
+    /// prepared by a measure of another form.
+    pub fn eval_prepared(&self, a: &Prepared, b: &Prepared) -> f64 {
+        use Prepared::{Chars, Grams, Name, Text, WordSet, Words, Year};
+        match (self, a, b) {
+            (_, Grams(a), Grams(b)) => {
+                let (measure, _) = qgram_measure_of(self).expect("grams are q-gram values");
+                measure.eval_counts(shared(a, b), a.len(), b.len())
+            }
+            (SimFn::Exact | SimFn::Soundex, Text(a), Text(b)) => f64::from(a == b),
+            (SimFn::Levenshtein, Text(a), Text(b)) => levenshtein_sim(a, b),
+            (SimFn::Damerau, Text(a), Text(b)) => damerau_sim(a, b),
+            (SimFn::Affix, Text(a), Text(b)) => affix_sim_normalized(a, b),
+            (SimFn::AffixContainment, Text(a), Text(b)) => affix_containment_sim_normalized(a, b),
+            (SimFn::Jaro, Chars(a), Chars(b)) => jaro_chars(a, b),
+            (SimFn::JaroWinkler, Chars(a), Chars(b)) => jaro_winkler_chars(a, b),
+            (SimFn::TokenJaccard, WordSet(a), WordSet(b)) => set_jaccard(a, b),
+            (SimFn::TokenDice, WordSet(a), WordSet(b)) => set_dice(a, b),
+            (SimFn::TokenCosine, WordSet(a), WordSet(b)) => set_cosine(a, b),
+            (SimFn::MongeElkan, Words(a), Words(b)) => monge_elkan_sym_words(a, b),
+            (SimFn::PersonName, Name(a), Name(b)) => parsed_name_sim(a.as_ref(), b.as_ref()),
+            (SimFn::Year(window), Year(a), Year(b)) => match (a, b) {
+                (Some(x), Some(y)) => year_window(*x, *y, *window),
                 _ => 0.0,
             },
+            _ => panic!("{} cannot score {a:?} against {b:?}", self.name()),
         }
     }
 
     /// Parse a measure name as used in scripts (case-insensitive);
     /// parameterized forms use `name:param` (e.g. `qgram:2`, `year:1`).
+    /// A q-gram length of 0 is no measure (`None`).
     pub fn parse(name: &str) -> Option<SimFn> {
         let lower = name.to_ascii_lowercase();
         let (base, param) = match lower.split_once(':') {
@@ -113,10 +186,10 @@ impl SimFn {
         Some(match base {
             "exact" => SimFn::Exact,
             "trigram" | "ngram" => SimFn::Trigram,
-            "qgram" | "qgramdice" => SimFn::QgramDice(param?.parse().ok()?),
-            "qgramjaccard" => SimFn::QgramJaccard(param?.parse().ok()?),
-            "qgramcosine" => SimFn::QgramCosine(param?.parse().ok()?),
-            "qgramoverlap" => SimFn::QgramOverlap(param?.parse().ok()?),
+            "qgram" | "qgramdice" => SimFn::QgramDice(gram_length(param)?),
+            "qgramjaccard" => SimFn::QgramJaccard(gram_length(param)?),
+            "qgramcosine" => SimFn::QgramCosine(gram_length(param)?),
+            "qgramoverlap" => SimFn::QgramOverlap(gram_length(param)?),
             "levenshtein" | "editdistance" => SimFn::Levenshtein,
             "damerau" => SimFn::Damerau,
             "jaro" => SimFn::Jaro,
@@ -211,6 +284,12 @@ impl Similarity for SimFn {
     }
 }
 
+/// The `q` of a `qgram*:q` name: required, and at least 1 — there are
+/// no 0-grams to tokenize a value into.
+fn gram_length(param: Option<&str>) -> Option<usize> {
+    param?.parse().ok().filter(|&q| q >= 1)
+}
+
 /// A TF-IDF measure bound to a prepared corpus (TF-IDF needs corpus
 /// statistics, so it cannot be a bare [`SimFn`] variant).
 pub struct TfIdfSim {
@@ -256,6 +335,15 @@ mod tests {
         assert_eq!(SimFn::parse("TRIGRAM"), Some(SimFn::Trigram));
         assert_eq!(SimFn::parse("nope"), None);
         assert_eq!(SimFn::parse("qgram"), None); // missing parameter
+        for name in [
+            "qgram:0",
+            "qgramdice:0",
+            "qgramjaccard:0",
+            "qgramcosine:0",
+            "qgramoverlap:0",
+        ] {
+            assert_eq!(SimFn::parse(name), None, "{name}: there are no 0-grams");
+        }
     }
 
     #[test]

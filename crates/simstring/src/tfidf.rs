@@ -46,17 +46,27 @@ impl TfIdfCorpus {
 
     /// Add one document's tokens to the document-frequency table.
     pub fn add_document(&mut self, doc: &str) {
+        self.add_document_ids(doc);
+    }
+
+    /// [`TfIdfCorpus::add_document`], returning the document's token ids
+    /// (sorted, one per occurrence): what
+    /// [`TfIdfCorpus::vector_of_ids`] turns into the document's vector
+    /// once the corpus is complete, without tokenizing it again.
+    pub fn add_document_ids(&mut self, doc: &str) -> Vec<u32> {
         self.docs += 1;
-        let mut seen: Vec<String> = words(doc);
-        seen.sort_unstable();
-        seen.dedup();
-        for t in seen {
-            let id = self.tokens.intern(&t) as usize;
-            if id == self.doc_freq.len() {
-                self.doc_freq.push(0);
+        // Handles are assigned in word order within a document.
+        let mut toks = words(doc);
+        toks.sort_unstable();
+        let mut ids: Vec<u32> = toks.iter().map(|t| self.tokens.intern(t)).collect();
+        self.doc_freq.resize(self.tokens.len(), 0);
+        ids.sort_unstable();
+        for (i, &id) in ids.iter().enumerate() {
+            if i == 0 || ids[i - 1] != id {
+                self.doc_freq[id as usize] += 1;
             }
-            self.doc_freq[id] += 1;
         }
+        ids
     }
 
     /// Number of documents.
@@ -125,6 +135,12 @@ impl TfIdfCorpus {
             ids.push(id);
         }
         ids.sort_unstable();
+        self.vector_of_ids(&ids)
+    }
+
+    /// The L2-normalized TF-IDF vector of a value given its sorted token
+    /// ids, one per occurrence (see [`TfIdfCorpus::add_document_ids`]).
+    pub fn vector_of_ids(&self, ids: &[u32]) -> Vec<(u32, f64)> {
         let mut out: Vec<(u32, f64)> = Vec::with_capacity(ids.len());
         let mut norm = 0.0;
         let mut i = 0;

@@ -1,24 +1,33 @@
 //! Token-level similarity measures.
+//!
+//! Each measure is a function of the two values' *tokenized* forms — a
+//! sorted word set ([`word_set`]) or the word list as chars
+//! ([`word_chars`]) — so a caller scoring one value against many
+//! tokenizes it once and calls the `set_*` / [`monge_elkan_sym_words`]
+//! forms; the `&str` forms tokenize both sides and call those.
 
-use moma_table::FxHashSet;
+use crate::jaro::jaro_winkler_chars;
+use crate::tokenize::{shared, words};
 
-use crate::jaro::jaro_winkler;
-use crate::tokenize::words;
-
-fn token_sets(a: &str, b: &str) -> (FxHashSet<String>, FxHashSet<String>) {
-    (
-        words(a).into_iter().collect(),
-        words(b).into_iter().collect(),
-    )
+/// The value's distinct word tokens, sorted.
+pub fn word_set(s: &str) -> Vec<String> {
+    let mut set = words(s);
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
-/// Jaccard similarity over word-token sets.
-pub fn token_jaccard(a: &str, b: &str) -> f64 {
-    let (sa, sb) = token_sets(a, b);
+/// The value's word tokens, in order, as chars.
+pub fn word_chars(s: &str) -> Vec<Vec<char>> {
+    words(s).iter().map(|w| w.chars().collect()).collect()
+}
+
+/// Jaccard similarity of two [`word_set`]s.
+pub fn set_jaccard(sa: &[String], sb: &[String]) -> f64 {
     if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }
-    let inter = sa.intersection(&sb).count();
+    let inter = shared(sa, sb);
     let union = sa.len() + sb.len() - inter;
     if union == 0 {
         1.0
@@ -27,51 +36,61 @@ pub fn token_jaccard(a: &str, b: &str) -> f64 {
     }
 }
 
-/// Dice similarity over word-token sets.
-pub fn token_dice(a: &str, b: &str) -> f64 {
-    let (sa, sb) = token_sets(a, b);
+/// Dice similarity of two [`word_set`]s.
+pub fn set_dice(sa: &[String], sb: &[String]) -> f64 {
     if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }
     if sa.is_empty() || sb.is_empty() {
         return 0.0;
     }
-    let inter = sa.intersection(&sb).count();
-    2.0 * inter as f64 / (sa.len() + sb.len()) as f64
+    2.0 * shared(sa, sb) as f64 / (sa.len() + sb.len()) as f64
+}
+
+/// Overlap coefficient of two [`word_set`]s.
+pub fn set_overlap(sa: &[String], sb: &[String]) -> f64 {
+    if sa.is_empty() && sb.is_empty() {
+        return 1.0;
+    }
+    if sa.is_empty() || sb.is_empty() {
+        return 0.0;
+    }
+    shared(sa, sb) as f64 / sa.len().min(sb.len()) as f64
+}
+
+/// Unweighted cosine similarity of two [`word_set`]s.
+pub fn set_cosine(sa: &[String], sb: &[String]) -> f64 {
+    if sa.is_empty() && sb.is_empty() {
+        return 1.0;
+    }
+    if sa.is_empty() || sb.is_empty() {
+        return 0.0;
+    }
+    (shared(sa, sb) as f64 / ((sa.len() as f64).sqrt() * (sb.len() as f64).sqrt())).min(1.0)
+}
+
+/// Jaccard similarity over word-token sets.
+pub fn token_jaccard(a: &str, b: &str) -> f64 {
+    set_jaccard(&word_set(a), &word_set(b))
+}
+
+/// Dice similarity over word-token sets.
+pub fn token_dice(a: &str, b: &str) -> f64 {
+    set_dice(&word_set(a), &word_set(b))
 }
 
 /// Overlap coefficient over word-token sets.
 pub fn token_overlap(a: &str, b: &str) -> f64 {
-    let (sa, sb) = token_sets(a, b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    inter as f64 / sa.len().min(sb.len()) as f64
+    set_overlap(&word_set(a), &word_set(b))
 }
 
 /// Unweighted cosine similarity over word-token sets.
 pub fn token_cosine(a: &str, b: &str) -> f64 {
-    let (sa, sb) = token_sets(a, b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    (inter as f64 / ((sa.len() as f64).sqrt() * (sb.len() as f64).sqrt())).min(1.0)
+    set_cosine(&word_set(a), &word_set(b))
 }
 
-/// Monge–Elkan similarity: mean over tokens of `a` of the best secondary
-/// similarity (Jaro–Winkler) against tokens of `b`. Asymmetric by
-/// definition; [`monge_elkan_sym`] symmetrizes.
-pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    let ta = words(a);
-    let tb = words(b);
+/// [`monge_elkan`] of two [`word_chars`] lists.
+fn monge_elkan_words(ta: &[Vec<char>], tb: &[Vec<char>]) -> f64 {
     if ta.is_empty() && tb.is_empty() {
         return 1.0;
     }
@@ -79,16 +98,31 @@ pub fn monge_elkan(a: &str, b: &str) -> f64 {
         return 0.0;
     }
     let mut total = 0.0;
-    for x in &ta {
-        let best = tb.iter().map(|y| jaro_winkler(x, y)).fold(0.0f64, f64::max);
+    for x in ta {
+        let best = tb
+            .iter()
+            .map(|y| jaro_winkler_chars(x, y))
+            .fold(0.0f64, f64::max);
         total += best;
     }
     (total / ta.len() as f64).min(1.0)
 }
 
+/// [`monge_elkan_sym`] of two [`word_chars`] lists.
+pub fn monge_elkan_sym_words(ta: &[Vec<char>], tb: &[Vec<char>]) -> f64 {
+    (monge_elkan_words(ta, tb) + monge_elkan_words(tb, ta)) / 2.0
+}
+
+/// Monge–Elkan similarity: mean over tokens of `a` of the best secondary
+/// similarity (Jaro–Winkler) against tokens of `b`. Asymmetric by
+/// definition; [`monge_elkan_sym`] symmetrizes.
+pub fn monge_elkan(a: &str, b: &str) -> f64 {
+    monge_elkan_words(&word_chars(a), &word_chars(b))
+}
+
 /// Symmetrized Monge–Elkan: mean of both directions.
 pub fn monge_elkan_sym(a: &str, b: &str) -> f64 {
-    (monge_elkan(a, b) + monge_elkan(b, a)) / 2.0
+    monge_elkan_sym_words(&word_chars(a), &word_chars(b))
 }
 
 #[cfg(test)]

@@ -1,42 +1,60 @@
-//! The one maintained inverted gram index: size-bucketed postings under
+//! The one maintained inverted gram index: size-ordered postings under
 //! two probes.
 //!
 //! [`GramIndex`] is the tokenizer-agnostic storage engine behind every
-//! string blocking plan of `moma_core::blocking` (the tokenizers live
-//! in `moma-simstring`, which depends on this crate, so callers hand in
-//! pre-tokenized, duplicate-free gram lists). Every gram's posting list
-//! is partitioned by the *gram-set size* of the indexed value, and two
-//! probes read that one structure:
+//! string blocking plan of `moma_core::blocking`. It never sees a
+//! string: callers tokenize each value once into **gram ids** — dense
+//! `u32` handles of one gram dictionary per match (the tokenizers and
+//! the dictionary live in `moma-simstring`, which depends on this
+//! crate) — and hand in duplicate-free id lists. A gram id indexes the
+//! posting arena directly; a gram's postings are the `(gram-set size,
+//! value id)` keys of the values containing it, sorted, in a
+//! [`BlockList`], and two probes read that one structure:
 //!
 //! * [`GramIndex::candidates`] — the SimString *T-occurrence* problem.
 //!   A threshold-aware caller passes a size window `[min_size,
 //!   max_size]` and a per-size minimum-overlap function, and gets back
 //!   exactly the ids that (a) fall in the window and (b) share at least
-//!   the required number of grams with the query, solved CPMerge-style:
+//!   the required number of grams with the query, solved CPMerge-style
+//!   in two phases over a reusable [`ProbeScratch`]:
 //!
-//!   1. query grams are ordered rarest-first (document frequency within
-//!      the window),
-//!   2. the first `n − τ_min + 1` posting lists seed the candidate set
-//!      with occurrence counts (any qualifying id must appear in one of
-//!      them — it can miss at most `τ − 1` of the query's grams),
-//!   3. the remaining (frequent) lists are *galloped* against the
-//!      sorted survivor set (exponential search through whichever side
-//!      is longer — see [`crate::postings`]), and candidates that can
-//!      no longer reach their per-size requirement are abandoned after
-//!      every list.
+//!   1. the per-size requirement is tabulated once for the window and
+//!      the query grams are ordered rarest-first; the window of each of
+//!      the first `n − τ_min + 1` posting lists — a few contiguous
+//!      slices — is *counted* into a dense array indexed by value id
+//!      (any qualifying id must appear in one of them — it can miss at
+//!      most `τ − 1` of the query's grams),
+//!   2. the survivors are sorted by key — the order the postings are
+//!      in — and each remaining (frequent) gram's window is *galloped*
+//!      against them (exponential search through whichever side is
+//!      longer — see [`crate::postings`]); candidates that can no longer
+//!      reach their requirement are abandoned after every list.
 //!
 //! * [`GramIndex::rarest_union`] — the prefix filter: the union of the
-//!   postings of the query's `k` rarest grams over *all* size buckets.
+//!   postings of the query's `k` rarest grams over *all* sizes.
 //!
-//! Grams are interned to dense handles ([`StringInterner`]) so each
-//! probe hashes every query gram once and array-indexes from then on;
-//! the per-size id lists are sorted [`Postings`].
+//! Both return a sorted id list.
+//!
+//! ## Why blocks of `(size, id)` keys
+//!
+//! The probe wants a gram's postings of one size window contiguous: a
+//! layout with one small heap list per gram and size (what this index
+//! used to keep, keyed by gram string) pays a cache miss per list, ~50
+//! lists per gram, ~60 grams per title probe. One flat `(size, id)`-sorted
+//! run per gram probes fastest, but every maintenance operation then
+//! memmoves inside the long runs of the frequent grams: replacing one
+//! title of a 25 k-title index moved ≈ 143 k posting entries (≈ 103 µs
+//! against ≈ 73 µs for the size-bucket layout), and the serve path
+//! applies ≈ 50 such replacements per delta under a shard lock. Blocks
+//! of at most [`crate::postings::BLOCK`] keys keep a window to a few
+//! slices and an update to one short memmove per gram.
 //!
 //! ## Maintenance and compaction
 //!
 //! Besides batch construction (sharded builds merge through
-//! [`GramIndex::absorb`]) the index is patched in place:
-//! [`GramIndex::insert`] appends a value's grams, [`GramIndex::remove`]
+//! [`GramIndex::absorb`]; feeding values in `(size, id)` order makes
+//! every insert an append) the index is patched in place:
+//! [`GramIndex::insert`] adds a value's grams, [`GramIndex::remove`]
 //! **tombstones** it — the id stays in the posting lists but is filtered
 //! out of probe results, making removal O(1) instead of O(total
 //! postings) — and [`GramIndex::replace`] surgically swaps one value's
@@ -55,17 +73,13 @@
 //! O(1) per removal while bounding dead-entry overhead to a constant
 //! factor.
 //!
-//! Values whose gram list is empty occupy the special size-0 bucket:
-//! they have no postings and can never be merged candidates, but they
-//! are tracked ([`GramIndex::gramless_ids`]) so callers can implement
-//! the "empty query matches empty values exactly" edge of the q-gram
-//! measures.
+//! Values whose gram list is empty have no postings and can never be
+//! merged candidates, but they are tracked
+//! ([`GramIndex::gramless_ids`]) so callers can implement the "empty
+//! query matches empty values exactly" edge of the q-gram measures.
 
-use std::collections::BTreeMap;
-
-use crate::hash::{FxHashMap, FxHashSet};
-use crate::interner::StringInterner;
-use crate::postings::{gallop_lower_bound, Postings};
+use crate::hash::FxHashSet;
+use crate::postings::BlockList;
 
 /// Compaction trigger: sweep when `tombstones > live * COMPACTION_RATIO`
 /// (and at least [`COMPACTION_FLOOR`] tombstones exist — tiny indexes
@@ -75,20 +89,70 @@ pub const COMPACTION_RATIO: f64 = 0.25;
 /// Minimum number of tombstones before a compaction sweep is considered.
 pub const COMPACTION_FLOOR: usize = 16;
 
-/// Inverted index from gram to id posting lists partitioned by the
-/// gram-set size of the indexed value.
+/// The posting key of value `id` with gram-set size `size`: postings
+/// sort by size first, so a size window is one key range.
+fn key(size: u32, id: u32) -> u64 {
+    u64::from(size) << 32 | u64::from(id)
+}
+
+fn size_of(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
+fn id_of(key: u64) -> u32 {
+    key as u32
+}
+
+/// The size key of a gram list. A value with more grams than the key
+/// type holds cannot be indexed under a truncated size — that would
+/// silently move it out of every window it belongs to.
+fn size_key(grams: &[u32]) -> u32 {
+    u32::try_from(grams.len()).expect("a value has fewer than 2^32 grams")
+}
+
+/// Reusable working memory of [`GramIndex::candidates`]: the dense
+/// per-id occurrence counts (all zero between probes — a probe resets
+/// exactly the entries it touched) and the buffers of one probe. One
+/// scratch serves any number of probes of any number of indexes, one at
+/// a time; the matchers keep one per worker shard.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeScratch {
+    /// Occurrence count by value id (`u32`: a value can share as many
+    /// grams as it has).
+    counts: Vec<u32>,
+    /// `need[size − lo]`: shared grams a candidate of `size` must reach.
+    need: Vec<u32>,
+    /// Posting keys of the candidates still in the race.
+    survivors: Vec<u64>,
+}
+
+impl ProbeScratch {
+    /// Whether every count is zero — the state every probe must leave
+    /// behind (checked by the model tests).
+    pub fn is_clean(&self) -> bool {
+        self.counts.iter().all(|&c| c == 0)
+    }
+}
+
+/// Inverted index from gram id to the `(gram-set size, value id)` keys
+/// of the values containing the gram.
 ///
 /// Gram lists handed to [`GramIndex::insert`] /
 /// [`GramIndex::replace`] must be duplicate-free (the caller
-/// tokenizes; multiset tokenizers tag repeated grams — see
-/// `moma_core::blocking`); the list length is the value's size key.
+/// tokenizes; multiset tokenizers give repeated grams distinct ids —
+/// see `moma_simstring::tokenize::GramDict`); the list length is the
+/// value's size key. Gram ids are dense handles of the caller's
+/// dictionary and index the posting arena directly, and value ids are
+/// arena indexes of a source — both small, so the index and the probe
+/// scratch size vectors by them.
 #[derive(Debug, Clone, Default)]
 pub struct GramIndex {
-    /// Gram string ↔ dense handle; `postings[handle]` holds the gram's
-    /// size-bucketed lists.
-    grams: StringInterner,
-    /// gram handle → size bucket → sorted ids.
-    postings: Vec<BTreeMap<u32, Postings>>,
+    /// gram id → that gram's posting keys.
+    postings: Vec<BlockList>,
+    /// gram id → its posting count (unswept tombstone entries
+    /// included): the rarity both probes order grams by, in one small
+    /// array.
+    df: Vec<u32>,
     /// Ids currently indexed and not tombstoned.
     live: FxHashSet<u32>,
     /// Live ids with gram-set size 0 (subset of `live`), maintained
@@ -96,6 +160,12 @@ pub struct GramIndex {
     gramless: FxHashSet<u32>,
     /// Removed ids whose posting entries have not been swept yet.
     tombstones: FxHashSet<u32>,
+    /// Largest gram-set size ever indexed: caps the size window a probe
+    /// tabulates its requirement for.
+    max_size: u32,
+    /// One past the largest value id ever indexed: the length the probe
+    /// scratch needs.
+    id_bound: usize,
 }
 
 impl GramIndex {
@@ -104,23 +174,27 @@ impl GramIndex {
         Self::default()
     }
 
-    /// Bucket map of an interned gram handle, growing the arena on
-    /// first touch.
-    fn buckets_mut(&mut self, gid: u32) -> &mut BTreeMap<u32, Postings> {
-        let gid = gid as usize;
-        if gid >= self.postings.len() {
-            self.postings.resize_with(gid + 1, BTreeMap::new);
+    /// Post `id` under each of `grams`, at size `grams.len()`.
+    fn post(&mut self, id: u32, grams: &[u32]) {
+        let size = size_key(grams);
+        self.max_size = self.max_size.max(size);
+        self.id_bound = self.id_bound.max(id as usize + 1);
+        if let Some(&top) = grams.iter().max() {
+            if top as usize >= self.postings.len() {
+                self.postings.resize_with(top as usize + 1, BlockList::new);
+                self.df.resize(top as usize + 1, 0);
+            }
         }
-        &mut self.postings[gid]
-    }
-
-    fn buckets(&self, gram: &str) -> Option<&BTreeMap<u32, Postings>> {
-        self.grams.get(gram).map(|gid| &self.postings[gid as usize])
+        for &g in grams {
+            if self.postings[g as usize].insert(key(size, id)) {
+                self.df[g as usize] += 1;
+            }
+        }
     }
 
     /// Index one value's deduplicated grams; the value's size key is
     /// `grams.len()`. Inserting a live id is rejected with `false`.
-    pub fn insert(&mut self, id: u32, grams: &[String]) -> bool {
+    pub fn insert(&mut self, id: u32, grams: &[u32]) -> bool {
         if self.live.contains(&id) {
             return false;
         }
@@ -129,19 +203,11 @@ impl GramIndex {
             // postings; purge them first.
             self.compact();
         }
-        debug_assert!(
-            grams.windows(2).all(|w| w[0] != w[1] || w[0].is_empty()),
-            "grams must be deduplicated"
-        );
-        let size = grams.len() as u32;
         self.live.insert(id);
-        if size == 0 {
+        if grams.is_empty() {
             self.gramless.insert(id);
         }
-        for g in grams {
-            let gid = self.grams.intern(g);
-            self.buckets_mut(gid).entry(size).or_default().insert(id);
-        }
+        self.post(id, grams);
         true
     }
 
@@ -159,51 +225,42 @@ impl GramIndex {
 
     /// Replace a live value's grams: old entries are surgically removed
     /// (the caller supplies the old grams — the index stores no values),
-    /// new ones inserted, and the id moves to its new size bucket.
-    /// Returns `false` (and does nothing) if `id` is not live.
-    pub fn replace(&mut self, id: u32, old_grams: &[String], new_grams: &[String]) -> bool {
+    /// new ones inserted under the new size. Returns `false` (and does
+    /// nothing) if `id` is not live.
+    pub fn replace(&mut self, id: u32, old_grams: &[u32], new_grams: &[u32]) -> bool {
         if !self.live.contains(&id) {
             return false;
         }
-        let old_size = old_grams.len() as u32;
-        for g in old_grams {
-            if let Some(gid) = self.grams.get(g) {
-                let buckets = &mut self.postings[gid as usize];
-                if let Some(list) = buckets.get_mut(&old_size) {
-                    list.remove(id);
-                    if list.is_empty() {
-                        buckets.remove(&old_size);
-                    }
-                }
+        let old_key = key(size_key(old_grams), id);
+        for &g in old_grams {
+            // A gram the index has never seen (a caller's "unknown"
+            // sentinel) has nothing to remove.
+            if self
+                .postings
+                .get_mut(g as usize)
+                .is_some_and(|list| list.remove(old_key))
+            {
+                self.df[g as usize] -= 1;
             }
         }
-        let new_size = new_grams.len() as u32;
-        if new_size == 0 {
+        if new_grams.is_empty() {
             self.gramless.insert(id);
         } else {
             self.gramless.remove(&id);
         }
-        for g in new_grams {
-            let gid = self.grams.intern(g);
-            self.buckets_mut(gid)
-                .entry(new_size)
-                .or_default()
-                .insert(id);
-        }
+        self.post(id, new_grams);
         true
     }
 
-    /// Sweep tombstoned ids out of every posting bucket now.
+    /// Sweep tombstoned ids out of every posting list now.
     pub fn compact(&mut self) {
         if self.tombstones.is_empty() {
             return;
         }
         let dead = std::mem::take(&mut self.tombstones);
-        for buckets in &mut self.postings {
-            buckets.retain(|_, list| {
-                list.retain(|id| !dead.contains(&id));
-                !list.is_empty()
-            });
+        for (list, df) in self.postings.iter_mut().zip(&mut self.df) {
+            list.retain(|key| !dead.contains(&id_of(key)));
+            *df = list.len() as u32;
         }
     }
 
@@ -235,208 +292,184 @@ impl GramIndex {
         self.live.contains(&id)
     }
 
-    /// Live ids whose values produced no grams (the size-0 bucket) —
-    /// the only possible matches of a gramless query. O(|gramless|):
-    /// the set is maintained incrementally, not scanned out of the live
-    /// population.
-    pub fn gramless_ids(&self) -> FxHashSet<u32> {
-        self.gramless.clone()
+    /// Live ids whose values produced no grams, sorted — the only
+    /// possible matches of a gramless query. O(|gramless|): the set is
+    /// maintained incrementally, not scanned out of the live population.
+    pub fn gramless_ids(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = self.gramless.iter().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// `query_grams` rarest first: by posting count, ties in the
+    /// caller's gram order. Grams the index has never seen have count 0.
+    fn rarest_first(&self, query_grams: &[u32]) -> Vec<u32> {
+        let df = |g: &u32| self.df.get(*g as usize).copied().unwrap_or(0);
+        let mut order = query_grams.to_vec();
+        order.sort_by_key(df);
+        order
     }
 
     /// The prefix-filter probe: union of the posting lists of the `k`
-    /// rarest `query_grams` over all size buckets, tombstones filtered
-    /// out. Rarity is a gram's posting count — unswept tombstone entries
-    /// included (exact after [`GramIndex::compact`]) — and ties keep the
-    /// caller's gram order, so a sorted gram list makes the choice
-    /// deterministic. Grams the index has never seen have frequency 0:
-    /// they are picked first and contribute nothing. `k` is clamped to
-    /// the list length.
-    pub fn rarest_union(&self, query_grams: &[String], k: usize) -> FxHashSet<u32> {
-        let mut by_df: Vec<(usize, Option<&BTreeMap<u32, Postings>>)> = query_grams
-            .iter()
-            .map(|g| {
-                let buckets = self.buckets(g);
-                let df = buckets.map_or(0, |b| b.values().map(Postings::len).sum());
-                (df, buckets)
-            })
-            .collect();
-        by_df.sort_by_key(|&(df, _)| df);
-        let mut out = FxHashSet::default();
-        for (_, buckets) in by_df.into_iter().take(k) {
-            for list in buckets.into_iter().flat_map(BTreeMap::values) {
-                out.extend(list.iter().filter(|id| !self.tombstones.contains(id)));
+    /// rarest `query_grams` over all sizes, tombstones filtered out,
+    /// sorted. Rarity is a gram's posting count — unswept tombstone
+    /// entries included (exact after [`GramIndex::compact`]) — and ties
+    /// keep the caller's gram order, so a deterministically ordered gram
+    /// list makes the choice deterministic. Grams the index has never
+    /// seen have frequency 0: they are picked first and contribute
+    /// nothing. `k` is clamped to the list length.
+    pub fn rarest_union(&self, query_grams: &[u32], k: usize) -> Vec<u32> {
+        let mut out: Vec<u32> = Vec::new();
+        for g in self.rarest_first(query_grams).into_iter().take(k) {
+            if let Some(list) = self.postings.get(g as usize) {
+                out.extend(list.blocks().flatten().map(|&key| id_of(key)));
             }
+        }
+        out.sort_unstable();
+        out.dedup();
+        if !self.tombstones.is_empty() {
+            out.retain(|id| !self.tombstones.contains(id));
         }
         out
     }
 
     /// The ids with gram-set size in `[min_size, max_size]` sharing at
     /// least `min_overlap(size)` grams with `query_grams` — exactly (no
-    /// misses, no extras beyond the count criterion). `query_grams` must
-    /// be duplicate-free; `min_overlap` is evaluated per candidate size
-    /// and is clamped to ≥ 1 (a merged candidate shares a gram by
-    /// construction, and ids sharing none are unreachable anyway).
+    /// misses, no extras beyond the count criterion), sorted.
+    /// `query_grams` must be duplicate-free (ids the index has never
+    /// seen — e.g. one sentinel for every gram missing from the
+    /// caller's dictionary — may repeat: they count toward the query
+    /// size and match nothing); `min_overlap` is evaluated once per
+    /// window size and is clamped to ≥ 1 (a merged candidate shares a
+    /// gram by construction, and ids sharing none are unreachable
+    /// anyway).
     ///
     /// Cost is CPMerge-like: the rarest `n − τ_min + 1` posting lists
-    /// are scanned, the frequent remainder galloped against the sorted
-    /// survivor set, with candidates abandoned as soon as their
-    /// remaining potential drops below the requirement.
+    /// are counted into `scratch`, the frequent remainder galloped
+    /// against the sorted survivor set, with candidates abandoned as
+    /// soon as their remaining potential drops below the requirement.
     pub fn candidates(
         &self,
-        query_grams: &[String],
+        query_grams: &[u32],
         min_size: u32,
         max_size: u32,
         min_overlap: &dyn Fn(u32) -> u32,
-    ) -> FxHashSet<u32> {
+        scratch: &mut ProbeScratch,
+    ) -> Vec<u32> {
         let n = query_grams.len();
-        if n == 0 || min_size > max_size {
-            return FxHashSet::default();
+        // Size 0 has no postings; sizes above `max_size` none either.
+        let (lo, hi) = (min_size.max(1), max_size.min(self.max_size));
+        if n == 0 || lo > hi {
+            return Vec::new();
         }
+        let ProbeScratch {
+            counts,
+            need,
+            survivors,
+        } = scratch;
+        if counts.len() < self.id_bound {
+            counts.resize(self.id_bound, 0);
+        }
+        need.clear();
+        need.extend((lo..=hi).map(|size| min_overlap(size).max(1)));
+        let need = |key: u64| need[(size_of(key) - lo) as usize] as usize;
+        // The loosest requirement any in-window candidate could have
+        // (over every window size: no monotonicity assumed of the bound).
+        let tau_min = (lo..=hi).map(|size| need(key(size, 0))).min();
+        let tau_min = tau_min.expect("lo <= hi");
+        if tau_min > n {
+            return Vec::new(); // nothing can share enough
+        }
+        // Any rarest-first order works (the *result* is
+        // order-independent); this one is deterministic.
+        let order = self.rarest_first(query_grams);
+        let in_window = |g: u32| {
+            let list = self.postings.get(g as usize);
+            list.into_iter()
+                .flat_map(move |list| list.window(key(lo, 0), key(hi, u32::MAX)))
+        };
 
-        // One pass over each gram's in-window buckets computes both the
-        // windowed df (for the rarest-first order) and the loosest
-        // requirement any in-window candidate could have — min_overlap
-        // probed at every distinct bucket size occurring in the window
-        // (avoids monotonicity assumptions on the bound). Each gram is
-        // hashed exactly once here; later phases reuse the resolved
-        // handle and array-index the posting arena.
-        let mut tau_min = u32::MAX;
-        let mut stats: Vec<(usize, &String, u32)> = Vec::with_capacity(n);
-        for g in query_grams {
-            let mut df = 0usize;
-            let mut gid = u32::MAX; // sentinel: gram not in the index
-            if let Some(found) = self.grams.get(g) {
-                gid = found;
-                for (&size, list) in self.postings[found as usize].range(min_size..=max_size) {
-                    df += list.len();
-                    tau_min = tau_min.min(min_overlap(size).max(1));
+        // Phase 1: count the rarest n − τ_min + 1 lists into the dense
+        // array; first touch records the candidate.
+        let seed_lists = n - tau_min + 1;
+        survivors.clear();
+        for &g in &order[..seed_lists] {
+            for &key in in_window(g).flatten() {
+                let count = &mut counts[id_of(key) as usize];
+                if *count == 0 {
+                    survivors.push(key);
                 }
+                *count += 1;
             }
-            stats.push((df, g, gid));
         }
-        if tau_min == u32::MAX || tau_min as usize > n {
-            // No posting in the window, or nothing can share enough.
-            return FxHashSet::default();
-        }
-        // Rarest-first gram order (df ties broken by the gram itself so
-        // the scan order — and with it the work done — is
-        // deterministic; the *result* is order-independent).
-        stats.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        let order: Vec<u32> = stats.into_iter().map(|(_, _, gid)| gid).collect();
 
-        // Phase 1: scan the rarest n − τ_min + 1 lists, seeding
-        // (id, size) → count.
-        let seed_lists = n - tau_min as usize + 1;
-        let mut counts: FxHashMap<u32, (u32, u32)> = FxHashMap::default(); // id → (count, size)
-        for &gid in order.iter().take(seed_lists) {
-            if gid == u32::MAX {
-                continue;
-            }
-            for (&size, list) in self.postings[gid as usize].range(min_size..=max_size) {
-                for id in list.iter() {
-                    if !self.tombstones.contains(&id) {
-                        counts.entry(id).or_insert((0, size)).0 += 1;
-                    }
+        // Abandon — and reset the count of — every candidate that is
+        // dead, then every one that cannot reach its requirement with
+        // the lists left.
+        if !self.tombstones.is_empty() {
+            survivors.retain(|&key| {
+                let dead = self.tombstones.contains(&id_of(key));
+                if dead {
+                    counts[id_of(key) as usize] = 0;
                 }
-            }
+                !dead
+            });
         }
+        let abandon = |survivors: &mut Vec<u64>, counts: &mut [u32], left: usize| {
+            survivors.retain(|&key| {
+                let count = &mut counts[id_of(key) as usize];
+                let keep = *count as usize + left >= need(key);
+                if !keep {
+                    *count = 0;
+                }
+                keep
+            });
+        };
+        abandon(survivors, counts, n - seed_lists);
 
-        // Phase 2: gallop the frequent remainder against the sorted
-        // survivor set, abandoning candidates that can no longer reach
-        // their requirement. A live id occupies exactly one size bucket
-        // per gram, so each list bumps a survivor at most once.
-        let mut survivors: Vec<(u32, u32, u32)> = counts
-            .into_iter()
-            .map(|(id, (count, size))| (id, count, size))
-            .collect();
-        survivors.sort_unstable_by_key(|&(id, _, _)| id);
-        for (i, &gid) in order.iter().enumerate().skip(seed_lists) {
+        // Phase 2: gallop the frequent remainder against the survivors,
+        // sorted the way the postings are. A live id has one key per
+        // gram, so each list bumps a survivor at most once.
+        survivors.sort_unstable();
+        for (i, &g) in order.iter().enumerate().skip(seed_lists) {
             if survivors.is_empty() {
                 break;
             }
-            if gid != u32::MAX {
-                for (_, list) in self.postings[gid as usize].range(min_size..=max_size) {
-                    bump_common(&mut survivors, list);
-                }
+            if let Some(list) = self.postings.get(g as usize) {
+                list.for_each_common(survivors, |key| counts[id_of(key) as usize] += 1);
             }
-            let left_after = (n - 1 - i) as u32; // grams still unprobed after this one
-            survivors.retain(|&(_, count, size)| count + left_after >= min_overlap(size).max(1));
+            abandon(survivors, counts, n - 1 - i); // n − 1 − i grams still unprobed
         }
 
-        survivors
-            .into_iter()
-            .filter(|(_, count, size)| *count >= min_overlap(*size).max(1))
-            .map(|(id, _, _)| id)
-            .collect()
+        // Whoever is left reached its requirement with nothing unprobed.
+        let mut out: Vec<u32> = survivors.iter().map(|&key| id_of(key)).collect();
+        for &id in &out {
+            counts[id as usize] = 0;
+        }
+        out.sort_unstable();
+        out
     }
 
-    /// Merge in an index built from another input shard. Per-bucket
-    /// posting lists stay id-sorted, so the merged index is
-    /// observationally identical to a sequential build over the
-    /// concatenated input; gram handles are remapped through their
-    /// strings (shard interners assign handles independently). Both
-    /// indexes must be tombstone-free (freshly built).
+    /// Merge in an index built from another input shard over the same
+    /// gram dictionary. Posting lists stay sorted, so the merged index
+    /// is observationally identical to a sequential build over the
+    /// concatenated input (shards that each hold one range of
+    /// `(size, id)` merge by appending). Both indexes must be
+    /// tombstone-free (freshly built).
     pub fn absorb(&mut self, other: GramIndex) {
         debug_assert!(self.tombstones.is_empty() && other.tombstones.is_empty());
-        let GramIndex {
-            grams,
-            postings,
-            live,
-            gramless,
-            ..
-        } = other;
-        self.live.extend(live);
-        self.gramless.extend(gramless);
-        for (ogid, buckets) in postings.into_iter().enumerate() {
-            if buckets.is_empty() {
-                continue;
-            }
-            let gram = grams
-                .resolve(ogid as u32)
-                .expect("posting arena tracks the interner");
-            let gid = self.grams.intern(gram);
-            let mine = self.buckets_mut(gid);
-            for (size, list) in buckets {
-                match mine.entry(size) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(list);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        e.get_mut().merge(list);
-                    }
-                }
-            }
+        self.live.extend(other.live);
+        self.gramless.extend(other.gramless);
+        self.max_size = self.max_size.max(other.max_size);
+        self.id_bound = self.id_bound.max(other.id_bound);
+        if self.postings.len() < other.postings.len() {
+            self.postings
+                .resize_with(other.postings.len(), BlockList::new);
+            self.df.resize(other.postings.len(), 0);
         }
-    }
-}
-
-/// Bump the count of every survivor whose id appears in `list`,
-/// galloping through the longer side. `survivors` must be id-sorted;
-/// order is preserved.
-fn bump_common(survivors: &mut [(u32, u32, u32)], list: &Postings) {
-    let ids = list.ids();
-    if survivors.is_empty() || ids.is_empty() {
-        return;
-    }
-    if survivors.len() <= ids.len() {
-        // Few survivors: gallop through the posting list.
-        let mut j = 0usize;
-        for s in survivors.iter_mut() {
-            j += gallop_lower_bound(&ids[j..], s.0);
-            if j >= ids.len() {
-                break;
-            }
-            if ids[j] == s.0 {
-                s.1 += 1;
-                j += 1;
-            }
-        }
-    } else {
-        // Short list: binary-probe the survivor set per id.
-        for &id in ids {
-            if let Ok(pos) = survivors.binary_search_by_key(&id, |s| s.0) {
-                survivors[pos].1 += 1;
-            }
+        for (g, theirs) in other.postings.into_iter().enumerate() {
+            self.postings[g].merge(theirs);
+            self.df[g] = self.postings[g].len() as u32;
         }
     }
 }
@@ -444,14 +477,22 @@ fn bump_common(survivors: &mut [(u32, u32, u32)], list: &Postings) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interner::StringInterner;
 
-    /// Word-gram tokenizer for tests (sorted, deduplicated); the real
-    /// trigram / tagged q-gram tokenizers live upstream in moma-core.
-    pub(super) fn grams(s: &str) -> Vec<String> {
-        let mut v: Vec<String> = s.split_whitespace().map(str::to_owned).collect();
-        v.sort();
-        v.dedup();
-        v
+    thread_local! {
+        /// The tests' gram dictionary: one id per distinct word.
+        static WORDS: std::cell::RefCell<StringInterner> = Default::default();
+    }
+
+    /// Word-gram tokenizer for tests: the ids of the distinct words of
+    /// `s`, in word order (so "the caller's gram order" is alphabetic);
+    /// the real trigram / tagged q-gram tokenizers live upstream in
+    /// moma-simstring.
+    pub(super) fn grams(s: &str) -> Vec<u32> {
+        let mut words: Vec<&str> = s.split_whitespace().collect();
+        words.sort_unstable();
+        words.dedup();
+        WORDS.with_borrow_mut(|dict| words.into_iter().map(|w| dict.intern(w)).collect())
     }
 
     fn sample() -> GramIndex {
@@ -464,17 +505,26 @@ mod tests {
         idx
     }
 
-    fn ids(ids: impl IntoIterator<Item = u32>) -> FxHashSet<u32> {
-        ids.into_iter().collect()
+    /// T-occurrence probe on a fresh scratch, which it must leave clean.
+    fn candidates(
+        idx: &GramIndex,
+        q: &[u32],
+        (lo, hi): (u32, u32),
+        req: &dyn Fn(u32) -> u32,
+    ) -> Vec<u32> {
+        let mut scratch = ProbeScratch::default();
+        let got = idx.candidates(q, lo, hi, req, &mut scratch);
+        assert!(scratch.is_clean());
+        got
     }
 
     /// T-occurrence probe requiring `tau` shared grams at any size.
-    fn probe(idx: &GramIndex, q: &str, tau: u32) -> FxHashSet<u32> {
-        idx.candidates(&grams(q), 0, u32::MAX, &|_| tau)
+    fn probe(idx: &GramIndex, q: &str, tau: u32) -> Vec<u32> {
+        candidates(idx, &grams(q), (0, u32::MAX), &|_| tau)
     }
 
     /// Prefix probe over every query gram: all ids sharing any of them.
-    fn union(idx: &GramIndex, q: &str) -> FxHashSet<u32> {
+    fn union(idx: &GramIndex, q: &str) -> Vec<u32> {
         let g = grams(q);
         idx.rarest_union(&g, g.len())
     }
@@ -483,10 +533,10 @@ mod tests {
     fn basic_count_filtering() {
         let idx = sample();
         // Share >= 1 gram with "data cleaning": ids 0, 2, 4.
-        assert_eq!(probe(&idx, "data cleaning", 1), ids([0, 2, 4]));
-        assert_eq!(union(&idx, "data cleaning"), ids([0, 2, 4]));
+        assert_eq!(probe(&idx, "data cleaning", 1), [0, 2, 4]);
+        assert_eq!(union(&idx, "data cleaning"), [0, 2, 4]);
         // Share >= 2 grams: ids 0 and 2 only.
-        assert_eq!(probe(&idx, "data cleaning", 2), ids([0, 2]));
+        assert_eq!(probe(&idx, "data cleaning", 2), [0, 2]);
         // Nothing shares 3 grams with a 2-gram query.
         assert!(probe(&idx, "data cleaning", 3).is_empty());
     }
@@ -496,11 +546,11 @@ mod tests {
         let idx = sample();
         let q = grams("data cleaning fuzzy match");
         // Only size-4 values considered: id 2.
-        assert_eq!(idx.candidates(&q, 4, 4, &|_| 1), ids([2]));
+        assert_eq!(candidates(&idx, &q, (4, 4), &|_| 1), [2]);
         // Only size-1 values: id 4.
-        assert_eq!(idx.candidates(&q, 1, 1, &|_| 1), ids([4]));
+        assert_eq!(candidates(&idx, &q, (1, 1), &|_| 1), [4]);
         // Empty window.
-        assert!(idx.candidates(&q, 5, 4, &|_| 1).is_empty());
+        assert!(candidates(&idx, &q, (5, 4), &|_| 1).is_empty());
     }
 
     #[test]
@@ -510,19 +560,33 @@ mod tests {
         // Require full containment: size-s candidates must share s grams.
         // id 0 {data,cleaning,system} ⊆ q; id 2 {fuzzy,match,data,cleaning} ⊆ q;
         // id 4 {data} ⊆ q; id 1 shares nothing.
-        assert_eq!(idx.candidates(&q, 1, u32::MAX, &|s| s), ids([0, 2, 4]));
+        assert_eq!(candidates(&idx, &q, (1, u32::MAX), &|s| s), [0, 2, 4]);
     }
 
     #[test]
     fn rarest_union_respects_k() {
         let idx = sample();
         // k = 1 probes only the rarest gram ("cupid", df 1 vs "data", df 3).
-        assert_eq!(idx.rarest_union(&grams("cupid data"), 1), ids([1]));
+        assert_eq!(idx.rarest_union(&grams("cupid data"), 1), [1]);
         // A df tie keeps the caller's gram order: "cupid" before "system".
-        assert_eq!(idx.rarest_union(&grams("cupid system"), 1), ids([1]));
+        assert_eq!(idx.rarest_union(&grams("cupid system"), 1), [1]);
         // Unknown grams have df 0: picked first, contributing nothing.
         assert!(idx.rarest_union(&grams("data zzz"), 1).is_empty());
-        assert_eq!(idx.rarest_union(&grams("data zzz"), 9), ids([0, 2, 4]));
+        assert_eq!(idx.rarest_union(&grams("data zzz"), 9), [0, 2, 4]);
+    }
+
+    #[test]
+    fn grams_missing_from_the_dictionary_count_but_match_nothing() {
+        let idx = sample();
+        // A read-only tokenizer maps every gram its dictionary lacks to
+        // one sentinel: it may repeat, enlarges the query, posts nothing.
+        let mut q = grams("data cleaning");
+        q.extend([u32::MAX, u32::MAX]);
+        assert_eq!(candidates(&idx, &q, (0, u32::MAX), &|_| 2), [0, 2]);
+        assert!(candidates(&idx, &q, (0, u32::MAX), &|_| 3).is_empty());
+        // Two df-0 picks use up k = 2; the third pick reaches "cleaning".
+        assert!(idx.rarest_union(&q, 2).is_empty());
+        assert_eq!(idx.rarest_union(&q, 3), [0, 2]);
     }
 
     #[test]
@@ -530,7 +594,7 @@ mod tests {
         let idx = sample();
         assert!(probe(&idx, "", 1).is_empty());
         assert!(union(&idx, "").is_empty());
-        assert_eq!(idx.gramless_ids(), ids([3]));
+        assert_eq!(idx.gramless_ids(), [3]);
         assert_eq!(idx.len(), 5);
         assert!(idx.is_live(3) && !idx.is_empty());
         // Gramless values are never merged from postings.
@@ -555,13 +619,13 @@ mod tests {
         assert_eq!(idx.tombstone_count(), 1);
         assert!(!idx.is_live(0));
         // Probes never return the dead id…
-        assert_eq!(probe(&idx, "data cleaning", 1), ids([2, 4]));
-        assert_eq!(union(&idx, "data cleaning"), ids([2, 4]));
+        assert_eq!(probe(&idx, "data cleaning", 1), [2, 4]);
+        assert_eq!(union(&idx, "data cleaning"), [2, 4]);
         // …before or after the sweep.
         idx.compact();
         assert_eq!(idx.tombstone_count(), 0);
-        assert_eq!(probe(&idx, "data cleaning", 1), ids([2, 4]));
-        assert_eq!(union(&idx, "data cleaning"), ids([2, 4]));
+        assert_eq!(probe(&idx, "data cleaning", 1), [2, 4]);
+        assert_eq!(union(&idx, "data cleaning"), [2, 4]);
         // Removing a gramless value drops it from the gramless set.
         assert!(idx.remove(3));
         assert!(idx.gramless_ids().is_empty());
@@ -572,16 +636,16 @@ mod tests {
         let mut idx = sample();
         // id 4 grows from size 1 to size 3.
         assert!(idx.replace(4, &grams("data"), &grams("entity resolution survey")));
-        assert!(idx.candidates(&grams("data"), 1, 1, &|_| 1).is_empty());
-        let c = idx.candidates(&grams("entity resolution"), 3, 3, &|_| 2);
-        assert_eq!(c, ids([4]));
-        assert_eq!(union(&idx, "data"), ids([0, 2]));
+        assert!(candidates(&idx, &grams("data"), (1, 1), &|_| 1).is_empty());
+        let c = candidates(&idx, &grams("entity resolution"), (3, 3), &|_| 2);
+        assert_eq!(c, [4]);
+        assert_eq!(union(&idx, "data"), [0, 2]);
         // Replace to gramless and back.
         assert!(idx.replace(4, &grams("entity resolution survey"), &grams("")));
         assert!(idx.gramless_ids().contains(&4));
         assert!(union(&idx, "entity resolution").is_empty());
         assert!(idx.replace(4, &grams(""), &grams("back again")));
-        assert_eq!(idx.gramless_ids(), ids([3]));
+        assert_eq!(idx.gramless_ids(), [3]);
         assert!(probe(&idx, "back", 1).contains(&4));
         assert_eq!(idx.len(), 5);
         // Non-live id: no-op.
@@ -631,13 +695,27 @@ mod tests {
         idx.insert(0, &grams("a b c d e f g h")); // shares 8
         idx.insert(1, &grams("a b c d x1 x2 x3 x4")); // shares 4
         idx.insert(2, &grams("a y1 y2 y3 y4 y5 y6 y7")); // shares 1
-        let q = grams("a b c d e f g h");
         for tau in 1..=8u32 {
-            let c = idx.candidates(&q, 0, u32::MAX, &|_| tau);
+            let c = probe(&idx, "a b c d e f g h", tau);
             assert_eq!(c.contains(&0), tau <= 8, "tau={tau}");
             assert_eq!(c.contains(&1), tau <= 4, "tau={tau}");
             assert_eq!(c.contains(&2), tau <= 1, "tau={tau}");
         }
+    }
+
+    #[test]
+    fn counts_do_not_wrap_on_a_value_with_many_grams() {
+        // 70 000 shared grams overflow a 16-bit counter; with the exact
+        // requirement `size` a wrapped count would miss the value.
+        let big: Vec<u32> = (0..70_000).collect();
+        let mut idx = GramIndex::new();
+        idx.insert(7, &big);
+        idx.insert(8, &big[..69_999]);
+        assert_eq!(candidates(&idx, &big, (0, u32::MAX), &|size| size), [7, 8]);
+        assert_eq!(
+            candidates(&idx, &big, (70_000, u32::MAX), &|size| size),
+            [7]
+        );
     }
 }
 
@@ -647,27 +725,37 @@ mod tests {
 /// after every single step.
 #[cfg(test)]
 mod model_tests {
-    use super::tests::grams;
     use super::*;
     use proptest::prelude::*;
 
-    type Model = std::collections::BTreeMap<u32, Vec<String>>;
+    type Model = std::collections::BTreeMap<u32, Vec<u32>>;
 
-    /// Up to seven word grams over a five-letter alphabet; may be empty
-    /// (a gramless value or query).
+    /// Up to seven grams over a five-letter alphabet, as sorted
+    /// duplicate-free gram ids; may be empty (a gramless value or
+    /// query).
     const GRAMS: &str = "([a-e]( [a-e]){0,6})?";
 
-    fn overlap(a: &[String], b: &[String]) -> u32 {
+    fn grams(text: &str) -> Vec<u32> {
+        let mut ids: Vec<u32> = text
+            .split_whitespace()
+            .map(|w| u32::from(w.as_bytes()[0] - b'a'))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    fn overlap(a: &[u32], b: &[u32]) -> u32 {
         a.iter().filter(|g| b.contains(g)).count() as u32
     }
 
     /// T-occurrence by definition: count overlaps inside the window.
     fn brute_candidates(
         model: &Model,
-        q: &[String],
+        q: &[u32],
         (lo, hi): (u32, u32),
         req: &dyn Fn(u32) -> u32,
-    ) -> FxHashSet<u32> {
+    ) -> Vec<u32> {
         model
             .iter()
             .filter(|(_, g)| {
@@ -680,15 +768,15 @@ mod model_tests {
 
     /// Prefix probe by definition: the `k` grams of smallest df (ties in
     /// gram order), df counting live values *and* unswept removed ones.
-    fn brute_rarest_union(model: &Model, dead: &Model, q: &[String], k: usize) -> FxHashSet<u32> {
-        let df = |g: &String| {
+    fn brute_rarest_union(model: &Model, dead: &Model, q: &[u32], k: usize) -> Vec<u32> {
+        let df = |g: &u32| {
             model
                 .values()
                 .chain(dead.values())
                 .filter(|v| v.contains(g))
                 .count()
         };
-        let mut picked: Vec<&String> = q.iter().collect();
+        let mut picked: Vec<&u32> = q.iter().collect();
         picked.sort_by_key(|g| df(g)); // stable
         picked.truncate(k);
         model
@@ -698,7 +786,7 @@ mod model_tests {
             .collect()
     }
 
-    fn build<'a>(values: impl IntoIterator<Item = (&'a u32, &'a Vec<String>)>) -> GramIndex {
+    fn build<'a>(values: impl IntoIterator<Item = (&'a u32, &'a Vec<u32>)>) -> GramIndex {
         let mut idx = GramIndex::new();
         for (id, g) in values {
             assert!(idx.insert(*id, g));
@@ -707,11 +795,13 @@ mod model_tests {
     }
 
     proptest! {
-        /// Random interleavings of insert / remove / replace / compact —
-        /// re-insert after remove and automatic sweeps included.
+        /// Random interleavings of insert / remove / replace / compact /
+        /// absorb — re-insert after remove and automatic sweeps included.
+        /// Every probe of the driven index runs on one long-lived
+        /// scratch, every reference probe on a fresh one.
         #[test]
         fn maintenance_matches_model_and_rebuild(
-            ops in prop::collection::vec((0u8..20, 0u32..128, GRAMS), 1..240),
+            ops in prop::collection::vec((0u8..21, 0u32..128, GRAMS), 1..240),
             queries in prop::collection::vec(GRAMS, 1..4),
             window in (0u32..4, 0u32..8),
             tau in 1u32..4,
@@ -721,6 +811,7 @@ mod model_tests {
             let mut model = Model::new();
             // Removed values whose posting entries are not swept yet.
             let mut dead = Model::new();
+            let mut scratch = ProbeScratch::default();
             let window = (window.0, window.0 + window.1);
             // Per-size requirement: at least `tau`, at least half the size.
             let req = |size: u32| tau.max(size / 2);
@@ -753,7 +844,20 @@ mod model_tests {
                             model.insert(id, new);
                         }
                     }
-                    _ => idx.compact(),
+                    19 => idx.compact(),
+                    _ => {
+                        // Absorb a freshly built shard of ids the index
+                        // has never held (both sides tombstone-free).
+                        idx.compact();
+                        let mut shard = GramIndex::new();
+                        for id in 200 + pick..203 + pick {
+                            if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(id) {
+                                shard.insert(id, &new);
+                                slot.insert(new.clone());
+                            }
+                        }
+                        idx.absorb(shard);
+                    }
                 }
                 // A sweep is all-or-nothing, so the count tells which
                 // removed values still sit in the postings.
@@ -763,15 +867,22 @@ mod model_tests {
                 prop_assert_eq!(idx.tombstone_count(), dead.len());
                 prop_assert_eq!(idx.len(), model.len());
                 prop_assert_eq!(idx.is_live(id), model.contains_key(&id));
-                let gramless: FxHashSet<u32> =
+                let gramless: Vec<u32> =
                     model.iter().filter(|(_, g)| g.is_empty()).map(|(&id, _)| id).collect();
                 prop_assert_eq!(idx.gramless_ids(), gramless);
 
                 let fresh = build(&model);
                 for q in queries.iter().map(|q| grams(q)) {
-                    let got = idx.candidates(&q, window.0, window.1, &req);
+                    let got = idx.candidates(&q, window.0, window.1, &req, &mut scratch);
+                    prop_assert!(scratch.is_clean());
                     prop_assert_eq!(&got, &brute_candidates(&model, &q, window, &req));
-                    prop_assert_eq!(&got, &fresh.candidates(&q, window.0, window.1, &req));
+                    let rebuilt = fresh.candidates(
+                        &q, window.0, window.1, &req, &mut ProbeScratch::default(),
+                    );
+                    prop_assert_eq!(&got, &rebuilt);
+                    // The used scratch answers like a fresh one.
+                    let again = idx.candidates(&q, window.0, window.1, &req, &mut scratch);
+                    prop_assert_eq!(&got, &again);
 
                     let got = idx.rarest_union(&q, k);
                     prop_assert_eq!(&got, &brute_rarest_union(&model, &dead, &q, k));
@@ -812,9 +923,10 @@ mod model_tests {
             prop_assert_eq!(merged.len(), seq.len());
             prop_assert_eq!(merged.gramless_ids(), seq.gramless_ids());
             let q = grams(&query);
+            let mut scratch = ProbeScratch::default();
             prop_assert_eq!(
-                merged.candidates(&q, 0, u32::MAX, &|_| tau),
-                seq.candidates(&q, 0, u32::MAX, &|_| tau)
+                merged.candidates(&q, 0, u32::MAX, &|_| tau, &mut scratch),
+                seq.candidates(&q, 0, u32::MAX, &|_| tau, &mut scratch)
             );
             for k in 0..=q.len() {
                 prop_assert_eq!(merged.rarest_union(&q, k), seq.rarest_union(&q, k));
@@ -835,7 +947,9 @@ mod model_tests {
             let window = (window.0, window.0 + window.1);
             let q = grams(&query);
             prop_assert_eq!(
-                build(&model).candidates(&q, window.0, window.1, &|_| tau),
+                build(&model).candidates(
+                    &q, window.0, window.1, &|_| tau, &mut ProbeScratch::default(),
+                ),
                 brute_candidates(&model, &q, window, &|_| tau)
             );
         }

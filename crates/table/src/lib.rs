@@ -49,10 +49,10 @@ pub mod stats;
 pub mod tsv;
 
 pub use exec::Parallelism;
-pub use gram_index::GramIndex;
+pub use gram_index::{GramIndex, ProbeScratch};
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::Adjacency;
 pub use interner::StringInterner;
 pub use mapping_table::{Correspondence, MappingTable};
-pub use postings::Postings;
+pub use postings::{BlockList, Postings};
 pub use stats::TableStats;
