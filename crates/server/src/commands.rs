@@ -13,15 +13,16 @@
 //! command tables in the [`crate::protocol`] docs and the README.
 //!
 //! Adding an endpoint is therefore one row here (with its [`Cmd`]
-//! variant), its handler on [`State`] with its arm in
-//! [the dispatch](crate::state) — shell → machine → handler; the
-//! [`Engine`] shell names a command only when it does I/O — its request
-//! builder in [`crate::protocol`], and a test; a read routed
-//! [`Route::ByMapping`] or [`Route::ShardZero`] needs nothing in
+//! variant), its handler with its arm in the one dispatch of its kind —
+//! a write's on [`State`] ([the dispatch](crate::state)), a read's on
+//! [`ReadView`]; the [`Engine`] shell names a command only when it does
+//! I/O — its request builder in [`crate::protocol`], and a test; a read
+//! routed [`Route::ByMapping`] or [`Route::ShardZero`] needs nothing in
 //! `server.rs`.
 //!
 //! [`Engine`]: crate::engine::Engine
 //! [`State`]: crate::state::State
+//! [`ReadView`]: crate::view::ReadView
 
 use crate::json::Json;
 
@@ -49,15 +50,16 @@ pub enum Cmd {
 /// logged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
-    /// Runs under a shard's read lock against a repository snapshot;
-    /// never logged.
+    /// Answered from the shard's published
+    /// [read view](crate::view::ReadView); takes no engine lock, so it
+    /// never waits for a writer. Never logged.
     Read,
     /// Mutates engine state: appended to the WAL (fsync'd) before it
     /// is applied under the write lock, and re-applied by replay.
     LoggedWrite,
     /// Serialized with writers through the write lock but not logged —
-    /// it changes the disk layout (or injects a fault), not the
-    /// logical state.
+    /// it changes the disk layout, writes files from the full state
+    /// (`dump`) or injects a fault, not the logical state.
     UnloggedWrite,
     /// Answered by the server itself; holds no engine lock.
     Coordinator,
@@ -159,7 +161,7 @@ pub const COMMANDS: &[Command] = &[
         "publish an atomic state checkpoint, prune covered WAL segments"),
     row(Cmd::Stats, "stats", Class::Read, Route::Scatter, Visibility::Wire,
         "server/engine counters (per-shard + aggregate when sharded)"),
-    row(Cmd::Dump, "dump", Class::Read, Route::Scatter, Visibility::Wire,
+    row(Cmd::Dump, "dump", Class::UnloggedWrite, Route::Scatter, Visibility::Wire,
         "persist repository + manifest to a directory"),
     row(Cmd::Shutdown, "shutdown", Class::Coordinator, Route::Unrouted, Visibility::Wire,
         "stop the server after responding"),
@@ -230,6 +232,29 @@ impl Command {
         get: impl FnOnce(&'r Json) -> Option<T>,
     ) -> Result<T, String> {
         req.need(format_args!("{} request", self.name), name, get)
+    }
+
+    /// An optional field of a request for this command: `None` when
+    /// absent, an error naming the field and what it must be when
+    /// present but not readable through `get` (a default stands in for
+    /// a missing value, never for a malformed one).
+    pub fn optional<'r, T>(
+        &self,
+        req: &'r Json,
+        name: &str,
+        expected: &str,
+        get: impl FnOnce(&'r Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let Some(value) = req.get(name) else {
+            return Ok(None);
+        };
+        let wrong = || {
+            format!(
+                "{} request `{name}` must be {expected}, got {value}",
+                self.name
+            )
+        };
+        get(value).map(Some).ok_or_else(wrong)
     }
 
     /// [`Command::field`] for an array field.

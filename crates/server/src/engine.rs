@@ -5,9 +5,10 @@
 //! I/O — the [`Wal`], the checkpoint chain, `dump`'s files, the
 //! operator warnings — and nothing of the logical state, which is a
 //! [`State`]: a logged command is appended to the log and then handed
-//! to [`State::apply`]; a read goes straight to [`State::read`]; a
-//! checkpoint is [`State::image`] published next to the log and
-//! recovery is [`State::restore`] plus `apply` of the log's suffix.
+//! to [`State::apply`]; a checkpoint is [`State::image`] published next
+//! to the log and recovery is [`State::restore`] plus `apply` of the
+//! log's suffix. A read is answered from the [`ReadView`] the engine
+//! published last.
 //!
 //! ## Durability contract
 //!
@@ -24,15 +25,19 @@
 //!
 //! The engine itself is single-writer: the server wraps it in an
 //! `RwLock` and routes mutating commands through the write lock, so WAL
-//! order equals apply order. Read commands (`query`, `stats`, `dump`)
-//! go through the read lock and start from
-//! [`MappingRepository::snapshot`], which captures every entry (mapping
-//! `Arc` + version stamp) under one lock acquisition — a reader sees a
-//! consistent point-in-time image and is never exposed to a
-//! half-applied delta (see `tests/snapshot_isolation.rs`).
+//! order equals apply order. At the end of every write — a logged
+//! command, a batch, a checkpoint, attaching a WAL or recovering one —
+//! and still under that lock, the engine publishes a new [`ReadView`]
+//! into its [`ViewSlot`], which the shard router shares. Read commands
+//! (`ping`, `query`, `batch_query`, `stats`) answer from the current
+//! view and take no engine lock at all: a reader sees one consistent,
+//! acknowledged point in time and never waits for a WAL fsync, a delta
+//! apply or a checkpoint (see [`crate::view`] and
+//! `tests/snapshot_isolation.rs`).
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use moma_core::exec::Parallelism;
@@ -45,6 +50,7 @@ use crate::commands::{self, Cmd, Command};
 use crate::json::Json;
 use crate::protocol::{err_response, respond};
 use crate::state::State;
+use crate::view::{ReadView, ViewSlot, WalPosition};
 use crate::wal::{RotationPolicy, Wal};
 
 /// Minimum spacing between repeated full-re-match warnings for the same
@@ -115,22 +121,30 @@ pub struct Engine {
     /// Last WAL seq covered by a published checkpoint (0 = none).
     checkpoint_seq: u64,
     records_since_checkpoint: u64,
+    /// Successful [`Engine::run_auto_checkpoint`]s (not durable).
+    auto_checkpoints: u64,
     last_warn: BTreeMap<String, Instant>,
     warnings_suppressed: u64,
+    /// Where the view of the last write is published.
+    views: Arc<ViewSlot>,
 }
 
 impl Engine {
     /// Engine over a registry, without a WAL (embedded/test use; attach
     /// one with [`Engine::wal_create`] / [`Engine::recover`]).
     pub fn new(registry: SourceRegistry, par: Parallelism) -> Engine {
+        let machine = State::new(registry, par);
+        let view = ReadView::build(&machine, None, None, 0);
         Engine {
-            machine: State::new(registry, par),
+            machine,
             wal: None,
             policy: DurabilityPolicy::default(),
             checkpoint_seq: 0,
             records_since_checkpoint: 0,
+            auto_checkpoints: 0,
             last_warn: BTreeMap::new(),
             warnings_suppressed: 0,
+            views: Arc::new(ViewSlot::new(view)),
         }
     }
 
@@ -148,11 +162,15 @@ impl Engine {
         Ok(())
     }
 
+    /// Attach `wal` and publish a view built afresh: after a recovery
+    /// the arenas are the restored ones, not an extension of the last
+    /// view's.
     fn attach(&mut self, wal: Wal, policy: DurabilityPolicy, checkpoint_seq: u64, since: u64) {
         self.wal = Some(wal);
         self.policy = policy;
         self.checkpoint_seq = checkpoint_seq;
         self.records_since_checkpoint = since;
+        self.views.store(self.view_of(None));
     }
 
     /// Recover from a WAL directory and attach it: restore the newest
@@ -244,32 +262,56 @@ impl Engine {
 
     /// Execute a command: a logged write is appended to the WAL
     /// (fsync'd), then applied to the state machine; `checkpoint` and
-    /// `batch_delta` are this shell's own. Read-only commands are
-    /// delegated to [`Engine::execute_read`] for embedded convenience.
+    /// `batch_delta` are this shell's own. Each of them ends by
+    /// publishing a new view, refused or not (a refusal may still have
+    /// moved the counters or the WAL). Everything else is delegated to
+    /// [`Engine::execute_read`] for embedded convenience.
     pub fn execute(&mut self, req: &Json) -> Json {
         let command = match commands::of_request(req) {
             Ok(command) => command,
             Err(e) => return err_response(&e),
         };
-        match command.cmd {
+        let reply = match command.cmd {
             Cmd::Checkpoint => respond(self.checkpoint()),
             Cmd::BatchDelta => respond(self.batch_delta(command, req)),
             _ if command.class.is_logged() => match self.log(std::slice::from_ref(req)) {
                 Ok(seq) => self.apply(req, seq),
                 Err(e) => err_response(&e),
             },
-            _ => self.execute_read(req),
+            _ => return self.execute_read(req),
+        };
+        self.publish();
+        reply
+    }
+
+    /// Execute a command that changes no state: `dump` writes the
+    /// current state's files; the read commands answer from the
+    /// published view, as they do on the server.
+    pub fn execute_read(&self, req: &Json) -> Json {
+        match commands::of_request(req) {
+            Ok(command) if command.cmd == Cmd::Dump => respond(self.dump(command, req)),
+            Ok(command) => self.view().answer(command, req),
+            Err(e) => err_response(&e),
         }
     }
 
-    /// Execute a read-only command against the current state.
-    pub fn execute_read(&self, req: &Json) -> Json {
-        match commands::of_request(req) {
-            Ok(command) if command.cmd == Cmd::Stats => self.stats(),
-            Ok(command) if command.cmd == Cmd::Dump => respond(self.dump(command, req)),
-            Ok(command) => self.machine.read_as(command, req),
-            Err(e) => err_response(&e),
-        }
+    /// Publish the view of the current state, lending it the current
+    /// view's id chunks.
+    fn publish(&self) {
+        self.views.store(self.view_of(Some(&self.view())));
+    }
+
+    /// A view of the current state: the WAL position and the warning
+    /// limiter's count with the machine's; `base` lends its id chunks.
+    pub(crate) fn view_of(&self, base: Option<&ReadView>) -> ReadView {
+        let wal = self.wal.as_ref().map(|w| WalPosition {
+            seq: w.last_seq(),
+            checkpoint_seq: self.checkpoint_seq,
+            segments: w.segment_count() as u64,
+            dir: w.dir().display().to_string(),
+            auto_checkpoints: self.auto_checkpoints,
+        });
+        ReadView::build(&self.machine, base, wal, self.warnings_suppressed)
     }
 
     /// Append `records` to the WAL as one group commit (a commit of one
@@ -357,30 +399,10 @@ impl Engine {
         );
     }
 
-    /// Engine-level stats object: the machine's, with the WAL section
-    /// after `commands` and the warning limiter's count at the end (the
-    /// server layer adds uptime and per-connection request counters on
-    /// top).
+    /// Engine-level stats object, from the published view (the server
+    /// layer adds uptime and per-connection request counters on top).
     pub fn stats(&self) -> Json {
-        let wal = self.wal.as_ref().map_or(Json::Null, |w| {
-            Json::obj(vec![
-                ("seq", Json::Uint(w.last_seq())),
-                ("checkpoint_seq", Json::Uint(self.checkpoint_seq)),
-                (
-                    "lag",
-                    Json::Uint(w.last_seq().saturating_sub(self.checkpoint_seq)),
-                ),
-                ("segments", Json::Uint(w.segment_count() as u64)),
-                ("dir", Json::Str(w.dir().display().to_string())),
-            ])
-        });
-        let suppressed = Json::Uint(self.warnings_suppressed);
-        let mut stats = self.machine.stats();
-        if let Json::Obj(fields) = &mut stats {
-            fields.insert(2, ("wal".to_owned(), wal));
-            fields.push(("full_rematch_warnings_suppressed".to_owned(), suppressed));
-        }
-        stats
+        self.view().stats()
     }
 
     fn dump(&self, command: &Command, req: &Json) -> Result<Json, String> {
@@ -439,7 +461,10 @@ impl Engine {
     /// leaves nothing half-applied: everything the checkpoint would have
     /// covered is already durable in the WAL.
     pub fn run_auto_checkpoint(&mut self) -> Result<Json, String> {
-        self.checkpoint()
+        let published = self.checkpoint();
+        self.auto_checkpoints += u64::from(published.is_ok());
+        self.publish();
+        published
     }
 
     /// Execute a `checkpoint` command: seal the active WAL segment,
@@ -508,6 +533,17 @@ impl Engine {
     /// The engine's mapping repository.
     pub fn repository(&self) -> &MappingRepository {
         self.machine.repository()
+    }
+
+    /// The view of the last write — what every read answers from.
+    pub fn view(&self) -> Arc<ReadView> {
+        self.views.load()
+    }
+
+    /// Where this engine publishes its views; the shard router keeps a
+    /// handle so reads never need the engine.
+    pub fn views(&self) -> &Arc<ViewSlot> {
+        &self.views
     }
 
     /// Point-in-time snapshot of every repository entry (one lock

@@ -20,10 +20,13 @@
 //!   because the state machine is deterministic ([`state`]) —
 //!   restores the pre-crash repository bit-identically: same
 //!   correspondences, same version stamps, same counters.
-//! * **Snapshot isolation** ([`state`]): readers start from
-//!   [`moma_core::MappingRepository::snapshot`], a point-in-time image
-//!   captured under one lock acquisition; a query never observes a
-//!   half-applied delta.
+//! * **Readers never wait for writers** ([`view`]): every write ends
+//!   by publishing an immutable [`view::ReadView`] — a
+//!   [`moma_core::MappingRepository::snapshot`] captured in one piece,
+//!   plus what `stats` reports — and every read answers from the
+//!   current one without taking an engine lock; a query never observes
+//!   a half-applied delta and never queues behind a fsync, an apply or
+//!   a checkpoint.
 //! * **Incremental serving** ([`moma_core::delta`]): source deltas
 //!   patch materialized mappings in time proportional to the delta and
 //!   the `delta` response reports, per mapping, whether the patch was
@@ -65,6 +68,7 @@ pub mod protocol;
 pub mod server;
 pub mod shard;
 pub mod state;
+pub mod view;
 pub mod wal;
 
 pub use client::Client;
@@ -73,4 +77,5 @@ pub use json::Json;
 pub use server::{run_sharded, spawn, spawn_sharded, spawn_with_limits, Limits, ServerHandle};
 pub use shard::ShardRouter;
 pub use state::{CommandCounts, State};
+pub use view::{ReadView, ViewSlot};
 pub use wal::Wal;

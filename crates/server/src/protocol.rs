@@ -23,16 +23,17 @@
 //! | `batch_delta` | logged write | by source, per item | N `delta` items, one WAL group commit, per-item status array |
 //! | `checkpoint` | unlogged write | scatter | publish an atomic state checkpoint, prune covered WAL segments |
 //! | `stats` | read | scatter | server/engine counters (per-shard + aggregate when sharded) |
-//! | `dump` | read | scatter | persist repository + manifest to a directory |
+//! | `dump` | unlogged write | scatter | persist repository + manifest to a directory |
 //! | `shutdown` | coordinator | — | stop the server after responding |
 //!
 //! *Class* is the lock and durability a command runs under: a `read`
-//! takes a shard's read lock against a repository snapshot; a
-//! `logged write` is appended to the WAL before it is applied under
-//! the write lock; an `unlogged write` is serialized through the write
-//! lock but changes the disk layout, not the logical state (so
-//! `checkpoint` neither replays nor bumps the command counters); a
-//! `coordinator` command is answered by the server itself. *Routing*
+//! is answered from the shard's published read view and takes no
+//! engine lock; a `logged write` is appended to the WAL before it is
+//! applied under the write lock; an `unlogged write` is serialized
+//! through the write lock but changes the disk layout or writes files,
+//! not the logical state (so `checkpoint` and `dump` neither replay nor
+//! bump the command counters); a `coordinator` command is answered by
+//! the server itself. *Routing*
 //! is how the shard router picks the shard(s) — see [`crate::shard`];
 //! with one shard every rule picks that shard. Scattered commands
 //! answer per shard when there are several: `checkpoint` lists a

@@ -23,22 +23,28 @@
 //! 1. the targets are put in ascending order, without repeats;
 //! 2. one admission slot per target is taken from the class's
 //!    per-shard budget, or the request is answered `overloaded`;
-//! 3. the engine locks are taken in that ascending order (read locks
-//!    for [`Class::Read`](crate::commands::Class::Read), write locks
-//!    otherwise), a poisoned one is recovered and noted as `degraded`;
+//! 3. each target is opened in that ascending order: a write takes the
+//!    engine's write lock (a poisoned one is recovered and noted as
+//!    `degraded`); a [`Class::Read`](crate::commands::Class::Read)
+//!    takes the shard's published [`ReadView`] and no lock at all;
 //! 4. the closure runs inside `catch_unwind`: a panic becomes an
 //!    `internal error` reply and a `degraded` flag, never a dropped
 //!    connection or a poison cascade.
 //!
-//! So the lock discipline of `docs/ARCHITECTURE.md` — engine locks in
-//! ascending shard order, the router's index lock never held across
-//! one — holds by construction: no routing function can take a lock in
-//! another order because none takes a lock at all. (The background
-//! checkpointer is the only other lock taker, and holds one shard's
-//! lock at a time.) Mutating commands serialize through their shard's
-//! write lock — so WAL order equals apply order — while reads run
-//! concurrently under read locks against repository snapshots; writes
-//! to distinct shards do not serialize behind one lock.
+//! ## Lock discipline
+//!
+//! The discipline of `docs/ARCHITECTURE.md` — engine locks in ascending
+//! shard order, the router's index lock never held across one — holds
+//! by construction: no routing function can take a lock in another
+//! order because none takes a lock at all. Mutating commands (and
+//! `dump`, which reads the full state) serialize through their shard's
+//! write lock — so WAL order equals apply order, and each write ends by
+//! publishing the view readers then see — while reads never take an
+//! engine lock: a read is never queued behind a WAL fsync, a delta
+//! apply or a checkpoint. Writes to distinct shards do not serialize
+//! behind one lock. The background checkpointer is the only other lock
+//! taker, and the only one that read-locks an engine (to peek whether
+//! a checkpoint is due); it holds one shard's lock at a time.
 //!
 //! Shutdown: a `shutdown` command (or [`ServerHandle::stop`]) sets a
 //! stop flag; the nonblocking accept loop notices within ~15 ms, stops
@@ -50,11 +56,11 @@
 //! it unboundedly (see [`Limits`]): connections past the cap get one
 //! `busy` refusal frame and a close; requests past the per-class,
 //! **per-shard** in-flight budget (mutating commands queue on a shard's
-//! write lock, reads on its read lock) get an `overloaded` response
-//! with a `retry_after_ms` hint while the connection stays usable. A
-//! dedicated background thread walks the shards and publishes
-//! auto-checkpoints when a shard's durability thresholds are exceeded,
-//! off the delta path.
+//! write lock; reads queue on nothing but are counted all the same)
+//! get an `overloaded` response with a `retry_after_ms` hint while the
+//! connection stays usable. A dedicated background thread walks the
+//! shards and publishes auto-checkpoints when a shard's durability
+//! thresholds are exceeded, off the delta path.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::identity;
@@ -62,7 +68,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use moma_core::ops::compose::compose;
@@ -74,6 +80,7 @@ use crate::frame::write_frame;
 use crate::json::Json;
 use crate::protocol::{compose_params, err_response, install_request};
 use crate::shard::{self, ComposePlan, Shard, ShardRouter};
+use crate::view::ReadView;
 
 /// How long handler threads block in `read` before re-checking the stop
 /// flag (also bounds shutdown latency).
@@ -144,7 +151,6 @@ pub struct Shared {
     active_connections: AtomicU64,
     busy_refusals: AtomicU64,
     overloaded_rejections: AtomicU64,
-    auto_checkpoints: AtomicU64,
     /// Set when a handler panicked while holding a write lock (the lock
     /// is recovered and serving continues, but state deserves an
     /// operator's look) — or when a replica delta diverged.
@@ -331,7 +337,6 @@ fn new_shared(engines: Vec<Engine>, limits: Limits) -> Shared {
         active_connections: AtomicU64::new(0),
         busy_refusals: AtomicU64::new(0),
         overloaded_rejections: AtomicU64::new(0),
-        auto_checkpoints: AtomicU64::new(0),
         degraded: AtomicBool::new(false),
     }
 }
@@ -427,11 +432,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// durability thresholds under its read lock and, only when due, takes
 /// that shard's write lock to publish a checkpoint — so checkpoint cost
 /// never rides on a delta's response time, and a checkpoint on one
-/// shard never blocks writes to another. Single-threaded by
-/// construction and joined by the accept loop, so it cannot overlap
-/// itself or outlive shutdown. The `MOMA_CHECKPOINT_FAULT_DELAY_MS`
-/// fault injection applies here the same as to explicit `checkpoint`
-/// commands (it lives in `checkpoint::publish`).
+/// shard never blocks writes to another (nor reads to any shard: they
+/// answer from published views). Single-threaded by construction and
+/// joined by the accept loop, so it cannot overlap itself or outlive
+/// shutdown. The `MOMA_CHECKPOINT_FAULT_DELAY_MS` fault injection
+/// applies here the same as to explicit `checkpoint` commands (it lives
+/// in `checkpoint::publish`). This peek is the one engine read lock
+/// the server takes.
 fn checkpoint_loop(shared: Arc<Shared>) {
     while !shared.stopping() {
         let mut failed = false;
@@ -441,29 +448,7 @@ fn checkpoint_loop(shared: Arc<Shared>) {
                 shared.note_recovered(recovered);
                 engine.checkpoint_due()
             };
-            if !due {
-                continue;
-            }
-            // Re-check under the write lock: a concurrent explicit
-            // `checkpoint` command may have run since the peek. The
-            // counter is bumped while the lock is still held so a
-            // stats reader never sees the new checkpoint_seq without
-            // the matching auto_checkpoints count.
-            let result = {
-                let (mut engine, recovered) = shared.router.engine_write(i);
-                shared.note_recovered(recovered);
-                if engine.checkpoint_due() {
-                    let r = engine.run_auto_checkpoint();
-                    if r.is_ok() {
-                        shared.auto_checkpoints.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(r)
-                } else {
-                    None
-                }
-            };
-            if let Some(Err(e)) = result {
-                eprintln!("moma serve: warning: background checkpoint failed on shard {i}: {e}");
+            if due && !checkpoint_if_due(&shared, i) {
                 failed = true;
             }
         }
@@ -476,6 +461,26 @@ fn checkpoint_loop(shared: Arc<Shared>) {
         }
         std::thread::sleep(CHECKPOINT_POLL);
     }
+}
+
+/// Publish an automatic checkpoint on shard `i` if one is still due
+/// under its write lock (a concurrent explicit `checkpoint` command may
+/// have run since the peek); `false` when it failed. The engine counts
+/// it in the view that shows its `checkpoint_seq`, so a `stats` reader
+/// never sees one without the other.
+fn checkpoint_if_due(shared: &Shared, i: usize) -> bool {
+    let (mut engine, recovered) = shared.router.engine_write(i);
+    shared.note_recovered(recovered);
+    if !engine.checkpoint_due() {
+        return true;
+    }
+    let published = engine.run_auto_checkpoint();
+    drop(engine);
+    if let Err(e) = published {
+        eprintln!("moma serve: warning: background checkpoint failed on shard {i}: {e}");
+        return false;
+    }
+    true
 }
 
 /// What the handler read from the wire.
@@ -657,19 +662,20 @@ fn response_ok(resp: &Json) -> bool {
 
 // ---- the executor -----------------------------------------------------
 
-/// **The executor**: run `f` on the engines of `targets`, locked by
-/// `lock`. Every engine access of the request path goes through here,
-/// which is what makes the discipline in the module docs hold by
-/// construction — ascending, repeat-free lock order; one admission
-/// slot per target, released on every way out; poisoned locks
-/// recovered and noted; and `f` inside `catch_unwind`. `Err` carries
-/// the reply to send instead (`overloaded`, or `internal error` after
-/// a panic — in `f` or in a lock acquisition).
+/// **The executor**: run `f` on `targets`, each opened by `open` — an
+/// engine write lock, or a published view. Every engine access of the
+/// request path goes through here, which is what makes the discipline
+/// in the module docs hold by construction — ascending, repeat-free
+/// lock order; one admission slot per target, released on every way
+/// out; poisoned locks recovered and noted; and `f` inside
+/// `catch_unwind`. `Err` carries the reply to send instead
+/// (`overloaded`, or `internal error` after a panic — in `f` or in a
+/// lock acquisition).
 fn run<G, T>(
     shared: &Shared,
     budget: Budget,
     targets: &[usize],
-    lock: impl Fn(usize) -> (G, bool),
+    open: impl Fn(usize) -> (G, bool),
     f: impl FnOnce(&mut [(usize, G)]) -> T,
 ) -> Result<T, Json> {
     let mut targets = targets.to_vec();
@@ -679,7 +685,7 @@ fn run<G, T>(
     catch_unwind(AssertUnwindSafe(|| {
         let mut held = Vec::with_capacity(targets.len());
         for &i in &targets {
-            let (guard, recovered) = lock(i);
+            let (guard, recovered) = open(i);
             shared.note_recovered(recovered);
             held.push((i, guard));
         }
@@ -688,14 +694,16 @@ fn run<G, T>(
     .map_err(|_| internal_error_response(shared))
 }
 
-/// [`run`] under read locks and the read budget.
-fn run_read<'a, T>(
-    shared: &'a Shared,
+/// [`run`] over published views and the read budget: the one way a
+/// [`Class::Read`](crate::commands::Class::Read) request reaches a
+/// shard, and it takes no engine lock.
+fn run_views<T>(
+    shared: &Shared,
     targets: &[usize],
-    f: impl FnOnce(&mut [(usize, RwLockReadGuard<'a, Engine>)]) -> T,
+    f: impl FnOnce(&mut [(usize, Arc<ReadView>)]) -> T,
 ) -> Result<T, Json> {
-    let lock = |i| shared.router.engine_read(i);
-    run(shared, shared.read_budget(), targets, lock, f)
+    let view = |i| (shared.router.view(i), false);
+    run(shared, shared.read_budget(), targets, view, f)
 }
 
 /// [`run`] under write locks and the write budget.
@@ -708,13 +716,14 @@ fn run_write<'a, T>(
     run(shared, shared.write_budget(), targets, lock, f)
 }
 
-/// Run `req` as it stands on shard `i`, under the lock its command's
-/// class declares; a refusal from the executor is the reply.
+/// Run `req` as it stands on shard `i`: under the write lock when its
+/// command's class takes one, else from the shard's view; a refusal
+/// from the executor is the reply.
 fn run_on(shared: &Shared, command: &Command, i: usize, req: &Json) -> Json {
     let outcome = if command.class.takes_write_lock() {
         run_write(shared, &[i], |held| held[0].1.execute(req))
     } else {
-        run_read(shared, &[i], |held| held[0].1.execute_read(req))
+        run_views(shared, &[i], |views| views[0].1.answer(command, req))
     };
     outcome.unwrap_or_else(identity)
 }
@@ -918,9 +927,9 @@ fn scatter(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json>
             let replies = each_shard(shared, |shard| {
                 let part = Json::Str(router.shard_dir(dir, shard));
                 let part_req = req.clone().set_field("dir", part);
-                run_read(shared, &[shard], |held| {
+                run_write(shared, &[shard], |held| {
                     counts.push(held[0].1.machine().command_counts());
-                    held[0].1.execute_read(&part_req)
+                    held[0].1.execute(&part_req)
                 })
                 .unwrap_or_else(identity)
             })?;
@@ -943,6 +952,10 @@ fn scatter(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json>
 /// Append the server-level counters to a `stats` reply.
 fn with_server_counters(shared: &Shared, mut stats: Json) -> Json {
     let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let router = &shared.router;
+    let auto_checkpoints = (0..router.len())
+        .filter_map(|i| Some(router.view(i).wal()?.auto_checkpoints))
+        .sum();
     let counters = [
         ("uptime_ms", shared.started.elapsed().as_millis() as u64),
         ("requests", count(&shared.requests)),
@@ -954,7 +967,7 @@ fn with_server_counters(shared: &Shared, mut stats: Json) -> Json {
             "overloaded_rejections",
             count(&shared.overloaded_rejections),
         ),
-        ("auto_checkpoints", count(&shared.auto_checkpoints)),
+        ("auto_checkpoints", auto_checkpoints),
         ("shard_count", shared.router.len() as u64),
     ];
     if let Json::Obj(fields) = &mut stats {
@@ -1005,14 +1018,13 @@ fn route_compose(shared: &Shared, command: &Command, req: &Json) -> Result<Json,
     }
 }
 
-/// The coordinator's gather-then-compute path: read each input on its
-/// shard in turn (never both locked at once — cheap `Arc` clones make
-/// holding two shard locks unnecessary), compute the compose locally
-/// with the exact single-shard recipe evaluation, then log the
-/// *result* as an `install` record on the left input's shard. The
-/// installed mapping is a point-in-time snapshot of its inputs; the
-/// response records their versions so a client can detect staleness
-/// and re-compose.
+/// The coordinator's gather-then-compute path: take each input from its
+/// shard's published view in turn (no engine lock: the view's mapping
+/// is the repository's shared `Arc`), compute the compose locally with
+/// the exact single-shard recipe evaluation, then log the *result* as
+/// an `install` record on the left input's shard. The installed mapping
+/// is a point-in-time snapshot of its inputs; the response records
+/// their versions so a client can detect staleness and re-compose.
 fn cross_shard_compose(
     shared: &Shared,
     req: &Json,
@@ -1023,17 +1035,16 @@ fn cross_shard_compose(
     let (f, g) = compose_params(req).map_err(|e| err_response(&e))?;
     // One input's mapping `Arc`, version and end-point source names.
     let gather = |shard: usize, mapping: &str| {
-        run_read(shared, &[shard], |held| -> Result<_, Json> {
-            let engine = &held[0].1;
-            let m = engine.repository().get(mapping).ok_or_else(|| {
+        run_views(shared, &[shard], |views| -> Result<_, Json> {
+            let view = &views[0].1;
+            let e = view.entry(mapping).ok_or_else(|| {
                 err_response(&format!(
                     "unknown mapping `{mapping}` on shard {shard} (routing index stale?)"
                 ))
             })?;
-            let version = engine.repository().version(mapping).unwrap_or(0);
-            let domain = engine.registry().lds(m.domain).name();
-            let range = engine.registry().lds(m.range).name();
-            Ok((m, version, domain, range))
+            let domain = view.source_name(e.mapping.domain).to_owned();
+            let range = view.source_name(e.mapping.range).to_owned();
+            Ok((Arc::clone(&e.mapping), e.version, domain, range))
         })?
     };
     let (left_map, left_ver, domain, _) = gather(left_shard, left)?;
@@ -1207,7 +1218,7 @@ mod tests {
         let inflight = &shared.router.shard(0).inflight_writes;
         assert_eq!(inflight.load(Ordering::Acquire), 0);
         assert_eq!(run_write(&shared, &[0], |held| held.len()), Ok(1));
-        let stats = run_read(&shared, &[0], |held| held[0].1.stats()).expect("read");
+        let stats = run_views(&shared, &[0], |views| views[0].1.stats()).expect("read");
         assert!(response_ok(&stats));
     }
 
@@ -1221,5 +1232,170 @@ mod tests {
             held.iter().map(|(i, _)| *i).collect::<Vec<_>>()
         });
         assert_eq!(order, Ok(vec![0, 1, 2]));
+    }
+
+    fn registry() -> SourceRegistry {
+        use moma_model::{AttrDef, AttrValue, LogicalSource, ObjectType};
+        let mut reg = SourceRegistry::new();
+        for pds in ["DBLP", "ACM", "GS"] {
+            let schema = vec![AttrDef::text("title")];
+            let mut lds = LogicalSource::new(pds, ObjectType::new("Publication"), schema);
+            for i in 0..4 {
+                let title = AttrValue::Text(format!("Matching study number {i} of {pds}"));
+                lds.insert_record(format!("{pds}{i}"), vec![("title", title)])
+                    .unwrap();
+            }
+            reg.register(lds).unwrap();
+        }
+        reg
+    }
+
+    /// Publication is never forgotten: after every kind of step a
+    /// 2-shard server takes — boot, match, same-shard and cross-shard
+    /// compose, delta, batch, explicit and automatic checkpoint, a
+    /// refused write, a panicking one, a restart through
+    /// `Engine::recover` — each shard's published view answers `ping`,
+    /// `stats` and a `query` of every mapping exactly as a view built
+    /// afresh from its engine's state at that moment does.
+    #[test]
+    fn every_step_publishes_the_view_of_its_state() {
+        use crate::engine::DurabilityPolicy;
+        use crate::protocol;
+        use moma_model::{AttrValue, DeltaOp};
+
+        let root = std::env::temp_dir().join(format!("moma_publish_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let policy = DurabilityPolicy {
+            checkpoint_every_records: 1,
+            ..DurabilityPolicy::default()
+        };
+        let boot = |recover: bool| {
+            let engines = (0..2).map(|i| {
+                let mut e = Engine::new(registry(), Parallelism::sequential());
+                let dir = root.join(format!("shard.{i}"));
+                if recover {
+                    e.recover(dir, policy).expect("recovers");
+                } else {
+                    e.wal_create(dir, policy).expect("WAL");
+                }
+                e
+            });
+            let limits = Limits {
+                debug_commands: true,
+                ..Limits::default()
+            };
+            new_shared(engines.collect(), limits)
+        };
+        let assert_published = |shared: &Shared, step: &str| {
+            for i in 0..shared.router.len() {
+                let published = shared.router.view(i);
+                let fresh = shared.router.engine_write(i).0.view_of(None);
+                let mut reads = vec![
+                    protocol::bare_request("ping"),
+                    protocol::bare_request("stats"),
+                ];
+                let names = fresh.snapshot().iter().map(|e| e.name.as_str());
+                reads.extend(names.map(|name| protocol::query_request(name, 0, None)));
+                for req in reads {
+                    let (got, want) = (published.read(&req), fresh.read(&req));
+                    assert_eq!(
+                        got.to_string(),
+                        want.to_string(),
+                        "{step}, shard {i}: {req}"
+                    );
+                }
+            }
+        };
+        let send = |shared: &Shared, req: &Json| dispatch(req.to_string().as_bytes(), shared);
+        let matcher = |name: &str, domain: &str, range: &str, sim: &str, shard: usize| {
+            let (d, r) = (
+                format!("Publication@{domain}"),
+                format!("Publication@{range}"),
+            );
+            let req = protocol::match_request(name, &d, &r, "title", "title", sim, 0.5);
+            protocol::with_shard(req, shard)
+        };
+        let add = |lds: &str, id: &str| {
+            let fields = vec![(
+                "title".into(),
+                AttrValue::Text(format!("Matching study {id}")),
+            )];
+            let op = DeltaOp::Add {
+                id: id.into(),
+                fields,
+            };
+            (format!("Publication@{lds}"), vec![op])
+        };
+
+        let shared = boot(false);
+        assert_published(&shared, "boot");
+        let (gs, gs_ops) = add("GS", "g7");
+        let (acm, acm_ops) = add("ACM", "a7");
+        let steps = [
+            ("match", matcher("m1", "DBLP", "ACM", "trigram", 0)),
+            ("match", matcher("m2", "ACM", "GS", "trigram", 1)),
+            ("match", matcher("m3", "GS", "DBLP", "trigram", 1)),
+            (
+                "same-shard compose",
+                protocol::compose_request("c_same", "m2", "m3", "min", "max"),
+            ),
+            (
+                "cross-shard compose",
+                protocol::compose_request("c_cross", "m1", "m2", "min", "max"),
+            ),
+            ("delta", protocol::delta_request(&gs, &gs_ops)),
+            (
+                "batch_delta",
+                protocol::batch_delta_request(vec![
+                    protocol::delta_item(&acm, &acm_ops),
+                    protocol::delta_item(
+                        "Publication@DBLP",
+                        &[DeltaOp::Remove { id: "DBLP1".into() }],
+                    ),
+                ]),
+            ),
+            ("checkpoint", protocol::checkpoint_request()),
+            (
+                "refused match",
+                matcher("m4", "DBLP", "GS", "no-such-sim", 0),
+            ),
+            ("debug_panic", protocol::bare_request("debug_panic")),
+        ];
+        for (step, req) in &steps {
+            let reply = send(&shared, req);
+            let refused = step.starts_with("refused") || *step == "debug_panic";
+            assert_eq!(response_ok(&reply), !refused, "{step}: {reply}");
+            assert_published(&shared, step);
+        }
+        let cross = shared.router.view(0);
+        assert!(
+            cross.entry("c_cross").is_some(),
+            "installed on the left input's shard"
+        );
+        // The refused match — logged like any write — made a checkpoint
+        // due on shard 0: the checkpointer's pass publishes it.
+        for i in 0..2 {
+            assert!(checkpoint_if_due(&shared, i), "shard {i}");
+        }
+        assert_published(&shared, "auto-checkpoint");
+        let autos = (0..2).filter_map(|i| shared.router.view(i).wal().map(|w| w.auto_checkpoints));
+        assert_eq!(
+            autos.sum::<u64>(),
+            1,
+            "the refused match was logged on shard 0 only"
+        );
+        let before: Vec<String> = (0..2)
+            .map(|i| shared.router.view(i).stats().to_string())
+            .collect();
+
+        drop(shared);
+        let shared = boot(true);
+        assert_published(&shared, "recover");
+        for (i, before) in before.iter().enumerate() {
+            let after = shared.router.view(i).stats();
+            let counts = |stats: &str| Json::parse(stats).unwrap().get("commands").cloned();
+            assert_eq!(counts(&after.to_string()), counts(before), "shard {i}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

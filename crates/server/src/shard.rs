@@ -29,8 +29,8 @@
 //!   scatter across all shards and gather in ascending shard order.
 //! * A `compose` whose inputs live on one shard runs there unchanged
 //!   (single-shard fast path). A **cross-shard compose** gathers the
-//!   two input tables under their shards' read locks, computes the
-//!   compose on the coordinator, and logs the *result* as an `install`
+//!   two input tables from their shards' published read views, computes
+//!   the compose on the coordinator, and logs the *result* as an `install`
 //!   record on the left input's shard — replay never reaches across
 //!   shards, so per-shard recovery stays independent and bit-identical.
 //!
@@ -54,7 +54,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicU64;
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use moma_model::ModelError;
 
@@ -62,15 +62,20 @@ use crate::engine::Engine;
 use crate::json::Json;
 use crate::protocol::{err_response, unknown_mapping, unknown_source};
 use crate::state::CommandCounts;
+use crate::view::{ReadView, ViewSlot};
 
-/// One shard: an engine plus its private admission counters. The
-/// in-flight budgets in [`crate::server::Limits`] apply **per shard**,
-/// so a hot shard saturating its write budget does not shed load for
-/// traffic routed elsewhere.
+/// One shard: an engine, the slot its read views are published in, and
+/// its private admission counters. The in-flight budgets in
+/// [`crate::server::Limits`] apply **per shard**, so a hot shard
+/// saturating its write budget does not shed load for traffic routed
+/// elsewhere.
 pub struct Shard {
-    /// The shard's engine; write lock for mutating commands, read lock
-    /// for queries.
+    /// The shard's engine, write-locked by every command that changes
+    /// it or writes files. Reads do not take this lock; only the
+    /// background checkpointer's due-peek read-locks it.
     pub engine: RwLock<Engine>,
+    /// The engine's [`ViewSlot`]: what reads answer from.
+    pub views: Arc<ViewSlot>,
     /// Mutating commands in flight on this shard.
     pub inflight_writes: AtomicU64,
     /// Read-only commands in flight on this shard.
@@ -138,6 +143,7 @@ impl ShardRouter {
         let shards: Vec<Shard> = engines
             .into_iter()
             .map(|e| Shard {
+                views: Arc::clone(e.views()),
                 engine: RwLock::new(e),
                 inflight_writes: AtomicU64::new(0),
                 inflight_reads: AtomicU64::new(0),
@@ -171,6 +177,11 @@ impl ShardRouter {
     /// All shards, in shard order.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
+    }
+
+    /// The view shard `i` published last. Takes no engine lock.
+    pub fn view(&self, i: usize) -> Arc<ReadView> {
+        self.shards[i].views.load()
     }
 
     /// Read-lock shard `i`'s engine; the boolean reports whether a

@@ -1,5 +1,5 @@
-//! The state machine: everything a shard *is*, and the four things
-//! that can be done to it.
+//! The state machine: everything a shard *is*, and what can be done to
+//! it.
 //!
 //! A [`State`] holds the source registry, the mapping repository, the
 //! primed [`DeltaMatchState`]s with the `match` requests that primed
@@ -11,14 +11,15 @@
 //!   `install`). Live execution, the items of a `batch_delta`, WAL
 //!   replay and the re-priming of a restored checkpoint all enter here,
 //!   so they cannot disagree;
-//! * [`State::read`] — one read (`ping`, `query`, `batch_query`,
-//!   `stats`) against a repository snapshot;
 //! * [`State::image`] / [`State::restore`] — the whole logical state
 //!   as one deterministic JSON document, and back.
 //!
-//! Both `apply` and `read` reach their handler through **the
-//! dispatch**, `handler`: the only place a [`Cmd`] is matched to the
-//! code that runs it. Every operation is deterministic — parallel
+//! Reads are not the machine's: after each write the engine publishes
+//! a [`ReadView`] of the state, and the read commands answer from that.
+//!
+//! `apply` reaches its handler through **the dispatch**, `handler`: the
+//! only place a write [`Cmd`] is matched to the code that runs it.
+//! Every operation is deterministic — parallel
 //! matching merges shard results in input order, repository version
 //! stamps are assigned in command order, and a command that fails
 //! re-fails identically against the same state — so two machines fed
@@ -27,6 +28,7 @@
 //! replay, recovery and the sharded ≡ single-shard gates rest on.
 //!
 //! [`Engine`]: crate::engine::Engine
+//! [`ReadView`]: crate::view::ReadView
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,7 +42,7 @@ use moma_simstring::SimFn;
 
 use crate::commands::{self, Cmd, Command};
 use crate::json::Json;
-use crate::protocol::{self, err_response, respond, unknown_mapping};
+use crate::protocol::{self, respond};
 
 /// Durable command counters; restored exactly by replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,7 +72,7 @@ impl CommandCounts {
         ]
     }
 
-    fn to_json(self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         Json::obj(self.rows().map(|(k, v)| (k, Json::Uint(v))).to_vec())
     }
 }
@@ -95,27 +97,25 @@ pub struct State {
     pub(crate) full_rematched: Vec<(String, u64)>,
 }
 
-/// What runs a command: a write handler (which also gets the record's
-/// WAL sequence number, when there is a WAL) or a read handler.
-enum Handler {
-    Write(fn(&mut State, &Command, &Json, Option<u64>) -> Result<Json, String>),
-    Read(fn(&State, &Command, &Json) -> Result<Json, String>),
-}
+/// A write handler; it also gets the record's WAL sequence number,
+/// when there is a WAL.
+type Handler = fn(&mut State, &Command, &Json, Option<u64>) -> Result<Json, String>;
 
 /// **The dispatch.** `None` for what the machine does not run: the
-/// engine's I/O and framing (`checkpoint`, `dump`, `batch_delta`) and
-/// the server's own commands.
+/// reads (answered from the published view), the engine's I/O and
+/// framing (`checkpoint`, `dump`, `batch_delta`) and the server's own
+/// commands.
 fn handler(cmd: Cmd) -> Option<Handler> {
     Some(match cmd {
-        Cmd::Match => Handler::Write(State::match_and_prime),
-        Cmd::Compose => Handler::Write(State::compose),
-        Cmd::Delta => Handler::Write(State::delta),
-        Cmd::Install => Handler::Write(State::install),
-        Cmd::Ping => Handler::Read(|_, _, _| Ok(Json::obj(vec![("ok", Json::Bool(true))]))),
-        Cmd::Query => Handler::Read(State::query),
-        Cmd::BatchQuery => Handler::Read(State::batch_query),
-        Cmd::Stats => Handler::Read(|state, _, _| Ok(state.stats())),
-        Cmd::BatchDelta
+        Cmd::Match => State::match_and_prime,
+        Cmd::Compose => State::compose,
+        Cmd::Delta => State::delta,
+        Cmd::Install => State::install,
+        Cmd::Ping
+        | Cmd::Query
+        | Cmd::BatchQuery
+        | Cmd::Stats
+        | Cmd::BatchDelta
         | Cmd::Checkpoint
         | Cmd::Dump
         | Cmd::Shutdown
@@ -155,27 +155,8 @@ impl State {
         let name = req.str_field("cmd").unwrap_or_default();
         let found = commands::lookup(name).and_then(|c| Some((c, handler(c.cmd)?)));
         respond(match found {
-            Some((command, Handler::Write(run))) => run(self, command, req, seq),
-            _ => Err(format!("`{name}` is not a mutating command")),
-        })
-    }
-
-    /// Answer one read against the current state.
-    pub fn read(&self, req: &Json) -> Json {
-        match commands::of_request(req) {
-            Ok(command) => self.read_as(command, req),
-            Err(e) => err_response(&e),
-        }
-    }
-
-    /// [`State::read`] for a caller that has looked `command` up already.
-    pub(crate) fn read_as(&self, command: &Command, req: &Json) -> Json {
-        respond(match handler(command.cmd) {
-            Some(Handler::Read(run)) => run(self, command, req),
-            _ if command.class.takes_write_lock() => {
-                Err(format!("`{}` must go through the write path", command.name))
-            }
-            _ => Err(commands::unknown_command(command.name)),
+            Some((command, run)) => run(self, command, req, seq),
+            None => Err(format!("`{name}` is not a mutating command")),
         })
     }
 
@@ -388,100 +369,6 @@ impl State {
                 Json::Arr(refreshed.into_iter().map(Json::Str).collect()),
             ),
         ]))
-    }
-
-    // ---- reads --------------------------------------------------------
-
-    fn query(&self, command: &Command, req: &Json) -> Result<Json, String> {
-        let name = command.field(req, "name", Json::as_str)?;
-        let limit = req.get("limit").and_then(Json::as_u64).unwrap_or(100) as usize;
-        let min_sim = req.num_field("min_sim").unwrap_or(0.0);
-
-        let snapshot = self.repository.snapshot();
-        let Some(entry) = snapshot.iter().find(|e| e.name == name) else {
-            let known = snapshot.iter().map(|e| e.name.as_str());
-            return Err(unknown_mapping(name, known));
-        };
-        let dom = self.registry.lds(entry.mapping.domain);
-        let rng = self.registry.lds(entry.mapping.range);
-        let id_of = |lds: &LogicalSource, idx: u32| -> String {
-            // The arena is append-only, so a snapshot row always
-            // resolves — even if the instance was tombstoned after the
-            // snapshot was taken.
-            lds.get(idx).map(|i| i.id.clone()).unwrap_or_default()
-        };
-        let mut rows = Vec::new();
-        let mut total = 0usize;
-        for c in entry.mapping.table.rows() {
-            if c.sim < min_sim {
-                continue;
-            }
-            total += 1;
-            if limit == 0 || rows.len() < limit {
-                rows.push(Json::Arr(vec![
-                    Json::Str(id_of(dom, c.domain)),
-                    Json::Str(id_of(rng, c.range)),
-                    Json::Num(c.sim),
-                ]));
-            }
-        }
-        Ok(Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("name", Json::Str(name.into())),
-            ("version", Json::Uint(entry.version)),
-            ("domain", Json::Str(dom.name())),
-            ("range", Json::Str(rng.name())),
-            ("total", Json::Num(total as f64)),
-            ("rows", Json::Arr(rows)),
-        ]))
-    }
-
-    /// Execute a `batch_query`: N queries amortized over one frame and
-    /// one read-lock acquisition. Each item carries the same fields as a
-    /// single `query` request (minus `cmd`); an item that fails gets an
-    /// inline error object while the batch itself still succeeds.
-    fn batch_query(&self, command: &Command, req: &Json) -> Result<Json, String> {
-        let query = Cmd::Query.row();
-        let items = command.items(req)?.iter();
-        let results: Vec<Json> = items.map(|item| respond(self.query(query, item))).collect();
-        Ok(Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("count", Json::Uint(results.len() as u64)),
-            ("results", Json::Arr(results)),
-        ]))
-    }
-
-    /// The machine's `stats` object: counters, sources, mappings. (The
-    /// engine adds its WAL section, the server its own counters.)
-    pub fn stats(&self) -> Json {
-        let sources = self.registry.iter().map(|(_, lds)| {
-            Json::obj(vec![
-                ("name", Json::Str(lds.name())),
-                ("len", Json::Num(lds.len() as f64)),
-                ("live", Json::Num(lds.live_len() as f64)),
-            ])
-        });
-        let mappings = self.repository.snapshot().into_iter().map(|e| {
-            let stale = self.repository.is_stale(&e.name);
-            let mut fields = vec![
-                ("name", Json::Str(e.name.clone())),
-                ("version", Json::Uint(e.version)),
-                ("rows", Json::Num(e.mapping.len() as f64)),
-                ("derived", Json::Bool(e.derived)),
-                ("stale", Json::Bool(stale)),
-            ];
-            if let Some(state) = self.states.get(&e.name) {
-                fields.push(("incremental", Json::Bool(state.is_incremental())));
-                fields.push(("full_rematches", Json::Uint(state.full_rematches())));
-            }
-            Json::obj(fields)
-        });
-        Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("commands", self.commands.to_json()),
-            ("sources", Json::Arr(sources.collect())),
-            ("mappings", Json::Arr(mappings.collect())),
-        ])
     }
 
     // ---- image and restore ---------------------------------------------
@@ -723,6 +610,11 @@ impl State {
         self.commands
     }
 
+    /// The primed matcher state behind mapping `name`, if it has one.
+    pub fn primed(&self, name: &str) -> Option<&DeltaMatchState> {
+        self.states.get(name)
+    }
+
     /// `(mapping, domain source, range source)` names for every primed
     /// matcher state, in deterministic (BTreeMap) order. The shard
     /// router rebuilds its ownership index from this after recovery:
@@ -811,6 +703,7 @@ fn recipe_from_json(j: &Json) -> Result<Recipe, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::ReadView;
     use moma_model::{AttrValue, DeltaOp};
 
     fn registry(cites: i64) -> SourceRegistry {
@@ -889,6 +782,7 @@ mod tests {
             assert_eq!(cut.apply(req, seq), reply);
         }
         assert_eq!(cut.image(6).to_string(), straight.image(6).to_string());
+        let (cut, straight) = (ReadView::of(&cut), ReadView::of(&straight));
         let query = protocol::query_request("c", 0, None);
         assert_eq!(cut.read(&query), straight.read(&query));
         assert_eq!(cut.stats(), straight.stats());

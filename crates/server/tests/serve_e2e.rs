@@ -782,6 +782,146 @@ fn one_shard_server_answers_byte_for_byte_like_an_embedded_engine() {
     let _ = fs::remove_dir_all(&work);
 }
 
+/// A `limit` or `min_sim` that is present but malformed is refused with
+/// an error naming the field — in `query` and in each `batch_query`
+/// item, where the siblings still answer — instead of being read as its
+/// default (`limit: -1` used to return 100 rows, `min_sim: "0.9"` to
+/// filter nothing). An absent field keeps its default.
+#[test]
+fn malformed_query_fields_are_refused_not_defaulted() {
+    let handle = spawn(engine(None), "127.0.0.1:0").expect("spawn");
+    let mut c =
+        Client::connect_retry(&handle.addr.to_string(), Duration::from_secs(5)).expect("connect");
+    c.call_ok(&script()[0]).expect("match");
+    let total = c.query("m_da", 0, None).expect("query").num_field("total");
+    let total = total.expect("a total") as usize;
+    assert!(total > 2, "enough rows to tell a limit");
+
+    let error_of = |reply: &Json| {
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{reply}"
+        );
+        reply.str_field("error").unwrap_or_default().to_owned()
+    };
+    for (field, value) in [
+        ("limit", Json::Num(-1.0)),
+        ("limit", Json::Num(2.5)),
+        ("limit", Json::Str("10".into())),
+        ("limit", Json::Null),
+        ("min_sim", Json::Str("0.9".into())),
+        ("min_sim", Json::Bool(true)),
+    ] {
+        let item = protocol::query_item("m_da", 2, None).set_field(field, value.clone());
+        let single = item.clone().set_field("cmd", Json::Str("query".into()));
+        let error = error_of(&c.call(&single).expect("transport ok"));
+        assert!(
+            error.contains(&format!("`{field}`")),
+            "{field}={value}: {error}"
+        );
+
+        let results = c.batch_query(vec![item, protocol::query_item("m_da", 1, None)]);
+        let results = results.expect("the batch itself succeeds");
+        assert!(
+            error_of(&results[0]).contains(&format!("`{field}`")),
+            "{field}={value}"
+        );
+        assert_eq!(
+            results[1]
+                .get("rows")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(1)
+        );
+    }
+
+    // Absent: `limit` 100, `min_sim` 0.
+    let bare = Json::obj(vec![
+        ("cmd", Json::Str("query".into())),
+        ("name", Json::Str("m_da".into())),
+    ]);
+    let all = c.call_ok(&bare).expect("defaults");
+    let rows = all.get("rows").and_then(Json::as_arr).map(<[Json]>::len);
+    assert_eq!(rows, Some(total.min(100)));
+    handle.stop();
+}
+
+/// Readers never wait for writers: while the test holds shard 0's
+/// engine write lock, `query`, `batch_query` and `stats` each answer
+/// over TCP within 200 ms, at the version before the write; once the
+/// lock is released and a delta lands, the next `query` shows the new
+/// version.
+#[test]
+fn reads_answer_while_the_write_lock_is_held() {
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    let handle = spawn(engine(None), "127.0.0.1:0").expect("spawn");
+    let addr = handle.addr.to_string();
+    let mut c = Client::connect_retry(&addr, Duration::from_secs(5)).expect("connect");
+    for req in script() {
+        c.call_ok(&req).expect("scripted command");
+    }
+    let version = |reply: &Json| reply.get("version").and_then(Json::as_u64);
+    let before = version(&c.query("m_ag", 1, None).expect("query"));
+    assert!(before.is_some());
+
+    let (guard, _) = handle.shared().router.engine_write(0);
+    let reads = [
+        protocol::query_request("m_ag", 1, None),
+        protocol::batch_query_request(vec![protocol::query_item("m_ag", 1, None)]),
+        protocol::bare_request("stats"),
+    ];
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut r = Client::connect(&addr).expect("reader connects");
+        for req in reads {
+            let t0 = Instant::now();
+            let reply = r.call_ok(&req).expect("read answered");
+            if tx.send((t0.elapsed(), reply)).is_err() {
+                return;
+            }
+        }
+    });
+    let mut answers = Vec::new();
+    while answers.len() < 3 {
+        match rx.recv_timeout(Duration::from_millis(200)) {
+            Ok(answer) => answers.push(answer),
+            Err(_) => break,
+        }
+    }
+    drop(guard);
+    reader.join().expect("reader thread");
+    assert_eq!(answers.len(), 3, "a read waited for the engine write lock");
+    for (took, _) in &answers {
+        assert!(*took < Duration::from_millis(200), "a read took {took:?}");
+    }
+    let [(_, query), (_, batch), (_, stats)] = &answers[..] else {
+        unreachable!("three answers")
+    };
+    assert_eq!(version(query), before, "{query}");
+    let results = batch
+        .get("results")
+        .and_then(Json::as_arr)
+        .expect("results");
+    assert_eq!(version(&results[0]), before, "{batch}");
+    let mappings = stats
+        .get("mappings")
+        .and_then(Json::as_arr)
+        .expect("mappings");
+    let m_ag = mappings
+        .iter()
+        .find(|m| m.str_field("name") == Some("m_ag"));
+    assert_eq!(m_ag.and_then(version), before, "{stats}");
+
+    c.call_ok(&delta_req(100))
+        .expect("delta after the lock drops");
+    let after = version(&c.query("m_ag", 1, None).expect("query"));
+    assert!(after > before, "{after:?} after {before:?}");
+    handle.stop();
+}
+
 /// The command table is total and consistent: a row's class says
 /// whether it is logged and whether it locks, every wire-visible command has a
 /// `protocol::` builder, and the `unknown command` error names exactly

@@ -1,14 +1,14 @@
 //! Snapshot-isolated reads: a reader that captures a repository
-//! snapshot sees one consistent point in time — never a half-applied
-//! delta — and a snapshot held across later deltas keeps its pre-delta
-//! contents and version stamps.
+//! snapshot — or takes a published read view — sees one consistent
+//! point in time, never a half-applied delta, and a snapshot held
+//! across later deltas keeps its pre-delta contents and version stamps.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
 use moma_core::exec::Parallelism;
 use moma_model::{AttrDef, AttrValue, DeltaOp, LogicalSource, ObjectType, SourceRegistry};
-use moma_server::{protocol, Engine, Json};
+use moma_server::{protocol, DurabilityPolicy, Engine, Json};
 
 fn registry() -> SourceRegistry {
     let mut reg = SourceRegistry::new();
@@ -36,7 +36,10 @@ fn registry() -> SourceRegistry {
 /// Engine with m1: DBLP×ACM, m2: ACM×GS (both trigram, incremental) and
 /// the derived c = m1 ∘ m2.
 fn primed_engine() -> Engine {
-    let mut e = Engine::new(registry(), Parallelism::new(2));
+    primed(Engine::new(registry(), Parallelism::new(2)))
+}
+
+fn primed(mut e: Engine) -> Engine {
     for (name, d, r) in [
         ("m1", "Publication@DBLP", "Publication@ACM"),
         ("m2", "Publication@ACM", "Publication@GS"),
@@ -146,6 +149,98 @@ fn snapshot_mid_delta_sees_pre_or_post_delta_versions_never_a_mix() {
         c.dep_versions.iter().find(|(n, _)| n == "m2").unwrap().1,
         m2.version
     );
+}
+
+/// The same guarantees over published read views, with no engine lock
+/// on the read side: readers take views while a writer applies deltas
+/// and checkpoints. In every view a derived mapping's recorded input
+/// versions equal its inputs' versions in that same view, versions
+/// never go backwards within one reader, and the view's `wal.seq` never
+/// exceeds the WAL's durable `last_seq` — what a reader sees is
+/// acknowledged, and so durable.
+#[test]
+fn published_views_are_consistent_durable_points_in_time() {
+    let dir = std::env::temp_dir().join(format!("moma_views_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut e = Engine::new(registry(), Parallelism::new(2));
+    e.wal_create(&dir, DurabilityPolicy::default())
+        .expect("WAL");
+    let e = primed(e);
+    let views = Arc::clone(e.views());
+    let engine = Arc::new(RwLock::new(e));
+    let done = Arc::new(AtomicBool::new(false));
+
+    let mut readers = Vec::new();
+    for _ in 0..3 {
+        let (views, engine, done) = (Arc::clone(&views), Arc::clone(&engine), Arc::clone(&done));
+        readers.push(std::thread::spawn(move || {
+            let mut last_seen: Vec<(String, u64)> = Vec::new();
+            let mut last_seq = 0;
+            let mut taken = 0usize;
+            while !done.load(Ordering::Relaxed) {
+                let view = views.load();
+                taken += 1;
+                let snap = view.snapshot();
+                let version_of = |name: &str| view.entry(name).map(|e| e.version);
+                for e in snap {
+                    for (dep, v) in &e.dep_versions {
+                        assert_eq!(
+                            Some(*v),
+                            version_of(dep),
+                            "view has `{}` computed from `{dep}` v{v}: half-applied delta visible",
+                            e.name
+                        );
+                    }
+                    if let Some((_, prev)) = last_seen.iter().find(|(n, _)| *n == e.name) {
+                        assert!(*prev <= e.version, "version of {} went backwards", e.name);
+                    }
+                }
+                last_seen = snap.iter().map(|e| (e.name.clone(), e.version)).collect();
+                let seq = view.wal().expect("a WAL section").seq;
+                assert!(last_seq <= seq, "wal.seq went backwards");
+                let durable = engine.read().expect("lock").wal_seq();
+                assert!(
+                    seq <= durable,
+                    "view at seq {seq} but the WAL is durable to {durable}"
+                );
+                last_seq = seq;
+            }
+            taken
+        }));
+    }
+
+    for i in 0..25 {
+        let mut engine = engine.write().expect("lock");
+        let resp = engine.execute(&gs_add(i));
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+        if i % 8 == 7 {
+            let resp = engine.execute(&protocol::checkpoint_request());
+            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+        }
+    }
+    done.store(true, Ordering::Relaxed);
+    let taken: usize = readers.into_iter().map(|r| r.join().expect("reader")).sum();
+    assert!(taken > 0, "readers never took a view");
+
+    // The last view is the engine's state after the last write.
+    let view = views.load();
+    let engine = engine.read().expect("lock");
+    let live: Vec<(String, u64)> = engine
+        .snapshot()
+        .into_iter()
+        .map(|e| (e.name, e.version))
+        .collect();
+    let shown: Vec<(String, u64)> = view
+        .snapshot()
+        .iter()
+        .map(|e| (e.name.clone(), e.version))
+        .collect();
+    assert_eq!(shown, live);
+    assert_eq!(
+        view.wal().map(|w| (w.seq, w.checkpoint_seq)),
+        Some((28, 27))
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A snapshot captured *before* deltas keeps its contents: the `Arc`'d
