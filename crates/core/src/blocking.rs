@@ -1,13 +1,13 @@
 //! Candidate generation (blocking) for attribute matchers.
 //!
 //! Matching large web sources all-pairs is quadratic — the paper's own
-//! Google Scholar dataset has 64k entries. This module owns MOMA's three
-//! index-based candidate generators. The two string ones are a
-//! tokenizer (`Tokens`) and a probe over the same maintained inverted
-//! index ([`moma_table::GramIndex`]), which stores and probes **gram
-//! ids** of one [`GramDict`]: a value is tokenized once, and build,
-//! maintenance and probe all take its id list. The third indexes cached
-//! TF-IDF vectors:
+//! Google Scholar dataset has 64k entries. This module owns MOMA's
+//! candidate generators: **one index, three probes**. Every plan that
+//! prunes stores its values in the one maintained inverted index
+//! ([`moma_table::GramIndex`]) under **ids** of one [`GramDict`] — a
+//! value is tokenized once, and build, maintenance and probe all take
+//! its id list — and differs from the others only in its tokenizer and
+//! in how it probes:
 //!
 //! * **Prefix-filtered trigram blocking** ([`Blocking::TrigramPrefix`]):
 //!   range values are indexed by their *set* of character trigrams; a
@@ -30,24 +30,28 @@
 //!   the matcher's threshold — and typically almost nothing else, so
 //!   the scoring stage runs on a fraction of the prefix filter's
 //!   candidates.
-//! * **Weighted-prefix TF-IDF blocking** ([`TfIdfIndex`]): the max-weight
-//!   prefix filter of [`moma_simstring::wbounds`] applied to cached
-//!   TF-IDF unit vectors. Range vectors are indexed by token id (one
-//!   [`moma_table::Postings`] per token); a probe unions the
-//!   postings of only its heaviest tokens — the minimal descending-weight
-//!   prefix whose squared mass reaches `1 − t²` — and screens each
-//!   candidate against the exact size-window and minimum-shared-token
-//!   bounds. Like the T-occurrence engine this is lossless: matcher
-//!   results are bit-identical to all-pairs scoring. It is built per
-//!   match and never patched (the corpus shifts under every delta).
+//! * **Weighted-prefix TF-IDF blocking** (the third probe, behind
+//!   [`TfIdfIndex`]): the max-weight prefix filter of
+//!   [`moma_simstring::wbounds`] over cached TF-IDF unit vectors. Values
+//!   are indexed under their word-token ids (the "grams" of a TF-IDF
+//!   match's dictionary), their token count as the size and their
+//!   largest weight kept beside the index; a probe unions the postings
+//!   of only its heaviest tokens — the minimal descending-weight prefix
+//!   whose squared mass reaches `1 − t²` — at sizes inside the exact size
+//!   window ([`moma_table::GramIndex::union`]), and screens each posting
+//!   against the exact minimum-shared-token bound. Lossless like the
+//!   T-occurrence engine: matcher results are bit-identical to all-pairs
+//!   scoring. It is built per match and never patched (the corpus shifts
+//!   under every delta).
 //!
-//! The string generators come at two levels. The matchers hold
-//! [`CandidateIndex`]es: one gram dictionary per match tokenizes the
-//! values of *both* sides, every value keeps its ids, and index and
-//! probe never see a string. [`TrigramIndex`] and [`ThresholdIndex`]
-//! are the same postings and the same two probes behind a string
-//! interface for everyone else: each owns a dictionary, interns what it
-//! indexes and looks a probe value up read-only.
+//! The generators come at two levels. The matchers hold
+//! [`CandidateIndex`]es: one dictionary per match tokenizes the values
+//! of *both* sides, every value keeps its ids, and index and probe never
+//! see a string. [`TrigramIndex`] and [`ThresholdIndex`] are the same
+//! postings and the same two string probes behind a string interface
+//! for everyone else: each owns a dictionary, interns what it indexes
+//! and looks a probe value up read-only; [`TfIdfIndex`] is the weighted
+//! probe behind cached vectors.
 //!
 //! Posting storage, tombstoned removal and amortized compaction live in
 //! `moma-table`; this module owns tokenization and the threshold
@@ -84,9 +88,10 @@
 use std::ops::{Deref, DerefMut};
 
 use moma_simstring::bounds::{qgram_measure_of, QgramMeasure};
+use moma_simstring::tokenize::UNKNOWN_GRAM;
 use moma_simstring::{wbounds, GramDict};
 use moma_table::exec::Parallelism;
-use moma_table::{FxHashMap, FxHashSet, GramIndex, Postings, ProbeScratch};
+use moma_table::{GramIndex, ProbeScratch};
 
 use crate::matchers::MatcherSim;
 
@@ -417,133 +422,42 @@ impl ThresholdIndex {
     }
 }
 
-/// Weighted-prefix candidate index for TF-IDF cosine — the exact
-/// `Blocking::Threshold` engine for corpus-weighted scoring.
-///
-/// The index stores no strings and owns no corpus: it is built over the
-/// *cached unit vectors* ([`moma_simstring::TfIdfCorpus::vector`]) of
-/// the range side, with the corpus frozen for the duration of the match
-/// (the attribute matcher builds it from both columns first). Each
-/// token id owns a [`Postings`] list of the indexed ids whose
-/// vectors contain it; per-id metadata (token count, maximum weight)
-/// backs the candidate-side screens.
-///
-/// A probe sorts the query's weights descending and consults only the
-/// minimal prefix [`wbounds::min_prefix_len`] demands; every id merged
-/// from those postings is screened against [`wbounds::size_window`] and
-/// [`wbounds::min_shared_tokens`] before it is admitted. All three
+/// The weighted-prefix probe: candidate ids for a TF-IDF unit vector
+/// under cosine threshold `threshold` — the postings of the query's
+/// heaviest tokens (the minimal prefix [`wbounds::min_prefix_len`]
+/// demands, weight ties broken by token id so probes are
+/// deterministic), at sizes from [`wbounds::size_window`]'s low end up,
+/// each screened against [`wbounds::min_shared_tokens`] with the
+/// candidate's largest weight (`max_weight`, by value id). All three
 /// bounds are exact (no false dismissals — see the `wbounds` property
-/// tests), so scoring the surviving candidates reproduces all-pairs
-/// results bit-identically.
-///
-/// The index is build-and-probe only: its vectors must come from one
-/// frozen corpus, and when the corpus changes (document frequencies
-/// shift under every delta) every vector does — which is why the delta
-/// engine treats TF-IDF matchers as non-incremental and re-matches.
-#[derive(Debug, Clone)]
-pub struct TfIdfIndex {
+/// tests). An empty query returns exactly the token-free values — the
+/// only ones it can match (cosine 1.0).
+fn weighted_probe(
+    index: &GramIndex,
+    max_weight: &[f64],
+    query: &[(u32, f64)],
     threshold: f64,
-    /// `postings[token id]` = ids of indexed vectors containing it.
-    postings: Vec<Postings>,
-    /// Id → (token count, max weight) of its non-empty vector.
-    meta: FxHashMap<u32, (u32, f64)>,
-    /// Ids whose vectors are empty (token-free values) — the exact
-    /// match set of an empty query (cosine 1.0), unreachable via
-    /// postings.
-    empties: FxHashSet<u32>,
-}
-
-impl TfIdfIndex {
-    /// Build from `(id, cached vector)` pairs, pruning for TF-IDF cosine
-    /// at `threshold` (> 0 — at 0 nothing can be pruned and the caller
-    /// should score all pairs). The first vector of an id wins.
-    pub fn build<'a>(
-        threshold: f64,
-        vectors: impl IntoIterator<Item = (u32, &'a [(u32, f64)])>,
-    ) -> Self {
-        debug_assert!(threshold > 0.0, "TF-IDF blocking needs t > 0");
-        let mut idx = Self {
-            threshold,
-            postings: Vec::new(),
-            meta: FxHashMap::default(),
-            empties: FxHashSet::default(),
+) -> Vec<u32> {
+    if query.is_empty() {
+        return if threshold <= 1.0 {
+            index.gramless_ids()
+        } else {
+            Vec::new()
         };
-        for (id, vector) in vectors {
-            if idx.meta.contains_key(&id) || idx.empties.contains(&id) {
-                continue;
-            }
-            if vector.is_empty() {
-                idx.empties.insert(id);
-                continue;
-            }
-            let maxw = vector.iter().map(|e| e.1).fold(0.0, f64::max);
-            idx.meta.insert(id, (vector.len() as u32, maxw));
-            for &(tid, _) in vector {
-                let tid = tid as usize;
-                if tid >= idx.postings.len() {
-                    idx.postings.resize_with(tid + 1, Postings::new);
-                }
-                idx.postings[tid].insert(id);
-            }
-        }
-        idx
     }
-
-    /// Number of indexed vectors (empty ones included).
-    pub fn len(&self) -> usize {
-        self.meta.len() + self.empties.len()
-    }
-
-    /// Whether no vectors are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.meta.is_empty() && self.empties.is_empty()
-    }
-
-    /// Candidate ids for a query vector: every indexed vector whose
-    /// cosine with `query` reaches the index threshold is returned (plus
-    /// only such near-misses as also clear the exact weighted bounds).
-    /// An empty query returns exactly the empty-vector values — the only
-    /// ones it can match (cosine 1.0).
-    pub fn candidates(&self, query: &[(u32, f64)]) -> FxHashSet<u32> {
-        if query.is_empty() {
-            return if self.threshold <= 1.0 {
-                self.empties.clone()
-            } else {
-                FxHashSet::default()
-            };
-        }
-        // Heaviest-first view of the query (ties broken by token id so
-        // probes are deterministic).
-        let mut by_weight: Vec<(f64, u32)> = query.iter().map(|&(id, w)| (w, id)).collect();
-        by_weight.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        let weights: Vec<f64> = by_weight.iter().map(|e| e.0).collect();
-        let k = wbounds::min_prefix_len(&weights, self.threshold);
-        let maxw_q = weights[0];
-        let (lo, _) = wbounds::size_window(self.threshold, maxw_q);
-        let mut out = FxHashSet::default();
-        for &(_, tid) in by_weight.iter().take(k) {
-            let Some(list) = self.postings.get(tid as usize) else {
-                continue;
-            };
-            for id in list.iter() {
-                if out.contains(&id) {
-                    continue;
-                }
-                let (size, maxw_c) = self.meta[&id];
-                let size = size as usize;
-                if size < lo {
-                    continue;
-                }
-                // Shared tokens are capped by both vector lengths.
-                let need = wbounds::min_shared_tokens(self.threshold, maxw_q, maxw_c);
-                if size.min(query.len()) < need {
-                    continue;
-                }
-                out.insert(id);
-            }
-        }
-        out
-    }
+    let mut by_weight: Vec<(f64, u32)> = query.iter().map(|&(id, w)| (w, id)).collect();
+    by_weight.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    let weights: Vec<f64> = by_weight.iter().map(|e| e.0).collect();
+    let prefix = &by_weight[..wbounds::min_prefix_len(&weights, threshold)];
+    let prefix: Vec<u32> = prefix.iter().map(|e| e.1).collect();
+    let max_query = weights[0];
+    let lo = wbounds::size_window(threshold, max_query).0;
+    // Shared tokens are capped by both vector lengths.
+    let keep = |size: u32, id: u32| {
+        let need = wbounds::min_shared_tokens(threshold, max_query, max_weight[id as usize]);
+        (size as usize).min(query.len()) >= need
+    };
+    index.union(&prefix, lo.min(u32::MAX as usize) as u32, keep)
 }
 
 /// How a [`CandidateIndex`] tokenizes and probes, parameters baked in.
@@ -565,30 +479,29 @@ pub(crate) enum Probe {
         /// Similarity threshold the bounds are computed at (> 0).
         threshold: f64,
     },
+    /// Weighted-prefix probe of TF-IDF cosine over cached unit vectors
+    /// of one frozen corpus, indexed by word-token id.
+    Weighted {
+        /// Cosine threshold the bounds are computed at (> 0).
+        threshold: f64,
+    },
 }
 
-impl Probe {
-    /// The tokenizer whose ids the index stores and is probed with.
-    pub(crate) fn tokens(self) -> Tokens {
-        match self {
-            Probe::Prefix { .. } => Tokens::UniqueTrigrams,
-            Probe::Threshold { q, .. } => Tokens::TaggedQgrams(q),
-        }
-    }
-}
-
-/// A built candidate index of either string family over gram *ids*,
-/// with its probe parameters baked in — what a resolved candidate plan
-/// puts in front of one side of a match (a plan that scores all pairs
-/// puts nothing there). The match kernel probes it for full execution
-/// and for delta patches alike; the sides of a
-/// [`crate::delta::DeltaMatchState`] keep theirs current through the
-/// [`GramIndex`] it dereferences to, with the ids of the match's one
-/// dictionary.
+/// A built candidate index over gram *ids*, with its probe parameters
+/// baked in — what a resolved candidate plan puts in front of one side
+/// of a match (a plan that scores all pairs puts nothing there). The
+/// match kernel probes it for full execution and for delta patches
+/// alike; the sides of a [`crate::delta::DeltaMatchState`] keep theirs
+/// current through the [`GramIndex`] it dereferences to, with the ids of
+/// the match's one dictionary.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
     grams: GramIndex,
     probe: Probe,
+    /// Largest weight of each indexed vector by value id: what the
+    /// weighted probe's shared-token screen reads (empty under the
+    /// string probes).
+    max_weight: Vec<f64>,
 }
 
 impl Deref for CandidateIndex {
@@ -605,23 +518,116 @@ impl DerefMut for CandidateIndex {
 }
 
 impl CandidateIndex {
-    /// Index `(id, gram ids)` values — ids of [`Probe::tokens`] — with
-    /// the postings sharded through `par`.
+    /// Index `(id, gram ids)` values for the prefix or threshold probe —
+    /// trigram sets under [`Probe::Prefix`], the tagged q-grams the
+    /// measure scores under [`Probe::Threshold`] — with the postings
+    /// sharded through `par`.
     pub(crate) fn build(probe: Probe, values: Vec<(u32, &[u32])>, par: &Parallelism) -> Self {
         Self {
             grams: build_grams(values, par),
             probe,
+            max_weight: Vec::new(),
         }
     }
 
-    /// Candidate ids (sorted) for one probe value's gram ids.
+    /// Index `(id, unit vector)` pairs of one frozen TF-IDF corpus (ids
+    /// distinct) for the weighted probe at `threshold`, with the
+    /// postings sharded through `par`. A vector is posted under its
+    /// token ids, its token count the size; an out-of-corpus token
+    /// ([`UNKNOWN_GRAM`], shared with nothing) is not posted, which only
+    /// tightens the size and shared-token bounds.
+    pub(crate) fn build_weighted<'a>(
+        threshold: f64,
+        vectors: impl IntoIterator<Item = (u32, &'a [(u32, f64)])>,
+        par: &Parallelism,
+    ) -> Self {
+        let mut max_weight = Vec::new();
+        // Every vector's posted tokens back to back, and where each lies.
+        let (mut tokens, mut spans) = (Vec::new(), Vec::new());
+        for (id, vector) in vectors {
+            if id as usize >= max_weight.len() {
+                max_weight.resize(id as usize + 1, 0.0);
+            }
+            max_weight[id as usize] = vector.iter().map(|e| e.1).fold(0.0, f64::max);
+            let start = tokens.len();
+            tokens.extend(vector.iter().map(|e| e.0).filter(|&t| t != UNKNOWN_GRAM));
+            spans.push((id, start..tokens.len()));
+        }
+        let values = spans.iter().map(|(id, span)| (*id, &tokens[span.clone()]));
+        Self {
+            grams: build_grams(values.collect(), par),
+            probe: Probe::Weighted { threshold },
+            max_weight,
+        }
+    }
+
+    /// Candidate ids (sorted) for one probe value's gram ids under the
+    /// prefix or threshold probe.
     pub(crate) fn candidates(&self, query: &[u32], scratch: &mut ProbeScratch) -> Vec<u32> {
         match self.probe {
             Probe::Prefix { dice_bound } => prefix_probe(&self.grams, query, dice_bound),
             Probe::Threshold {
                 measure, threshold, ..
             } => threshold_probe(&self.grams, query, measure, threshold, scratch),
+            Probe::Weighted { .. } => panic!("a weighted index is probed with a vector"),
         }
+    }
+
+    /// Candidate ids (sorted) for one TF-IDF unit vector under the
+    /// weighted probe.
+    pub(crate) fn vector_candidates(&self, query: &[(u32, f64)]) -> Vec<u32> {
+        let Probe::Weighted { threshold } = self.probe else {
+            panic!("only a weighted index is probed with a vector")
+        };
+        weighted_probe(&self.grams, &self.max_weight, query, threshold)
+    }
+}
+
+/// Weighted-prefix candidate index for TF-IDF cosine — the exact
+/// `Blocking::Threshold` engine for corpus-weighted scoring: a
+/// [`CandidateIndex`] under the weighted probe, built over the *cached
+/// unit vectors* ([`moma_simstring::TfIdfCorpus::vector`]) of the range
+/// side, with the corpus frozen for the duration of the match. It owns
+/// no corpus and no strings.
+///
+/// [`TfIdfIndex::candidates`] returns a superset of exactly the vectors
+/// whose cosine with the query reaches the threshold (see
+/// [`Blocking::Threshold`]), so scoring the candidates reproduces
+/// all-pairs results bit-identically. The index is build-and-probe
+/// only: its vectors must come from one frozen corpus, and when the
+/// corpus changes (document frequencies shift under every delta) every
+/// vector does — which is why the delta engine treats TF-IDF matchers as
+/// non-incremental and re-matches.
+#[derive(Debug, Clone)]
+pub struct TfIdfIndex(CandidateIndex);
+
+impl Deref for TfIdfIndex {
+    type Target = CandidateIndex;
+    fn deref(&self) -> &CandidateIndex {
+        &self.0
+    }
+}
+
+impl TfIdfIndex {
+    /// Build from `(id, cached vector)` pairs with distinct ids, pruning
+    /// for TF-IDF cosine at `threshold` (> 0 — at 0 nothing can be
+    /// pruned and the caller should score all pairs).
+    pub fn build<'a>(
+        threshold: f64,
+        vectors: impl IntoIterator<Item = (u32, &'a [(u32, f64)])>,
+    ) -> Self {
+        debug_assert!(threshold > 0.0, "TF-IDF blocking needs t > 0");
+        let par = Parallelism::sequential();
+        Self(CandidateIndex::build_weighted(threshold, vectors, &par))
+    }
+
+    /// Candidate ids (sorted) for a query vector: every indexed vector
+    /// whose cosine with `query` reaches the index threshold is returned
+    /// (plus only such near-misses as also clear the exact weighted
+    /// bounds). An empty query returns exactly the empty-vector values —
+    /// the only ones it can match (cosine 1.0).
+    pub fn candidates(&self, query: &[(u32, f64)]) -> Vec<u32> {
+        self.0.vector_candidates(query)
     }
 }
 
@@ -1015,16 +1021,19 @@ mod threshold_tests {
     fn candidate_index_runs_on_the_ids_of_one_dictionary() {
         let data = super::tests::titles();
         let q = "A formal perspective on the view selection problem";
-        for probe in [
-            Probe::Prefix { dice_bound: 0.6 },
-            Probe::Threshold {
-                measure: QgramMeasure::Dice,
-                q: 3,
-                threshold: 0.6,
-            },
+        for (probe, tokens) in [
+            (Probe::Prefix { dice_bound: 0.6 }, Tokens::UniqueTrigrams),
+            (
+                Probe::Threshold {
+                    measure: QgramMeasure::Dice,
+                    q: 3,
+                    threshold: 0.6,
+                },
+                Tokens::TaggedQgrams(3),
+            ),
         ] {
             let mut dict = GramDict::new();
-            let mut ids = |v: &str| probe.tokens().intern(v, &mut dict);
+            let mut ids = |v: &str| tokens.intern(v, &mut dict);
             let values: Vec<(u32, Box<[u32]>)> = data.iter().map(|(i, v)| (*i, ids(v))).collect();
             let values: Vec<(u32, &[u32])> = values.iter().map(|(i, g)| (*i, &**g)).collect();
             let par = Parallelism::new(2).with_min_shard_size(1);
@@ -1071,6 +1080,7 @@ mod tfidf_tests {
     use super::*;
     use moma_simstring::tfidf::cosine_vectors;
     use moma_simstring::TfIdfCorpus;
+    use proptest::prelude::*;
 
     fn corpus_and_vectors(values: &[(u32, &str)]) -> (TfIdfCorpus, Vec<(u32, Vec<(u32, f64)>)>) {
         let corpus = TfIdfCorpus::build(values.iter().map(|(_, v)| *v));
@@ -1104,6 +1114,40 @@ mod tfidf_tests {
         }
     }
 
+    proptest! {
+        /// The weighted probe is exact where weight order is not
+        /// document-frequency order: words repeat inside a value, so a
+        /// `tf > 1` token can be a value's heaviest without being its
+        /// rarest. Candidates come sorted and duplicate-free, hold every
+        /// value whose cosine reaches `t`, and a token-free query gets
+        /// exactly the token-free values.
+        #[test]
+        fn weighted_probe_is_exact_where_weight_order_is_not_rarity(
+            values in prop::collection::vec("([a-d]{1,2}( [a-d]{1,2}){0,5})?", 1..14),
+            t in 0.01f64..=1.0,
+        ) {
+            let data: Vec<(u32, &str)> =
+                values.iter().enumerate().map(|(i, v)| (i as u32, v.as_str())).collect();
+            let (corpus, vecs) = corpus_and_vectors(&data);
+            let idx = build(t, &vecs);
+            let token_free: Vec<u32> =
+                vecs.iter().filter(|(_, v)| v.is_empty()).map(|(id, _)| *id).collect();
+            for (_, q) in &data {
+                let qv = corpus.vector(q);
+                let cands = idx.candidates(&qv);
+                prop_assert!(cands.windows(2).all(|w| w[0] < w[1]), "{:?}", cands);
+                for (id, v) in &vecs {
+                    let s = cosine_vectors(&qv, v);
+                    prop_assert!(s < t || cands.contains(id),
+                        "t={}: missed {} (cos {}) for `{}`", t, id, s, q);
+                }
+                if qv.is_empty() {
+                    prop_assert_eq!(&cands, &token_free);
+                }
+            }
+        }
+    }
+
     #[test]
     fn prefix_prunes_unrelated_probes() {
         let data = super::tests::titles();
@@ -1126,8 +1170,7 @@ mod tfidf_tests {
         let idx = build(0.7, &vecs);
         assert_eq!(idx.len(), 3);
         // "" and "!!" tokenize to nothing: cosine 1.0 with each other.
-        let c = idx.candidates(&corpus.vector("?!"));
-        assert_eq!(c, [0u32, 1].into_iter().collect::<FxHashSet<_>>());
+        assert_eq!(idx.candidates(&corpus.vector("?!")), [0, 1]);
         assert!(!idx.candidates(&corpus.vector("data cleaning")).contains(&0));
     }
 
@@ -1202,35 +1245,6 @@ mod prop_tests {
                         prop_assert!(cands.contains(&(i as u32)),
                             "{:?} q={} t={}: missed `{}` (sim {}) for `{}`", m, q, t, v, s, query);
                     }
-                }
-            }
-        }
-
-        /// The weighted-prefix TF-IDF engine makes the T-occurrence
-        /// promise for corpus-weighted cosine: no pair reaching the
-        /// threshold is ever pruned, over random corpora and thresholds.
-        #[test]
-        fn tfidf_index_no_false_dismissals(
-            values in prop::collection::vec("[a-d]{1,4}( [a-d]{1,4}){0,4}", 1..16),
-            query in "[a-d]{1,4}( [a-d]{1,4}){0,4}",
-            t in 0.05f64..=1.0,
-        ) {
-            let corpus = moma_simstring::TfIdfCorpus::build(
-                values.iter().map(|s| s.as_str()).chain([query.as_str()]),
-            );
-            let vecs: Vec<Vec<(u32, f64)>> =
-                values.iter().map(|v| corpus.vector(v)).collect();
-            let idx = TfIdfIndex::build(
-                t,
-                vecs.iter().enumerate().map(|(i, v)| (i as u32, v.as_slice())),
-            );
-            let qv = corpus.vector(&query);
-            let cands = idx.candidates(&qv);
-            for (i, v) in values.iter().enumerate() {
-                let s = moma_simstring::tfidf::cosine_vectors(&qv, &vecs[i]);
-                if s >= t {
-                    prop_assert!(cands.contains(&(i as u32)),
-                        "t={}: missed `{}` (cos {}) for `{}`", t, v, s, query);
                 }
             }
         }

@@ -128,7 +128,7 @@ fn supports_incremental(m: &AttributeMatcher) -> bool {
         CandidatePlan::Index(Probe::Prefix { .. }) => {
             matches!(sim, SimFn::Trigram | SimFn::QgramDice(3))
         }
-        CandidatePlan::TfIdf => false,
+        CandidatePlan::Index(Probe::Weighted { .. }) => false,
     }
 }
 

@@ -13,10 +13,11 @@
 use moma_model::{LdsId, LogicalSource};
 use moma_simstring::bounds::qgram_measure_of;
 use moma_simstring::tfidf::cosine_vectors;
+use moma_simstring::tokenize::remap_sorted;
 use moma_simstring::{GramDict, Prepared, SimFn, TfIdfCorpus};
 use moma_table::{MappingTable, ProbeScratch};
 
-use crate::blocking::{Blocking, CandidateIndex, Probe, TfIdfIndex};
+use crate::blocking::{Blocking, CandidateIndex, Probe, Tokens};
 use crate::error::Result;
 use crate::exec::Parallelism;
 use crate::mapping::Mapping;
@@ -40,16 +41,14 @@ pub enum MatcherSim {
 pub(crate) enum CandidatePlan {
     /// Score every pair.
     AllPairs,
-    /// A string index over the range column: the prefix filter at a
-    /// fixed Dice bound (the matcher threshold, or
-    /// [`PREFIX_DICE_FLOOR`] when the measure is not trigram Dice), or
-    /// the threshold-exact T-occurrence index (the matcher's measure,
-    /// gram length and threshold baked in).
+    /// A [`CandidateIndex`] over the range column: the prefix filter at
+    /// a fixed Dice bound (the matcher threshold, or
+    /// [`PREFIX_DICE_FLOOR`] when the measure is not trigram Dice), the
+    /// threshold-exact T-occurrence probe (the matcher's measure, gram
+    /// length and threshold baked in), or the weighted-prefix probe over
+    /// cached TF-IDF vectors (the corpus built from both columns at
+    /// execution time and frozen for the match).
     Index(Probe),
-    /// Threshold-exact weighted-prefix index over cached TF-IDF vectors
-    /// (see [`TfIdfIndex`]); the corpus is built from both columns at
-    /// execution time and frozen for the match.
-    TfIdf,
 }
 
 /// Dice bound of the trigram prefix filter under
@@ -76,7 +75,9 @@ pub(crate) struct Value {
 impl Value {
     /// Prepare `text` for a match scoring with `sim`, indexed (if at
     /// all) by `probe`. Grams become ids of `dict` — one dictionary per
-    /// match, shared by both sides.
+    /// match, shared by both sides. Only the prefix filter indexes other
+    /// grams than the scorer's; a threshold plan is resolved for q-gram
+    /// measures only, whose scored form is their grams.
     pub(crate) fn prepare(
         text: &str,
         sim: &SimFn,
@@ -84,10 +85,8 @@ impl Value {
         dict: &mut GramDict,
     ) -> Self {
         let scored = sim.prepare(text, dict);
-        let tokens = probe.and_then(|probe| match (probe, &scored) {
-            (Probe::Threshold { .. }, Prepared::Grams(_)) => None,
-            _ => Some(probe.tokens().intern(text, dict)),
-        });
+        let prefix = matches!(probe, Some(Probe::Prefix { .. }));
+        let tokens = prefix.then(|| Tokens::UniqueTrigrams.intern(text, dict));
         Self { tokens, scored }
     }
 
@@ -136,21 +135,22 @@ pub(crate) fn string_candidates(
 /// prepared domain column and the range side.
 pub(crate) type MatchedSides = (GramDict, Vec<Option<Value>>, StringSide);
 
-/// Prepare a projected column for a match scoring with `sim`, indexed
-/// (if at all) by `probe`: sharded through `par`, each shard with a gram
-/// dictionary of its own, which `dict` — the dictionary of the match —
-/// then absorbs, the shard's values moving over to its ids.
-fn prepare_column(
+/// Prepare a projected column — every value once, through `prepare` —
+/// sharded through `par`, each shard with a gram dictionary of its own,
+/// which `dict` — the dictionary of the match — then absorbs, the
+/// shard's values moving over to its ids through `remap`. Ids are
+/// numbered on first sight in column order, whatever the sharding.
+fn prepare_column<T: Send>(
     texts: &[Option<String>],
-    sim: &SimFn,
-    probe: Option<Probe>,
     dict: &mut GramDict,
     par: &Parallelism,
-) -> Vec<Option<Value>> {
+    prepare: impl Fn(&mut GramDict, &str) -> T + Sync,
+    remap: impl Fn(&mut T, &[u32]),
+) -> Vec<Option<T>> {
     let shards = par.run_sharded(texts, |chunk| {
         let mut local = GramDict::new();
-        let mut value = |t: &String| Value::prepare(t, sim, probe, &mut local);
-        let vals: Vec<Option<Value>> = chunk.iter().map(|t| t.as_ref().map(&mut value)).collect();
+        let mut value = |t: &String| prepare(&mut local, t);
+        let vals: Vec<Option<T>> = chunk.iter().map(|t| t.as_ref().map(&mut value)).collect();
         (local, vals)
     });
     let mut column = Vec::with_capacity(texts.len());
@@ -158,8 +158,8 @@ fn prepare_column(
         if dict.is_empty() {
             *dict = local; // the first shard's ids stand as they are
         } else {
-            let remap = dict.absorb(local);
-            vals.iter_mut().flatten().for_each(|v| v.remap(&remap));
+            let ids = dict.absorb(local);
+            vals.iter_mut().flatten().for_each(|v| remap(v, &ids));
         }
         column.extend(vals);
     }
@@ -251,7 +251,11 @@ impl AttributeMatcher {
     pub(crate) fn candidate_plan(&self) -> CandidatePlan {
         match (self.blocking, &self.sim) {
             (Blocking::AllPairs, _) => CandidatePlan::AllPairs,
-            (_, MatcherSim::TfIdf) if self.threshold > 0.0 => CandidatePlan::TfIdf,
+            (_, MatcherSim::TfIdf) if self.threshold > 0.0 => {
+                CandidatePlan::Index(Probe::Weighted {
+                    threshold: self.threshold,
+                })
+            }
             (Blocking::TrigramPrefix, MatcherSim::Fixed(sim)) => {
                 CandidatePlan::Index(Probe::Prefix {
                     dice_bound: match sim {
@@ -274,19 +278,18 @@ impl AttributeMatcher {
         }
     }
 
-    /// How the resolved plan indexes and probes a string column; `None`
-    /// means score all pairs (the TF-IDF plan indexes cached vectors,
-    /// not strings — see [`AttributeMatcher::full_match`]).
+    /// How the resolved plan indexes and probes a column; `None` means
+    /// score all pairs.
     pub(crate) fn probe(&self) -> Option<Probe> {
         match self.candidate_plan() {
             CandidatePlan::Index(probe) => Some(probe),
-            CandidatePlan::AllPairs | CandidatePlan::TfIdf => None,
+            CandidatePlan::AllPairs => None,
         }
     }
 
-    /// Build the index the resolved plan calls for over one prepared
-    /// column's present values (postings sharded through `par`); `None`
-    /// means score all pairs.
+    /// Build the index the resolved plan of a fixed measure calls for
+    /// over one prepared column's present values (postings sharded
+    /// through `par`); `None` means score all pairs.
     pub(crate) fn build_candidate_index(
         &self,
         values: &[(u32, &Value)],
@@ -308,10 +311,11 @@ impl AttributeMatcher {
     /// index is built from and probed with their gram ids, the score
     /// reads their prepared form.
     ///
-    /// TF-IDF builds its corpus from both columns, keeping every value's
-    /// token ids from that one tokenization pass, turns them into unit
-    /// vectors (sharded) and runs the same kernel over the vectors,
-    /// indexed by [`TfIdfIndex`] under [`CandidatePlan::TfIdf`]; pruned
+    /// TF-IDF tokenizes both columns into word ids the same way —
+    /// sharded, one dictionary per shard, absorbed domain column first —
+    /// counts document frequencies over the merged ids, turns every
+    /// value's ids into its unit vector (sharded) and runs the same
+    /// kernel over the vectors, indexed for the weighted probe; pruned
     /// or not, all scoring goes through [`cosine_vectors`] on those
     /// cached vectors, so the pruned plan is bit-identical to all-pairs
     /// by construction.
@@ -327,8 +331,11 @@ impl AttributeMatcher {
         match &self.sim {
             MatcherSim::Fixed(sim) => {
                 let mut dict = GramDict::new();
-                let r_vals = prepare_column(&r_texts, sim, self.probe(), &mut dict, &par);
-                let d_vals = prepare_column(&d_texts, sim, self.probe(), &mut dict, &par);
+                let probe_plan = self.probe();
+                let prepare =
+                    |dict: &mut GramDict, t: &str| Value::prepare(t, sim, probe_plan, dict);
+                let r_vals = prepare_column(&r_texts, &mut dict, &par, prepare, Value::remap);
+                let d_vals = prepare_column(&d_texts, &mut dict, &par, prepare, Value::remap);
                 let index = self.build_candidate_index(&present(&r_vals), &par);
                 let range = Side {
                     vals: r_vals,
@@ -347,22 +354,25 @@ impl AttributeMatcher {
                 Ok((MappingTable::from_rows(rows), Some(sides)))
             }
             MatcherSim::TfIdf => {
-                let mut corpus = TfIdfCorpus::new();
-                let mut tokenize = |texts: &[Option<String>]| -> Vec<Option<Vec<u32>>> {
-                    let mut ids = |t: &String| corpus.add_document_ids(t);
-                    texts.iter().map(|t| t.as_ref().map(&mut ids)).collect()
-                };
-                let (d_ids, r_ids) = (tokenize(&d_texts), tokenize(&r_texts));
-                let vectorize = |ids: &[Option<Vec<u32>>]| -> Vec<Option<Vec<(u32, f64)>>> {
-                    let vector = |v: &Option<Vec<u32>>| v.as_ref().map(|v| corpus.vector_of_ids(v));
+                let mut dict = GramDict::new();
+                let words = GramDict::intern_word_ids;
+                let remap = |ids: &mut Box<[u32]>, to: &[u32]| remap_sorted(ids, to);
+                let d_ids = prepare_column(&d_texts, &mut dict, &par, words, remap);
+                let r_ids = prepare_column(&r_texts, &mut dict, &par, words, remap);
+                let docs = d_ids.iter().chain(&r_ids).flatten().map(|ids| &**ids);
+                let corpus = TfIdfCorpus::of_ids(dict, docs);
+                let vectorize = |ids: &[Option<Box<[u32]>>]| -> Vec<Option<Vec<(u32, f64)>>> {
+                    let vector =
+                        |v: &Option<Box<[u32]>>| v.as_ref().map(|v| corpus.vector_of_ids(v));
                     par.run_sharded(ids, |chunk| chunk.iter().map(vector).collect::<Vec<_>>())
                         .concat()
                 };
                 let d_vecs = vectorize(&d_ids);
                 let r_vecs = vectorize(&r_ids);
-                let index = (self.candidate_plan() == CandidatePlan::TfIdf).then(|| {
+                let index = self.probe().map(|_| {
                     let vectors = present(&r_vecs).into_iter();
-                    TfIdfIndex::build(self.threshold, vectors.map(|(i, v)| (i, v.as_slice())))
+                    let vectors = vectors.map(|(i, v)| (i, v.as_slice()));
+                    CandidateIndex::build_weighted(self.threshold, vectors, &par)
                 });
                 let r_vecs = Side {
                     vals: r_vecs,
@@ -372,7 +382,9 @@ impl AttributeMatcher {
                     par,
                     &present(&d_vecs),
                     &r_vecs,
-                    |index, query, ()| index.candidates(query),
+                    |index: &CandidateIndex, query: &Vec<(u32, f64)>, ()| {
+                        index.vector_candidates(query)
+                    },
                     |d, r| cosine_vectors(d, r),
                     self.threshold,
                     false,
@@ -548,16 +560,17 @@ mod tests {
             .unwrap();
         assert_eq!(got.table.rows(), want.table.rows());
         // TF-IDF: the weighted-prefix bounds are exact — pruned plan.
+        let weighted = CandidatePlan::Index(Probe::Weighted { threshold: 0.6 });
         assert_eq!(
             AttributeMatcher::tfidf("title", "name", 0.6).candidate_plan(),
-            CandidatePlan::TfIdf
+            weighted
         );
         // ...under either pruning variant: a trigram filter says nothing
         // about corpus-weighted cosine, so `TrigramPrefix` resolves to
         // the same exact plan instead of scoring all pairs.
         let prefix_tfidf =
             AttributeMatcher::tfidf("title", "name", 0.6).with_blocking(Blocking::TrigramPrefix);
-        assert_eq!(prefix_tfidf.candidate_plan(), CandidatePlan::TfIdf);
+        assert_eq!(prefix_tfidf.candidate_plan(), weighted);
         // A TF-IDF threshold of 0 can prune nothing.
         for blocking in [Blocking::Threshold, Blocking::TrigramPrefix] {
             assert_eq!(
@@ -627,7 +640,10 @@ mod tests {
                 let ctx = MatchContext::new(&reg)
                     .with_parallelism(Parallelism::new(threads).with_min_shard_size(1));
                 let pruned = AttributeMatcher::tfidf("title", "name", t);
-                assert_eq!(pruned.candidate_plan(), CandidatePlan::TfIdf);
+                assert_eq!(
+                    pruned.candidate_plan(),
+                    CandidatePlan::Index(Probe::Weighted { threshold: t })
+                );
                 let pruned = pruned.execute(&ctx, d, a).unwrap();
                 let all = AttributeMatcher::tfidf("title", "name", t)
                     .with_blocking(Blocking::AllPairs)

@@ -16,7 +16,7 @@ use crate::tfidf::TfIdfCorpus;
 use crate::token::{
     monge_elkan_sym_words, set_cosine, set_dice, set_jaccard, word_chars, word_set,
 };
-use crate::tokenize::{shared, GramDict};
+use crate::tokenize::{remap_sorted, shared, GramDict};
 
 /// A similarity measure over two strings, yielding a value in `[0, 1]`.
 pub trait Similarity: Send + Sync {
@@ -100,8 +100,7 @@ impl Prepared {
     /// forms hold no ids.
     pub fn remap_grams(&mut self, remap: &[u32]) {
         if let Prepared::Grams(grams) = self {
-            grams.iter_mut().for_each(|id| *id = remap[*id as usize]);
-            grams.sort_unstable();
+            remap_sorted(grams, remap);
         }
     }
 }

@@ -6,25 +6,29 @@
 //! frequent tokens ("the", "conference", "data") contribute little and
 //! rare tokens dominate.
 //!
-//! Tokens are interned to dense `u32` handles
-//! ([`moma_table::StringInterner`]) and vectors are sorted
-//! `(token id, weight)` pairs, so a cosine evaluation is a linear merge
-//! over two sorted slices — no per-call `String`-keyed maps. Callers
-//! that score one value many times (the attribute matcher) cache the
-//! [`TfIdfCorpus::vector`] output per value and combine them with
-//! [`cosine_vectors`] directly; both paths run the *same* merge
+//! Tokens are word ids of a [`GramDict`] — the dictionary type every
+//! match tokenizes through, here holding only words — and vectors are
+//! sorted `(token id, weight)` pairs, so a cosine evaluation is a linear
+//! merge over two sorted slices — no per-call `String`-keyed maps.
+//! Callers that score one value many times (the attribute matcher)
+//! cache the [`TfIdfCorpus::vector`] output per value and combine them
+//! with [`cosine_vectors`] directly; both paths run the *same* merge
 //! arithmetic, which is what lets threshold pruning in `moma-core`
-//! promise bit-identical scores to all-pairs evaluation.
+//! promise bit-identical scores to all-pairs evaluation. Vector entries
+//! and norms add up in token-id order, so the numbering — first sight,
+//! the words of one value in string order — is part of every score's
+//! last bits.
 
-use moma_table::{FxHashMap, StringInterner};
+use moma_table::FxHashMap;
 
-use crate::tokenize::words;
+use crate::normalize::normalize;
+use crate::tokenize::{words, GramDict, UNKNOWN_GRAM};
 
 /// A token-frequency corpus providing IDF weights.
 #[derive(Debug, Clone, Default)]
 pub struct TfIdfCorpus {
-    /// Token string ↔ dense handle; `doc_freq[handle]` is its df.
-    tokens: StringInterner,
+    /// Word ↔ dense token id; `doc_freq[id]` is its df.
+    tokens: GramDict,
     doc_freq: Vec<u32>,
     docs: u32,
 }
@@ -44,29 +48,37 @@ impl TfIdfCorpus {
         c
     }
 
-    /// Add one document's tokens to the document-frequency table.
-    pub fn add_document(&mut self, doc: &str) {
-        self.add_document_ids(doc);
+    /// The corpus of documents already tokenized through `tokens`
+    /// ([`GramDict::intern_word_ids`]; sorted ids, one per occurrence) —
+    /// how a match that tokenized its columns in shards, each with a
+    /// dictionary of its own absorbed into `tokens`, counts document
+    /// frequencies after the merge.
+    pub fn of_ids<'a>(tokens: GramDict, docs: impl IntoIterator<Item = &'a [u32]>) -> Self {
+        let mut c = Self {
+            tokens,
+            ..Self::default()
+        };
+        for ids in docs {
+            c.count(ids);
+        }
+        c
     }
 
-    /// [`TfIdfCorpus::add_document`], returning the document's token ids
-    /// (sorted, one per occurrence): what
-    /// [`TfIdfCorpus::vector_of_ids`] turns into the document's vector
-    /// once the corpus is complete, without tokenizing it again.
-    pub fn add_document_ids(&mut self, doc: &str) -> Vec<u32> {
+    /// Add one document's tokens to the document-frequency table.
+    pub fn add_document(&mut self, doc: &str) {
+        let ids = self.tokens.intern_word_ids(doc);
+        self.count(&ids);
+    }
+
+    /// Count one document's sorted token ids into the frequencies.
+    fn count(&mut self, ids: &[u32]) {
         self.docs += 1;
-        // Handles are assigned in word order within a document.
-        let mut toks = words(doc);
-        toks.sort_unstable();
-        let mut ids: Vec<u32> = toks.iter().map(|t| self.tokens.intern(t)).collect();
         self.doc_freq.resize(self.tokens.len(), 0);
-        ids.sort_unstable();
         for (i, &id) in ids.iter().enumerate() {
             if i == 0 || ids[i - 1] != id {
                 self.doc_freq[id as usize] += 1;
             }
         }
-        ids
     }
 
     /// Number of documents.
@@ -74,72 +86,64 @@ impl TfIdfCorpus {
         self.docs
     }
 
-    /// Number of distinct corpus tokens. Handles below this count are
-    /// corpus tokens; [`TfIdfCorpus::vector`] assigns out-of-corpus
-    /// tokens call-local handles at or above it.
+    /// Number of distinct corpus tokens: ids below it are corpus tokens.
     pub fn token_count(&self) -> usize {
         self.tokens.len()
-    }
-
-    /// Handle of a corpus token, if seen by any document.
-    pub fn token_id(&self, token: &str) -> Option<u32> {
-        self.tokens.get(token)
     }
 
     /// Smoothed inverse document frequency of a token:
     /// `ln(1 + N / (1 + df))`.
     pub fn idf(&self, token: &str) -> f64 {
-        let df = self
-            .tokens
-            .get(token)
-            .map(|id| self.doc_freq[id as usize])
-            .unwrap_or(0);
-        self.idf_from_df(df)
+        self.idf_by_id(self.tokens.lookup_word(token))
     }
 
-    /// Smoothed idf by token handle (df 0 for out-of-corpus handles).
+    /// Smoothed idf by token id (df 0 for out-of-corpus ids).
     pub fn idf_by_id(&self, id: u32) -> f64 {
         let df = self.doc_freq.get(id as usize).copied().unwrap_or(0);
-        self.idf_from_df(df)
-    }
-
-    fn idf_from_df(&self, df: u32) -> f64 {
         (1.0 + self.docs as f64 / (1.0 + df as f64)).ln()
     }
 
     /// TF-IDF vector of a string (term frequency × idf), L2-normalized,
     /// as `(token id, weight)` pairs sorted by token id. Out-of-corpus
-    /// tokens get fresh call-local ids starting at
-    /// [`TfIdfCorpus::token_count`] — they carry the unseen-token idf
-    /// but are never shared between separate `vector` calls (inside one
-    /// [`TfIdfCorpus::cosine`] the two sides do share them).
+    /// tokens carry the unseen-token idf under the id [`UNKNOWN_GRAM`],
+    /// which [`dot`] never matches: they are never shared between
+    /// separate `vector` calls (inside one [`TfIdfCorpus::cosine`] the
+    /// two sides do share them).
     pub fn vector(&self, s: &str) -> Vec<(u32, f64)> {
-        let mut extra = FxHashMap::default();
-        self.vector_with(s, &mut extra)
+        let mut vector = self.vector_with(s, &mut FxHashMap::default());
+        for (id, _) in &mut vector {
+            if *id as usize >= self.token_count() {
+                *id = UNKNOWN_GRAM;
+            }
+        }
+        vector
     }
 
-    /// As [`TfIdfCorpus::vector`], with out-of-corpus token ids drawn
-    /// from (and recorded in) `extra`, so multiple strings in one
-    /// scoring call agree on them.
+    /// As [`TfIdfCorpus::vector`], with out-of-corpus tokens numbered
+    /// from [`TfIdfCorpus::token_count`] up as drawn from (and recorded
+    /// in) `extra`, so multiple strings in one scoring call agree on
+    /// them.
     fn vector_with(&self, s: &str, extra: &mut FxHashMap<String, u32>) -> Vec<(u32, f64)> {
-        let toks = words(s);
-        let mut ids: Vec<u32> = Vec::with_capacity(toks.len());
-        for t in &toks {
-            let id = match self.tokens.get(t) {
-                Some(id) => id,
-                None => {
-                    let next = (self.tokens.len() + extra.len()) as u32;
-                    *extra.entry(t.clone()).or_insert(next)
-                }
-            };
-            ids.push(id);
-        }
+        let next = self.token_count();
+        let mut id = |word: &str| match self.tokens.lookup_word(word) {
+            UNKNOWN_GRAM => {
+                let fresh = (next + extra.len()) as u32;
+                *extra.entry(word.to_owned()).or_insert(fresh)
+            }
+            id => id,
+        };
+        let text = normalize(s);
+        let mut ids: Vec<u32> = text
+            .split(' ')
+            .filter(|w| !w.is_empty())
+            .map(&mut id)
+            .collect();
         ids.sort_unstable();
         self.vector_of_ids(&ids)
     }
 
     /// The L2-normalized TF-IDF vector of a value given its sorted token
-    /// ids, one per occurrence (see [`TfIdfCorpus::add_document_ids`]).
+    /// ids, one per occurrence (see [`GramDict::intern_word_ids`]).
     pub fn vector_of_ids(&self, ids: &[u32]) -> Vec<(u32, f64)> {
         let mut out: Vec<(u32, f64)> = Vec::with_capacity(ids.len());
         let mut norm = 0.0;
@@ -179,7 +183,8 @@ impl TfIdfCorpus {
     }
 }
 
-/// Dot product of two id-sorted sparse vectors — a linear merge.
+/// Dot product of two id-sorted sparse vectors — a linear merge. The
+/// out-of-corpus id [`UNKNOWN_GRAM`] matches nothing, itself included.
 pub fn dot(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
     let (mut i, mut j) = (0usize, 0usize);
     let mut acc = 0.0;
@@ -188,7 +193,9 @@ pub fn dot(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                acc += a[i].1 * b[j].1;
+                if a[i].0 != UNKNOWN_GRAM {
+                    acc += a[i].1 * b[j].1;
+                }
                 i += 1;
                 j += 1;
             }
@@ -296,6 +303,20 @@ mod tests {
     }
 
     #[test]
+    fn separate_vectors_share_no_out_of_corpus_token() {
+        let c = TfIdfCorpus::build(["a b c", "b c d"]);
+        for (a, b) in [("zzz", "yyy"), ("a zzz", "a yyy")] {
+            let (va, vb) = (c.vector(a), c.vector(b));
+            assert_eq!(cosine_vectors(&va, &vb), c.cosine(a, b), "{a} / {b}");
+        }
+        // An unknown word keeps its weight in the norm, nothing else.
+        let v = c.vector("a zzz");
+        assert_eq!(v.last().map(|e| e.0), Some(UNKNOWN_GRAM));
+        assert_eq!(cosine_vectors(&v, &c.vector("a")), c.cosine("a zzz", "a"));
+        assert!(cosine_vectors(&v, &v) < 1.0);
+    }
+
+    #[test]
     fn cached_vectors_reproduce_cosine() {
         let c = corpus();
         let values = [
@@ -334,6 +355,28 @@ mod prop_tests {
             prop_assert!((s1 - s2).abs() < 1e-9);
             prop_assert!((0.0..=1.0).contains(&s1));
             prop_assert!(c.cosine(&a, &a) > 0.999);
+        }
+
+        /// Separately built vectors score what one `cosine` call scores
+        /// whenever the two strings share no out-of-corpus word: the
+        /// unknown words of separate calls never meet.
+        #[test]
+        fn separate_vectors_match_cosine_without_shared_unknown_words(
+            docs in prop::collection::vec("[a-d]{1,3}( [a-d]{1,3}){0,3}", 1..6),
+            picks in prop::collection::vec((0usize..64, 0u8..2), 0..8),
+            unknown_a in prop::collection::vec("[w-x]{4,6}", 0..3),
+            unknown_b in prop::collection::vec("[y-z]{4,6}", 0..3),
+        ) {
+            let c = TfIdfCorpus::build(docs.iter().map(|s| s.as_str()));
+            let corpus_words: Vec<String> = docs.iter().flat_map(|d| words(d)).collect();
+            // Corpus words dealt to either side, each side's unknown words
+            // from an alphabet of its own.
+            let mut sides = [unknown_a, unknown_b];
+            for (p, side) in picks {
+                sides[side as usize].push(corpus_words[p % corpus_words.len()].clone());
+            }
+            let [a, b] = sides.map(|w| w.join(" "));
+            prop_assert_eq!(cosine_vectors(&c.vector(&a), &c.vector(&b)), c.cosine(&a, &b));
         }
 
         /// Cached corpus vectors score every pair exactly like the

@@ -1,12 +1,12 @@
 //! Tokenizers: word tokens, character q-grams as strings, and — what
-//! the match path runs on — character q-grams as **gram ids**.
+//! the match path runs on — character q-grams or words as **ids**.
 //!
 //! A [`GramDict`] is the gram dictionary of one match: it turns a value
 //! into a list of dense `u32` gram ids *once*, and index build, index
-//! probe and q-gram scoring all work on those ids from then on (an
-//! inverted index addresses its postings by gram id, a q-gram score is
-//! one merge of two sorted id lists). Two values can only be compared
-//! through ids of the same dictionary.
+//! probe and scoring all work on those ids from then on (an inverted
+//! index addresses its postings by gram id, a q-gram score is one merge
+//! of two sorted id lists, a TF-IDF vector is keyed by word id). Two
+//! values can only be compared through ids of the same dictionary.
 
 use moma_table::FxHashMap;
 
@@ -51,30 +51,43 @@ pub fn qgrams(s: &str, q: usize) -> Vec<String> {
 /// No posting list and no interned gram ever has it.
 pub const UNKNOWN_GRAM: u32 = u32::MAX;
 
-/// A gram as a dictionary key: up to six chars packed 21 bits each (a
-/// `char` is below 2²¹) under a leading 1 bit that tells `"a"` from
-/// `"\0a"` — the common case hashes and compares as one integer —
-/// longer grams as their chars.
+/// A gram or word as a dictionary key: up to six chars packed 21 bits
+/// each (a `char` is below 2²¹) under a leading 1 bit that tells `"a"`
+/// from `"\0a"` — the common case hashes and compares as one integer —
+/// longer ones as their text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum GramKey {
     Packed(u128),
-    Chars(Box<[char]>),
+    Text(Box<str>),
 }
 
 impl GramKey {
     fn of(gram: &[char]) -> Self {
         if gram.len() <= 6 {
-            GramKey::Packed(gram.iter().fold(1, |key, &c| key << 21 | c as u128))
+            Self::packed(gram.iter().copied())
         } else {
-            GramKey::Chars(gram.into())
+            GramKey::Text(gram.iter().collect())
         }
+    }
+
+    fn word(word: &str) -> Self {
+        if word.chars().nth(6).is_none() {
+            Self::packed(word.chars())
+        } else {
+            GramKey::Text(word.into())
+        }
+    }
+
+    fn packed(chars: impl Iterator<Item = char>) -> Self {
+        GramKey::Packed(chars.fold(1, |key, c| key << 21 | c as u128))
     }
 }
 
 /// The gram dictionary of one match: `(gram, occurrence)` ↔ dense `u32`
 /// id. Occurrence 0 is the gram itself; the `k`-th repeat of a gram
 /// within one value (k ≥ 1) has an id of its own, which is what turns a
-/// value's gram *multiset* into a duplicate-free id list.
+/// value's gram *multiset* into a duplicate-free id list. A TF-IDF
+/// match keeps its word tokens here instead — one id per distinct word.
 ///
 /// The `intern_*` tokenizers assign ids on first sight and are what
 /// indexed and stored values go through; the `lookup_*` tokenizers
@@ -174,6 +187,32 @@ impl GramDict {
         id.copied().unwrap_or(UNKNOWN_GRAM)
     }
 
+    /// The value's word tokens ([`words`]) as ids, one per occurrence,
+    /// sorted. A word gets its id on first sight, and the words of one
+    /// value are met in string order — so a column tokenized in order
+    /// numbers its words exactly like a [`crate::TfIdfCorpus`] built
+    /// from the same values.
+    pub fn intern_word_ids(&mut self, s: &str) -> Box<[u32]> {
+        self.text.clear();
+        normalize_into(s, &mut self.text);
+        let mut words: Vec<&str> = self.text.split(' ').filter(|w| !w.is_empty()).collect();
+        words.sort_unstable();
+        let ids = &mut self.ids;
+        let mut out: Vec<u32> = words
+            .into_iter()
+            .map(|word| Self::intern_key(ids, (GramKey::word(word), 0)))
+            .collect();
+        out.sort_unstable();
+        out.into_boxed_slice()
+    }
+
+    /// Id of one word token ([`words`]); [`UNKNOWN_GRAM`] if the
+    /// dictionary lacks it.
+    pub fn lookup_word(&self, word: &str) -> u32 {
+        let id = self.ids.get(&(GramKey::word(word), 0));
+        id.copied().unwrap_or(UNKNOWN_GRAM)
+    }
+
     /// The value's padded q-gram **multiset** as a sorted, duplicate-free
     /// id list: the `k`-th repeat of a gram gets the id of
     /// `(gram, k)`. Set intersection of two such lists equals the
@@ -217,6 +256,14 @@ impl GramDict {
         pad_for_qgrams(s, q, &mut text, &mut padded);
         set_ids(&padded, q, |gram| self.lookup(gram, 0))
     }
+}
+
+/// Map ids tokenized with another dictionary through the table
+/// [`GramDict::absorb`] returned (old id → new id) and restore their
+/// order: a sorted list stays sorted.
+pub fn remap_sorted(ids: &mut [u32], remap: &[u32]) {
+    ids.iter_mut().for_each(|id| *id = remap[*id as usize]);
+    ids.sort_unstable();
 }
 
 /// Number of elements two sorted, duplicate-free lists share — for two
@@ -368,6 +415,26 @@ mod tests {
         let long = a.intern_qgram_ids("abcdefgh abcdefgh", 7);
         assert_eq!(long.len(), 17 + 6);
         assert_eq!(shared(&long, &a.intern_qgram_ids("abcdefgh", 7)), 14);
+    }
+
+    #[test]
+    fn word_ids_are_numbered_on_first_sight_in_string_order() {
+        let mut dict = GramDict::new();
+        // the the view view: the = 0, view = 1.
+        assert_eq!(&*dict.intern_word_ids("The view, the VIEW"), [0, 0, 1, 1]);
+        // a on perspective problem selection the view: a = 2, on = 3, …
+        let ids = dict.intern_word_ids("a perspective on the view selection problem");
+        assert_eq!(&*ids, [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(dict.lookup_word("perspective"), 4);
+        assert_eq!(dict.lookup_word("unseen"), UNKNOWN_GRAM);
+        assert!(dict.intern_word_ids("?!").is_empty());
+        // A shard's words move over keeping first-sight numbering.
+        let mut shard = GramDict::new();
+        let mut ids = shard.intern_word_ids("zebra selection").into_vec();
+        let remap = dict.absorb(shard);
+        remap_sorted(&mut ids, &remap);
+        assert_eq!(ids, [6, 7]);
+        assert_eq!(dict.lookup_word("zebra"), 7);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The one maintained inverted gram index: size-ordered postings under
-//! two probes.
+//! three probes.
 //!
 //! [`GramIndex`] is the tokenizer-agnostic storage engine behind every
-//! string blocking plan of `moma_core::blocking`. It never sees a
-//! string: callers tokenize each value once into **gram ids** — dense
-//! `u32` handles of one gram dictionary per match (the tokenizers and
-//! the dictionary live in `moma-simstring`, which depends on this
-//! crate) — and hand in duplicate-free id lists. A gram id indexes the
-//! posting arena directly; a gram's postings are the `(gram-set size,
-//! value id)` keys of the values containing it, sorted, in a
-//! [`BlockList`], and two probes read that one structure:
+//! blocking plan of `moma_core::blocking`. It never sees a string:
+//! callers tokenize each value once into **gram ids** — dense `u32`
+//! handles of one gram dictionary per match (the tokenizers and the
+//! dictionary live in `moma-simstring`, which depends on this crate;
+//! for TF-IDF the "grams" are word tokens) — and hand in duplicate-free
+//! id lists. A gram id indexes the posting arena directly; a gram's
+//! postings are the `(gram-set size, value id)` keys of the values
+//! containing it, sorted, in a [`BlockList`], and three probes read that
+//! one structure:
 //!
 //! * [`GramIndex::candidates`] — the SimString *T-occurrence* problem.
 //!   A threshold-aware caller passes a size window `[min_size,
@@ -30,10 +31,14 @@
 //!      longer — see [`crate::postings`]); candidates that can no longer
 //!      reach their requirement are abandoned after every list.
 //!
-//! * [`GramIndex::rarest_union`] — the prefix filter: the union of the
-//!   postings of the query's `k` rarest grams over *all* sizes.
+//! * [`GramIndex::union`] — the weighted prefix filter: the union of the
+//!   postings of a given gram list (a TF-IDF query's heaviest tokens) at
+//!   sizes from a lower bound up, each posting screened by its
+//!   `(size, id)` before it is admitted.
+//! * [`GramIndex::rarest_union`] — the prefix filter: [`GramIndex::union`]
+//!   of the query's `k` rarest grams over *all* sizes.
 //!
-//! Both return a sorted id list.
+//! All three return a sorted id list.
 //!
 //! ## Why blocks of `(size, id)` keys
 //!
@@ -64,19 +69,20 @@
 //!
 //! Tombstones leave dead entries behind: probes pay one hash lookup per
 //! dead candidate, and gram document frequencies are over-counted
-//! (harmless for either probe's guarantee — any rarest-first order and
-//! any `k`-gram subset work — but it skews the rarest-gram heuristic
-//! toward stale statistics). [`GramIndex::remove`] therefore triggers
-//! [`GramIndex::compact`] — a full O(postings) sweep — once tombstones
-//! exceed [`COMPACTION_RATIO`] of the live population (and the
-//! [`COMPACTION_FLOOR`] absolute count), which amortizes the sweep to
-//! O(1) per removal while bounding dead-entry overhead to a constant
-//! factor.
+//! (harmless for the frequency-ordered probes' guarantees — any
+//! rarest-first order and any `k`-gram subset work — but it skews the
+//! rarest-gram heuristic toward stale statistics). [`GramIndex::remove`]
+//! therefore triggers [`GramIndex::compact`] — a full O(postings) sweep
+//! — once tombstones exceed [`COMPACTION_RATIO`] of the live population
+//! (and the [`COMPACTION_FLOOR`] absolute count), which amortizes the
+//! sweep to O(1) per removal while bounding dead-entry overhead to a
+//! constant factor.
 //!
 //! Values whose gram list is empty have no postings and can never be
 //! merged candidates, but they are tracked
 //! ([`GramIndex::gramless_ids`]) so callers can implement the "empty
-//! query matches empty values exactly" edge of the q-gram measures.
+//! query matches empty values exactly" edge of the q-gram measures (and
+//! of TF-IDF cosine, where a token-free value has the empty vector).
 
 use crate::hash::FxHashSet;
 use crate::postings::BlockList;
@@ -150,8 +156,8 @@ pub struct GramIndex {
     /// gram id → that gram's posting keys.
     postings: Vec<BlockList>,
     /// gram id → its posting count (unswept tombstone entries
-    /// included): the rarity both probes order grams by, in one small
-    /// array.
+    /// included): the rarity the count-filtered and prefix probes order
+    /// grams by, in one small array.
     df: Vec<u32>,
     /// Ids currently indexed and not tombstoned.
     live: FxHashSet<u32>,
@@ -310,19 +316,17 @@ impl GramIndex {
         order
     }
 
-    /// The prefix-filter probe: union of the posting lists of the `k`
-    /// rarest `query_grams` over all sizes, tombstones filtered out,
-    /// sorted. Rarity is a gram's posting count — unswept tombstone
-    /// entries included (exact after [`GramIndex::compact`]) — and ties
-    /// keep the caller's gram order, so a deterministically ordered gram
-    /// list makes the choice deterministic. Grams the index has never
-    /// seen have frequency 0: they are picked first and contribute
-    /// nothing. `k` is clamped to the list length.
-    pub fn rarest_union(&self, query_grams: &[u32], k: usize) -> Vec<u32> {
+    /// The union of the posting lists of `grams` at sizes of at least
+    /// `min_size`, keeping the postings whose `(size, id)` pass `keep`,
+    /// tombstones filtered out, sorted. Grams the index has never seen
+    /// (e.g. a caller's "unknown" sentinel) contribute nothing.
+    pub fn union(&self, grams: &[u32], min_size: u32, keep: impl Fn(u32, u32) -> bool) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
-        for g in self.rarest_first(query_grams).into_iter().take(k) {
+        for &g in grams {
             if let Some(list) = self.postings.get(g as usize) {
-                out.extend(list.blocks().flatten().map(|&key| id_of(key)));
+                let keys = list.window(key(min_size, 0), u64::MAX).flatten();
+                let kept = keys.filter(|&&key| keep(size_of(key), id_of(key)));
+                out.extend(kept.map(|&key| id_of(key)));
             }
         }
         out.sort_unstable();
@@ -331,6 +335,19 @@ impl GramIndex {
             out.retain(|id| !self.tombstones.contains(id));
         }
         out
+    }
+
+    /// The prefix-filter probe: [`GramIndex::union`] of the `k` rarest
+    /// `query_grams` over all sizes. Rarity is a gram's posting count —
+    /// unswept tombstone entries included (exact after
+    /// [`GramIndex::compact`]) — and ties keep the caller's gram order,
+    /// so a deterministically ordered gram list makes the choice
+    /// deterministic. Grams the index has never seen have frequency 0:
+    /// they are picked first and contribute nothing. `k` is clamped to
+    /// the list length.
+    pub fn rarest_union(&self, query_grams: &[u32], k: usize) -> Vec<u32> {
+        let rarest = self.rarest_first(query_grams);
+        self.union(&rarest[..k.min(rarest.len())], 0, |_, _| true)
     }
 
     /// The ids with gram-set size in `[min_size, max_size]` sharing at
@@ -477,11 +494,11 @@ impl GramIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interner::StringInterner;
+    use crate::hash::FxHashMap;
 
     thread_local! {
         /// The tests' gram dictionary: one id per distinct word.
-        static WORDS: std::cell::RefCell<StringInterner> = Default::default();
+        static WORDS: std::cell::RefCell<FxHashMap<String, u32>> = Default::default();
     }
 
     /// Word-gram tokenizer for tests: the ids of the distinct words of
@@ -492,7 +509,13 @@ mod tests {
         let mut words: Vec<&str> = s.split_whitespace().collect();
         words.sort_unstable();
         words.dedup();
-        WORDS.with_borrow_mut(|dict| words.into_iter().map(|w| dict.intern(w)).collect())
+        WORDS.with_borrow_mut(|dict| {
+            let mut id = |w: &str| {
+                let next = dict.len() as u32;
+                *dict.entry(w.to_owned()).or_insert(next)
+            };
+            words.into_iter().map(&mut id).collect()
+        })
     }
 
     fn sample() -> GramIndex {
@@ -573,6 +596,18 @@ mod tests {
         // Unknown grams have df 0: picked first, contributing nothing.
         assert!(idx.rarest_union(&grams("data zzz"), 1).is_empty());
         assert_eq!(idx.rarest_union(&grams("data zzz"), 9), [0, 2, 4]);
+    }
+
+    #[test]
+    fn union_screens_sizes_and_postings() {
+        let idx = sample();
+        let q = grams("data cleaning");
+        assert_eq!(idx.union(&q, 0, |_, _| true), [0, 2, 4]);
+        // Sizes below 3 ("data" alone, size 1) are never read.
+        assert_eq!(idx.union(&q, 3, |_, _| true), [0, 2]);
+        // The screen sees every posting's size and id.
+        assert_eq!(idx.union(&q, 0, |size, id| size == 4 || id == 4), [2, 4]);
+        assert!(idx.union(&[u32::MAX], 0, |_, _| true).is_empty());
     }
 
     #[test]
@@ -720,7 +755,7 @@ mod tests {
 }
 
 /// One model-based suite for every maintenance path: the index is
-/// driven next to a plain `id → grams` map, and both probes must agree
+/// driven next to a plain `id → grams` map, and every probe must agree
 /// with brute force over that map — and with a fresh rebuild of it —
 /// after every single step.
 #[cfg(test)]
@@ -782,6 +817,24 @@ mod model_tests {
         model
             .iter()
             .filter(|(_, g)| picked.iter().any(|p| g.contains(p)))
+            .map(|(&id, _)| id)
+            .collect()
+    }
+
+    /// Weighted-prefix union by definition: ids of size ≥ `min_size`
+    /// sharing a gram with `q` and passing the screen.
+    fn brute_union(
+        model: &Model,
+        q: &[u32],
+        min_size: u32,
+        keep: &dyn Fn(u32, u32) -> bool,
+    ) -> Vec<u32> {
+        model
+            .iter()
+            .filter(|(&id, g)| {
+                let size = g.len() as u32;
+                size >= min_size && overlap(q, g) > 0 && keep(size, id)
+            })
             .map(|(&id, _)| id)
             .collect()
     }
@@ -893,6 +946,10 @@ mod model_tests {
                         prop_assert_eq!(&got, &fresh.rarest_union(&q, k));
                     }
                     prop_assert_eq!(idx.rarest_union(&q, q.len()), fresh.rarest_union(&q, q.len()));
+
+                    let screen = |size: u32, id: u32| !(size + id).is_multiple_of(3);
+                    let got = idx.union(&q, window.0, screen);
+                    prop_assert_eq!(&got, &brute_union(&model, &q, window.0, &screen));
                 }
             }
         }

@@ -23,10 +23,11 @@
 //!   ([`Parallelism`]) behind the parallel matchers,
 //! * [`gram_index`] — the one incrementally maintainable inverted gram
 //!   index (size-bucketed postings, tombstoned removal + amortized
-//!   compaction) under both string probes of `moma-core`'s blocking:
-//!   CPMerge-style count-filtered merging for threshold-exact plans and
-//!   the rarest-grams union for the prefix filter,
-//! * [`postings`] — the sorted id list every inverted index stores, and
+//!   compaction) under all three probes of `moma-core`'s blocking:
+//!   CPMerge-style count-filtered merging for threshold-exact plans,
+//!   the rarest-grams union for the prefix filter and the size-bounded
+//!   union of a TF-IDF query's heaviest tokens,
+//! * [`postings`] — the blocked key list the index stores per gram, and
 //!   the galloping lower bound the count-filtered probe searches it with,
 //! * [`tsv`] — plain-text persistence of mapping tables,
 //! * [`hash`] — a fast FxHash-style hasher used for all internal maps
@@ -41,7 +42,6 @@ pub mod exec;
 pub mod gram_index;
 pub mod hash;
 pub mod index;
-pub mod interner;
 pub mod join;
 pub mod mapping_table;
 pub mod postings;
@@ -52,7 +52,6 @@ pub use exec::Parallelism;
 pub use gram_index::{GramIndex, ProbeScratch};
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::Adjacency;
-pub use interner::StringInterner;
 pub use mapping_table::{Correspondence, MappingTable};
-pub use postings::{BlockList, Postings};
+pub use postings::BlockList;
 pub use stats::TableStats;

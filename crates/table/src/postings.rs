@@ -1,77 +1,19 @@
 //! Sorted posting lists with a galloping lower bound.
 //!
-//! Two list types, one per inverted index family:
-//!
-//! * [`Postings`] is a sorted, duplicate-free `u32` id list — what
-//!   `moma_core::blocking::TfIdfIndex`, built per match and never
-//!   patched, keeps per token: sorted `insert` (in-order appends, the
-//!   batch-build case, are O(1)) and read access as a slice or an
-//!   iterator.
-//! * [`BlockList`] is a sorted, duplicate-free `u64` key list cut into
-//!   blocks of at most [`BLOCK`] keys — what [`crate::gram_index`] keeps
-//!   per gram, a key being `(gram-set size, value id)`. A key range is a
-//!   handful of contiguous slices ([`BlockList::window`]), which is what
-//!   a probe wants to scan; an insert or a removal moves keys inside one
-//!   block only, which is what maintenance under a lock wants — one
-//!   flat run per gram would memmove half of a frequent gram's postings
-//!   per update.
+//! One list type for the one inverted index: a [`BlockList`] is a
+//! sorted, duplicate-free `u64` key list cut into blocks of at most
+//! [`BLOCK`] keys — what [`crate::gram_index`] keeps per gram (or per
+//! TF-IDF token), a key being `(gram-set size, value id)`. A key range
+//! is a handful of contiguous slices ([`BlockList::window`]), which is
+//! what every probe wants to scan; an insert or a removal moves keys
+//! inside one block only, which is what maintenance under a lock wants
+//! — one flat run per gram would memmove half of a frequent gram's
+//! postings per update.
 //!
 //! [`gallop_lower_bound`] is the one search primitive the T-occurrence
 //! probe needs: it walks a short sorted survivor set through a long
 //! posting list in `O(small · log(large/small))` instead of
 //! `O(small + large)`.
-
-/// A sorted, duplicate-free `u32` posting list.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Postings {
-    /// Strictly increasing ids.
-    ids: Vec<u32>,
-}
-
-impl Postings {
-    /// Empty list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of ids.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the list holds no ids.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// The sorted ids as a slice.
-    pub fn ids(&self) -> &[u32] {
-        &self.ids
-    }
-
-    /// Iterate the ids in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ids.iter().copied()
-    }
-
-    /// Insert `id`, keeping the list sorted; `false` if already present.
-    /// In-order appends (id larger than everything present) are O(1).
-    pub fn insert(&mut self, id: u32) -> bool {
-        match self.ids.last() {
-            Some(&last) if id <= last => match self.ids.binary_search(&id) {
-                Ok(_) => false,
-                Err(pos) => {
-                    self.ids.insert(pos, id);
-                    true
-                }
-            },
-            _ => {
-                self.ids.push(id);
-                true
-            }
-        }
-    }
-}
 
 /// Most keys a [`BlockList`] block holds before it is split in two.
 pub const BLOCK: usize = 256;
@@ -277,18 +219,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_keeps_the_list_sorted() {
-        let mut p = Postings::new();
-        assert!(p.insert(5));
-        assert!(p.insert(3)); // out of order
-        assert!(p.insert(9));
-        assert!(!p.insert(5)); // duplicate
-        assert_eq!(p.ids(), &[3, 5, 9]);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.iter().collect::<Vec<_>>(), [3, 5, 9]);
-    }
-
-    #[test]
     fn gallop_lower_bound_matches_partition_point() {
         let v: Vec<u32> = (0..97).map(|i| i * 5).collect();
         for t in 0..500u32 {
@@ -333,19 +263,6 @@ mod prop_tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Random inserts agree with a `BTreeSet` model op by op, and
-        /// leave exactly its sorted contents.
-        #[test]
-        fn inserts_match_a_sorted_set(ids in prop::collection::vec(0u32..400, 0..200)) {
-            let mut p = Postings::new();
-            let mut model = std::collections::BTreeSet::new();
-            for id in ids {
-                prop_assert_eq!(p.insert(id), model.insert(id));
-            }
-            let want: Vec<u32> = model.iter().copied().collect();
-            prop_assert_eq!(p.ids(), want.as_slice());
-        }
-
         /// Random insert / remove / retain / merge interleavings on a
         /// [`BlockList`] agree with a `BTreeSet` model op by op — block
         /// invariants and every window included. Keys cluster (few high

@@ -21,7 +21,9 @@
 //! datagen scenarios, thresholds {0.5, 0.7, 0.8, 0.9}, hostile value shapes
 //! (empty, punctuation-only, sub-trigram-length, repeat-heavy strings)
 //! and thread counts 1 and 8 — the same extremes CI's MOMA_THREADS
-//! matrix pins for the whole suite.
+//! matrix pins for the whole suite. One more leg pins the TF-IDF
+//! matcher's rows, bit for bit, to those of the previous release
+//! (`data/parent_tfidf_rows.tsv`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -381,6 +383,92 @@ fn threshold_candidates_dominate_prefix_on_generated_titles() {
         all_pairs as f64 / tfidf.max(1) as f64 >= 10.0,
         "all-pairs {all_pairs} / tf-idf {tfidf} < 10"
     );
+}
+
+/// The TF-IDF matcher's rows of DBLP × GS titles at `t` (the small
+/// world at seed 7) as lines of the golden file: `t`, domain, range and
+/// `f64::to_bits` of the similarity in hex.
+fn tfidf_row_lines(s: &Scenario, t: f64, par: Parallelism) -> String {
+    let ctx = MatchContext::new(&s.registry).with_parallelism(par);
+    let m = AttributeMatcher::tfidf("title", "title", t)
+        .execute(&ctx, s.ids.pub_dblp, s.ids.pub_gs)
+        .unwrap();
+    m.table
+        .iter()
+        .map(|c| format!("{t}\t{}\t{}\t{:016x}\n", c.domain, c.range, c.sim.to_bits()))
+        .collect()
+}
+
+/// `TfIdfIndex::candidates` of every DBLP title against the GS titles at
+/// `t`, summed — one corpus over both columns, as the matcher builds it.
+fn tfidf_candidate_total(s: &Scenario, t: f64) -> usize {
+    let titles = |lds| -> Vec<String> {
+        s.registry
+            .lds(lds)
+            .project("title")
+            .unwrap()
+            .into_iter()
+            .map(|(_, v)| v.to_match_string())
+            .collect()
+    };
+    let (dblp, gs) = (titles(s.ids.pub_dblp), titles(s.ids.pub_gs));
+    let corpus = TfIdfCorpus::build(dblp.iter().chain(&gs).map(String::as_str));
+    let gs_vecs: Vec<_> = gs.iter().map(|v| corpus.vector(v)).collect();
+    let index = TfIdfIndex::build(
+        t,
+        gs_vecs
+            .iter()
+            .enumerate()
+            .map(|(p, v)| (p as u32, v.as_slice())),
+    );
+    dblp.iter()
+        .map(|v| index.candidates(&corpus.vector(v)).len())
+        .sum()
+}
+
+/// The TF-IDF matcher reproduces the previous release's rows byte for
+/// byte, and its index generates no more candidates.
+/// `data/parent_tfidf_rows.tsv` was written by the release before TF-IDF
+/// moved onto the shared gram index and dictionary, with the two
+/// functions above: one `candidates  t  total` line per threshold
+/// (t ∈ {0.5, 0.8}), then the rows. Token ids — and with them the order
+/// every dot product and norm adds in — must be numbered as they were,
+/// however the columns are sharded: the rows are compared at 1, 2 and 8
+/// threads with single-value shards.
+#[test]
+fn tfidf_rows_are_the_previous_releases() {
+    let mut cfg = WorldConfig::small();
+    cfg.seed = 7;
+    let s = Scenario::generate(cfg);
+    let golden = include_str!("data/parent_tfidf_rows.tsv");
+    let (totals, rows): (Vec<&str>, Vec<&str>) =
+        golden.lines().partition(|l| l.starts_with("candidates"));
+    let mut thresholds = Vec::new();
+    for line in totals {
+        let fields: Vec<&str> = line.split('\t').collect();
+        let &[_, t, parent] = fields.as_slice() else {
+            panic!("malformed total line {line:?}")
+        };
+        let (t, parent): (f64, usize) = (t.parse().unwrap(), parent.parse().unwrap());
+        let total = tfidf_candidate_total(&s, t);
+        assert!(
+            total <= parent,
+            "t={t}: {total} candidates, the previous release {parent}"
+        );
+        thresholds.push(t);
+    }
+    assert_eq!(thresholds, [0.5, 0.8]);
+    let want: String = rows.iter().map(|l| format!("{l}\n")).collect();
+    for threads in [1, 2, 8] {
+        let got: String = thresholds
+            .iter()
+            .map(|&t| tfidf_row_lines(&s, t, par(threads)))
+            .collect();
+        assert!(
+            got == want,
+            "threads={threads}: rows differ from the previous release's"
+        );
+    }
 }
 
 proptest! {
