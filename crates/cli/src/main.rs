@@ -64,8 +64,8 @@ mapping is bit-identical to a full re-match.
 
 `moma serve` answers match/compose/query/batch_query/delta/batch_delta/
 checkpoint/stats/dump/shutdown commands over a length-prefixed JSON
-frame protocol (default address 127.0.0.1:7207; drive it with the
-`moma_load` binary). Sources come from --source TSV files, or from the
+frame protocol (default address 127.0.0.1:7207; `moma_server::Client`
+speaks it). Sources come from --source TSV files, or from the
 generated evolving scenario when none are given (--scale/--seed as in
 `moma delta`). With --wal DIR every mutating command is appended to an
 fsync'd, segmented write-ahead log before it is applied; segments rotate
@@ -83,8 +83,9 @@ chain and admission budgets. Mutating commands are placed by source
 ownership (an explicit `shard` field on `match` pins one), queries
 route to the shard owning the mapping, `stats` merges a per-shard +
 aggregate view, and recovery replays every shard's WAL independently
-(see docs/ARCHITECTURE.md). Default: 1 — the single-engine layout and
-wire behavior are exactly as before.
+(see docs/ARCHITECTURE.md); --replay refuses a directory written at
+another shard count. Default: 1 — the single-engine layout and wire
+behavior are exactly as before.
 
 Admission control: --max-connections (default 256) caps concurrent
 connections — excess connections get one `busy` frame and are closed;
@@ -308,10 +309,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut replay = false;
     let mut shards = 1usize;
     let mut policy = moma_server::DurabilityPolicy::default();
-    let mut limits = moma_server::Limits {
-        debug_commands: std::env::var("MOMA_DEBUG_COMMANDS").as_deref() == Ok("1"),
-        ..moma_server::Limits::default()
-    };
+    let mut limits = moma_server::Limits::default();
 
     fn num_flag(flag: &str, v: Option<&String>) -> Result<u64, String> {
         let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -371,6 +369,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             || policy.checkpoint_every_records != 0)
     {
         return Err("--replay and the --segment-*/--checkpoint-every-* flags require --wal".into());
+    }
+    if let (Some(dir), true) = (&wal, replay) {
+        check_wal_layout(dir, shards)?;
     }
 
     let registry = if sources.is_empty() {
@@ -447,6 +448,46 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         engines.push(engine);
     }
     moma_server::run_sharded(engines, &addr, limits).map_err(|e| format!("serve {addr}: {e}"))
+}
+
+/// Refuse to `--replay` a log directory laid out for another shard
+/// count before anything touches it: recovered as `shards` shards, the
+/// other layout's logs would be silently dropped and fresh ones started
+/// beside them. One shard keeps its segments and checkpoints at the
+/// root of `dir`, N shards keep `shard.0` … `shard.<N-1>`; an empty or
+/// missing directory fits any count.
+fn check_wal_layout(dir: &str, shards: usize) -> Result<(), String> {
+    use moma_server::{checkpoint, wal};
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Ok(());
+    };
+    let (mut root_log, mut shard_logs) = (false, Vec::new());
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        root_log |= wal::parse_segment_index(&name).is_some()
+            || checkpoint::parse_dir_name(&name).is_some();
+        let index = name.strip_prefix("shard.").map(str::parse::<usize>);
+        shard_logs.extend(index.and_then(Result::ok));
+    }
+    shard_logs.sort_unstable();
+    let holds = match (root_log, shard_logs.len()) {
+        (false, 0) => return Ok(()),
+        (true, 0) => 1,
+        (false, n) if n > 1 && shard_logs.iter().copied().eq(0..n) => n,
+        _ => {
+            return Err(format!(
+                "{dir} holds no layout --shards can recover (a one-shard log: {root_log}, \
+                 shard logs: {shard_logs:?})"
+            ))
+        }
+    };
+    let logs = match holds {
+        _ if holds == shards => return Ok(()),
+        1 => "a one-shard log".to_owned(),
+        n => format!("{n} shard logs"),
+    };
+    Err(format!("{dir} holds {logs}; restart with --shards {holds}"))
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {

@@ -19,14 +19,16 @@
 //! on the next publish) or the new checkpoint fully published — never a
 //! half-checkpoint with a valid name. Recovery walks checkpoints newest
 //! to oldest and takes the first one whose marker validates, falling
-//! back to full replay if none does, so a checkpoint deleted or
-//! corrupted out from under the server degrades recovery time but never
-//! correctness.
+//! back to full replay if none does. The engine prunes only the WAL
+//! segments the *second-newest* checkpoint covers (nothing while there
+//! is one), so a checkpoint deleted or corrupted out from under the
+//! server degrades recovery time but never correctness.
 //!
-//! The `MOMA_CHECKPOINT_FAULT_DELAY_MS` environment variable inserts a
-//! sleep between staging and the rename — the crash-recovery CI gate
-//! uses it to SIGKILL the server deterministically *mid-checkpoint* and
-//! assert the fallback path.
+//! `tests/checkpoint_recovery.rs` stages every on-disk state a
+//! checkpoint passes through — the rotated segment, the staging
+//! directory file by file and byte by byte, the rename, retention and
+//! each segment deletion — and recovers each one; `kill9.rs` in the CLI
+//! crate SIGKILLs a real server while checkpoints publish.
 //!
 //! On a sharded server every shard keeps its own checkpoint chain in
 //! its own WAL directory (`<wal>/shard.<i>/checkpoint.<seq>/`); the
@@ -139,14 +141,6 @@ pub fn publish(wal_dir: &Path, seq: u64, state: &str) -> std::io::Result<PathBuf
         f.sync_all()?;
     }
     fsync_dir(&tmp)?;
-
-    // Deterministic mid-checkpoint crash window for the CI kill-9 gate:
-    // the staged state exists but was not yet renamed into place.
-    if let Ok(ms) = std::env::var("MOMA_CHECKPOINT_FAULT_DELAY_MS") {
-        if let Ok(ms) = ms.trim().parse::<u64>() {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-    }
 
     let dest = wal_dir.join(dir_name(seq));
     if dest.exists() {

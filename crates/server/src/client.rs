@@ -1,5 +1,5 @@
-//! Minimal blocking client for the serving protocol (used by
-//! `moma_load`, the smoke scripts and the end-to-end tests).
+//! Minimal blocking client for the serving protocol (used by the
+//! end-to-end tests and the CLI crate's kill-9 crash gate).
 
 use std::io;
 use std::net::TcpStream;

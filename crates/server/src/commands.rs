@@ -42,8 +42,6 @@ pub enum Cmd {
     Dump,
     Shutdown,
     Install,
-    DebugPanic,
-    DebugSleepWrite,
 }
 
 /// Which lock a command runs under and whether it is write-ahead
@@ -58,8 +56,8 @@ pub enum Class {
     /// is applied under the write lock, and re-applied by replay.
     LoggedWrite,
     /// Serialized with writers through the write lock but not logged —
-    /// it changes the disk layout, writes files from the full state
-    /// (`dump`) or injects a fault, not the logical state.
+    /// it changes the disk layout or writes files from the full state
+    /// (`dump`), not the logical state.
     UnloggedWrite,
     /// Answered by the server itself; holds no engine lock.
     Coordinator,
@@ -103,9 +101,6 @@ pub enum Visibility {
     /// Written by the router into a shard's WAL and replayed from it;
     /// refused from the wire.
     Internal,
-    /// Fault injection for tests; unknown unless
-    /// [`crate::server::Limits::debug_commands`] is set.
-    Debug,
 }
 
 /// One row of the command table.
@@ -167,10 +162,6 @@ pub const COMMANDS: &[Command] = &[
         "stop the server after responding"),
     row(Cmd::Install, "install", Class::LoggedWrite, Route::Unrouted, Visibility::Internal,
         "store a literal mapping table (cross-shard compose result)"),
-    row(Cmd::DebugPanic, "debug_panic", Class::UnloggedWrite, Route::ShardZero, Visibility::Debug,
-        "panic while holding shard 0's write lock"),
-    row(Cmd::DebugSleepWrite, "debug_sleep_write", Class::Coordinator, Route::ShardZero, Visibility::Debug,
-        "hold one of shard 0's write admission slots for `ms` milliseconds"),
 ];
 
 impl Class {

@@ -467,11 +467,11 @@ impl Engine {
         published
     }
 
-    /// Execute a `checkpoint` command: seal the active WAL segment,
-    /// atomically publish the machine's [image](State::image) covering
-    /// everything applied so far, keep the [`CHECKPOINTS_KEPT`] newest
-    /// checkpoints and delete the WAL segments the oldest retained one
-    /// fully covers.
+    /// Execute a `checkpoint` command: seal the active WAL segment
+    /// (from the second checkpoint on), atomically publish the
+    /// machine's [image](State::image) covering everything applied so
+    /// far, keep the [`CHECKPOINTS_KEPT`] newest checkpoints and delete
+    /// the WAL segments the older retained one fully covers.
     ///
     /// The checkpoint is **not** WAL-logged: it mutates the disk layout,
     /// not the logical state, so replay determinism is unaffected — but
@@ -493,17 +493,21 @@ impl Engine {
             ]));
         }
         let image = self.machine.image(seq).to_string();
-        // Seal the active segment first: everything the checkpoint
-        // covers then lives in sealed segments and becomes prunable.
-        wal.rotate().map_err(|e| format!("rotate: {e}"))?;
+        // Seal the active segment once a checkpoint exists: what this
+        // one covers then ends a sealed segment the next one can prune.
+        // The first checkpoint leaves the log as it is.
+        if self.checkpoint_seq > 0 {
+            wal.rotate().map_err(|e| format!("rotate: {e}"))?;
+        }
         let path =
             checkpoint::publish(wal.dir(), seq, &image).map_err(|e| format!("publish: {e}"))?;
         let kept = checkpoint::retain_newest(wal.dir(), CHECKPOINTS_KEPT)
             .map_err(|e| format!("retain: {e}"))?;
-        // Prune only what the *oldest* retained checkpoint covers, so a
-        // lost or corrupt newest checkpoint still leaves a replayable
-        // segment chain behind the fallback.
-        let prune_to = kept.first().map(|c| c.seq).unwrap_or(0);
+        // Prune only what the *second-newest* retained checkpoint
+        // covers — nothing while there is one — so a lost or corrupt
+        // newest checkpoint still leaves a replayable segment chain
+        // behind the fallback: the older checkpoint, or full replay.
+        let prune_to = kept.iter().rev().nth(1).map_or(0, |c| c.seq);
         let pruned = wal
             .prune_covered(prune_to)
             .map_err(|e| format!("prune: {e}"))?;

@@ -53,10 +53,12 @@
 //!   group commit per delta batch), and automatic checkpoints run on a
 //!   server-owned background thread, off the delta path.
 //!
-//! The `moma_load` binary in this crate is the protocol driver
-//! `scripts/serve_smoke.sh` runs against live servers: `smoke` (endpoint
-//! conformance), `stream` (deterministic delta traffic), `batch`,
-//! `scatter`, `overload`, `dump`, `stat`, `checkpoint`, `shutdown`.
+//! The server reads no environment and has no fault-injection
+//! commands: the crash gates stage their faults from outside. The CLI
+//! crate's `tests/kill9.rs` SIGKILLs a real `moma serve` mid-stream and
+//! compares the `--replay`ed state with a clean run's;
+//! `tests/checkpoint_recovery.rs` here recovers every on-disk state a
+//! checkpoint passes through.
 
 pub mod checkpoint;
 pub mod client;

@@ -3,9 +3,9 @@
 //! Every request is a JSON object with a `"cmd"` field; every response
 //! is a JSON object with an `"ok"` boolean (plus `"error"` when it is
 //! `false`). This module holds the request **builders** used by clients
-//! (`moma_load`, tests, the CLI) and the [`AttrValue`] / delta codecs
-//! shared between the engine (decode) and clients (encode), so both
-//! sides agree on one wire form.
+//! ([`Client`](crate::Client), the tests, the benchmark) and the
+//! [`AttrValue`] / delta codecs shared between the engine (decode) and
+//! clients (encode), so both sides agree on one wire form.
 //!
 //! ## Commands
 //!

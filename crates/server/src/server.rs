@@ -102,9 +102,9 @@ const CHECKPOINT_POLL: Duration = Duration::from_millis(100);
 const CHECKPOINT_BACKOFF: Duration = Duration::from_secs(5);
 
 /// Admission-control limits. The defaults are generous for a service
-/// holding a handful of long-lived clients; tests and the overload
-/// harness shrink them to force the refusal paths deterministically.
-/// The write/read budgets apply **per shard**.
+/// holding a handful of long-lived clients; tests shrink them to force
+/// the refusal paths deterministically. The write/read budgets apply
+/// **per shard**.
 #[derive(Debug, Clone)]
 pub struct Limits {
     /// Concurrently served connections; further connects get one `busy`
@@ -119,10 +119,6 @@ pub struct Limits {
     pub max_pending_reads: u64,
     /// Retry hint attached to `busy`/`overloaded` responses.
     pub retry_after_ms: u64,
-    /// Enable the `debug_*` fault-injection commands (`debug_panic`,
-    /// `debug_sleep_write`) used by the poison-recovery and overload
-    /// tests. The CLI gates this behind `MOMA_DEBUG_COMMANDS=1`.
-    pub debug_commands: bool,
 }
 
 impl Default for Limits {
@@ -132,7 +128,6 @@ impl Default for Limits {
             max_pending_writes: 64,
             max_pending_reads: 256,
             retry_after_ms: 100,
-            debug_commands: false,
         }
     }
 }
@@ -166,11 +161,6 @@ impl Shared {
     /// Whether a stop has been requested.
     pub fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
-    }
-
-    /// The configured admission limits.
-    pub fn limits(&self) -> &Limits {
-        &self.limits
     }
 
     /// Record that a poisoned engine lock was recovered: the poisoned
@@ -260,7 +250,7 @@ impl Drop for ConnSlot {
 }
 
 /// Handle to a server running on a background thread (embedded mode,
-/// used by `moma_load` and the end-to-end tests).
+/// used by the benchmark and the end-to-end tests).
 pub struct ServerHandle {
     /// Bound address (useful with port 0).
     pub addr: SocketAddr,
@@ -435,10 +425,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// shard never blocks writes to another (nor reads to any shard: they
 /// answer from published views). Single-threaded by construction and
 /// joined by the accept loop, so it cannot overlap itself or outlive
-/// shutdown. The `MOMA_CHECKPOINT_FAULT_DELAY_MS` fault injection
-/// applies here the same as to explicit `checkpoint` commands (it lives
-/// in `checkpoint::publish`). This peek is the one engine read lock
-/// the server takes.
+/// shutdown (`tests/checkpointer_serial.rs`). This peek is the one
+/// engine read lock the server takes.
 fn checkpoint_loop(shared: Arc<Shared>) {
     while !shared.stopping() {
         let mut failed = false;
@@ -742,18 +730,11 @@ fn dispatch(payload: &[u8], shared: &Shared) -> Json {
         Ok(command) => command,
         Err(e) => return err_response(&e),
     };
-    match command.visibility {
-        Visibility::Wire => {}
-        Visibility::Debug if shared.limits.debug_commands => {}
-        Visibility::Debug => return err_response(&commands::unknown_command(command.name)),
-        // Written by the router itself (and re-applied by WAL replay);
-        // accepting one from the wire would bypass the ownership index.
-        Visibility::Internal => {
-            return err_response(&format!(
-                "`{}` is internal to the shard router",
-                command.name
-            ))
-        }
+    // Written by the router itself (and re-applied by WAL replay);
+    // accepting one from the wire would bypass the ownership index.
+    if command.visibility == Visibility::Internal {
+        let internal = format!("`{}` is internal to the shard router", command.name);
+        return err_response(&internal);
     }
     let routed = match command.route {
         // `shutdown`, the one unrouted command a client may send.
@@ -764,7 +745,7 @@ fn dispatch(payload: &[u8], shared: &Shared) -> Json {
                 ("stopping", Json::Bool(true)),
             ]))
         }
-        Route::ShardZero => on_shard_zero(shared, command, &req),
+        Route::ShardZero => Ok(run_on(shared, command, 0, &req)),
         Route::ByMapping => route_by_mapping(shared, command, &req),
         Route::ByMappingItems => route_batch_query(shared, command, &req),
         Route::BySource => route_delta(shared, command, &req),
@@ -802,33 +783,6 @@ fn planned<T>(
 
 fn shard_list(shards: &[usize]) -> Json {
     Json::Arr(shards.iter().map(|&i| Json::Uint(i as u64)).collect())
-}
-
-/// `ping` runs on shard 0 like any read. The two fault injectors model
-/// a writer there: `debug_panic` panics holding the write lock;
-/// `debug_sleep_write` occupies a write admission slot *without*
-/// touching the lock — a slow writer filling the queue, so overload
-/// tests can saturate the write budget while reads keep answering.
-fn on_shard_zero(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
-    match command.cmd {
-        Cmd::DebugSleepWrite => {
-            let _slot = admit_all(shared, &shared.write_budget(), &[0])?;
-            let ms = req
-                .get("ms")
-                .and_then(Json::as_u64)
-                .unwrap_or(250)
-                .min(10_000);
-            std::thread::sleep(Duration::from_millis(ms));
-            Ok(Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("slept_ms", Json::Uint(ms)),
-            ]))
-        }
-        Cmd::DebugPanic => run_write(shared, &[0], |_| -> Json {
-            panic!("debug_panic: injected handler panic")
-        }),
-        _ => Ok(run_on(shared, command, 0, req)),
-    }
 }
 
 fn route_by_mapping(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
@@ -1280,11 +1234,7 @@ mod tests {
                 }
                 e
             });
-            let limits = Limits {
-                debug_commands: true,
-                ..Limits::default()
-            };
-            new_shared(engines.collect(), limits)
+            new_shared(engines.collect(), Limits::default())
         };
         let assert_published = |shared: &Shared, step: &str| {
             for i in 0..shared.router.len() {
@@ -1359,14 +1309,19 @@ mod tests {
                 "refused match",
                 matcher("m4", "DBLP", "GS", "no-such-sim", 0),
             ),
-            ("debug_panic", protocol::bare_request("debug_panic")),
         ];
         for (step, req) in &steps {
             let reply = send(&shared, req);
-            let refused = step.starts_with("refused") || *step == "debug_panic";
-            assert_eq!(response_ok(&reply), !refused, "{step}: {reply}");
+            assert_eq!(
+                response_ok(&reply),
+                !step.starts_with("refused"),
+                "{step}: {reply}"
+            );
             assert_published(&shared, step);
         }
+        let panicked = run_write(&shared, &[0], |_| -> Json { panic!("injected") });
+        assert!(panicked.is_err(), "a panic under the write lock is refused");
+        assert_published(&shared, "panic");
         let cross = shared.router.view(0);
         assert!(
             cross.entry("c_cross").is_some(),

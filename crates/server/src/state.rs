@@ -118,9 +118,7 @@ fn handler(cmd: Cmd) -> Option<Handler> {
         | Cmd::BatchDelta
         | Cmd::Checkpoint
         | Cmd::Dump
-        | Cmd::Shutdown
-        | Cmd::DebugPanic
-        | Cmd::DebugSleepWrite => return None,
+        | Cmd::Shutdown => return None,
     })
 }
 

@@ -1,25 +1,22 @@
 //! The background auto-checkpointer is one thread, and that is an
 //! invariant worth pinning: a checkpoint must never run concurrently
-//! with another checkpoint or with shutdown. This test lives in its
-//! own binary because it sets `MOMA_CHECKPOINT_FAULT_DELAY_MS`, which
-//! is process-global — parallel tests in a shared binary would
-//! inherit the slowdown.
+//! with another checkpoint or with shutdown. The window is a shard's
+//! engine write lock, held by the test: the checkpointer's pass waits
+//! at that shard until the test lets go.
 
+mod common;
+
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{scenario_registry, tmp_dir};
 use moma_core::exec::Parallelism;
-use moma_datagen::{Scenario, WorldConfig};
-use moma_model::{AttrValue, DeltaOp, SourceRegistry};
-use moma_server::{protocol, spawn, Client, DurabilityPolicy, Engine, Json};
+use moma_model::{AttrValue, DeltaOp};
+use moma_server::{protocol, spawn_sharded, DurabilityPolicy, Engine, Json, Limits, ShardRouter};
 
-fn scenario_registry() -> SourceRegistry {
-    let scenario = Scenario::generate({
-        let mut cfg = WorldConfig::small();
-        cfg.seed = 99;
-        cfg
-    });
-    scenario.registry
-}
+/// Longer than two checkpointer polls (100 ms each): once it has
+/// passed, the checkpointer is waiting for a lock the test holds.
+const SETTLE: Duration = Duration::from_millis(300);
 
 fn delta_req(i: usize) -> Json {
     protocol::delta_request(
@@ -34,119 +31,90 @@ fn delta_req(i: usize) -> Json {
     )
 }
 
-fn stat_u64(c: &mut Client, path: &[&str]) -> u64 {
-    let mut v = c.call(&protocol::bare_request("stats")).expect("stats");
-    for key in path {
-        v = v.get(key).cloned().unwrap_or(Json::Null);
-    }
-    v.as_u64().unwrap_or(0)
+/// `n` engines checkpointing after every record, logging under `wal`.
+fn engines(n: usize, wal: &std::path::Path) -> Vec<Engine> {
+    let policy = DurabilityPolicy {
+        checkpoint_every_records: 1,
+        ..DurabilityPolicy::default()
+    };
+    let engine = |i| {
+        let mut e = Engine::new(scenario_registry(), Parallelism::sequential());
+        e.wal_create(wal.join(format!("shard.{i}")), policy)
+            .expect("wal");
+        e
+    };
+    (0..n).map(engine).collect()
+}
+
+/// Apply a delta straight to a shard's engine: a checkpoint is due.
+fn make_due(engine: &mut Engine, delta: usize) {
+    let resp = engine.execute(&delta_req(delta));
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+}
+
+fn checkpoint_seq(router: &ShardRouter, i: usize) -> u64 {
+    router.view(i).wal().map_or(0, |w| w.checkpoint_seq)
 }
 
 #[test]
 fn background_checkpoints_are_serial_and_joined_on_shutdown() {
-    const DELAY_MS: u64 = 300;
-    // Safety: set before any server thread is spawned, removed after
-    // the servers are joined; this test is alone in its binary.
-    std::env::set_var("MOMA_CHECKPOINT_FAULT_DELAY_MS", DELAY_MS.to_string());
-
-    let dir = std::env::temp_dir().join(format!("moma_ckpt_serial_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let dir = tmp_dir("ckpt_serial");
 
     // ---- never concurrent with itself -------------------------------
-    // Every delta makes a checkpoint due; each publication sleeps
-    // DELAY_MS inside the staging window. If two checkpoints could
-    // overlap, two publications could complete closer together than
-    // DELAY_MS — so the gap between observed `auto_checkpoints`
-    // increments is the serialization witness.
-    let mut engine = Engine::new(scenario_registry(), Parallelism::sequential());
-    let policy = DurabilityPolicy {
-        checkpoint_every_records: 1,
-        ..DurabilityPolicy::default()
-    };
-    engine.wal_create(dir.join("a"), policy).expect("wal");
-    let handle = spawn(engine, "127.0.0.1:0").expect("spawn");
-    let mut c = Client::connect(&handle.addr.to_string()).expect("connect");
-    let resp = c.call(&delta_req(0)).expect("delta");
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
-    // By 150ms the checkpointer (100ms poll) is inside the first
-    // publication's fault window; these two deltas land mid-window and
-    // make a second checkpoint due the moment the first finishes — the
-    // exact setup where a concurrency bug would overlap publications.
-    std::thread::sleep(Duration::from_millis(150));
-    for i in 1..3 {
-        let resp = c.call(&delta_req(i)).expect("delta");
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
-    }
-
+    // The one checkpointer walks the shards in turn. While the test
+    // holds shard 0's write lock the walk waits there, so a checkpoint
+    // that falls due on shard 1 meanwhile stays unpublished — a second
+    // publisher would take it — until the lock is released.
+    let handle =
+        spawn_sharded(engines(2, &dir.join("a")), "127.0.0.1:0", Limits::default()).expect("spawn");
+    let router = &handle.shared().router;
+    let shard0 = router.engine_write(0);
+    std::thread::sleep(SETTLE);
+    make_due(&mut router.engine_write(1).0, 0);
+    std::thread::sleep(SETTLE);
+    assert_eq!(
+        checkpoint_seq(router, 1),
+        0,
+        "shard 1 was checkpointed while the checkpointer waited at shard 0"
+    );
+    drop(shard0);
     let deadline = Instant::now() + Duration::from_secs(20);
-    let mut seen = 0u64;
-    let mut last_increment: Option<Instant> = None;
-    let mut min_gap = Duration::MAX;
-    while seen < 2 {
-        assert!(Instant::now() < deadline, "checkpoints stalled at {seen}");
-        let now_count = stat_u64(&mut c, &["auto_checkpoints"]);
-        assert!(
-            now_count <= seen + 1,
-            "auto_checkpoints jumped {seen} -> {now_count} within one 20ms poll: \
-             two checkpoints published concurrently"
-        );
-        if now_count > seen {
-            let now = Instant::now();
-            if let Some(prev) = last_increment {
-                min_gap = min_gap.min(now - prev);
-            }
-            last_increment = Some(now);
-            seen = now_count;
-        }
+    while checkpoint_seq(router, 1) == 0 {
+        assert!(Instant::now() < deadline, "shard 1 never checkpointed");
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert!(
-        min_gap >= Duration::from_millis(DELAY_MS / 2),
-        "two auto checkpoints completed {min_gap:?} apart; each publication \
-         holds a {DELAY_MS}ms fault window, so they overlapped"
-    );
-    drop(c);
     handle.stop();
 
     // ---- never concurrent with shutdown -----------------------------
-    // Make a checkpoint due, give the background thread a moment to
-    // enter the fault window, then stop. `stop` joins the checkpointer,
-    // so once it returns the publication must have finished: the
-    // staging dir is gone and the checkpoint it was writing is live.
-    let mut engine = Engine::new(scenario_registry(), Parallelism::sequential());
-    let policy = DurabilityPolicy {
-        checkpoint_every_records: 1,
-        ..DurabilityPolicy::default()
-    };
+    // A checkpoint falls due while the test holds the lock, and the
+    // checkpointer waits for it; `stop` must wait for that pass, so it
+    // returns only after the publication finished: no staging dir left,
+    // the checkpoint it was writing live.
     let wal_b = dir.join("b");
-    engine.wal_create(&wal_b, policy).expect("wal");
-    let handle = spawn(engine, "127.0.0.1:0").expect("spawn");
-    let mut c = Client::connect(&handle.addr.to_string()).expect("connect");
-    let resp = c.call(&delta_req(100)).expect("delta");
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
-    // The checkpointer polls every 100ms; by 200ms it is inside the
-    // 300ms fault window (and if it somehow isn't, joining still must
-    // leave no torn staging dir behind).
-    std::thread::sleep(Duration::from_millis(200));
-    handle.stop();
+    let handle =
+        spawn_sharded(engines(1, &wal_b), "127.0.0.1:0", Limits::default()).expect("spawn");
+    let shared = Arc::clone(handle.shared());
+    let (mut window, _) = shared.router.engine_write(0);
+    make_due(&mut window, 100);
+    std::thread::sleep(SETTLE);
+    let stopper = std::thread::spawn(move || handle.stop());
+    std::thread::sleep(SETTLE);
     assert!(
-        !wal_b.join("checkpoint.tmp").exists(),
+        !stopper.is_finished(),
+        "stop returned while the checkpointer still had a checkpoint due"
+    );
+    drop(window);
+    stopper.join().expect("stop");
+    let shard = wal_b.join("shard.0");
+    assert!(
+        !shard.join("checkpoint.tmp").exists(),
         "shutdown returned while a checkpoint publication was still staged"
     );
-    let published = std::fs::read_dir(&wal_b)
-        .expect("wal dir")
-        .filter_map(|e| e.ok())
-        .any(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy().into_owned();
-            name.starts_with("checkpoint.") && name != "checkpoint.tmp"
-        });
-    assert!(
-        published,
-        "the in-flight checkpoint was abandoned instead of finished before shutdown"
+    let published = moma_server::checkpoint::list(&shard).expect("list checkpoints");
+    assert_eq!(
+        published.iter().map(|c| c.seq).collect::<Vec<_>>(),
+        [1],
+        "the due checkpoint was abandoned instead of finished before shutdown"
     );
-
-    std::env::remove_var("MOMA_CHECKPOINT_FAULT_DELAY_MS");
     let _ = std::fs::remove_dir_all(&dir);
 }

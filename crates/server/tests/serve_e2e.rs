@@ -4,26 +4,21 @@
 //! command prefix, and a checkpoint bounds how much of the log a
 //! restart replays.
 
+mod common;
+
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
+use common::{assert_dumps_identical, dir_contents, dump_to, scenario_registry, tmp_dir};
 use moma_core::exec::Parallelism;
-use moma_datagen::{Scenario, WorldConfig};
-use moma_model::{AttrValue, DeltaOp, SourceRegistry};
+use moma_model::{AttrValue, DeltaOp};
 use moma_server::{
     protocol, spawn, spawn_with_limits, Client, DurabilityPolicy, Engine, Json, Limits, Wal,
 };
-
-fn scenario_registry() -> SourceRegistry {
-    let scenario = Scenario::generate({
-        let mut cfg = WorldConfig::small();
-        cfg.seed = 99;
-        cfg
-    });
-    scenario.registry
-}
 
 fn engine(wal: Option<&Path>) -> Engine {
     engine_with_policy(wal, DurabilityPolicy::default())
@@ -35,56 +30,6 @@ fn engine_with_policy(wal: Option<&Path>, policy: DurabilityPolicy) -> Engine {
         e.wal_create(dir, policy).expect("wal create");
     }
     e
-}
-
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("moma_e2e_{tag}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
-
-/// Recursively read a directory into sorted (relative-path, bytes) pairs.
-fn dir_contents(root: &Path) -> Vec<(String, Vec<u8>)> {
-    fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, Vec<u8>)>) {
-        for entry in fs::read_dir(dir).expect("read_dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel, fs::read(&path).expect("read file")));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(root, root, &mut out);
-    out.sort();
-    out
-}
-
-/// Assert two persisted dumps are byte-identical.
-fn assert_dumps_identical(a_dir: &Path, b_dir: &Path) {
-    let a = dir_contents(a_dir);
-    let b = dir_contents(b_dir);
-    assert!(!a.is_empty());
-    assert_eq!(
-        a.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        b.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        "dump file sets differ"
-    );
-    for ((name, bytes_a), (_, bytes_b)) in a.iter().zip(&b) {
-        assert_eq!(bytes_a, bytes_b, "dump file `{name}` differs");
-    }
-}
-
-fn dump_to(eng: &Engine, dir: &Path) {
-    let resp = eng.execute_read(&protocol::dump_request(dir.to_str().unwrap()));
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
 }
 
 fn delta_req(i: usize) -> Json {
@@ -354,16 +299,15 @@ fn connection_cap_refuses_with_busy_and_keeps_serving() {
     handle.stop();
 }
 
-/// Write-budget overload: with one write slot held by a slow writer,
-/// a concurrent delta gets an explicit `overloaded` response with a
-/// retry hint, reads keep answering, and a retried delta succeeds once
-/// the slot frees.
+/// Write-budget overload: with shard 0's one write slot held (the test
+/// takes it, as a slow writer would), a delta gets an explicit
+/// `overloaded` response with a retry hint, reads keep answering, and a
+/// retried delta succeeds once the slot frees.
 #[test]
 fn write_overload_answers_overloaded_and_recovers() {
     let limits = Limits {
         max_pending_writes: 1,
         retry_after_ms: 25,
-        debug_commands: true,
         ..Limits::default()
     };
     let handle = spawn_with_limits(engine(None), "127.0.0.1:0", limits).expect("spawn");
@@ -381,17 +325,8 @@ fn write_overload_answers_overloaded_and_recovers() {
     ))
     .expect("prime matcher");
 
-    let sleeper_addr = addr.clone();
-    let sleeper = std::thread::spawn(move || {
-        let mut c = Client::connect_retry(&sleeper_addr, Duration::from_secs(5)).expect("sleeper");
-        let req = Json::obj(vec![
-            ("cmd", Json::Str("debug_sleep_write".to_owned())),
-            ("ms", Json::Uint(1500)),
-        ]);
-        let r = c.call(&req).expect("debug_sleep_write");
-        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
-    });
-    std::thread::sleep(Duration::from_millis(300));
+    let inflight_writes = &handle.shared().router.shard(0).inflight_writes;
+    inflight_writes.fetch_add(1, Ordering::AcqRel);
 
     // Mutating command while the slot is held: explicit overloaded.
     let r = c.call(&delta_req(0)).expect("transport ok");
@@ -408,20 +343,9 @@ fn write_overload_answers_overloaded_and_recovers() {
         .expect("read during overload");
     assert_eq!(q.str_field("name"), Some("m_ov"));
 
-    sleeper.join().expect("sleeper thread");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let r = c.call(&delta_req(0)).expect("transport ok");
-        if r.get("ok").and_then(Json::as_bool) == Some(true) {
-            break;
-        }
-        assert_eq!(r.get("overloaded").and_then(Json::as_bool), Some(true));
-        assert!(
-            std::time::Instant::now() < deadline,
-            "delta never admitted after overload: {r}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    inflight_writes.fetch_sub(1, Ordering::AcqRel);
+    c.call_ok(&delta_req(0))
+        .expect("the retried delta is admitted once the slot frees");
 
     let stats = c.call_ok(&protocol::bare_request("stats")).expect("stats");
     assert!(
@@ -435,34 +359,24 @@ fn write_overload_answers_overloaded_and_recovers() {
     handle.stop();
 }
 
-/// A handler panic while holding the write lock answers an internal
-/// error, poisons nothing permanently (the lock is recovered), and the
-/// server keeps applying deltas — with `degraded: true` in stats
-/// (regression test for the old `.expect("engine lock poisoned")`
-/// crash chain).
+/// A panic while holding shard 0's write lock poisons nothing
+/// permanently: the lock is recovered and the server keeps applying
+/// deltas — with `degraded: true` in stats (regression test for the old
+/// `.expect("engine lock poisoned")` crash chain). The `internal error`
+/// reply to a panicking command is pinned in-process by
+/// `server::tests::executor_contains_a_panicking_closure`.
 #[test]
 fn handler_panic_recovers_lock_and_reports_degraded() {
-    let limits = Limits {
-        debug_commands: true,
-        ..Limits::default()
-    };
-    let handle = spawn_with_limits(engine(None), "127.0.0.1:0", limits).expect("spawn");
+    let handle = spawn(engine(None), "127.0.0.1:0").expect("spawn");
     let addr = handle.addr.to_string();
     let mut c = Client::connect_retry(&addr, Duration::from_secs(5)).expect("connect");
 
-    let r = c
-        .call(&Json::obj(vec![(
-            "cmd",
-            Json::Str("debug_panic".to_owned()),
-        )]))
-        .expect("transport survives the panic");
-    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
-    assert!(
-        r.str_field("error")
-            .unwrap_or("")
-            .contains("internal error"),
-        "panic answered with an internal error frame: {r}"
-    );
+    let shared = Arc::clone(handle.shared());
+    let holder = std::thread::spawn(move || {
+        let _guard = shared.router.engine_write(0);
+        panic!("injected panic under shard 0's write lock");
+    });
+    assert!(holder.join().is_err(), "the holder panicked");
 
     // The poisoned lock is recovered: the next mutating command works.
     let r = c.call(&delta_req(1)).expect("transport ok");
@@ -682,7 +596,10 @@ fn restart_after_checkpoint_replays_only_the_suffix() {
         summary.replayed < total,
         "checkpoint must bound replay below the full command count"
     );
-    assert_eq!(summary.skipped, 0, "covered segments were pruned");
+    assert_eq!(
+        summary.skipped, prefix,
+        "the first checkpoint keeps the segments it covers as its fallback"
+    );
     assert_eq!(summary.failed, 0);
     assert_eq!(recovered.wal_seq(), total as u64);
 
@@ -956,9 +873,7 @@ fn command_table_is_total() {
             Cmd::Checkpoint => protocol::checkpoint_request(),
             Cmd::Dump => protocol::dump_request("dir"),
             Cmd::Ping | Cmd::Stats | Cmd::Shutdown => protocol::bare_request(row.name),
-            Cmd::Install | Cmd::DebugPanic | Cmd::DebugSleepWrite => {
-                panic!("`{}` is not a wire command", row.name)
-            }
+            Cmd::Install => panic!("`{}` is not a wire command", row.name),
         };
         assert_eq!(built.str_field("cmd"), Some(row.name));
     }

@@ -4,24 +4,17 @@
 //! is bit-identical to the same compose on one shard, and a torn WAL on
 //! one shard is recovered independently of its clean neighbours.
 
+mod common;
+
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
+use common::{assert_dumps_identical, dump_to, scenario_registry, tmp_dir};
 use moma_core::exec::Parallelism;
-use moma_datagen::{Scenario, WorldConfig};
-use moma_model::{AttrValue, DeltaOp, SourceRegistry};
+use moma_model::{AttrValue, DeltaOp};
 use moma_server::{protocol, spawn_sharded, Client, DurabilityPolicy, Engine, Json, Limits};
-
-fn scenario_registry() -> SourceRegistry {
-    let scenario = Scenario::generate({
-        let mut cfg = WorldConfig::small();
-        cfg.seed = 99;
-        cfg
-    });
-    scenario.registry
-}
 
 /// N engines booted from identical clones of the scenario registry —
 /// the invariant the CLI's `--shards` flag establishes. With a WAL
@@ -37,55 +30,6 @@ fn shard_engines(n: usize, wal_base: Option<&Path>) -> Vec<Engine> {
             e
         })
         .collect()
-}
-
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("moma_shard_{tag}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
-
-/// Recursively read a directory into sorted (relative-path, bytes) pairs.
-fn dir_contents(root: &Path) -> Vec<(String, Vec<u8>)> {
-    fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, Vec<u8>)>) {
-        for entry in fs::read_dir(dir).expect("read_dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel, fs::read(&path).expect("read file")));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(root, root, &mut out);
-    out.sort();
-    out
-}
-
-fn assert_dumps_identical(a_dir: &Path, b_dir: &Path) {
-    let a = dir_contents(a_dir);
-    let b = dir_contents(b_dir);
-    assert!(!a.is_empty());
-    assert_eq!(
-        a.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        b.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        "dump file sets differ"
-    );
-    for ((name, bytes_a), (_, bytes_b)) in a.iter().zip(&b) {
-        assert_eq!(bytes_a, bytes_b, "dump file `{name}` differs");
-    }
-}
-
-fn dump_to(eng: &Engine, dir: &Path) {
-    let resp = eng.execute_read(&protocol::dump_request(dir.to_str().unwrap()));
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
 }
 
 fn delta_req(source: &str, attr: &str, id: &str) -> Json {
