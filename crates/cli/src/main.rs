@@ -23,12 +23,8 @@ const USAGE: &str = "\
 usage:
   moma run <script.ifs> [--source <file.tsv>]... \\
            [--assoc <Name=DomainLds:RangeLds:file.tsv>]... \\
-           [--threads <n>] [--blocking <strategy>] [--out <file>]
+           [--threads <n>] [--out <file>]
   moma check <script.ifs>         parse a script and report errors
-  moma delta [--steps <n>] [--churn <f>] [--seed <n>] [--scale small|paper] \\
-             [--threads <n>] [--blocking <strategy>] [--no-verify]
-                                  incremental-matching demo on a generated
-                                  evolving scenario (see below)
   moma serve [--addr <host:port>] [--source <file.tsv>]... \\
              [--scale small|paper] [--seed <n>] [--threads <n>] \\
              [--wal <dir>] [--replay] [--shards <n>] \\
@@ -45,29 +41,18 @@ An association file holds `domain_id<TAB>range_id[<TAB>sim]` rows and is
 stored in the repository under Name (scripts reference it as PDS.Member
 or via get(\"Name\")).
 
---threads caps the worker threads used by matchers, joins and workflow
-steps (overrides MOMA_THREADS; 1 = sequential; default: MOMA_THREADS or
-one thread per CPU). Results are identical at every thread count.
-
---blocking pins the candidate-generation strategy of every attribute
-matcher: `threshold` (exact T-occurrence pruning — identical results to
-all-pairs, pruned before scoring), `trigram-prefix` (fast, lossy for
-non-trigram measures) or `all-pairs` (no pruning). Default: `auto`,
-threshold-exact for q-gram measures and trigram-prefix otherwise.
-
-`moma delta` generates the synthetic DBLP/ACM/GS scenario, matches
-Publication@DBLP x Publication@GS once, then streams seeded source
-deltas (churn fraction of instances per step) through the incremental
-delta-matching engine, printing per-step timings of incremental vs full
-re-match. Unless --no-verify is given every step asserts the patched
-mapping is bit-identical to a full re-match.
+--threads caps the worker threads used by matchers (1 = sequential;
+default: one thread per CPU). Results are identical at every thread
+count. Each matcher picks its own candidate generation from its
+measure: threshold-exact pruning (identical results to all-pairs) for
+q-gram measures and TF-IDF, the trigram prefix filter otherwise.
 
 `moma serve` answers match/compose/query/batch_query/delta/batch_delta/
 checkpoint/stats/dump/shutdown commands over a length-prefixed JSON
 frame protocol (default address 127.0.0.1:7207; `moma_server::Client`
 speaks it). Sources come from --source TSV files, or from the
-generated evolving scenario when none are given (--scale/--seed as in
-`moma delta`). With --wal DIR every mutating command is appended to an
+generated DBLP/ACM/GS scenario when none are given (--scale small|paper,
+--seed). With --wal DIR every mutating command is appended to an
 fsync'd, segmented write-ahead log before it is applied; segments rotate
 at --segment-records / --segment-bytes (default 8 MiB). A `checkpoint`
 command (or the --checkpoint-every-records auto threshold, serviced by
@@ -94,18 +79,6 @@ in-flight commands per class — excess requests get an `overloaded`
 response carrying a --retry-after-ms hint (default 100) and the
 connection stays usable.";
 
-/// Parse a `--blocking` value: `auto` (None) or a concrete strategy.
-fn parse_blocking(name: &str) -> Result<Option<moma_core::blocking::Blocking>, String> {
-    if name.eq_ignore_ascii_case("auto") {
-        return Ok(None);
-    }
-    moma_core::blocking::Blocking::parse(name)
-        .map(Some)
-        .ok_or_else(|| {
-            format!("--blocking must be auto, threshold, trigram-prefix or all-pairs, got `{name}`")
-        })
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -117,13 +90,6 @@ fn main() -> ExitCode {
             }
         },
         Some("check") => match cmd_check(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("delta") => match cmd_delta(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("error: {msg}");
@@ -158,142 +124,6 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         }
         Err(e) => Err(format!("{path}: {e}")),
     }
-}
-
-/// `moma delta`: demo + sanity harness for the incremental matching
-/// engine on the generated evolving scenario.
-fn cmd_delta(args: &[String]) -> Result<(), String> {
-    use moma_core::blocking::Blocking;
-    use moma_core::matchers::{AttributeMatcher, MatchContext, Matcher};
-    use moma_datagen::{DeltaStream, EvolveConfig, Scenario, WorldConfig};
-    use moma_simstring::SimFn;
-    use std::time::Instant;
-
-    let mut steps = 10usize;
-    let mut churn = 0.01f64;
-    let mut seed = 7u64;
-    let mut scale = "small".to_owned();
-    let mut threads: Option<usize> = None;
-    let mut verify = true;
-    let mut blocking: Option<Blocking> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut num = |what: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
-        };
-        match arg.as_str() {
-            "--steps" => {
-                steps = num("--steps")?
-                    .parse()
-                    .map_err(|e| format!("--steps: {e}"))?
-            }
-            "--churn" => {
-                churn = num("--churn")?
-                    .parse()
-                    .map_err(|e| format!("--churn: {e}"))?
-            }
-            "--seed" => seed = num("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scale" => scale = num("--scale")?,
-            "--threads" => {
-                threads = Some(
-                    num("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--no-verify" => verify = false,
-            "--blocking" => blocking = parse_blocking(&num("--blocking")?)?,
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0, 1]".into());
-    }
-    let mut cfg = match scale.as_str() {
-        "small" => WorldConfig::small(),
-        "paper" => WorldConfig::paper_scale(),
-        other => return Err(format!("--scale must be small or paper, got `{other}`")),
-    };
-    cfg.seed = seed;
-    let par = match threads {
-        Some(0) => return Err("--threads must be at least 1".into()),
-        Some(n) => moma_core::exec::Parallelism::new(n),
-        None => moma_core::exec::Parallelism::from_env(),
-    };
-
-    eprintln!("generating {scale} scenario (seed {seed})...");
-    let s = Scenario::generate(cfg);
-    let mut registry = s.registry;
-    let (dblp, gs) = (s.ids.pub_dblp, s.ids.pub_gs);
-    // Default: threshold-exact blocking (trigram is a q-gram measure).
-    let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.75);
-    let blocking = blocking.unwrap_or_else(|| Blocking::auto_for(&matcher.sim));
-    let matcher = matcher.with_blocking(blocking);
-
-    let t0 = Instant::now();
-    let ctx = MatchContext::new(&registry).with_parallelism(par);
-    let mut state = matcher.prime(&ctx, dblp, gs).unwrap();
-    let prime_ms = t0.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "primed {} x {}: {} correspondences in {prime_ms:.1} ms",
-        registry.lds(dblp).name(),
-        registry.lds(gs).name(),
-        state.mapping().len(),
-    );
-
-    let mut stream = DeltaStream::new(
-        EvolveConfig {
-            seed,
-            ..EvolveConfig::with_churn(churn)
-        },
-        gs,
-    );
-    println!("step\t|delta|\trescored\trows\tincr_ms\tfull_ms\tspeedup");
-    let mut incr_total = 0.0f64;
-    let mut full_total = 0.0f64;
-    for step in 1..=steps {
-        let delta = stream.next_delta(&registry);
-        let applied = registry
-            .apply_delta(&delta)
-            .map_err(|e| format!("apply_delta: {e}"))?;
-        let ctx = MatchContext::new(&registry).with_parallelism(par);
-
-        let t = Instant::now();
-        state.apply(&ctx, &[&applied]).map_err(|e| e.to_string())?;
-        let incr_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let full = matcher.execute(&ctx, dblp, gs).map_err(|e| e.to_string())?;
-        let full_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        if verify && state.mapping().table.rows() != full.table.rows() {
-            return Err(format!(
-                "step {step}: incremental result diverged from full re-match"
-            ));
-        }
-        incr_total += incr_ms;
-        full_total += full_ms;
-        println!(
-            "{step}\t{}\t{}\t{}\t{incr_ms:.2}\t{full_ms:.2}\t{:.1}x",
-            delta.len(),
-            state.last_rescored,
-            state.mapping().len(),
-            full_ms / incr_ms.max(1e-9),
-        );
-    }
-    eprintln!(
-        "totals: incremental {incr_total:.1} ms vs full {full_total:.1} ms ({:.1}x){}",
-        full_total / incr_total.max(1e-9),
-        if verify {
-            "; all steps verified bit-identical"
-        } else {
-            ""
-        }
-    );
-    Ok(())
 }
 
 /// `moma serve`: the long-lived matching service (see `moma-server`).
@@ -399,7 +229,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let par = match threads {
         Some(n) => moma_core::exec::Parallelism::new(n),
-        None => moma_core::exec::Parallelism::from_env(),
+        None => moma_core::exec::Parallelism::auto(),
     };
     // One engine per shard, each booted from an identical clone of the
     // full source registry (so arena ids agree across shards) with its
@@ -496,7 +326,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut assocs: Vec<&str> = Vec::new();
     let mut out: Option<&str> = None;
     let mut threads: Option<usize> = None;
-    let mut blocking: Option<moma_core::blocking::Blocking> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -504,9 +333,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "--source" => sources.push(it.next().ok_or("--source needs a file")?),
             "--assoc" => assocs.push(it.next().ok_or("--assoc needs a spec")?),
             "--out" => out = Some(it.next().ok_or("--out needs a file")?),
-            "--blocking" => {
-                blocking = parse_blocking(it.next().ok_or("--blocking needs a strategy")?)?;
-            }
             "--threads" => {
                 let n = it.next().ok_or("--threads needs a count")?;
                 let n: usize = n
@@ -562,14 +388,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(script_path).map_err(|e| format!("{script_path}: {e}"))?;
     let par = match threads {
         Some(n) => moma_core::exec::Parallelism::new(n),
-        None => moma_core::exec::Parallelism::from_env(),
+        None => moma_core::exec::Parallelism::auto(),
     };
     let script = moma_ifuice::script::parser::parse(&text).map_err(|e| e.to_string())?;
     let mut interp =
         moma_ifuice::script::Interpreter::new(&registry, &repository).with_parallelism(par);
-    if let Some(blocking) = blocking {
-        interp = interp.with_blocking(blocking);
-    }
     let value = interp.run(&script).map_err(|e| e.to_string())?;
     let Some(mapping) = value.as_mapping() else {
         return Err("script did not return a mapping".into());

@@ -11,7 +11,8 @@ fn write(dir: &Path, name: &str, text: &str) -> String {
 }
 
 /// A script naming a 0-gram measure used to load, and the process
-/// panicked in the tokenizer at the first pair scored.
+/// panicked in the tokenizer at the first pair scored; a malformed
+/// `year:` tolerance was read as `year:0`.
 #[test]
 fn zero_length_qgrams_are_refused_by_the_cli() {
     let dir = std::env::temp_dir().join(format!("moma-cli-qgram0-{}", std::process::id()));
@@ -31,6 +32,9 @@ fn zero_length_qgrams_are_refused_by_the_cli() {
         "qgramjaccard:0",
         "qgramcosine:0",
         "qgramoverlap:0",
+        "year:x",
+        "year:-1",
+        "year:1.5",
     ] {
         let script = write(
             &dir,

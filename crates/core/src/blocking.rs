@@ -631,12 +631,18 @@ impl TfIdfIndex {
     }
 }
 
-/// Candidate-generation strategy of an attribute matcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Candidate-generation strategy of an attribute matcher. A matcher's
+/// default is a rule over its measure ([`AttributeMatcher::new`]):
+/// [`Blocking::Threshold`] where exact bounds exist, otherwise
+/// [`Blocking::TrigramPrefix`].
+///
+/// [`AttributeMatcher::new`]: crate::matchers::AttributeMatcher::new
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Blocking {
     /// Score every domain×range pair. Exact, quadratic.
     AllPairs,
-    /// Prefix-filtered trigram blocking (see module docs). For
+    /// Prefix-filtered trigram blocking (see module docs); the default
+    /// for measures outside the q-gram family and TF-IDF. For
     /// trigram-Dice scoring it is exact on values without repeated
     /// trigrams; the filter reasons over trigram *sets* while the scorer
     /// counts multisets, so repeat-heavy pairs can be dismissed
@@ -644,7 +650,7 @@ pub enum Blocking {
     /// by design (conservative Dice floor) for other measures; orders of
     /// magnitude fewer comparisons than all-pairs.
     TrigramPrefix,
-    /// Threshold-exact blocking (the default): for q-gram measures
+    /// Threshold-exact blocking, the default where it is exact: for q-gram measures
     /// (trigram Dice, `qgram:*`, `qgramjaccard:*`, `qgramcosine:*`,
     /// `qgramoverlap:*`) the matcher threshold itself prunes candidates
     /// *before* scoring via the T-occurrence engine, and for TF-IDF
@@ -654,17 +660,16 @@ pub enum Blocking {
     /// bound exists — it transparently falls back to all-pairs. Matcher
     /// results under this variant are therefore always identical to
     /// [`Blocking::AllPairs`].
-    #[default]
     Threshold,
 }
 
 impl Blocking {
-    /// The best self-configuring choice for a matcher similarity:
+    /// The default of a matcher scoring with `sim`:
     /// [`Blocking::Threshold`] when exact bounds apply (the q-gram
     /// family and TF-IDF), otherwise [`Blocking::TrigramPrefix`] (lossy
-    /// floor-based pruning — the historical default of scripts and the
-    /// CLI, which prefer speed over exactness for non-q-gram measures).
-    pub fn auto_for(sim: &MatcherSim) -> Blocking {
+    /// floor-based pruning — speed over exactness for the other
+    /// measures).
+    pub(crate) fn auto_for(sim: &MatcherSim) -> Blocking {
         match sim {
             MatcherSim::Fixed(f) if qgram_measure_of(f).is_none() => Blocking::TrigramPrefix,
             _ => Blocking::Threshold,
@@ -1062,7 +1067,6 @@ mod threshold_tests {
 
     #[test]
     fn blocking_helpers() {
-        assert_eq!(Blocking::default(), Blocking::Threshold);
         let auto = |sim| Blocking::auto_for(&MatcherSim::Fixed(sim));
         assert_eq!(auto(SimFn::Trigram), Blocking::Threshold);
         assert_eq!(auto(SimFn::QgramJaccard(2)), Blocking::Threshold);

@@ -28,9 +28,10 @@
 //! [`compose_with`](crate::ops::compose::compose_with) is an alias of
 //! `compose` kept for the frozen benchmark.
 //!
-//! The default for a fresh context is [`Parallelism::from_env`]: the
-//! `MOMA_THREADS` environment variable when set (`1` forces sequential
-//! execution), otherwise one thread per available CPU.
+//! The default for a fresh context is [`Parallelism::auto`], one thread
+//! per available CPU; a deployment caps it through its own
+//! configuration (`moma run` / `moma serve --threads`), and tests pin
+//! explicit counts.
 //!
 //! ```
 //! use moma_core::exec::Parallelism;
@@ -41,4 +42,4 @@
 //! assert_eq!(four.threads, 4);
 //! ```
 
-pub use moma_table::exec::{Parallelism, DEFAULT_MIN_SHARD, THREADS_ENV};
+pub use moma_table::exec::{Parallelism, DEFAULT_MIN_SHARD};

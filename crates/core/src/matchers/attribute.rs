@@ -10,6 +10,9 @@
 //! the match gets, and the one match kernel (`matchers::kernel::probe`)
 //! runs it.
 
+use std::fmt;
+use std::str::FromStr;
+
 use moma_model::{LdsId, LogicalSource};
 use moma_simstring::bounds::qgram_measure_of;
 use moma_simstring::tfidf::cosine_vectors;
@@ -22,9 +25,11 @@ use crate::error::Result;
 use crate::exec::Parallelism;
 use crate::mapping::Mapping;
 use crate::matchers::kernel::{present, probe, Side};
-use crate::matchers::{MatchContext, Matcher};
+use crate::matchers::{check_threshold, MatchContext, Matcher};
 
-/// Similarity configuration of an attribute matcher.
+/// Similarity configuration of an attribute matcher — the one spelling
+/// every front end (wire, script, eval) parses a matcher's measure with:
+/// every [`SimFn::parse`] name, plus `tfidf` (case-insensitive).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatcherSim {
     /// A fixed similarity function.
@@ -32,6 +37,34 @@ pub enum MatcherSim {
     /// TF-IDF cosine with the corpus built from both attribute columns at
     /// execution time.
     TfIdf,
+}
+
+impl From<SimFn> for MatcherSim {
+    fn from(sim: SimFn) -> Self {
+        MatcherSim::Fixed(sim)
+    }
+}
+
+impl FromStr for MatcherSim {
+    type Err = String;
+
+    fn from_str(s: &str) -> std::result::Result<Self, String> {
+        if s.eq_ignore_ascii_case("tfidf") {
+            return Ok(MatcherSim::TfIdf);
+        }
+        SimFn::parse(s)
+            .map(MatcherSim::Fixed)
+            .ok_or_else(|| format!("unknown similarity `{s}`"))
+    }
+}
+
+impl fmt::Display for MatcherSim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MatcherSim::Fixed(sim) => f.write_str(&sim.name()),
+            MatcherSim::TfIdf => f.write_str("tfidf"),
+        }
+    }
 }
 
 /// The concrete candidate-generation plan a [`Blocking`] choice
@@ -192,23 +225,25 @@ pub struct AttributeMatcher {
 }
 
 impl AttributeMatcher {
-    /// Matcher with the default threshold-exact candidate generation
-    /// ([`Blocking::Threshold`]): results are always identical to
-    /// all-pairs scoring, but for q-gram measures the threshold prunes
-    /// candidates before any similarity is computed. Use
+    /// Matcher with the candidate generation its measure calls for:
+    /// [`Blocking::Threshold`] where exact bounds exist (the q-gram
+    /// family and TF-IDF — results identical to all-pairs scoring, the
+    /// threshold pruning candidates before any similarity is computed),
+    /// [`Blocking::TrigramPrefix`] for every other measure. Use
     /// [`AttributeMatcher::with_blocking`] to pin a different strategy.
     pub fn new(
         domain_attr: impl Into<String>,
         range_attr: impl Into<String>,
-        sim: SimFn,
+        sim: impl Into<MatcherSim>,
         threshold: f64,
     ) -> Self {
+        let sim = sim.into();
         Self {
             domain_attr: domain_attr.into(),
             range_attr: range_attr.into(),
-            sim: MatcherSim::Fixed(sim),
+            blocking: Blocking::auto_for(&sim),
+            sim,
             threshold,
-            blocking: Blocking::Threshold,
         }
     }
 
@@ -218,13 +253,7 @@ impl AttributeMatcher {
         range_attr: impl Into<String>,
         threshold: f64,
     ) -> Self {
-        Self {
-            domain_attr: domain_attr.into(),
-            range_attr: range_attr.into(),
-            sim: MatcherSim::TfIdf,
-            threshold,
-            blocking: Blocking::Threshold,
-        }
+        Self::new(domain_attr, range_attr, MatcherSim::TfIdf, threshold)
     }
 
     /// Pin the candidate-generation strategy (builder style).
@@ -325,6 +354,7 @@ impl AttributeMatcher {
         domain: LdsId,
         range: LdsId,
     ) -> Result<(MappingTable, Option<MatchedSides>)> {
+        check_threshold(self.threshold)?;
         let par = ctx.parallelism;
         let d_texts = project(ctx.registry.lds(domain), &self.domain_attr)?;
         let r_texts = project(ctx.registry.lds(range), &self.range_attr)?;
@@ -397,13 +427,9 @@ impl AttributeMatcher {
 
 impl Matcher for AttributeMatcher {
     fn name(&self) -> String {
-        let sim = match &self.sim {
-            MatcherSim::Fixed(f) => f.name(),
-            MatcherSim::TfIdf => "tfidf".into(),
-        };
         format!(
-            "attrMatch({}, {}, {sim}, {})",
-            self.domain_attr, self.range_attr, self.threshold
+            "attrMatch({}, {}, {}, {})",
+            self.domain_attr, self.range_attr, self.sim, self.threshold
         )
     }
 
@@ -416,6 +442,7 @@ impl Matcher for AttributeMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use moma_model::{AttrDef, LogicalSource, ObjectType, SourceRegistry};
 
     fn setup() -> (SourceRegistry, LdsId, LdsId) {
@@ -548,9 +575,10 @@ mod tests {
     fn threshold_blocking_falls_back_transparently() {
         let (reg, d, a) = setup();
         let ctx = MatchContext::new(&reg);
-        // Non-q-gram measure: plan degrades to all-pairs — identical
-        // results, no pruning.
-        let jaro = AttributeMatcher::new("title", "name", SimFn::Jaro, 0.9);
+        // Non-q-gram measure: an explicitly named `Threshold` degrades to
+        // all-pairs — identical results, no pruning.
+        let jaro = AttributeMatcher::new("title", "name", SimFn::Jaro, 0.9)
+            .with_blocking(Blocking::Threshold);
         assert_eq!(jaro.candidate_plan(), CandidatePlan::AllPairs);
         let got = jaro.execute(&ctx, d, a).unwrap();
         let want = jaro
@@ -678,6 +706,62 @@ mod tests {
     fn name_mentions_config() {
         let m = AttributeMatcher::new("title", "name", SimFn::Trigram, 0.8);
         assert_eq!(m.name(), "attrMatch(title, name, trigram, 0.8)");
+        let m = AttributeMatcher::tfidf("title", "name", 0.5);
+        assert_eq!(m.name(), "attrMatch(title, name, tfidf, 0.5)");
+    }
+
+    #[test]
+    fn matcher_sims_parse_and_print_their_names() {
+        for name in [
+            "trigram",
+            "tfidf",
+            "jaro",
+            "personname",
+            "year:1",
+            "qgramjaccard:2",
+        ] {
+            let sim: MatcherSim = name.parse().unwrap();
+            assert_eq!(sim.to_string(), name);
+        }
+        assert_eq!("TfIdf".parse(), Ok(MatcherSim::TfIdf));
+        assert_eq!("NGRAM".parse(), Ok(MatcherSim::Fixed(SimFn::Trigram)));
+        for bad in ["nosuch", "qgram:0", "year:x"] {
+            let err = bad.parse::<MatcherSim>().unwrap_err();
+            assert_eq!(err, format!("unknown similarity `{bad}`"));
+        }
+    }
+
+    #[test]
+    fn the_measure_picks_the_default_blocking() {
+        let blocking = |sim: &str| {
+            AttributeMatcher::new("t", "t", sim.parse::<MatcherSim>().unwrap(), 0.5).blocking
+        };
+        for exact in ["trigram", "qgram:2", "qgramjaccard:3", "tfidf"] {
+            assert_eq!(blocking(exact), Blocking::Threshold, "{exact}");
+        }
+        for lossy in ["jaro", "personname", "year:0", "levenshtein"] {
+            assert_eq!(blocking(lossy), Blocking::TrigramPrefix, "{lossy}");
+        }
+    }
+
+    #[test]
+    fn thresholds_outside_the_unit_interval_are_refused() {
+        let (reg, d, a) = setup();
+        let ctx = MatchContext::new(&reg);
+        for t in [-0.1, 1.5, f64::NAN] {
+            for m in [
+                AttributeMatcher::new("title", "name", SimFn::Trigram, t),
+                AttributeMatcher::tfidf("title", "name", t),
+            ] {
+                let refused = |r: Result<()>| matches!(r, Err(CoreError::InvalidConfig(_)));
+                assert!(refused(m.execute(&ctx, d, a).map(drop)), "execute t={t}");
+                assert!(refused(m.prime(&ctx, d, a).map(drop)), "prime t={t}");
+            }
+        }
+        for t in [0.0, 1.0] {
+            let m = AttributeMatcher::new("title", "name", SimFn::Trigram, t);
+            assert!(m.execute(&ctx, d, a).is_ok(), "t={t}");
+        }
     }
 
     #[test]

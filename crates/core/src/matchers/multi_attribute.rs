@@ -13,7 +13,7 @@ use crate::error::{CoreError, Result};
 use crate::mapping::Mapping;
 use crate::matchers::attribute::Value;
 use crate::matchers::kernel::{present, probe, Side};
-use crate::matchers::{AttributeMatcher, MatchContext, Matcher};
+use crate::matchers::{check_threshold, AttributeMatcher, MatchContext, Matcher};
 use crate::ops::merge::MissingPolicy;
 
 /// One instance's match strings, aligned to the matcher's `attrs`, each
@@ -72,7 +72,9 @@ pub struct MultiAttributeMatcher {
     /// Missing-value treatment: ignore (renormalize weights over present
     /// attributes) or zero.
     pub missing: MissingPolicy,
-    /// Candidate-generation strategy. [`Blocking::TrigramPrefix`] blocks
+    /// Candidate-generation strategy; by default the rule of
+    /// [`AttributeMatcher::new`] over the primary measure.
+    /// [`Blocking::TrigramPrefix`] blocks
     /// on the primary attribute only; [`Blocking::Threshold`] prunes
     /// through *every* attribute that admits a sound derived bound and
     /// intersects the per-attribute candidate sets. Either way an
@@ -83,20 +85,25 @@ pub struct MultiAttributeMatcher {
 }
 
 impl MultiAttributeMatcher {
-    /// Create a matcher with the default threshold-exact blocking
-    /// ([`Blocking::Threshold`]): every attribute with a q-gram measure
-    /// and a sound *derived* threshold (see
+    /// Create a matcher whose blocking is the one an
+    /// [`AttributeMatcher`] on the primary (first) pair gets by default:
+    /// for a q-gram primary [`Blocking::Threshold`] — every attribute
+    /// with a q-gram measure and a sound *derived* threshold (see
     /// [`MultiAttributeMatcher::derived_threshold`]) prunes candidates
     /// through its own T-occurrence index and the per-attribute sets are
-    /// intersected; with no boundable attribute the matcher scores
-    /// all-pairs — results are always identical to
-    /// [`Blocking::AllPairs`]. `attrs` must be non-empty.
+    /// intersected, with results always identical to
+    /// [`Blocking::AllPairs`] — otherwise the prefix filter on the
+    /// primary. `attrs` must be non-empty.
     pub fn new(attrs: Vec<AttrPair>, threshold: f64) -> Self {
+        let blocking = match attrs.first() {
+            Some(primary) => Blocking::auto_for(&primary.sim.clone().into()),
+            None => Blocking::Threshold,
+        };
         Self {
             attrs,
             threshold,
             missing: MissingPolicy::Ignore,
-            blocking: Blocking::Threshold,
+            blocking,
         }
     }
 
@@ -296,6 +303,7 @@ impl Matcher for MultiAttributeMatcher {
                 "multi-attribute matcher needs attributes".into(),
             ));
         }
+        check_threshold(self.threshold)?;
         let (probes, mut dict) = (self.probes(), GramDict::new());
         let d_rows = self.project(ctx.registry.lds(domain), true, &probes, &mut dict)?;
         let r_rows = self.project(ctx.registry.lds(range), false, &probes, &mut dict)?;
@@ -623,7 +631,8 @@ mod tests {
         let jaro = MultiAttributeMatcher::new(
             vec![AttrPair::new("title", "title", SimFn::Jaro, 1.0)],
             0.9,
-        );
+        )
+        .with_blocking(Blocking::Threshold);
         let all = jaro
             .clone()
             .with_blocking(Blocking::AllPairs)
@@ -754,6 +763,27 @@ mod tests {
             m.execute(&ctx, d, a),
             Err(CoreError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn the_primary_measure_picks_the_default_blocking() {
+        assert_eq!(matcher().blocking, Blocking::Threshold);
+        let jaro = MultiAttributeMatcher::new(vec![AttrPair::new("t", "t", SimFn::Jaro, 1.0)], 0.9);
+        assert_eq!(jaro.blocking, Blocking::TrigramPrefix);
+    }
+
+    #[test]
+    fn thresholds_outside_the_unit_interval_are_refused() {
+        let (reg, d, a) = setup();
+        let ctx = MatchContext::new(&reg);
+        for t in [-0.1, 1.5, f64::NAN] {
+            let mut m = matcher();
+            m.threshold = t;
+            assert!(
+                matches!(m.execute(&ctx, d, a), Err(CoreError::InvalidConfig(_))),
+                "t={t}"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use moma_core::{Mapping, MappingRepository};
-use moma_model::{
-    AttrDef, AttrValue, LdsId, LogicalSource, ObjectType, PhysicalSource, SourceRegistry,
-};
+use moma_model::{AttrDef, AttrValue, LdsId, LogicalSource, ObjectType, SourceRegistry};
 use moma_table::{FxHashMap, FxHashSet, MappingTable};
 
 use crate::config::WorldConfig;
@@ -133,16 +131,6 @@ impl Builder {
     }
 
     fn build(mut self) -> Scenario {
-        self.registry
-            .smm
-            .add_physical(PhysicalSource::downloadable("DBLP"));
-        self.registry
-            .smm
-            .add_physical(PhysicalSource::query_only("ACM"));
-        self.registry
-            .smm
-            .add_physical(PhysicalSource::query_only("GS"));
-
         let pub_schema = vec![
             AttrDef::text("title"),
             AttrDef::text_list("authors"),

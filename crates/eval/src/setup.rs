@@ -5,7 +5,6 @@
 
 use std::sync::Arc;
 
-use moma_core::blocking::Blocking;
 use moma_core::matchers::neighborhood::nh_match;
 use moma_core::matchers::{AttributeMatcher, MatchContext, Matcher};
 use moma_core::ops::compose::PathAgg;
@@ -59,8 +58,8 @@ impl EvalContext {
         self.cache.store_as(name, build())
     }
 
-    /// Run one attribute matcher, once. Blocking is the rule over the
-    /// measure that every other front end applies.
+    /// Run one attribute matcher, once, under the blocking its measure
+    /// picks.
     fn attr(
         &self,
         cache_key: &str,
@@ -71,8 +70,6 @@ impl EvalContext {
     ) -> Arc<Mapping> {
         self.cached(cache_key, || {
             let matcher = AttributeMatcher::new(attribute, attribute, sim, threshold);
-            let blocking = Blocking::auto_for(&matcher.sim);
-            let matcher = matcher.with_blocking(blocking);
             let matched = matcher.execute(&self.match_ctx(), domain, range);
             matched.expect("attribute matcher")
         })

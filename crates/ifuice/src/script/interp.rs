@@ -1,11 +1,14 @@
 //! Interpreter for the iFuice script language.
+//!
+//! Builtins parse their arguments and lower them to the core's operators
+//! and matchers; how a matcher generates candidates is the matcher's
+//! own decision, not the script's.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use moma_core::blocking::Blocking;
 use moma_core::exec::Parallelism;
 use moma_core::matchers::{AttributeMatcher, MatchContext, Matcher, MatcherSim};
 use moma_core::ops::compose::{compose, PathAgg, PathCombine};
@@ -164,9 +167,6 @@ pub struct Interpreter<'a> {
     vars: HashMap<String, Value>,
     procs: HashMap<String, Procedure>,
     parallelism: Parallelism,
-    /// Candidate-generation override for `attrMatch`/`multiAttrMatch`;
-    /// `None` picks per-measure ([`moma_core::blocking::Blocking::auto_for`]).
-    blocking: Option<Blocking>,
 }
 
 enum Flow {
@@ -176,17 +176,15 @@ enum Flow {
 
 impl<'a> Interpreter<'a> {
     /// New interpreter over a registry and repository. Matchers execute
-    /// with [`Parallelism::from_env`]
-    /// (`MOMA_THREADS` or one thread per CPU) unless overridden with
-    /// [`with_parallelism`](Self::with_parallelism).
+    /// with [`Parallelism::auto`] (one thread per CPU) unless overridden
+    /// with [`with_parallelism`](Self::with_parallelism).
     pub fn new(registry: &'a SourceRegistry, repository: &'a MappingRepository) -> Self {
         Self {
             registry,
             repository,
             vars: HashMap::new(),
             procs: HashMap::new(),
-            parallelism: Parallelism::from_env(),
-            blocking: None,
+            parallelism: Parallelism::auto(),
         }
     }
 
@@ -194,15 +192,6 @@ impl<'a> Interpreter<'a> {
     /// Results are identical at every thread count.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Pin one candidate-generation strategy for every
-    /// `attrMatch`/`multiAttrMatch` in the script (builder style; the
-    /// CLI's `--blocking` flag). Default: per-measure auto-selection —
-    /// threshold-exact for q-gram measures, prefix-filtered otherwise.
-    pub fn with_blocking(mut self, blocking: Blocking) -> Self {
-        self.blocking = Some(blocking);
         self
     }
 
@@ -439,10 +428,9 @@ impl<'a> Interpreter<'a> {
 
     /// `attrMatch(Source1, Source2, SimFn, threshold, "[attr1]", "[attr2]")`
     ///
-    /// `SimFn` may also be `TfIdf` for the corpus-based cosine measure.
-    /// Matching uses threshold-exact blocking for q-gram measures and
-    /// TF-IDF (results identical to all-pairs, candidates pruned before
-    /// scoring); other measures use the lossy prefix filter.
+    /// `SimFn` is any [`MatcherSim`] name — `TfIdf` for the corpus-based
+    /// cosine measure. The matcher picks its own blocking and checks the
+    /// threshold (see [`moma_core::matchers`]).
     fn builtin_attr_match(&mut self, args: Vec<Value>) -> Result<Value, ScriptError> {
         let domain = self.source_arg(&args, 0, "attrMatch")?;
         let range = self.source_arg(&args, 1, "attrMatch")?;
@@ -453,25 +441,13 @@ impl<'a> Interpreter<'a> {
                 _ => Err(rt("attrMatch expects \"[attr]\" strings")),
             }
         };
-        let matcher = match args.get(2) {
-            Some(Value::Sym(s)) | Some(Value::Str(s)) if s.eq_ignore_ascii_case("tfidf") => {
-                AttributeMatcher::tfidf(attr(4)?, attr(5)?, threshold)
-            }
-            Some(Value::Sym(s)) | Some(Value::Str(s)) => {
-                let sim = SimFn::parse(s)
-                    .ok_or_else(|| rt(format!("unknown similarity function `{s}`")))?;
-                AttributeMatcher::new(attr(4)?, attr(5)?, sim, threshold)
-            }
+        let sim: MatcherSim = match args.get(2) {
+            Some(Value::Sym(s)) | Some(Value::Str(s)) => s
+                .parse()
+                .map_err(|_| rt(format!("unknown similarity function `{s}`")))?,
             _ => return Err(rt("attrMatch expects a similarity function symbol")),
         };
-        // Pick the best blocking for the measure unless the caller
-        // pinned one: threshold-exact for q-gram measures and TF-IDF
-        // (identical results, pruned before scoring), the historical
-        // lossy prefix filter for the remaining non-q-gram measures.
-        let blocking = self
-            .blocking
-            .unwrap_or_else(|| Blocking::auto_for(&matcher.sim));
-        let matcher = matcher.with_blocking(blocking);
+        let matcher = AttributeMatcher::new(attr(4)?, attr(5)?, sim, threshold);
         let ctx = MatchContext::with_repository(self.registry, self.repository)
             .with_parallelism(self.parallelism);
         let mapping = matcher.execute(&ctx, domain, range)?;
@@ -522,13 +498,7 @@ impl<'a> Interpreter<'a> {
         if pairs.is_empty() {
             return Err(rt("multiAttrMatch needs at least one attribute spec"));
         }
-        // Threshold-exact blocking when the primary measure admits exact
-        // bounds (identical to all-pairs, just pruned), the historical
-        // prefix filter otherwise; a caller-pinned strategy wins.
-        let blocking = self
-            .blocking
-            .unwrap_or_else(|| Blocking::auto_for(&MatcherSim::Fixed(pairs[0].sim.clone())));
-        let matcher = MultiAttributeMatcher::new(pairs, threshold).with_blocking(blocking);
+        let matcher = MultiAttributeMatcher::new(pairs, threshold);
         let ctx = MatchContext::with_repository(self.registry, self.repository)
             .with_parallelism(self.parallelism);
         let mapping = matcher.execute(&ctx, domain, range)?;
@@ -1047,13 +1017,16 @@ mod tests {
     #[test]
     fn zero_length_qgrams_are_refused_by_the_script() {
         // `qgram:0` used to parse, and panicked in the tokenizer at the
-        // first pair scored.
+        // first pair scored; a malformed `year:` tolerance was read as 0.
         let (reg, repo) = setup();
         for sim in [
             "qgram:0",
             "qgramjaccard:0",
             "qgramcosine:0",
             "qgramoverlap:0",
+            "year:x",
+            "year:-1",
+            "year:1.5",
         ] {
             let text = format!(
                 r#"RETURN attrMatch(DBLP.Author, DBLP.Author, "{sim}", 0.5, "[name]", "[name]");"#
@@ -1063,6 +1036,30 @@ mod tests {
                 .unwrap_err();
             let expected = format!("unknown similarity function `{sim}`");
             assert!(err.to_string().contains(&expected), "{err}");
+        }
+    }
+
+    #[test]
+    fn thresholds_outside_the_unit_interval_are_refused_by_the_script() {
+        // They used to run: -1 kept every pair, 1.5 silently none.
+        let (reg, repo) = setup();
+        for call in [
+            r#"attrMatch(DBLP.Author, DBLP.Author, Trigram, $T, "[name]", "[name]")"#,
+            r#"attrMatch(DBLP.Author, DBLP.Author, TfIdf, $T, "[name]", "[name]")"#,
+            r#"multiAttrMatch(DBLP.Author, DBLP.Author, $T, "[name]~[name]:jaro")"#,
+        ] {
+            for t in [-1.0, 1.5] {
+                let mut interp = Interpreter::new(&reg, &repo);
+                interp.bind("T", Value::Num(t));
+                let err = interp
+                    .run(&parse(&format!("RETURN {call};")).unwrap())
+                    .unwrap_err();
+                assert!(
+                    matches!(err, ScriptError::Core(CoreError::InvalidConfig(_))),
+                    "{call} t={t}: {err}"
+                );
+                assert!(err.to_string().contains("must be in [0, 1]"), "{err}");
+            }
         }
     }
 

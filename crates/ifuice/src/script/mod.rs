@@ -7,6 +7,11 @@
 //! mapping references (`DBLP.CoAuthor`), `PROCEDURE name($a, $b) … END`
 //! definitions and `RETURN`.
 //!
+//! The interpreter parses a matcher call and lowers it to the core's
+//! constructors (`attrMatch` to [`moma_core::matchers::AttributeMatcher`],
+//! its measure a [`moma_core::matchers::MatcherSim`] name); the matcher
+//! picks its own blocking and refuses a threshold outside `[0, 1]`.
+//!
 //! ```
 //! # use moma_model::{SourceRegistry, LogicalSource, ObjectType, AttrDef};
 //! # use moma_core::MappingRepository;
@@ -42,15 +47,15 @@ use moma_model::SourceRegistry;
 pub use interp::{Interpreter, ScriptError, Value};
 
 /// Parse and run a script against a registry and repository; returns the
-/// `RETURN` value (or the value of the last statement). Matchers and
-/// composes execute with [`Parallelism::from_env`]; use
-/// [`run_script_with`] to configure parallelism programmatically.
+/// `RETURN` value (or the value of the last statement). Matchers
+/// execute with [`Parallelism::auto`]; use [`run_script_with`] to
+/// configure parallelism programmatically.
 pub fn run_script(
     source: &str,
     registry: &SourceRegistry,
     repository: &MappingRepository,
 ) -> Result<Value, ScriptError> {
-    run_script_with(source, registry, repository, Parallelism::from_env())
+    run_script_with(source, registry, repository, Parallelism::auto())
 }
 
 /// [`run_script`] with an explicit [`Parallelism`] for the script's

@@ -6,9 +6,8 @@ use crate::delta::{AppliedDelta, DeltaOp, SourceDelta};
 use crate::error::{ModelError, Result};
 use crate::instance::ObjectInstance;
 use crate::lds::{LdsId, LogicalSource};
-use crate::smm::SourceMappingModel;
 
-/// Owns the LDS arenas and the source-mapping model.
+/// Owns the LDS arenas.
 ///
 /// The registry is the single place instance data lives; mappings (in
 /// `moma-core`) reference instances as `(LdsId, local index)` pairs.
@@ -16,8 +15,6 @@ use crate::smm::SourceMappingModel;
 pub struct SourceRegistry {
     sources: Vec<LogicalSource>,
     by_name: HashMap<String, LdsId>,
-    /// Metadata model (physical sources + mapping types).
-    pub smm: SourceMappingModel,
 }
 
 impl SourceRegistry {
@@ -36,8 +33,7 @@ impl SourceRegistry {
             });
         }
         let id = LdsId(self.sources.len() as u32);
-        self.by_name.insert(name.clone(), id);
-        self.smm.add_logical(id, name);
+        self.by_name.insert(name, id);
         self.sources.push(lds);
         Ok(id)
     }
@@ -273,12 +269,6 @@ mod tests {
             .unwrap();
         assert_eq!(copy.lds(pubs).live_len(), 0);
         assert_eq!(reg.lds(pubs).live_len(), 1);
-    }
-
-    #[test]
-    fn smm_tracks_logical_sources() {
-        let reg = registry();
-        assert_eq!(reg.smm.logical_sources().len(), 3);
     }
 
     #[test]

@@ -35,10 +35,9 @@ use std::fmt;
 
 use moma_core::blocking::Blocking;
 use moma_core::exec::Parallelism;
-use moma_core::matchers::{AttributeMatcher, MatchContext};
+use moma_core::matchers::{AttributeMatcher, MatchContext, MatcherSim};
 use moma_core::{DeltaMatchState, Mapping, MappingKind, MappingRepository, Recipe};
 use moma_model::{AttrDef, LdsId, LogicalSource, ObjectInstance, ObjectType, SourceRegistry};
-use moma_simstring::SimFn;
 
 use crate::commands::{self, Cmd, Command};
 use crate::json::Json;
@@ -122,8 +121,9 @@ fn handler(cmd: Cmd) -> Option<Handler> {
     })
 }
 
-/// A matcher context that reads nothing but its arguments
-/// (`MatchContext::new` would consult the environment).
+/// A matcher context at the state's own parallelism, built without
+/// `MatchContext::new`'s probe of the CPU count (a delta builds one per
+/// apply).
 fn context(registry: &SourceRegistry, parallelism: Parallelism) -> MatchContext<'_> {
     MatchContext {
         registry,
@@ -171,24 +171,16 @@ impl State {
         let range = command.field(req, "range", Json::as_str)?;
         let domain_attr = req.str_field("domain_attr").unwrap_or("title");
         let range_attr = req.str_field("range_attr").unwrap_or(domain_attr);
-        let sim = req.str_field("sim").unwrap_or("trigram");
         let threshold = req.num_field("threshold").unwrap_or(0.7);
-        if !(0.0..=1.0).contains(&threshold) {
-            return Err(format!("threshold {threshold} must be in [0, 1]"));
-        }
         let d = self.resolve("domain", domain)?;
         let r = self.resolve("range", range)?;
-        let matcher = if sim == "tfidf" {
-            AttributeMatcher::tfidf(domain_attr, range_attr, threshold)
-        } else {
-            let f = SimFn::parse(sim).ok_or_else(|| format!("unknown similarity `{sim}`"))?;
-            AttributeMatcher::new(domain_attr, range_attr, f, threshold)
-        };
-        let blocking = match req.str_field("blocking") {
-            Some(b) => Blocking::parse(b).ok_or_else(|| format!("unknown blocking `{b}`"))?,
-            None => Blocking::auto_for(&matcher.sim),
-        };
-        Ok((matcher.with_blocking(blocking), d, r))
+        let sim: MatcherSim = req.str_field("sim").unwrap_or("trigram").parse()?;
+        let mut matcher = AttributeMatcher::new(domain_attr, range_attr, sim, threshold);
+        if let Some(b) = req.str_field("blocking") {
+            matcher.blocking =
+                Blocking::parse(b).ok_or_else(|| format!("unknown blocking `{b}`"))?;
+        }
+        Ok((matcher, d, r))
     }
 
     fn resolve(&self, field: &str, source: &str) -> Result<LdsId, String> {
@@ -788,7 +780,8 @@ mod tests {
 
     /// A `match` request naming a 0-gram measure is refused like any
     /// unknown similarity — it used to be accepted, and panicked in the
-    /// tokenizer at the first pair scored.
+    /// tokenizer at the first pair scored. So is a malformed `year:`
+    /// tolerance, which used to be read as `year:0`.
     #[test]
     fn zero_length_qgrams_are_refused_on_the_wire() {
         let mut state = machine();
@@ -797,6 +790,9 @@ mod tests {
             "qgramjaccard:0",
             "qgramcosine:0",
             "qgramoverlap:0",
+            "year:x",
+            "year:-1",
+            "year:1.5",
         ] {
             let (d, r) = ("Publication@DBLP", "Publication@ACM");
             let req = protocol::match_request("m", d, r, "title", "title", sim, 0.5);
@@ -812,6 +808,22 @@ mod tests {
             &match_cmd("m", "Publication@DBLP", "Publication@ACM"),
             Some(1)
         )));
+    }
+
+    /// A threshold outside `[0, 1]` is refused by the matcher the
+    /// request lowers to, whatever its measure.
+    #[test]
+    fn thresholds_outside_the_unit_interval_are_refused_on_the_wire() {
+        let mut state = machine();
+        let (d, r) = ("Publication@DBLP", "Publication@ACM");
+        for sim in ["trigram", "tfidf", "jaro"] {
+            for t in [-0.1, 1.5] {
+                let req = protocol::match_request("m", d, r, "title", "title", sim, t);
+                let reply = state.apply(&req, Some(1));
+                let error = reply.str_field("error").unwrap_or_default();
+                assert!(error.contains("must be in [0, 1]"), "{sim} {t}: {reply}");
+            }
+        }
     }
 
     /// Persisted rows are outside input: an index that does not fit

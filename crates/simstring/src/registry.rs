@@ -175,7 +175,8 @@ impl SimFn {
 
     /// Parse a measure name as used in scripts (case-insensitive);
     /// parameterized forms use `name:param` (e.g. `qgram:2`, `year:1`).
-    /// A q-gram length of 0 is no measure (`None`).
+    /// A q-gram length of 0 is no measure (`None`), and neither is a
+    /// `year:` tolerance that is not a whole number of years.
     pub fn parse(name: &str) -> Option<SimFn> {
         let lower = name.to_ascii_lowercase();
         let (base, param) = match lower.split_once(':') {
@@ -201,7 +202,10 @@ impl SimFn {
             "affixcontainment" => SimFn::AffixContainment,
             "soundex" => SimFn::Soundex,
             "personname" | "name" => SimFn::PersonName,
-            "year" => SimFn::Year(param.map(|p| p.parse().unwrap_or(0)).unwrap_or(0)),
+            "year" => SimFn::Year(match param {
+                Some(p) => p.parse().ok()?,
+                None => 0,
+            }),
             _ => return None,
         })
     }
@@ -342,6 +346,10 @@ mod tests {
             "qgramoverlap:0",
         ] {
             assert_eq!(SimFn::parse(name), None, "{name}: there are no 0-grams");
+        }
+        assert_eq!(SimFn::parse("year"), Some(SimFn::Year(0)));
+        for name in ["year:x", "year:-1", "year:1.5", "year:"] {
+            assert_eq!(SimFn::parse(name), None, "{name}: no tolerance in years");
         }
     }
 

@@ -31,11 +31,6 @@ pub struct Parallelism {
     pub min_shard_size: usize,
 }
 
-/// Environment variable overriding the default thread count
-/// (`Parallelism::from_env`). `MOMA_THREADS=1` forces sequential
-/// execution; `MOMA_THREADS=8` caps workers at 8.
-pub const THREADS_ENV: &str = "MOMA_THREADS";
-
 /// Default minimum shard size: below ~64 items per shard, spawn overhead
 /// dominates any scoring or probing win.
 pub const DEFAULT_MIN_SHARD: usize = 64;
@@ -70,31 +65,6 @@ impl Parallelism {
                 .map(|n| n.get())
                 .unwrap_or(1),
         )
-    }
-
-    /// Thread count from the `MOMA_THREADS` environment variable, falling
-    /// back to [`Parallelism::auto`] when unset. An unparsable value also
-    /// falls back to auto, with a warning on stderr — silently honoring a
-    /// typo would make e.g. `MOMA_THREADS=one` run fully parallel while
-    /// the user believes they forced the sequential path.
-    pub fn from_env() -> Self {
-        match std::env::var(THREADS_ENV) {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) => Self::new(n),
-                Err(_) => {
-                    // Contexts call `from_env` freely; warn only once.
-                    static WARNED: std::sync::Once = std::sync::Once::new();
-                    WARNED.call_once(|| {
-                        eprintln!(
-                            "warning: {THREADS_ENV}=`{v}` is not a thread count; \
-                             using one thread per CPU"
-                        );
-                    });
-                    Self::auto()
-                }
-            },
-            Err(_) => Self::auto(),
-        }
     }
 
     /// Override the minimum shard size (builder style).
@@ -205,10 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn from_env_parses() {
-        // Can't mutate the environment safely in tests running in
-        // parallel; just check the fallback path produces >= 1 thread.
-        assert!(Parallelism::from_env().threads >= 1);
+    fn auto_has_a_thread() {
         assert!(Parallelism::auto().threads >= 1);
     }
 }

@@ -29,7 +29,7 @@
 //!   union of a TF-IDF query's heaviest tokens,
 //! * [`postings`] — the blocked key list the index stores per gram, and
 //!   the galloping lower bound the count-filtered probe searches it with,
-//! * [`tsv`] — plain-text persistence of mapping tables,
+//! * [`tsv`] — the field escaping of the repository's plain-text files,
 //! * [`hash`] — a fast FxHash-style hasher used for all internal maps
 //!   (integer-keyed hashing is on the hot path of every join).
 //!

@@ -11,7 +11,6 @@
 //!
 //! ```bash
 //! cargo run --release --example incremental_matching
-//! MOMA_THREADS=8 cargo run --release --example incremental_matching
 //! ```
 
 use std::time::Instant;

@@ -11,7 +11,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`model`] | physical/logical data sources, object instances, the source-mapping model |
-//! | [`table`] | 3-column mapping tables in canonical order, the grouping co-scan, indexes, hash join, TSV persistence |
+//! | [`table`] | 3-column mapping tables in canonical order, the grouping co-scan, indexes, hash join, TSV field escaping |
 //! | [`simstring`] | similarity measures: trigram, TF-IDF, affix, edit distances, person names, … |
 //! | [`core`] | **the paper's contribution**: merge/compose/selection operators, matcher library, neighborhood matcher, mapping repository |
 //! | [`ifuice`] | mini iFuice platform: source operators, the workflow script language |

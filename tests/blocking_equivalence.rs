@@ -20,8 +20,8 @@
 //! These properties drive that promise across randomly generated
 //! datagen scenarios, thresholds {0.5, 0.7, 0.8, 0.9}, hostile value shapes
 //! (empty, punctuation-only, sub-trigram-length, repeat-heavy strings)
-//! and thread counts 1 and 8 — the same extremes CI's MOMA_THREADS
-//! matrix pins for the whole suite. One more leg pins the TF-IDF
+//! and thread counts 1 and 8 — the sequential path and an
+//! oversubscribed one. One more leg pins the TF-IDF
 //! matcher's rows, bit for bit, to those of the previous release
 //! (`data/parent_tfidf_rows.tsv`).
 

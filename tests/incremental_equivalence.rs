@@ -9,8 +9,8 @@
 //! scenarios, random delta streams (adds / removes / attribute updates,
 //! deliberately including duplicate removals and no-op updates), every
 //! resolved candidate plan plus the full-re-match fallbacks (the `PLANS`
-//! table), self-mappings, and thread counts 1 and 8 (the same extremes
-//! CI's MOMA_THREADS matrix pins for the whole suite).
+//! table), self-mappings, thread counts 1 and 8, and the default
+//! context's own thread count.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -329,10 +329,10 @@ fn explicit_edge_case_deltas() {
     }
 }
 
-/// The default context (no explicit Parallelism) honors MOMA_THREADS —
-/// this is the leg CI's MOMA_THREADS={1,8} matrix actually varies.
+/// The default context (no explicit Parallelism: one thread per CPU)
+/// patches like the pinned counts do.
 #[test]
-fn equivalence_under_env_parallelism() {
+fn equivalence_under_default_parallelism() {
     let scenario = random_world(2);
     let (dblp, gs) = (scenario.ids.pub_dblp, scenario.ids.pub_gs);
     let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.6)

@@ -1,5 +1,6 @@
 //! The iFuice script language and the direct Rust API must agree.
 
+use moma::core::exec::Parallelism;
 use moma::core::matchers::neighborhood::nh_match;
 use moma::core::matchers::{AttributeMatcher, MatchContext, Matcher};
 use moma::core::ops::compose::PathAgg;
@@ -7,7 +8,8 @@ use moma::core::ops::merge::{merge, MergeFn, MissingPolicy};
 use moma::core::ops::select::{select, select_constraint, Selection};
 use moma::datagen::Scenario;
 use moma::eval::MatchQuality;
-use moma::ifuice::script::run_script;
+use moma::ifuice::script::{parser, run_script, Interpreter, Value};
+use moma::server::{protocol, Engine};
 use moma::simstring::SimFn;
 
 fn assert_same_mapping(a: &moma::core::Mapping, b: &moma::core::Mapping) {
@@ -184,5 +186,75 @@ fn repository_reuse_between_workflows() {
             count, 1,
             "best-1 must leave one correspondence per instance"
         );
+    }
+}
+
+/// The attribute a measure is matched on in the lowering test: years are
+/// read from `year`, everything else from `title`.
+fn attr_for(sim: &str) -> &'static str {
+    if sim.starts_with("year") {
+        "year"
+    } else {
+        "title"
+    }
+}
+
+/// The wire `match` and the script's `attrMatch` lower to the same
+/// matcher: the same rows, bit for bit, for every spelling of a measure,
+/// and the same refusals of a measure or threshold the core rejects.
+#[test]
+fn wire_and_script_lower_to_the_same_matcher() {
+    let scenario = Scenario::small();
+    let mut engine = Engine::new(scenario.registry.clone(), Parallelism::sequential());
+    let (d, r) = ("Publication@DBLP", "Publication@ACM");
+    let mut wire = |sim: &str, t: f64| {
+        let attr = attr_for(sim);
+        let reply = engine.execute(&protocol::match_request("m", d, r, attr, attr, sim, t));
+        let ok = reply.get("ok").and_then(|v| v.as_bool()) == Some(true);
+        ok.then(|| engine.repository().require("m").unwrap())
+    };
+    let script = |sim: &str, t: f64| {
+        let attr = attr_for(sim);
+        let text = format!(
+            r#"RETURN attrMatch(DBLP.Publication, ACM.Publication, "{sim}", $T, "[{attr}]", "[{attr}]");"#
+        );
+        let mut interp = Interpreter::new(&scenario.registry, &scenario.repository);
+        interp.bind("T", Value::Num(t));
+        let value = interp.run(&parser::parse(&text).unwrap()).ok()?;
+        Some(value.as_mapping().unwrap().clone())
+    };
+    let bits = |m: &moma::core::Mapping| -> Vec<(u32, u32, u64)> {
+        m.table
+            .iter()
+            .map(|c| (c.domain, c.range, c.sim.to_bits()))
+            .collect()
+    };
+    let sims = [
+        "trigram",
+        "tfidf",
+        "TfIdf",
+        "jaro",
+        "personname",
+        "year:1",
+        "qgramjaccard:2",
+    ];
+    for sim in sims {
+        for t in [0.5, 0.8] {
+            let via_wire = wire(sim, t).unwrap_or_else(|| panic!("wire refused {sim} at {t}"));
+            let via_script =
+                script(sim, t).unwrap_or_else(|| panic!("script refused {sim} at {t}"));
+            assert_eq!(bits(&via_wire), bits(&via_script), "{sim} at {t}");
+            assert!(!via_wire.is_empty(), "{sim} at {t} matched nothing");
+        }
+    }
+    for (sim, t) in [
+        ("qgram:0", 0.5),
+        ("year:x", 0.5),
+        ("nosuch", 0.5),
+        ("trigram", -0.1),
+        ("trigram", 1.5),
+    ] {
+        assert!(wire(sim, t).is_none(), "wire accepted {sim} at {t}");
+        assert!(script(sim, t).is_none(), "script accepted {sim} at {t}");
     }
 }
