@@ -73,17 +73,15 @@
 //!
 //! ## Incremental maintenance
 //!
-//! For evolving sources a string index need not be rebuilt:
-//! `insert`, `remove` (tombstone) and `update` / `replace` (surgical
-//! posting swap) patch it in place — the machinery behind
-//! [`crate::delta`]'s incremental matching, which drives the
-//! [`GramIndex`] of a [`CandidateIndex`] with the ids its values carry
-//! ([`TokenIndex`] offers the same by string). Removal leaves dead
-//! posting entries behind until the [`GramIndex`] compacts; probes
-//! filter them, so candidate sets are always tombstone-exact, while the
-//! gram frequencies behind the prefix filter's rarest-first choice may
-//! over-count between compactions (harmless for its guarantee, which
-//! holds for *any* choice of probed grams).
+//! A [`CandidateIndex`] need not be rebuilt when its values change: the
+//! [`GramIndex`] it dereferences to is patched in place with the ids the
+//! values carry — `insert`, `remove` (tombstone) and `replace` (surgical
+//! posting swap). [`crate::delta`]'s incremental matching does so
+//! lazily, replaying a side's changes only when a probe is about to read
+//! that side. Removal leaves dead posting entries behind until the
+//! [`GramIndex`] compacts; probes filter them, so candidate sets are
+//! always tombstone-exact. [`TrigramIndex`], [`ThresholdIndex`] and
+//! [`TfIdfIndex`] are built once and only probed.
 
 use std::ops::{Deref, DerefMut};
 
@@ -208,10 +206,10 @@ fn threshold_probe(
 }
 
 /// A [`GramIndex`] behind its own gram dictionary and the tokenizer
-/// that feeds it: the string-level build and maintenance half of both
-/// index families, which differ only in how they tokenize and probe.
-/// [`TrigramIndex`] and [`ThresholdIndex`] dereference to it, so
-/// `index.insert(id, value)` works on both.
+/// that feeds it: the string-level build half of both index families,
+/// which differ only in how they tokenize and probe. It is built once
+/// and only probed; [`TrigramIndex`] and [`ThresholdIndex`] dereference
+/// to it, so `index.len()` works on both.
 #[derive(Debug, Clone)]
 pub struct TokenIndex {
     dict: GramDict,
@@ -237,41 +235,6 @@ impl TokenIndex {
             dict,
             tokens,
         }
-    }
-
-    /// Index one value. Returns `false` (a no-op) if `id` is already
-    /// live — use [`TokenIndex::update`] to change an indexed value.
-    pub fn insert(&mut self, id: u32, value: &str) -> bool {
-        let grams = self.tokens.intern(value, &mut self.dict);
-        self.grams.insert(id, &grams)
-    }
-
-    /// Tombstone an indexed value (see module docs); returns whether the
-    /// id was live. O(1) amortized — dead posting entries are swept by
-    /// the underlying index once they exceed a fixed fraction of the
-    /// live population.
-    pub fn remove(&mut self, id: u32) -> bool {
-        self.grams.remove(id)
-    }
-
-    /// Replace a live value in place. The caller supplies the old value
-    /// (the index stores no values); its postings are removed
-    /// surgically, the new value's appended. Returns `false` if `id` is
-    /// not live.
-    pub fn update(&mut self, id: u32, old_value: &str, new_value: &str) -> bool {
-        let old = self.tokens.lookup(old_value, &self.dict);
-        let new = self.tokens.intern(new_value, &mut self.dict);
-        self.grams.replace(id, &old, &new)
-    }
-
-    /// Sweep tombstoned entries out of the posting lists now.
-    pub fn compact(&mut self) {
-        self.grams.compact();
-    }
-
-    /// Number of unswept tombstones.
-    pub fn tombstone_count(&self) -> usize {
-        self.grams.tombstone_count()
     }
 
     /// Whether `id` is indexed and not removed.
@@ -303,12 +266,6 @@ impl Deref for TrigramIndex {
     type Target = TokenIndex;
     fn deref(&self) -> &TokenIndex {
         &self.0
-    }
-}
-
-impl DerefMut for TrigramIndex {
-    fn deref_mut(&mut self) -> &mut TokenIndex {
-        &mut self.0
     }
 }
 
@@ -349,7 +306,7 @@ impl TrigramIndex {
 /// superset of exactly the values whose similarity to the query reaches
 /// the threshold — **no true match is ever pruned**. Like
 /// [`TrigramIndex`] it is read-only-probeable from any number of
-/// threads and incrementally maintainable through its [`TokenIndex`].
+/// threads.
 #[derive(Debug, Clone)]
 pub struct ThresholdIndex {
     index: TokenIndex,
@@ -361,12 +318,6 @@ impl Deref for ThresholdIndex {
     type Target = TokenIndex;
     fn deref(&self) -> &TokenIndex {
         &self.index
-    }
-}
-
-impl DerefMut for ThresholdIndex {
-    fn deref_mut(&mut self) -> &mut TokenIndex {
-        &mut self.index
     }
 }
 
@@ -491,9 +442,9 @@ pub(crate) enum Probe {
 /// baked in — what a resolved candidate plan puts in front of one side
 /// of a match (a plan that scores all pairs puts nothing there). The
 /// match kernel probes it for full execution and for delta patches
-/// alike; the sides of a [`crate::delta::DeltaMatchState`] keep theirs
-/// current through the [`GramIndex`] it dereferences to, with the ids of
-/// the match's one dictionary.
+/// alike; the sides of a [`crate::delta::DeltaMatchState`] bring theirs
+/// up to date, before a probe reads it, through the [`GramIndex`] it
+/// dereferences to, with the ids of the match's one dictionary.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
     grams: GramIndex,
@@ -847,58 +798,6 @@ mod tests {
         // Both "data cleaning" titles reachable at a loose threshold.
         assert!(loose.contains(&2) && loose.contains(&3));
     }
-
-    #[test]
-    fn incremental_maintenance_matches_rebuild() {
-        let mut idx = TrigramIndex::build(titles());
-        // Remove one, update one, add one.
-        assert!(idx.remove(2));
-        assert!(!idx.remove(2));
-        assert!(idx.update(
-            1,
-            "Generic Schema Matching with Cupid",
-            "Reference Reconciliation in Complex Spaces",
-        ));
-        assert!(idx.insert(5, "Data Cleaning: Problems and Current Approaches"));
-        assert!(!idx.insert(5, "duplicate insert is rejected"));
-        idx.compact();
-
-        let fresh = TrigramIndex::build([
-            (0, "A formal perspective on the view selection problem"),
-            (1, "Reference Reconciliation in Complex Spaces"),
-            (
-                3,
-                "Robust and Efficient Fuzzy Match for Online Data Cleaning",
-            ),
-            (4, "A formal perspective on the view selection problem."),
-            (5, "Data Cleaning: Problems and Current Approaches"),
-        ]);
-        assert_eq!(idx.len(), fresh.len());
-        assert!((0..=5).all(|id| idx.is_live(id) == fresh.is_live(id)));
-        for q in [
-            "view selection",
-            "reference reconciliation",
-            "data cleaning",
-            "fuzzy match",
-        ] {
-            assert_eq!(
-                idx.candidates(q, 0.4),
-                fresh.candidates(q, 0.4),
-                "probe {q}"
-            );
-        }
-    }
-
-    #[test]
-    fn tombstoned_ids_never_surface_before_compaction() {
-        let mut idx = TrigramIndex::build(titles());
-        idx.remove(0);
-        assert!(idx.tombstone_count() > 0 || idx.len() == 4);
-        let c = idx.candidates("A formal perspective on the view selection problem", 0.4);
-        assert!(!c.contains(&0));
-        assert!(c.contains(&4));
-        assert!(!idx.is_live(0) && idx.is_live(4));
-    }
 }
 
 #[cfg(test)]
@@ -963,46 +862,6 @@ mod threshold_tests {
         }
         assert!(!idx.candidates("data").contains(&0));
         assert!(idx.candidates("data").contains(&2));
-    }
-
-    #[test]
-    fn maintenance_matches_rebuild() {
-        let mut idx = ThresholdIndex::build(QgramMeasure::Dice, 3, 0.5, super::tests::titles());
-        assert!(idx.remove(2));
-        assert!(!idx.remove(2));
-        assert!(idx.update(
-            1,
-            "Generic Schema Matching with Cupid",
-            "Reference Reconciliation in Complex Spaces",
-        ));
-        assert!(idx.insert(5, "Data Cleaning: Problems and Current Approaches"));
-        assert!(!idx.insert(5, "duplicate insert is rejected"));
-        idx.compact();
-        let fresh = ThresholdIndex::build(
-            QgramMeasure::Dice,
-            3,
-            0.5,
-            [
-                (0, "A formal perspective on the view selection problem"),
-                (1, "Reference Reconciliation in Complex Spaces"),
-                (
-                    3,
-                    "Robust and Efficient Fuzzy Match for Online Data Cleaning",
-                ),
-                (4, "A formal perspective on the view selection problem."),
-                (5, "Data Cleaning: Problems and Current Approaches"),
-            ],
-        );
-        assert_eq!(idx.len(), fresh.len());
-        assert!((0..=5).all(|id| idx.is_live(id) == fresh.is_live(id)));
-        for q in [
-            "view selection",
-            "reference reconciliation",
-            "data cleaning problems",
-            "fuzzy match online",
-        ] {
-            assert_eq!(idx.candidates(q), fresh.candidates(q), "probe {q}");
-        }
     }
 
     #[test]
@@ -1249,48 +1108,6 @@ mod prop_tests {
                         prop_assert!(cands.contains(&(i as u32)),
                             "{:?} q={} t={}: missed `{}` (sim {}) for `{}`", m, q, t, v, s, query);
                     }
-                }
-            }
-        }
-
-        /// The same guarantee holds for an *incrementally maintained*
-        /// index: after removals and updates, every surviving value whose
-        /// similarity clears the threshold is still generated.
-        #[test]
-        fn no_false_dismissals_after_maintenance(
-            values in prop::collection::vec("[a-d][a-d ]{2,11}", 4..20),
-            replacement in "[a-d][a-d ]{2,11}",
-            query in "[a-d][a-d ]{2,11}",
-            t in 0.4f64..0.95,
-        ) {
-            let mut idx = TrigramIndex::build(
-                values.iter().enumerate().map(|(i, v)| (i as u32, v.as_str())),
-            );
-            // Remove every third value, replace every fourth.
-            let mut current: Vec<Option<String>> =
-                values.iter().map(|v| Some(v.clone())).collect();
-            for i in (0..values.len()).step_by(3) {
-                idx.remove(i as u32);
-                current[i] = None;
-            }
-            for i in (1..values.len()).step_by(4) {
-                if let Some(old) = current[i].clone() {
-                    idx.update(i as u32, &old, &replacement);
-                    current[i] = Some(replacement.clone());
-                }
-            }
-            let cands = idx.candidates(&query, t);
-            for (i, v) in current.iter().enumerate() {
-                match v {
-                    Some(v) if trigram(&query, v) >= t => prop_assert!(
-                        cands.contains(&(i as u32)),
-                        "missed `{}` for `{}` at t={}", v, query, t
-                    ),
-                    None => prop_assert!(
-                        !cands.contains(&(i as u32)),
-                        "tombstoned id {} surfaced", i
-                    ),
-                    _ => {}
                 }
             }
         }

@@ -8,34 +8,41 @@
 //! [`AttributeMatcher::prime`] — is the mapping plus the two sides the
 //! match ran over: `prime` *keeps* the match's own prepared columns
 //! (every value tokenized / parsed once, its grams as ids of the
-//! match's one dictionary), that dictionary and the range index, and
-//! builds only the domain index on top — from the ids the domain
-//! values already carry. Which index family a side carries (none,
-//! prefix, threshold) is the matcher's resolved plan, not a property
-//! of this module. When a
+//! match's one dictionary), that dictionary and the range index. Which
+//! index family a side carries (none or threshold) is the matcher's
+//! resolved plan, not a property of this module. When a
 //! [`SourceDelta`](moma_model::SourceDelta) is applied to the registry,
 //! feeding the resulting [`AppliedDelta`] to [`DeltaMatchState::apply`]
 //!
-//! 1. syncs both sides with the registry (each touched value prepared
-//!    once through the state's dictionary, indexes maintained in place
-//!    with the old and new ids — tombstones + compaction, see
-//!    [`crate::blocking`]),
+//! 1. syncs both columns with the registry (each touched value prepared
+//!    once through the state's dictionary). The indexes are *not*
+//!    touched: each side notes, per changed arena id, the value its
+//!    index still holds,
 //! 2. drops the mapping rows whose domain or range instance was touched,
-//! 3. probes **only** the touched domain values against the range side
+//! 3. brings an index up to date only when a probe is about to read it —
+//!    the range index before a forward probe, the domain index before an
+//!    inverse one — by replaying each noted `held → current` change with
+//!    the index's own maintenance (tombstones + compaction, see
+//!    [`moma_table::GramIndex`]). A side whose backlog outgrows the
+//!    index's own compaction ratio drops its index instead, and the
+//!    next probe of that side rebuilds it in bulk,
+//! 4. probes **only** the touched domain values against the range side
 //!    (forward) and the touched range values against the domain side
 //!    (inverse) — two calls of the one match kernel
 //!    (`matchers::kernel::probe`), which keeps `(domain, range)` argument
-//!    order in both directions,
+//!    order in both directions — and merges their rows into the kept
+//!    ones,
 //!
-//! giving per-delta cost proportional to `|delta|`, not `|source|`.
-//! Probes are sharded through the caller's
-//! [`Parallelism`](crate::exec::Parallelism) exactly like full matcher
+//! giving per-delta cost proportional to `|delta|`, not `|source|`. A
+//! side no delta probes — a curated source matched against an evolving
+//! one — pays for its changes only in its column. Probes are sharded
+//! through the caller's [`Parallelism`] exactly like full matcher
 //! execution, and the result is **bit-for-bit identical to a full
 //! re-match** at every thread count (property-tested in
-//! `tests/incremental_equivalence.rs`). A self-mapping (domain and range
-//! are the same source) is the same code: one delta touches both sides,
-//! and the overlap of the forward and inverse probes collapses when the
-//! table is canonicalized.
+//! `tests/incremental_equivalence.rs`). A self-mapping (domain and
+//! range are the same source) is the same code: one delta touches both
+//! sides, and the overlap of the forward and inverse probes collapses
+//! when the new rows are canonicalized.
 //!
 //! ## When incremental execution applies
 //!
@@ -45,22 +52,22 @@
 //!
 //! * any fixed similarity function whose resolved plan scores all pairs
 //!   (explicit [`Blocking::AllPairs`], or [`Blocking::Threshold`]
-//!   falling back for a non-q-gram measure),
+//!   falling back for a non-q-gram measure), and
 //! * any q-gram measure under [`Blocking::Threshold`] — the
 //!   T-occurrence bounds are exact and *symmetric*, so both sides carry
-//!   a threshold [`CandidateIndex`](crate::blocking::CandidateIndex), and
-//! * trigram-Dice scoring ([`SimFn::Trigram`] / `QgramDice(3)`) with
-//!   [`Blocking::TrigramPrefix`];
+//!   a threshold [`CandidateIndex`];
 //!
 //! [`Blocking::AllPairs`]: crate::blocking::Blocking::AllPairs
 //! [`Blocking::Threshold`]: crate::blocking::Blocking::Threshold
 //! [`Blocking::TrigramPrefix`]: crate::blocking::Blocking::TrigramPrefix
 //!
 //! for every other configuration — TF-IDF (its corpus is global: one
-//! added document changes every weight) or any other measure under
-//! [`Blocking::TrigramPrefix`] (the conservative Dice floor makes results
-//! depend on the probe direction) — it transparently falls back to a
-//! full re-match, still returning the correct mapping.
+//! added document changes every weight) or any measure under
+//! [`Blocking::TrigramPrefix`] (the filter reasons over trigram *sets*
+//! while even trigram Dice counts multisets, and other measures get a
+//! conservative Dice floor, so results depend on the probe direction)
+//! — it transparently falls back to a full re-match, still returning
+//! the correct mapping.
 //! [`DeltaMatchState::is_incremental`] reports which regime a state is in.
 //!
 //! Downstream, patched repository mappings invalidate the compose /
@@ -68,17 +75,34 @@
 //! [`MappingRepository::refresh_stale`](crate::repository::MappingRepository::refresh_stale)
 //! and [`DeltaMatchState::patch_and_refresh`].
 
+use std::collections::BTreeMap;
+
 use moma_model::{AppliedDelta, LdsId, LogicalSource};
-use moma_simstring::{GramDict, SimFn};
+use moma_simstring::GramDict;
+use moma_table::gram_index::{COMPACTION_FLOOR, COMPACTION_RATIO};
 use moma_table::{Correspondence, FxHashSet, MappingTable};
 
-use crate::blocking::Probe;
+use crate::blocking::{CandidateIndex, Probe};
 use crate::error::{CoreError, Result};
+use crate::exec::Parallelism;
 use crate::mapping::Mapping;
 use crate::matchers::attribute::{string_candidates, CandidatePlan, StringSide, Value};
 use crate::matchers::kernel::{present, probe, Side};
 use crate::matchers::{AttributeMatcher, MatchContext, Matcher, MatcherSim};
 use crate::repository::MappingRepository;
+
+/// How far a side's candidate index trails its column.
+#[derive(Debug, Clone)]
+enum Lag {
+    /// The index is current but for these arena ids, each with the value
+    /// the index still holds for it (`None`: not indexed).
+    Behind(BTreeMap<u32, Option<Value>>),
+    /// The index was dropped; the next probe of the side rebuilds it.
+    Dropped,
+}
+
+/// One side of a primed match and how far its index lags its column.
+type LaggedSide = (StringSide, Lag);
 
 /// Materialized incremental-matching state for one
 /// `(matcher, domain LDS, range LDS)` triple.
@@ -88,13 +112,13 @@ pub struct DeltaMatchState {
     domain: LdsId,
     range: LdsId,
     /// The `(domain, range)` columns the match ran over, each behind the
-    /// index the matcher's plan calls for: touched domain values probe
-    /// the range side, touched range values probe the domain side
-    /// *inversely* — next to the gram dictionary all their values were
-    /// prepared with (and every later value is). `None` = not
-    /// incremental (every apply re-matches from the registry, so there
-    /// is nothing to keep).
-    sides: Option<(GramDict, StringSide, StringSide)>,
+    /// index the matcher's plan calls for and that index's lag: touched
+    /// domain values probe the range side, touched range values probe
+    /// the domain side *inversely* — next to the gram dictionary all
+    /// their values were prepared with (and every later value is).
+    /// `None` = not incremental (every apply re-matches from the
+    /// registry, so there is nothing to keep).
+    sides: Option<(GramDict, LaggedSide, LaggedSide)>,
     mapping: Mapping,
     /// Rows re-scored by the last [`DeltaMatchState::apply`] call
     /// (0 after a full-fallback apply).
@@ -112,31 +136,26 @@ pub struct DeltaMatchState {
 
 /// Whether a matcher configuration supports incremental delta execution
 /// with the identical-result guarantee (see module docs). Decided on the
-/// *resolved* candidate plan: all-pairs and threshold-exact plans are
-/// always incremental for fixed measures; prefix-filtered plans only
-/// when the filter is exact for the scoring measure (trigram Dice at
-/// the matcher threshold).
+/// *resolved* candidate plan: all-pairs and threshold-exact plans of a
+/// fixed measure are incremental, prefix-filtered ones never are.
 fn supports_incremental(m: &AttributeMatcher) -> bool {
     // TF-IDF: the weighted-prefix index is exact for a *frozen* corpus,
     // but any delta shifts the corpus-global weights, so every apply
     // must be a full re-match.
-    let MatcherSim::Fixed(sim) = &m.sim else {
-        return false;
-    };
-    match m.candidate_plan() {
-        CandidatePlan::AllPairs | CandidatePlan::Index(Probe::Threshold { .. }) => true,
-        CandidatePlan::Index(Probe::Prefix { .. }) => {
-            matches!(sim, SimFn::Trigram | SimFn::QgramDice(3))
-        }
-        CandidatePlan::Index(Probe::Weighted { .. }) => false,
-    }
+    matches!(m.sim, MatcherSim::Fixed(_))
+        && matches!(
+            m.candidate_plan(),
+            CandidatePlan::AllPairs | CandidatePlan::Index(Probe::Threshold { .. })
+        )
 }
 
 impl AttributeMatcher {
     /// Execute the matcher fully and capture a [`DeltaMatchState`] so
     /// that subsequent source deltas can be matched incrementally. The
     /// state keeps the projections and the range index the match itself
-    /// ran over; only the domain index is built on top.
+    /// ran over. The domain side starts without an index: its first
+    /// inverse probe (a delta to the range source) builds it, so a
+    /// mapping whose range source never changes never pays for one.
     pub fn prime(
         &self,
         ctx: &MatchContext<'_>,
@@ -146,12 +165,12 @@ impl AttributeMatcher {
         let (table, matched) = self.full_match(ctx, domain, range)?;
         let sides = matched.filter(|_| supports_incremental(self)).map(
             |(dict, domain_vals, range_side)| {
-                let index = self.build_candidate_index(&present(&domain_vals), &ctx.parallelism);
                 let domain_side = Side {
                     vals: domain_vals,
-                    index,
+                    index: None,
                 };
-                (dict, domain_side, range_side)
+                let range_lag = Lag::Behind(BTreeMap::new());
+                (dict, (domain_side, Lag::Dropped), (range_side, range_lag))
             },
         );
         Ok(DeltaMatchState {
@@ -168,13 +187,17 @@ impl AttributeMatcher {
     }
 }
 
-/// Sync one side's value (and index, if the plan has one) for arena
-/// index `id` with the registry's current state: the new value is
-/// prepared once, through the state's dictionary. Idempotent:
-/// re-applying the same delta finds the side already current and
-/// degenerates to no-ops.
+/// Sync one side's value for arena index `id` with the registry's
+/// current state: the new value is prepared once, through the state's
+/// dictionary. The index is left alone; the side's lag keeps the value
+/// the index holds — the one before the first change since the last
+/// catch-up — unless the side has no index (all pairs, or dropped). A
+/// backlog past the index's compaction ratio drops the index: the next
+/// probe rebuilds it in bulk. Idempotent: re-applying the same delta
+/// finds the column already current.
 fn sync_value(
     side: &mut StringSide,
+    lag: &mut Lag,
     lds: &LogicalSource,
     id: u32,
     attr: &str,
@@ -190,35 +213,77 @@ fn sync_value(
         side.vals.resize(id as usize + 1, None);
     }
     let old = std::mem::replace(&mut side.vals[id as usize], new);
-    if let Some(idx) = &mut side.index {
-        match (&old, &side.vals[id as usize]) {
-            (Some(o), Some(n)) => {
-                if !idx.replace(id, o.tokens(), n.tokens()) {
-                    idx.insert(id, n.tokens());
-                }
-            }
-            (Some(_), None) => {
-                idx.remove(id);
-            }
-            (None, Some(n)) => {
-                idx.insert(id, n.tokens());
-            }
-            (None, None) => {}
+    if let (Some(index), Lag::Behind(held)) = (&side.index, &mut *lag) {
+        held.entry(id).or_insert(old);
+        let backlog = held.len();
+        if backlog >= COMPACTION_FLOOR && backlog as f64 > index.len() as f64 * COMPACTION_RATIO {
+            side.index = None;
+            *lag = Lag::Dropped;
         }
     }
     Ok(())
 }
 
+/// Bring a side's index up to its column before a probe reads it:
+/// replay each lagging id's `held → current` change in ascending id
+/// order, or — when the index was dropped — build it over the present
+/// values in bulk, as a full match does.
+fn catch_up(
+    index: &mut Option<CandidateIndex>,
+    lag: &mut Lag,
+    vals: &[Option<Value>],
+    matcher: &AttributeMatcher,
+    par: &Parallelism,
+) {
+    match std::mem::replace(lag, Lag::Behind(BTreeMap::new())) {
+        Lag::Dropped => *index = matcher.build_candidate_index(&present(vals), par),
+        Lag::Behind(held) => {
+            let Some(index) = index else { return };
+            for (id, held) in held {
+                match (held, &vals[id as usize]) {
+                    (Some(o), Some(n)) => {
+                        index.replace(id, o.tokens(), n.tokens());
+                    }
+                    (Some(_), None) => {
+                        index.remove(id);
+                    }
+                    (None, Some(n)) => {
+                        index.insert(id, n.tokens());
+                    }
+                    (None, None) => {}
+                }
+            }
+        }
+    }
+}
+
 /// The touched ids of one side as kernel queries: deduplicated (an id
 /// updated twice probes once, on its final value) and restricted to the
 /// values still present.
-fn queries<'a>(touched: &[u32], side: &'a StringSide) -> Vec<(u32, &'a Value)> {
+fn queries<'a>(touched: &[u32], vals: &'a [Option<Value>]) -> Vec<(u32, &'a Value)> {
     let mut ids = touched.to_vec();
     ids.sort_unstable();
     ids.dedup();
     ids.into_iter()
-        .filter_map(|i| Some((i, side.vals.get(i as usize)?.as_ref()?)))
+        .filter_map(|i| Some((i, vals.get(i as usize)?.as_ref()?)))
         .collect()
+}
+
+/// Merge two canonical tables that share no `(domain, range)` pair
+/// into one canonical table.
+fn merge(kept: &MappingTable, new: &MappingTable) -> MappingTable {
+    let key = |c: &Correspondence| (c.domain, c.range);
+    let mut table = MappingTable::with_capacity(kept.len() + new.len());
+    let mut push = |c: &Correspondence| table.push(c.domain, c.range, c.sim);
+    let mut new = new.iter().peekable();
+    for row in kept {
+        while let Some(n) = new.next_if(|n| key(n) < key(row)) {
+            push(n);
+        }
+        push(row);
+    }
+    new.for_each(push);
+    table
 }
 
 impl DeltaMatchState {
@@ -300,7 +365,7 @@ impl DeltaMatchState {
             return Ok(&self.mapping);
         }
         self.last_touched = true;
-        let (Some((dict, domain_side, range_side)), MatcherSim::Fixed(sim)) =
+        let (Some((dict, (domain, d_lag), (range, r_lag))), MatcherSim::Fixed(sim)) =
             (&mut self.sides, &self.matcher.sim)
         else {
             self.last_rescored = 0;
@@ -311,62 +376,51 @@ impl DeltaMatchState {
         };
         self.last_full_rematch = false;
 
-        // 2. Sync both sides with the registry.
+        // 2. Sync both columns with the registry; the indexes lag.
         let d_lds = ctx.registry.lds(self.domain);
         let r_lds = ctx.registry.lds(self.range);
         let probe_plan = self.matcher.probe();
         let mut prepare = |text: &str| Value::prepare(text, sim, probe_plan, dict);
         for &id in &dropped_d {
             let attr = &self.matcher.domain_attr;
-            sync_value(domain_side, d_lds, id, attr, &mut prepare)?;
+            sync_value(domain, d_lag, d_lds, id, attr, &mut prepare)?;
         }
         for &id in &dropped_r {
             let attr = &self.matcher.range_attr;
-            sync_value(range_side, r_lds, id, attr, &mut prepare)?;
+            sync_value(range, r_lag, r_lds, id, attr, &mut prepare)?;
         }
 
         // 3. Drop every row touching a changed instance.
         let drop_d: FxHashSet<u32> = dropped_d.iter().copied().collect();
         let drop_r: FxHashSet<u32> = dropped_r.iter().copied().collect();
-        let mut rows: Vec<Correspondence> = std::mem::take(&mut self.mapping.table)
-            .into_rows()
-            .into_iter()
-            .filter(|c| !drop_d.contains(&c.domain) && !drop_r.contains(&c.range))
-            .collect();
+        self.mapping
+            .table
+            .retain(|c| !drop_d.contains(&c.domain) && !drop_r.contains(&c.range));
 
         // 4. Re-probe touched values: domain values forward against the
-        //    range side, range values inverse against the domain side.
-        let probe_d = queries(&probe_d, domain_side);
-        let probe_r = queries(&probe_r, range_side);
+        //    range side, range values inverse against the domain side —
+        //    each target index caught up first, and only if it is probed.
+        let probe_d = queries(&probe_d, &domain.vals);
+        let probe_r = queries(&probe_r, &range.vals);
+        let (par, t) = (ctx.parallelism, self.matcher.threshold);
+        if !probe_d.is_empty() {
+            catch_up(&mut range.index, r_lag, &range.vals, &self.matcher, &par);
+        }
+        if !probe_r.is_empty() {
+            catch_up(&mut domain.index, d_lag, &domain.vals, &self.matcher, &par);
+        }
         self.last_rescored = probe_d.len() + probe_r.len();
         let score = |d: &Value, r: &Value| Value::score(sim, d, r);
-        let (par, t) = (ctx.parallelism, self.matcher.threshold);
-        let forward = probe(
-            par,
-            &probe_d,
-            range_side,
-            string_candidates,
-            score,
-            t,
-            false,
-        );
-        let inverse = probe(
-            par,
-            &probe_r,
-            domain_side,
-            string_candidates,
-            score,
-            t,
-            true,
-        );
-        rows.extend(forward);
-        rows.extend(inverse);
+        let forward = probe(par, &probe_d, range, string_candidates, score, t, false);
+        let inverse = probe(par, &probe_r, domain, string_candidates, score, t, true);
 
-        // 5. Rebuild the table: dedup_max collapses the overlap between
-        //    the forward and inverse probes (identical scores) and
-        //    restores (domain, range) order — exactly the shape a full
-        //    re-match produces.
-        self.mapping.table = MappingTable::from_rows(rows);
+        // 5. Merge the new rows into the kept ones. `from_rows` collapses
+        //    the overlap between the forward and inverse probes
+        //    (identical scores); every new row names a touched instance,
+        //    which no kept row does — exactly the table a full re-match
+        //    produces.
+        let new = MappingTable::from_rows([forward, inverse].concat());
+        self.mapping.table = merge(&self.mapping.table, &new);
         Ok(&self.mapping)
     }
 
@@ -395,10 +449,11 @@ impl DeltaMatchState {
 mod tests {
     use super::*;
     use crate::blocking::Blocking;
-    use crate::exec::Parallelism;
     use crate::ops::compose::{PathAgg, PathCombine};
     use crate::repository::Recipe;
     use moma_model::{AttrDef, LogicalSource, ObjectType, SourceDelta, SourceRegistry};
+    use moma_simstring::SimFn;
+    use moma_table::ProbeScratch;
 
     fn setup() -> (SourceRegistry, LdsId, LdsId) {
         let mut reg = SourceRegistry::new();
@@ -481,8 +536,7 @@ mod tests {
     #[test]
     fn incremental_tracks_changes_blocked() {
         let (mut reg, d, a) = setup();
-        let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.6)
-            .with_blocking(Blocking::TrigramPrefix);
+        let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.6);
         let deltas = vec![
             SourceDelta::new(a)
                 .add(
@@ -553,6 +607,157 @@ mod tests {
         assert_incremental_equals_full(&matcher, &mut reg, d, d, deltas);
     }
 
+    /// Rows as `(domain, range, sim bits)`: equal only when bit-identical.
+    fn bits(rows: &[Correspondence]) -> Vec<(u32, u32, u64)> {
+        rows.iter()
+            .map(|c| (c.domain, c.range, c.sim.to_bits()))
+            .collect()
+    }
+
+    /// The backlog of the range side's index, `None` once it is dropped.
+    fn range_backlog(state: &DeltaMatchState) -> Option<usize> {
+        match &state.sides.as_ref().expect("incremental").2 {
+            (side, Lag::Behind(held)) => {
+                assert!(side.index.is_some(), "a lagging side has an index");
+                Some(held.len())
+            }
+            (side, Lag::Dropped) => {
+                assert!(side.index.is_none(), "a dropped side has no index");
+                None
+            }
+        }
+    }
+
+    /// Apply `delta` to the registry and the state; the patched rows must
+    /// be a full re-match's, bit for bit.
+    fn step(
+        state: &mut DeltaMatchState,
+        reg: &mut SourceRegistry,
+        par: Parallelism,
+        delta: SourceDelta,
+    ) {
+        let applied = reg.apply_delta(&delta).unwrap();
+        let ctx = MatchContext::new(reg).with_parallelism(par);
+        let patched = bits(state.apply(&ctx, &[&applied]).unwrap().table.rows());
+        let full = state.matcher.execute(&ctx, state.domain, state.range);
+        assert_eq!(patched, bits(full.unwrap().table.rows()), "{applied:?}");
+    }
+
+    #[test]
+    fn a_range_churned_past_the_drop_rule_drops_its_index_until_probed() {
+        for threads in [1, 8] {
+            let par = Parallelism::new(threads).with_min_shard_size(1);
+            let (mut reg, d, a) = setup();
+            let mut grow = SourceDelta::new(a);
+            for i in 0..37 {
+                let title = format!("Generic Schema Matching, part {i}");
+                grow = grow.add(format!("g{i}"), vec![("title".into(), title.into())]);
+            }
+            reg.apply_delta(&grow).unwrap();
+            let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.5);
+            let ctx = MatchContext::new(&reg).with_parallelism(par);
+            let mut state = matcher.prime(&ctx, d, a).unwrap();
+            // 40 indexed values: the drop rule holds at 16 changed ids.
+            let bound = COMPACTION_FLOOR.max((40.0 * COMPACTION_RATIO) as usize);
+            for i in 0..24 {
+                let title = format!("Schema Matching, part {i} revisited");
+                let delta = SourceDelta::new(a)
+                    .update(format!("g{i}"), "title", Some(title.into()))
+                    .add(format!("n{i}"), vec![("title".into(), "Cupid".into())]);
+                step(&mut state, &mut reg, par, delta);
+                let changed = 2 * (i + 1);
+                let backlog = (changed < bound).then_some(changed);
+                assert_eq!(range_backlog(&state), backlog, "threads={threads} step {i}");
+            }
+            // A domain delta probes the range side: it rebuilds the index.
+            let title = Some("Generic schema matching, part 3".into());
+            step(
+                &mut state,
+                &mut reg,
+                par,
+                SourceDelta::new(d).update("d1", "title", title),
+            );
+            assert_eq!(range_backlog(&state), Some(0), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn one_catch_up_replays_a_backlog_of_repeated_changes() {
+        for threads in [1, 8] {
+            let par = Parallelism::new(threads).with_min_shard_size(1);
+            let (mut reg, d, a) = setup();
+            let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.5);
+            let ctx = MatchContext::new(&reg).with_parallelism(par);
+            let mut state = matcher.prime(&ctx, d, a).unwrap();
+            let primed = state.sides.as_ref().unwrap().2 .0.vals.clone();
+            let title = |t: &str| Some(t.into());
+            let add =
+                |id: &str, t: &str| SourceDelta::new(a).add(id, vec![("title".into(), t.into())]);
+            let range_deltas = [
+                // Updated twice.
+                SourceDelta::new(a).update("a0", "title", title("View selection")),
+                SourceDelta::new(a).update("a0", "title", title("Fuzzy match for data cleaning")),
+                // Updated, then removed.
+                SourceDelta::new(a).update("a1", "title", title("Schema matching")),
+                SourceDelta::new(a).remove("a1"),
+                // Cleared, then set again.
+                SourceDelta::new(a).update("a2", "title", None),
+                SourceDelta::new(a).update("a2", "title", title("Generic schema matching")),
+                // Added, then removed; added.
+                add("a9", "Cupid"),
+                SourceDelta::new(a).remove("a9"),
+                add("a8", "The view selection problem, formally"),
+            ];
+            for delta in range_deltas {
+                step(&mut state, &mut reg, par, delta);
+            }
+            assert_eq!(range_backlog(&state), Some(5), "one entry per changed id");
+            // Each domain value now matches only a changed range value's
+            // *new* title: a probe of a stale index misses it.
+            let domain_delta = SourceDelta::new(d)
+                .update("d0", "title", title("A formal view selection problem"))
+                .update("d1", "title", title("Generic schema matching, again"))
+                .update("d3", "title", title("Fuzzy match for online data cleaning"));
+            step(&mut state, &mut reg, par, domain_delta);
+            assert_eq!(range_backlog(&state), Some(0));
+            // The caught-up index answers every old and new value like
+            // one built from scratch over the current column.
+            let (_, _, (range, _)) = state.sides.as_ref().unwrap();
+            let index = range.index.as_ref().unwrap();
+            let fresh = matcher.build_candidate_index(&present(&range.vals), &par);
+            let fresh = fresh.unwrap();
+            let mut scratch = ProbeScratch::default();
+            for query in primed.iter().chain(&range.vals).flatten() {
+                let query = query.tokens();
+                let got = index.candidates(query, &mut scratch);
+                assert_eq!(got, fresh.candidates(query, &mut scratch));
+            }
+            assert_eq!(index.len(), fresh.len());
+        }
+    }
+
+    #[test]
+    fn prefix_trigram_is_patched_by_a_full_rematch_in_both_directions() {
+        // The prefix filter reasons over trigram sets, the Dice score
+        // counts multisets: on a repeat-heavy value the candidates of a
+        // probe depend on its direction, so only a full re-match is exact.
+        let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.75)
+            .with_blocking(Blocking::TrigramPrefix);
+        for (primed, added) in [("caccccc", "ccccc"), ("ccccc", "caccccc")] {
+            let mut reg = SourceRegistry::new();
+            let title = || vec![AttrDef::text("title")];
+            let mut domain = LogicalSource::new("D", ObjectType::new("Publication"), title());
+            domain
+                .insert_record("d0", vec![("title", primed.into())])
+                .unwrap();
+            let d = reg.register(domain).unwrap();
+            let range = LogicalSource::new("R", ObjectType::new("Publication"), title());
+            let r = reg.register(range).unwrap();
+            let add = SourceDelta::new(r).add("r0", vec![("title".into(), added.into())]);
+            assert_incremental_equals_full(&matcher, &mut reg, d, r, vec![add]);
+        }
+    }
+
     #[test]
     fn irrelevant_deltas_are_ignored() {
         let (mut reg, d, a) = setup();
@@ -579,8 +784,7 @@ mod tests {
     #[test]
     fn reapplying_a_delta_is_idempotent() {
         let (mut reg, d, a) = setup();
-        let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.6)
-            .with_blocking(Blocking::TrigramPrefix);
+        let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.6);
         let ctx = MatchContext::new(&reg);
         let mut state = matcher.prime(&ctx, d, a).unwrap();
         let delta = SourceDelta::new(a)
@@ -609,12 +813,15 @@ mod tests {
     #[test]
     fn unsupported_configs_fall_back_to_full() {
         let (mut reg, d, a) = setup();
-        // Jaro scoring under blocking has a conservative candidate floor:
-        // no identical-result guarantee, so apply == full re-match.
-        let blocked_jaro = AttributeMatcher::new("title", "title", SimFn::Jaro, 0.9)
-            .with_blocking(Blocking::TrigramPrefix);
+        // The prefix filter is exact for no measure in both probe
+        // directions (a trigram-set filter in front of multiset trigram
+        // Dice, a conservative floor in front of Jaro): no
+        // identical-result guarantee, so apply == full re-match.
+        let prefix = |sim, t| {
+            AttributeMatcher::new("title", "title", sim, t).with_blocking(Blocking::TrigramPrefix)
+        };
         let tfidf = AttributeMatcher::tfidf("title", "title", 0.5);
-        for matcher in [blocked_jaro, tfidf] {
+        for matcher in [prefix(SimFn::Jaro, 0.9), prefix(SimFn::Trigram, 0.6), tfidf] {
             let ctx = MatchContext::new(&reg);
             let mut state = matcher.prime(&ctx, d, a).unwrap();
             assert!(!state.is_incremental());
@@ -639,8 +846,7 @@ mod tests {
     #[test]
     fn incremental_results_identical_across_thread_counts() {
         let (mut reg, d, a) = setup();
-        let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.6)
-            .with_blocking(Blocking::TrigramPrefix);
+        let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.6);
         let delta = SourceDelta::new(a)
             .add(
                 "n0",

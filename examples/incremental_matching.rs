@@ -15,7 +15,6 @@
 
 use std::time::Instant;
 
-use moma::core::blocking::Blocking;
 use moma::core::matchers::{AttributeMatcher, MatchContext, Matcher};
 use moma::core::ops::compose::{PathAgg, PathCombine};
 use moma::core::{MappingRepository, Recipe};
@@ -31,8 +30,7 @@ fn main() {
     let (dblp, gs) = (scenario.ids.pub_dblp, scenario.ids.pub_gs);
 
     // --- prime: one full match captures the incremental state ---------
-    let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.75)
-        .with_blocking(Blocking::TrigramPrefix);
+    let matcher = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.75);
     let ctx = MatchContext::new(&registry);
     let t0 = Instant::now();
     let mut state = matcher.prime(&ctx, dblp, gs).expect("prime");
