@@ -1,12 +1,12 @@
 //! Minimal blocking client for the serving protocol (used by the
 //! end-to-end tests and the CLI crate's kill-9 crash gate).
 
-use std::io;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crate::commands::Cmd;
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{encode_frame, read_frame};
 use crate::json::Json;
 
 /// One connection to a `moma serve` instance.
@@ -37,7 +37,9 @@ impl Client {
 
     /// Send one request and read its response.
     pub fn call(&mut self, req: &Json) -> io::Result<Json> {
-        write_frame(&mut self.stream, req.to_string().as_bytes())?;
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, req)?;
+        self.stream.write_all(&frame)?;
         let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;

@@ -492,7 +492,8 @@ impl Engine {
                 ("unchanged", Json::Bool(true)),
             ]));
         }
-        let image = self.machine.image(seq).to_string();
+        let mut image = String::new();
+        self.machine.image(seq).write_into(&mut image);
         // Seal the active segment once a checkpoint exists: what this
         // one covers then ends a sealed segment the next one can prune.
         // The first checkpoint leaves the log as it is.

@@ -8,20 +8,41 @@
 
 use std::io::{self, Read, Write};
 
+use crate::json::Json;
+
 /// Maximum accepted payload size (16 MiB).
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Write one frame and flush it.
+/// Write one frame — header and payload in one `write_all`, so one
+/// segment under `TCP_NODELAY` — and flush it.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let header = header(payload.len())?;
+    w.write_all(&[&header[..], payload].concat())?;
     w.flush()
+}
+
+/// Encode `doc` into `buf` as one whole frame, ready for one
+/// `write_all`: four header bytes reserved, the document encoded after
+/// them, its length patched in — one allocation, `buf`'s, reused. A
+/// payload over [`MAX_FRAME`] is refused and leaves `buf` empty.
+pub(crate) fn encode_frame(buf: &mut Vec<u8>, doc: &Json) -> io::Result<()> {
+    buf.clear();
+    let mut text = String::from_utf8(std::mem::take(buf)).expect("an empty buffer");
+    text.push_str("\0\0\0\0");
+    doc.write_into(&mut text);
+    *buf = text.into_bytes();
+    let header = header(buf.len() - 4).inspect_err(|_| buf.clear())?;
+    buf[..4].copy_from_slice(&header);
+    Ok(())
+}
+
+/// The header of a `len`-byte payload, or its refusal over [`MAX_FRAME`].
+fn header(len: usize) -> io::Result<[u8; 4]> {
+    if len > MAX_FRAME {
+        let msg = format!("frame of {len} bytes exceeds MAX_FRAME");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    }
+    Ok((len as u32).to_be_bytes())
 }
 
 /// Read one frame. Returns `Ok(None)` on a clean EOF (the peer closed
@@ -73,6 +94,63 @@ mod tests {
             "unicode \u{1F600}".as_bytes()
         );
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A `Write` that records each call's bytes.
+    #[derive(Default)]
+    struct Calls(Vec<Vec<u8>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Header and payload leave in one write, on both the client's
+    /// `write_frame` and the server's `encode_frame`, and the frames
+    /// read back.
+    #[test]
+    fn a_frame_is_one_write() {
+        let doc = Json::obj(vec![
+            ("ok", Json::Bool(true)),
+            ("s", Json::Str("é\n".into())),
+        ]);
+        let mut calls = Calls::default();
+        write_frame(&mut calls, doc.to_string().as_bytes()).unwrap();
+        let mut buf = vec![7; 3];
+        encode_frame(&mut buf, &doc).unwrap();
+        calls.write_all(&buf).unwrap();
+        write_frame(&mut calls, b"").unwrap();
+        assert_eq!(calls.0.len(), 3, "one write per frame");
+        assert_eq!(calls.0[0], calls.0[1], "both encoders frame alike");
+        let stream = calls.0.concat();
+        let mut r = &stream[..];
+        for want in [doc.to_string().as_bytes(), doc.to_string().as_bytes(), b""] {
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), want);
+        }
+        assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// An oversized document is refused, naming its size, and leaves
+    /// the buffer empty for the reply that replaces it.
+    #[test]
+    fn encode_frame_refuses_an_oversized_document() {
+        let mut buf = Vec::new();
+        let big = Json::Raw("x".repeat(MAX_FRAME + 1));
+        let refused = encode_frame(&mut buf, &big).unwrap_err();
+        assert!(
+            refused.to_string().contains(&(MAX_FRAME + 1).to_string()),
+            "{refused}"
+        );
+        assert!(buf.is_empty());
+        let fits = Json::Raw("y".repeat(MAX_FRAME));
+        encode_frame(&mut buf, &fits).unwrap();
+        assert_eq!(buf.len(), 4 + MAX_FRAME);
     }
 
     #[test]

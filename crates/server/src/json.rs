@@ -10,10 +10,22 @@
 //! Writing is deterministic: object members keep insertion order,
 //! numbers use Rust's shortest-round-trip `f64` formatting (integers
 //! without a fractional part print as integers), and strings escape
-//! `"`, `\`, control characters and nothing else. Parsing accepts
-//! arbitrary whitespace and `\uXXXX` escapes (including surrogate
-//! pairs) and enforces a nesting-depth limit so hostile frames cannot
-//! blow the stack.
+//! `"`, `\`, control characters and nothing else. There is one
+//! encoder, [`Json::write_into`]: it appends the compact text to a
+//! buffer, and `Display`, [`Json::pretty`], the wire, WAL records and
+//! checkpoint images all go through it. Parsing accepts arbitrary
+//! whitespace and `\uXXXX` escapes (including surrogate pairs) and
+//! enforces a nesting-depth limit so hostile frames cannot blow the
+//! stack.
+//!
+//! [`Json::Raw`] is text the encoder copies verbatim. Only a read reply
+//! carries one — a `query`'s `rows`, written straight from the read
+//! view's id column — because a read reply is only ever encoded, never
+//! looked into: a request, a WAL record, a checkpoint image or an
+//! `install` literal is a tree. A `Raw` is opaque in process: `get` and
+//! `as_arr` on it are `None`, and it equals only a `Raw` of the same
+//! text — never the `Arr` it encodes. Parse the encoded bytes to read
+//! it.
 
 use std::fmt;
 
@@ -43,6 +55,9 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; member order is preserved (and is the write order).
     Obj(Vec<(String, Json)>),
+    /// Pre-encoded JSON text, written as is. Only read replies carry
+    /// one (see the module docs).
+    Raw(String),
 }
 
 impl PartialEq for Json {
@@ -61,6 +76,7 @@ impl PartialEq for Json {
             (Json::Str(a), Json::Str(b)) => a == b,
             (Json::Arr(a), Json::Arr(b)) => a == b,
             (Json::Obj(a), Json::Obj(b)) => a == b,
+            (Json::Raw(a), Json::Raw(b)) => a == b,
             _ => false,
         }
     }
@@ -163,7 +179,8 @@ impl Json {
         }
     }
 
-    /// The elements, if an array.
+    /// The elements, if an array — a [`Json::Raw`] is not one, even
+    /// when its text is.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
@@ -227,7 +244,7 @@ impl Json {
                 for (i, (k, v)) in members.iter().enumerate() {
                     out.push_str(if i > 0 { ",\n" } else { "\n" });
                     out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&Json::Str(k.clone()).to_string());
+                    write_str(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, indent + 1);
                 }
@@ -235,7 +252,44 @@ impl Json {
                 out.push_str(&"  ".repeat(indent));
                 out.push('}');
             }
-            other => out.push_str(&other.to_string()),
+            other => other.write_into(out),
+        }
+    }
+
+    /// Append this value's compact encoding to `out` — the one encoder.
+    pub fn write_into(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // JSON has no Inf/NaN; null is the standard stand-in.
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
+            // Integral below 2^53: an integer, without a fraction.
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 => {
+                push_display(out, *n as i64)
+            }
+            Json::Num(n) => push_display(out, n),
+            Json::Uint(n) => push_display(out, n),
+            Json::Int(n) => push_display(out, n),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    item.write_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    write_str(out, k);
+                    out.push(':');
+                    v.write_into(out);
+                }
+                out.push('}');
+            }
+            Json::Raw(text) => out.push_str(text),
         }
     }
 
@@ -256,62 +310,44 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    // JSON has no Inf/NaN; null is the standard stand-in.
-                    f.write_str("null")
-                } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Uint(n) => write!(f, "{n}"),
-            Json::Int(n) => write!(f, "{n}"),
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_into(&mut out);
+        f.write_str(&out)
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+/// Append `s` as a JSON string: the unescaped runs are copied as
+/// slices, and only `"`, `\` and the bytes below 0x20 are escaped. A
+/// UTF-8 continuation byte is ≥ 0x80, so no multi-byte scalar is split.
+pub(crate) fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.extend([b >> 4, b & 0xf].map(|d| char::from_digit(d.into(), 16).unwrap_or('0')));
         }
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append `v`'s `Display` text: an integer, or a finite double in Rust's
+/// shortest round-trip form.
+fn push_display(out: &mut String, v: impl fmt::Display) {
+    use fmt::Write as _;
+    let _ = write!(out, "{v}");
 }
 
 struct Parser<'a> {
@@ -551,6 +587,212 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// The formatter-driven `Display` of 9128605, kept as the oracle the
+    /// buffer encoder must match byte for byte.
+    struct Oracle<'a>(&'a Json);
+
+    impl fmt::Display for Oracle<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self.0 {
+                Json::Null => f.write_str("null"),
+                Json::Bool(b) => write!(f, "{b}"),
+                Json::Num(n) => {
+                    if !n.is_finite() {
+                        f.write_str("null")
+                    } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+                        write!(f, "{}", *n as i64)
+                    } else {
+                        write!(f, "{n}")
+                    }
+                }
+                Json::Uint(n) => write!(f, "{n}"),
+                Json::Int(n) => write!(f, "{n}"),
+                Json::Str(s) => oracle_escaped(f, s),
+                Json::Arr(items) => {
+                    f.write_str("[")?;
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        write!(f, "{}", Oracle(item))?;
+                    }
+                    f.write_str("]")
+                }
+                Json::Obj(members) => {
+                    f.write_str("{")?;
+                    for (i, (k, v)) in members.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        oracle_escaped(f, k)?;
+                        f.write_str(":")?;
+                        write!(f, "{}", Oracle(v))?;
+                    }
+                    f.write_str("}")
+                }
+                Json::Raw(_) => unreachable!("the oracle predates `Raw`"),
+            }
+        }
+    }
+
+    fn oracle_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+        f.write_str("\"")?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_fmt(format_args!("{c}"))?,
+            }
+        }
+        f.write_str("\"")
+    }
+
+    /// Characters a string is drawn from: every escaped byte, 0x7F, and
+    /// 1- to 4-byte UTF-8 including astral planes.
+    const CHARS: [char; 14] = [
+        'a',
+        'Z',
+        ' ',
+        '/',
+        '\u{7f}',
+        '\u{80}',
+        'é',
+        '\u{7ff}',
+        '中',
+        '\u{fffd}',
+        '😀',
+        '\u{10ffff}',
+        '"',
+        '\\',
+    ];
+
+    /// Numbers on every edge of the integer rule and of `f64`.
+    const NUMS: [f64; 22] = [
+        0.0,
+        -0.0,
+        9_007_199_254_740_992.0,
+        -9_007_199_254_740_992.0,
+        9_007_199_254_740_991.0,
+        -9_007_199_254_740_991.0,
+        9_007_199_254_740_994.0,
+        -9_007_199_254_740_994.0,
+        1e-7,
+        5e-324,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.1 + 0.2,
+        0.857_142_857_142_857_1,
+        1.0,
+        -17.0,
+        1e21,
+        123_456.789,
+    ];
+
+    /// Trees of every variant but `Raw`, up to depth 3.
+    struct Trees;
+
+    impl Strategy for Trees {
+        type Value = Json;
+
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            tree(rng, 3)
+        }
+    }
+
+    fn string(rng: &mut TestRng) -> String {
+        (0..rng.below(12))
+            .map(|_| match rng.below(3) {
+                0 => char::from(rng.below(0x20) as u8),
+                _ => CHARS[rng.below(CHARS.len() as u64) as usize],
+            })
+            .collect()
+    }
+
+    fn tree(rng: &mut TestRng, depth: u32) -> Json {
+        let leaf = if depth == 0 { 7 } else { 9 };
+        match rng.below(leaf) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 => Json::Num(NUMS[rng.below(NUMS.len() as u64) as usize]),
+            3 => Json::Num(f64::from_bits(rng.next_u64())),
+            4 => Json::Uint([0, 1 << 53, u64::MAX, rng.next_u64()][rng.below(4) as usize]),
+            5 => Json::Int([i64::MIN, i64::MAX, -1, rng.next_u64() as i64][rng.below(4) as usize]),
+            6 => Json::Str(string(rng)),
+            7 => Json::Arr((0..rng.below(4)).map(|_| tree(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(4))
+                    .map(|_| (string(rng), tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        /// The buffer encoder writes exactly the bytes of the formatter
+        /// it replaced, and `Display` is the buffer encoder.
+        #[test]
+        fn the_encoder_writes_what_display_wrote(trees in prop::collection::vec(Trees, 1..16)) {
+            for v in &trees {
+                let mut out = String::from("prefix");
+                v.write_into(&mut out);
+                let want = Oracle(v).to_string();
+                prop_assert_eq!(&out["prefix".len()..], want.as_str());
+                prop_assert_eq!(v.to_string(), want);
+            }
+        }
+    }
+
+    /// Every byte below 0x20, 0x7F and every number edge, one at a time.
+    #[test]
+    fn every_escape_and_number_edge_matches_the_oracle() {
+        let singles = (0u8..0x20)
+            .chain([0x7f])
+            .map(|b| Json::Str(char::from(b).to_string()));
+        let nums = NUMS.iter().map(|&n| Json::Num(n));
+        let ints = [
+            Json::Uint(u64::MAX),
+            Json::Uint(0),
+            Json::Int(i64::MIN),
+            Json::Int(i64::MAX),
+        ];
+        for v in singles.chain(nums).chain(ints) {
+            assert_eq!(v.to_string(), Oracle(&v).to_string(), "{v:?}");
+        }
+        assert_eq!(Json::Num(-0.0).to_string(), "0");
+        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+        assert_eq!(
+            Json::Str("\u{1}\u{1f}".into()).to_string(),
+            r#""\u0001\u001f""#
+        );
+    }
+
+    /// `Raw` is written verbatim and is opaque in process.
+    #[test]
+    fn raw_is_copied_verbatim_and_equals_only_raw() {
+        let rows = Json::Arr(vec![Json::Arr(vec![
+            Json::Str("d1".into()),
+            Json::Num(0.5),
+        ])]);
+        let raw = Json::Raw(rows.to_string());
+        let reply = Json::obj(vec![("rows", raw.clone())]);
+        assert_eq!(reply.to_string(), r#"{"rows":[["d1",0.5]]}"#);
+        assert_eq!(reply.pretty(), "{\n  \"rows\": [[\"d1\",0.5]]\n}");
+        assert_eq!(raw.as_arr(), None);
+        assert_eq!(raw.get("rows"), None);
+        assert_ne!(raw, rows);
+        assert_eq!(raw, Json::Raw(rows.to_string()));
+    }
 
     fn roundtrip(v: &Json) -> Json {
         Json::parse(&v.to_string()).expect("roundtrip parse")

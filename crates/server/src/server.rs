@@ -64,7 +64,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::identity;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,7 +76,7 @@ use moma_core::MappingKind;
 
 use crate::commands::{self, Cmd, Command, Route, Visibility};
 use crate::engine::Engine;
-use crate::frame::write_frame;
+use crate::frame::{encode_frame, MAX_FRAME};
 use crate::json::Json;
 use crate::protocol::{compose_params, err_response, install_request};
 use crate::shard::{self, ComposePlan, Shard, ShardRouter};
@@ -90,6 +90,9 @@ const READ_POLL: Duration = Duration::from_millis(250);
 /// started, no further bytes) before the connection is dropped. Bounds
 /// the damage of a client that dies mid-write without closing.
 const MID_FRAME_STALL: Duration = Duration::from_secs(30);
+
+/// The most capacity a connection's frame buffer keeps between replies.
+const FRAME_KEPT: usize = 1 << 20;
 
 /// How often the background checkpointer re-checks the durability
 /// thresholds (a cheap read-lock peek per shard; also bounds its
@@ -346,7 +349,8 @@ fn refuse_busy(shared: &Shared, stream: &mut TcpStream, why: &str) {
         ("busy", Json::Bool(true)),
         ("retry_after_ms", Json::Uint(shared.limits.retry_after_ms)),
     ]);
-    let _ = write_frame(stream, resp.to_string().as_bytes());
+    let mut frame = Vec::new();
+    let _ = encode_frame(&mut frame, &resp).and_then(|()| stream.write_all(&frame));
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -590,6 +594,8 @@ fn next_frame(stream: &mut TcpStream, shared: &Shared) -> io::Result<Next> {
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    // The connection's frame buffer: every reply is encoded into it.
+    let mut frame = Vec::new();
     loop {
         let payload = match next_frame(&mut stream, &shared) {
             Ok(Next::Frame(p)) => p,
@@ -603,14 +609,23 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             Err(_) => return,
         };
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        let resp = dispatch(&payload, &shared);
+        let mut resp = dispatch(&payload, &shared);
+        if let Err(e) = encode_frame(&mut frame, &resp) {
+            resp = err_response(&format!(
+                "reply too large: {e} ({MAX_FRAME} bytes); ask for fewer rows with `limit` or `min_sim`"
+            ));
+            encode_frame(&mut frame, &resp).expect("an error reply fits in a frame");
+        }
         if !response_ok(&resp) {
             shared.errors.fetch_add(1, Ordering::Relaxed);
         }
         let stop_after = resp.get("stopping").and_then(Json::as_bool) == Some(true);
-        if write_frame(&mut stream, resp.to_string().as_bytes()).is_err() {
+        if stream.write_all(&frame).is_err() {
             return;
         }
+        // A huge reply does not pin its buffer for the connection's life.
+        frame.clear();
+        frame.shrink_to(FRAME_KEPT);
         if stop_after {
             return;
         }

@@ -27,7 +27,7 @@ use moma_core::SnapshotEntry;
 use moma_model::{LdsId, LogicalSource};
 
 use crate::commands::{self, Cmd, Command};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::protocol::{err_response, respond, unknown_mapping};
 use crate::state::{CommandCounts, State};
 
@@ -252,6 +252,10 @@ impl ReadView {
         self.wal.as_ref()
     }
 
+    /// A `query` reply: the mapping's rows with `sim ≥ min_sim`, the
+    /// first `limit` of them (all for 0) as `[domain id, range id, sim]`.
+    /// The rows are written as JSON text straight from the view's id
+    /// columns into one [`Json::Raw`] — no tree per row.
     fn query(&self, command: &Command, req: &Json) -> Result<Json, String> {
         let name = command.field(req, "name", Json::as_str)?;
         let limit = command.optional(req, "limit", "a non-negative integer", Json::as_u64)?;
@@ -264,25 +268,26 @@ impl ReadView {
         };
         let dom = &self.sources[entry.mapping.domain.0 as usize];
         let rng = &self.sources[entry.mapping.range.0 as usize];
-        // The arena is append-only, so a snapshot row always resolves —
-        // even if the instance was tombstoned since.
-        let id_of =
-            |source: &SourceView, idx: u32| source.ids.get(idx).unwrap_or_default().to_owned();
-        let mut rows = Vec::new();
+        let mut rows = String::from("[");
         let mut total = 0usize;
         for c in entry.mapping.table.rows() {
             if c.sim < min_sim {
                 continue;
             }
             total += 1;
-            if limit == 0 || rows.len() < limit {
-                rows.push(Json::Arr(vec![
-                    Json::Str(id_of(dom, c.domain)),
-                    Json::Str(id_of(rng, c.range)),
-                    Json::Num(c.sim),
-                ]));
+            if limit == 0 || total <= limit {
+                // The arena is append-only, so a snapshot row always
+                // resolves — even if the instance was tombstoned since.
+                rows.push_str(if total > 1 { ",[" } else { "[" });
+                json::write_str(&mut rows, dom.ids.get(c.domain).unwrap_or_default());
+                rows.push(',');
+                json::write_str(&mut rows, rng.ids.get(c.range).unwrap_or_default());
+                rows.push(',');
+                Json::Num(c.sim).write_into(&mut rows);
+                rows.push(']');
             }
         }
+        rows.push(']');
         Ok(Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("name", Json::Str(name.into())),
@@ -290,7 +295,7 @@ impl ReadView {
             ("domain", Json::Str(dom.name.clone())),
             ("range", Json::Str(rng.name.clone())),
             ("total", Json::Num(total as f64)),
-            ("rows", Json::Arr(rows)),
+            ("rows", Json::Raw(rows)),
         ]))
     }
 
@@ -382,7 +387,134 @@ impl ViewSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moma_model::{AttrDef, ObjectType};
+    use crate::protocol;
+    use moma_core::exec::Parallelism;
+    use moma_model::{AttrDef, DeltaOp, ObjectType, SourceRegistry};
+
+    /// `query` as 9128605 answered it: a tree per row, encoded whole.
+    fn tree_query(view: &ReadView, command: &Command, req: &Json) -> Result<Json, String> {
+        let name = command.field(req, "name", Json::as_str)?;
+        let limit = command.optional(req, "limit", "a non-negative integer", Json::as_u64)?;
+        let min_sim = command.optional(req, "min_sim", "a number", Json::as_f64)?;
+        let (limit, min_sim) = (limit.unwrap_or(100) as usize, min_sim.unwrap_or(0.0));
+        let Some(entry) = view.entry(name) else {
+            let known = view.entries.iter().map(|e| e.name.as_str());
+            return Err(unknown_mapping(name, known));
+        };
+        let dom = &view.sources[entry.mapping.domain.0 as usize];
+        let rng = &view.sources[entry.mapping.range.0 as usize];
+        let id_of =
+            |source: &SourceView, idx: u32| source.ids.get(idx).unwrap_or_default().to_owned();
+        let mut rows = Vec::new();
+        let mut total = 0usize;
+        for c in entry.mapping.table.rows() {
+            if c.sim < min_sim {
+                continue;
+            }
+            total += 1;
+            if limit == 0 || rows.len() < limit {
+                rows.push(Json::Arr(vec![
+                    Json::Str(id_of(dom, c.domain)),
+                    Json::Str(id_of(rng, c.range)),
+                    Json::Num(c.sim),
+                ]));
+            }
+        }
+        Ok(Json::obj(vec![
+            ("ok", Json::Bool(true)),
+            ("name", Json::Str(name.into())),
+            ("version", Json::Uint(entry.version)),
+            ("domain", Json::Str(dom.name.clone())),
+            ("range", Json::Str(rng.name.clone())),
+            ("total", Json::Num(total as f64)),
+            ("rows", Json::Arr(rows)),
+        ]))
+    }
+
+    /// `batch_query` as 9128605 answered it.
+    fn tree_batch(view: &ReadView, req: &Json) -> Result<Json, String> {
+        let query = Cmd::Query.row();
+        let items = Cmd::BatchQuery.row().items(req)?.iter();
+        let results: Vec<Json> = items
+            .map(|item| respond(tree_query(view, query, item)))
+            .collect();
+        Ok(Json::obj(vec![
+            ("ok", Json::Bool(true)),
+            ("count", Json::Uint(results.len() as u64)),
+            ("results", Json::Arr(results)),
+        ]))
+    }
+
+    /// Ids that need every escape, 0x7F and multi-byte UTF-8.
+    const HOSTILE: [&str; 6] = [
+        "q\"uote",
+        "back\\slash/",
+        "ctl\u{0}\u{1}\u{8}\n\r\t\u{1f}",
+        "del\u{7f}",
+        "é中😀\u{10ffff}",
+        "plain",
+    ];
+
+    /// `query` and `batch_query` replies, rows written from the id
+    /// column, are the bytes the per-row tree encoded to: hostile ids,
+    /// a tombstoned row, `min_sim`, `limit` 0 / 1 / n / past the end,
+    /// malformed fields and an unknown mapping.
+    #[test]
+    fn written_rows_are_the_bytes_of_the_tree() {
+        let mut reg = SourceRegistry::new();
+        for pds in ["DBLP", "GS"] {
+            let mut lds = LogicalSource::new(pds, ObjectType::new("Publication"), vec![]);
+            for id in HOSTILE {
+                lds.insert_record(format!("{pds}:{id}"), vec![]).unwrap();
+            }
+            reg.register(lds).unwrap();
+        }
+        let mut state = State::new(reg, Parallelism::sequential());
+        let (d, g) = ("Publication@DBLP", "Publication@GS");
+        let sims = [1.0, 0.5, 0.857_142_857_142_857_1, 0.0, 1e-7, 1.0 / 3.0];
+        let rows: Vec<(u32, u32, f64)> = (0..6u32)
+            .flat_map(|i| (0..6u32).map(move |j| (i, j, sims[((i + 2 * j) % 6) as usize])))
+            .collect();
+        for req in [
+            protocol::install_request("m", d, g, &rows, None),
+            protocol::install_request("empty", d, g, &[], None),
+            protocol::delta_request(
+                d,
+                &[DeltaOp::Remove {
+                    id: format!("DBLP:{}", HOSTILE[0]),
+                }],
+            ),
+        ] {
+            let reply = state.apply(&req, None);
+            assert_eq!(
+                reply.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{reply}"
+            );
+        }
+        let view = ReadView::of(&state);
+        assert_eq!(view.sources[0].live, HOSTILE.len() - 1, "a tombstone");
+
+        let mut items = Vec::new();
+        for name in ["m", "empty", "nope"] {
+            for limit in [0, 1, 7, 36, 100] {
+                for min_sim in [None, Some(0.0), Some(0.5), Some(1.0), Some(2.0)] {
+                    items.push(protocol::query_item(name, limit, min_sim));
+                }
+            }
+        }
+        items.push(Json::obj(vec![("name", Json::Str("m".into()))]));
+        items.push(protocol::query_item("m", 3, None).set_field("limit", Json::Num(-1.0)));
+        for item in &items {
+            let req = item.clone().set_field("cmd", Json::Str("query".into()));
+            let want = respond(tree_query(&view, Cmd::Query.row(), &req)).to_string();
+            assert_eq!(view.read(&req).to_string(), want);
+        }
+        let batch = protocol::batch_query_request(items);
+        let want = respond(tree_batch(&view, &batch)).to_string();
+        assert!(want.contains(r#"DBLP:q\"uote","GS:ctl\u0000\u0001\u0008\n"#));
+        assert_eq!(view.read(&batch).to_string(), want);
+    }
 
     /// Growing a column chunk by chunk — across partial and full chunk
     /// boundaries, with tombstones — gives the ids a column built in one

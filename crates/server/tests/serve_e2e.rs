@@ -15,7 +15,8 @@ use std::time::Duration;
 
 use common::{assert_dumps_identical, dir_contents, dump_to, scenario_registry, tmp_dir};
 use moma_core::exec::Parallelism;
-use moma_model::{AttrValue, DeltaOp};
+use moma_model::{AttrValue, DeltaOp, LogicalSource, ObjectType, SourceRegistry};
+use moma_server::frame::MAX_FRAME;
 use moma_server::{
     protocol, spawn, spawn_with_limits, Client, DurabilityPolicy, Engine, Json, Limits, Wal,
 };
@@ -152,6 +153,59 @@ fn tcp_endpoints_end_to_end() {
     handle.stop();
     assert!(Client::connect(&addr).is_err(), "listener must be closed");
     let _ = fs::remove_dir_all(&dump_dir);
+}
+
+/// A reply over `MAX_FRAME` — a full `query` of a mapping with long
+/// instance ids — is answered with an error naming its size, the limit
+/// and the way out, it counts as a request error, and the connection
+/// stays usable.
+#[test]
+fn an_oversized_reply_is_refused_and_the_connection_survives() {
+    let long = "x".repeat(2200);
+    let mut reg = SourceRegistry::new();
+    for pds in ["DBLP", "GS"] {
+        let mut lds = LogicalSource::new(pds, ObjectType::new("Publication"), vec![]);
+        for i in 0..64 {
+            lds.insert_record(format!("{pds}{i}{long}"), vec![])
+                .unwrap();
+        }
+        reg.register(lds).unwrap();
+    }
+    let mut e = Engine::new(reg, Parallelism::sequential());
+    let rows: Vec<_> = (0..64u32)
+        .flat_map(|i| (0..64u32).map(move |j| (i, j, 0.5)))
+        .collect();
+    let install =
+        protocol::install_request("all", "Publication@DBLP", "Publication@GS", &rows, None);
+    let r = e.execute(&install);
+    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+    let handle = spawn(e, "127.0.0.1:0").expect("spawn");
+    let mut c = Client::connect(&handle.addr.to_string()).expect("connect");
+
+    let r = c
+        .call(&protocol::query_request("all", 0, None))
+        .expect("a reply, not a dropped connection");
+    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+    let error = r.str_field("error").unwrap_or_default();
+    let size = error
+        .split(' ')
+        .nth(5)
+        .and_then(|n| n.parse::<usize>().ok());
+    assert!(size > Some(MAX_FRAME), "{error}");
+    for part in [MAX_FRAME.to_string().as_str(), "`limit`", "`min_sim`"] {
+        assert!(error.contains(part), "{error}");
+    }
+    let some = c.call_ok(&protocol::query_request("all", 10, None));
+    let rows = some
+        .expect("a bounded query")
+        .get("rows")
+        .and_then(Json::as_arr)
+        .map(<[_]>::len);
+    assert_eq!(rows, Some(10));
+    c.call_ok(&protocol::bare_request("ping")).expect("ping");
+    let stats = c.call_ok(&protocol::bare_request("stats")).expect("stats");
+    assert_eq!(stats.num_field("request_errors"), Some(1.0), "{stats}");
+    handle.stop();
 }
 
 /// A client that dies mid-frame (header started, never finished) must
