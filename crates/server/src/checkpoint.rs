@@ -12,10 +12,13 @@
 //!
 //! ## Atomicity
 //!
-//! [`publish`] stages everything in `checkpoint.tmp/`, fsyncs both
-//! files *and* the staged directory, then `rename`s it to its final
-//! name and fsyncs the WAL directory. A crash at any point leaves
-//! either the previous checkpoints untouched (tmp is ignored and wiped
+//! [`publish`] stages everything in `checkpoint.tmp/`. The state is
+//! written straight into its file — the engine passes
+//! [`State::write_image`](crate::state::State::write_image) — and the
+//! marker's CRC and length are taken of the bytes as they pass. It
+//! fsyncs both files *and* the staged directory, then `rename`s it to
+//! its final name and fsyncs the WAL directory. A crash at any point
+//! leaves either the previous checkpoints untouched (tmp is ignored and wiped
 //! on the next publish) or the new checkpoint fully published — never a
 //! half-checkpoint with a valid name. Recovery walks checkpoints newest
 //! to oldest and takes the first one whose marker validates, falling
@@ -46,8 +49,9 @@
 //!
 //! // Publish a checkpoint covering WAL sequence 42, then find and
 //! // load it back, CRC-validated.
+//! use std::io::Write;
 //! let state = r#"{"mappings":[]}"#;
-//! checkpoint::publish(&dir, 42, state)?;
+//! checkpoint::publish(&dir, 42, |out| out.write_all(state.as_bytes()))?;
 //! let found = checkpoint::list(&dir)?;
 //! assert_eq!(found.len(), 1);
 //! assert_eq!(found[0].seq, 42);
@@ -59,10 +63,10 @@
 //! ```
 
 use std::fs::{self, File};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::wal::{crc32, fsync_dir};
+use crate::wal::{crc32, crc32_extend, fsync_dir};
 
 /// Staging directory name; never treated as a valid checkpoint.
 pub const TMP_DIR: &str = "checkpoint.tmp";
@@ -120,26 +124,26 @@ pub fn list(wal_dir: &Path) -> std::io::Result<Vec<CheckpointRef>> {
     Ok(out)
 }
 
-/// Atomically publish a checkpoint covering WAL sequence `seq` with the
-/// given engine state document. Returns the final checkpoint path.
-pub fn publish(wal_dir: &Path, seq: u64, state: &str) -> std::io::Result<PathBuf> {
+/// Atomically publish a checkpoint covering WAL sequence `seq` whose
+/// state document `write` writes. Returns the final checkpoint path.
+pub fn publish(
+    wal_dir: &Path,
+    seq: u64,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<PathBuf> {
     let tmp = wal_dir.join(TMP_DIR);
     if tmp.exists() {
         fs::remove_dir_all(&tmp)?;
     }
     fs::create_dir_all(&tmp)?;
 
-    let state_bytes = state.as_bytes();
-    let marker = format!(
-        "seq {seq}\ncrc {:08x}\nlen {}\n",
-        crc32(state_bytes),
-        state_bytes.len()
-    );
-    for (name, bytes) in [(STATE_FILE, state_bytes), (MARKER_FILE, marker.as_bytes())] {
-        let mut f = File::create(tmp.join(name))?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
+    let mut state = Summed(File::create(tmp.join(STATE_FILE))?, 0, 0);
+    write(&mut state)?;
+    let Summed(file, crc, len) = state;
+    file.sync_all()?;
+    let mut marker = File::create(tmp.join(MARKER_FILE))?;
+    marker.write_all(format!("seq {seq}\ncrc {crc:08x}\nlen {len}\n").as_bytes())?;
+    marker.sync_all()?;
     fsync_dir(&tmp)?;
 
     let dest = wal_dir.join(dir_name(seq));
@@ -149,6 +153,24 @@ pub fn publish(wal_dir: &Path, seq: u64, state: &str) -> std::io::Result<PathBuf
     fs::rename(&tmp, &dest)?;
     fsync_dir(wal_dir)?;
     Ok(dest)
+}
+
+/// The state file being written, and the CRC-32 and the length of what
+/// has passed so far. Unbuffered: the engine's writer hands it whole
+/// chunks.
+struct Summed(File, u32, u64);
+
+impl Write for Summed {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.0.write(buf)?;
+        self.1 = crc32_extend(self.1, &buf[..n]);
+        self.2 += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
 }
 
 /// Load and validate a checkpoint: returns `(seq, state_json)` or a
@@ -234,12 +256,16 @@ mod tests {
         dir
     }
 
+    fn text(state: &str) -> impl FnOnce(&mut dyn Write) -> io::Result<()> + '_ {
+        |out| out.write_all(state.as_bytes())
+    }
+
     #[test]
     fn publish_load_roundtrip_and_retention() {
         let dir = tmp("roundtrip");
-        publish(&dir, 5, "{\"a\":1}").unwrap();
-        publish(&dir, 9, "{\"a\":2}").unwrap();
-        publish(&dir, 12, "{\"a\":3}").unwrap();
+        publish(&dir, 5, text("{\"a\":1}")).unwrap();
+        publish(&dir, 9, text("{\"a\":2}")).unwrap();
+        publish(&dir, 12, text("{\"a\":3}")).unwrap();
         let all = list(&dir).unwrap();
         assert_eq!(all.iter().map(|c| c.seq).collect::<Vec<_>>(), [5, 9, 12]);
         let (seq, state) = load(&all[2].path).unwrap();
@@ -254,7 +280,7 @@ mod tests {
     #[test]
     fn corrupt_marker_or_state_is_rejected() {
         let dir = tmp("corrupt");
-        let path = publish(&dir, 7, "important state").unwrap();
+        let path = publish(&dir, 7, text("important state")).unwrap();
 
         // Flip one state byte: CRC catches it.
         let state_path = path.join(STATE_FILE);

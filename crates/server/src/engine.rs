@@ -5,10 +5,11 @@
 //! I/O — the [`Wal`], the checkpoint chain, `dump`'s files, the
 //! operator warnings — and nothing of the logical state, which is a
 //! [`State`]: a logged command is appended to the log and then handed
-//! to [`State::apply`]; a checkpoint is [`State::image`] published next
-//! to the log and recovery is [`State::restore`] plus `apply` of the
-//! log's suffix. A read is answered from the [`ReadView`] the engine
-//! published last.
+//! to [`State::apply`]; a checkpoint is [`State::write_image`] streamed
+//! into a checkpoint file next to the log, and recovery is
+//! [`State::restore`] of that file's text plus `apply` of the log's
+//! suffix. Neither side holds a tree of the whole state. A read is
+//! answered from the [`ReadView`] the engine published last.
 //!
 //! ## Durability contract
 //!
@@ -49,7 +50,7 @@ use crate::checkpoint;
 use crate::commands::{self, Cmd, Command};
 use crate::json::Json;
 use crate::protocol::{err_response, respond};
-use crate::state::State;
+use crate::state::{ImageError, State};
 use crate::view::{ReadView, ViewSlot, WalPosition};
 use crate::wal::{RotationPolicy, Wal};
 
@@ -201,24 +202,27 @@ impl Engine {
                     cp.seq
                 ));
             }
-            let image = checkpoint::load(&cp.path).and_then(|(seq, text)| {
+            let text = checkpoint::load(&cp.path).and_then(|(seq, text)| {
                 if seq != cp.seq {
                     return Err(format!("marker seq {seq} does not match its name"));
                 }
-                Json::parse(&text).map_err(|e| format!("state is not valid JSON ({e})"))
+                Ok(text)
             });
-            match image {
-                Ok(image) => {
-                    let restored = self.machine.restore(&image);
-                    base_seq =
-                        Some(restored.map_err(|e| format!("restore {}: {e}", cp.path.display()))?);
+            let reason = match text.map(|text| self.machine.restore(&text)) {
+                Ok(Ok(seq)) => {
+                    base_seq = Some(seq);
                     break;
                 }
-                Err(reason) => eprintln!(
-                    "warning: checkpoint {}: {reason}; falling back",
-                    cp.path.display()
-                ),
-            }
+                Ok(Err(ImageError::Invalid(e))) => {
+                    return Err(format!("restore {}: {e}", cp.path.display()))
+                }
+                Ok(Err(ImageError::Syntax(e))) => format!("state is not valid JSON ({e})"),
+                Err(reason) => reason,
+            };
+            eprintln!(
+                "warning: checkpoint {}: {reason}; falling back",
+                cp.path.display()
+            );
         }
         if base_seq.is_none() && !scan.records.is_empty() && scan.first_seq() != 1 {
             return Err(format!(
@@ -469,8 +473,8 @@ impl Engine {
 
     /// Execute a `checkpoint` command: seal the active WAL segment
     /// (from the second checkpoint on), atomically publish the
-    /// machine's [image](State::image) covering everything applied so
-    /// far, keep the [`CHECKPOINTS_KEPT`] newest checkpoints and delete
+    /// machine's [image](State::write_image) covering everything applied
+    /// so far, keep the [`CHECKPOINTS_KEPT`] newest checkpoints and delete
     /// the WAL segments the older retained one fully covers.
     ///
     /// The checkpoint is **not** WAL-logged: it mutates the disk layout,
@@ -492,16 +496,15 @@ impl Engine {
                 ("unchanged", Json::Bool(true)),
             ]));
         }
-        let mut image = String::new();
-        self.machine.image(seq).write_into(&mut image);
         // Seal the active segment once a checkpoint exists: what this
         // one covers then ends a sealed segment the next one can prune.
         // The first checkpoint leaves the log as it is.
         if self.checkpoint_seq > 0 {
             wal.rotate().map_err(|e| format!("rotate: {e}"))?;
         }
+        let image = |out: &mut dyn std::io::Write| self.machine.write_image(seq, out);
         let path =
-            checkpoint::publish(wal.dir(), seq, &image).map_err(|e| format!("publish: {e}"))?;
+            checkpoint::publish(wal.dir(), seq, image).map_err(|e| format!("publish: {e}"))?;
         let kept = checkpoint::retain_newest(wal.dir(), CHECKPOINTS_KEPT)
             .map_err(|e| format!("retain: {e}"))?;
         // Prune only what the *second-newest* retained checkpoint
@@ -905,8 +908,11 @@ mod tests {
             let name = format!("r{i}");
             assert_eq!(recovered.repository().recipe(&name).as_ref(), Some(recipe));
         }
-        let (a, b) = (live.machine().image(3), recovered.machine().image(3));
-        assert_eq!(a.to_string(), b.to_string());
+        let (a, b) = (
+            live.machine().image_text(3),
+            recovered.machine().image_text(3),
+        );
+        assert_eq!(a, b);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1063,7 +1069,8 @@ mod tests {
                 wal.append(record.as_bytes()).unwrap();
             }
             if with_checkpoint {
-                checkpoint::publish(dir, 4, PREVIOUS_IMAGE).unwrap();
+                let image = |out: &mut dyn std::io::Write| out.write_all(PREVIOUS_IMAGE.as_bytes());
+                checkpoint::publish(dir, 4, image).unwrap();
             }
         };
         for with_checkpoint in [true, false] {

@@ -16,18 +16,20 @@
 //! checkpoint images all go through it. Parsing accepts arbitrary
 //! whitespace and `\uXXXX` escapes (including surrogate pairs) and
 //! enforces a nesting-depth limit so hostile frames cannot blow the
-//! stack.
+//! stack. The parser doubles as a cursor: a checkpoint image is walked
+//! one piece at a time, never parsed into one tree.
 //!
 //! [`Json::Raw`] is text the encoder copies verbatim. Only a read reply
 //! carries one — a `query`'s `rows`, written straight from the read
 //! view's id column — because a read reply is only ever encoded, never
-//! looked into: a request, a WAL record, a checkpoint image or an
-//! `install` literal is a tree. A `Raw` is opaque in process: `get` and
+//! looked into: a request, a WAL record or an `install` literal is a
+//! tree. A `Raw` is opaque in process: `get` and
 //! `as_arr` on it are `None`, and it equals only a `Raw` of the same
 //! text — never the `Arr` it encodes. Parse the encoded bytes to read
 //! it.
 
 use std::fmt;
+use std::mem::take;
 
 /// Maximum nesting depth accepted by [`Json::parse`].
 const MAX_DEPTH: usize = 64;
@@ -296,14 +298,9 @@ impl Json {
     /// Parse a JSON document (the full text must be one value, trailing
     /// whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
+        let mut p = Parser::new(text);
+        let v = p.tree()?;
+        p.end()?;
         Ok(v)
     }
 }
@@ -350,12 +347,91 @@ fn push_display(out: &mut String, v: impl fmt::Display) {
     let _ = write!(out, "{v}");
 }
 
-struct Parser<'a> {
+/// The parser, and the cursor a decoder walks a large document with.
+///
+/// [`Json::parse`] builds the whole tree. A cursor builds only what its
+/// caller asks for: [`Parser::object_but`] builds an object's members
+/// but a few, which it returns as text; [`Parser::need_items`] visits
+/// an array one item at a time; [`Parser::tree`] builds one value.
+/// What a walk passes over is checked as `Json::parse` checks it, so a
+/// walk refuses exactly the texts `Json::parse` refuses.
+pub(crate) struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The string read last, unescaped: reused while a walk passes over
+    /// strings, taken by the tree when it builds one.
+    scratch: String,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// A cursor at the first value of `text`.
+    pub(crate) fn new(text: &'a str) -> Parser<'a> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            scratch: String::new(),
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// The next value, as a tree.
+    pub(crate) fn tree(&mut self) -> Result<Json, String> {
+        self.value(0, true)
+    }
+
+    /// Walk the object that comes next. The first occurrence of each
+    /// member named in `walk` is passed over and returned as its text;
+    /// every other member is built into one object, in order — what a
+    /// decoder of the whole tree would read through [`Json::get`]. A
+    /// value that is no object is built whole, and nothing is walked.
+    pub(crate) fn object_but<const N: usize>(
+        &mut self,
+        walk: [&str; N],
+    ) -> Result<(Json, [Option<&'a str>; N]), String> {
+        let mut walked = [None; N];
+        if self.peek() != Some(b'{') {
+            return Ok((self.tree()?, walked));
+        }
+        let mut members = Vec::new();
+        self.list('}', |p| {
+            p.key()?;
+            match walk.iter().position(|w| *w == p.scratch) {
+                Some(i) if walked[i].is_none() => walked[i] = Some(p.skip(1)?),
+                Some(_) => drop(p.skip(1)?),
+                None => members.push((take(&mut p.scratch), p.value(1, true)?)),
+            }
+            Ok(())
+        })?;
+        Ok((Json::Obj(members), walked))
+    }
+
+    /// [`Json::need_arr`] over text: call `each` with a cursor at every
+    /// item of `text`, member `key` of a `what`, which `each` must read —
+    /// or refuse the member as `need_arr` refuses an absent or non-array
+    /// one.
+    pub(crate) fn need_items(
+        what: &str,
+        key: &str,
+        text: Option<&'a str>,
+        each: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut p = Parser::new(text.unwrap_or_default());
+        if p.peek() != Some(b'[') {
+            return Err(format!("{what} missing `{key}` array"));
+        }
+        p.list(']', each)
+    }
+
+    /// Nothing but whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing bytes at offset {}", self.pos));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -388,7 +464,9 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    /// The next value, built when `build` — else only checked, with the
+    /// same checks, and `Json::Null` returned.
+    fn value(&mut self, depth: usize, build: bool) -> Result<Json, String> {
         if depth > MAX_DEPTH {
             return Err("nesting too deep".into());
         }
@@ -396,59 +474,75 @@ impl Parser<'_> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') if build => self.string().map(|()| Json::Str(take(&mut self.scratch))),
+            Some(b'"') => self.string().map(|()| Json::Null),
             Some(b'[') => {
-                self.pos += 1;
                 let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
-                    }
-                }
+                self.list(']', |p| {
+                    let item = p.value(depth + 1, build)?;
+                    items.extend(build.then_some(item));
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
             }
             Some(b'{') => {
-                self.pos += 1;
                 let mut members = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    let v = self.value(depth + 1)?;
-                    members.push((key, v));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(members));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
-                    }
-                }
+                self.list('}', |p| {
+                    p.key()?;
+                    let key = build.then(|| take(&mut p.scratch));
+                    let v = p.value(depth + 1, build)?;
+                    members.extend(key.map(|key| (key, v)));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(members))
             }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    /// Pass over the next value, checked, and return its text.
+    fn skip(&mut self, depth: usize) -> Result<&'a str, String> {
+        let start = self.pos;
+        self.value(depth, false)?;
+        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("a whole value"))
+    }
+
+    /// The separators of the array or object whose opening bracket is
+    /// next, up to and including `close`; `item` reads each element.
+    fn list(
+        &mut self,
+        close: char,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close as u8) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b) if char::from(b) == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("expected `,` or `{close}` at offset {}", self.pos)),
+            }
+        }
+    }
+
+    /// An object member's key, into `scratch`, and its colon.
+    fn key(&mut self) -> Result<(), String> {
+        self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -480,27 +574,28 @@ impl Parser<'_> {
             .map_err(|e| format!("bad number `{text}` at offset {start}: {e}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Read the next string, unescaped, into `scratch`.
+    fn string(&mut self) -> Result<(), String> {
+        self.scratch.clear();
         self.expect(b'"')?;
-        let mut out = String::new();
         loop {
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
                     match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                        Some(b'"') => self.scratch.push('"'),
+                        Some(b'\\') => self.scratch.push('\\'),
+                        Some(b'/') => self.scratch.push('/'),
+                        Some(b'b') => self.scratch.push('\u{8}'),
+                        Some(b'f') => self.scratch.push('\u{c}'),
+                        Some(b'n') => self.scratch.push('\n'),
+                        Some(b'r') => self.scratch.push('\r'),
+                        Some(b't') => self.scratch.push('\t'),
                         Some(b'u') => {
                             self.pos += 1;
                             let hi = self.hex4()?;
@@ -523,7 +618,7 @@ impl Parser<'_> {
                             } else {
                                 char::from_u32(hi).ok_or("invalid \\u escape")?
                             };
-                            out.push(c);
+                            self.scratch.push(c);
                             continue; // hex4 advanced pos already
                         }
                         _ => return Err(format!("bad escape at offset {}", self.pos)),
@@ -547,7 +642,9 @@ impl Parser<'_> {
                         }
                         self.pos += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii"));
+                    self.scratch.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii"),
+                    );
                 }
                 Some(b) => {
                     // One multi-byte UTF-8 scalar: width from the leading
@@ -564,7 +661,7 @@ impl Parser<'_> {
                         .ok_or("truncated utf-8 scalar")?;
                     let s = std::str::from_utf8(span)
                         .map_err(|_| format!("invalid utf-8 at offset {}", self.pos))?;
-                    out.push_str(s);
+                    self.scratch.push_str(s);
                     self.pos += width;
                 }
             }

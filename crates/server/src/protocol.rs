@@ -437,28 +437,34 @@ pub fn rows_from_json(
     domain_len: usize,
     range_len: usize,
 ) -> Result<MappingTable, String> {
+    let triple = |row| row_from_json(&what, row, domain_len, range_len);
+    let triples: Vec<_> = rows.iter().map(triple).collect::<Result<_, _>>()?;
+    Ok(MappingTable::from_triples(triples))
+}
+
+/// One of [`rows_from_json`]'s rows, decoded and checked alone — how a
+/// checkpoint's rows are read, one at a time.
+pub(crate) fn row_from_json(
+    what: &dyn fmt::Display,
+    row: &Json,
+    domain_len: usize,
+    range_len: usize,
+) -> Result<(u32, u32, f64), String> {
     let index = |j: &Json, len: usize| {
         let i = u32::try_from(j.as_u64()?).ok()?;
         ((i as usize) < len).then_some(i)
     };
-    let triple = |row: &Json| match row.as_arr()? {
-        [d, r, sim] => Some((
-            index(d, domain_len)?,
-            index(r, range_len)?,
-            sim.as_f64().filter(|s| s.is_finite())?,
-        )),
-        _ => None,
+    let triple = match row.as_arr() {
+        Some([d, r, sim]) => (index(d, domain_len), index(r, range_len), sim.as_f64()),
+        _ => (None, None, None),
     };
-    let mut triples = Vec::with_capacity(rows.len());
-    for row in rows {
-        triples.push(triple(row).ok_or_else(|| {
-            format!(
-                "{what}: row {row} is not a [domain, range, sim] triple of indices inside \
-                 the sources' arenas ({domain_len} / {range_len}) and a finite sim"
-            )
-        })?);
+    match triple {
+        (Some(d), Some(r), Some(sim)) if sim.is_finite() => Ok((d, r, sim)),
+        _ => Err(format!(
+            "{what}: row {row} is not a [domain, range, sim] triple of indices inside \
+             the sources' arenas ({domain_len} / {range_len}) and a finite sim"
+        )),
     }
-    Ok(MappingTable::from_triples(triples))
 }
 
 /// The `f` / `g` of a `compose` request (defaults `min` / `max`).

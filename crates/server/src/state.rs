@@ -11,8 +11,12 @@
 //!   `install`). Live execution, the items of a `batch_delta`, WAL
 //!   replay and the re-priming of a restored checkpoint all enter here,
 //!   so they cannot disagree;
-//! * [`State::image`] / [`State::restore`] — the whole logical state
-//!   as one deterministic JSON document, and back.
+//! * [`State::write_image`] / [`State::restore`] — the whole logical
+//!   state as one deterministic JSON document, and back. Neither holds
+//!   the document as a tree: the writer streams it straight from the
+//!   state into a writer (the checkpoint file), and restore walks the
+//!   text — one instance, one row at a time — with the JSON parser's
+//!   cursor, validating all of it before it commits any of it.
 //!
 //! Reads are not the machine's: after each write the engine publishes
 //! a [`ReadView`] of the state, and the read commands answer from that.
@@ -31,16 +35,18 @@
 //! [`ReadView`]: crate::view::ReadView
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::io::{self, Write};
 
 use moma_core::blocking::Blocking;
 use moma_core::exec::Parallelism;
 use moma_core::matchers::{AttributeMatcher, MatchContext, MatcherSim};
 use moma_core::{DeltaMatchState, Mapping, MappingKind, MappingRepository, Recipe};
 use moma_model::{AttrDef, LdsId, LogicalSource, ObjectInstance, ObjectType, SourceRegistry};
+use moma_table::MappingTable;
 
 use crate::commands::{self, Cmd, Command};
-use crate::json::Json;
+use crate::json::{self, Json, Parser};
 use crate::protocol::{self, respond};
 
 /// Durable command counters; restored exactly by replay.
@@ -75,6 +81,20 @@ impl CommandCounts {
         Json::obj(self.rows().map(|(k, v)| (k, Json::Uint(v))).to_vec())
     }
 }
+
+/// Why [`State::restore`] refused an image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ImageError {
+    /// The text is not JSON — `Json::parse` would refuse it: recovery
+    /// falls back to an older checkpoint, or to full replay.
+    Syntax(String),
+    /// JSON, but no image of the booted registry: recovery fails.
+    Invalid(String),
+}
+
+/// How much image text [`State::write_image`] gathers before handing
+/// it on.
+const CHUNK: usize = 64 << 10;
 
 /// The state machine. See the module docs.
 pub struct State {
@@ -265,23 +285,33 @@ impl State {
         self.commands.composes += 1;
         let arenas: Vec<usize> = self.registry.iter().map(|(_, lds)| lds.len()).collect();
         let what = format!("{} request", command.name);
-        let mapping = self.literal_mapping(&what, req, &arenas)?;
+        let rows = |title: &dyn fmt::Display, domain_len, range_len| {
+            let rows = req.need_arr(&what, "rows")?;
+            protocol::rows_from_json(title, rows, domain_len, range_len)
+        };
+        let mapping = self.literal_mapping(&what, req, &arenas, rows)?;
         let (name, rows) = (mapping.name.clone(), mapping.len());
         self.repository.store_as(&name, mapping);
         self.release_matcher(&name);
         Ok(self.stored(&name, rows, Some(("installed", true))))
     }
 
-    /// The literal mapping — `name`, `domain`, `range`, `rows`, `assoc`
-    /// — of an `install` record or a checkpointed entry, its rows
-    /// checked against `arenas` (arena length by source).
-    fn literal_mapping(&self, what: &str, j: &Json, arenas: &[usize]) -> Result<Mapping, String> {
+    /// The literal mapping of an `install` record or a checkpointed
+    /// entry: `name`, `domain`, `range` and `assoc` read from `j`, the
+    /// table decoded by `rows` — given the mapping's title and its
+    /// sources' arena lengths (from `arenas`) to check indices against.
+    fn literal_mapping(
+        &self,
+        what: &str,
+        j: &Json,
+        arenas: &[usize],
+        rows: impl FnOnce(&dyn fmt::Display, usize, usize) -> Result<MappingTable, String>,
+    ) -> Result<Mapping, String> {
         let name = j.need(what, "name", Json::as_str)?;
         let domain = self.resolve("domain", j.need(what, "domain", Json::as_str)?)?;
         let range = self.resolve("range", j.need(what, "range", Json::as_str)?)?;
-        let table = protocol::rows_from_json(
-            format_args!("{what} `{name}`"),
-            j.need_arr(what, "rows")?,
+        let table = rows(
+            &format_args!("{what} `{name}`"),
             arenas[domain.0 as usize],
             arenas[range.0 as usize],
         )?;
@@ -363,6 +393,413 @@ impl State {
 
     // ---- image and restore ---------------------------------------------
 
+    /// Write the full logical state to `out` as one deterministic JSON
+    /// document, stamped with the WAL sequence number `seq` it covers:
+    /// sources (arena order, tombstones included, so restored local
+    /// indexes are identical), mappings with exact version stamps /
+    /// recipes / recorded input versions, the original `match` requests
+    /// (to re-prime matcher states), command counters and the repository
+    /// version counter. The text is written as the state is read, one
+    /// instance and one row at a time through a reused buffer; no tree
+    /// or string of the whole image is ever held.
+    ///
+    /// Not covered (stats-only, reset on restore): per-state
+    /// full-re-match counters.
+    pub fn write_image(&self, seq: u64, out: &mut (impl Write + ?Sized)) -> io::Result<()> {
+        let mut buf = String::with_capacity(2 * CHUNK);
+        let versions = self.repository.version_counter();
+        let counters = [
+            ("seq", Json::Uint(seq)),
+            ("commands", self.commands.to_json()),
+            ("version_counter", Json::Uint(versions)),
+        ];
+        open_object(&mut buf, counters, "sources");
+        buf.push('[');
+        for (i, (_, lds)) in self.registry.iter().enumerate() {
+            buf.push_str(if i > 0 { "," } else { "" });
+            let schema = lds.schema.iter().map(|a| {
+                Json::obj(vec![
+                    ("name", Json::Str(a.name.clone())),
+                    ("kind", Json::Str(a.kind.to_string())),
+                ])
+            });
+            let header = [
+                ("pds", Json::Str(lds.pds.clone())),
+                ("type", Json::Str(lds.object_type.as_str().to_owned())),
+                ("schema", Json::Arr(schema.collect())),
+            ];
+            open_object(&mut buf, header, "instances");
+            buf.push('[');
+            for idx in 0..lds.len() as u32 {
+                let inst = lds.get(idx).expect("arena index in bounds");
+                buf.push_str(if idx > 0 { ",{\"id\":" } else { "{\"id\":" });
+                json::write_str(&mut buf, &inst.id);
+                buf.push_str(",\"live\":");
+                Json::Bool(lds.is_live(idx)).write_into(&mut buf);
+                let values = inst.values.iter().map(|v| match v {
+                    Some(v) => protocol::attr_value_to_json(v),
+                    None => Json::Null,
+                });
+                buf.push_str(",\"values\":");
+                Json::Arr(values.collect()).write_into(&mut buf);
+                buf.push('}');
+                spill(out, &mut buf)?;
+            }
+            buf.push_str("]}");
+        }
+        buf.push_str("],\"mappings\":[");
+        for (i, e) in self.repository.snapshot().iter().enumerate() {
+            buf.push_str(if i > 0 { "," } else { "" });
+            let recipe = self.repository.recipe(&e.name);
+            let deps = e.dep_versions.iter();
+            let deps = deps.map(|(n, v)| Json::Arr(vec![Json::Str(n.clone()), Json::Uint(*v)]));
+            let assoc = match &e.mapping.kind {
+                MappingKind::Same => Json::Null,
+                MappingKind::Association(t) => Json::Str(t.clone()),
+            };
+            let source = |id| Json::Str(self.registry.lds(id).name());
+            let header = [
+                ("name", Json::Str(e.name.clone())),
+                ("assoc", assoc),
+                ("domain", source(e.mapping.domain)),
+                ("range", source(e.mapping.range)),
+                ("version", Json::Uint(e.version)),
+                ("recipe", recipe.map_or(Json::Null, |r| recipe_to_json(&r))),
+                ("dep_versions", Json::Arr(deps.collect())),
+            ];
+            open_object(&mut buf, header, "rows");
+            buf.push('[');
+            for (k, c) in e.mapping.table.rows().iter().enumerate() {
+                let comma = if k > 0 { "," } else { "" };
+                let _ = write!(buf, "{comma}[{},{},", c.domain, c.range);
+                Json::Num(c.sim).write_into(&mut buf);
+                buf.push(']');
+                spill(out, &mut buf)?;
+            }
+            buf.push_str("]}");
+        }
+        buf.push_str("],\"matchers\":");
+        Json::Obj(self.match_requests.clone().into_iter().collect()).write_into(&mut buf);
+        buf.push('}');
+        out.write_all(buf.as_bytes())
+    }
+
+    /// Become the state the image `text` describes and return the WAL
+    /// sequence number it covers. The text is walked, never built into
+    /// one tree: a first pass checks its syntax — as `Json::parse`
+    /// would — and builds the small members; a second decodes the
+    /// sources one instance at a time and the mappings one row at a
+    /// time. All of it is validated against the booted registry (same
+    /// sources, in order) before any of it is committed.
+    pub fn restore(&mut self, text: &str) -> Result<u64, ImageError> {
+        let mut doc = Parser::new(text);
+        let walked = doc.object_but(["sources", "mappings"]);
+        let walked = walked.and_then(|walked| doc.end().map(|()| walked));
+        let (head, [sources, mappings]) = walked.map_err(ImageError::Syntax)?;
+        self.rebuild(&head, sources, mappings)
+            .map_err(ImageError::Invalid)
+    }
+
+    /// [`State::restore`] past its syntax check: `head` holds the image's
+    /// small members, `sources` and `mappings` are the text of the large
+    /// ones.
+    fn rebuild(
+        &mut self,
+        head: &Json,
+        sources: Option<&str>,
+        mappings: Option<&str>,
+    ) -> Result<u64, String> {
+        const IMAGE: &str = "checkpoint state";
+        let seq = head.need(IMAGE, "seq", Json::as_u64)?;
+        let version_counter = head.need(IMAGE, "version_counter", Json::as_u64)?;
+        let counters = head.need(IMAGE, "commands", Some)?;
+        let count = |cmd: Cmd| counters.need("checkpoint counters", cmd.name(), Json::as_u64);
+        let counts = CommandCounts {
+            matches: count(Cmd::Match)?,
+            composes: count(Cmd::Compose)?,
+            deltas: count(Cmd::Delta)?,
+            // Absent in pre-shard checkpoints; those logged no replicas.
+            repl_deltas: counters
+                .get("repl_delta")
+                .and_then(Json::as_u64)
+                .unwrap_or(0),
+        };
+
+        // -- sources: rebuild each arena, aligned to the booted registry,
+        // one instance at a time.
+        let mut arenas = Vec::with_capacity(self.registry.len());
+        Parser::need_items(IMAGE, "sources", sources, |p| {
+            let (sj, [instances]) = p.object_but(["instances"])?;
+            let i = arenas.len();
+            let pds = sj.need("source", "pds", Json::as_str)?;
+            let ty = sj.need("source", "type", Json::as_str)?;
+            let boot = self.registry.iter().nth(i).map(|(_, lds)| lds);
+            let boot = boot.ok_or("checkpoint has more sources than the booted registry")?;
+            if boot.pds != pds || boot.object_type.as_str() != ty {
+                return Err(format!(
+                    "checkpoint source {i} is {ty}@{pds} but the booted registry has {}",
+                    boot.name()
+                ));
+            }
+            let mut schema = Vec::new();
+            for aj in sj.need_arr("source", "schema")? {
+                let name = aj.need("schema attr", "name", Json::as_str)?;
+                let kind = aj.need("schema attr", "kind", Json::as_str)?.parse()?;
+                schema.push(AttrDef::new(name, kind));
+            }
+            let mut lds = LogicalSource::new(pds, ObjectType::new(ty), schema);
+            Parser::need_items("source", "instances", instances, |p| {
+                let ij = p.tree()?;
+                let id = ij.need("instance", "id", Json::as_str)?;
+                let live = ij.need("instance", "live", Json::as_bool)?;
+                let values = ij
+                    .need_arr("instance", "values")?
+                    .iter()
+                    .map(|vj| match vj {
+                        Json::Null => Ok(None),
+                        other => protocol::attr_value_from_json(other).map(Some),
+                    });
+                let values = values.collect::<Result<_, String>>()?;
+                // Insert in arena order, tombstoning removed instances
+                // immediately: a later slot may legally reuse the id,
+                // and this ordering frees it before that insert.
+                lds.insert(ObjectInstance::with_values(id, values))
+                    .map_err(|e| format!("restore instance `{id}`: {e}"))?;
+                if !live {
+                    lds.remove(id);
+                }
+                Ok(())
+            })?;
+            arenas.push(lds);
+            Ok(())
+        })?;
+        if arenas.len() != self.registry.len() {
+            return Err(format!(
+                "checkpoint has {} sources but the booted registry has {}",
+                arenas.len(),
+                self.registry.len()
+            ));
+        }
+
+        // -- mappings: resolved against the booted registry's names,
+        // rows checked against the restored arenas one at a time.
+        const ENTRY: &str = "checkpoint mapping";
+        let lens: Vec<usize> = arenas.iter().map(LogicalSource::len).collect();
+        let mut entries = Vec::new();
+        Parser::need_items(IMAGE, "mappings", mappings, |p| {
+            let (mj, [rows]) = p.object_but(["rows"])?;
+            let rows = |title: &dyn fmt::Display, domain_len, range_len| {
+                let mut triples = Vec::new();
+                Parser::need_items(ENTRY, "rows", rows, |p| {
+                    let row = protocol::row_from_json(title, &p.tree()?, domain_len, range_len);
+                    row.map(|row| triples.push(row))
+                })?;
+                Ok(MappingTable::from_triples(triples))
+            };
+            let mapping = self.literal_mapping(ENTRY, &mj, &lens, rows)?;
+            let version = mj.need(ENTRY, "version", Json::as_u64)?;
+            let recipe = match mj.get("recipe") {
+                None | Some(Json::Null) => None,
+                Some(r) => Some(recipe_from_json(r)?),
+            };
+            let deps = mj.need_arr(ENTRY, "dep_versions")?.iter().map(|dj| {
+                let pair = match dj.as_arr() {
+                    Some([n, v]) => n.as_str().zip(v.as_u64()),
+                    _ => None,
+                };
+                let (n, v) = pair.ok_or("dep_versions must be [name, version] pairs")?;
+                Ok((n.to_owned(), v))
+            });
+            let deps = deps.collect::<Result<Vec<_>, String>>()?;
+            entries.push((mapping, version, recipe, deps));
+            Ok(())
+        })?;
+        let matchers = head.need(IMAGE, "matchers", |j| match j {
+            Json::Obj(members) => Some(members),
+            _ => None,
+        })?;
+
+        // -- everything parsed: commit. The matcher states are re-primed
+        // through the ordinary `match` path against the restored
+        // sources; the image's repository and counters then replace
+        // what that stored and counted.
+        for (i, lds) in arenas.into_iter().enumerate() {
+            *self.registry.lds_mut(LdsId(i as u32)) = lds;
+        }
+        self.states.clear();
+        self.match_requests.clear();
+        for (name, req) in matchers {
+            let primed = self.apply(req, None);
+            if let Some(e) = primed.str_field("error") {
+                return Err(format!("re-prime `{name}`: {e}"));
+            }
+        }
+        self.repository = MappingRepository::new();
+        for (mapping, version, recipe, deps) in entries {
+            // Invariant check: re-priming against the restored sources
+            // must reproduce the restored leaf mapping exactly (the same
+            // determinism the WAL replay bit-identity rests on). Skipped
+            // when the entry was later overwritten by a derived mapping
+            // of the same name.
+            let primed = self.states.get(&mapping.name).filter(|_| recipe.is_none());
+            if primed.is_some_and(|p| p.mapping().table.rows() != mapping.table.rows()) {
+                return Err(format!(
+                    "checkpoint invariant violation: re-primed matcher `{}` disagrees with \
+                     its restored mapping table",
+                    mapping.name
+                ));
+            }
+            let name = mapping.name.clone();
+            self.repository
+                .restore_entry(name, mapping, version, recipe, deps);
+        }
+        self.repository.restore_version_counter(version_counter);
+        self.commands = counts;
+        Ok(seq)
+    }
+
+    // ---- accessors ----------------------------------------------------
+
+    /// The source registry.
+    pub fn registry(&self) -> &SourceRegistry {
+        &self.registry
+    }
+
+    /// The mapping repository.
+    pub fn repository(&self) -> &MappingRepository {
+        &self.repository
+    }
+
+    /// Durable command counters.
+    pub fn command_counts(&self) -> CommandCounts {
+        self.commands
+    }
+
+    /// The primed matcher state behind mapping `name`, if it has one.
+    pub fn primed(&self, name: &str) -> Option<&DeltaMatchState> {
+        self.states.get(name)
+    }
+
+    /// `(mapping, domain source, range source)` names for every primed
+    /// matcher state, in deterministic (BTreeMap) order. The shard
+    /// router rebuilds its ownership index from this after recovery:
+    /// whatever shard a state recovered on is, by construction, the
+    /// shard that owns it.
+    pub fn state_endpoints(&self) -> Vec<(String, String, String)> {
+        let ends = self.match_requests.iter().filter_map(|(name, req)| {
+            let d = req.str_field("domain")?;
+            let r = req.str_field("range")?;
+            Some((name.clone(), d.to_owned(), r.to_owned()))
+        });
+        ends.collect()
+    }
+}
+
+/// Append `{`, the `members` and the key of `last`, an object's final
+/// member, whose value the caller writes (and closes the object after).
+fn open_object<const N: usize>(buf: &mut String, members: [(&str, Json); N], last: &str) {
+    buf.push('{');
+    for (key, value) in members {
+        json::write_str(buf, key);
+        buf.push(':');
+        value.write_into(buf);
+        buf.push(',');
+    }
+    json::write_str(buf, last);
+    buf.push(':');
+}
+
+/// Hand `buf` on to `out` once it holds a chunk.
+fn spill(out: &mut (impl Write + ?Sized), buf: &mut String) -> io::Result<()> {
+    if buf.len() >= CHUNK {
+        out.write_all(buf.as_bytes())?;
+        buf.clear();
+    }
+    Ok(())
+}
+
+fn recipe_to_json(recipe: &Recipe) -> Json {
+    let s = |v: &dyn fmt::Display| Json::Str(v.to_string());
+    let (op, params) = match recipe {
+        Recipe::Compose { left, right, f, g } => (
+            "compose",
+            vec![
+                ("left", s(left)),
+                ("right", s(right)),
+                ("f", s(f)),
+                ("g", s(g)),
+            ],
+        ),
+        Recipe::Union { left, right } => ("union", vec![("left", s(left)), ("right", s(right))]),
+        Recipe::Intersect { left, right } => {
+            ("intersect", vec![("left", s(left)), ("right", s(right))])
+        }
+        Recipe::Difference { left, right } => {
+            ("difference", vec![("left", s(left)), ("right", s(right))])
+        }
+        Recipe::Merge { inputs, f, missing } => (
+            "merge",
+            vec![
+                ("inputs", Json::Arr(inputs.iter().map(|n| s(n)).collect())),
+                ("f", s(f)),
+                ("missing", s(missing)),
+            ],
+        ),
+    };
+    Json::obj([("op", s(&op))].into_iter().chain(params).collect())
+}
+
+fn recipe_from_json(j: &Json) -> Result<Recipe, String> {
+    let text = |key: &str| j.need("recipe", key, Json::as_str);
+    let (left, right) = (
+        || text("left").map(str::to_owned),
+        || text("right").map(str::to_owned),
+    );
+    Ok(match text("op")? {
+        "compose" => Recipe::Compose {
+            left: left()?,
+            right: right()?,
+            f: text("f")?.parse()?,
+            g: text("g")?.parse()?,
+        },
+        "union" => Recipe::Union {
+            left: left()?,
+            right: right()?,
+        },
+        "intersect" => Recipe::Intersect {
+            left: left()?,
+            right: right()?,
+        },
+        "difference" => Recipe::Difference {
+            left: left()?,
+            right: right()?,
+        },
+        "merge" => {
+            let inputs = j.need_arr("recipe", "inputs")?.iter();
+            let inputs: Option<Vec<String>> =
+                inputs.map(|n| Some(n.as_str()?.to_owned())).collect();
+            Recipe::Merge {
+                inputs: inputs.ok_or("recipe inputs must be mapping names")?,
+                f: text("f")?.parse()?,
+                missing: text("missing")?.parse()?,
+            }
+        }
+        other => return Err(format!("unknown recipe op `{other}`")),
+    })
+}
+
+/// The tree-building image and restore the streamed ones replaced,
+/// kept as the oracles they are tested against.
+#[cfg(test)]
+impl State {
+    /// The image text [`State::write_image`] writes.
+    pub(crate) fn image_text(&self, seq: u64) -> String {
+        let mut out = Vec::new();
+        self.write_image(seq, &mut out)
+            .expect("a Vec takes every write");
+        String::from_utf8(out).expect("an image is UTF-8")
+    }
+
     /// The full logical state as one deterministic JSON document,
     /// stamped with the WAL sequence number `seq` it covers: sources
     /// (arena order, tombstones included, so restored local indexes are
@@ -373,7 +810,7 @@ impl State {
     ///
     /// Not covered (stats-only, reset on restore): per-state
     /// full-re-match counters.
-    pub fn image(&self, seq: u64) -> Json {
+    pub(crate) fn image(&self, seq: u64) -> Json {
         let sources = self.registry.iter().map(|(_, lds)| {
             let schema = lds.schema.iter().map(|a| {
                 Json::obj(vec![
@@ -449,7 +886,7 @@ impl State {
     /// number it covers. The image is parsed and validated against the
     /// booted registry (same sources, in order) in full before any of
     /// it is committed.
-    pub fn restore(&mut self, image: &Json) -> Result<u64, String> {
+    pub(crate) fn restore_tree(&mut self, image: &Json) -> Result<u64, String> {
         const IMAGE: &str = "checkpoint state";
         let seq = image.need(IMAGE, "seq", Json::as_u64)?;
         let version_counter = image.need(IMAGE, "version_counter", Json::as_u64)?;
@@ -522,7 +959,11 @@ impl State {
         let arenas: Vec<usize> = sources.iter().map(LogicalSource::len).collect();
         let mut entries = Vec::new();
         for mj in image.need_arr(IMAGE, "mappings")? {
-            let mapping = self.literal_mapping(ENTRY, mj, &arenas)?;
+            let rows = |title: &dyn fmt::Display, domain_len, range_len| {
+                let rows = mj.need_arr(ENTRY, "rows")?;
+                protocol::rows_from_json(title, rows, domain_len, range_len)
+            };
+            let mapping = self.literal_mapping(ENTRY, mj, &arenas, rows)?;
             let version = mj.need(ENTRY, "version", Json::as_u64)?;
             let recipe = match mj.get("recipe") {
                 None | Some(Json::Null) => None,
@@ -583,111 +1024,13 @@ impl State {
         Ok(seq)
     }
 
-    // ---- accessors ----------------------------------------------------
-
-    /// The source registry.
-    pub fn registry(&self) -> &SourceRegistry {
-        &self.registry
+    /// What the tree path made of image `text`: a text `Json::parse`
+    /// refuses is a syntax error, one [`State::restore_tree`] refuses
+    /// is invalid.
+    pub(crate) fn restore_oracle(&mut self, text: &str) -> Result<u64, ImageError> {
+        let image = Json::parse(text).map_err(ImageError::Syntax)?;
+        self.restore_tree(&image).map_err(ImageError::Invalid)
     }
-
-    /// The mapping repository.
-    pub fn repository(&self) -> &MappingRepository {
-        &self.repository
-    }
-
-    /// Durable command counters.
-    pub fn command_counts(&self) -> CommandCounts {
-        self.commands
-    }
-
-    /// The primed matcher state behind mapping `name`, if it has one.
-    pub fn primed(&self, name: &str) -> Option<&DeltaMatchState> {
-        self.states.get(name)
-    }
-
-    /// `(mapping, domain source, range source)` names for every primed
-    /// matcher state, in deterministic (BTreeMap) order. The shard
-    /// router rebuilds its ownership index from this after recovery:
-    /// whatever shard a state recovered on is, by construction, the
-    /// shard that owns it.
-    pub fn state_endpoints(&self) -> Vec<(String, String, String)> {
-        let ends = self.match_requests.iter().filter_map(|(name, req)| {
-            let d = req.str_field("domain")?;
-            let r = req.str_field("range")?;
-            Some((name.clone(), d.to_owned(), r.to_owned()))
-        });
-        ends.collect()
-    }
-}
-
-fn recipe_to_json(recipe: &Recipe) -> Json {
-    let s = |v: &dyn fmt::Display| Json::Str(v.to_string());
-    let (op, params) = match recipe {
-        Recipe::Compose { left, right, f, g } => (
-            "compose",
-            vec![
-                ("left", s(left)),
-                ("right", s(right)),
-                ("f", s(f)),
-                ("g", s(g)),
-            ],
-        ),
-        Recipe::Union { left, right } => ("union", vec![("left", s(left)), ("right", s(right))]),
-        Recipe::Intersect { left, right } => {
-            ("intersect", vec![("left", s(left)), ("right", s(right))])
-        }
-        Recipe::Difference { left, right } => {
-            ("difference", vec![("left", s(left)), ("right", s(right))])
-        }
-        Recipe::Merge { inputs, f, missing } => (
-            "merge",
-            vec![
-                ("inputs", Json::Arr(inputs.iter().map(|n| s(n)).collect())),
-                ("f", s(f)),
-                ("missing", s(missing)),
-            ],
-        ),
-    };
-    Json::obj([("op", s(&op))].into_iter().chain(params).collect())
-}
-
-fn recipe_from_json(j: &Json) -> Result<Recipe, String> {
-    let text = |key: &str| j.need("recipe", key, Json::as_str);
-    let (left, right) = (
-        || text("left").map(str::to_owned),
-        || text("right").map(str::to_owned),
-    );
-    Ok(match text("op")? {
-        "compose" => Recipe::Compose {
-            left: left()?,
-            right: right()?,
-            f: text("f")?.parse()?,
-            g: text("g")?.parse()?,
-        },
-        "union" => Recipe::Union {
-            left: left()?,
-            right: right()?,
-        },
-        "intersect" => Recipe::Intersect {
-            left: left()?,
-            right: right()?,
-        },
-        "difference" => Recipe::Difference {
-            left: left()?,
-            right: right()?,
-        },
-        "merge" => {
-            let inputs = j.need_arr("recipe", "inputs")?.iter();
-            let inputs: Option<Vec<String>> =
-                inputs.map(|n| Some(n.as_str()?.to_owned())).collect();
-            Recipe::Merge {
-                inputs: inputs.ok_or("recipe inputs must be mapping names")?,
-                f: text("f")?.parse()?,
-                missing: text("missing")?.parse()?,
-            }
-        }
-        other => return Err(format!("unknown recipe op `{other}`")),
-    })
 }
 
 #[cfg(test)]
@@ -761,17 +1104,18 @@ mod tests {
             assert!(ok(&reply), "{reply}");
             assert_eq!(cut.apply(req, seq), reply);
         }
-        let image = Json::parse(&cut.image(4).to_string()).expect("an image is JSON");
+        let image = cut.image_text(4);
+        assert_eq!(image, cut.image(4).to_string(), "streamed ≡ tree");
         let mut cut = machine();
         assert_eq!(cut.restore(&image), Ok(4));
-        assert_eq!(cut.image(4).to_string(), straight.image(4).to_string());
+        assert_eq!(cut.image_text(4), straight.image_text(4));
         for (i, req) in tail.iter().enumerate() {
             let seq = Some(i as u64 + 5);
             let reply = straight.apply(req, seq);
             assert!(ok(&reply), "{reply}");
             assert_eq!(cut.apply(req, seq), reply);
         }
-        assert_eq!(cut.image(6).to_string(), straight.image(6).to_string());
+        assert_eq!(cut.image_text(6), straight.image_text(6));
         let (cut, straight) = (ReadView::of(&cut), ReadView::of(&straight));
         let query = protocol::query_request("c", 0, None);
         assert_eq!(cut.read(&query), straight.read(&query));
@@ -838,7 +1182,7 @@ mod tests {
             &match_cmd("m1", "Publication@DBLP", "Publication@ACM"),
             None
         )));
-        let good = live.image(1).to_string();
+        let good = live.image_text(1);
         let rows_at = good.find("\"rows\":[[").expect("m1 has rows") + "\"rows\":[".len();
         for bad in [
             "[4294967301,0,0.5]",
@@ -855,8 +1199,10 @@ mod tests {
             assert!(error.contains("[domain, range, sim]"), "{bad}: {reply}");
 
             let image = format!("{}{bad},{}", &good[..rows_at], &good[rows_at..]);
-            let refused = machine().restore(&Json::parse(&image).unwrap());
-            let error = refused.expect_err(bad);
+            let refused = machine().restore(&image);
+            let Err(ImageError::Invalid(error)) = refused else {
+                panic!("{bad}: {refused:?}")
+            };
             assert!(error.contains("[domain, range, sim]"), "{bad}: {error}");
         }
         // The arena a checkpointed row must fit is the restored one: a
@@ -866,8 +1212,8 @@ mod tests {
             None
         )));
         assert!(ok(&live.apply(&add("g9", "The a1 system paper"), None)));
-        let image = Json::parse(&live.image(3).to_string()).unwrap();
-        assert!(image.to_string().contains("[0,1,"), "a row into g9");
+        let image = live.image_text(3);
+        assert!(image.contains("[0,1,"), "a row into g9");
         assert_eq!(machine().restore(&image), Ok(3));
     }
 
@@ -877,16 +1223,16 @@ mod tests {
     fn int_attributes_round_trip_exactly() {
         for cites in [i64::MAX, i64::MIN, -(1 << 53) - 1, (1 << 53) + 1, -42, 0] {
             let boot = State::new(registry(cites), Parallelism::sequential());
-            let text = boot.image(0).to_string();
+            let text = boot.image_text(0);
             assert!(
                 text.contains(&format!(r#"{{"t":"int","v":{cites}}}"#)),
                 "{text}"
             );
             let mut restored = machine();
-            assert_eq!(restored.restore(&Json::parse(&text).unwrap()), Ok(0));
+            assert_eq!(restored.restore(&text), Ok(0));
             let cell = restored.registry().lds(LdsId(0)).get(0).unwrap().values[1].clone();
             assert_eq!(cell, Some(AttrValue::Int(cites)));
-            assert_eq!(restored.image(0).to_string(), text);
+            assert_eq!(restored.image_text(0), text);
         }
         for bad in [
             "1.5",
@@ -946,5 +1292,468 @@ mod tests {
             let back = recipe_from_json(&Json::parse(&wire).unwrap());
             assert_eq!(back, Ok(recipe), "{wire}");
         }
+    }
+
+    // ---- the streamed image against the tree oracles -------------------
+
+    use moma_core::ops::{MergeFn, MissingPolicy};
+    use moma_model::AttrKind;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// One step of a generated history: a logged write, or a derived
+    /// entry stored straight into the repository (a `union`,
+    /// `intersect` or `merge` recipe, which no command stores).
+    enum Step {
+        Logged(Json),
+        Derive(String, Recipe),
+    }
+
+    /// The schema of every generated source: every attribute kind, one
+    /// attribute name that needs escaping.
+    const SCHEMA: [(&str, AttrKind); 5] = [
+        ("title", AttrKind::Text),
+        ("authors", AttrKind::TextList),
+        ("cites", AttrKind::Int),
+        ("n\u{1}\"é", AttrKind::Real),
+        ("year", AttrKind::Year),
+    ];
+
+    /// Source names, one of them needing escapes; the third is empty at
+    /// boot in half the histories.
+    const PDS: [&str; 3] = ["DBLP", "AC\"M\\é", "GS"];
+
+    const WORDS: [&str; 8] = [
+        "schema", "matching", "cupid", "potter", "wheel", "mapping", "object", "fusion",
+    ];
+
+    /// A short string of what JSON escapes or spans: `"`, `\`, every
+    /// byte below 0x20, 0x7F, `/` and 2- to 4-byte UTF-8.
+    fn hostile(rng: &mut TestRng, len: u64) -> String {
+        (0..1 + rng.below(len))
+            .map(|_| match rng.below(4) {
+                0 => char::from(rng.below(0x20) as u8),
+                1 => ['"', '\\', 'é', '中', '😀', '\u{7f}', '/'][rng.below(7) as usize],
+                _ => char::from(b'a' + rng.below(26) as u8),
+            })
+            .collect()
+    }
+
+    fn title(rng: &mut TestRng) -> String {
+        let words = (0..2 + rng.below(3)).map(|_| match rng.below(5) {
+            0 => hostile(rng, 3),
+            _ => WORDS[rng.below(WORDS.len() as u64) as usize].to_owned(),
+        });
+        words.collect::<Vec<_>>().join(" ")
+    }
+
+    fn value(rng: &mut TestRng, kind: AttrKind) -> Option<AttrValue> {
+        let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
+        Some(match kind {
+            _ if rng.below(6) == 0 => return None,
+            AttrKind::Text => AttrValue::Text(title(rng)),
+            AttrKind::TextList => {
+                AttrValue::TextList((0..rng.below(3)).map(|_| hostile(rng, 6)).collect())
+            }
+            AttrKind::Int => {
+                let edges = [i64::MIN, i64::MAX, -(1 << 53) - 1, 1 << 53, 0, -7];
+                AttrValue::Int(match pick(rng, edges.len() + 1) {
+                    i if i < edges.len() => edges[i],
+                    _ => rng.next_u64() as i64,
+                })
+            }
+            AttrKind::Real => {
+                let edges = [
+                    0.1 + 0.2,
+                    -0.0,
+                    1e300,
+                    5e-324,
+                    9_007_199_254_740_993.0,
+                    -2.5,
+                ];
+                AttrValue::Real(match pick(rng, edges.len() + 1) {
+                    i if i < edges.len() => edges[i],
+                    _ => rng.unit_f64() * 1e6 - 5e5,
+                })
+            }
+            AttrKind::Year => AttrValue::Year(rng.below(3000) as u16),
+        })
+    }
+
+    /// An id unique by its number, whatever its hostile tail.
+    fn fresh_id(rng: &mut TestRng, n: usize) -> String {
+        format!("{n}:{}", hostile(rng, 3))
+    }
+
+    fn lds_name(i: usize) -> String {
+        format!("Publication@{}", PDS[i])
+    }
+
+    /// Histories over a generated registry: matches, composes, installs
+    /// (some with an association type, some empty), deltas that add,
+    /// update and tombstone, and derived entries with recipes.
+    struct Histories;
+
+    impl Strategy for Histories {
+        type Value = (SourceRegistry, Vec<Step>);
+
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let mut reg = SourceRegistry::new();
+            let mut ids: Vec<Vec<String>> = Vec::new();
+            let mut next_id = 0;
+            for (i, pds) in PDS.into_iter().enumerate() {
+                let schema = SCHEMA.iter().map(|(n, k)| AttrDef::new(*n, *k)).collect();
+                let mut lds = LogicalSource::new(pds, ObjectType::new("Publication"), schema);
+                let n = if i == 2 && rng.below(2) == 0 {
+                    0
+                } else {
+                    1 + rng.below(6)
+                };
+                let mut here = Vec::new();
+                for _ in 0..n {
+                    next_id += 1;
+                    let id = fresh_id(rng, next_id);
+                    let values = SCHEMA.iter().map(|(_, k)| value(rng, *k)).collect();
+                    lds.insert(ObjectInstance::with_values(id.clone(), values))
+                        .unwrap();
+                    here.push(id);
+                }
+                ids.push(here);
+                reg.register(lds).unwrap();
+            }
+            let boot: Vec<u32> = ids.iter().map(|v| v.len() as u32).collect();
+            let mut names: Vec<String> = Vec::new();
+            let mut steps = Vec::new();
+            for k in 0..3 + rng.below(10) {
+                let tail = if rng.below(3) == 0 {
+                    hostile(rng, 3)
+                } else {
+                    String::new()
+                };
+                let (d, r) = (rng.below(3) as usize, rng.below(3) as usize);
+                let known = |rng: &mut TestRng, names: &[String]| match names {
+                    [] => "missing".to_owned(),
+                    _ => names[rng.below(names.len() as u64) as usize].clone(),
+                };
+                let step = match rng.below(6) {
+                    0 | 1 => {
+                        let name = format!("m{k}{tail}");
+                        let sim = ["trigram", "trigram", "jaro", "tfidf"][rng.below(4) as usize];
+                        let t = 0.2 + rng.unit_f64() * 0.4;
+                        let (d, r) = (lds_name(d), lds_name(r));
+                        names.push(name.clone());
+                        Step::Logged(protocol::match_request(
+                            &name, &d, &r, "title", "title", sim, t,
+                        ))
+                    }
+                    2 => {
+                        let name = format!("c{k}{tail}");
+                        let (left, right) = (known(rng, &names), known(rng, &names));
+                        let f = ["min", "max", "weighted:0.25"][rng.below(3) as usize];
+                        let g = ["max", "relative-left"][rng.below(2) as usize];
+                        names.push(name.clone());
+                        Step::Logged(protocol::compose_request(&name, &left, &right, f, g))
+                    }
+                    3 => {
+                        let name = format!("i{k}{tail}");
+                        let fits = boot[d] > 0 && boot[r] > 0;
+                        let rows: Vec<(u32, u32, f64)> = (0..if fits { rng.below(5) } else { 0 })
+                            .map(|_| {
+                                let (a, b) = (rng.below(boot[d].into()), rng.below(boot[r].into()));
+                                (a as u32, b as u32, rng.unit_f64())
+                            })
+                            .collect();
+                        let assoc = (rng.below(2) == 0).then(|| hostile(rng, 4));
+                        names.push(name.clone());
+                        let (d, r) = (lds_name(d), lds_name(r));
+                        Step::Logged(protocol::install_request(
+                            &name,
+                            &d,
+                            &r,
+                            &rows,
+                            assoc.as_deref(),
+                        ))
+                    }
+                    4 => {
+                        let ops: Vec<DeltaOp> = (0..1 + rng.below(3))
+                            .map(|_| match rng.below(4) {
+                                0 | 1 => {
+                                    next_id += 1;
+                                    let id = fresh_id(rng, next_id);
+                                    ids[d].push(id.clone());
+                                    let fields = SCHEMA.iter().filter_map(|(n, k)| {
+                                        Some(((*n).to_owned(), value(rng, *k)?))
+                                    });
+                                    DeltaOp::Add {
+                                        id,
+                                        fields: fields.collect(),
+                                    }
+                                }
+                                2 => DeltaOp::Remove {
+                                    id: known(rng, &ids[d]),
+                                },
+                                _ => {
+                                    let (attr, kind) = SCHEMA[rng.below(5) as usize];
+                                    DeltaOp::Update {
+                                        id: known(rng, &ids[d]),
+                                        attr: attr.to_owned(),
+                                        value: value(rng, kind),
+                                    }
+                                }
+                            })
+                            .collect();
+                        Step::Logged(protocol::delta_request(&lds_name(d), &ops))
+                    }
+                    _ => {
+                        let name = format!("d{k}{tail}");
+                        let (left, right) = (known(rng, &names), known(rng, &names));
+                        names.push(name.clone());
+                        let recipe = match rng.below(3) {
+                            0 => Recipe::Union { left, right },
+                            1 => Recipe::Intersect { left, right },
+                            _ => Recipe::Merge {
+                                inputs: vec![left, right],
+                                f: MergeFn::Weighted(vec![0.75, 0.25]),
+                                missing: MissingPolicy::Zero,
+                            },
+                        };
+                        Step::Derive(name, recipe)
+                    }
+                };
+                steps.push(step);
+            }
+            (reg, steps)
+        }
+    }
+
+    /// Run `steps` from a machine over `reg`; the WAL sequence number of
+    /// the last step.
+    fn run(reg: &SourceRegistry, steps: &[Step]) -> (State, u64) {
+        let mut state = State::new(reg.clone(), Parallelism::sequential());
+        for (seq, step) in (1..).zip(steps) {
+            match step {
+                Step::Logged(req) => drop(state.apply(req, Some(seq))),
+                Step::Derive(name, recipe) => {
+                    drop(state.repository.store_derived(name.clone(), recipe.clone()))
+                }
+            }
+        }
+        (state, steps.len() as u64)
+    }
+
+    /// Restore `text` into two machines over `reg`, one by the streamed
+    /// walk, one by the tree oracle: the same outcome — the same
+    /// sequence number and then the same state, or a refusal of the same
+    /// kind. A syntax refusal commits nothing. Returns the walk's outcome.
+    fn agree(reg: &SourceRegistry, text: &str) -> Result<u64, ImageError> {
+        let boot = || State::new(reg.clone(), Parallelism::sequential());
+        let (mut walked, mut built) = (boot(), boot());
+        let (w, b) = (walked.restore(text), built.restore_oracle(text));
+        match (&w, &b) {
+            (Ok(x), Ok(y)) => {
+                assert_eq!(x, y);
+                assert_eq!(walked.image_text(*x), built.image_text(*y), "{text}");
+                assert_eq!(walked.command_counts(), built.command_counts());
+            }
+            (Err(ImageError::Syntax(_)), Err(ImageError::Syntax(_))) => {
+                assert_eq!(walked.image_text(0), boot().image_text(0), "{text}");
+            }
+            (Err(ImageError::Invalid(_)), Err(ImageError::Invalid(_))) => {}
+            _ => panic!("streamed {w:?} but tree {b:?} for {text}"),
+        }
+        w
+    }
+
+    /// Where a value sits in a tree: member or item indices from the root.
+    type Path = Vec<usize>;
+
+    fn paths(j: &Json, at: &mut Path, out: &mut Vec<Path>) {
+        let children: Vec<&Json> = match j {
+            Json::Arr(items) => items.iter().collect(),
+            Json::Obj(members) => members.iter().map(|(_, v)| v).collect(),
+            _ => return,
+        };
+        for (i, child) in children.into_iter().enumerate() {
+            at.push(i);
+            out.push(at.clone());
+            paths(child, at, out);
+            at.pop();
+        }
+    }
+
+    /// The mutations of one value: removed, replaced by a value of each
+    /// type, for an object an extra member and its members reordered,
+    /// and for a member a later duplicate of it (which the tree's `get`
+    /// never reads).
+    const MUTATIONS: usize = 11;
+
+    fn mutate(root: &Json, path: &[usize], how: usize) -> Json {
+        let mut root = root.clone();
+        let (last, parent) = path.split_last().expect("a non-root path");
+        let mut node = &mut root;
+        for &i in parent {
+            node = match node {
+                Json::Arr(items) => &mut items[i],
+                Json::Obj(members) => &mut members[i].1,
+                _ => unreachable!("paths run through containers"),
+            };
+        }
+        let wrong = [
+            Json::Null,
+            Json::Bool(true),
+            Json::Num(1.5),
+            Json::Num(0.0),
+            Json::Str("x".into()),
+            Json::Arr(vec![]),
+            Json::Obj(vec![]),
+        ];
+        let value = match node {
+            Json::Arr(items) if how == 0 => {
+                items.remove(*last);
+                return root;
+            }
+            Json::Obj(members) if how == 0 => {
+                members.remove(*last);
+                return root;
+            }
+            Json::Obj(members) if how == 10 => {
+                members.push((members[*last].0.clone(), Json::Str("later".into())));
+                return root;
+            }
+            Json::Arr(items) => &mut items[*last],
+            Json::Obj(members) => &mut members[*last].1,
+            _ => unreachable!("paths run through containers"),
+        };
+        match (how, value) {
+            (1..=7, value) => *value = wrong[how - 1].clone(),
+            (8, Json::Obj(members)) => members.push(("extra".into(), Json::Num(1.0))),
+            (9, Json::Obj(members)) => members.reverse(),
+            _ => {}
+        }
+        root
+    }
+
+    /// The byte offsets of every structural character outside strings.
+    fn boundaries(text: &str) -> Vec<usize> {
+        let (mut inside, mut escaped, mut out) = (false, false, Vec::new());
+        for (i, b) in text.bytes().enumerate() {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' if inside => escaped = true,
+                b'"' => inside = !inside,
+                b',' | b':' | b'{' | b'}' | b'[' | b']' if !inside => out.push(i),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// The writer, at every step of a generated history, writes the
+        /// bytes the tree image encodes to.
+        #[test]
+        fn the_streamed_image_is_the_tree_image(history in Histories) {
+            let (reg, steps) = history;
+            for cut in 0..=steps.len() {
+                let (state, seq) = run(&reg, &steps[..cut]);
+                prop_assert_eq!(state.image_text(seq), state.image(seq).to_string());
+            }
+        }
+
+        /// The walk restores what the tree restore restores — the image
+        /// of a generated history, and that image mutated: a value
+        /// removed or of the wrong type, members added, reordered or
+        /// repeated, one byte changed, the text truncated.
+        #[test]
+        fn the_streamed_restore_is_the_tree_restore(history in Histories, picks in prop::collection::vec(0u64..u64::MAX, 24..25)) {
+            let (reg, steps) = history;
+            let (state, seq) = run(&reg, &steps);
+            let text = state.image_text(seq);
+            prop_assert_eq!(agree(&reg, &text), Ok(seq));
+            let tree = Json::parse(&text).unwrap();
+            let mut all = Vec::new();
+            paths(&tree, &mut Vec::new(), &mut all);
+            let cuts = boundaries(&text);
+            for (i, pick) in picks.into_iter().enumerate() {
+                match i % 4 {
+                    3 => drop(agree(&reg, &text[..cuts[pick as usize % cuts.len()]])),
+                    2 => {
+                        // One ASCII byte turned into another: a control
+                        // character, a quote, a backslash or a bracket
+                        // anywhere, inside a string or out.
+                        let mut bytes = text.clone().into_bytes();
+                        let at = pick as usize % bytes.len();
+                        if bytes[at].is_ascii() {
+                            bytes[at] = [0x01, b'"', b'\\', b'[', b'}', b'x'][(pick >> 32) as usize % 6];
+                        }
+                        drop(agree(&reg, &String::from_utf8(bytes).unwrap()));
+                    }
+                    _ => {
+                        let path = &all[pick as usize % all.len()];
+                        let how = (pick >> 32) as usize % MUTATIONS;
+                        drop(agree(&reg, &mutate(&tree, path, how).to_string()));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A fixed history's image, every mutation of every value, and a
+    /// truncation at every member boundary: the walk and the tree agree
+    /// on each. So does an image with a pre-shard counter object (no
+    /// `repl_delta`), which restores with no replicas counted.
+    #[test]
+    fn every_mutation_of_an_image_restores_as_the_tree_restores() {
+        let mut live = machine();
+        for (i, req) in [
+            match_cmd("m1", "Publication@DBLP", "Publication@ACM"),
+            match_cmd("m2", "Publication@ACM", "Publication@GS"),
+            add("g9", "The a1 system paper"),
+            protocol::compose_request("c", "m1", "m2", "weighted:0.25", "relative-left"),
+            protocol::delta_request("Publication@GS", &[DeltaOp::Remove { id: "g1".into() }]),
+        ]
+        .iter()
+        .enumerate()
+        {
+            assert!(ok(&live.apply(req, Some(i as u64 + 1))));
+        }
+        let text = live.image_text(5);
+        let reg = registry(3);
+        assert_eq!(agree(&reg, &text), Ok(5));
+        assert_eq!(agree(&reg, &format!(" \n{text}\t ")), Ok(5));
+        assert!(matches!(
+            agree(&reg, &format!("{text} x")),
+            Err(ImageError::Syntax(_))
+        ));
+        let tree = Json::parse(&text).unwrap();
+        let mut all = Vec::new();
+        paths(&tree, &mut Vec::new(), &mut all);
+        let mut kinds = [0usize; 3];
+        for path in &all {
+            for how in 0..MUTATIONS {
+                let outcome = agree(&reg, &mutate(&tree, path, how).to_string());
+                kinds[match outcome {
+                    Ok(_) => 0,
+                    Err(ImageError::Syntax(_)) => 1,
+                    Err(ImageError::Invalid(_)) => 2,
+                }] += 1;
+            }
+        }
+        assert!(kinds[0] > 0 && kinds[2] > 0, "{kinds:?}");
+        for cut in boundaries(&text) {
+            for end in [cut, cut + 1] {
+                if end < text.len() {
+                    let outcome = agree(&reg, &text[..end]);
+                    assert!(matches!(outcome, Err(ImageError::Syntax(_))), "{end}");
+                }
+            }
+        }
+
+        let old = text.replacen(r#","repl_delta":0}"#, "}", 1);
+        assert_ne!(old, text);
+        let mut restored = machine();
+        assert_eq!(agree(&reg, &old), Ok(5));
+        assert_eq!(restored.restore(&old), Ok(5));
+        assert_eq!(restored.image_text(5), text);
     }
 }

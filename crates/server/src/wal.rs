@@ -97,6 +97,11 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 8 << 20;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_extend(0, data)
+}
+
+/// The CRC-32 of the bytes `crc` was taken of, followed by `data`.
+pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut t = [0u32; 256];
@@ -113,7 +118,7 @@ pub fn crc32(data: &[u8]) -> u32 {
         }
         t
     });
-    let mut crc = !0u32;
+    let mut crc = !crc;
     for &b in data {
         crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
@@ -751,6 +756,10 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        for cut in 0..=9 {
+            let (head, tail) = b"123456789".split_at(cut);
+            assert_eq!(crc32_extend(crc32(head), tail), 0xCBF4_3926);
+        }
     }
 
     #[test]

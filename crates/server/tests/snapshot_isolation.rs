@@ -4,7 +4,7 @@
 //! across later deltas keeps its pre-delta contents and version stamps.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Barrier, RwLock};
 
 use moma_core::exec::Parallelism;
 use moma_model::{AttrDef, AttrValue, DeltaOp, LogicalSource, ObjectType, SourceRegistry};
@@ -84,17 +84,25 @@ fn snapshot_mid_delta_sees_pre_or_post_delta_versions_never_a_mix() {
         .unwrap()
         .version;
     let done = Arc::new(AtomicBool::new(false));
+    // The writer starts once every reader holds its first snapshot, so
+    // the 25 deltas cannot all land before a reader gets the read lock.
+    const READERS: usize = 4;
+    let started = Arc::new(Barrier::new(READERS + 1));
 
     let mut readers = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..READERS {
         let engine = Arc::clone(&engine);
         let done = Arc::clone(&done);
+        let started = Arc::clone(&started);
         readers.push(std::thread::spawn(move || {
             let mut last_seen: Vec<(String, u64)> = Vec::new();
             let mut snapshots = 0usize;
             while !done.load(Ordering::Relaxed) {
                 let snap = engine.read().expect("lock").snapshot();
                 snapshots += 1;
+                if snapshots == 1 {
+                    started.wait();
+                }
                 let version_of = |name: &str| {
                     snap.iter()
                         .find(|e| e.name == name)
@@ -127,6 +135,7 @@ fn snapshot_mid_delta_sees_pre_or_post_delta_versions_never_a_mix() {
         }));
     }
 
+    started.wait();
     for i in 0..25 {
         let resp = engine.write().expect("lock").execute(&gs_add(i));
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
