@@ -83,12 +83,15 @@
 //! always tombstone-exact. [`TrigramIndex`], [`ThresholdIndex`] and
 //! [`TfIdfIndex`] are built once and only probed.
 
+use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::str::FromStr;
 
 use moma_simstring::bounds::{qgram_measure_of, QgramMeasure};
 use moma_simstring::tokenize::UNKNOWN_GRAM;
 use moma_simstring::{wbounds, GramDict};
 use moma_table::exec::Parallelism;
+use moma_table::names::{parse_name, print_name};
 use moma_table::{GramIndex, ProbeScratch};
 
 use crate::matchers::MatcherSim;
@@ -627,15 +630,29 @@ impl Blocking {
         }
     }
 
-    /// Parse a CLI/config name. Accepted (case-insensitive):
-    /// `all-pairs`/`allpairs`, `trigram-prefix`/`prefix`, `threshold`.
-    pub fn parse(name: &str) -> Option<Blocking> {
-        match name.to_ascii_lowercase().as_str() {
-            "all-pairs" | "allpairs" => Some(Blocking::AllPairs),
-            "trigram-prefix" | "trigramprefix" | "prefix" => Some(Blocking::TrigramPrefix),
-            "threshold" => Some(Blocking::Threshold),
-            _ => None,
-        }
+    /// Accepted spellings (see [`crate::ops`]): what a logged `match`
+    /// request's `blocking` field may carry.
+    pub const NAMES: &'static [(&'static str, Blocking)] = &[
+        ("all-pairs", Blocking::AllPairs),
+        ("allpairs", Blocking::AllPairs),
+        ("trigram-prefix", Blocking::TrigramPrefix),
+        ("trigramprefix", Blocking::TrigramPrefix),
+        ("prefix", Blocking::TrigramPrefix),
+        ("threshold", Blocking::Threshold),
+    ];
+}
+
+impl FromStr for Blocking {
+    type Err = String;
+
+    fn from_str(s: &str) -> std::result::Result<Self, String> {
+        parse_name(Self::NAMES, &[], "blocking", s)
+    }
+}
+
+impl fmt::Display for Blocking {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(print_name(Self::NAMES, self))
     }
 }
 
@@ -931,10 +948,14 @@ mod threshold_tests {
         assert_eq!(auto(SimFn::QgramJaccard(2)), Blocking::Threshold);
         assert_eq!(auto(SimFn::Jaro), Blocking::TrigramPrefix);
         assert_eq!(Blocking::auto_for(&MatcherSim::TfIdf), Blocking::Threshold);
-        assert_eq!(Blocking::parse("threshold"), Some(Blocking::Threshold));
-        assert_eq!(Blocking::parse("ALL-PAIRS"), Some(Blocking::AllPairs));
-        assert_eq!(Blocking::parse("prefix"), Some(Blocking::TrigramPrefix));
-        assert_eq!(Blocking::parse("nope"), None);
+        assert_eq!("threshold".parse(), Ok(Blocking::Threshold));
+        assert_eq!("ALL-PAIRS".parse(), Ok(Blocking::AllPairs));
+        assert_eq!("prefix".parse(), Ok(Blocking::TrigramPrefix));
+        let refused = "nope".parse::<Blocking>().unwrap_err();
+        assert_eq!(
+            refused,
+            "unknown blocking `nope` (all-pairs/trigram-prefix/threshold)"
+        );
     }
 }
 

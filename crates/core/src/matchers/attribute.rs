@@ -29,7 +29,8 @@ use crate::matchers::{check_threshold, MatchContext, Matcher};
 
 /// Similarity configuration of an attribute matcher — the one spelling
 /// every front end (wire, script, eval) parses a matcher's measure with:
-/// every [`SimFn::parse`] name, plus `tfidf` (case-insensitive).
+/// every [`SimFn`] name (its `NAMES` and forms), plus `tfidf`
+/// (case-insensitive).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatcherSim {
     /// A fixed similarity function.
@@ -52,16 +53,20 @@ impl FromStr for MatcherSim {
         if s.eq_ignore_ascii_case("tfidf") {
             return Ok(MatcherSim::TfIdf);
         }
-        SimFn::parse(s)
+        // The refusal lists what `SimFn` accepts, and `tfidf`.
+        s.parse()
             .map(MatcherSim::Fixed)
-            .ok_or_else(|| format!("unknown similarity `{s}`"))
+            .map_err(|e: String| match e.strip_suffix(')') {
+                Some(listed) => format!("{listed}/tfidf)"),
+                None => e,
+            })
     }
 }
 
 impl fmt::Display for MatcherSim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MatcherSim::Fixed(sim) => f.write_str(&sim.name()),
+            MatcherSim::Fixed(sim) => sim.fmt(f),
             MatcherSim::TfIdf => f.write_str("tfidf"),
         }
     }
@@ -561,12 +566,7 @@ mod tests {
                     .with_blocking(Blocking::AllPairs)
                     .execute(&ctx, d, a)
                     .unwrap();
-                assert_eq!(
-                    exact.table.rows(),
-                    all.table.rows(),
-                    "sim={} t={t}",
-                    sim.name()
-                );
+                assert_eq!(exact.table.rows(), all.table.rows(), "sim={sim} t={t}");
             }
         }
     }
@@ -725,9 +725,12 @@ mod tests {
         }
         assert_eq!("TfIdf".parse(), Ok(MatcherSim::TfIdf));
         assert_eq!("NGRAM".parse(), Ok(MatcherSim::Fixed(SimFn::Trigram)));
-        for bad in ["nosuch", "qgram:0", "year:x"] {
+        let accepted = "trigram/levenshtein/jaro/jarowinkler/tokenjaccard/affix/personname/\
+                        qgram:Q≤16/qgramdice:Q≤16/qgramjaccard:Q≤16/qgramcosine:Q≤16/\
+                        qgramoverlap:Q≤16/year[:W]/tfidf";
+        for bad in ["nosuch", "qgram:0", "year:x", "qgram:17"] {
             let err = bad.parse::<MatcherSim>().unwrap_err();
-            assert_eq!(err, format!("unknown similarity `{bad}`"));
+            assert_eq!(err, format!("unknown similarity `{bad}` ({accepted})"));
         }
     }
 

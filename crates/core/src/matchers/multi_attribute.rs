@@ -292,7 +292,7 @@ impl Matcher for MultiAttributeMatcher {
         let attrs: Vec<String> = self
             .attrs
             .iter()
-            .map(|p| format!("{}~{}:{}", p.domain_attr, p.range_attr, p.sim.name()))
+            .map(|p| format!("{}~{}:{}", p.domain_attr, p.range_attr, p.sim))
             .collect();
         format!("multiAttrMatch([{}], {})", attrs.join(", "), self.threshold)
     }

@@ -27,12 +27,12 @@ use std::fmt;
 use std::str::FromStr;
 
 use moma_table::agg::PathStats;
+use moma_table::names::{name_param, parse_name, print_name};
 use moma_table::{Adjacency, FxHashMap, MappingTable};
 
 use crate::error::{CoreError, Result};
 use crate::exec::Parallelism;
 use crate::mapping::{Mapping, MappingKind};
-use crate::ops::{name_param, parse_name, print_name};
 
 /// Per-path combination function `f` over `(s1, s2)` (same menu as merge).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -11,11 +11,11 @@ use std::fmt;
 use std::str::FromStr;
 
 use moma_table::agg::cogroup;
+use moma_table::names::{name_param, parse_name, print_name};
 use moma_table::MappingTable;
 
 use crate::error::{CoreError, Result};
 use crate::mapping::{Mapping, MappingKind};
-use crate::ops::{name_param, parse_name, print_name};
 
 /// Combination function for merge (paper: Avg / Min / Max / Weighted /
 /// PreferMap).

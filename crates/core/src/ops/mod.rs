@@ -11,10 +11,14 @@
 //!
 //! Every operator parameter a script, a serve request, a WAL record or
 //! a checkpoint can name — [`PathCombine`], [`PathAgg`], [`MergeFn`],
-//! [`MissingPolicy`], [`Side`] — is parsed (`FromStr`, ignoring ASCII
-//! case) and printed (`Display`) by its own type, from that type's
-//! `NAMES` table of accepted spellings. A value's first spelling is the
-//! canonical one: what `Display` prints and what durable records carry.
+//! [`MissingPolicy`], [`Side`] — and so every matcher parameter — the
+//! measure ([`moma_simstring::SimFn`], inside
+//! [`MatcherSim`](crate::matchers::attribute::MatcherSim)) and the plan
+//! ([`Blocking`](crate::blocking::Blocking)) — is parsed (`FromStr`,
+//! ignoring ASCII case) and printed (`Display`) by its own type, from
+//! that type's `NAMES` table of accepted spellings, through the helpers
+//! of [`moma_table::names`]. A value's first spelling is the canonical
+//! one: what `Display` prints and what durable records carry.
 
 pub mod compose;
 pub mod merge;
@@ -25,40 +29,6 @@ pub use compose::{compose, PathAgg, PathCombine};
 pub use merge::{merge, MergeFn, MissingPolicy};
 pub use select::{select, select_constraint, Selection, Side};
 pub use setops::{difference, intersection, union};
-
-/// The value `s` spells in a `NAMES` table (ASCII case ignored), or the
-/// `unknown …` error listing the canonical names and the parameterized
-/// `forms` (`weighted:W`, …) beside them.
-pub(crate) fn parse_name<T: Clone + PartialEq>(
-    names: &[(&str, T)],
-    forms: &[&str],
-    what: &str,
-    s: &str,
-) -> Result<T, String> {
-    if let Some((_, v)) = names.iter().find(|(n, _)| n.eq_ignore_ascii_case(s)) {
-        return Ok(v.clone());
-    }
-    let canonical = names
-        .iter()
-        .enumerate()
-        .filter(|(i, (_, v))| names[..*i].iter().all(|(_, earlier)| earlier != v))
-        .map(|(_, (n, _))| *n);
-    let expected: Vec<&str> = canonical.chain(forms.iter().copied()).collect();
-    Err(format!("unknown {what} `{s}` ({})", expected.join("/")))
-}
-
-/// The canonical (first) spelling of `v` in a `NAMES` table.
-pub(crate) fn print_name<T: PartialEq>(names: &[(&'static str, T)], v: &T) -> &'static str {
-    let hit = names.iter().find(|(_, named)| named == v);
-    hit.expect("every unit value has a spelling").0
-}
-
-/// The `V` of a parameterized `key:V` spelling (key matched ignoring
-/// ASCII case).
-pub(crate) fn name_param<'s>(s: &'s str, key: &str) -> Option<&'s str> {
-    let (k, v) = s.split_once(':')?;
-    k.eq_ignore_ascii_case(key).then_some(v)
-}
 
 #[cfg(test)]
 mod tests {
@@ -76,6 +46,15 @@ mod tests {
         })
     }
 
+    /// `text` upper-cased (ASCII) wherever `mask` says.
+    fn flip_case(text: &str, mask: u64) -> String {
+        let flip = |(i, c): (usize, char)| match mask >> (i % 64) & 1 {
+            1 => c.to_ascii_uppercase(),
+            _ => c,
+        };
+        text.chars().enumerate().map(flip).collect()
+    }
+
     /// `parse(print(x)) == x`, also with the printed name's ASCII case
     /// flipped wherever `mask` says.
     fn round_trips<T>(x: T, mask: u64) -> Result<(), String>
@@ -83,14 +62,7 @@ mod tests {
         T: FromStr<Err = String> + Display + PartialEq + Debug,
     {
         let printed = x.to_string();
-        let flipped: String = printed
-            .chars()
-            .enumerate()
-            .map(|(i, c)| match mask >> (i % 64) & 1 {
-                1 => c.to_ascii_uppercase(),
-                _ => c,
-            })
-            .collect();
+        let flipped = flip_case(&printed, mask);
         for text in [printed, flipped] {
             let back = text.parse::<T>()?;
             if back != x {
@@ -136,6 +108,17 @@ mod tests {
         fn side_round_trips(pick in 0usize..3, mask in 0u64..u64::MAX) {
             let all = [Side::Domain, Side::Range, Side::Both];
             prop_assert_eq!(round_trips(all[pick], mask), Ok(()));
+        }
+
+        /// Every spelling a logged `match` may carry in `blocking`, in
+        /// any ASCII case, names its plan, and the plan's printed name
+        /// parses back to it.
+        #[test]
+        fn blocking_round_trips(pick in 0usize..6, mask in 0u64..u64::MAX) {
+            use crate::blocking::Blocking;
+            let (spelling, plan) = Blocking::NAMES[pick];
+            prop_assert_eq!(flip_case(spelling, mask).parse::<Blocking>(), Ok(plan));
+            prop_assert_eq!(round_trips(plan, mask), Ok(()));
         }
     }
 

@@ -13,10 +13,10 @@
 use std::fmt;
 use std::str::FromStr;
 
+use moma_table::names::{parse_name, print_name};
 use moma_table::{Correspondence, MappingTable};
 
 use crate::mapping::Mapping;
-use crate::ops::{parse_name, print_name};
 
 /// Which side Best-n / Best-1+Delta operates on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

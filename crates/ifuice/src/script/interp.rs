@@ -486,8 +486,9 @@ impl<'a> Interpreter<'a> {
                 },
                 None => (rest, 1.0),
             };
-            let sim = SimFn::parse(sim_name)
-                .ok_or_else(|| rt(format!("unknown similarity function `{sim_name}`")))?;
+            let sim: SimFn = sim_name
+                .parse()
+                .map_err(|_| rt(format!("unknown similarity function `{sim_name}`")))?;
             pairs.push(AttrPair::new(
                 da.trim_matches(['[', ']']),
                 ra.trim_matches(['[', ']']),

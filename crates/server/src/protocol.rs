@@ -105,9 +105,11 @@
 //!
 //! ## Accepted names
 //!
-//! A field that names an operator function or an attribute kind is
-//! parsed — ignoring ASCII case — and printed by the type it names
-//! (`moma_core::ops`, `moma_model::AttrKind`): the same `NAMES` tables
+//! A field that names a matcher's measure or plan, an operator function
+//! or an attribute kind is parsed — ignoring ASCII case — and printed by
+//! the type it names (`moma_core::matchers::MatcherSim` over
+//! `moma_simstring::SimFn`, `moma_core::blocking::Blocking`,
+//! `moma_core::ops`, `moma_model::AttrKind`): the same `NAMES` tables
 //! iFuice scripts and TSV headers go through, rendered here (a test
 //! below fails when they drift). A value's first spelling is the
 //! canonical one, which is what replies, WAL records and checkpoints
@@ -115,6 +117,8 @@
 //!
 //! | field | type | accepted names |
 //! |---|---|---|
+//! | `match` `sim` | `MatcherSim` | `trigram` = `ngram`, `levenshtein` = `editdistance`, `jaro`, `jarowinkler`, `tokenjaccard` = `jaccard`, `affix`, `personname` = `name`, `qgram:Q≤16`, `qgramdice:Q≤16`, `qgramjaccard:Q≤16`, `qgramcosine:Q≤16`, `qgramoverlap:Q≤16`, `year[:W]`, `tfidf` |
+//! | `match` `blocking` | `Blocking` | `all-pairs` = `allpairs`, `trigram-prefix` = `trigramprefix` = `prefix`, `threshold` |
 //! | `compose` / recipe `f` | `PathCombine` | `avg` = `average`, `min`, `max`, `product`, `weighted:W` |
 //! | `compose` / recipe `g` | `PathAgg` | `avg` = `average`, `min`, `max`, `relative`, `relative-left` = `relativeleft`, `relative-right` = `relativeright` |
 //! | `merge` recipe `f` | `MergeFn` | `avg` = `average`, `min`, `max`, `weighted:W1,W2,…`, `prefer:I` |
@@ -495,12 +499,16 @@ pub fn dump_request(dir: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moma_core::blocking::Blocking;
+    use moma_core::matchers::MatcherSim;
     use moma_core::ops::{MergeFn, MissingPolicy};
+    use moma_simstring::SimFn;
 
     /// One cell of the accepted-names table: the spellings of a `NAMES`
-    /// table grouped by value (`a` = `b`), then the parameterized forms
-    /// the type's `unknown …` error lists beside them.
-    fn names_cell<T: PartialEq>(names: &[(&str, T)], unknown: Result<T, String>) -> String {
+    /// table grouped by value (`a` = `b`), then what else the type's
+    /// `unknown …` error lists beside them (parameterized forms, and
+    /// `tfidf` beside the `SimFn` names).
+    fn names_cell<T: PartialEq, U>(names: &[(&str, T)], unknown: Result<U, String>) -> String {
         let mut groups: Vec<(&T, Vec<String>)> = Vec::new();
         for (name, value) in names {
             let spelled = format!("`{name}`");
@@ -513,7 +521,8 @@ mod tests {
         let error = unknown.err().expect("`?` names nothing");
         let listed = error.split_once('(').map_or("", |(_, list)| list);
         let listed = listed.trim_end_matches(')').split('/');
-        let forms = listed.filter(|entry| entry.contains(':'));
+        let unnamed = |entry: &&str| names.iter().all(|(name, _)| name != entry);
+        let forms = listed.filter(|entry| !entry.is_empty()).filter(unnamed);
         cells.extend(forms.map(|form| format!("`{form}`")));
         cells.join(", ")
     }
@@ -523,14 +532,34 @@ mod tests {
     #[test]
     fn docs_list_the_accepted_names() {
         let expect = [
-            ("PathCombine", names_cell(PathCombine::NAMES, "?".parse())),
-            ("PathAgg", names_cell(PathAgg::NAMES, "?".parse())),
-            ("MergeFn", names_cell(MergeFn::NAMES, "?".parse())),
+            (
+                "MatcherSim",
+                names_cell(SimFn::NAMES, "?".parse::<MatcherSim>()),
+            ),
+            (
+                "Blocking",
+                names_cell(Blocking::NAMES, "?".parse::<Blocking>()),
+            ),
+            (
+                "PathCombine",
+                names_cell(PathCombine::NAMES, "?".parse::<PathCombine>()),
+            ),
+            (
+                "PathAgg",
+                names_cell(PathAgg::NAMES, "?".parse::<PathAgg>()),
+            ),
+            (
+                "MergeFn",
+                names_cell(MergeFn::NAMES, "?".parse::<MergeFn>()),
+            ),
             (
                 "MissingPolicy",
-                names_cell(MissingPolicy::NAMES, "?".parse()),
+                names_cell(MissingPolicy::NAMES, "?".parse::<MissingPolicy>()),
             ),
-            ("AttrKind", names_cell(AttrKind::NAMES, "?".parse())),
+            (
+                "AttrKind",
+                names_cell(AttrKind::NAMES, "?".parse::<AttrKind>()),
+            ),
         ];
         let docs: Vec<&str> = include_str!("protocol.rs")
             .lines()

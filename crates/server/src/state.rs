@@ -38,11 +38,11 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
-use moma_core::blocking::Blocking;
 use moma_core::exec::Parallelism;
 use moma_core::matchers::{AttributeMatcher, MatchContext, MatcherSim};
 use moma_core::{DeltaMatchState, Mapping, MappingKind, MappingRepository, Recipe};
 use moma_model::{AttrDef, LdsId, LogicalSource, ObjectInstance, ObjectType, SourceRegistry};
+use moma_simstring::SimFn;
 use moma_table::MappingTable;
 
 use crate::commands::{self, Cmd, Command};
@@ -194,11 +194,13 @@ impl State {
         let threshold = req.num_field("threshold").unwrap_or(0.7);
         let d = self.resolve("domain", domain)?;
         let r = self.resolve("range", range)?;
-        let sim: MatcherSim = req.str_field("sim").unwrap_or("trigram").parse()?;
+        let sim = match req.str_field("sim") {
+            Some(name) => name.parse()?,
+            None => MatcherSim::Fixed(SimFn::Trigram),
+        };
         let mut matcher = AttributeMatcher::new(domain_attr, range_attr, sim, threshold);
         if let Some(b) = req.str_field("blocking") {
-            matcher.blocking =
-                Blocking::parse(b).ok_or_else(|| format!("unknown blocking `{b}`"))?;
+            matcher.blocking = b.parse()?;
         }
         Ok((matcher, d, r))
     }

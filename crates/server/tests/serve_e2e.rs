@@ -940,3 +940,49 @@ fn command_table_is_total() {
         .expect("the expected-list");
     assert_eq!(listed.split('/').collect::<Vec<_>>(), wire);
 }
+
+/// A `match` naming a gram length past `SimFn::MAX_GRAM_LENGTH` is an
+/// ordinary failed command: the reply names the maximum, the connection
+/// serves its next request, the record is logged and counted, and replay
+/// fails it again. Before the maximum, `qgram:1000000` was accepted and
+/// padded every value with ~2 million chars — one request could exhaust
+/// the server's memory, and `--replay` repeated it.
+#[test]
+fn a_gram_length_past_the_maximum_is_refused_and_replays_as_a_failure() {
+    let work = tmp_dir("qmax");
+    let wal_dir = work.join("wal");
+    let handle = spawn(engine(Some(&wal_dir)), "127.0.0.1:0").expect("spawn");
+    let mut c =
+        Client::connect_retry(&handle.addr.to_string(), Duration::from_secs(5)).expect("connect");
+    let (d, r) = ("Publication@DBLP", "Publication@ACM");
+    let huge = protocol::match_request("huge", d, r, "title", "title", "qgram:1000000", 0.5);
+    let reply = c.call(&huge).expect("transport ok");
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{reply}"
+    );
+    let error = reply.str_field("error").unwrap_or_default();
+    let max = moma_simstring::SimFn::MAX_GRAM_LENGTH;
+    assert!(
+        error.starts_with("unknown similarity `qgram:1000000` (")
+            && error.contains(&format!("qgram:Q≤{max}")),
+        "{error}"
+    );
+    c.call_ok(&script()[0]).expect("the next request is served");
+    let stats = c.call_ok(&protocol::bare_request("stats")).expect("stats");
+    let commands = stats.get("commands").expect("commands");
+    assert_eq!(commands.num_field("match"), Some(2.0), "{stats}");
+    c.call_ok(&protocol::bare_request("shutdown"))
+        .expect("shutdown");
+    handle.stop();
+
+    let mut replayed = Engine::new(scenario_registry(), Parallelism::sequential());
+    let summary = replayed
+        .recover(&wal_dir, DurabilityPolicy::default())
+        .expect("replay");
+    assert_eq!(summary.replayed, 2);
+    assert_eq!(summary.failed, 1, "the refused match fails again");
+    assert_eq!(replayed.wal_seq(), 2);
+    let _ = fs::remove_dir_all(&work);
+}

@@ -113,16 +113,6 @@ impl QgramMeasure {
             QgramMeasure::Overlap => c / x.min(y),
         }
     }
-
-    /// Short name (for reports and bench output).
-    pub fn name(self) -> &'static str {
-        match self {
-            QgramMeasure::Dice => "dice",
-            QgramMeasure::Jaccard => "jaccard",
-            QgramMeasure::Cosine => "cosine",
-            QgramMeasure::Overlap => "overlap",
-        }
-    }
 }
 
 /// The `(measure, q)` pair a similarity function scores with, when it is
@@ -226,7 +216,7 @@ mod tests {
         // Degenerate q is rejected rather than handed exact bounds.
         assert_eq!(qgram_measure_of(&SimFn::QgramDice(0)), None);
         for f in [SimFn::Jaro, SimFn::Levenshtein, SimFn::TokenJaccard] {
-            assert_eq!(qgram_measure_of(&f), None, "{}", f.name());
+            assert_eq!(qgram_measure_of(&f), None, "{f}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Edit-distance measures: Levenshtein and Damerau–Levenshtein.
+//! Edit distance: Levenshtein and its normalized similarity.
 
 /// Levenshtein distance (unit costs) between two strings, by characters.
 ///
@@ -31,41 +31,6 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     prev[short.len()]
 }
 
-/// Damerau–Levenshtein distance (optimal string alignment variant, i.e.
-/// adjacent transpositions count 1 but no substring is edited twice).
-pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (n, m) = (a.len(), b.len());
-    if n == 0 {
-        return m;
-    }
-    if m == 0 {
-        return n;
-    }
-    let w = m + 1;
-    let mut d = vec![0usize; (n + 1) * w];
-    for i in 0..=n {
-        d[i * w] = i;
-    }
-    for (j, cell) in d.iter_mut().enumerate().take(m + 1) {
-        *cell = j;
-    }
-    for i in 1..=n {
-        for j in 1..=m {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            let mut best = (d[(i - 1) * w + j] + 1)
-                .min(d[i * w + j - 1] + 1)
-                .min(d[(i - 1) * w + j - 1] + cost);
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(d[(i - 2) * w + j - 2] + 1);
-            }
-            d[i * w + j] = best;
-        }
-    }
-    d[n * w + m]
-}
-
 /// Normalized Levenshtein similarity: `1 - dist / max_len` (1 for two
 /// empty strings).
 pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
@@ -74,15 +39,6 @@ pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
         return 1.0;
     }
     1.0 - levenshtein(a, b) as f64 / max as f64
-}
-
-/// Normalized Damerau–Levenshtein similarity.
-pub fn damerau_sim(a: &str, b: &str) -> f64 {
-    let max = a.chars().count().max(b.chars().count());
-    if max == 0 {
-        return 1.0;
-    }
-    1.0 - damerau_levenshtein(a, b) as f64 / max as f64
 }
 
 #[cfg(test)]
@@ -101,9 +57,6 @@ mod tests {
     #[test]
     fn transpositions() {
         assert_eq!(levenshtein("ca", "ac"), 2);
-        assert_eq!(damerau_levenshtein("ca", "ac"), 1);
-        assert_eq!(damerau_levenshtein("schema", "shcema"), 1);
-        assert_eq!(damerau_levenshtein("abc", "abc"), 0);
     }
 
     #[test]
@@ -116,21 +69,8 @@ mod tests {
     }
 
     #[test]
-    fn damerau_never_exceeds_levenshtein() {
-        for (a, b) in [
-            ("ca", "ac"),
-            ("hello", "hlelo"),
-            ("x", "yx"),
-            ("abcd", "badc"),
-        ] {
-            assert!(damerau_levenshtein(a, b) <= levenshtein(a, b));
-        }
-    }
-
-    #[test]
     fn unicode_chars_counted_once() {
         assert_eq!(levenshtein("café", "cafe"), 1);
-        assert_eq!(damerau_levenshtein("naïve", "naive"), 1);
     }
 }
 
@@ -143,7 +83,6 @@ mod prop_tests {
         #[test]
         fn symmetry(a in "[a-z]{0,12}", b in "[a-z]{0,12}") {
             prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
-            prop_assert_eq!(damerau_levenshtein(&a, &b), damerau_levenshtein(&b, &a));
         }
 
         #[test]
@@ -164,8 +103,6 @@ mod prop_tests {
         fn sim_in_range(a in "[a-z]{0,12}", b in "[a-z]{0,12}") {
             let s = levenshtein_sim(&a, &b);
             prop_assert!((0.0..=1.0).contains(&s));
-            let d = damerau_sim(&a, &b);
-            prop_assert!((0.0..=1.0).contains(&d));
         }
     }
 }

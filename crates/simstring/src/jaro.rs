@@ -1,9 +1,10 @@
 //! Jaro and Jaro–Winkler similarity — strong for short person names.
 //!
 //! The kernels ([`jaro_chars`], [`jaro_winkler_chars`]) work on `&[char]`
-//! so a caller that scores one value many times decodes it once; when
-//! both values have at most 64 chars — every name and most titles — the
-//! per-side "already matched" flags are one `u64` each and a call
+//! so a caller that scores one value many times decodes it once
+//! (`SimFn::Jaro` / `SimFn::JaroWinkler` prepare the normalized chars);
+//! when both values have at most 64 chars — every name and most titles —
+//! the per-side "already matched" flags are one `u64` each and a call
 //! allocates nothing. Longer values take the same steps over `Vec<bool>`
 //! flags.
 
@@ -83,24 +84,21 @@ pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
     (j + prefix * 0.1 * (1.0 - j)).min(1.0)
 }
 
-fn chars(s: &str) -> Vec<char> {
-    s.chars().collect()
-}
-
-/// Jaro similarity between two strings.
-pub fn jaro(a: &str, b: &str) -> f64 {
-    jaro_chars(&chars(a), &chars(b))
-}
-
-/// Jaro–Winkler similarity between two strings (see
-/// [`jaro_winkler_chars`]).
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    jaro_winkler_chars(&chars(a), &chars(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn chars(s: &str) -> Vec<char> {
+        s.chars().collect()
+    }
+
+    pub(super) fn j(a: &str, b: &str) -> f64 {
+        jaro_chars(&chars(a), &chars(b))
+    }
+
+    pub(super) fn jw(a: &str, b: &str) -> f64 {
+        jaro_winkler_chars(&chars(a), &chars(b))
+    }
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-3
@@ -108,25 +106,24 @@ mod tests {
 
     #[test]
     fn textbook_values() {
-        assert!(close(jaro("MARTHA", "MARHTA"), 0.944));
-        assert!(close(jaro("DIXON", "DICKSONX"), 0.767));
-        assert!(close(jaro("JELLYFISH", "SMELLYFISH"), 0.896));
+        assert!(close(j("MARTHA", "MARHTA"), 0.944));
+        assert!(close(j("DIXON", "DICKSONX"), 0.767));
+        assert!(close(j("JELLYFISH", "SMELLYFISH"), 0.896));
     }
 
     #[test]
     fn winkler_boosts_common_prefix() {
-        let j = jaro("MARTHA", "MARHTA");
-        let jw = jaro_winkler("MARTHA", "MARHTA");
-        assert!(jw > j);
-        assert!(close(jw, 0.961));
+        let (plain, boosted) = (j("MARTHA", "MARHTA"), jw("MARTHA", "MARHTA"));
+        assert!(boosted > plain);
+        assert!(close(boosted, 0.961));
     }
 
     #[test]
     fn identical_and_disjoint() {
-        assert_eq!(jaro("abc", "abc"), 1.0);
-        assert_eq!(jaro("abc", "xyz"), 0.0);
-        assert_eq!(jaro_winkler("", ""), 1.0);
-        assert_eq!(jaro("", "abc"), 0.0);
+        assert_eq!(j("abc", "abc"), 1.0);
+        assert_eq!(j("abc", "xyz"), 0.0);
+        assert_eq!(jw("", ""), 1.0);
+        assert_eq!(j("", "abc"), 0.0);
     }
 
     #[test]
@@ -157,32 +154,32 @@ mod tests {
 
     #[test]
     fn single_chars() {
-        assert_eq!(jaro("a", "a"), 1.0);
-        assert_eq!(jaro("a", "b"), 0.0);
+        assert_eq!(j("a", "a"), 1.0);
+        assert_eq!(j("a", "b"), 0.0);
     }
 }
 
 #[cfg(test)]
 mod prop_tests {
-    use super::*;
+    use super::tests::{j, jw};
     use proptest::prelude::*;
 
     proptest! {
         #[test]
         fn range_and_symmetry(a in "[a-z]{0,10}", b in "[a-z]{0,10}") {
-            let s1 = jaro(&a, &b);
-            let s2 = jaro(&b, &a);
+            let s1 = j(&a, &b);
+            let s2 = j(&b, &a);
             prop_assert!((s1 - s2).abs() < 1e-12);
             prop_assert!((0.0..=1.0).contains(&s1));
-            let w = jaro_winkler(&a, &b);
+            let w = jw(&a, &b);
             prop_assert!((0.0..=1.0).contains(&w));
             prop_assert!(w + 1e-12 >= s1);
         }
 
         #[test]
         fn identity(a in "[a-z]{1,10}") {
-            prop_assert_eq!(jaro(&a, &a), 1.0);
-            prop_assert_eq!(jaro_winkler(&a, &a), 1.0);
+            prop_assert_eq!(j(&a, &a), 1.0);
+            prop_assert_eq!(jw(&a, &a), 1.0);
         }
     }
 }

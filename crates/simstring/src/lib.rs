@@ -5,19 +5,17 @@
 //! TF/IDF or affix) and a similarity threshold" (paper Section 2.2). This
 //! crate implements that similarity-function library from scratch:
 //!
-//! * [`edit`] — Levenshtein and Damerau–Levenshtein distances with
-//!   normalized similarities,
+//! * [`edit`] — Levenshtein distance and its normalized similarity,
 //! * [`jaro`] — Jaro and Jaro–Winkler,
 //! * [`ngram`] — character q-gram profiles; the *trigram* (Dice) metric
 //!   the paper's evaluation uses throughout Section 5,
-//! * [`token`] — token-set measures (Jaccard, Dice, overlap, cosine) and
-//!   Monge–Elkan with a secondary measure,
+//! * [`token`] — word-token sets and their Jaccard similarity,
 //! * [`tfidf`] — corpus-weighted TF-IDF cosine similarity,
 //! * [`affix`] — common prefix/suffix similarity,
-//! * [`phonetic`] — Soundex and an initials-aware person-name measure
-//!   (Google Scholar "reduces authors' first names to their first letter",
+//! * [`phonetic`] — an initials-aware person-name measure (Google
+//!   Scholar "reduces authors' first names to their first letter",
 //!   Section 5.4.3),
-//! * [`numeric`] — year/number proximity,
+//! * [`numeric`] — year proximity,
 //! * [`bounds`] — exact threshold bounds (size windows, minimum shared
 //!   grams) for the q-gram measures, powering candidate pruning in
 //!   `moma-core`,
@@ -25,8 +23,9 @@
 //!   for TF-IDF cosine, powering the exact `Threshold` plan for the
 //!   paper's bibliographic workload,
 //! * [`normalize`] / [`tokenize`] — shared preprocessing,
-//! * [`registry`] — a name-indexed registry ([`SimFn`]) so workflows,
-//!   scripts and the self-tuner can select measures dynamically.
+//! * [`registry`] — [`SimFn`], the measures by name (one `NAMES` table
+//!   behind `FromStr` / `Display`) and the one way to score them
+//!   (`prepare` each value, `eval_prepared` a pair).
 //!
 //! All similarities return values in `[0, 1]` with `1` meaning equality;
 //! property tests assert range, symmetry and identity laws.
@@ -46,6 +45,6 @@ pub mod tokenize;
 pub mod wbounds;
 
 pub use bounds::{qgram_measure_of, QgramMeasure};
-pub use registry::{Prepared, SimFn, Similarity};
+pub use registry::{Prepared, SimFn};
 pub use tfidf::TfIdfCorpus;
 pub use tokenize::GramDict;

@@ -1,21 +1,12 @@
-//! Numeric and year proximity measures.
+//! Year proximity (`SimFn::Year`).
 //!
 //! The paper's third attribute matcher in Table 2 "compares publication
 //! years"; object-value constraints also bound the admissible year
 //! difference ("the publication year of matching publications should not
 //! differ by more than one year", Section 2.2).
 
-/// Exact year equality: 1.0 if equal, else 0.0.
-pub fn year_equal(a: u16, b: u16) -> f64 {
-    if a == b {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 /// Windowed year similarity: linear falloff to 0 at `window + 1` years of
-/// difference. `window = 0` degenerates to [`year_equal`].
+/// difference. `window = 0` is exact year equality (1.0 or 0.0).
 pub fn year_window(a: u16, b: u16, window: u16) -> f64 {
     let diff = a.abs_diff(b);
     if diff > window {
@@ -23,16 +14,6 @@ pub fn year_window(a: u16, b: u16, window: u16) -> f64 {
     } else {
         1.0 - diff as f64 / (window as f64 + 1.0)
     }
-}
-
-/// Relative numeric similarity: `1 - |a-b| / max(|a|,|b|)`, 1.0 when both
-/// are 0.
-pub fn relative_num(a: f64, b: f64) -> f64 {
-    let denom = a.abs().max(b.abs());
-    if denom == 0.0 {
-        return 1.0;
-    }
-    (1.0 - (a - b).abs() / denom).max(0.0)
 }
 
 /// Parse a year out of free text (first 4-digit group in 1500..=2100).
@@ -65,8 +46,8 @@ mod tests {
 
     #[test]
     fn equality() {
-        assert_eq!(year_equal(2001, 2001), 1.0);
-        assert_eq!(year_equal(2001, 2002), 0.0);
+        assert_eq!(year_window(2001, 2001, 0), 1.0);
+        assert_eq!(year_window(2001, 2002, 0), 0.0);
     }
 
     #[test]
@@ -76,14 +57,6 @@ mod tests {
         assert_eq!(year_window(2000, 2002, 1), 0.0);
         assert_eq!(year_window(2000, 2002, 2), 1.0 - 2.0 / 3.0);
         assert_eq!(year_window(2000, 2001, 0), 0.0);
-    }
-
-    #[test]
-    fn relative_numbers() {
-        assert_eq!(relative_num(0.0, 0.0), 1.0);
-        assert_eq!(relative_num(10.0, 10.0), 1.0);
-        assert_eq!(relative_num(10.0, 5.0), 0.5);
-        assert_eq!(relative_num(-4.0, 4.0), 0.0);
     }
 
     #[test]
@@ -108,12 +81,6 @@ mod prop_tests {
             prop_assert!((0.0..=1.0).contains(&s));
             prop_assert_eq!(s, year_window(b, a, w));
             if a == b { prop_assert_eq!(s, 1.0); }
-        }
-
-        #[test]
-        fn relative_range(a in -1e6f64..1e6, b in -1e6f64..1e6) {
-            let s = relative_num(a, b);
-            prop_assert!((0.0..=1.0).contains(&s));
         }
     }
 }

@@ -1,37 +1,33 @@
-//! Name-indexed registry of similarity measures.
+//! The similarity measures, by name.
 //!
-//! Match workflows, the iFuice script language (`attrMatch(..., Trigram,
-//! 0.5, ...)`) and the self-tuner all select measures dynamically; the
-//! [`SimFn`] enum is the closed set of built-ins and [`Similarity`] the
-//! open extension point.
+//! [`SimFn`] is the closed set of measures an attribute matcher scores
+//! with (TF-IDF, which needs corpus statistics, is `moma-core`'s
+//! `MatcherSim::TfIdf` beside it). Match workflows, the iFuice script
+//! language (`attrMatch(..., Trigram, 0.5, ...)`) and the wire's `match`
+//! name one through [`SimFn::NAMES`] and the parameterized forms beside
+//! it: `FromStr` parses a spelling (ignoring ASCII case) and `Display`
+//! prints the canonical one, which mapping names and durable records
+//! carry. A measure is scored one way: [`SimFn::prepare`] each value,
+//! then [`SimFn::eval_prepared`] a pair.
 
-use crate::affix::{affix_containment_sim_normalized, affix_sim_normalized};
+use std::fmt;
+use std::str::FromStr;
+
+use moma_table::names::{name_param, parse_name, print_name};
+
+use crate::affix::affix_sim_normalized;
 use crate::bounds::qgram_measure_of;
-use crate::edit::{damerau_sim, levenshtein_sim};
+use crate::edit::levenshtein_sim;
 use crate::jaro::{jaro_chars, jaro_winkler_chars};
 use crate::normalize::normalize;
 use crate::numeric::{parse_year, year_window};
-use crate::phonetic::{parsed_name_sim, surname_soundex, PersonName};
-use crate::tfidf::TfIdfCorpus;
-use crate::token::{
-    monge_elkan_sym_words, set_cosine, set_dice, set_jaccard, word_chars, word_set,
-};
+use crate::phonetic::{parsed_name_sim, PersonName};
+use crate::token::{set_jaccard, word_set};
 use crate::tokenize::{remap_sorted, shared, GramDict};
-
-/// A similarity measure over two strings, yielding a value in `[0, 1]`.
-pub trait Similarity: Send + Sync {
-    /// Compute the similarity of `a` and `b`.
-    fn sim(&self, a: &str, b: &str) -> f64;
-
-    /// Human-readable name.
-    fn name(&self) -> &str;
-}
 
 /// Built-in similarity functions, selectable by name.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimFn {
-    /// Exact equality on normalized text.
-    Exact,
     /// Trigram Dice — the paper's default metric.
     Trigram,
     /// Character q-gram Dice with chosen q.
@@ -44,26 +40,14 @@ pub enum SimFn {
     QgramOverlap(usize),
     /// Normalized Levenshtein.
     Levenshtein,
-    /// Normalized Damerau–Levenshtein.
-    Damerau,
     /// Jaro.
     Jaro,
     /// Jaro–Winkler.
     JaroWinkler,
     /// Word-token Jaccard.
     TokenJaccard,
-    /// Word-token Dice.
-    TokenDice,
-    /// Word-token cosine (unweighted).
-    TokenCosine,
-    /// Symmetric Monge–Elkan with Jaro–Winkler base.
-    MongeElkan,
     /// Affix (best of prefix/suffix ratio).
     Affix,
-    /// Containment-aware affix.
-    AffixContainment,
-    /// Soundex equality of surnames.
-    Soundex,
     /// Initials-aware person-name measure.
     PersonName,
     /// Year proximity parsed from text, with window in years.
@@ -76,18 +60,15 @@ pub enum SimFn {
 /// [`SimFn::eval_prepared`] only does the work that needs both values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Prepared {
-    /// Normalized text (exact, edit distances, affix measures) or the
-    /// surname's Soundex code.
+    /// Normalized text (Levenshtein, affix).
     Text(String),
     /// Normalized text as chars (Jaro, Jaro–Winkler).
     Chars(Vec<char>),
     /// Sorted occurrence-tagged q-gram ids of the match's [`GramDict`]
     /// (the q-gram family).
     Grams(Box<[u32]>),
-    /// Sorted distinct word tokens (token set measures).
+    /// Sorted distinct word tokens (token Jaccard).
     WordSet(Vec<String>),
-    /// Word tokens in order, as chars (Monge–Elkan).
-    Words(Vec<Vec<char>>),
     /// Parsed person name; `None` for a nameless value.
     Name(Option<PersonName>),
     /// Year parsed from the text, if any.
@@ -127,17 +108,9 @@ impl SimFn {
             | SimFn::QgramJaccard(q)
             | SimFn::QgramCosine(q)
             | SimFn::QgramOverlap(q) => Prepared::Grams(dict.intern_qgram_ids(value, *q)),
-            SimFn::Exact
-            | SimFn::Levenshtein
-            | SimFn::Damerau
-            | SimFn::Affix
-            | SimFn::AffixContainment => Prepared::Text(normalize(value)),
+            SimFn::Levenshtein | SimFn::Affix => Prepared::Text(normalize(value)),
             SimFn::Jaro | SimFn::JaroWinkler => Prepared::Chars(normalize(value).chars().collect()),
-            SimFn::TokenJaccard | SimFn::TokenDice | SimFn::TokenCosine => {
-                Prepared::WordSet(word_set(value))
-            }
-            SimFn::MongeElkan => Prepared::Words(word_chars(value)),
-            SimFn::Soundex => Prepared::Text(surname_soundex(value)),
+            SimFn::TokenJaccard => Prepared::WordSet(word_set(value)),
             SimFn::PersonName => Prepared::Name(PersonName::parse(value)),
             SimFn::Year(_) => Prepared::Year(parse_year(value)),
         }
@@ -147,177 +120,113 @@ impl SimFn {
     /// the q-gram family: with one dictionary). Panics on values
     /// prepared by a measure of another form.
     pub fn eval_prepared(&self, a: &Prepared, b: &Prepared) -> f64 {
-        use Prepared::{Chars, Grams, Name, Text, WordSet, Words, Year};
+        use Prepared::{Chars, Grams, Name, Text, WordSet, Year};
         match (self, a, b) {
             (_, Grams(a), Grams(b)) => {
                 let (measure, _) = qgram_measure_of(self).expect("grams are q-gram values");
                 measure.eval_counts(shared(a, b), a.len(), b.len())
             }
-            (SimFn::Exact | SimFn::Soundex, Text(a), Text(b)) => f64::from(a == b),
             (SimFn::Levenshtein, Text(a), Text(b)) => levenshtein_sim(a, b),
-            (SimFn::Damerau, Text(a), Text(b)) => damerau_sim(a, b),
             (SimFn::Affix, Text(a), Text(b)) => affix_sim_normalized(a, b),
-            (SimFn::AffixContainment, Text(a), Text(b)) => affix_containment_sim_normalized(a, b),
             (SimFn::Jaro, Chars(a), Chars(b)) => jaro_chars(a, b),
             (SimFn::JaroWinkler, Chars(a), Chars(b)) => jaro_winkler_chars(a, b),
             (SimFn::TokenJaccard, WordSet(a), WordSet(b)) => set_jaccard(a, b),
-            (SimFn::TokenDice, WordSet(a), WordSet(b)) => set_dice(a, b),
-            (SimFn::TokenCosine, WordSet(a), WordSet(b)) => set_cosine(a, b),
-            (SimFn::MongeElkan, Words(a), Words(b)) => monge_elkan_sym_words(a, b),
             (SimFn::PersonName, Name(a), Name(b)) => parsed_name_sim(a.as_ref(), b.as_ref()),
             (SimFn::Year(window), Year(a), Year(b)) => match (a, b) {
                 (Some(x), Some(y)) => year_window(*x, *y, *window),
                 _ => 0.0,
             },
-            _ => panic!("{} cannot score {a:?} against {b:?}", self.name()),
+            _ => panic!("{self} cannot score {a:?} against {b:?}"),
         }
     }
 
-    /// Parse a measure name as used in scripts (case-insensitive);
-    /// parameterized forms use `name:param` (e.g. `qgram:2`, `year:1`).
-    /// A q-gram length of 0 is no measure (`None`), and neither is a
-    /// `year:` tolerance that is not a whole number of years.
-    pub fn parse(name: &str) -> Option<SimFn> {
-        let lower = name.to_ascii_lowercase();
-        let (base, param) = match lower.split_once(':') {
-            Some((b, p)) => (b, Some(p)),
-            None => (lower.as_str(), None),
+    /// Accepted spellings of the parameter-free measures (see
+    /// [`crate::registry`]). Beside them, `key:Q` spells a q-gram
+    /// measure of gram length `1 ≤ Q ≤` [`SimFn::MAX_GRAM_LENGTH`]
+    /// (`qgram` = `qgramdice`, `qgramjaccard`, `qgramcosine`,
+    /// `qgramoverlap`) and `year[:W]` a year window of `W` years
+    /// (default 0).
+    pub const NAMES: &'static [(&'static str, SimFn)] = &[
+        ("trigram", SimFn::Trigram),
+        ("ngram", SimFn::Trigram),
+        ("levenshtein", SimFn::Levenshtein),
+        ("editdistance", SimFn::Levenshtein),
+        ("jaro", SimFn::Jaro),
+        ("jarowinkler", SimFn::JaroWinkler),
+        ("tokenjaccard", SimFn::TokenJaccard),
+        ("jaccard", SimFn::TokenJaccard),
+        ("affix", SimFn::Affix),
+        ("personname", SimFn::PersonName),
+        ("name", SimFn::PersonName),
+    ];
+
+    /// The longest gram length a `qgram*:Q` spelling may name. A value
+    /// is padded to `len + 2(Q − 1)` chars and tokenized into
+    /// `len + Q − 1` grams of `Q` chars each, so one value costs memory
+    /// in `Q·(len + Q)`: an unbounded `Q` lets a single `match` request
+    /// (which the WAL logs before it runs, and replay runs again) exhaust
+    /// the server's memory. No caller uses more than 5.
+    pub const MAX_GRAM_LENGTH: usize = 16;
+}
+
+/// The `key:Q` spellings of the q-gram family, canonical key first.
+const QGRAM_FORMS: &[(&str, fn(usize) -> SimFn)] = &[
+    ("qgram", SimFn::QgramDice),
+    ("qgramdice", SimFn::QgramDice),
+    ("qgramjaccard", SimFn::QgramJaccard),
+    ("qgramcosine", SimFn::QgramCosine),
+    ("qgramoverlap", SimFn::QgramOverlap),
+];
+
+/// The key of the `year[:W]` spelling.
+const YEAR: &str = "year";
+
+impl FromStr for SimFn {
+    type Err = String;
+
+    /// A measure name as used in scripts and on the wire. A gram length
+    /// outside `1..=MAX_GRAM_LENGTH` is no measure, and neither is a
+    /// `year:` window that is not a whole number of years.
+    fn from_str(s: &str) -> Result<Self, String> {
+        if let Some((key, q)) = s.split_once(':') {
+            let form = QGRAM_FORMS
+                .iter()
+                .find(|(k, _)| k.eq_ignore_ascii_case(key));
+            if let (Some((_, form)), Ok(q @ 1..=SimFn::MAX_GRAM_LENGTH)) = (form, q.parse()) {
+                return Ok(form(q));
+            }
+        }
+        let window = match name_param(s, YEAR) {
+            Some(w) => w.parse().ok(),
+            None => s.eq_ignore_ascii_case(YEAR).then_some(0),
         };
-        Some(match base {
-            "exact" => SimFn::Exact,
-            "trigram" | "ngram" => SimFn::Trigram,
-            "qgram" | "qgramdice" => SimFn::QgramDice(gram_length(param)?),
-            "qgramjaccard" => SimFn::QgramJaccard(gram_length(param)?),
-            "qgramcosine" => SimFn::QgramCosine(gram_length(param)?),
-            "qgramoverlap" => SimFn::QgramOverlap(gram_length(param)?),
-            "levenshtein" | "editdistance" => SimFn::Levenshtein,
-            "damerau" => SimFn::Damerau,
-            "jaro" => SimFn::Jaro,
-            "jarowinkler" => SimFn::JaroWinkler,
-            "tokenjaccard" | "jaccard" => SimFn::TokenJaccard,
-            "tokendice" | "dice" => SimFn::TokenDice,
-            "tokencosine" | "cosine" => SimFn::TokenCosine,
-            "mongeelkan" => SimFn::MongeElkan,
-            "affix" => SimFn::Affix,
-            "affixcontainment" => SimFn::AffixContainment,
-            "soundex" => SimFn::Soundex,
-            "personname" | "name" => SimFn::PersonName,
-            "year" => SimFn::Year(match param {
-                Some(p) => p.parse().ok()?,
-                None => 0,
-            }),
-            _ => return None,
-        })
-    }
-
-    /// Canonical name of the measure.
-    pub fn name(&self) -> String {
-        match self {
-            SimFn::Exact => "exact".into(),
-            SimFn::Trigram => "trigram".into(),
-            SimFn::QgramDice(q) => format!("qgram:{q}"),
-            SimFn::QgramJaccard(q) => format!("qgramjaccard:{q}"),
-            SimFn::QgramCosine(q) => format!("qgramcosine:{q}"),
-            SimFn::QgramOverlap(q) => format!("qgramoverlap:{q}"),
-            SimFn::Levenshtein => "levenshtein".into(),
-            SimFn::Damerau => "damerau".into(),
-            SimFn::Jaro => "jaro".into(),
-            SimFn::JaroWinkler => "jarowinkler".into(),
-            SimFn::TokenJaccard => "tokenjaccard".into(),
-            SimFn::TokenDice => "tokendice".into(),
-            SimFn::TokenCosine => "tokencosine".into(),
-            SimFn::MongeElkan => "mongeelkan".into(),
-            SimFn::Affix => "affix".into(),
-            SimFn::AffixContainment => "affixcontainment".into(),
-            SimFn::Soundex => "soundex".into(),
-            SimFn::PersonName => "personname".into(),
-            SimFn::Year(w) => format!("year:{w}"),
+        if let Some(w) = window {
+            return Ok(SimFn::Year(w));
         }
-    }
-
-    /// All parameter-free built-ins (used by the self-tuner's search
-    /// space).
-    pub fn all_basic() -> Vec<SimFn> {
-        vec![
-            SimFn::Exact,
-            SimFn::Trigram,
-            SimFn::Levenshtein,
-            SimFn::Damerau,
-            SimFn::Jaro,
-            SimFn::JaroWinkler,
-            SimFn::TokenJaccard,
-            SimFn::TokenDice,
-            SimFn::TokenCosine,
-            SimFn::MongeElkan,
-            SimFn::Affix,
-            SimFn::AffixContainment,
-            SimFn::PersonName,
-        ]
+        let max = SimFn::MAX_GRAM_LENGTH;
+        let qgram = QGRAM_FORMS.iter().map(|(key, _)| format!("{key}:Q≤{max}"));
+        let forms: Vec<String> = qgram.chain([format!("{YEAR}[:W]")]).collect();
+        let forms: Vec<&str> = forms.iter().map(String::as_str).collect();
+        parse_name(Self::NAMES, &forms, "similarity", s)
     }
 }
 
-impl Similarity for SimFn {
-    fn sim(&self, a: &str, b: &str) -> f64 {
-        self.eval(a, b)
-    }
-
-    fn name(&self) -> &str {
-        // SimFn::name allocates for parameterized variants; for the trait
-        // we return the base name.
+impl fmt::Display for SimFn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimFn::QgramDice(_) | SimFn::QgramJaccard(_) => "qgram",
-            SimFn::QgramCosine(_) => "qgramcosine",
-            SimFn::QgramOverlap(_) => "qgramoverlap",
-            SimFn::Year(_) => "year",
-            SimFn::Exact => "exact",
-            SimFn::Trigram => "trigram",
-            SimFn::Levenshtein => "levenshtein",
-            SimFn::Damerau => "damerau",
-            SimFn::Jaro => "jaro",
-            SimFn::JaroWinkler => "jarowinkler",
-            SimFn::TokenJaccard => "tokenjaccard",
-            SimFn::TokenDice => "tokendice",
-            SimFn::TokenCosine => "tokencosine",
-            SimFn::MongeElkan => "mongeelkan",
-            SimFn::Affix => "affix",
-            SimFn::AffixContainment => "affixcontainment",
-            SimFn::Soundex => "soundex",
-            SimFn::PersonName => "personname",
+            SimFn::QgramDice(q)
+            | SimFn::QgramJaccard(q)
+            | SimFn::QgramCosine(q)
+            | SimFn::QgramOverlap(q) => {
+                let (key, _) = QGRAM_FORMS
+                    .iter()
+                    .find(|(_, form)| form(*q) == *self)
+                    .expect("every q-gram measure has a spelling");
+                write!(f, "{key}:{q}")
+            }
+            SimFn::Year(w) => write!(f, "{YEAR}:{w}"),
+            unit => f.write_str(print_name(Self::NAMES, unit)),
         }
-    }
-}
-
-/// The `q` of a `qgram*:q` name: required, and at least 1 — there are
-/// no 0-grams to tokenize a value into.
-fn gram_length(param: Option<&str>) -> Option<usize> {
-    param?.parse().ok().filter(|&q| q >= 1)
-}
-
-/// A TF-IDF measure bound to a prepared corpus (TF-IDF needs corpus
-/// statistics, so it cannot be a bare [`SimFn`] variant).
-pub struct TfIdfSim {
-    corpus: TfIdfCorpus,
-}
-
-impl TfIdfSim {
-    /// Wrap a prepared corpus.
-    pub fn new(corpus: TfIdfCorpus) -> Self {
-        Self { corpus }
-    }
-
-    /// Access the corpus.
-    pub fn corpus(&self) -> &TfIdfCorpus {
-        &self.corpus
-    }
-}
-
-impl Similarity for TfIdfSim {
-    fn sim(&self, a: &str, b: &str) -> f64 {
-        self.corpus.cosine(a, b)
-    }
-
-    fn name(&self) -> &str {
-        "tfidf"
     }
 }
 
@@ -326,37 +235,53 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_roundtrip() {
-        for f in SimFn::all_basic() {
-            let parsed = SimFn::parse(&f.name()).unwrap();
-            assert_eq!(parsed, f, "roundtrip of {}", f.name());
+    fn names_parse_and_print() {
+        for (name, sim) in SimFn::NAMES {
+            assert_eq!(name.parse().as_ref(), Ok(sim), "{name}");
         }
-        assert_eq!(SimFn::parse("qgram:2"), Some(SimFn::QgramDice(2)));
-        assert_eq!(SimFn::parse("qgramcosine:3"), Some(SimFn::QgramCosine(3)));
-        assert_eq!(SimFn::parse("qgramoverlap:2"), Some(SimFn::QgramOverlap(2)));
-        assert_eq!(SimFn::parse("year:1"), Some(SimFn::Year(1)));
-        assert_eq!(SimFn::parse("TRIGRAM"), Some(SimFn::Trigram));
-        assert_eq!(SimFn::parse("nope"), None);
-        assert_eq!(SimFn::parse("qgram"), None); // missing parameter
+        assert_eq!("qgram:2".parse(), Ok(SimFn::QgramDice(2)));
+        assert_eq!("qgramcosine:3".parse(), Ok(SimFn::QgramCosine(3)));
+        assert_eq!("qgramoverlap:2".parse(), Ok(SimFn::QgramOverlap(2)));
+        assert_eq!("year:1".parse(), Ok(SimFn::Year(1)));
+        assert_eq!("TRIGRAM".parse(), Ok(SimFn::Trigram));
+        assert_eq!(SimFn::QgramJaccard(2).to_string(), "qgramjaccard:2");
+        assert_eq!(SimFn::Year(0).to_string(), "year:0");
+        let refused = "nope".parse::<SimFn>().unwrap_err();
+        assert_eq!(
+            refused,
+            "unknown similarity `nope` (trigram/levenshtein/jaro/jarowinkler/\
+             tokenjaccard/affix/personname/qgram:Q≤16/qgramdice:Q≤16/\
+             qgramjaccard:Q≤16/qgramcosine:Q≤16/qgramoverlap:Q≤16/year[:W])"
+        );
+        // A missing gram length, and no 0-grams.
         for name in [
+            "qgram",
             "qgram:0",
             "qgramdice:0",
             "qgramjaccard:0",
             "qgramcosine:0",
             "qgramoverlap:0",
         ] {
-            assert_eq!(SimFn::parse(name), None, "{name}: there are no 0-grams");
+            let refused = name.parse::<SimFn>().unwrap_err();
+            assert!(refused.starts_with(&format!("unknown similarity `{name}` (")));
         }
-        assert_eq!(SimFn::parse("year"), Some(SimFn::Year(0)));
-        for name in ["year:x", "year:-1", "year:1.5", "year:"] {
-            assert_eq!(SimFn::parse(name), None, "{name}: no tolerance in years");
+        assert_eq!("year".parse(), Ok(SimFn::Year(0)));
+        for name in ["year:x", "year:-1", "year:1.5", "year:", "trigram:3"] {
+            assert!(name.parse::<SimFn>().is_err(), "{name}");
         }
     }
 
+    /// One value's grams cost memory in `Q·(len + Q)`: `qgram:1000000`
+    /// would take gigabytes for a single title.
     #[test]
-    fn exact_ignores_case_and_punct() {
-        assert_eq!(SimFn::Exact.eval("VLDB 2002!", "vldb-2002"), 1.0);
-        assert_eq!(SimFn::Exact.eval("a", "b"), 0.0);
+    fn gram_lengths_past_the_maximum_are_refused() {
+        let max = SimFn::MAX_GRAM_LENGTH;
+        assert_eq!(format!("qgram:{max}").parse(), Ok(SimFn::QgramDice(max)));
+        for name in ["qgram:17", "qgramjaccard:100000", "qgramoverlap:1000000"] {
+            let refused = name.parse::<SimFn>().unwrap_err();
+            assert!(refused.starts_with(&format!("unknown similarity `{name}` (")));
+            assert!(refused.contains(&format!("qgram:Q≤{max}")), "{refused}");
+        }
     }
 
     #[test]
@@ -369,27 +294,9 @@ mod tests {
     #[test]
     fn all_measures_satisfy_identity() {
         let text = "Generic Schema Matching with Cupid";
-        for f in SimFn::all_basic() {
+        for (_, f) in SimFn::NAMES {
             let s = f.eval(text, text);
-            assert!((s - 1.0).abs() < 1e-9, "{} identity gave {s}", f.name());
+            assert!((s - 1.0).abs() < 1e-9, "{f} identity gave {s}");
         }
-    }
-
-    #[test]
-    fn trait_objects_work() {
-        let measures: Vec<Box<dyn Similarity>> = vec![
-            Box::new(SimFn::Trigram),
-            Box::new(TfIdfSim::new(TfIdfCorpus::build(["a b c", "b c d"]))),
-        ];
-        for m in &measures {
-            let s = m.sim("b c", "b c");
-            assert!(s > 0.99, "{} gave {s}", m.name());
-        }
-    }
-
-    #[test]
-    fn trait_name_matches() {
-        assert_eq!(Similarity::name(&SimFn::Trigram), "trigram");
-        assert_eq!(Similarity::name(&SimFn::QgramDice(2)), "qgram");
     }
 }

@@ -27,6 +27,8 @@
 //!   CPMerge-style count-filtered merging for threshold-exact plans,
 //!   the rarest-grams union for the prefix filter and the size-bounded
 //!   union of a TF-IDF query's heaviest tokens,
+//! * [`names`] — the spec-name helpers behind every `NAMES` table of
+//!   accepted spellings (operator functions, blocking plans, measures),
 //! * [`postings`] — the blocked key list the index stores per gram, and
 //!   the galloping lower bound the count-filtered probe searches it with,
 //! * [`tsv`] — the field escaping of the repository's plain-text files,
@@ -44,6 +46,7 @@ pub mod hash;
 pub mod index;
 pub mod join;
 pub mod mapping_table;
+pub mod names;
 pub mod postings;
 pub mod stats;
 pub mod tsv;

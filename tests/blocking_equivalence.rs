@@ -113,7 +113,7 @@ fn assert_matches_allpairs(
             reference.table.rows(),
             blocked.table.rows(),
             "sim={} t={threshold} blocking={blocking:?} threads={threads}",
-            sim.name()
+            sim
         );
     }
 }
@@ -566,7 +566,7 @@ proptest! {
             prop_assert_eq!(
                 reference.table.rows(),
                 blocked.table.rows(),
-                "sim={} t={} threads={}", sim.name(), t, threads
+                "sim={} t={} threads={}", sim, t, threads
             );
         }
     }
