@@ -4,27 +4,33 @@
 //! A row says what a command *is* — its wire name, the lock and
 //! durability class it runs under, how the shard router places it, and
 //! who may send it. Everything that used to spell command names out by
-//! hand is derived from [`COMMANDS`]: whether a command is logged and
-//! which lock it takes ([`Class`]), the server's routing and the state
-//! machine's dispatch (both look the request up with [`of_request`] /
-//! [`lookup`] and branch on the row's [`Route`] and [`Cmd`]), the
-//! `unknown command … (expected …)` and `… request missing …` errors,
-//! and — through the drift tests at the bottom of this file — the
-//! command tables in the [`crate::protocol`] docs and the README.
+//! hand is derived from [`COMMANDS`]: the decoder looks a request's
+//! `"cmd"` up here ([`lookup`]) and a decoded [`Request`] reads its
+//! [`Cmd`], [`Class`] (whether it is logged, which lock it takes) and
+//! [`Route`] off its row; so do the `unknown command … (expected …)`
+//! and `… request missing …` errors and — through the drift tests at
+//! the bottom of this file — the command tables in the
+//! [`crate::protocol`] docs and the README.
 //!
-//! Adding an endpoint is therefore one row here (with its [`Cmd`]
-//! variant), its handler with its arm in the one dispatch of its kind —
-//! a write's on [`State`] ([the dispatch](crate::state)), a read's on
-//! [`ReadView`]; the [`Engine`] shell names a command only when it does
-//! I/O — its request builder in [`crate::protocol`], and a test; a read
-//! routed [`Route::ByMapping`] or [`Route::ShardZero`] needs nothing in
-//! `server.rs`.
+//! Adding an endpoint:
+//!
+//! 1. one row here, with its [`Cmd`] variant;
+//! 2. its [`Request`] variant, with typed fields, and its arm in the
+//!    decoder — the one place its fields are read by name; a logged
+//!    write's spec carries its `record`, which [`Request::records`]
+//!    hands the WAL;
+//! 3. its handler, with an arm in the one dispatch of its kind: a
+//!    write's in [`State::apply`], a read's in [`ReadView::answer`]
+//!    (the [`Engine`] shell names a command only when it does I/O),
+//!    and its routing arm in `server.rs`'s `dispatch`;
+//! 4. its request builder in [`crate::protocol`];
+//! 5. a test, and its faulty forms in `tests/refusals.rs`.
 //!
 //! [`Engine`]: crate::engine::Engine
-//! [`State`]: crate::state::State
-//! [`ReadView`]: crate::view::ReadView
-
-use crate::json::Json;
+//! [`State::apply`]: crate::state::State::apply
+//! [`ReadView::answer`]: crate::view::ReadView::answer
+//! [`Request`]: crate::request::Request
+//! [`Request::records`]: crate::request::Request::records
 
 /// A command's identity: what dispatch code matches on instead of the
 /// wire name.
@@ -196,12 +202,6 @@ pub fn lookup(name: &str) -> Option<&'static Command> {
     COMMANDS.iter().find(|c| c.name == name)
 }
 
-/// The row for a request's `"cmd"` field, or the error to answer with.
-pub fn of_request(req: &Json) -> Result<&'static Command, String> {
-    let name = req.need("request", "cmd", Json::as_str)?;
-    lookup(name).ok_or_else(|| unknown_command(name))
-}
-
 /// The `unknown command` error: names every wire-visible command.
 pub fn unknown_command(name: &str) -> String {
     let expected: Vec<&str> = COMMANDS
@@ -210,57 +210,6 @@ pub fn unknown_command(name: &str) -> String {
         .map(|c| c.name)
         .collect();
     format!("unknown command `{name}` (expected {})", expected.join("/"))
-}
-
-impl Command {
-    /// A required field of a request for this command, read through
-    /// `get` — [`Json::need`] with the wording handlers and router
-    /// share ("match request missing \`name\`").
-    pub fn field<'r, T>(
-        &self,
-        req: &'r Json,
-        name: &str,
-        get: impl FnOnce(&'r Json) -> Option<T>,
-    ) -> Result<T, String> {
-        req.need(format_args!("{} request", self.name), name, get)
-    }
-
-    /// An optional field of a request for this command: `None` when
-    /// absent, an error naming the field and what it must be when
-    /// present but not readable through `get` (a default stands in for
-    /// a missing value, never for a malformed one).
-    pub fn optional<'r, T>(
-        &self,
-        req: &'r Json,
-        name: &str,
-        expected: &str,
-        get: impl FnOnce(&'r Json) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        let Some(value) = req.get(name) else {
-            return Ok(None);
-        };
-        let wrong = || {
-            format!(
-                "{} request `{name}` must be {expected}, got {value}",
-                self.name
-            )
-        };
-        get(value).map(Some).ok_or_else(wrong)
-    }
-
-    /// [`Command::field`] for an array field.
-    pub fn array<'r>(&self, req: &'r Json, name: &str) -> Result<&'r [Json], String> {
-        req.need_arr(format_args!("{} request", self.name), name)
-    }
-
-    /// The non-empty `"items"` of a batch request for this command.
-    pub fn items<'r>(&self, req: &'r Json) -> Result<&'r [Json], String> {
-        let items = self.array(req, "items")?;
-        if items.is_empty() {
-            return Err(format!("{} needs a non-empty `items` array", self.name));
-        }
-        Ok(items)
-    }
 }
 
 #[cfg(test)]

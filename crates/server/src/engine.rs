@@ -47,9 +47,9 @@ use moma_core::MappingRepository;
 use moma_model::SourceRegistry;
 
 use crate::checkpoint;
-use crate::commands::{self, Cmd, Command};
 use crate::json::Json;
 use crate::protocol::{err_response, respond};
+use crate::request::{Origin, Request};
 use crate::state::{ImageError, State};
 use crate::view::{ReadView, ViewSlot, WalPosition};
 use crate::wal::{RotationPolicy, Wal};
@@ -240,7 +240,10 @@ impl Engine {
                 .map_err(|e| format!("WAL record {}: not UTF-8: {e}", rec.seq))?;
             let req =
                 Json::parse(text).map_err(|e| format!("WAL record {}: bad JSON: {e}", rec.seq))?;
-            let resp = self.machine.apply(&req, Some(rec.seq));
+            // A record an earlier release logged that no longer decodes
+            // fails — and counts — as that release's apply failed it.
+            let record = Request::decode(&req, Origin::Trusted);
+            let resp = self.machine.replay(record, Some(rec.seq));
             replayed += 1;
             if resp.get("ok").and_then(Json::as_bool) != Some(true) {
                 // A command that failed live re-fails identically here;
@@ -264,38 +267,51 @@ impl Engine {
         })
     }
 
-    /// Execute a command: a logged write is appended to the WAL
-    /// (fsync'd), then applied to the state machine; `checkpoint` and
-    /// `batch_delta` are this shell's own. Each of them ends by
-    /// publishing a new view, refused or not (a refusal may still have
-    /// moved the counters or the WAL). Everything else is delegated to
-    /// [`Engine::execute_read`] for embedded convenience.
+    /// [`Engine::run`] on a request object, decoded as a trusted
+    /// caller's: `install` and replica deltas are accepted (that is
+    /// replay); a request that does not decode is refused, not logged.
     pub fn execute(&mut self, req: &Json) -> Json {
-        let command = match commands::of_request(req) {
-            Ok(command) => command,
-            Err(e) => return err_response(&e),
-        };
-        let reply = match command.cmd {
-            Cmd::Checkpoint => respond(self.checkpoint()),
-            Cmd::BatchDelta => respond(self.batch_delta(command, req)),
-            _ if command.class.is_logged() => match self.log(std::slice::from_ref(req)) {
+        match Request::decode(req, Origin::Trusted) {
+            Ok(req) => self.run(&req),
+            Err(refusal) => err_response(&refusal.error),
+        }
+    }
+
+    /// [`Engine::run_read`] on a request object.
+    pub fn execute_read(&self, req: &Json) -> Json {
+        match Request::decode(req, Origin::Trusted) {
+            Ok(req) => self.run_read(&req),
+            Err(refusal) => err_response(&refusal.error),
+        }
+    }
+
+    /// Run a command: a logged write — a `batch_delta` as one group
+    /// commit of its items' records — is appended to the WAL (fsync'd),
+    /// then applied to the state machine; `checkpoint` is this shell's
+    /// own. Each of them ends by publishing a new view, refused or not
+    /// (a refusal may still have moved the counters or the WAL).
+    /// Everything else is delegated to [`Engine::run_read`] for embedded
+    /// convenience.
+    pub fn run(&mut self, req: &Request) -> Json {
+        let reply = match req {
+            Request::Checkpoint => respond(self.checkpoint()),
+            _ if req.command().class.is_logged() => match self.log(req) {
                 Ok(seq) => self.apply(req, seq),
                 Err(e) => err_response(&e),
             },
-            _ => return self.execute_read(req),
+            _ => return self.run_read(req),
         };
         self.publish();
         reply
     }
 
-    /// Execute a command that changes no state: `dump` writes the
-    /// current state's files; the read commands answer from the
-    /// published view, as they do on the server.
-    pub fn execute_read(&self, req: &Json) -> Json {
-        match commands::of_request(req) {
-            Ok(command) if command.cmd == Cmd::Dump => respond(self.dump(command, req)),
-            Ok(command) => self.view().answer(command, req),
-            Err(e) => err_response(&e),
+    /// Run a command that changes no state: `dump` writes the current
+    /// state's files; the read commands answer from the published view,
+    /// as they do on the server.
+    pub fn run_read(&self, req: &Request) -> Json {
+        match req {
+            Request::Dump { dir } => respond(self.dump(dir)),
+            _ => self.view().answer(req),
         }
     }
 
@@ -318,68 +334,29 @@ impl Engine {
         ReadView::build(&self.machine, base, wal, self.warnings_suppressed)
     }
 
-    /// Append `records` to the WAL as one group commit (a commit of one
-    /// is byte-identical to a single append); returns the first
+    /// Append `req`'s records to the WAL as one group commit (a commit
+    /// of one is byte-identical to a single append); returns the first
     /// record's sequence number, `None` without a WAL. Nothing durable
     /// ⇒ nothing applied: on `Err` the caller refuses the command.
-    fn log(&mut self, records: &[Json]) -> Result<Option<u64>, String> {
+    fn log(&mut self, req: &Request) -> Result<Option<u64>, String> {
         let Some(wal) = &mut self.wal else {
             return Ok(None);
         };
-        let payloads: Vec<String> = records.iter().map(Json::to_string).collect();
-        let bytes: Vec<&[u8]> = payloads.iter().map(|p| p.as_bytes()).collect();
-        let appended = wal.append_batch(&bytes);
+        let records = req.records();
+        let appended = wal.append_batch(&records);
         let first = appended.map_err(|e| format!("WAL append failed: {e}"))?;
         self.records_since_checkpoint += records.len() as u64;
         Ok(Some(first))
     }
 
-    /// Apply an already-logged record, then tell the operator about
-    /// any full re-match it paid.
-    fn apply(&mut self, req: &Json, seq: Option<u64>) -> Json {
+    /// Apply an already-logged write, then tell the operator about any
+    /// full re-match it paid.
+    fn apply(&mut self, req: &Request, seq: Option<u64>) -> Json {
         let resp = self.machine.apply(req, seq);
         for (name, total) in std::mem::take(&mut self.machine.full_rematched) {
             self.warn_full_rematch(&name, total);
         }
         resp
-    }
-
-    /// Execute a `batch_delta`: N delta operations amortized over one
-    /// frame, one write-lock acquisition and **one WAL group-commit
-    /// append** (see [`Wal::append_batch`]). Every item is logged as the
-    /// ordinary single `delta` record it stands for, so replaying the
-    /// log is bit-identical to the client having sent them one by one.
-    /// The response carries a per-item status array; an item that fails
-    /// to apply gets an inline error object (and re-fails identically on
-    /// replay), while a failed group commit refuses the whole batch —
-    /// nothing durable, nothing applied.
-    fn batch_delta(&mut self, command: &Command, req: &Json) -> Result<Json, String> {
-        // Re-frame each item as the single `delta` request it stands
-        // for; that JSON is what gets logged.
-        let reframe = |item: &Json| {
-            let mut fields = vec![("cmd".to_owned(), Json::Str(Cmd::Delta.name().into()))];
-            if let Json::Obj(src) = item {
-                fields.extend(src.iter().filter(|(k, _)| k != "cmd").cloned());
-            }
-            Json::Obj(fields)
-        };
-        let records: Vec<Json> = command.items(req)?.iter().map(reframe).collect();
-        let first_seq = self.log(&records)?;
-        let seqs = (0u64..).map(|i| first_seq.map(|first| first + i));
-        let results: Vec<Json> = records
-            .iter()
-            .zip(seqs)
-            .map(|(record, seq)| self.apply(record, seq))
-            .collect();
-        let count = results.len() as u64;
-        let seq_or_null = |seq: Option<u64>| seq.map_or(Json::Null, Json::Uint);
-        Ok(Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("count", Json::Uint(count)),
-            ("first_seq", seq_or_null(first_seq)),
-            ("last_seq", seq_or_null(first_seq.map(|f| f + count - 1))),
-            ("results", Json::Arr(results)),
-        ]))
     }
 
     /// Log (rate-limited per mapping) that a delta paid a transparent
@@ -409,8 +386,7 @@ impl Engine {
         self.view().stats()
     }
 
-    fn dump(&self, command: &Command, req: &Json) -> Result<Json, String> {
-        let dir = command.field(req, "dir", Json::as_str)?;
+    fn dump(&self, dir: &str) -> Result<Json, String> {
         let (registry, repository) = (self.machine.registry(), self.machine.repository());
         std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
         repository
@@ -418,26 +394,17 @@ impl Engine {
             .map_err(|e| format!("persist {dir}: {e}"))?;
         // Deterministic manifest: version stamps, row counts and durable
         // counters, so two state dumps are byte-comparable with `diff -r`.
-        let mut manifest = String::from("# moma dump manifest\n");
         let [m, c, d, r] = self.machine.command_counts().rows().map(|(_, v)| v);
-        manifest.push_str(&format!("commands\t{m}\t{c}\t{d}\t{r}\n"));
+        let mut manifest = format!("# moma dump manifest\ncommands\t{m}\t{c}\t{d}\t{r}\n");
         let snapshot = repository.snapshot();
         for e in &snapshot {
-            manifest.push_str(&format!(
-                "mapping\t{}\t{}\t{}\t{}\n",
-                e.name,
-                e.version,
-                e.mapping.len(),
-                if e.derived { 1 } else { 0 }
-            ));
+            let (rows, derived) = (e.mapping.len(), u8::from(e.derived));
+            let line = format!("mapping\t{}\t{}\t{rows}\t{derived}\n", e.name, e.version);
+            manifest.push_str(&line);
         }
         for (_, lds) in registry.iter() {
-            manifest.push_str(&format!(
-                "source\t{}\t{}\t{}\n",
-                lds.name(),
-                lds.len(),
-                lds.live_len()
-            ));
+            let (len, live) = (lds.len(), lds.live_len());
+            manifest.push_str(&format!("source\t{}\t{len}\t{live}\n", lds.name()));
         }
         let path = Path::new(dir).join("manifest.tsv");
         std::fs::write(&path, manifest).map_err(|e| format!("write {}: {e}", path.display()))?;
@@ -575,6 +542,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::protocol;
+    use crate::state::CommandCounts;
     use moma_model::{AttrDef, AttrValue, DeltaOp, LogicalSource, ObjectType};
 
     fn tiny_registry() -> SourceRegistry {
@@ -1099,6 +1067,51 @@ mod tests {
             live.execute(&Json::parse(record).unwrap());
         }
         assert_eq!(dump_of(&live, &work.join("dump")), expect);
+        let logged = Wal::scan(work.join("live")).unwrap().records;
+        let logged: Vec<&[u8]> = logged.iter().map(|r| r.payload.as_slice()).collect();
+        assert_eq!(
+            logged,
+            PREVIOUS_RECORDS.map(str::as_bytes),
+            "logged byte for byte"
+        );
         let _ = std::fs::remove_dir_all(&work);
+    }
+
+    /// Records the previous release logged that no longer decode — it
+    /// logged a write before reading its fields, so a 1-shard server
+    /// logged a `match` with no `name`, a replica `delta` whose
+    /// operations a 2-shard server could not decode — replay as failures
+    /// of their command, counted as that release counted them.
+    #[test]
+    fn records_that_no_longer_decode_replay_as_counted_failures() {
+        let dir = std::env::temp_dir().join(format!("moma_undecodable_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wal = Wal::create(&dir, DurabilityPolicy::default().rotation()).unwrap();
+        for record in [
+            PREVIOUS_RECORDS[0],
+            r#"{"cmd":"match","domain":"Publication@DBLP","range":"Publication@ACM","sim":"trigram"}"#,
+            r#"{"cmd":"match","name":"m2","domain":"Publication@DBLP","range":"Publication@GS","sim":"nope"}"#,
+            r#"{"cmd":"compose","name":"c","left":"m1"}"#,
+            r#"{"cmd":"delta","lds":"Publication@GS","ops":[{"op":"move","id":"g1"}]}"#,
+            r#"{"cmd":"delta","lds":"Publication@GS","ops":"x","repl":true}"#,
+            r#"{"cmd":"batch_delta","items":[]}"#,
+            r#"{"name":"no command"}"#,
+        ] {
+            wal.append(record.as_bytes()).unwrap();
+        }
+        drop(wal);
+        let mut engine = Engine::new(previous_release_registry(), Parallelism::sequential());
+        let summary = engine.recover(&dir, DurabilityPolicy::default()).unwrap();
+        assert_eq!((summary.replayed, summary.failed), (8, 7));
+        let counts = engine.machine().command_counts();
+        let expect = CommandCounts {
+            matches: 3,
+            composes: 1,
+            deltas: 1,
+            repl_deltas: 1,
+        };
+        assert_eq!(counts, expect);
+        assert_eq!(engine.snapshot().len(), 1, "only m1 was stored");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

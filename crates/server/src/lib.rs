@@ -38,13 +38,15 @@
 //!   merges `stats`. Writes to distinct shards no longer serialize
 //!   behind one lock, and each shard recovers from its own WAL
 //!   independently.
-//! * **One serve path** ([`commands`], [`server`]): every command is
-//!   declared once in a table — name, lock/WAL class, routing rule,
-//!   visibility — that the server's routing and the machine's one
-//!   dispatch branch on, and every request,
-//!   at every shard count, goes router plan → one executor (admission
-//!   slots, engine locks in ascending order, panic containment) →
-//!   gather. A one-shard server is that path with N = 1 and answers
+//! * **One serve path** ([`commands`], [`request`], [`server`]): every
+//!   command is declared once in a table — name, lock/WAL class,
+//!   routing rule, visibility — and decoded once, per frame and per WAL
+//!   record, into a typed [`request::Request`] that the server's
+//!   routing and the machine's one dispatch match on; a request that
+//!   does not decode is refused before it is planned, logged or
+//!   counted. Every request, at every shard count, goes decode → router
+//!   plan → one executor (admission slots, engine locks in ascending
+//!   order, panic containment) → gather. A one-shard server is that path with N = 1 and answers
 //!   byte for byte like an embedded [`engine::Engine`].
 //! * **Overload hardening** ([`server`]): bounded admission budgets per
 //!   command class ([`server::Limits`]) answer excess traffic with
@@ -67,6 +69,7 @@ pub mod engine;
 pub mod frame;
 pub mod json;
 pub mod protocol;
+pub mod request;
 pub mod server;
 pub mod shard;
 pub mod state;
@@ -76,6 +79,7 @@ pub mod wal;
 pub use client::Client;
 pub use engine::{DurabilityPolicy, Engine, ReplaySummary};
 pub use json::Json;
+pub use request::Request;
 pub use server::{run_sharded, spawn, spawn_sharded, spawn_with_limits, Limits, ServerHandle};
 pub use shard::ShardRouter;
 pub use state::{CommandCounts, State};

@@ -4,8 +4,18 @@
 //! is a JSON object with an `"ok"` boolean (plus `"error"` when it is
 //! `false`). This module holds the request **builders** used by clients
 //! ([`Client`](crate::Client), the tests, the benchmark) and the
-//! [`AttrValue`] / delta codecs shared between the engine (decode) and
-//! clients (encode), so both sides agree on one wire form.
+//! [`AttrValue`] / delta codecs shared between the server's decoder
+//! ([`Request`](crate::request::Request)) and clients (encode), so both
+//! sides agree on one wire form.
+//!
+//! Fields are strict. A required field that is missing or of another
+//! type refuses the request (``match request missing `name` ``); an
+//! optional one that is absent takes its default, and one that is
+//! present but malformed refuses it, naming the field (``match request
+//! `threshold` must be a number, got "0.9"``) — a default never stands
+//! in for a malformed value. A batch with one item that does not decode
+//! is refused whole, naming the item. Such a request is refused before
+//! it is planned, logged or counted, at every shard count.
 //!
 //! ## Commands
 //!
@@ -47,7 +57,8 @@
 //!
 //! * `match` may carry a `"shard": N` placement hint (see
 //!   [`with_shard`]); it is refused if it contradicts an existing
-//!   ownership claim on the domain source.
+//!   ownership claim on the domain source, or if it is no non-negative
+//!   integer.
 //! * routed responses are annotated with the `"shard"` (or, for deltas,
 //!   `"shards"`) that served them.
 //! * `install` is the record a cross-shard `compose` writes to the
@@ -55,6 +66,13 @@
 //!   shard's log replays independently. It is router-internal — a
 //!   logged write that is refused from the wire at every shard count;
 //!   see [`install_request`].
+//! * `repl` marks the replica copies of a `delta` the router fans out
+//!   to the shards beside its accounting one: they patch their
+//!   mappings but count as `commands.repl_delta`, not
+//!   `commands.delta`. The router owns it — a `delta` or `batch_delta`
+//!   item carrying a `repl` member is refused from the wire at every
+//!   shard count; WAL replay and an embedded
+//!   [`Engine`](crate::engine::Engine) accept it.
 //!
 //! ## Examples
 //!
@@ -87,7 +105,8 @@
 //! minus `"cmd"`. The response is `{"ok": true, "count": N, "results":
 //! [...]}` where `results[i]` is exactly the response the i-th item
 //! would have produced as a single request (`batch_delta` additionally
-//! reports the group commit's `first_seq`/`last_seq`). A `batch_delta`
+//! reports the group commit's `first_seq`/`last_seq`); an item that
+//! does not decode refuses the whole batch. A `batch_delta`
 //! is logged as N ordinary `delta` WAL records in one fsync'd append,
 //! so replay is bit-identical to the same deltas sent singly.
 //!
@@ -127,12 +146,10 @@
 
 use std::fmt;
 
-use moma_core::ops::{PathAgg, PathCombine};
 use moma_model::{AttrKind, AttrValue, DeltaOp, ModelError, SourceDelta, SourceRegistry};
-use moma_table::MappingTable;
 
-use crate::commands::Cmd;
 use crate::json::Json;
+use crate::request::Delta;
 
 /// `{"ok": false, "error": msg}`.
 pub fn err_response(msg: &str) -> Json {
@@ -152,14 +169,11 @@ pub(crate) fn respond(result: Result<Json, String>) -> Json {
 /// once for the state machine (which knows its repository) and the
 /// shard router (which knows every shard's).
 pub(crate) fn unknown_mapping<'a>(name: &str, known: impl Iterator<Item = &'a str>) -> String {
-    let known: Vec<&str> = known.collect();
+    let known = known.collect::<Vec<_>>().join(", ");
+    let known = Some(known).filter(|k| !k.is_empty());
     format!(
         "unknown mapping `{name}` (have: {})",
-        if known.is_empty() {
-            "none".to_owned()
-        } else {
-            known.join(", ")
-        }
+        known.as_deref().unwrap_or("none")
     )
 }
 
@@ -203,40 +217,25 @@ pub fn attr_value_from_json(j: &Json) -> Result<AttrValue, String> {
 }
 
 fn op_to_json(op: &DeltaOp) -> Json {
-    match op {
-        DeltaOp::Add { id, fields } => Json::obj(vec![
-            ("op", Json::Str("add".into())),
-            ("id", Json::Str(id.clone())),
-            (
-                "fields",
-                Json::Obj(
-                    fields
-                        .iter()
-                        .map(|(k, v)| (k.clone(), attr_value_to_json(v)))
-                        .collect(),
-                ),
-            ),
-        ]),
-        DeltaOp::Remove { id } => Json::obj(vec![
-            ("op", Json::Str("remove".into())),
-            ("id", Json::Str(id.clone())),
-        ]),
-        DeltaOp::Update { id, attr, value } => Json::obj(vec![
-            ("op", Json::Str("update".into())),
-            ("id", Json::Str(id.clone())),
-            ("attr", Json::Str(attr.clone())),
-            (
-                "value",
-                match value {
-                    Some(v) => attr_value_to_json(v),
-                    None => Json::Null,
-                },
-            ),
-        ]),
-    }
+    let text = |s: &str| Json::Str(s.into());
+    let (op, id, rest) = match op {
+        DeltaOp::Add { id, fields } => {
+            let fields = fields
+                .iter()
+                .map(|(k, v)| (k.clone(), attr_value_to_json(v)));
+            ("add", id, vec![("fields", Json::Obj(fields.collect()))])
+        }
+        DeltaOp::Remove { id } => ("remove", id, vec![]),
+        DeltaOp::Update { id, attr, value } => {
+            let value = value.as_ref().map_or(Json::Null, attr_value_to_json);
+            ("update", id, vec![("attr", text(attr)), ("value", value)])
+        }
+    };
+    let head = [("op", text(op)), ("id", text(id))];
+    Json::obj(head.into_iter().chain(rest).collect())
 }
 
-fn op_from_json(j: &Json) -> Result<DeltaOp, String> {
+pub(crate) fn op_from_json(j: &Json) -> Result<DeltaOp, String> {
     let op = j.need("delta op", "op", Json::as_str)?;
     let id = j.need("delta op", "id", Json::as_str)?.to_owned();
     match op {
@@ -265,11 +264,16 @@ fn op_from_json(j: &Json) -> Result<DeltaOp, String> {
 
 /// Build a `delta` request from a source name and its operations.
 pub fn delta_request(lds_name: &str, ops: &[DeltaOp]) -> Json {
-    Json::obj(vec![
-        ("cmd", Json::Str("delta".into())),
-        ("lds", Json::Str(lds_name.into())),
-        ("ops", Json::Arr(ops.iter().map(op_to_json).collect())),
-    ])
+    request("delta", delta_item(lds_name, ops))
+}
+
+/// A request of command `cmd`: its `"cmd"` member, then `fields`'.
+fn request(cmd: &str, fields: Json) -> Json {
+    let mut members = vec![("cmd".to_owned(), Json::Str(cmd.into()))];
+    if let Json::Obj(fields) = fields {
+        members.extend(fields);
+    }
+    Json::Obj(members)
 }
 
 /// The error for a `delta` naming a source the registry does not have
@@ -281,14 +285,13 @@ pub(crate) fn unknown_source(name: &str, e: &ModelError) -> String {
 /// Decode the `lds`/`ops` fields of a `delta` request against a
 /// registry (resolving the source name to its handle).
 pub fn parse_delta(registry: &SourceRegistry, req: &Json) -> Result<SourceDelta, String> {
-    let command = Cmd::Delta.row();
-    let name = command.field(req, "lds", Json::as_str)?;
-    let lds = registry
-        .resolve(name)
-        .map_err(|e| unknown_source(name, &e))?;
-    let ops = command.array(req, "ops")?;
-    let ops = ops.iter().map(op_from_json).collect::<Result<_, _>>()?;
-    Ok(SourceDelta { lds, ops })
+    let delta = Delta::of_json(req)?;
+    let lds = registry.resolve(&delta.lds);
+    let lds = lds.map_err(|e| unknown_source(&delta.lds, &e))?;
+    Ok(SourceDelta {
+        lds,
+        ops: delta.ops,
+    })
 }
 
 /// Build a `match` request.
@@ -329,15 +332,7 @@ pub fn compose_request(name: &str, left: &str, right: &str, f: &str, g: &str) ->
 
 /// Build a `query` request. `limit == 0` means "all rows".
 pub fn query_request(name: &str, limit: u64, min_sim: Option<f64>) -> Json {
-    let mut fields = vec![
-        ("cmd".to_owned(), Json::Str("query".into())),
-        ("name".to_owned(), Json::Str(name.into())),
-        ("limit".to_owned(), Json::Num(limit as f64)),
-    ];
-    if let Some(s) = min_sim {
-        fields.push(("min_sim".to_owned(), Json::Num(s)));
-    }
-    Json::Obj(fields)
+    request("query", query_item(name, limit, min_sim))
 }
 
 /// One item of a [`batch_query_request`]: the fields of a
@@ -355,10 +350,7 @@ pub fn query_item(name: &str, limit: u64, min_sim: Option<f64>) -> Json {
 
 /// Build a `batch_query` request from [`query_item`]s.
 pub fn batch_query_request(items: Vec<Json>) -> Json {
-    Json::obj(vec![
-        ("cmd", Json::Str("batch_query".into())),
-        ("items", Json::Arr(items)),
-    ])
+    request("batch_query", Json::obj(vec![("items", Json::Arr(items))]))
 }
 
 /// One item of a [`batch_delta_request`]: the fields of a
@@ -372,10 +364,7 @@ pub fn delta_item(lds_name: &str, ops: &[DeltaOp]) -> Json {
 
 /// Build a `batch_delta` request from [`delta_item`]s.
 pub fn batch_delta_request(items: Vec<Json>) -> Json {
-    Json::obj(vec![
-        ("cmd", Json::Str("batch_delta".into())),
-        ("items", Json::Arr(items)),
-    ])
+    request("batch_delta", Json::obj(vec![("items", Json::Arr(items))]))
 }
 
 /// Attach a shard placement hint to a request (meaningful on `match`
@@ -404,17 +393,17 @@ pub fn install_request(
     rows: &[(u32, u32, f64)],
     assoc: Option<&str>,
 ) -> Json {
-    let mut fields = vec![
-        ("cmd".to_owned(), Json::Str("install".into())),
-        ("name".to_owned(), Json::Str(name.into())),
-        ("domain".to_owned(), Json::Str(domain.into())),
-        ("range".to_owned(), Json::Str(range.into())),
-        ("rows".to_owned(), rows_to_json(rows.iter().copied())),
-    ];
-    if let Some(t) = assoc {
-        fields.push(("assoc".to_owned(), Json::Str(t.into())));
+    let install = Json::obj(vec![
+        ("cmd", Json::Str("install".into())),
+        ("name", Json::Str(name.into())),
+        ("domain", Json::Str(domain.into())),
+        ("range", Json::Str(range.into())),
+        ("rows", rows_to_json(rows.iter().copied())),
+    ]);
+    match assoc {
+        Some(t) => install.set_field("assoc", Json::Str(t.into())),
+        None => install,
     }
-    Json::Obj(fields)
 }
 
 /// Encode mapping rows as `[domain_idx, range_idx, sim]` triples — the
@@ -430,57 +419,49 @@ pub fn rows_to_json(rows: impl Iterator<Item = (u32, u32, f64)>) -> Json {
     Json::Arr(rows.map(triple).collect())
 }
 
-/// Decode [`rows_to_json`]'s triples. Persisted rows are outside input:
-/// an index must fit `u32` and lie inside its source's arena
-/// (`domain_len` / `range_len`) and a sim must be finite, or the whole
-/// table is refused — a truncated or dangling index would otherwise
-/// surface much later, as an empty id in a `query`.
-pub fn rows_from_json(
-    what: impl fmt::Display,
-    rows: &[Json],
-    domain_len: usize,
-    range_len: usize,
-) -> Result<MappingTable, String> {
-    let triple = |row| row_from_json(&what, row, domain_len, range_len);
-    let triples: Vec<_> = rows.iter().map(triple).collect::<Result<_, _>>()?;
-    Ok(MappingTable::from_triples(triples))
+/// A `[domain, range, sim]` row of [`rows_to_json`]: indices that fit
+/// `u32` and a finite sim.
+pub(crate) fn triple(row: &Json) -> Option<(u32, u32, f64)> {
+    let index = |j: &Json| u32::try_from(j.as_u64()?).ok();
+    let [d, r, sim] = row.as_arr()? else {
+        return None;
+    };
+    let sim = sim.as_f64().filter(|s| s.is_finite())?;
+    Some((index(d)?, index(r)?, sim))
 }
 
-/// One of [`rows_from_json`]'s rows, decoded and checked alone — how a
-/// checkpoint's rows are read, one at a time.
+/// One persisted row, decoded and checked against its sources' arenas
+/// (`domain_len` / `range_len`). Persisted rows are outside input: a
+/// truncated or dangling index would otherwise surface much later, as
+/// an empty id in a `query`.
 pub(crate) fn row_from_json(
     what: &dyn fmt::Display,
     row: &Json,
     domain_len: usize,
     range_len: usize,
 ) -> Result<(u32, u32, f64), String> {
-    let index = |j: &Json, len: usize| {
-        let i = u32::try_from(j.as_u64()?).ok()?;
-        ((i as usize) < len).then_some(i)
-    };
-    let triple = match row.as_arr() {
-        Some([d, r, sim]) => (index(d, domain_len), index(r, range_len), sim.as_f64()),
-        _ => (None, None, None),
-    };
-    match triple {
-        (Some(d), Some(r), Some(sim)) if sim.is_finite() => Ok((d, r, sim)),
-        _ => Err(format!(
-            "{what}: row {row} is not a [domain, range, sim] triple of indices inside \
-             the sources' arenas ({domain_len} / {range_len}) and a finite sim"
-        )),
-    }
+    let inside =
+        |&(d, r, _): &(u32, u32, f64)| (d as usize) < domain_len && (r as usize) < range_len;
+    let outside = || outside_arenas(what, row, domain_len, range_len);
+    triple(row).filter(inside).ok_or_else(outside)
 }
 
-/// The `f` / `g` of a `compose` request (defaults `min` / `max`).
-pub(crate) fn compose_params(req: &Json) -> Result<(PathCombine, PathAgg), String> {
-    let f = req.str_field("f").unwrap_or("min").parse()?;
-    let g = req.str_field("g").unwrap_or("max").parse()?;
-    Ok((f, g))
+/// The refusal of a row outside its sources' arenas.
+pub(crate) fn outside_arenas(
+    what: &dyn fmt::Display,
+    row: &dyn fmt::Display,
+    domain_len: usize,
+    range_len: usize,
+) -> String {
+    format!(
+        "{what}: row {row} is not a [domain, range, sim] triple of indices inside \
+         the sources' arenas ({domain_len} / {range_len}) and a finite sim"
+    )
 }
 
 /// Build a bare request carrying only a command name.
 pub fn bare_request(cmd: &str) -> Json {
-    Json::obj(vec![("cmd", Json::Str(cmd.into()))])
+    request(cmd, Json::Null)
 }
 
 /// Build a `checkpoint` request.
@@ -490,10 +471,7 @@ pub fn checkpoint_request() -> Json {
 
 /// Build a `dump` request.
 pub fn dump_request(dir: &str) -> Json {
-    Json::obj(vec![
-        ("cmd", Json::Str("dump".into())),
-        ("dir", Json::Str(dir.into())),
-    ])
+    request("dump", Json::obj(vec![("dir", Json::Str(dir.into()))]))
 }
 
 #[cfg(test)]
@@ -501,7 +479,7 @@ mod tests {
     use super::*;
     use moma_core::blocking::Blocking;
     use moma_core::matchers::MatcherSim;
-    use moma_core::ops::{MergeFn, MissingPolicy};
+    use moma_core::ops::{MergeFn, MissingPolicy, PathAgg, PathCombine};
     use moma_simstring::SimFn;
 
     /// One cell of the accepted-names table: the spellings of a `NAMES`

@@ -10,9 +10,12 @@
 //!
 //! The engines sit behind a [`ShardRouter`], and a default one-shard
 //! server *is* that router with N = 1: there is no second path.
-//! `dispatch` looks the request's command up in the
-//! [command table](crate::commands), checks who may send it, and hands
-//! it to the routing function its [`Route`] names. A routing function
+//! `dispatch` decodes the frame once into a [`Request`] — a request that
+//! does not decode, or one only the router may send, is refused right
+//! there, before anything is planned or logged — and hands it to the
+//! routing function of its variant (the
+//! [`Route`](crate::commands::Route) of its
+//! [command table](crate::commands) row). A routing function
 //! is "plan the target shards, run a closure on them, gather": the
 //! plan comes from [`crate::shard`], the gather step lives there too
 //! (and is the identity over one shard, so a one-shard server answers
@@ -62,7 +65,7 @@
 //! shards and publishes auto-checkpoints when a shard's durability
 //! thresholds are exceeded, off the delta path.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::convert::identity;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -74,11 +77,12 @@ use std::time::{Duration, Instant};
 use moma_core::ops::compose::compose;
 use moma_core::MappingKind;
 
-use crate::commands::{self, Cmd, Command, Route, Visibility};
+use crate::commands::Cmd;
 use crate::engine::Engine;
 use crate::frame::{encode_frame, MAX_FRAME};
 use crate::json::Json;
-use crate::protocol::{compose_params, err_response, install_request};
+use crate::protocol::{err_response, install_request};
+use crate::request::{ComposeSpec, Delta, MatchSpec, Origin, Query, Request};
 use crate::shard::{self, ComposePlan, Shard, ShardRouter};
 use crate::view::ReadView;
 
@@ -337,18 +341,7 @@ fn new_shared(engines: Vec<Engine>, limits: Limits) -> Shared {
 /// Write one `busy` refusal frame and let the connection drop.
 fn refuse_busy(shared: &Shared, stream: &mut TcpStream, why: &str) {
     shared.busy_refusals.fetch_add(1, Ordering::Relaxed);
-    let resp = Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::Str(format!(
-                "busy: {why}; retry after {} ms",
-                shared.limits.retry_after_ms
-            )),
-        ),
-        ("busy", Json::Bool(true)),
-        ("retry_after_ms", Json::Uint(shared.limits.retry_after_ms)),
-    ]);
+    let resp = retry_later(shared, "busy", &format!("busy: {why}"));
     let mut frame = Vec::new();
     let _ = encode_frame(&mut frame, &resp).and_then(|()| stream.write_all(&frame));
 }
@@ -483,111 +476,67 @@ enum Next {
     Idle,
 }
 
-/// Error returned when a mid-frame retry must give up (server stopping
-/// or the peer stalled past [`MID_FRAME_STALL`]).
-fn mid_frame_abort(shared: &Shared, progress: &Instant, what: &str) -> Option<io::Error> {
-    // A server stop must not wait on a half-written frame: the handler
-    // thread is joined by the accept loop and would hang shutdown.
-    if shared.stopping() {
-        return Some(io::Error::new(
-            io::ErrorKind::ConnectionAborted,
-            format!("server stopping with partial frame {what}"),
-        ));
+/// Read `buf` full. Between frames (`first`), a close or a read
+/// timeout before the first byte is the [`Next`] to return; once a
+/// frame has started, a close is an error and a timeout keeps reading
+/// (the peer is mid-write) — up to the stop flag, since the accept loop
+/// joins every handler and a half-written frame must not hang shutdown,
+/// or the [`MID_FRAME_STALL`] deadline, so a stalled peer cannot pin
+/// the thread forever.
+fn fill(
+    stream: &mut TcpStream,
+    shared: &Shared,
+    buf: &mut [u8],
+    what: &str,
+    first: bool,
+) -> io::Result<Option<Next>> {
+    use io::{ErrorKind, Read};
+    let fail = |kind, msg: String| Err(io::Error::new(kind, msg));
+    let (mut got, mut progress) = (0, Instant::now());
+    while got < buf.len() {
+        match stream.read(&mut buf[got..]) {
+            Ok(0) if first && got == 0 => return Ok(Some(Next::Eof)),
+            Ok(0) => return fail(ErrorKind::UnexpectedEof, format!("EOF inside frame {what}")),
+            Ok(n) => (got, progress) = (got + n, Instant::now()),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if first && got == 0 {
+                    return Ok(Some(Next::Idle));
+                }
+                if shared.stopping() {
+                    let partial = format!("server stopping with partial frame {what}");
+                    return fail(ErrorKind::ConnectionAborted, partial);
+                }
+                if progress.elapsed() >= MID_FRAME_STALL {
+                    return fail(
+                        ErrorKind::TimedOut,
+                        format!("peer stalled mid-frame ({what})"),
+                    );
+                }
+            }
+            Err(e) => return Err(e),
+        }
     }
-    if progress.elapsed() >= MID_FRAME_STALL {
-        return Some(io::Error::new(
-            io::ErrorKind::TimedOut,
-            format!("peer stalled mid-frame ({what})"),
-        ));
-    }
-    None
+    Ok(None)
 }
 
 /// Like [`read_frame`], but a read timeout *between* frames surfaces as
-/// [`Next::Idle`] instead of an error. A timeout after the frame header
-/// has started keeps reading (the peer is mid-write) — up to the stop
-/// flag or the [`MID_FRAME_STALL`] deadline, so a peer that stalls
-/// mid-frame can neither pin this handler thread forever nor block
-/// shutdown (the accept loop joins every handler).
+/// [`Next::Idle`] instead of an error, and a frame that has started is
+/// read on through timeouts (see [`fill`]).
 ///
 /// [`read_frame`]: crate::frame::read_frame
 fn next_frame(stream: &mut TcpStream, shared: &Shared) -> io::Result<Next> {
-    use io::Read;
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
-    let mut progress = Instant::now();
-    while filled < 4 {
-        match stream.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(Next::Eof),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside frame header",
-                ))
-            }
-            Ok(n) => {
-                filled += n;
-                progress = Instant::now();
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if filled == 0
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                return Ok(Next::Idle)
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if let Some(abort) = mid_frame_abort(shared, &progress, "header") {
-                    return Err(abort);
-                }
-            }
-            Err(e) => return Err(e),
-        }
+    let mut header = [0u8; 4];
+    if let Some(next) = fill(stream, shared, &mut header, "header", true)? {
+        return Ok(next);
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > crate::frame::MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
+    let len = u32::from_be_bytes(header) as usize;
+    if len > MAX_FRAME {
+        let msg = format!("frame length {len} exceeds MAX_FRAME");
+        return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
     }
     let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    let mut progress = Instant::now();
-    while got < len {
-        match stream.read(&mut payload[got..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside frame payload",
-                ))
-            }
-            Ok(n) => {
-                got += n;
-                progress = Instant::now();
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if let Some(abort) = mid_frame_abort(shared, &progress, "payload") {
-                    return Err(abort);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    fill(stream, shared, &mut payload, "payload", false)?;
     Ok(Next::Frame(payload))
 }
 
@@ -637,17 +586,19 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 /// back off for `retry_after_ms` and resend.
 fn overloaded_response(shared: &Shared, class: &str) -> Json {
     shared.overloaded_rejections.fetch_add(1, Ordering::Relaxed);
+    let why = format!("overloaded: too many in-flight {class} commands");
+    retry_later(shared, "overloaded", &why)
+}
+
+/// A refusal that asks the client to come back: `why`, the `marker`
+/// flag and the retry hint.
+fn retry_later(shared: &Shared, marker: &str, why: &str) -> Json {
+    let retry = shared.limits.retry_after_ms;
     Json::obj(vec![
         ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::Str(format!(
-                "overloaded: too many in-flight {class} commands; retry after {} ms",
-                shared.limits.retry_after_ms
-            )),
-        ),
-        ("overloaded", Json::Bool(true)),
-        ("retry_after_ms", Json::Uint(shared.limits.retry_after_ms)),
+        ("error", Json::Str(format!("{why}; retry after {retry} ms"))),
+        (marker, Json::Bool(true)),
+        ("retry_after_ms", Json::Uint(retry)),
     ])
 }
 
@@ -722,11 +673,11 @@ fn run_write<'a, T>(
 /// Run `req` as it stands on shard `i`: under the write lock when its
 /// command's class takes one, else from the shard's view; a refusal
 /// from the executor is the reply.
-fn run_on(shared: &Shared, command: &Command, i: usize, req: &Json) -> Json {
-    let outcome = if command.class.takes_write_lock() {
-        run_write(shared, &[i], |held| held[0].1.execute(req))
+fn run_on(shared: &Shared, i: usize, req: &Request) -> Json {
+    let outcome = if req.command().class.takes_write_lock() {
+        run_write(shared, &[i], |held| held[0].1.run(req))
     } else {
-        run_views(shared, &[i], |views| views[0].1.answer(command, req))
+        run_views(shared, &[i], |views| views[0].1.answer(req))
     };
     outcome.unwrap_or_else(identity)
 }
@@ -734,55 +685,27 @@ fn run_on(shared: &Shared, command: &Command, i: usize, req: &Json) -> Json {
 // ---- dispatch and routing ---------------------------------------------
 
 fn dispatch(payload: &[u8], shared: &Shared) -> Json {
-    let req = match std::str::from_utf8(payload)
-        .map_err(|e| e.to_string())
-        .and_then(Json::parse)
-    {
+    let req = match Request::from_frame(payload) {
         Ok(req) => req,
-        Err(e) => return err_response(&format!("bad request: {e}")),
-    };
-    let command = match commands::of_request(&req) {
-        Ok(command) => command,
         Err(e) => return err_response(&e),
     };
-    // Written by the router itself (and re-applied by WAL replay);
-    // accepting one from the wire would bypass the ownership index.
-    if command.visibility == Visibility::Internal {
-        let internal = format!("`{}` is internal to the shard router", command.name);
-        return err_response(&internal);
-    }
-    let routed = match command.route {
-        // `shutdown`, the one unrouted command a client may send.
-        Route::Unrouted => {
+    let routed = match &req {
+        Request::Shutdown => {
             shared.request_stop();
-            Ok(Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("stopping", Json::Bool(true)),
-            ]))
+            let stopping = [("ok", Json::Bool(true)), ("stopping", Json::Bool(true))];
+            Ok(Json::obj(stopping.to_vec()))
         }
-        Route::ShardZero => Ok(run_on(shared, command, 0, &req)),
-        Route::ByMapping => route_by_mapping(shared, command, &req),
-        Route::ByMappingItems => route_batch_query(shared, command, &req),
-        Route::BySource => route_delta(shared, command, &req),
-        Route::BySourceItems => route_batch_delta(shared, command, &req),
-        Route::Place => route_match(shared, command, &req),
-        Route::Compose => route_compose(shared, command, &req),
-        Route::Scatter => scatter(shared, command, &req),
+        Request::Ping => Ok(run_on(shared, 0, &req)),
+        Request::Query(query) => route_query(shared, &req, query),
+        Request::BatchQuery(items) => route_batch_query(shared, items),
+        Request::Delta(delta) => route_delta(shared, &req, delta),
+        Request::BatchDelta(items) => route_batch_delta(shared, &req, items),
+        Request::Match(spec) => route_match(shared, &req, spec),
+        Request::Compose(spec) => route_compose(shared, &req, spec),
+        Request::Checkpoint | Request::Stats | Request::Dump { .. } => scatter(shared, &req),
+        Request::Install(_) => unreachable!("the decoder refuses `install` from the wire"),
     };
     routed.unwrap_or_else(identity)
-}
-
-/// Several required routing fields at once.
-fn fields<'r, const N: usize>(
-    req: &'r Json,
-    command: &Command,
-    names: [&str; N],
-) -> Result<[&'r str; N], String> {
-    let mut out = [""; N];
-    for (slot, name) in out.iter_mut().zip(names) {
-        *slot = command.field(req, name, Json::as_str)?;
-    }
-    Ok(out)
 }
 
 /// Settle a plan: the router's own, else whatever
@@ -800,67 +723,31 @@ fn shard_list(shards: &[usize]) -> Json {
     Json::Arr(shards.iter().map(|&i| Json::Uint(i as u64)).collect())
 }
 
-fn route_by_mapping(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+fn route_query(shared: &Shared, req: &Request, query: &Query) -> Result<Json, Json> {
     let router = &shared.router;
-    let name = command.field(req, "name", Json::as_str);
-    let plan = name.and_then(|name| router.plan_mapping(name));
-    let shard = planned(shared, plan, identity)?;
-    Ok(router.annotate_shard(run_on(shared, command, shard, req), shard))
+    let shard = planned(shared, router.plan_mapping(&query.name), identity)?;
+    Ok(router.annotate_shard(run_on(shared, shard, req), shard))
 }
 
-/// The part of a batch that goes to one shard.
-fn sub_batch(command: &Command, items: Vec<Json>) -> Json {
-    Json::obj(vec![
-        ("cmd", Json::Str(command.name.into())),
-        ("items", Json::Arr(items)),
-    ])
-}
-
-/// `batch_query`: group the items by their mapping's shard (an item no
-/// shard can answer gets its refusal inline), send each shard its
-/// sub-batch — the request itself when one shard takes every item —
-/// one shard at a time in ascending order, and reassemble the answers
-/// in request order.
-fn route_batch_query(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+/// `batch_query`: each item planned by its mapping (an item no shard
+/// can answer gets its refusal inline), then every item answered from
+/// the view of its shard, all views taken at once, and the answers
+/// gathered in request order.
+fn route_batch_query(shared: &Shared, items: &[Query]) -> Result<Json, Json> {
     let router = &shared.router;
-    let items = command.items(req).map_err(|e| err_response(&e))?;
-    let mut results: Vec<Option<Json>> = vec![None; items.len()];
-    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (k, item) in items.iter().enumerate() {
-        let name = Cmd::Query.row().field(item, "name", Json::as_str);
-        let plan = name.and_then(|name| router.plan_mapping(name));
-        match planned(shared, plan, identity) {
-            Ok(shard) => groups.entry(shard).or_default().push(k),
-            Err(refusal) => results[k] = Some(refusal),
-        }
-    }
-    for (shard, picks) in groups {
-        let part;
-        let part_req = if picks.len() == items.len() {
-            req
-        } else {
-            part = sub_batch(command, picks.iter().map(|&k| items[k].clone()).collect());
-            &part
+    let plan = |item: &Query| planned(shared, router.plan_mapping(&item.name), identity);
+    let plans: Vec<Result<usize, Json>> = items.iter().map(plan).collect();
+    let targets: Vec<usize> = plans.iter().flatten().copied().collect();
+    run_views(shared, &targets, |views| {
+        let answer = |(item, plan): (&Query, Result<usize, Json>)| {
+            let shard = plan?;
+            let view = views.iter().find(|(i, _)| *i == shard).map(|(_, v)| v);
+            let answer = view.expect("a planned shard's view").query(item);
+            Ok(router.annotate_shard(answer, shard))
         };
-        let resp = run_on(shared, command, shard, part_req);
-        if !response_ok(&resp) {
-            return Err(resp);
-        }
-        if let Some(Json::Arr(answers)) = resp.take_field("results") {
-            for (k, answer) in picks.into_iter().zip(answers) {
-                results[k] = Some(router.annotate_shard(answer, shard));
-            }
-        }
-    }
-    let results: Vec<Json> = results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|| err_response("batch item result missing")))
-        .collect();
-    Ok(Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("count", Json::Uint(results.len() as u64)),
-        ("results", Json::Arr(results)),
-    ]))
+        let results = items.iter().zip(plans).map(answer);
+        ReadView::batch(results.map(|r| r.unwrap_or_else(identity)).collect())
+    })
 }
 
 /// Walk the shards ascending, one at a time, collecting `step`'s
@@ -881,24 +768,23 @@ fn each_shard(shared: &Shared, mut step: impl FnMut(usize) -> Json) -> Result<Ve
 
 /// `stats`, `dump`, `checkpoint`: every shard answers in turn and
 /// [`shard::gather`] merges the replies.
-fn scatter(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+fn scatter(shared: &Shared, req: &Request) -> Result<Json, Json> {
     let router = &shared.router;
-    let as_it_stands = |shard| run_on(shared, command, shard, req);
-    match command.cmd {
-        Cmd::Dump => {
+    let as_it_stands = |shard| run_on(shared, shard, req);
+    match req {
+        Request::Dump { dir } => {
             // The one scattered command whose request differs per
             // shard: each persists into its own directory, and the
             // merged manifest records each shard's durable counters as
             // of the same lock hold.
-            let dir = command.field(req, "dir", Json::as_str);
-            let dir = dir.map_err(|e| err_response(&e))?;
             let mut counts = Vec::with_capacity(router.len());
             let replies = each_shard(shared, |shard| {
-                let part = Json::Str(router.shard_dir(dir, shard));
-                let part_req = req.clone().set_field("dir", part);
+                let part = Request::Dump {
+                    dir: router.shard_dir(dir, shard),
+                };
                 run_write(shared, &[shard], |held| {
                     counts.push(held[0].1.machine().command_counts());
-                    held[0].1.execute(&part_req)
+                    held[0].1.run(&part)
                 })
                 .unwrap_or_else(identity)
             })?;
@@ -906,7 +792,7 @@ fn scatter(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json>
                 shard::merge_dump(dir, all, &counts)
             }))
         }
-        Cmd::Stats => {
+        Request::Stats => {
             let replies = each_shard(shared, as_it_stands)?;
             let merged = shard::gather(replies, |all| shard::merge_stats(router, all));
             Ok(with_server_counters(shared, merged))
@@ -921,6 +807,7 @@ fn scatter(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json>
 /// Append the server-level counters to a `stats` reply.
 fn with_server_counters(shared: &Shared, mut stats: Json) -> Json {
     let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let overloaded = count(&shared.overloaded_rejections);
     let router = &shared.router;
     let auto_checkpoints = (0..router.len())
         .filter_map(|i| Some(router.view(i).wal()?.auto_checkpoints))
@@ -932,10 +819,7 @@ fn with_server_counters(shared: &Shared, mut stats: Json) -> Json {
         ("connections", count(&shared.connections)),
         ("active_connections", count(&shared.active_connections)),
         ("busy_refusals", count(&shared.busy_refusals)),
-        (
-            "overloaded_rejections",
-            count(&shared.overloaded_rejections),
-        ),
+        ("overloaded_rejections", overloaded),
         ("auto_checkpoints", auto_checkpoints),
         ("shard_count", shared.router.len() as u64),
     ];
@@ -949,41 +833,31 @@ fn with_server_counters(shared: &Shared, mut stats: Json) -> Json {
 
 /// `match`: placed by the ownership cascade; a success claims its
 /// sources for the shard it ran on.
-fn route_match(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+fn route_match(shared: &Shared, req: &Request, spec: &MatchSpec) -> Result<Json, Json> {
     let router = &shared.router;
-    let ends = fields(req, command, ["name", "domain", "range"]);
-    let hint = req.get("shard").and_then(Json::as_u64).map(|v| v as usize);
-    let plan = ends
-        .clone()
-        .and_then(|[_, domain, range]| router.plan_match(domain, range, hint));
+    let plan = router.plan_match(&spec.domain, &spec.range, spec.shard);
     let shard = planned(shared, plan, identity)?;
-    let resp = run_on(shared, command, shard, req);
-    if let (true, Ok([name, domain, range])) = (response_ok(&resp), ends) {
-        router.note_match(name, domain, range, shard);
+    let resp = run_on(shared, shard, req);
+    if response_ok(&resp) {
+        router.note_match(&spec.name, &spec.domain, &spec.range, shard);
     }
     Ok(router.annotate_shard(resp, shard))
 }
 
 /// `compose`: unchanged on the shard holding both inputs, else the
 /// cross-shard path.
-fn route_compose(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+fn route_compose(shared: &Shared, req: &Request, spec: &ComposeSpec) -> Result<Json, Json> {
     let router = &shared.router;
-    let ends = fields(req, command, ["name", "left", "right"]);
-    let plan = ends
-        .clone()
-        .and_then(|[_, left, right]| router.plan_compose(left, right));
+    let plan = router.plan_compose(&spec.left, &spec.right);
     match planned(shared, plan, ComposePlan::Single)? {
         ComposePlan::Single(shard) => {
-            let resp = run_on(shared, command, shard, req);
-            if let (true, Ok([name, ..])) = (response_ok(&resp), ends) {
-                router.note_mapping(name, shard);
+            let resp = run_on(shared, shard, req);
+            if response_ok(&resp) {
+                router.note_mapping(&spec.name, shard);
             }
             Ok(router.annotate_shard(resp, shard))
         }
-        ComposePlan::Cross { left, right } => {
-            let names = ends.map_err(|e| err_response(&e))?;
-            cross_shard_compose(shared, req, names, left, right)
-        }
+        ComposePlan::Cross { left, right } => cross_shard_compose(shared, spec, left, right),
     }
 }
 
@@ -996,12 +870,11 @@ fn route_compose(shared: &Shared, command: &Command, req: &Json) -> Result<Json,
 /// their versions so a client can detect staleness and re-compose.
 fn cross_shard_compose(
     shared: &Shared,
-    req: &Json,
-    [name, left, right]: [&str; 3],
+    spec: &ComposeSpec,
     left_shard: usize,
     right_shard: usize,
 ) -> Result<Json, Json> {
-    let (f, g) = compose_params(req).map_err(|e| err_response(&e))?;
+    let (name, left, right) = (&spec.name, &spec.left, &spec.right);
     // One input's mapping `Arc`, version and end-point source names.
     let gather = |shard: usize, mapping: &str| {
         run_views(shared, &[shard], |views| -> Result<_, Json> {
@@ -1021,58 +894,46 @@ fn cross_shard_compose(
     // Arena indices agree across shards (every registry is a clone of
     // one boot image and arenas are append-only), so this is the very
     // compose the single-shard recipe path evaluates.
-    let composed = compose(&left_map, &right_map, f, g);
+    let composed = compose(&left_map, &right_map, spec.f, spec.g);
     let composed = composed.map_err(|e| err_response(&e.to_string()))?;
     let rows = composed.table.rows().iter();
     let rows: Vec<(u32, u32, f64)> = rows.map(|c| (c.domain, c.range, c.sim)).collect();
-    let inputs = Json::Arr(vec![
-        Json::Arr(vec![Json::Str(left.into()), Json::Uint(left_ver)]),
-        Json::Arr(vec![Json::Str(right.into()), Json::Uint(right_ver)]),
-    ]);
+    let input = |name: &str, version| Json::Arr(vec![Json::Str(name.into()), Json::Uint(version)]);
+    let inputs = Json::Arr(vec![input(left, left_ver), input(right, right_ver)]);
     let mut install =
         install_request(name, &domain, &range, &rows, None).set_field("inputs", inputs.clone());
     if let MappingKind::Association(t) = composed.kind {
         install = install.set_field("assoc", Json::Str(t));
     }
-    let resp = run_write(shared, &[left_shard], |held| held[0].1.execute(&install))?;
+    let install = Request::decode(&install, Origin::Trusted).map_err(|r| err_response(&r.error))?;
+    let resp = run_write(shared, &[left_shard], |held| held[0].1.run(&install))?;
     if !response_ok(&resp) {
         return Err(resp);
     }
     shared.router.note_mapping(name, left_shard);
-    Ok(shared.router.annotate(
-        resp,
-        [
-            ("shard", Json::Uint(left_shard as u64)),
-            ("cross_shard", Json::Bool(true)),
-            ("left_shard", Json::Uint(left_shard as u64)),
-            ("right_shard", Json::Uint(right_shard as u64)),
-            ("inputs", inputs),
-        ],
-    ))
-}
-
-/// A copy of a delta (or delta item) for a shard other than its
-/// accounting shard. The router owns `repl`: whatever the client put
-/// there is replaced.
-fn replica(delta: &Json) -> Json {
-    delta.clone().set_field("repl", Json::Bool(true))
+    let placed = [
+        ("shard", Json::Uint(left_shard as u64)),
+        ("cross_shard", Json::Bool(true)),
+        ("left_shard", Json::Uint(left_shard as u64)),
+        ("right_shard", Json::Uint(right_shard as u64)),
+        ("inputs", inputs),
+    ];
+    Ok(shared.router.annotate(resp, placed))
 }
 
 /// `delta`: write locks on every target, all held until every copy is
 /// applied (so concurrent deltas to overlapping shard sets cannot
 /// interleave differently on different shards); the request itself on
 /// the lowest target — the accounting copy — and replicas on the rest.
-fn route_delta(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+fn route_delta(shared: &Shared, req: &Request, delta: &Delta) -> Result<Json, Json> {
     let router = &shared.router;
-    let source = command.field(req, "lds", Json::as_str);
-    let plan = source.and_then(|source| router.plan_delta(source));
-    let targets = planned(shared, plan, |shard| vec![shard])?;
+    let targets = planned(shared, router.plan_delta(&delta.lds), |shard| vec![shard])?;
     let resp = run_write(shared, &targets, |held| {
         let mut copies = held.iter_mut();
         let (_, accounting) = copies.next().expect("a planned delta has a target");
-        let resp = accounting.execute(req);
+        let resp = accounting.run(req);
         for (shard, engine) in copies {
-            let copied = engine.execute(&replica(req));
+            let copied = engine.run(&Request::Delta(delta.replica()));
             if !response_ok(&copied) {
                 // A replica that fails while the accounting copy
                 // succeeded means the shards have diverged; keep
@@ -1097,23 +958,19 @@ fn route_delta(shared: &Shared, command: &Command, req: &Json) -> Result<Json, J
 /// order and the envelope's `first_seq`/`last_seq` are `null` because
 /// no single shard's sequence range covers the batch. An item that
 /// cannot be planned refuses the whole batch: all items or none.
-fn route_batch_delta(shared: &Shared, command: &Command, req: &Json) -> Result<Json, Json> {
+fn route_batch_delta(shared: &Shared, req: &Request, items: &[Delta]) -> Result<Json, Json> {
     let router = &shared.router;
-    let items = command.items(req).map_err(|e| err_response(&e))?;
     let mut item_targets: Vec<Vec<usize>> = Vec::with_capacity(items.len());
     for (k, item) in items.iter().enumerate() {
-        let what = format_args!("{} item {k}", command.name);
-        let plan = item.need(what, "lds", Json::as_str).and_then(|source| {
-            let plan = router.plan_delta(source);
-            plan.map_err(|e| format!("{} item {k}: {e}", command.name))
-        });
+        let plan = router.plan_delta(&item.lds);
+        let plan = plan.map_err(|e| format!("{} item {k}: {e}", Cmd::BatchDelta.name()));
         item_targets.push(planned(shared, plan, |shard| vec![shard])?);
     }
     let union: BTreeSet<usize> = item_targets.iter().flatten().copied().collect();
     let union: Vec<usize> = union.into_iter().collect();
     let shards = ("shards", shard_list(&union));
     if let [only] = union[..] {
-        return Ok(router.annotate(run_on(shared, command, only, req), [shards]));
+        return Ok(router.annotate(run_on(shared, only, req), [shards]));
     }
     let results = run_write(shared, &union, |held| {
         let mut results: Vec<Option<Json>> = vec![None; items.len()];
@@ -1121,20 +978,15 @@ fn route_batch_delta(shared: &Shared, command: &Command, req: &Json) -> Result<J
             // This shard's sub-batch, in request order. An item's
             // accounting copy goes to its lowest target, whose answer
             // is the item's result; other targets get replicas.
-            let mut part = Vec::new();
-            let mut answers_for = Vec::new();
-            for (k, targets) in item_targets.iter().enumerate() {
-                if targets.contains(shard) {
-                    let accounting = targets.first() == Some(shard);
-                    part.push(if accounting {
-                        items[k].clone()
-                    } else {
-                        replica(&items[k])
-                    });
-                    answers_for.push(accounting.then_some(k));
-                }
-            }
-            let resp = engine.execute(&sub_batch(command, part));
+            let mine = item_targets.iter().enumerate();
+            let mine = mine.filter(|(_, targets)| targets.contains(shard));
+            let (answers_for, part): (Vec<_>, Vec<_>) = mine
+                .map(|(k, targets)| match targets[0] == *shard {
+                    true => (Some(k), items[k].clone()),
+                    false => (None, items[k].replica()),
+                })
+                .unzip();
+            let resp = engine.run(&Request::BatchDelta(part));
             if !response_ok(&resp) {
                 return Err(router.annotate_shard(resp, *shard));
             }
@@ -1322,7 +1174,7 @@ mod tests {
             ("checkpoint", protocol::checkpoint_request()),
             (
                 "refused match",
-                matcher("m4", "DBLP", "GS", "no-such-sim", 0),
+                matcher("m4", "Nowhere", "GS", "trigram", 0),
             ),
         ];
         for (step, req) in &steps {
@@ -1342,8 +1194,8 @@ mod tests {
             cross.entry("c_cross").is_some(),
             "installed on the left input's shard"
         );
-        // The refused match — logged like any write — made a checkpoint
-        // due on shard 0: the checkpointer's pass publishes it.
+        // The refused match — it decodes, so it is logged like any
+        // write — made a checkpoint due on shard 0: the checkpointer's pass publishes it.
         for i in 0..2 {
             assert!(checkpoint_if_due(&shared, i), "shard {i}");
         }

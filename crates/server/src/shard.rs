@@ -38,9 +38,9 @@
 //!
 //! A default `moma serve` is this router with N = 1 — there is no
 //! second code path. Two rules make its replies byte-identical to an
-//! embedded [`Engine`]'s: a plan that cannot be made (unknown mapping,
-//! unhosted source, missing routing field) falls through to the only
-//! shard there is, whose engine words the error itself
+//! embedded [`Engine`]'s: a plan that cannot be made for a decoded
+//! request (unknown mapping, unknown or unhosted source) falls through
+//! to the only shard there is, whose engine words the error itself
 //! ([`ShardRouter::unplanned`]); and every gather step — the
 //! `shard`/`shards` annotations ([`ShardRouter::annotate`]), the
 //! per-shard dump directories ([`ShardRouter::shard_dir`]) and the
@@ -172,11 +172,6 @@ impl ShardRouter {
     /// The `i`-th shard.
     pub fn shard(&self, i: usize) -> &Shard {
         &self.shards[i]
-    }
-
-    /// All shards, in shard order.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
     }
 
     /// The view shard `i` published last. Takes no engine lock.
@@ -372,7 +367,8 @@ impl ShardRouter {
         }
     }
 
-    /// What becomes of a request no plan could be made for. With
+    /// What becomes of a decoded request no plan could be made for (one
+    /// that does not decode never gets this far, at any shard count). With
     /// several shards the `refusal` is the reply: guessing a shard
     /// would be the one wrong answer. With one shard there is nothing
     /// to guess — it hosts every source and every mapping — so the
@@ -449,24 +445,18 @@ pub fn merge_checkpoint(per_shard: &[Json]) -> Json {
 /// byte-comparable to a clean N-shard run with `diff -r`.
 pub fn merge_dump(dir: &str, per_shard: &[Json], counts: &[CommandCounts]) -> Json {
     let n = per_shard.len();
-    let mut total_mappings = 0u64;
-    let mut sums = [0u64; 4];
-    let mut shard_lines = String::new();
+    let tsv = |row: [u64; 4]| row.map(|v| v.to_string()).join("\t");
+    let (mut total_mappings, mut sums, mut shard_lines) = (0u64, [0u64; 4], String::new());
     for (i, (resp, c)) in per_shard.iter().zip(counts).enumerate() {
         let mappings = resp.get("mappings").and_then(Json::as_f64).unwrap_or(0.0) as u64;
         total_mappings += mappings;
         let row = c.rows().map(|(_, v)| v);
-        for (sum, v) in sums.iter_mut().zip(row) {
-            *sum += v;
-        }
-        shard_lines.push_str(&format!(
-            "shard\t{i}\t{mappings}\t{}\t{}\t{}\t{}\n",
-            row[0], row[1], row[2], row[3]
-        ));
+        sums = std::array::from_fn(|k| sums[k] + row[k]);
+        shard_lines.push_str(&format!("shard\t{i}\t{mappings}\t{}\n", tsv(row)));
     }
     let manifest = format!(
-        "# moma shard dump manifest\nshards\t{n}\ncommands\t{}\t{}\t{}\t{}\n{shard_lines}",
-        sums[0], sums[1], sums[2], sums[3]
+        "# moma shard dump manifest\nshards\t{n}\ncommands\t{}\n{shard_lines}",
+        tsv(sums)
     );
     let path = std::path::Path::new(dir).join("manifest.tsv");
     if let Err(e) = std::fs::write(&path, manifest) {
@@ -486,101 +476,57 @@ pub fn merge_dump(dir: &str, per_shard: &[Json], counts: &[CommandCounts]) -> Js
 /// per-source rows, all mappings annotated with their shard, and a
 /// compact per-shard breakdown under `"shards"`.
 pub fn merge_stats(router: &ShardRouter, per_shard: &[Json]) -> Json {
-    let sum_field = |path: &[&str]| -> u64 {
-        per_shard
-            .iter()
-            .map(|s| {
-                let mut cur = Some(s);
-                for p in path {
-                    cur = cur.and_then(|c| c.get(p));
-                }
-                cur.and_then(Json::as_u64).unwrap_or(0)
-            })
-            .sum()
+    let sum = |path: &[&str]| -> u64 {
+        let at = |s| path.iter().try_fold(s, |j: &Json, key| j.get(key));
+        per_shard.iter().filter_map(|s| at(s)?.as_u64()).sum()
     };
-    let commands = CommandCounts::default().rows().map(|(key, _)| {
-        let sum = sum_field(&["commands", key]);
-        (key, Json::Uint(sum))
-    });
-    let commands = Json::obj(commands.to_vec());
+    let commands = CommandCounts::default().rows();
+    let commands = commands.map(|(key, _)| (key, Json::Uint(sum(&["commands", key]))));
+    let wal = ["seq", "checkpoint_seq", "lag", "segments"];
+    let wal = wal.map(|key| (key, Json::Uint(sum(&["wal", key]))));
     let any_wal = per_shard
         .iter()
         .any(|s| !matches!(s.get("wal"), None | Some(Json::Null)));
-    let wal = if any_wal {
-        Json::obj(vec![
-            ("seq", Json::Uint(sum_field(&["wal", "seq"]))),
-            (
-                "checkpoint_seq",
-                Json::Uint(sum_field(&["wal", "checkpoint_seq"])),
-            ),
-            ("lag", Json::Uint(sum_field(&["wal", "lag"]))),
-            ("segments", Json::Uint(sum_field(&["wal", "segments"]))),
-        ])
-    } else {
-        Json::Null
-    };
+    fn rows<'j>(s: &'j Json, key: &str) -> &'j [Json] {
+        s.get(key).and_then(Json::as_arr).unwrap_or_default()
+    }
+    let on = |row: &Json, shard: usize| row.clone().set_field("shard", Json::Uint(shard as u64));
 
     // Authoritative source rows: each source reported from the shard
     // that owns its current replica.
-    let mut sources = Vec::new();
-    if let Some(Json::Arr(names)) = per_shard.first().and_then(|s| s.get("sources")).cloned() {
-        for entry in &names {
-            let Some(name) = entry.str_field("name") else {
-                continue;
-            };
-            let auth = router.source_authority(name);
-            let row = per_shard
-                .get(auth)
-                .and_then(|s| s.get("sources"))
-                .and_then(Json::as_arr)
-                .and_then(|arr| arr.iter().find(|e| e.str_field("name") == Some(name)))
-                .cloned()
-                .unwrap_or_else(|| entry.clone());
-            if let Json::Obj(mut fields) = row {
-                fields.push(("shard".to_owned(), Json::Uint(auth as u64)));
-                sources.push(Json::Obj(fields));
-            }
-        }
-    }
-
-    let mut mappings = Vec::new();
-    let mut shard_rows = Vec::new();
-    for (i, s) in per_shard.iter().enumerate() {
-        if let Some(Json::Arr(ms)) = s.get("mappings").cloned() {
-            for m in ms {
-                if let Json::Obj(mut fields) = m {
-                    fields.push(("shard".to_owned(), Json::Uint(i as u64)));
-                    mappings.push(Json::Obj(fields));
-                }
-            }
-        }
-        shard_rows.push(Json::obj(vec![
+    let first = per_shard.first().map_or(&[][..], |s| rows(s, "sources"));
+    let sources = first.iter().filter_map(|entry| {
+        let name = entry.str_field("name")?;
+        let auth = router.source_authority(name);
+        let authoritative = per_shard.get(auth).map_or(&[][..], |s| rows(s, "sources"));
+        let row = authoritative
+            .iter()
+            .find(|e| e.str_field("name") == Some(name));
+        Some(on(row.unwrap_or(entry), auth))
+    });
+    let mappings = per_shard.iter().enumerate();
+    let mappings = mappings.flat_map(|(i, s)| rows(s, "mappings").iter().map(move |m| on(m, i)));
+    let shard_rows = per_shard.iter().enumerate().map(|(i, s)| {
+        Json::obj(vec![
             ("shard", Json::Uint(i as u64)),
             ("commands", s.get("commands").cloned().unwrap_or(Json::Null)),
             ("wal", s.get("wal").cloned().unwrap_or(Json::Null)),
-            (
-                "mappings",
-                Json::Uint(
-                    s.get("mappings")
-                        .and_then(Json::as_arr)
-                        .map(|a| a.len() as u64)
-                        .unwrap_or(0),
-                ),
-            ),
-        ]));
-    }
-
+            ("mappings", Json::Uint(rows(s, "mappings").len() as u64)),
+        ])
+    });
+    let suppressed = Json::Uint(sum(&["full_rematch_warnings_suppressed"]));
+    let wal = match any_wal {
+        true => Json::obj(wal.to_vec()),
+        false => Json::Null,
+    };
     Json::obj(vec![
         ("ok", Json::Bool(true)),
-        ("commands", commands),
+        ("commands", Json::obj(commands.to_vec())),
         ("wal", wal),
-        ("sources", Json::Arr(sources)),
-        ("mappings", Json::Arr(mappings)),
-        (
-            "full_rematch_warnings_suppressed",
-            Json::Uint(sum_field(&["full_rematch_warnings_suppressed"])),
-        ),
-        ("shards", Json::Arr(shard_rows)),
+        ("sources", Json::Arr(sources.collect())),
+        ("mappings", Json::Arr(mappings.collect())),
+        ("full_rematch_warnings_suppressed", suppressed),
+        ("shards", Json::Arr(shard_rows.collect())),
     ])
 }
 

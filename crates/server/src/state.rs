@@ -21,9 +21,12 @@
 //! Reads are not the machine's: after each write the engine publishes
 //! a [`ReadView`] of the state, and the read commands answer from that.
 //!
-//! `apply` reaches its handler through **the dispatch**, `handler`: the
-//! only place a write [`Cmd`] is matched to the code that runs it.
-//! Every operation is deterministic — parallel
+//! `apply` reaches its handler through **the dispatch**, one `match` on
+//! the [`Request`] variant: the only place a write is matched to the
+//! code that runs it. A logged record that no longer decodes (one an
+//! earlier release logged before reading its fields) is counted as a
+//! failure of its command by [`State::replay`], as that release counted
+//! it. Every operation is deterministic — parallel
 //! matching merges shard results in input order, repository version
 //! stamps are assigned in command order, and a command that fails
 //! re-fails identically against the same state — so two machines fed
@@ -39,15 +42,17 @@ use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
 use moma_core::exec::Parallelism;
-use moma_core::matchers::{AttributeMatcher, MatchContext, MatcherSim};
+use moma_core::matchers::MatchContext;
 use moma_core::{DeltaMatchState, Mapping, MappingKind, MappingRepository, Recipe};
-use moma_model::{AttrDef, LdsId, LogicalSource, ObjectInstance, ObjectType, SourceRegistry};
-use moma_simstring::SimFn;
+use moma_model::{
+    AttrDef, LdsId, LogicalSource, ObjectInstance, ObjectType, SourceDelta, SourceRegistry,
+};
 use moma_table::MappingTable;
 
-use crate::commands::{self, Cmd, Command};
+use crate::commands::Cmd;
 use crate::json::{self, Json, Parser};
-use crate::protocol::{self, respond};
+use crate::protocol::{self, err_response, respond};
+use crate::request::{ComposeSpec, Delta, InstallSpec, MatchSpec, Origin, Refusal, Request};
 
 /// Durable command counters; restored exactly by replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,10 +108,10 @@ pub struct State {
     /// Primed matcher states by mapping name (ordered, so delta
     /// application order is deterministic).
     states: BTreeMap<String, DeltaMatchState>,
-    /// Original `match` request per primed mapping: what an image
-    /// carries instead of the matcher states, and what a restore
-    /// re-primes them from.
-    match_requests: BTreeMap<String, Json>,
+    /// The `match` per primed mapping: its record is what an image
+    /// carries instead of the matcher state, and what a restore
+    /// re-primes it from.
+    matchers: BTreeMap<String, MatchSpec>,
     commands: CommandCounts,
     par: Parallelism,
     /// Mappings the last applied `delta` re-matched in full instead of
@@ -114,31 +119,6 @@ pub struct State {
     /// effect left for the caller to report (the engine warns the
     /// operator; replay ignores it).
     pub(crate) full_rematched: Vec<(String, u64)>,
-}
-
-/// A write handler; it also gets the record's WAL sequence number,
-/// when there is a WAL.
-type Handler = fn(&mut State, &Command, &Json, Option<u64>) -> Result<Json, String>;
-
-/// **The dispatch.** `None` for what the machine does not run: the
-/// reads (answered from the published view), the engine's I/O and
-/// framing (`checkpoint`, `dump`, `batch_delta`) and the server's own
-/// commands.
-fn handler(cmd: Cmd) -> Option<Handler> {
-    Some(match cmd {
-        Cmd::Match => State::match_and_prime,
-        Cmd::Compose => State::compose,
-        Cmd::Delta => State::delta,
-        Cmd::Install => State::install,
-        Cmd::Ping
-        | Cmd::Query
-        | Cmd::BatchQuery
-        | Cmd::Stats
-        | Cmd::BatchDelta
-        | Cmd::Checkpoint
-        | Cmd::Dump
-        | Cmd::Shutdown => return None,
-    })
 }
 
 /// A matcher context at the state's own parallelism, built without
@@ -159,51 +139,66 @@ impl State {
             registry,
             repository: MappingRepository::new(),
             states: BTreeMap::new(),
-            match_requests: BTreeMap::new(),
+            matchers: BTreeMap::new(),
             commands: CommandCounts::default(),
             par,
             full_rematched: Vec::new(),
         }
     }
 
-    /// Apply one logged write; `seq` is its WAL sequence number, if it
+    /// Apply one logged write — a `match`, `compose`, `delta` or
+    /// `install`, or a `batch_delta` as the `delta` records its items
+    /// were logged as; `seq` is its (first) WAL sequence number, if it
     /// has one. A failure is a reply like any other: it changed the
     /// counters, and it re-fails the same way on replay.
-    pub fn apply(&mut self, req: &Json, seq: Option<u64>) -> Json {
-        let name = req.str_field("cmd").unwrap_or_default();
-        let found = commands::lookup(name).and_then(|c| Some((c, handler(c.cmd)?)));
-        respond(match found {
-            Some((command, run)) => run(self, command, req, seq),
-            None => Err(format!("`{name}` is not a mutating command")),
-        })
+    pub fn apply(&mut self, req: &Request, seq: Option<u64>) -> Json {
+        respond(self.write(req, seq))
+    }
+
+    /// Replay one logged record, as decoded: [`State::apply`] it, or —
+    /// a record that does not decode (one an earlier release logged) —
+    /// count it as a failure of its command, as that release counted it.
+    pub fn replay(&mut self, record: Result<Request, Refusal>, seq: Option<u64>) -> Json {
+        let refusal = match record {
+            Ok(req) => return self.apply(&req, seq),
+            Err(refusal) => refusal,
+        };
+        if let Some(cmd) = refusal.cmd {
+            self.count(cmd, refusal.repl);
+        }
+        err_response(&refusal.error)
+    }
+
+    /// Count a logged write of `cmd`, applied or failed alike. Replica
+    /// deltas are tallied apart, so the aggregate `commands.delta`
+    /// counts each client delta once, on its accounting shard.
+    fn count(&mut self, cmd: Cmd, repl: bool) {
+        let counter = match cmd {
+            Cmd::Match => &mut self.commands.matches,
+            Cmd::Compose | Cmd::Install => &mut self.commands.composes,
+            Cmd::Delta if repl => &mut self.commands.repl_deltas,
+            Cmd::Delta => &mut self.commands.deltas,
+            _ => return,
+        };
+        *counter += 1;
+    }
+
+    fn write(&mut self, req: &Request, seq: Option<u64>) -> Result<Json, String> {
+        self.full_rematched.clear();
+        match req {
+            Request::Match(spec) => self.match_and_prime(spec),
+            Request::Compose(spec) => self.compose(spec),
+            Request::Delta(delta) => self.delta(delta, seq),
+            Request::BatchDelta(items) => Ok(self.batch_delta(items, seq)),
+            Request::Install(spec) => self.install(spec),
+            other => Err(format!(
+                "`{}` is not a mutating command",
+                other.cmd().name()
+            )),
+        }
     }
 
     // ---- writes -------------------------------------------------------
-
-    /// Parse a `match` request into a matcher plus resolved domain and
-    /// range handles.
-    fn build_matcher(
-        &self,
-        command: &Command,
-        req: &Json,
-    ) -> Result<(AttributeMatcher, LdsId, LdsId), String> {
-        let domain = command.field(req, "domain", Json::as_str)?;
-        let range = command.field(req, "range", Json::as_str)?;
-        let domain_attr = req.str_field("domain_attr").unwrap_or("title");
-        let range_attr = req.str_field("range_attr").unwrap_or(domain_attr);
-        let threshold = req.num_field("threshold").unwrap_or(0.7);
-        let d = self.resolve("domain", domain)?;
-        let r = self.resolve("range", range)?;
-        let sim = match req.str_field("sim") {
-            Some(name) => name.parse()?,
-            None => MatcherSim::Fixed(SimFn::Trigram),
-        };
-        let mut matcher = AttributeMatcher::new(domain_attr, range_attr, sim, threshold);
-        if let Some(b) = req.str_field("blocking") {
-            matcher.blocking = b.parse()?;
-        }
-        Ok((matcher, d, r))
-    }
 
     fn resolve(&self, field: &str, source: &str) -> Result<LdsId, String> {
         let resolved = self.registry.resolve(source);
@@ -224,41 +219,34 @@ impl State {
         Json::obj(fields)
     }
 
-    fn match_and_prime(
-        &mut self,
-        command: &Command,
-        req: &Json,
-        _seq: Option<u64>,
-    ) -> Result<Json, String> {
-        self.commands.matches += 1;
-        let name = command.field(req, "name", Json::as_str)?;
-        let (matcher, d, r) = self.build_matcher(command, req)?;
-        let primed = matcher.prime(&context(&self.registry, self.par), d, r);
+    fn match_and_prime(&mut self, spec: &MatchSpec) -> Result<Json, String> {
+        self.count(Cmd::Match, false);
+        let d = self.resolve("domain", &spec.domain)?;
+        let r = self.resolve("range", &spec.range)?;
+        let primed = spec.matcher.prime(&context(&self.registry, self.par), d, r);
         let state = primed.map_err(|e| e.to_string())?;
         let rows = state.mapping().len();
         let incremental = state.is_incremental();
-        self.repository.store_as(name, state.mapping().clone());
-        self.states.insert(name.to_owned(), state);
-        self.match_requests.insert(name.to_owned(), req.clone());
-        Ok(self.stored(name, rows, Some(("incremental", incremental))))
+        self.repository
+            .store_as(&spec.name, state.mapping().clone());
+        self.states.insert(spec.name.clone(), state);
+        self.matchers.insert(spec.name.clone(), spec.clone());
+        Ok(self.stored(&spec.name, rows, Some(("incremental", incremental))))
     }
 
-    fn compose(
-        &mut self,
-        command: &Command,
-        req: &Json,
-        _seq: Option<u64>,
-    ) -> Result<Json, String> {
-        self.commands.composes += 1;
-        let name = command.field(req, "name", Json::as_str)?;
-        let left = command.field(req, "left", Json::as_str)?.to_owned();
-        let right = command.field(req, "right", Json::as_str)?.to_owned();
-        let (f, g) = protocol::compose_params(req)?;
-        let recipe = Recipe::Compose { left, right, f, g };
-        let stored = self.repository.store_derived(name, recipe);
+    fn compose(&mut self, spec: &ComposeSpec) -> Result<Json, String> {
+        self.count(Cmd::Compose, false);
+        let (left, right) = (spec.left.clone(), spec.right.clone());
+        let recipe = Recipe::Compose {
+            left,
+            right,
+            f: spec.f,
+            g: spec.g,
+        };
+        let stored = self.repository.store_derived(&spec.name, recipe);
         let mapping = stored.map_err(|e| e.to_string())?;
-        self.release_matcher(name);
-        Ok(self.stored(name, mapping.len(), None))
+        self.release_matcher(&spec.name);
+        Ok(self.stored(&spec.name, mapping.len(), None))
     }
 
     /// Overwrite means overwrite: a name that `compose` or `install`
@@ -267,7 +255,7 @@ impl State {
     /// checkpoint re-primes it.
     fn release_matcher(&mut self, name: &str) {
         self.states.remove(name);
-        self.match_requests.remove(name);
+        self.matchers.remove(name);
     }
 
     /// Execute an `install`: store a literal, pre-computed mapping table
@@ -278,64 +266,49 @@ impl State {
     /// installed mapping is a point-in-time snapshot: it records its
     /// input versions in the response but carries no recipe, so later
     /// deltas do not refresh it (re-issue the compose to refresh).
-    fn install(
-        &mut self,
-        command: &Command,
-        req: &Json,
-        _seq: Option<u64>,
-    ) -> Result<Json, String> {
-        self.commands.composes += 1;
-        let arenas: Vec<usize> = self.registry.iter().map(|(_, lds)| lds.len()).collect();
-        let what = format!("{} request", command.name);
-        let rows = |title: &dyn fmt::Display, domain_len, range_len| {
-            let rows = req.need_arr(&what, "rows")?;
-            protocol::rows_from_json(title, rows, domain_len, range_len)
-        };
-        let mapping = self.literal_mapping(&what, req, &arenas, rows)?;
-        let (name, rows) = (mapping.name.clone(), mapping.len());
-        self.repository.store_as(&name, mapping);
-        self.release_matcher(&name);
-        Ok(self.stored(&name, rows, Some(("installed", true))))
+    fn install(&mut self, spec: &InstallSpec) -> Result<Json, String> {
+        self.count(Cmd::Install, false);
+        let domain = self.resolve("domain", &spec.domain)?;
+        let range = self.resolve("range", &spec.range)?;
+        let [dl, rl] = [domain, range].map(|id| self.registry.lds(id).len());
+        let outside = |&&(d, r, _): &&(u32, u32, f64)| d as usize >= dl || r as usize >= rl;
+        if let Some(&(d, r, sim)) = spec.rows.iter().find(outside) {
+            let title = format!("{} request `{}`", Cmd::Install.name(), spec.name);
+            let row = format!("[{d},{r},{}]", Json::Num(sim));
+            return Err(protocol::outside_arenas(&title, &row, dl, rl));
+        }
+        let table = MappingTable::from_triples(spec.rows.clone());
+        let mapping = literal(&spec.name, spec.assoc.as_deref(), domain, range, table);
+        let rows = mapping.len();
+        self.repository.store_as(&spec.name, mapping);
+        self.release_matcher(&spec.name);
+        Ok(self.stored(&spec.name, rows, Some(("installed", true))))
     }
 
-    /// The literal mapping of an `install` record or a checkpointed
-    /// entry: `name`, `domain`, `range` and `assoc` read from `j`, the
-    /// table decoded by `rows` — given the mapping's title and its
+    /// The literal mapping of checkpointed entry `mj`, named `name`:
+    /// its sources resolved, its table decoded by `rows` — given the
     /// sources' arena lengths (from `arenas`) to check indices against.
     fn literal_mapping(
         &self,
-        what: &str,
-        j: &Json,
+        mj: &Json,
+        name: &str,
         arenas: &[usize],
-        rows: impl FnOnce(&dyn fmt::Display, usize, usize) -> Result<MappingTable, String>,
+        rows: impl FnOnce(usize, usize) -> Result<MappingTable, String>,
     ) -> Result<Mapping, String> {
-        let name = j.need(what, "name", Json::as_str)?;
-        let domain = self.resolve("domain", j.need(what, "domain", Json::as_str)?)?;
-        let range = self.resolve("range", j.need(what, "range", Json::as_str)?)?;
-        let table = rows(
-            &format_args!("{what} `{name}`"),
-            arenas[domain.0 as usize],
-            arenas[range.0 as usize],
-        )?;
-        Ok(match j.get("assoc") {
-            Some(Json::Str(t)) => Mapping::association(name, t.clone(), domain, range, table),
-            _ => Mapping::same(name, domain, range, table),
-        })
+        const ENTRY: &str = "checkpoint mapping";
+        let domain = self.resolve("domain", mj.need(ENTRY, "domain", Json::as_str)?)?;
+        let range = self.resolve("range", mj.need(ENTRY, "range", Json::as_str)?)?;
+        let table = rows(arenas[domain.0 as usize], arenas[range.0 as usize])?;
+        let assoc = mj.get("assoc").and_then(Json::as_str);
+        Ok(literal(name, assoc, domain, range, table))
     }
 
-    fn delta(&mut self, _: &Command, req: &Json, seq: Option<u64>) -> Result<Json, String> {
-        // Replica copies fanned out by the shard router carry
-        // `"repl": true` and are tallied separately so the aggregate
-        // `commands.delta` counts each client delta once, on its
-        // accounting shard.
-        if req.get("repl").and_then(Json::as_bool) == Some(true) {
-            self.commands.repl_deltas += 1;
-        } else {
-            self.commands.deltas += 1;
-        }
-        self.full_rematched.clear();
-        let delta = protocol::parse_delta(&self.registry, req)?;
-        let applied = self.registry.apply_delta(&delta);
+    fn delta(&mut self, delta: &Delta, seq: Option<u64>) -> Result<Json, String> {
+        self.count(Cmd::Delta, delta.repl);
+        let lds = self.registry.resolve(&delta.lds);
+        let lds = lds.map_err(|e| protocol::unknown_source(&delta.lds, &e))?;
+        let ops = delta.ops.clone();
+        let applied = self.registry.apply_delta(&SourceDelta { lds, ops });
         let applied = applied.map_err(|e| format!("apply_delta: {e}"))?;
 
         // Patch every primed state. `apply` self-skips states whose
@@ -371,26 +344,42 @@ impl State {
         }
         let refreshed = self.repository.refresh_stale();
         let refreshed = refreshed.map_err(|e| format!("refresh stale: {e}"))?;
-
+        let refreshed = refreshed.into_iter().map(Json::Str).collect();
+        let counts = [
+            ("added", applied.added.len()),
+            ("removed", applied.removed.len()),
+            ("updated", applied.updated.len()),
+            ("skipped", applied.skipped),
+        ];
+        let counts = counts.map(|(key, n)| (key, Json::Num(n as f64)));
         Ok(Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("seq", seq.map(Json::Uint).unwrap_or(Json::Null)),
-            (
-                "applied",
-                Json::obj(vec![
-                    ("added", Json::Num(applied.added.len() as f64)),
-                    ("removed", Json::Num(applied.removed.len() as f64)),
-                    ("updated", Json::Num(applied.updated.len() as f64)),
-                    ("skipped", Json::Num(applied.skipped as f64)),
-                ]),
-            ),
+            ("applied", Json::obj(counts.to_vec())),
             ("mappings", Json::Arr(mappings_out)),
             ("untouched", Json::Num(untouched as f64)),
-            (
-                "refreshed",
-                Json::Arr(refreshed.into_iter().map(Json::Str).collect()),
-            ),
+            ("refreshed", Json::Arr(refreshed)),
         ]))
+    }
+
+    /// The items of a `batch_delta`, applied as the `delta` records
+    /// they were logged as (sequence numbers from `first_seq` on): a
+    /// per-item status array, an item's failure inline.
+    fn batch_delta(&mut self, items: &[Delta], first_seq: Option<u64>) -> Json {
+        let seqs = (0u64..).map(|i| first_seq.map(|first| first + i));
+        let mut results = Vec::with_capacity(items.len());
+        for (item, seq) in items.iter().zip(seqs) {
+            results.push(respond(self.delta(item, seq)));
+        }
+        let count = results.len() as u64;
+        let seq_or_null = |seq: Option<u64>| seq.map_or(Json::Null, Json::Uint);
+        Json::obj(vec![
+            ("ok", Json::Bool(true)),
+            ("count", Json::Uint(count)),
+            ("first_seq", seq_or_null(first_seq)),
+            ("last_seq", seq_or_null(first_seq.map(|f| f + count - 1))),
+            ("results", Json::Arr(results)),
+        ])
     }
 
     // ---- image and restore ---------------------------------------------
@@ -481,7 +470,7 @@ impl State {
             buf.push_str("]}");
         }
         buf.push_str("],\"matchers\":");
-        Json::Obj(self.match_requests.clone().into_iter().collect()).write_into(&mut buf);
+        self.matchers_json().write_into(&mut buf);
         buf.push('}');
         out.write_all(buf.as_bytes())
     }
@@ -590,15 +579,17 @@ impl State {
         let mut entries = Vec::new();
         Parser::need_items(IMAGE, "mappings", mappings, |p| {
             let (mj, [rows]) = p.object_but(["rows"])?;
-            let rows = |title: &dyn fmt::Display, domain_len, range_len| {
+            let name = mj.need(ENTRY, "name", Json::as_str)?;
+            let title = format!("{ENTRY} `{name}`");
+            let rows = |domain_len, range_len| {
                 let mut triples = Vec::new();
                 Parser::need_items(ENTRY, "rows", rows, |p| {
-                    let row = protocol::row_from_json(title, &p.tree()?, domain_len, range_len);
+                    let row = protocol::row_from_json(&title, &p.tree()?, domain_len, range_len);
                     row.map(|row| triples.push(row))
                 })?;
                 Ok(MappingTable::from_triples(triples))
             };
-            let mapping = self.literal_mapping(ENTRY, &mj, &lens, rows)?;
+            let mapping = self.literal_mapping(&mj, name, &lens, rows)?;
             let version = mj.need(ENTRY, "version", Json::as_u64)?;
             let recipe = match mj.get("recipe") {
                 None | Some(Json::Null) => None,
@@ -628,14 +619,7 @@ impl State {
         for (i, lds) in arenas.into_iter().enumerate() {
             *self.registry.lds_mut(LdsId(i as u32)) = lds;
         }
-        self.states.clear();
-        self.match_requests.clear();
-        for (name, req) in matchers {
-            let primed = self.apply(req, None);
-            if let Some(e) = primed.str_field("error") {
-                return Err(format!("re-prime `{name}`: {e}"));
-            }
-        }
+        self.reprime(matchers)?;
         self.repository = MappingRepository::new();
         for (mapping, version, recipe, deps) in entries {
             // Invariant check: re-priming against the restored sources
@@ -658,6 +642,27 @@ impl State {
         self.repository.restore_version_counter(version_counter);
         self.commands = counts;
         Ok(seq)
+    }
+
+    /// Re-prime the matcher states of an image's `matchers` member
+    /// through the ordinary `match` path, dropping the current ones.
+    fn reprime(&mut self, matchers: &[(String, Json)]) -> Result<(), String> {
+        self.states.clear();
+        self.matchers.clear();
+        for (name, record) in matchers {
+            let req = Request::decode(record, Origin::Trusted).map_err(|r| r.error);
+            let primed = req.and_then(|req| self.write(&req, None));
+            primed.map_err(|e| format!("re-prime `{name}`: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// The image's `matchers` member: each primed mapping's `match`
+    /// record, by name.
+    fn matchers_json(&self) -> Json {
+        let records = self.matchers.iter();
+        let records = records.map(|(name, m)| (name.clone(), Json::Raw(m.record.clone())));
+        Json::Obj(records.collect())
     }
 
     // ---- accessors ----------------------------------------------------
@@ -688,12 +693,24 @@ impl State {
     /// whatever shard a state recovered on is, by construction, the
     /// shard that owns it.
     pub fn state_endpoints(&self) -> Vec<(String, String, String)> {
-        let ends = self.match_requests.iter().filter_map(|(name, req)| {
-            let d = req.str_field("domain")?;
-            let r = req.str_field("range")?;
-            Some((name.clone(), d.to_owned(), r.to_owned()))
-        });
+        let ends = self.matchers.iter();
+        let ends = ends.map(|(name, m)| (name.clone(), m.domain.clone(), m.range.clone()));
         ends.collect()
+    }
+}
+
+/// A literal mapping: an association mapping when it has an `assoc`
+/// type.
+fn literal(
+    name: &str,
+    assoc: Option<&str>,
+    domain: LdsId,
+    range: LdsId,
+    table: MappingTable,
+) -> Mapping {
+    match assoc {
+        Some(t) => Mapping::association(name, t, domain, range, table),
+        None => Mapping::same(name, domain, range, table),
     }
 }
 
@@ -794,6 +811,12 @@ fn recipe_from_json(j: &Json) -> Result<Recipe, String> {
 /// kept as the oracles they are tested against.
 #[cfg(test)]
 impl State {
+    /// Apply `req` as replay does: decoded, or refused as a record that
+    /// does not decode.
+    pub(crate) fn apply_json(&mut self, req: &Json, seq: Option<u64>) -> Json {
+        self.replay(Request::decode(req, Origin::Trusted), seq)
+    }
+
     /// The image text [`State::write_image`] writes.
     pub(crate) fn image_text(&self, seq: u64) -> String {
         let mut out = Vec::new();
@@ -877,10 +900,7 @@ impl State {
             ),
             ("sources", Json::Arr(sources.collect())),
             ("mappings", Json::Arr(mappings.collect())),
-            (
-                "matchers",
-                Json::Obj(self.match_requests.clone().into_iter().collect()),
-            ),
+            ("matchers", self.matchers_json()),
         ])
     }
 
@@ -961,11 +981,17 @@ impl State {
         let arenas: Vec<usize> = sources.iter().map(LogicalSource::len).collect();
         let mut entries = Vec::new();
         for mj in image.need_arr(IMAGE, "mappings")? {
-            let rows = |title: &dyn fmt::Display, domain_len, range_len| {
-                let rows = mj.need_arr(ENTRY, "rows")?;
-                protocol::rows_from_json(title, rows, domain_len, range_len)
+            let name = mj.need(ENTRY, "name", Json::as_str)?;
+            let title = format!("{ENTRY} `{name}`");
+            let rows = |domain_len, range_len| {
+                let rows = mj.need_arr(ENTRY, "rows")?.iter();
+                let rows =
+                    rows.map(|row| protocol::row_from_json(&title, row, domain_len, range_len));
+                Ok(MappingTable::from_triples(
+                    rows.collect::<Result<Vec<_>, String>>()?,
+                ))
             };
-            let mapping = self.literal_mapping(ENTRY, mj, &arenas, rows)?;
+            let mapping = self.literal_mapping(mj, name, &arenas, rows)?;
             let version = mj.need(ENTRY, "version", Json::as_u64)?;
             let recipe = match mj.get("recipe") {
                 None | Some(Json::Null) => None,
@@ -994,14 +1020,7 @@ impl State {
         for (i, lds) in sources.into_iter().enumerate() {
             *self.registry.lds_mut(LdsId(i as u32)) = lds;
         }
-        self.states.clear();
-        self.match_requests.clear();
-        for (name, req) in matchers {
-            let primed = self.apply(req, None);
-            if let Some(e) = primed.str_field("error") {
-                return Err(format!("re-prime `{name}`: {e}"));
-            }
-        }
+        self.reprime(matchers)?;
         self.repository = MappingRepository::new();
         for (mapping, version, recipe, deps) in entries {
             // Invariant check: re-priming against the restored sources
@@ -1102,9 +1121,9 @@ mod tests {
         let mut cut = machine();
         for (i, req) in head.iter().enumerate() {
             let seq = Some(i as u64 + 1);
-            let reply = straight.apply(req, seq);
+            let reply = straight.apply_json(req, seq);
             assert!(ok(&reply), "{reply}");
-            assert_eq!(cut.apply(req, seq), reply);
+            assert_eq!(cut.apply_json(req, seq), reply);
         }
         let image = cut.image_text(4);
         assert_eq!(image, cut.image(4).to_string(), "streamed ≡ tree");
@@ -1113,9 +1132,9 @@ mod tests {
         assert_eq!(cut.image_text(4), straight.image_text(4));
         for (i, req) in tail.iter().enumerate() {
             let seq = Some(i as u64 + 5);
-            let reply = straight.apply(req, seq);
+            let reply = straight.apply_json(req, seq);
             assert!(ok(&reply), "{reply}");
-            assert_eq!(cut.apply(req, seq), reply);
+            assert_eq!(cut.apply_json(req, seq), reply);
         }
         assert_eq!(cut.image_text(6), straight.image_text(6));
         let (cut, straight) = (ReadView::of(&cut), ReadView::of(&straight));
@@ -1142,7 +1161,7 @@ mod tests {
         ] {
             let (d, r) = ("Publication@DBLP", "Publication@ACM");
             let req = protocol::match_request("m", d, r, "title", "title", sim, 0.5);
-            let reply = state.apply(&req, Some(1));
+            let reply = state.apply_json(&req, Some(1));
             assert!(!ok(&reply), "{reply}");
             let error = reply
                 .get("error")
@@ -1150,7 +1169,7 @@ mod tests {
                 .unwrap_or_default();
             assert!(error.contains("unknown similarity `"), "{reply}");
         }
-        assert!(ok(&state.apply(
+        assert!(ok(&state.apply_json(
             &match_cmd("m", "Publication@DBLP", "Publication@ACM"),
             Some(1)
         )));
@@ -1165,7 +1184,7 @@ mod tests {
         for sim in ["trigram", "tfidf", "jaro"] {
             for t in [-0.1, 1.5] {
                 let req = protocol::match_request("m", d, r, "title", "title", sim, t);
-                let reply = state.apply(&req, Some(1));
+                let reply = state.apply_json(&req, Some(1));
                 let error = reply.str_field("error").unwrap_or_default();
                 assert!(error.contains("must be in [0, 1]"), "{sim} {t}: {reply}");
             }
@@ -1180,7 +1199,7 @@ mod tests {
     #[test]
     fn persisted_rows_are_checked_against_the_arenas() {
         let mut live = machine();
-        assert!(ok(&live.apply(
+        assert!(ok(&live.apply_json(
             &match_cmd("m1", "Publication@DBLP", "Publication@ACM"),
             None
         )));
@@ -1196,7 +1215,7 @@ mod tests {
             let record = format!(
                 r#"{{"cmd":"install","name":"x","domain":"Publication@DBLP","range":"Publication@ACM","rows":[[1,1,0.5],{bad}]}}"#
             );
-            let reply = machine().apply(&Json::parse(&record).unwrap(), Some(1));
+            let reply = machine().apply_json(&Json::parse(&record).unwrap(), Some(1));
             let error = reply.str_field("error").unwrap_or_default();
             assert!(error.contains("[domain, range, sim]"), "{bad}: {reply}");
 
@@ -1209,11 +1228,11 @@ mod tests {
         }
         // The arena a checkpointed row must fit is the restored one: a
         // row naming an instance a delta added after boot is fine.
-        assert!(ok(&live.apply(
+        assert!(ok(&live.apply_json(
             &match_cmd("m2", "Publication@ACM", "Publication@GS"),
             None
         )));
-        assert!(ok(&live.apply(&add("g9", "The a1 system paper"), None)));
+        assert!(ok(&live.apply_json(&add("g9", "The a1 system paper"), None)));
         let image = live.image_text(3);
         assert!(image.contains("[0,1,"), "a row into g9");
         assert_eq!(machine().restore(&image), Ok(3));
@@ -1534,7 +1553,7 @@ mod tests {
         let mut state = State::new(reg.clone(), Parallelism::sequential());
         for (seq, step) in (1..).zip(steps) {
             match step {
-                Step::Logged(req) => drop(state.apply(req, Some(seq))),
+                Step::Logged(req) => drop(state.apply_json(req, Some(seq))),
                 Step::Derive(name, recipe) => {
                     drop(state.repository.store_derived(name.clone(), recipe.clone()))
                 }
@@ -1717,7 +1736,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            assert!(ok(&live.apply(req, Some(i as u64 + 1))));
+            assert!(ok(&live.apply_json(req, Some(i as u64 + 1))));
         }
         let text = live.image_text(5);
         let reg = registry(3);

@@ -26,9 +26,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use moma_core::SnapshotEntry;
 use moma_model::{LdsId, LogicalSource};
 
-use crate::commands::{self, Cmd, Command};
+use crate::commands;
 use crate::json::{self, Json};
 use crate::protocol::{err_response, respond, unknown_mapping};
+use crate::request::{Query, Request};
 use crate::state::{CommandCounts, State};
 
 /// Ids per shared chunk of an [`Ids`] column.
@@ -117,13 +118,11 @@ pub struct WalPosition {
 
 impl WalPosition {
     fn to_json(&self) -> Json {
+        let lag = self.seq.saturating_sub(self.checkpoint_seq);
         Json::obj(vec![
             ("seq", Json::Uint(self.seq)),
             ("checkpoint_seq", Json::Uint(self.checkpoint_seq)),
-            (
-                "lag",
-                Json::Uint(self.seq.saturating_sub(self.checkpoint_seq)),
-            ),
+            ("lag", Json::Uint(lag)),
             ("segments", Json::Uint(self.segments)),
             ("dir", Json::Str(self.dir.clone())),
         ])
@@ -207,22 +206,16 @@ impl ReadView {
         ReadView::build(state, None, None, 0)
     }
 
-    /// Answer a read request.
-    pub fn read(&self, req: &Json) -> Json {
-        match commands::of_request(req) {
-            Ok(command) => self.answer(command, req),
-            Err(e) => err_response(&e),
-        }
-    }
-
-    /// [`ReadView::read`] for a caller that has looked `command` up
-    /// already: the one dispatch of the read commands.
-    pub(crate) fn answer(&self, command: &Command, req: &Json) -> Json {
-        respond(match command.cmd {
-            Cmd::Ping => Ok(Json::obj(vec![("ok", Json::Bool(true))])),
-            Cmd::Query => self.query(command, req),
-            Cmd::BatchQuery => self.batch_query(command, req),
-            Cmd::Stats => Ok(self.stats()),
+    /// Answer a read request: the one dispatch of the read commands.
+    pub fn answer(&self, req: &Request) -> Json {
+        let command = req.command();
+        respond(match req {
+            Request::Ping => Ok(Json::obj(vec![("ok", Json::Bool(true))])),
+            Request::Query(query) => Ok(self.query(query)),
+            Request::BatchQuery(items) => Ok(ReadView::batch(
+                items.iter().map(|q| self.query(q)).collect(),
+            )),
+            Request::Stats => Ok(self.stats()),
             _ if command.class.takes_write_lock() => {
                 Err(format!("`{}` must go through the write path", command.name))
             }
@@ -256,15 +249,11 @@ impl ReadView {
     /// first `limit` of them (all for 0) as `[domain id, range id, sim]`.
     /// The rows are written as JSON text straight from the view's id
     /// columns into one [`Json::Raw`] — no tree per row.
-    fn query(&self, command: &Command, req: &Json) -> Result<Json, String> {
-        let name = command.field(req, "name", Json::as_str)?;
-        let limit = command.optional(req, "limit", "a non-negative integer", Json::as_u64)?;
-        let min_sim = command.optional(req, "min_sim", "a number", Json::as_f64)?;
-        let (limit, min_sim) = (limit.unwrap_or(100) as usize, min_sim.unwrap_or(0.0));
-
+    pub(crate) fn query(&self, query: &Query) -> Json {
+        let (name, limit, min_sim) = (query.name.as_str(), query.limit, query.min_sim);
         let Some(entry) = self.entry(name) else {
             let known = self.entries.iter().map(|e| e.name.as_str());
-            return Err(unknown_mapping(name, known));
+            return err_response(&unknown_mapping(name, known));
         };
         let dom = &self.sources[entry.mapping.domain.0 as usize];
         let rng = &self.sources[entry.mapping.range.0 as usize];
@@ -288,7 +277,7 @@ impl ReadView {
             }
         }
         rows.push(']');
-        Ok(Json::obj(vec![
+        Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("name", Json::Str(name.into())),
             ("version", Json::Uint(entry.version)),
@@ -296,21 +285,18 @@ impl ReadView {
             ("range", Json::Str(rng.name.clone())),
             ("total", Json::Num(total as f64)),
             ("rows", Json::Raw(rows)),
-        ]))
+        ])
     }
 
-    /// N queries over one frame and one view. Each item carries the
-    /// fields of a single `query` request (minus `cmd`); an item that
-    /// fails gets an inline error object while the batch still succeeds.
-    fn batch_query(&self, command: &Command, req: &Json) -> Result<Json, String> {
-        let query = Cmd::Query.row();
-        let items = command.items(req)?.iter();
-        let results: Vec<Json> = items.map(|item| respond(self.query(query, item))).collect();
-        Ok(Json::obj(vec![
+    /// The reply of a `batch_query`: the items' replies in request order
+    /// — an item that fails (its mapping unknown) answered by its inline
+    /// refusal while the batch still succeeds.
+    pub(crate) fn batch(results: Vec<Json>) -> Json {
+        Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("count", Json::Uint(results.len() as u64)),
             ("results", Json::Arr(results)),
-        ]))
+        ])
     }
 
     /// The shard's `stats` object: counters, WAL position, sources,
@@ -338,19 +324,15 @@ impl ReadView {
             }
             Json::obj(fields)
         });
+        let wal = self.wal.as_ref().map_or(Json::Null, WalPosition::to_json);
+        let suppressed = Json::Uint(self.warnings_suppressed);
         Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("commands", self.commands.to_json()),
-            (
-                "wal",
-                self.wal.as_ref().map_or(Json::Null, WalPosition::to_json),
-            ),
+            ("wal", wal),
             ("sources", Json::Arr(sources.collect())),
             ("mappings", Json::Arr(mappings.collect())),
-            (
-                "full_rematch_warnings_suppressed",
-                Json::Uint(self.warnings_suppressed),
-            ),
+            ("full_rematch_warnings_suppressed", suppressed),
         ])
     }
 }
@@ -384,19 +366,29 @@ impl ViewSlot {
     }
 }
 
+/// Answer a request object, decoded as an embedded caller's would be.
+#[cfg(test)]
+impl ReadView {
+    pub(crate) fn read(&self, req: &Json) -> Json {
+        use crate::request::Origin;
+        match Request::decode(req, Origin::Trusted) {
+            Ok(req) => self.answer(&req),
+            Err(refusal) => crate::protocol::err_response(&refusal.error),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol;
+    use crate::request::Origin;
     use moma_core::exec::Parallelism;
     use moma_model::{AttrDef, DeltaOp, ObjectType, SourceRegistry};
 
     /// `query` as 9128605 answered it: a tree per row, encoded whole.
-    fn tree_query(view: &ReadView, command: &Command, req: &Json) -> Result<Json, String> {
-        let name = command.field(req, "name", Json::as_str)?;
-        let limit = command.optional(req, "limit", "a non-negative integer", Json::as_u64)?;
-        let min_sim = command.optional(req, "min_sim", "a number", Json::as_f64)?;
-        let (limit, min_sim) = (limit.unwrap_or(100) as usize, min_sim.unwrap_or(0.0));
+    fn tree_query(view: &ReadView, query: &Query) -> Result<Json, String> {
+        let (name, limit, min_sim) = (query.name.as_str(), query.limit, query.min_sim);
         let Some(entry) = view.entry(name) else {
             let known = view.entries.iter().map(|e| e.name.as_str());
             return Err(unknown_mapping(name, known));
@@ -432,11 +424,10 @@ mod tests {
     }
 
     /// `batch_query` as 9128605 answered it.
-    fn tree_batch(view: &ReadView, req: &Json) -> Result<Json, String> {
-        let query = Cmd::Query.row();
-        let items = Cmd::BatchQuery.row().items(req)?.iter();
+    fn tree_batch(view: &ReadView, items: &[Query]) -> Result<Json, String> {
         let results: Vec<Json> = items
-            .map(|item| respond(tree_query(view, query, item)))
+            .iter()
+            .map(|query| respond(tree_query(view, query)))
             .collect();
         Ok(Json::obj(vec![
             ("ok", Json::Bool(true)),
@@ -458,7 +449,7 @@ mod tests {
     /// `query` and `batch_query` replies, rows written from the id
     /// column, are the bytes the per-row tree encoded to: hostile ids,
     /// a tombstoned row, `min_sim`, `limit` 0 / 1 / n / past the end,
-    /// malformed fields and an unknown mapping.
+    /// absent fields and an unknown mapping.
     #[test]
     fn written_rows_are_the_bytes_of_the_tree() {
         let mut reg = SourceRegistry::new();
@@ -485,7 +476,7 @@ mod tests {
                 }],
             ),
         ] {
-            let reply = state.apply(&req, None);
+            let reply = state.apply_json(&req, None);
             assert_eq!(
                 reply.get("ok").and_then(Json::as_bool),
                 Some(true),
@@ -504,14 +495,20 @@ mod tests {
             }
         }
         items.push(Json::obj(vec![("name", Json::Str("m".into()))]));
-        items.push(protocol::query_item("m", 3, None).set_field("limit", Json::Num(-1.0)));
+        let decoded = |req: &Json| Request::decode(req, Origin::Trusted).unwrap();
         for item in &items {
             let req = item.clone().set_field("cmd", Json::Str("query".into()));
-            let want = respond(tree_query(&view, Cmd::Query.row(), &req)).to_string();
+            let Request::Query(query) = decoded(&req) else {
+                panic!("{req} is a query")
+            };
+            let want = respond(tree_query(&view, &query)).to_string();
             assert_eq!(view.read(&req).to_string(), want);
         }
         let batch = protocol::batch_query_request(items);
-        let want = respond(tree_batch(&view, &batch)).to_string();
+        let Request::BatchQuery(queries) = decoded(&batch) else {
+            panic!("a batch_query")
+        };
+        let want = respond(tree_batch(&view, &queries)).to_string();
         assert!(want.contains(r#"DBLP:q\"uote","GS:ctl\u0000\u0001\u0008\n"#));
         assert_eq!(view.read(&batch).to_string(), want);
     }

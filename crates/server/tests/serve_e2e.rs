@@ -713,8 +713,9 @@ fn one_shard_server_answers_byte_for_byte_like_an_embedded_engine() {
         protocol::checkpoint_request(), // no WAL: refused
         protocol::bare_request("frobnicate"),
         protocol::query_request("no_such_mapping", 1, None),
-        // Requests no plan can be made for: the lone shard's engine
-        // words (and, for writes, logs and counts) the refusal.
+        // A request that does not decode is refused alike, logged and
+        // counted by neither; one no plan can be made for is worded (and,
+        // a write, logged and counted) by the lone shard's engine.
         without(script()[0].clone(), "name"),
         protocol::compose_request("c_bad", "m_da", "ghost", "min", "max"),
         protocol::delta_request("Venue@Nowhere", &[]),
@@ -742,7 +743,8 @@ fn one_shard_server_answers_byte_for_byte_like_an_embedded_engine() {
 
     // `stats`: the engine's object, unmerged, with the server's
     // counters appended — the durable counters agree because every
-    // refusal above was logged and counted the same on both sides.
+    // refusal above was logged and counted (or not) the same on both
+    // sides.
     let served = c.stats().expect("stats").to_string();
     let embedded = twin.stats().to_string();
     let engine_part = embedded.strip_suffix('}').expect("an object");
@@ -753,11 +755,13 @@ fn one_shard_server_answers_byte_for_byte_like_an_embedded_engine() {
     let _ = fs::remove_dir_all(&work);
 }
 
-/// A `limit` or `min_sim` that is present but malformed is refused with
-/// an error naming the field — in `query` and in each `batch_query`
-/// item, where the siblings still answer — instead of being read as its
-/// default (`limit: -1` used to return 100 rows, `min_sim: "0.9"` to
-/// filter nothing). An absent field keeps its default.
+/// A field that is present but malformed is refused with an error
+/// naming it instead of being read as its default: `limit: -1` used to
+/// return 100 rows, `min_sim: "0.9"` to filter nothing, a `match` with
+/// `threshold: "0.9"` ran at 0.7, `sim: 5` ran `trigram`, a string
+/// `shard` hint was ignored, a `compose` with `f: 1` ran `min`. In a
+/// `batch_query` item it refuses the batch. Nothing refused is logged
+/// or counted; an absent field keeps its default.
 #[test]
 fn malformed_query_fields_are_refused_not_defaulted() {
     let handle = spawn(engine(None), "127.0.0.1:0").expect("spawn");
@@ -776,36 +780,48 @@ fn malformed_query_fields_are_refused_not_defaulted() {
         );
         reply.str_field("error").unwrap_or_default().to_owned()
     };
-    for (field, value) in [
-        ("limit", Json::Num(-1.0)),
-        ("limit", Json::Num(2.5)),
-        ("limit", Json::Str("10".into())),
-        ("limit", Json::Null),
-        ("min_sim", Json::Str("0.9".into())),
-        ("min_sim", Json::Bool(true)),
+    let query = protocol::query_item("m_da", 2, None);
+    let matcher = script()[1].clone();
+    let compose = protocol::compose_request("c_bad", "m_da", "m_da", "min", "max");
+    for (base, field, value) in [
+        (&query, "limit", Json::Num(-1.0)),
+        (&query, "limit", Json::Num(2.5)),
+        (&query, "limit", Json::Str("10".into())),
+        (&query, "limit", Json::Null),
+        (&query, "min_sim", Json::Str("0.9".into())),
+        (&query, "min_sim", Json::Bool(true)),
+        (&matcher, "threshold", Json::Str("0.9".into())),
+        (&matcher, "sim", Json::Num(5.0)),
+        (&matcher, "blocking", Json::Num(5.0)),
+        (&matcher, "domain_attr", Json::Null),
+        (&matcher, "shard", Json::Str("0".into())),
+        (&compose, "f", Json::Num(1.0)),
+        (&compose, "g", Json::Bool(true)),
     ] {
-        let item = protocol::query_item("m_da", 2, None).set_field(field, value.clone());
-        let single = item.clone().set_field("cmd", Json::Str("query".into()));
+        let faulty = base.clone().set_field(field, value.clone());
+        let single = match faulty.get("cmd") {
+            Some(_) => faulty.clone(),
+            None => faulty.clone().set_field("cmd", Json::Str("query".into())),
+        };
         let error = error_of(&c.call(&single).expect("transport ok"));
         assert!(
             error.contains(&format!("`{field}`")),
             "{field}={value}: {error}"
         );
-
-        let results = c.batch_query(vec![item, protocol::query_item("m_da", 1, None)]);
-        let results = results.expect("the batch itself succeeds");
-        assert!(
-            error_of(&results[0]).contains(&format!("`{field}`")),
-            "{field}={value}"
-        );
-        assert_eq!(
-            results[1]
-                .get("rows")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len),
-            Some(1)
-        );
+        if base == &query {
+            let batch =
+                protocol::batch_query_request(vec![protocol::query_item("m_da", 1, None), faulty]);
+            let error = error_of(&c.call(&batch).expect("transport ok"));
+            assert!(
+                error.starts_with(&format!("batch_query item 1 `{field}`")),
+                "{field}={value}: {error}"
+            );
+        }
     }
+    let stats = c.stats().expect("stats");
+    let commands = stats.get("commands").expect("commands");
+    assert_eq!(commands.num_field("match"), Some(1.0), "{stats}");
+    assert_eq!(commands.num_field("compose"), Some(0.0), "{stats}");
 
     // Absent: `limit` 100, `min_sim` 0.
     let bare = Json::obj(vec![
@@ -941,10 +957,10 @@ fn command_table_is_total() {
     assert_eq!(listed.split('/').collect::<Vec<_>>(), wire);
 }
 
-/// A `match` naming a gram length past `SimFn::MAX_GRAM_LENGTH` is an
-/// ordinary failed command: the reply names the maximum, the connection
-/// serves its next request, the record is logged and counted, and replay
-/// fails it again. Before the maximum, `qgram:1000000` was accepted and
+/// A `match` naming a gram length past `SimFn::MAX_GRAM_LENGTH` is
+/// refused: the reply names the maximum, the connection serves its next
+/// request, and — a request that does not decode — it is neither logged
+/// nor counted, so replay has nothing to fail again. Before the maximum, `qgram:1000000` was accepted and
 /// padded every value with ~2 million chars — one request could exhaust
 /// the server's memory, and `--replay` repeated it.
 #[test]
@@ -972,7 +988,7 @@ fn a_gram_length_past_the_maximum_is_refused_and_replays_as_a_failure() {
     c.call_ok(&script()[0]).expect("the next request is served");
     let stats = c.call_ok(&protocol::bare_request("stats")).expect("stats");
     let commands = stats.get("commands").expect("commands");
-    assert_eq!(commands.num_field("match"), Some(2.0), "{stats}");
+    assert_eq!(commands.num_field("match"), Some(1.0), "{stats}");
     c.call_ok(&protocol::bare_request("shutdown"))
         .expect("shutdown");
     handle.stop();
@@ -981,8 +997,8 @@ fn a_gram_length_past_the_maximum_is_refused_and_replays_as_a_failure() {
     let summary = replayed
         .recover(&wal_dir, DurabilityPolicy::default())
         .expect("replay");
-    assert_eq!(summary.replayed, 2);
-    assert_eq!(summary.failed, 1, "the refused match fails again");
-    assert_eq!(replayed.wal_seq(), 2);
+    assert_eq!(summary.replayed, 1);
+    assert_eq!(summary.failed, 0, "the refused match was never logged");
+    assert_eq!(replayed.wal_seq(), 1);
     let _ = fs::remove_dir_all(&work);
 }

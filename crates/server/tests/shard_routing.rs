@@ -561,40 +561,64 @@ fn a_cross_shard_compose_onto_a_primed_name_releases_its_matcher() {
     handle.stop();
 }
 
-/// The router owns the `repl` flag of a fanned-out delta and the `cmd`
-/// of a batch item: what a client puts there changes nothing.
+/// The router owns the `repl` flag of a fanned-out delta: a client that
+/// sends one — on a delta or a batch item, `true` or not — is refused at
+/// every shard count, and nothing is counted (a forged `"repl": true`
+/// used to be counted as a replica, so the delta vanished from
+/// `commands.delta`). The `cmd` of a batch item is ignored.
 #[test]
-fn client_supplied_repl_and_item_cmd_are_overridden() {
-    // Publication@GS is hosted on both shards: as m_dg's range on
-    // shard 0 and as m_ga's domain on shard 1.
-    let (handle, mut c) = spawn_cluster(shard_engines(2, None));
-    c.call_ok(&protocol::with_shard(pub_match("m_dg", "DBLP", "GS"), 0))
-        .expect("left match");
-    c.call_ok(&protocol::with_shard(pub_match("m_ga", "GS", "ACM"), 1))
+fn client_supplied_repl_is_refused_and_item_cmd_ignored() {
+    for shards in [1, 2] {
+        // Publication@GS is hosted by every shard: as m_dg's range on
+        // shard 0 and as m_ga's domain on the last.
+        let (handle, mut c) = spawn_cluster(shard_engines(shards, None));
+        c.call_ok(&protocol::with_shard(pub_match("m_dg", "DBLP", "GS"), 0))
+            .expect("left match");
+        c.call_ok(&protocol::with_shard(
+            pub_match("m_ga", "GS", "ACM"),
+            shards - 1,
+        ))
         .expect("right match");
 
-    let delta = delta_req("Publication@GS", "title", "repl_probe")
-        .set_field("repl", Json::Bool(false))
-        .set_field("note", Json::Str("`repl` is not the last field".into()));
-    let r = c.call_ok(&delta).expect("delta");
-    assert_eq!(
-        r.get("shards").and_then(Json::as_arr).map(<[_]>::len),
-        Some(2)
-    );
-    let commands = c.stats().expect("stats");
-    let commands = commands.get("commands").expect("commands");
-    assert_eq!(commands.get("delta").and_then(Json::as_u64), Some(1));
-    assert_eq!(commands.get("repl_delta").and_then(Json::as_u64), Some(1));
+        let delta = delta_req("Publication@GS", "title", "repl_probe");
+        let item = |repl: bool| {
+            let item = protocol::delta_item("Publication@GS", &[]);
+            item.set_field("repl", Json::Bool(repl))
+        };
+        for forged in [
+            delta.clone().set_field("repl", Json::Bool(true)),
+            delta.clone().set_field("repl", Json::Bool(false)),
+            protocol::batch_delta_request(vec![item(false)]),
+            protocol::batch_delta_request(vec![
+                protocol::delta_item("Publication@GS", &[]),
+                item(true),
+            ]),
+        ] {
+            let r = c.call(&forged).expect("transport ok");
+            assert!(
+                error_of(&r).contains("`repl` is internal to the shard router"),
+                "{r}"
+            );
+        }
+        let r = c.call_ok(&delta).expect("delta");
+        let shards_hit = r.get("shards").and_then(Json::as_arr).map(<[_]>::len);
+        assert_eq!(shards_hit, (shards > 1).then_some(shards));
+        let commands = c.stats().expect("stats");
+        let commands = commands.get("commands").expect("commands");
+        assert_eq!(commands.get("delta").and_then(Json::as_u64), Some(1));
+        let replicas = commands.get("repl_delta").and_then(Json::as_u64);
+        assert_eq!(replicas, Some(shards as u64 - 1));
 
-    // Items on two shards, so the batch is split; the first claims to
-    // be another command and is answered as the query it is.
-    let impostor =
-        protocol::query_item("m_dg", 1, None).set_field("cmd", Json::Str("stats".into()));
-    let results = c
-        .batch_query(vec![impostor, protocol::query_item("m_ga", 1, None)])
-        .expect("batch_query");
-    assert_eq!(results[0].str_field("name"), Some("m_dg"), "{}", results[0]);
-    assert!(results[0].get("rows").is_some(), "{}", results[0]);
-    assert_eq!(results[1].str_field("name"), Some("m_ga"));
-    handle.stop();
+        // Items on two shards, so the batch is split; the first claims to
+        // be another command and is answered as the query it is.
+        let impostor =
+            protocol::query_item("m_dg", 1, None).set_field("cmd", Json::Str("stats".into()));
+        let results = c
+            .batch_query(vec![impostor, protocol::query_item("m_ga", 1, None)])
+            .expect("batch_query");
+        assert_eq!(results[0].str_field("name"), Some("m_dg"), "{}", results[0]);
+        assert!(results[0].get("rows").is_some(), "{}", results[0]);
+        assert_eq!(results[1].str_field("name"), Some("m_ga"));
+        handle.stop();
+    }
 }
