@@ -7,6 +7,7 @@
 //! determine the duplicates within dirty sources … represent them as
 //! self-mappings … then compose with same-mappings").
 
+use moma_table::agg::IdGroups;
 use moma_table::MappingTable;
 
 use crate::error::{CoreError, Result};
@@ -80,14 +81,13 @@ impl UnionFind {
 /// self-mapping or holds an instance id `>= n`.
 pub fn clusters(self_mapping: &Mapping, n: u32) -> Result<Vec<Vec<u32>>> {
     let reps = component_reps("clusters", self_mapping, n)?;
-    // Members are visited ascending and a representative is its cluster's
-    // smallest member, so both levels come out sorted.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-    for (x, &rep) in reps.iter().enumerate() {
-        members[rep as usize].push(x as u32);
-    }
-    members.retain(|g| g.len() > 1);
-    Ok(members)
+    // Instances grouped by representative: groups ascend by representative,
+    // a cluster's smallest member, and members ascend within a group, so
+    // both levels come out sorted. Only clusters of two or more allocate.
+    let groups = IdGroups::count(reps.iter().copied());
+    let members = groups.positions(reps.iter().copied());
+    let clusters = groups.spans().filter(|(_, span)| span.len() > 1);
+    Ok(clusters.map(|(_, span)| members[span].to_vec()).collect())
 }
 
 /// Map each instance to its cluster representative (smallest member id);
@@ -148,20 +148,16 @@ pub fn collapse_domain(mapping: &Mapping, reps: &[u32]) -> Mapping {
 /// the paper's "find more correspondences" composition of self-mappings
 /// with same-mappings.
 pub fn expand_domain(mapping: &Mapping, reps: &[u32]) -> Mapping {
-    // `(representative, member)` sorted: each cluster is one run.
-    let mut members: Vec<(u32, u32)> = (0u32..).zip(reps).map(|(m, &rep)| (rep, m)).collect();
-    members.sort_unstable();
+    // Members grouped by representative, ascending within a cluster.
+    let groups = IdGroups::count(reps.iter().copied());
+    let members = groups.positions(reps.iter().copied());
     let mut table = MappingTable::new();
     for c in mapping.table.iter() {
-        let from = members.partition_point(|&(rep, _)| rep < c.domain);
-        let cluster = members[from..]
-            .iter()
-            .take_while(|&&(rep, _)| rep == c.domain);
-        let mut cluster = cluster.map(|&(_, m)| m).peekable();
-        if cluster.peek().is_none() {
+        let cluster = &members[groups.span(c.domain)];
+        if cluster.is_empty() {
             table.push(c.domain, c.range, c.sim);
         }
-        cluster.for_each(|m| table.push(m, c.range, c.sim));
+        cluster.iter().for_each(|&m| table.push(m, c.range, c.sim));
     }
     table.dedup_max();
     Mapping {

@@ -18,17 +18,22 @@
 //!
 //! The operator is one sequential loop over the domain groups (runs) of
 //! `map1`'s canonical rows: probe `map2`'s [`Adjacency`] with each row of
-//! the group, stable-sort the group's `(b, f(s1, s2))` paths by `b`, fold
-//! each run into [`PathStats`]. `n(a)` is the group length and the output
-//! rows come out in canonical order. [`compose_with`] is an alias kept
-//! only because the frozen benchmark calls it.
+//! the group and fold each path `(b, f(s1, s2))` into `b`'s slot of a
+//! dense [`PathStats`] array, noting the slots it touches; then emit the
+//! touched slots in ascending `b` and clear them. The slots are those of
+//! one counting pass over `map2`'s range column ([`IdGroups`]), whose
+//! group lengths are `n(b)`; `n(a)` is the group length. The paths of a
+//! pair arrive in ascending intermediate id, which fixes the rounding of
+//! their sum, and the output rows come out in canonical order.
+//! [`compose_with`] is an alias kept only because the frozen benchmark
+//! calls it.
 
 use std::fmt;
 use std::str::FromStr;
 
-use moma_table::agg::PathStats;
+use moma_table::agg::{IdGroups, PathStats};
 use moma_table::names::{name_param, parse_name, print_name};
-use moma_table::{Adjacency, FxHashMap, MappingTable};
+use moma_table::{Adjacency, MappingTable};
 
 use crate::error::{CoreError, Result};
 use crate::exec::Parallelism;
@@ -166,39 +171,43 @@ pub fn compose(map1: &Mapping, map2: &Mapping, f: PathCombine, g: PathAgg) -> Re
     }
 
     let right = Adjacency::over_domain(&map2.table);
-    // n(b): correspondences per range object in map2 (Figure 5); n(a),
-    // correspondences per domain object in map1, is the group length.
-    let mut n_b: FxHashMap<u32, u32> = FxHashMap::default();
-    for c in map2.table.canonical().iter() {
-        *n_b.entry(c.range).or_insert(0) += 1;
-    }
+    // n(b): correspondences per range object in map2 (Figure 5) — the
+    // group lengths of its range column; n(a), correspondences per domain
+    // object in map1, is the group length.
+    let by_b = IdGroups::count(map2.table.canonical().iter().map(|c| c.range));
+    let mut stats = vec![PathStats::default(); by_b.slots()];
+    let mut touched: Vec<u32> = Vec::new();
 
     let mut table = MappingTable::new();
-    let mut paths: Vec<(u32, f64)> = Vec::new();
     for group in map1.table.canonical().chunk_by(|x, y| x.domain == y.domain) {
-        let (a, n_a) = (group[0].domain, group.len() as u32);
-        paths.clear();
+        let (a, n_a) = (group[0].domain, group.len());
         for l in group {
-            let reached = right.neighbors(l.range).iter();
-            paths.extend(reached.map(|&(b, s2)| (b, f.apply(l.sim, s2))));
+            for &(b, s2) in right.neighbors(l.range) {
+                let s = by_b.slot(b).expect("b is a range object of map2");
+                let (st, path) = (&mut stats[s], f.apply(l.sim, s2));
+                if st.count == 0 {
+                    *st = PathStats::one(path);
+                    touched.push(s as u32);
+                } else {
+                    st.add(path);
+                }
+            }
         }
-        // Stable: the paths of a pair stay in ascending intermediate-id
-        // order, which fixes the rounding of their sum.
-        paths.sort_by_key(|&(b, _)| b);
-        for run in paths.chunk_by(|x, y| x.0 == y.0) {
-            let b = run[0].0;
-            let mut st = PathStats::one(run[0].1);
-            run[1..].iter().for_each(|&(_, s)| st.add(s));
-            let s = match g {
+        touched.sort_unstable();
+        for &s in &touched {
+            let s = s as usize;
+            let (st, n_b) = (std::mem::take(&mut stats[s]), by_b.span_at(s).len());
+            let sim = match g {
                 PathAgg::Avg => st.avg(),
                 PathAgg::Min => st.min,
                 PathAgg::Max => st.max,
                 PathAgg::RelativeLeft => st.sum / n_a as f64,
-                PathAgg::RelativeRight => st.sum / n_b[&b] as f64,
-                PathAgg::Relative => 2.0 * st.sum / (n_a + n_b[&b]) as f64,
+                PathAgg::RelativeRight => st.sum / n_b as f64,
+                PathAgg::Relative => 2.0 * st.sum / (n_a + n_b) as f64,
             };
-            table.push(a, b, s.clamp(0.0, 1.0));
+            table.push(a, by_b.id(s), sim.clamp(0.0, 1.0));
         }
+        touched.clear();
     }
 
     let kind = match (&map1.kind, &map2.kind) {

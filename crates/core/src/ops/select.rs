@@ -7,12 +7,13 @@
 //!
 //! Every technique marks positions of the mapping's canonical rows and
 //! emits the marked rows in order. Per-instance techniques scan runs: the
-//! rows themselves are grouped by domain object, and one stable sort of
-//! the row positions by range object groups them by range object.
+//! rows themselves are grouped by domain object, and one counting pass by
+//! range id ([`IdGroups`]) groups their positions by range object.
 
 use std::fmt;
 use std::str::FromStr;
 
+use moma_table::agg::IdGroups;
 use moma_table::names::{parse_name, print_name};
 use moma_table::{Correspondence, MappingTable};
 
@@ -97,11 +98,13 @@ pub fn select(mapping: &Mapping, sel: &Selection) -> Mapping {
         Selection::BestN { n, side } => keep_per_instance(&rows, *side, |run, keep| {
             // Similarity descending; the sort is stable, so ties stay in
             // the run's order — lower other id first.
-            run.sort_by(|&i, &j| {
-                sim(j)
-                    .partial_cmp(&sim(i))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            if run.len() > *n {
+                run.sort_by(|&i, &j| {
+                    sim(j)
+                        .partial_cmp(&sim(i))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+            }
             run.iter().take(*n).for_each(|&i| keep[i as usize] = true);
         }),
         Selection::Best1Delta {
@@ -167,21 +170,20 @@ fn keep_per_instance(
     rule: impl Fn(&mut [u32], &mut [bool]),
 ) -> Vec<bool> {
     let mark = |by_domain: bool| {
-        let key = |i: &u32| {
-            let c = &rows[*i as usize];
-            if by_domain {
-                c.domain
-            } else {
-                c.range
-            }
-        };
-        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-        if !by_domain {
-            order.sort_by_key(key);
-        }
         let mut keep = vec![false; rows.len()];
-        for run in order.chunk_by_mut(|i, j| key(i) == key(j)) {
-            rule(run, &mut keep);
+        if by_domain {
+            let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+            let domain = |i: &u32| rows[*i as usize].domain;
+            for run in order.chunk_by_mut(|i, j| domain(i) == domain(j)) {
+                rule(run, &mut keep);
+            }
+        } else {
+            let ranges = rows.iter().map(|c| c.range);
+            let groups = IdGroups::count(ranges.clone());
+            let mut order = groups.positions(ranges);
+            for (_, span) in groups.spans() {
+                rule(&mut order[span], &mut keep);
+            }
         }
         keep
     };

@@ -1,8 +1,9 @@
 //! A fast, non-cryptographic hasher in the style of rustc's FxHash.
 //!
-//! Join and aggregation inner loops hash `u32`/`u64` keys billions of
-//! times across a benchmark run; SipHash (std's default) is needlessly
-//! slow there and HashDoS resistance is irrelevant for trusted in-process
+//! Dictionaries, registries and the gram index hash `u32`/`u64` and
+//! string keys on hot paths (the mapping operators group by dense id
+//! instead, `agg::IdGroups`); SipHash (std's default) is needlessly slow
+//! there and HashDoS resistance is irrelevant for trusted in-process
 //! data. This is the classic Fx multiply-rotate mix, implemented locally
 //! to keep the workspace dependency-free.
 

@@ -1,17 +1,19 @@
-//! CSR-style adjacency index over a mapping table's domain column.
+//! CSR adjacency index over a mapping table's domain column.
 //!
 //! Composing mappings needs, per intermediate object, its neighbor list
 //! in the right-hand table. The [`Adjacency`] packs neighbor entries
-//! contiguously and locates an object's slice through one hash lookup.
+//! contiguously in canonical order and locates an object's slice through
+//! the offset array of one counting pass by domain id ([`IdGroups`]).
 
-use crate::hash::{fx_map_with_capacity, FxHashMap};
+use crate::agg::IdGroups;
 use crate::mapping_table::MappingTable;
 
 /// Index over the domain column of a [`MappingTable`].
 #[derive(Debug, Clone)]
 pub struct Adjacency {
-    /// key -> (start, end) range into `entries`.
-    spans: FxHashMap<u32, (u32, u32)>,
+    /// The domain column counted: the neighbors of `key` are
+    /// `entries[groups.span(key)]`.
+    groups: IdGroups,
     /// Flattened `(range object, similarity)` entries grouped by key, in
     /// canonical order.
     entries: Vec<(u32, f64)>,
@@ -19,27 +21,18 @@ pub struct Adjacency {
 
 impl Adjacency {
     /// Build an index keyed by the *domain* column from the table's
-    /// canonical rows: one span per domain run.
+    /// canonical rows, which are already grouped by domain.
     pub fn over_domain(table: &MappingTable) -> Self {
         let rows = table.canonical();
-        let mut spans: FxHashMap<u32, (u32, u32)> = fx_map_with_capacity(16);
-        let mut start = 0u32;
-        for run in rows.chunk_by(|x, y| x.domain == y.domain) {
-            let end = start + run.len() as u32;
-            spans.insert(run[0].domain, (start, end));
-            start = end;
-        }
+        let groups = IdGroups::count(rows.iter().map(|c| c.domain));
         let entries = rows.iter().map(|c| (c.range, c.sim)).collect();
-        Self { spans, entries }
+        Self { groups, entries }
     }
 
     /// Neighbors of `key`: `(range object, similarity)` slice, ascending
     /// by range object.
     pub fn neighbors(&self, key: u32) -> &[(u32, f64)] {
-        match self.spans.get(&key) {
-            Some(&(s, e)) => &self.entries[s as usize..e as usize],
-            None => &[],
-        }
+        &self.entries[self.groups.span(key)]
     }
 }
 

@@ -3,7 +3,8 @@
 //! Composition of mappings is a relational join: rows `(a, c, s1)` of the
 //! left table meet rows `(c, b, s2)` of the right table on the shared
 //! object `c` (paper Section 3.2 / 5.3). Two strategies are provided —
-//! the hash join and a nested-loop reference used to property-test it.
+//! the index join ([`hash_join`]) and a nested-loop reference used to
+//! property-test it.
 //! Both are sequential; the compose operator probes the same
 //! [`Adjacency`] once per domain group of its left table
 //! (`moma_core::ops::compose`).
@@ -26,9 +27,9 @@ pub struct JoinedPath {
     pub s2: f64,
 }
 
-/// Hash join: builds an [`Adjacency`] over the right table's canonical
-/// rows and probes it with the range column of the left table's rows as
-/// stored.
+/// Index join (the name is older than the index): builds an
+/// [`Adjacency`] over the right table's canonical rows and probes it with
+/// the range column of the left table's rows as stored.
 pub fn hash_join(left: &MappingTable, right: &MappingTable, mut sink: impl FnMut(JoinedPath)) {
     let right_adj = Adjacency::over_domain(right);
     for l in left.iter() {

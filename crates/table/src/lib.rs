@@ -12,13 +12,14 @@
 //! * [`MappingTable`] — a dense vector of [`Correspondence`] rows
 //!   (`u32` domain index, `u32` range index, `f64` similarity) kept in
 //!   canonical order: `(domain, range)`-sorted and pair-unique,
-//! * [`agg`] — grouping over that order: [`agg::cogroup`], the co-scan
-//!   under merge and the set operations, and [`agg::PathStats`], the
-//!   per-pair fold of the compose operator,
-//! * [`Adjacency`] — a CSR-style index over the domain column: the
-//!   neighbor lookup the join probes,
-//! * [`join`] — the hash join and the nested-loop reference it is tested
-//!   against,
+//! * [`agg`] — grouping over that order and by dense instance id:
+//!   [`agg::cogroup`], the co-scan under merge and the set operations,
+//!   [`agg::IdGroups`], the counting sort by one id column, and
+//!   [`agg::PathStats`], the per-pair fold of the compose operator,
+//! * [`Adjacency`] — a CSR index over the domain column: the neighbor
+//!   lookup the join probes,
+//! * [`join`] — the index join and the nested-loop reference it is
+//!   tested against,
 //! * [`exec`] — the deterministic sharded-execution layer
 //!   ([`Parallelism`]) behind the parallel matchers,
 //! * [`gram_index`] — the one incrementally maintainable inverted gram
@@ -33,7 +34,7 @@
 //!   the galloping lower bound the count-filtered probe searches it with,
 //! * [`tsv`] — the field escaping of the repository's plain-text files,
 //! * [`hash`] — a fast FxHash-style hasher used for all internal maps
-//!   (integer-keyed hashing is on the hot path of every join).
+//!   (the operators and the join group by dense id and hash nothing).
 //!
 //! Object ids are *local instance indexes* of the owning logical data
 //! source (see `moma-model`); a row is therefore 16 bytes and tables with

@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 
+use crate::agg::IdGroups;
 use crate::hash::{fx_map_with_capacity, FxHashMap};
 
 /// One row of a mapping table: a correspondence `(a, b, s)`.
@@ -153,14 +154,28 @@ impl MappingTable {
     }
 
     /// Swap domain and range columns (the inverse mapping table).
+    ///
+    /// One counting pass by range groups the rows ([`IdGroups`]), and the
+    /// groups keep domain order, so a table sorted by domain — every
+    /// canonical one — comes out canonical. Any other table is grouped by
+    /// domain first, the same way: the rows always come out sorted by
+    /// `(domain, range)`, duplicate pairs kept.
     pub fn inverted(&self) -> MappingTable {
-        let mut rows: Vec<Correspondence> = self
-            .rows
-            .iter()
-            .map(|c| Correspondence::new(c.range, c.domain, c.sim))
-            .collect();
-        rows.sort_unstable_by_key(|x| (x.domain, x.range));
-        MappingTable { rows }
+        let at = |i: u32| self.rows[i as usize];
+        let ranges = self.rows.iter().map(|c| c.range);
+        let by_range = IdGroups::count(ranges.clone());
+        let order = if self.rows.windows(2).all(|w| w[0].domain <= w[1].domain) {
+            by_range.positions(ranges)
+        } else {
+            let domains = self.rows.iter().map(|c| c.domain);
+            let by_domain = IdGroups::count(domains.clone()).positions(domains);
+            let regrouped = by_range.positions(by_domain.iter().map(|&i| at(i).range));
+            regrouped.iter().map(|&j| by_domain[j as usize]).collect()
+        };
+        let swapped = |c: Correspondence| Correspondence::new(c.range, c.domain, c.sim);
+        MappingTable {
+            rows: order.into_iter().map(|i| swapped(at(i))).collect(),
+        }
     }
 
     /// Keep only rows matching the predicate.
