@@ -64,12 +64,15 @@ restoring the pre-crash repository bit-identically.
 
 --shards N partitions the service across N independent engines, each
 with its own WAL directory (`<dir>/shard.<i>` under --wal), checkpoint
-chain and admission budgets. Mutating commands are placed by source
-ownership (an explicit `shard` field on `match` pins one), queries
-route to the shard owning the mapping, `stats` merges a per-shard +
-aggregate view, and recovery replays every shard's WAL independently
-(see docs/ARCHITECTURE.md); --replay refuses a directory written at
-another shard count. Default: 1 — the single-engine layout and wire
+chain and admission budgets. Every source has one home shard, and
+every mapping and every delta over it lives there: a `match` goes to
+the home of its sources (an explicit `shard` field on `match` places
+sources that have none), a `compose` to the shard of its inputs, and
+a request that would span two homes is refused. Queries route to the
+shard holding the mapping, `stats` merges a per-shard + aggregate
+view, and recovery replays every shard's WAL independently (see
+docs/ARCHITECTURE.md); --replay refuses a directory written at
+another shard count, and a state holding one source on two shards. Default: 1 — the single-engine layout and wire
 behavior are exactly as before.
 
 Admission control: --max-connections (default 256) caps concurrent

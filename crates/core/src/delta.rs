@@ -86,7 +86,7 @@ use crate::blocking::{CandidateIndex, Probe};
 use crate::error::{CoreError, Result};
 use crate::exec::Parallelism;
 use crate::mapping::Mapping;
-use crate::matchers::attribute::{string_candidates, CandidatePlan, StringSide, Value};
+use crate::matchers::attribute::{string_candidates, StringSide, Value};
 use crate::matchers::kernel::{present, probe, Side};
 use crate::matchers::{AttributeMatcher, MatchContext, Matcher, MatcherSim};
 use crate::repository::MappingRepository;
@@ -143,10 +143,7 @@ fn supports_incremental(m: &AttributeMatcher) -> bool {
     // but any delta shifts the corpus-global weights, so every apply
     // must be a full re-match.
     matches!(m.sim, MatcherSim::Fixed(_))
-        && matches!(
-            m.candidate_plan(),
-            CandidatePlan::AllPairs | CandidatePlan::Index(Probe::Threshold { .. })
-        )
+        && matches!(m.probe(), None | Some(Probe::Threshold { .. }))
 }
 
 impl AttributeMatcher {

@@ -5,10 +5,10 @@
 //! function to be evaluated (e.g. n-gram, TF/IDF or affix) and a
 //! similarity threshold to be exceeded by result correspondences."
 //!
-//! `AttributeMatcher::candidate_plan` is the single place a [`Blocking`]
-//! choice is resolved; the resolved plan decides which index a side of
-//! the match gets, and the one match kernel (`matchers::kernel::probe`)
-//! runs it.
+//! `AttributeMatcher::probe` is the single place a [`Blocking`] choice
+//! is resolved; the resolved probe decides which index a side of the
+//! match gets (none: all pairs), and the one match kernel
+//! (`matchers::kernel::probe`) runs it.
 
 use std::fmt;
 use std::str::FromStr;
@@ -70,23 +70,6 @@ impl fmt::Display for MatcherSim {
             MatcherSim::TfIdf => f.write_str("tfidf"),
         }
     }
-}
-
-/// The concrete candidate-generation plan a [`Blocking`] choice
-/// resolves to for a given matcher configuration (see
-/// [`AttributeMatcher::candidate_plan`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum CandidatePlan {
-    /// Score every pair.
-    AllPairs,
-    /// A [`CandidateIndex`] over the range column: the prefix filter at
-    /// a fixed Dice bound (the matcher threshold, or
-    /// [`PREFIX_DICE_FLOOR`] when the measure is not trigram Dice), the
-    /// threshold-exact T-occurrence probe (the matcher's measure, gram
-    /// length and threshold baked in), or the weighted-prefix probe over
-    /// cached TF-IDF vectors (the corpus built from both columns at
-    /// execution time and frozen for the match).
-    Index(Probe),
 }
 
 /// Dice bound of the trigram prefix filter under
@@ -268,56 +251,45 @@ impl AttributeMatcher {
     }
 
     /// Resolve the configured [`Blocking`] against the similarity
-    /// function into the concrete candidate-generation plan — the only
-    /// place the choice is made; everything downstream runs the plan.
+    /// function into how the range column is indexed and probed — the
+    /// only place the choice is made; everything downstream runs the
+    /// resolved probe. `None` means score all pairs.
     ///
     /// * [`Blocking::AllPairs`] scores all pairs.
     /// * TF-IDF with a positive threshold gets the exact weighted-prefix
-    ///   engine over cached vectors under either pruning variant (a
-    ///   trigram filter says nothing about corpus-weighted cosine).
+    ///   probe over cached vectors under either pruning variant (a
+    ///   trigram filter says nothing about corpus-weighted cosine; the
+    ///   corpus is built from both columns at execution time and frozen
+    ///   for the match).
     /// * [`Blocking::TrigramPrefix`] probes the trigram prefix filter at
     ///   the matcher threshold when scoring trigram Dice (exact),
     ///   otherwise at [`PREFIX_DICE_FLOOR`].
     /// * [`Blocking::Threshold`] gives a fixed q-gram measure with a
-    ///   positive threshold the exact T-occurrence engine.
+    ///   positive threshold the exact T-occurrence probe (its measure,
+    ///   gram length and threshold baked in).
     /// * Everything else (non-q-gram fixed measures under `Threshold`,
     ///   `t ≤ 0`) scores all pairs — the transparent fallback.
-    pub(crate) fn candidate_plan(&self) -> CandidatePlan {
+    pub(crate) fn probe(&self) -> Option<Probe> {
         match (self.blocking, &self.sim) {
-            (Blocking::AllPairs, _) => CandidatePlan::AllPairs,
-            (_, MatcherSim::TfIdf) if self.threshold > 0.0 => {
-                CandidatePlan::Index(Probe::Weighted {
+            (Blocking::AllPairs, _) => None,
+            (_, MatcherSim::TfIdf) if self.threshold > 0.0 => Some(Probe::Weighted {
+                threshold: self.threshold,
+            }),
+            (Blocking::TrigramPrefix, MatcherSim::Fixed(sim)) => Some(Probe::Prefix {
+                dice_bound: match sim {
+                    SimFn::Trigram | SimFn::QgramDice(3) => self.threshold,
+                    _ => PREFIX_DICE_FLOOR,
+                },
+            }),
+            (Blocking::Threshold, MatcherSim::Fixed(sim)) if self.threshold > 0.0 => {
+                let (measure, q) = qgram_measure_of(sim)?;
+                Some(Probe::Threshold {
+                    measure,
+                    q,
                     threshold: self.threshold,
                 })
             }
-            (Blocking::TrigramPrefix, MatcherSim::Fixed(sim)) => {
-                CandidatePlan::Index(Probe::Prefix {
-                    dice_bound: match sim {
-                        SimFn::Trigram | SimFn::QgramDice(3) => self.threshold,
-                        _ => PREFIX_DICE_FLOOR,
-                    },
-                })
-            }
-            (Blocking::Threshold, MatcherSim::Fixed(sim)) if self.threshold > 0.0 => {
-                match qgram_measure_of(sim) {
-                    Some((measure, q)) => CandidatePlan::Index(Probe::Threshold {
-                        measure,
-                        q,
-                        threshold: self.threshold,
-                    }),
-                    None => CandidatePlan::AllPairs,
-                }
-            }
-            _ => CandidatePlan::AllPairs,
-        }
-    }
-
-    /// How the resolved plan indexes and probes a column; `None` means
-    /// score all pairs.
-    pub(crate) fn probe(&self) -> Option<Probe> {
-        match self.candidate_plan() {
-            CandidatePlan::Index(probe) => Some(probe),
-            CandidatePlan::AllPairs => None,
+            _ => None,
         }
     }
 
@@ -557,10 +529,7 @@ mod tests {
             for t in [0.5, 0.8] {
                 let default = AttributeMatcher::new("title", "name", sim.clone(), t);
                 assert_eq!(default.blocking, Blocking::Threshold);
-                assert!(matches!(
-                    default.candidate_plan(),
-                    CandidatePlan::Index(Probe::Threshold { .. })
-                ));
+                assert!(matches!(default.probe(), Some(Probe::Threshold { .. })));
                 let exact = default.execute(&ctx, d, a).unwrap();
                 let all = AttributeMatcher::new("title", "name", sim.clone(), t)
                     .with_blocking(Blocking::AllPairs)
@@ -579,7 +548,7 @@ mod tests {
         // all-pairs — identical results, no pruning.
         let jaro = AttributeMatcher::new("title", "name", SimFn::Jaro, 0.9)
             .with_blocking(Blocking::Threshold);
-        assert_eq!(jaro.candidate_plan(), CandidatePlan::AllPairs);
+        assert_eq!(jaro.probe(), None);
         let got = jaro.execute(&ctx, d, a).unwrap();
         let want = jaro
             .clone()
@@ -588,9 +557,9 @@ mod tests {
             .unwrap();
         assert_eq!(got.table.rows(), want.table.rows());
         // TF-IDF: the weighted-prefix bounds are exact — pruned plan.
-        let weighted = CandidatePlan::Index(Probe::Weighted { threshold: 0.6 });
+        let weighted = Some(Probe::Weighted { threshold: 0.6 });
         assert_eq!(
-            AttributeMatcher::tfidf("title", "name", 0.6).candidate_plan(),
+            AttributeMatcher::tfidf("title", "name", 0.6).probe(),
             weighted
         );
         // ...under either pruning variant: a trigram filter says nothing
@@ -598,20 +567,20 @@ mod tests {
         // the same exact plan instead of scoring all pairs.
         let prefix_tfidf =
             AttributeMatcher::tfidf("title", "name", 0.6).with_blocking(Blocking::TrigramPrefix);
-        assert_eq!(prefix_tfidf.candidate_plan(), weighted);
+        assert_eq!(prefix_tfidf.probe(), weighted);
         // A TF-IDF threshold of 0 can prune nothing.
         for blocking in [Blocking::Threshold, Blocking::TrigramPrefix] {
             assert_eq!(
                 AttributeMatcher::tfidf("title", "name", 0.0)
                     .with_blocking(blocking)
-                    .candidate_plan(),
-                CandidatePlan::AllPairs
+                    .probe(),
+                None
             );
         }
         // Threshold 0 can prune nothing.
         assert_eq!(
-            AttributeMatcher::new("title", "name", SimFn::Trigram, 0.0).candidate_plan(),
-            CandidatePlan::AllPairs
+            AttributeMatcher::new("title", "name", SimFn::Trigram, 0.0).probe(),
+            None
         );
     }
 
@@ -668,10 +637,7 @@ mod tests {
                 let ctx = MatchContext::new(&reg)
                     .with_parallelism(Parallelism::new(threads).with_min_shard_size(1));
                 let pruned = AttributeMatcher::tfidf("title", "name", t);
-                assert_eq!(
-                    pruned.candidate_plan(),
-                    CandidatePlan::Index(Probe::Weighted { threshold: t })
-                );
+                assert_eq!(pruned.probe(), Some(Probe::Weighted { threshold: t }));
                 let pruned = pruned.execute(&ctx, d, a).unwrap();
                 let all = AttributeMatcher::tfidf("title", "name", t)
                     .with_blocking(Blocking::AllPairs)

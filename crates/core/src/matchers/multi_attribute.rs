@@ -206,7 +206,7 @@ impl MultiAttributeMatcher {
     /// How each attribute is indexed and probed, if at all. The blocking
     /// choice only selects *which* attributes may get an index (none,
     /// the primary, all); whether and how attribute `k` is indexed is
-    /// what [`AttributeMatcher::candidate_plan`] resolves for its
+    /// what [`AttributeMatcher::probe`] resolves for its
     /// measure at its derived bound — an attribute with a vacuous bound,
     /// or one the plan scores all-pairs, prunes nothing.
     fn probes(&self) -> Vec<Option<Probe>> {

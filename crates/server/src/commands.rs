@@ -78,24 +78,24 @@ pub enum Route {
     /// [`Route::ByMapping`] for every element of `"items"`, grouped per
     /// shard.
     ByMappingItems,
-    /// Every shard hosting a mapping over the source named by `"lds"`:
-    /// the accounting copy on the lowest, `"repl": true` replicas on
-    /// the rest.
+    /// The home shard of the source named by `"lds"` — the one shard
+    /// every mapping over it lives on.
     BySource,
     /// [`Route::BySource`] for every element of `"items"`, one
-    /// sub-batch (and one WAL group commit) per shard.
+    /// sub-batch (and one WAL group commit) per home.
     BySourceItems,
-    /// Placed by the ownership cascade over `"domain"`/`"range"`.
+    /// The home of `"domain"` or `"range"`, else the `"shard"` hint,
+    /// else a hash of the domain; the sources are claimed for it.
     Place,
-    /// The shard holding both inputs, else gathered on the coordinator
-    /// and installed on the left input's shard.
+    /// The shard both inputs live on; inputs on two shards are
+    /// refused.
     Compose,
     /// Every shard, ascending; the replies are merged.
     Scatter,
     /// Always shard 0.
     ShardZero,
-    /// Never planned: the server answers it (`shutdown`) or writes it
-    /// itself (`install`).
+    /// Never planned: the server answers it (`shutdown`), or only
+    /// replay runs it (`install`, from earlier releases' logs).
     Unrouted,
 }
 
@@ -104,8 +104,8 @@ pub enum Route {
 pub enum Visibility {
     /// Part of the public protocol.
     Wire,
-    /// Written by the router into a shard's WAL and replayed from it;
-    /// refused from the wire.
+    /// Replayed from a shard's WAL (earlier releases' routers wrote
+    /// it); refused from the wire.
     Internal,
 }
 
@@ -167,7 +167,7 @@ pub const COMMANDS: &[Command] = &[
     row(Cmd::Shutdown, "shutdown", Class::Coordinator, Route::Unrouted, Visibility::Wire,
         "stop the server after responding"),
     row(Cmd::Install, "install", Class::LoggedWrite, Route::Unrouted, Visibility::Internal,
-        "store a literal mapping table (cross-shard compose result)"),
+        "store a literal mapping table (replayed from earlier releases' logs)"),
 ];
 
 impl Class {
@@ -229,10 +229,10 @@ mod tests {
         match route {
             Route::ByMapping => "by mapping",
             Route::ByMappingItems => "by mapping, per item",
-            Route::BySource => "by source, fan-out",
-            Route::BySourceItems => "by source, per item",
+            Route::BySource => "by source home",
+            Route::BySourceItems => "by source home, per item",
             Route::Place => "placed",
-            Route::Compose => "compose plan",
+            Route::Compose => "with its inputs",
             Route::Scatter => "scatter",
             Route::ShardZero => "shard 0",
             Route::Unrouted => "—",

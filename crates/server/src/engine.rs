@@ -268,8 +268,9 @@ impl Engine {
     }
 
     /// [`Engine::run`] on a request object, decoded as a trusted
-    /// caller's: `install` and replica deltas are accepted (that is
-    /// replay); a request that does not decode is refused, not logged.
+    /// caller's: `install` and replica deltas, which earlier releases
+    /// logged, are accepted (that is replay); a request that does not
+    /// decode is refused, not logged.
     pub fn execute(&mut self, req: &Json) -> Json {
         match Request::decode(req, Origin::Trusted) {
             Ok(req) => self.run(&req),

@@ -34,8 +34,8 @@
 //! * **Sharding** ([`shard`]): `moma serve --shards N` runs N
 //!   independent engines — each with its own WAL directory, checkpoint
 //!   chain and admission budgets — behind a [`shard::ShardRouter`] that
-//!   places mutating commands by source ownership, scatters reads and
-//!   merges `stats`. Writes to distinct shards no longer serialize
+//!   gives every source one home shard, on which every mapping and
+//!   every delta over it lands, scatters reads and merges `stats`. Writes to distinct shards no longer serialize
 //!   behind one lock, and each shard recovers from its own WAL
 //!   independently.
 //! * **One serve path** ([`commands`], [`request`], [`server`]): every

@@ -26,11 +26,11 @@
 //! |---|---|---|---|
 //! | `ping` | read | shard 0 | liveness check |
 //! | `match` | logged write | placed | execute + prime an attribute matcher, store the mapping |
-//! | `compose` | logged write | compose plan | store a derived `compose(left, right, f, g)` mapping |
+//! | `compose` | logged write | with its inputs | store a derived `compose(left, right, f, g)` mapping |
 //! | `query` | read | by mapping | read correspondences from a snapshot |
 //! | `batch_query` | read | by mapping, per item | N `query` items in one frame, per-item result array |
-//! | `delta` | logged write | by source, fan-out | ingest a source delta, patch mappings incrementally |
-//! | `batch_delta` | logged write | by source, per item | N `delta` items, one WAL group commit, per-item status array |
+//! | `delta` | logged write | by source home | ingest a source delta, patch mappings incrementally |
+//! | `batch_delta` | logged write | by source home, per item | N `delta` items, one WAL group commit, per-item status array |
 //! | `checkpoint` | unlogged write | scatter | publish an atomic state checkpoint, prune covered WAL segments |
 //! | `stats` | read | scatter | server/engine counters (per-shard + aggregate when sharded) |
 //! | `dump` | unlogged write | scatter | persist repository + manifest to a directory |
@@ -56,23 +56,22 @@
 //! byte an embedded [`Engine`](crate::engine::Engine)'s):
 //!
 //! * `match` may carry a `"shard": N` placement hint (see
-//!   [`with_shard`]); it is refused if it contradicts an existing
-//!   ownership claim on the domain source, or if it is no non-negative
-//!   integer.
+//!   [`with_shard`]); it places a match neither of whose sources has a
+//!   home shard yet, and it is refused if it contradicts an existing
+//!   home, or if it is no non-negative integer.
 //! * routed responses are annotated with the `"shard"` (or, for deltas,
 //!   `"shards"`) that served them.
-//! * `install` is the record a cross-shard `compose` writes to the
-//!   installing shard's WAL: the computed rows as literals, so each
-//!   shard's log replays independently. It is router-internal — a
-//!   logged write that is refused from the wire at every shard count;
-//!   see [`install_request`].
-//! * `repl` marks the replica copies of a `delta` the router fans out
-//!   to the shards beside its accounting one: they patch their
-//!   mappings but count as `commands.repl_delta`, not
-//!   `commands.delta`. The router owns it — a `delta` or `batch_delta`
-//!   item carrying a `repl` member is refused from the wire at every
-//!   shard count; WAL replay and an embedded
-//!   [`Engine`](crate::engine::Engine) accept it.
+//! * `install` stores a literal mapping table. Earlier releases wrote
+//!   it to a shard's WAL for a compose whose inputs lived on two
+//!   shards; replay still runs it, but it is refused from the wire at
+//!   every shard count; see [`install_request`].
+//! * `repl` marked the replica copies of a `delta` that earlier
+//!   releases fanned out to every shard hosting its source: replay
+//!   patches with them but counts them as `commands.repl_delta`, not
+//!   `commands.delta`. A `delta` or `batch_delta` item carrying a
+//!   `repl` member is refused from the wire at every shard count; WAL
+//!   replay and an embedded [`Engine`](crate::engine::Engine) accept
+//!   it.
 //!
 //! ## Examples
 //!
@@ -381,10 +380,9 @@ pub fn with_shard(req: Json, shard: usize) -> Json {
 }
 
 /// Build an `install` request: store a mapping as a literal table of
-/// `[domain_idx, range_idx, sim]` rows. This is the record a
-/// cross-shard `compose` writes to the installing shard's WAL — rows,
-/// not a recipe, so the shard's log replays without consulting any
-/// other shard. Servers refuse it from the wire; an embedded
+/// `[domain_idx, range_idx, sim]` rows — the record earlier releases
+/// logged for a compose whose inputs lived on two shards. Servers
+/// refuse it from the wire; an embedded
 /// [`Engine`](crate::engine::Engine) executes it (that is replay).
 pub fn install_request(
     name: &str,

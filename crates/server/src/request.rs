@@ -15,9 +15,8 @@
 //! Every logged write carries its **record**: the text of the request
 //! as received (`Json::to_string` of the object), which is what the WAL
 //! appends and what a checkpoint's `matchers` member holds. A batch
-//! item's record is the single `delta` request it stands for, and a
-//! replica's carries `"repl": true` — the same bytes earlier releases
-//! logged.
+//! item's record is the single `delta` request it stands for — the same
+//! bytes earlier releases logged.
 
 use std::str::FromStr;
 
@@ -105,8 +104,8 @@ pub struct Delta {
     /// The source, by name.
     pub lds: String,
     pub ops: Vec<DeltaOp>,
-    /// A replica the router fanned out: patches, but is not counted as
-    /// a client's delta.
+    /// A replica an earlier release's router fanned out (`"repl": true`
+    /// in its log): patches, but is not counted as a client's delta.
     pub repl: bool,
     pub record: String,
 }
@@ -390,18 +389,6 @@ impl Delta {
     pub(crate) fn of_json(req: &Json) -> Result<Delta, String> {
         let fields = Fields::of(req, format!("{} request", Cmd::Delta.name()));
         fields.delta(Origin::Trusted, String::new)
-    }
-
-    /// This delta as a replica for a shard other than its accounting
-    /// one. A delta from the wire carries no `repl`, so its record gains
-    /// the member last.
-    pub fn replica(&self) -> Delta {
-        let open = self.record.strip_suffix('}').unwrap_or(&self.record);
-        Delta {
-            repl: true,
-            record: format!("{open},\"repl\":true}}"),
-            ..self.clone()
-        }
     }
 }
 

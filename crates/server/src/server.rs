@@ -17,7 +17,11 @@
 //! [`Route`](crate::commands::Route) of its
 //! [command table](crate::commands) row). A routing function
 //! is "plan the target shards, run a closure on them, gather": the
-//! plan comes from [`crate::shard`], the gather step lives there too
+//! plan comes from [`crate::shard`] — a write's target is the home
+//! shard of its sources, so every write but a `batch_delta` whose
+//! items have different homes has exactly one, and a `match` or
+//! `compose` claims its homes and its name when it is planned and
+//! settles the claim with its reply — the gather step lives there too
 //! (and is the identity over one shard, so a one-shard server answers
 //! byte for byte like an embedded [`Engine`]), and the closure runs in
 //! **the executor**, `run` — the only place on the request path that
@@ -65,7 +69,6 @@
 //! shards and publishes auto-checkpoints when a shard's durability
 //! thresholds are exceeded, off the delta path.
 
-use std::collections::BTreeSet;
 use std::convert::identity;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -74,16 +77,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use moma_core::ops::compose::compose;
-use moma_core::MappingKind;
-
 use crate::commands::Cmd;
 use crate::engine::Engine;
 use crate::frame::{encode_frame, MAX_FRAME};
 use crate::json::Json;
-use crate::protocol::{err_response, install_request};
-use crate::request::{ComposeSpec, Delta, MatchSpec, Origin, Query, Request};
-use crate::shard::{self, ComposePlan, Shard, ShardRouter};
+use crate::protocol::err_response;
+use crate::request::{Delta, Query, Request};
+use crate::shard::{self, Claim, Shard, ShardRouter};
 use crate::view::ReadView;
 
 /// How long handler threads block in `read` before re-checking the stop
@@ -142,7 +142,7 @@ impl Default for Limits {
 /// State shared between the accept loop and handler threads.
 pub struct Shared {
     /// The shard router: engines, per-shard admission counters and the
-    /// deterministic ownership index.
+    /// deterministic index of source homes.
     pub router: ShardRouter,
     limits: Limits,
     stop: AtomicBool,
@@ -155,7 +155,7 @@ pub struct Shared {
     overloaded_rejections: AtomicU64,
     /// Set when a handler panicked while holding a write lock (the lock
     /// is recovered and serving continues, but state deserves an
-    /// operator's look) — or when a replica delta diverged.
+    /// operator's look).
     degraded: AtomicBool,
 }
 
@@ -293,10 +293,12 @@ pub fn spawn_with_limits(engine: Engine, addr: &str, limits: Limits) -> io::Resu
 /// Bind `addr` and serve `engines` (one per shard) on a background
 /// thread. With a single engine this is exactly [`spawn_with_limits`];
 /// with more, commands are routed as described in [`crate::shard`].
+/// Engines whose states hold one source on two shards are refused
+/// ([`ShardRouter::new`]).
 pub fn spawn_sharded(engines: Vec<Engine>, addr: &str, limits: Limits) -> io::Result<ServerHandle> {
+    let shared = Arc::new(new_shared(engines, limits)?);
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let shared = Arc::new(new_shared(engines, limits));
     let shared2 = Arc::clone(&shared);
     let thread = std::thread::Builder::new()
         .name("moma-accept".into())
@@ -311,20 +313,22 @@ pub fn spawn_sharded(engines: Vec<Engine>, addr: &str, limits: Limits) -> io::Re
 /// Bind `addr` and serve `engines` (one per shard) on the current
 /// thread until shutdown.
 pub fn run_sharded(engines: Vec<Engine>, addr: &str, limits: Limits) -> io::Result<()> {
+    let shared = Arc::new(new_shared(engines, limits)?);
     let listener = TcpListener::bind(addr)?;
-    let shards = engines.len();
+    let shards = shared.router.len();
     eprintln!(
         "moma serve: listening on {} ({shards} shard{})",
         listener.local_addr()?,
         if shards == 1 { "" } else { "s" }
     );
-    accept_loop(listener, Arc::new(new_shared(engines, limits)));
+    accept_loop(listener, shared);
     Ok(())
 }
 
-fn new_shared(engines: Vec<Engine>, limits: Limits) -> Shared {
-    Shared {
-        router: ShardRouter::new(engines),
+fn new_shared(engines: Vec<Engine>, limits: Limits) -> io::Result<Shared> {
+    let router = ShardRouter::new(engines).map_err(io::Error::other)?;
+    Ok(Shared {
+        router,
         limits,
         stop: AtomicBool::new(false),
         started: Instant::now(),
@@ -335,7 +339,7 @@ fn new_shared(engines: Vec<Engine>, limits: Limits) -> Shared {
         busy_refusals: AtomicU64::new(0),
         overloaded_rejections: AtomicU64::new(0),
         degraded: AtomicBool::new(false),
-    }
+    })
 }
 
 /// Write one `busy` refusal frame and let the connection drop.
@@ -700,23 +704,17 @@ fn dispatch(payload: &[u8], shared: &Shared) -> Json {
         Request::BatchQuery(items) => route_batch_query(shared, items),
         Request::Delta(delta) => route_delta(shared, &req, delta),
         Request::BatchDelta(items) => route_batch_delta(shared, &req, items),
-        Request::Match(spec) => route_match(shared, &req, spec),
-        Request::Compose(spec) => route_compose(shared, &req, spec),
+        Request::Match(spec) => route_claimed(shared, &req, shared.router.plan_match(spec)),
+        Request::Compose(spec) => route_claimed(shared, &req, shared.router.plan_compose(spec)),
         Request::Checkpoint | Request::Stats | Request::Dump { .. } => scatter(shared, &req),
         Request::Install(_) => unreachable!("the decoder refuses `install` from the wire"),
     };
     routed.unwrap_or_else(identity)
 }
 
-/// Settle a plan: the router's own, else whatever
-/// [`ShardRouter::unplanned`] makes of its refusal.
-fn planned<T>(
-    shared: &Shared,
-    plan: Result<T, String>,
-    on_shard: impl FnOnce(usize) -> T,
-) -> Result<T, Json> {
-    plan.or_else(|refusal| shared.router.unplanned(refusal).map(on_shard))
-        .map_err(|refusal| err_response(&refusal))
+/// A router's refusal as the reply.
+fn refused(refusal: String) -> Json {
+    err_response(&refusal)
 }
 
 fn shard_list(shards: &[usize]) -> Json {
@@ -725,7 +723,7 @@ fn shard_list(shards: &[usize]) -> Json {
 
 fn route_query(shared: &Shared, req: &Request, query: &Query) -> Result<Json, Json> {
     let router = &shared.router;
-    let shard = planned(shared, router.plan_mapping(&query.name), identity)?;
+    let shard = router.plan_mapping(&query.name).map_err(refused)?;
     Ok(router.annotate_shard(run_on(shared, shard, req), shard))
 }
 
@@ -735,7 +733,7 @@ fn route_query(shared: &Shared, req: &Request, query: &Query) -> Result<Json, Js
 /// gathered in request order.
 fn route_batch_query(shared: &Shared, items: &[Query]) -> Result<Json, Json> {
     let router = &shared.router;
-    let plan = |item: &Query| planned(shared, router.plan_mapping(&item.name), identity);
+    let plan = |item: &Query| router.plan_mapping(&item.name).map_err(refused);
     let plans: Vec<Result<usize, Json>> = items.iter().map(plan).collect();
     let targets: Vec<usize> = plans.iter().flatten().copied().collect();
     run_views(shared, &targets, |views| {
@@ -831,128 +829,33 @@ fn with_server_counters(shared: &Shared, mut stats: Json) -> Json {
     stats
 }
 
-/// `match`: placed by the ownership cascade; a success claims its
-/// sources for the shard it ran on.
-fn route_match(shared: &Shared, req: &Request, spec: &MatchSpec) -> Result<Json, Json> {
-    let router = &shared.router;
-    let plan = router.plan_match(&spec.domain, &spec.range, spec.shard);
-    let shard = planned(shared, plan, identity)?;
-    let resp = run_on(shared, shard, req);
-    if response_ok(&resp) {
-        router.note_match(&spec.name, &spec.domain, &spec.range, shard);
-    }
-    Ok(router.annotate_shard(resp, shard))
-}
-
-/// `compose`: unchanged on the shard holding both inputs, else the
-/// cross-shard path.
-fn route_compose(shared: &Shared, req: &Request, spec: &ComposeSpec) -> Result<Json, Json> {
-    let router = &shared.router;
-    let plan = router.plan_compose(&spec.left, &spec.right);
-    match planned(shared, plan, ComposePlan::Single)? {
-        ComposePlan::Single(shard) => {
-            let resp = run_on(shared, shard, req);
-            if response_ok(&resp) {
-                router.note_mapping(&spec.name, shard);
-            }
-            Ok(router.annotate_shard(resp, shard))
-        }
-        ComposePlan::Cross { left, right } => cross_shard_compose(shared, spec, left, right),
-    }
-}
-
-/// The coordinator's gather-then-compute path: take each input from its
-/// shard's published view in turn (no engine lock: the view's mapping
-/// is the repository's shared `Arc`), compute the compose locally with
-/// the exact single-shard recipe evaluation, then log the *result* as
-/// an `install` record on the left input's shard. The installed mapping
-/// is a point-in-time snapshot of its inputs; the response records
-/// their versions so a client can detect staleness and re-compose.
-fn cross_shard_compose(
+/// `match` (on the home of its sources) and `compose` (on the shard of
+/// its inputs): run on the shard `plan` claimed, and settle the claim
+/// by the reply.
+fn route_claimed(
     shared: &Shared,
-    spec: &ComposeSpec,
-    left_shard: usize,
-    right_shard: usize,
+    req: &Request,
+    plan: Result<Claim, String>,
 ) -> Result<Json, Json> {
-    let (name, left, right) = (&spec.name, &spec.left, &spec.right);
-    // One input's mapping `Arc`, version and end-point source names.
-    let gather = |shard: usize, mapping: &str| {
-        run_views(shared, &[shard], |views| -> Result<_, Json> {
-            let view = &views[0].1;
-            let e = view.entry(mapping).ok_or_else(|| {
-                err_response(&format!(
-                    "unknown mapping `{mapping}` on shard {shard} (routing index stale?)"
-                ))
-            })?;
-            let domain = view.source_name(e.mapping.domain).to_owned();
-            let range = view.source_name(e.mapping.range).to_owned();
-            Ok((Arc::clone(&e.mapping), e.version, domain, range))
-        })?
-    };
-    let (left_map, left_ver, domain, _) = gather(left_shard, left)?;
-    let (right_map, right_ver, _, range) = gather(right_shard, right)?;
-    // Arena indices agree across shards (every registry is a clone of
-    // one boot image and arenas are append-only), so this is the very
-    // compose the single-shard recipe path evaluates.
-    let composed = compose(&left_map, &right_map, spec.f, spec.g);
-    let composed = composed.map_err(|e| err_response(&e.to_string()))?;
-    let rows = composed.table.rows().iter();
-    let rows: Vec<(u32, u32, f64)> = rows.map(|c| (c.domain, c.range, c.sim)).collect();
-    let input = |name: &str, version| Json::Arr(vec![Json::Str(name.into()), Json::Uint(version)]);
-    let inputs = Json::Arr(vec![input(left, left_ver), input(right, right_ver)]);
-    let mut install =
-        install_request(name, &domain, &range, &rows, None).set_field("inputs", inputs.clone());
-    if let MappingKind::Association(t) = composed.kind {
-        install = install.set_field("assoc", Json::Str(t));
-    }
-    let install = Request::decode(&install, Origin::Trusted).map_err(|r| err_response(&r.error))?;
-    let resp = run_write(shared, &[left_shard], |held| held[0].1.run(&install))?;
-    if !response_ok(&resp) {
-        return Err(resp);
-    }
-    shared.router.note_mapping(name, left_shard);
-    let placed = [
-        ("shard", Json::Uint(left_shard as u64)),
-        ("cross_shard", Json::Bool(true)),
-        ("left_shard", Json::Uint(left_shard as u64)),
-        ("right_shard", Json::Uint(right_shard as u64)),
-        ("inputs", inputs),
-    ];
-    Ok(shared.router.annotate(resp, placed))
+    let claim = plan.map_err(refused)?;
+    let shard = claim.shard;
+    let resp = run_on(shared, shard, req);
+    shared.router.settle(claim, response_ok(&resp));
+    Ok(shared.router.annotate_shard(resp, shard))
 }
 
-/// `delta`: write locks on every target, all held until every copy is
-/// applied (so concurrent deltas to overlapping shard sets cannot
-/// interleave differently on different shards); the request itself on
-/// the lowest target — the accounting copy — and replicas on the rest.
+/// `delta`: on its source's home, the one shard holding mappings over
+/// it.
 fn route_delta(shared: &Shared, req: &Request, delta: &Delta) -> Result<Json, Json> {
     let router = &shared.router;
-    let targets = planned(shared, router.plan_delta(&delta.lds), |shard| vec![shard])?;
-    let resp = run_write(shared, &targets, |held| {
-        let mut copies = held.iter_mut();
-        let (_, accounting) = copies.next().expect("a planned delta has a target");
-        let resp = accounting.run(req);
-        for (shard, engine) in copies {
-            let copied = engine.run(&Request::Delta(delta.replica()));
-            if !response_ok(&copied) {
-                // A replica that fails while the accounting copy
-                // succeeded means the shards have diverged; keep
-                // serving but flag it loudly.
-                eprintln!(
-                    "moma serve: warning: replica delta diverged on shard {shard}: {}",
-                    copied.str_field("error").unwrap_or("unknown error")
-                );
-                shared.degraded.store(true, Ordering::Relaxed);
-            }
-        }
-        resp
-    })?;
-    Ok(router.annotate(resp, [("shards", shard_list(&targets))]))
+    let home = router.plan_delta(&delta.lds).map_err(refused)?;
+    let resp = run_on(shared, home[0], req);
+    Ok(router.annotate(resp, [("shards", shard_list(&home))]))
 }
 
-/// `batch_delta`. When every item routes to one shard the whole batch
-/// forwards there unchanged — one WAL group commit, contiguous
-/// sequence numbers. A batch spanning shards is decomposed into
+/// `batch_delta`. When every item's source has one home the whole
+/// batch forwards there unchanged — one WAL group commit, contiguous
+/// sequence numbers. A batch spanning homes is decomposed into
 /// per-shard sub-batches (one group commit per shard, write locks held
 /// across all of them); per-item results are reassembled in request
 /// order and the envelope's `first_seq`/`last_seq` are `null` because
@@ -960,50 +863,38 @@ fn route_delta(shared: &Shared, req: &Request, delta: &Delta) -> Result<Json, Js
 /// cannot be planned refuses the whole batch: all items or none.
 fn route_batch_delta(shared: &Shared, req: &Request, items: &[Delta]) -> Result<Json, Json> {
     let router = &shared.router;
-    let mut item_targets: Vec<Vec<usize>> = Vec::with_capacity(items.len());
+    let mut homes = Vec::with_capacity(items.len());
     for (k, item) in items.iter().enumerate() {
-        let plan = router.plan_delta(&item.lds);
-        let plan = plan.map_err(|e| format!("{} item {k}: {e}", Cmd::BatchDelta.name()));
-        item_targets.push(planned(shared, plan, |shard| vec![shard])?);
+        let home = router
+            .plan_delta(&item.lds)
+            .map_err(|e| err_response(&format!("{} item {k}: {e}", Cmd::BatchDelta.name())))?;
+        homes.push(home[0]);
     }
-    let union: BTreeSet<usize> = item_targets.iter().flatten().copied().collect();
-    let union: Vec<usize> = union.into_iter().collect();
+    let mut union = homes.clone();
+    union.sort_unstable();
+    union.dedup();
     let shards = ("shards", shard_list(&union));
     if let [only] = union[..] {
         return Ok(router.annotate(run_on(shared, only, req), [shards]));
     }
     let results = run_write(shared, &union, |held| {
-        let mut results: Vec<Option<Json>> = vec![None; items.len()];
+        let mut results = vec![Json::Null; items.len()];
         for (shard, engine) in held.iter_mut() {
-            // This shard's sub-batch, in request order. An item's
-            // accounting copy goes to its lowest target, whose answer
-            // is the item's result; other targets get replicas.
-            let mine = item_targets.iter().enumerate();
-            let mine = mine.filter(|(_, targets)| targets.contains(shard));
-            let (answers_for, part): (Vec<_>, Vec<_>) = mine
-                .map(|(k, targets)| match targets[0] == *shard {
-                    true => (Some(k), items[k].clone()),
-                    false => (None, items[k].replica()),
-                })
-                .unzip();
+            // This shard's sub-batch, in request order.
+            let mine: Vec<usize> = (0..items.len()).filter(|&k| homes[k] == *shard).collect();
+            let part = mine.iter().map(|&k| items[k].clone()).collect();
             let resp = engine.run(&Request::BatchDelta(part));
             if !response_ok(&resp) {
                 return Err(router.annotate_shard(resp, *shard));
             }
             if let Some(Json::Arr(answers)) = resp.take_field("results") {
-                for (k, answer) in answers_for.into_iter().zip(answers) {
-                    if let Some(k) = k {
-                        results[k] = Some(answer);
-                    }
+                for (k, answer) in mine.into_iter().zip(answers) {
+                    results[k] = answer;
                 }
             }
         }
         Ok(results)
     })??;
-    let results: Vec<Json> = results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|| err_response("batch item result missing")))
-        .collect();
     Ok(Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("count", Json::Uint(results.len() as u64)),
@@ -1025,7 +916,7 @@ mod tests {
     #[test]
     fn executor_contains_a_panicking_closure() {
         let engine = Engine::new(SourceRegistry::new(), Parallelism::sequential());
-        let shared = new_shared(vec![engine], Limits::default());
+        let shared = new_shared(vec![engine], Limits::default()).unwrap();
 
         let refusal = run_write(&shared, &[0], |_| -> Json { panic!("injected") })
             .expect_err("a panic is a refusal, not a return");
@@ -1048,7 +939,7 @@ mod tests {
     #[test]
     fn executor_locks_ascending_and_once() {
         let engines = (0..3).map(|_| Engine::new(SourceRegistry::new(), Parallelism::sequential()));
-        let shared = new_shared(engines.collect(), Limits::default());
+        let shared = new_shared(engines.collect(), Limits::default()).unwrap();
         let order = run_write(&shared, &[2, 0, 2, 1], |held| {
             held.iter().map(|(i, _)| *i).collect::<Vec<_>>()
         });
@@ -1072,9 +963,10 @@ mod tests {
     }
 
     /// Publication is never forgotten: after every kind of step a
-    /// 2-shard server takes — boot, match, same-shard and cross-shard
-    /// compose, delta, batch, explicit and automatic checkpoint, a
-    /// refused write, a panicking one, a restart through
+    /// 2-shard server takes — boot, match, compose, a compose the
+    /// router refuses, delta, a batch split across shards, explicit and
+    /// automatic checkpoint, a refused write, a panicking one, a
+    /// restart through
     /// `Engine::recover` — each shard's published view answers `ping`,
     /// `stats` and a `query` of every mapping exactly as a view built
     /// afresh from its engine's state at that moment does.
@@ -1101,7 +993,7 @@ mod tests {
                 }
                 e
             });
-            new_shared(engines.collect(), Limits::default())
+            new_shared(engines.collect(), Limits::default()).unwrap()
         };
         let assert_published = |shared: &Shared, step: &str| {
             for i in 0..shared.router.len() {
@@ -1150,21 +1042,21 @@ mod tests {
         let (acm, acm_ops) = add("ACM", "a7");
         let steps = [
             ("match", matcher("m1", "DBLP", "ACM", "trigram", 0)),
-            ("match", matcher("m2", "ACM", "GS", "trigram", 1)),
-            ("match", matcher("m3", "GS", "DBLP", "trigram", 1)),
+            ("match", matcher("m2", "GS", "GS", "trigram", 1)),
+            ("match", matcher("m3", "GS", "GS", "jaro", 1)),
             (
-                "same-shard compose",
+                "compose",
                 protocol::compose_request("c_same", "m2", "m3", "min", "max"),
             ),
             (
-                "cross-shard compose",
+                "refused compose across shards",
                 protocol::compose_request("c_cross", "m1", "m2", "min", "max"),
             ),
-            ("delta", protocol::delta_request(&gs, &gs_ops)),
+            ("delta", protocol::delta_request(&acm, &acm_ops)),
             (
                 "batch_delta",
                 protocol::batch_delta_request(vec![
-                    protocol::delta_item(&acm, &acm_ops),
+                    protocol::delta_item(&gs, &gs_ops),
                     protocol::delta_item(
                         "Publication@DBLP",
                         &[DeltaOp::Remove { id: "DBLP1".into() }],
@@ -1174,7 +1066,7 @@ mod tests {
             ("checkpoint", protocol::checkpoint_request()),
             (
                 "refused match",
-                matcher("m4", "Nowhere", "GS", "trigram", 0),
+                matcher("m4", "Nowhere", "DBLP", "trigram", 0),
             ),
         ];
         for (step, req) in &steps {
@@ -1189,11 +1081,8 @@ mod tests {
         let panicked = run_write(&shared, &[0], |_| -> Json { panic!("injected") });
         assert!(panicked.is_err(), "a panic under the write lock is refused");
         assert_published(&shared, "panic");
-        let cross = shared.router.view(0);
-        assert!(
-            cross.entry("c_cross").is_some(),
-            "installed on the left input's shard"
-        );
+        assert!(shared.router.view(1).entry("c_same").is_some());
+        assert!((0..2).all(|i| shared.router.view(i).entry("c_cross").is_none()));
         // The refused match — it decodes, so it is logged like any
         // write — made a checkpoint due on shard 0: the checkpointer's pass publishes it.
         for i in 0..2 {

@@ -4,42 +4,49 @@
 //! [`Engine`] instances. Every shard boots from an identical clone of
 //! the source registry and owns its own WAL directory, checkpoint
 //! chain and admission budgets; what differs between shards is which
-//! *mappings* (and therefore which delta traffic) live on them.
+//! *sources* live on them, and with them every mapping over those
+//! sources and every delta to them.
 //!
-//! ## Routing model
+//! ## Placement: one rule
 //!
-//! The router maintains a deterministic **ownership index** folded from
-//! the command history (and rebuilt from engine state after recovery):
+//! Every source has at most one **home** shard, and every mapping lives
+//! on the home of its sources. MOMA derives mappings by composing stored
+//! ones over the source they share (paper §3.2), so a server that keeps
+//! all mappings over a source on one shard never has to join across
+//! shards, and a delta never has more than one target.
 //!
-//! * A successful `match` **claims** its domain source for the shard it
-//!   ran on and registers that shard as a **host** of both its domain
-//!   and range sources.
-//! * A `match` is placed by a deterministic cascade: the domain's
-//!   owning shard if claimed, else an explicit `"shard"` hint, else the
-//!   lowest shard already hosting the domain (then the range), else
-//!   `fnv1a(domain) % N`.
-//! * A `delta` fans out to **every shard hosting a mapping over its
-//!   source**, so each delta is visible to every mapping that existed
-//!   when it was accepted (invariant I5 in `docs/ARCHITECTURE.md`).
-//!   Exactly one target — the lowest — logs the accounting copy; the
-//!   others log `"repl": true` replicas that patch their local states
-//!   without double-counting `commands.delta`. A delta to a source no
-//!   shard hosts is refused with a routable error.
+//! * A `match` goes to the home of its domain or of its range. If
+//!   neither source has a home it goes to its `"shard"` hint, else to
+//!   `fnv1a(domain) % N`, and both sources (and the mapping's name) are
+//!   claimed for that shard under the index lock when it is planned —
+//!   so two concurrent matches can never give one source two homes. A
+//!   match that fails releases the claims it alone held. A hint that
+//!   contradicts a home, two sources with different homes, or a mapping
+//!   name another shard holds is refused with a routable error.
+//! * A `delta`, and every `batch_delta` item, goes to its source's home
+//!   only, once a write has stored a mapping there. A delta to a source
+//!   with no home yet is refused.
+//! * A `compose` runs where its inputs are: on one shard whenever they
+//!   connect, since both read their middle source. Inputs on two shards
+//!   (inputs that do not connect) are refused.
 //! * `query`/`batch_query` route by mapping name; `stats` and `dump`
 //!   scatter across all shards and gather in ascending shard order.
-//! * A `compose` whose inputs live on one shard runs there unchanged
-//!   (single-shard fast path). A **cross-shard compose** gathers the
-//!   two input tables from their shards' published read views, computes
-//!   the compose on the coordinator, and logs the *result* as an `install`
-//!   record on the left input's shard — replay never reaches across
-//!   shards, so per-shard recovery stays independent and bit-identical.
+//!
+//! The homes are a fold of the command history; at boot and after
+//! recovery they are rebuilt from every repository entry of each shard
+//! (every primed matcher's mapping is one). A source whose last mapping
+//! a `compose` overwrote keeps its home while the server runs but loses
+//! it across a restart. A recovered state that holds one source (or one
+//! mapping name) on two shards — which earlier releases' replicated
+//! deltas and cross-shard installs left behind — is refused at boot
+//! ([`ShardRouter::new`]).
 //!
 //! ## One shard is the same router
 //!
 //! A default `moma serve` is this router with N = 1 — there is no
 //! second code path. Two rules make its replies byte-identical to an
 //! embedded [`Engine`]'s: a plan that cannot be made for a decoded
-//! request (unknown mapping, unknown or unhosted source) falls through
+//! request (unknown mapping, unknown or homeless source) falls through
 //! to the only shard there is, whose engine words the error itself
 //! ([`ShardRouter::unplanned`]); and every gather step — the
 //! `shard`/`shards` annotations ([`ShardRouter::annotate`]), the
@@ -61,6 +68,7 @@ use moma_model::ModelError;
 use crate::engine::Engine;
 use crate::json::Json;
 use crate::protocol::{err_response, unknown_mapping, unknown_source};
+use crate::request::{ComposeSpec, MatchSpec};
 use crate::state::CommandCounts;
 use crate::view::{ReadView, ViewSlot};
 
@@ -82,58 +90,138 @@ pub struct Shard {
     pub inflight_reads: AtomicU64,
 }
 
+/// Where a source or a mapping name lives.
+struct Place {
+    shard: usize,
+    /// Planned writes that claimed this place and have not settled.
+    pending: usize,
+    /// Whether a write has stored something here: a settled place is
+    /// never released.
+    settled: bool,
+}
+
 /// Deterministic routing state; a pure fold of the command history.
 #[derive(Default)]
 struct RouteIndex {
-    /// Source name → shard claimed by the first successful `match`
-    /// using it as the domain.
-    owner: BTreeMap<String, usize>,
-    /// Source name → shards hosting a primed state over it (targets of
-    /// delta fan-out).
-    hosts: BTreeMap<String, BTreeSet<usize>>,
+    /// Source name → its home shard.
+    homes: BTreeMap<String, Place>,
     /// Mapping name → shard it lives on.
-    mappings: BTreeMap<String, usize>,
+    mappings: BTreeMap<String, Place>,
 }
 
-/// Where a `compose` must run.
-pub enum ComposePlan {
-    /// Both inputs live on one shard: run the ordinary recipe path
-    /// there.
-    Single(usize),
-    /// Inputs live on different shards: gather both tables, compute on
-    /// the coordinator, `install` the result on the left input's shard.
-    Cross { left: usize, right: usize },
+/// A planned `match` or `compose`: the shard it runs on and the names
+/// it claimed there, until [`ShardRouter::settle`] settles or releases
+/// them.
+pub(crate) struct Claim {
+    pub shard: usize,
+    sources: Vec<String>,
+    mapping: String,
 }
 
-/// FNV-1a — the default placement hash for unclaimed domains. Stable
+/// FNV-1a — the default placement hash for homeless domains. Stable
 /// across runs and platforms (routing must be reproducible).
 fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let step = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, step)
 }
 
-/// The router: shards plus the ownership index. Lock order is strict —
+/// Claim `name` on `shard` for a write in flight.
+fn claim(places: &mut BTreeMap<String, Place>, name: &str, shard: usize) {
+    let unsettled = Place {
+        shard,
+        pending: 0,
+        settled: false,
+    };
+    places.entry(name.to_owned()).or_insert(unsettled).pending += 1;
+}
+
+/// Settle one claim on `name`: kept for good if its write `stored`,
+/// released if nothing else holds or settled it.
+fn settle(places: &mut BTreeMap<String, Place>, name: &str, stored: bool) {
+    let Some(place) = places.get_mut(name) else {
+        return;
+    };
+    place.pending -= 1;
+    place.settled |= stored;
+    if !place.settled && place.pending == 0 {
+        places.remove(name);
+    }
+}
+
+/// Place `name` on `shard` for good, as a recovered state proves it —
+/// or say which two shards hold it.
+fn recover(
+    places: &mut BTreeMap<String, Place>,
+    what: &str,
+    name: &str,
+    shard: usize,
+) -> Result<(), String> {
+    claim(places, name, shard);
+    settle(places, name, true);
+    match places[name].shard {
+        first if first != shard => Err(format!(
+            "the recovered state holds {what} `{name}` on shards {first} and {shard}; \
+             this release keeps each source and each mapping on one shard"
+        )),
+        _ => Ok(()),
+    }
+}
+
+impl RouteIndex {
+    /// The shard mapping `name` lives on, or the engine's `unknown
+    /// mapping` error listing every shard's mappings.
+    fn mapping(&self, name: &str) -> Result<usize, String> {
+        let known = || unknown_mapping(name, self.mappings.keys().map(String::as_str));
+        self.mappings.get(name).map(|p| p.shard).ok_or_else(known)
+    }
+
+    /// The index a set of booted or recovered shards proves: every
+    /// repository entry places its name, its domain and its range on
+    /// its shard. That covers every primed matcher too: a `match` stores
+    /// its mapping under its own name, over the matcher's sources, and a
+    /// later `compose` or `install` of the name releases the matcher.
+    /// One source or one mapping name on two shards — what earlier
+    /// releases' replicas and cross-shard installs left — is refused,
+    /// naming both shards.
+    fn recovered(shards: &[Shard]) -> Result<RouteIndex, String> {
+        let mut idx = RouteIndex::default();
+        for (i, shard) in shards.iter().enumerate() {
+            let engine = shard.engine.read().unwrap_or_else(|p| p.into_inner());
+            let registry = engine.registry();
+            let entries = engine.snapshot().into_iter().map(|e| {
+                let source = |id| registry.lds(id).name();
+                (e.name, source(e.mapping.domain), source(e.mapping.range))
+            });
+            for (name, domain, range) in entries {
+                recover(&mut idx.homes, "source", &domain, i)?;
+                recover(&mut idx.homes, "source", &range, i)?;
+                recover(&mut idx.mappings, "mapping", &name, i)?;
+            }
+        }
+        Ok(idx)
+    }
+}
+
+/// The router: shards plus the placement index. Lock order is strict —
 /// the index lock is never held across an engine lock acquisition, and
 /// multi-shard operations take engine locks in ascending shard order.
 pub struct ShardRouter {
     shards: Vec<Shard>,
     /// Names of the boot image's sources. Every shard registers the
     /// same ones and none is added later, so the router can tell an
-    /// unknown source from an unhosted one without an engine lock.
+    /// unknown source from a homeless one without an engine lock.
     sources: BTreeSet<String>,
     index: RwLock<RouteIndex>,
 }
 
 impl ShardRouter {
-    /// Wrap `engines` (one per shard) and build the ownership index
+    /// Wrap `engines` (one per shard) and rebuild the placement index
     /// from their current state — on a fresh boot the index is empty;
-    /// after `--replay` it reflects exactly the placements the
-    /// recovered states prove.
-    pub fn new(engines: Vec<Engine>) -> ShardRouter {
+    /// after `--replay` it holds exactly the placements the recovered
+    /// states prove. A state that holds one source or one mapping name
+    /// on two shards is refused: this router would keep serving the
+    /// copy no delta reaches any more.
+    pub fn new(engines: Vec<Engine>) -> Result<ShardRouter, String> {
         assert!(!engines.is_empty(), "a server needs at least one shard");
         let sources = engines[0]
             .registry()
@@ -149,24 +237,17 @@ impl ShardRouter {
                 inflight_reads: AtomicU64::new(0),
             })
             .collect();
-        let router = ShardRouter {
+        let index = RwLock::new(RouteIndex::recovered(&shards)?);
+        Ok(ShardRouter {
             shards,
             sources,
-            index: RwLock::new(RouteIndex::default()),
-        };
-        router.rebuild_index();
-        router
+            index,
+        })
     }
 
     /// Number of shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.len()
-    }
-
-    /// A router always has at least one shard; this exists for the
-    /// `len`/`is_empty` convention only.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
     }
 
     /// The `i`-th shard.
@@ -197,30 +278,6 @@ impl ShardRouter {
         }
     }
 
-    /// Rebuild the ownership index from engine state (boot and
-    /// recovery). Shards are scanned in ascending order, so claim
-    /// resolution is deterministic; whatever shard a state recovered on
-    /// is, by the routing invariant, the shard that owns it.
-    pub fn rebuild_index(&self) {
-        let mut idx = RouteIndex::default();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let engine = match shard.engine.read() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for (name, domain, range) in engine.machine().state_endpoints() {
-                idx.owner.entry(domain.clone()).or_insert(i);
-                idx.hosts.entry(domain).or_default().insert(i);
-                idx.hosts.entry(range).or_default().insert(i);
-                idx.mappings.insert(name, i);
-            }
-            for entry in engine.snapshot() {
-                idx.mappings.entry(entry.name).or_insert(i);
-            }
-        }
-        *self.index.write().unwrap_or_else(|p| p.into_inner()) = idx;
-    }
-
     fn index_read(&self) -> RwLockReadGuard<'_, RouteIndex> {
         self.index.read().unwrap_or_else(|p| p.into_inner())
     }
@@ -229,142 +286,122 @@ impl ShardRouter {
         self.index.write().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Place a `match` over `domain` × `range`. The cascade: owner of
-    /// the domain, else the explicit `hint`, else the lowest shard
-    /// hosting the domain, else the lowest hosting the range, else
-    /// `fnv1a(domain) % N`. A hint that contradicts an existing claim
-    /// is a routable error, not a silent override.
-    pub fn plan_match(
-        &self,
-        domain: &str,
-        range: &str,
-        hint: Option<usize>,
-    ) -> Result<usize, String> {
-        if let Some(h) = hint {
-            if h >= self.shards.len() {
-                return Err(format!(
-                    "shard hint {h} out of range (this server has {} shards)",
-                    self.shards.len()
-                ));
-            }
-        }
-        let idx = self.index_read();
-        if let Some(&owner) = idx.owner.get(domain) {
-            if let Some(h) = hint {
-                if h != owner {
-                    return Err(format!(
-                        "source `{domain}` is owned by shard {owner}; \
+    /// Plan a `match`: the home of its domain, else of its range, else
+    /// its hint, else `fnv1a(domain) % N` — and claim both sources and
+    /// its name there, under the same index lock. A hint out of range
+    /// or contradicting a home, sources with two different homes, or a
+    /// name another shard holds is a routable error.
+    pub(crate) fn plan_match(&self, spec: &MatchSpec) -> Result<Claim, String> {
+        let (n, domain, range) = (self.shards.len(), &spec.domain, &spec.range);
+        let sources = vec![domain.clone(), range.clone()];
+        self.claim(&spec.name, sources, |idx| {
+            let homes = [domain, range].map(|s| Some((s, idx.homes.get(s)?.shard)));
+            match (homes, spec.shard) {
+                (_, Some(h)) if h >= n => Err(format!(
+                    "shard hint {h} out of range (this server has {n} shards)"
+                )),
+                ([Some((_, d)), Some((_, r))], _) if d != r => Err(format!(
+                    "source `{domain}` is owned by shard {d} and `{range}` by \
+                     shard {r}; a mapping between them would span shards"
+                )),
+                ([Some((s, owner)), _] | [None, Some((s, owner))], Some(h)) if h != owner => {
+                    Err(format!(
+                        "source `{s}` is owned by shard {owner}; \
                          explicit shard {h} would split its mappings"
-                    ));
+                    ))
                 }
+                ([Some((_, owner)), _] | [None, Some((_, owner))], _) => Ok(owner),
+                (_, hint) => Ok(hint.unwrap_or((fnv1a(domain) % n as u64) as usize)),
             }
-            return Ok(owner);
-        }
-        if let Some(h) = hint {
-            return Ok(h);
-        }
-        if let Some(first) = idx.hosts.get(domain).and_then(|s| s.iter().next()) {
-            return Ok(*first);
-        }
-        if let Some(first) = idx.hosts.get(range).and_then(|s| s.iter().next()) {
-            return Ok(*first);
-        }
-        Ok((fnv1a(domain) % self.shards.len() as u64) as usize)
+        })
     }
 
-    /// Record a successful `match`: claim the domain for `shard`, add
-    /// `shard` as a host of both sources and place the mapping.
-    pub fn note_match(&self, name: &str, domain: &str, range: &str, shard: usize) {
+    /// Plan a `compose`: the shard both inputs live on — and claim its
+    /// name there. Inputs on two shards are refused.
+    pub(crate) fn plan_compose(&self, spec: &ComposeSpec) -> Result<Claim, String> {
+        let (left, right) = (&spec.left, &spec.right);
+        self.claim(&spec.name, Vec::new(), |idx| {
+            match (idx.mapping(left)?, idx.mapping(right)?) {
+                (l, r) if l != r => Err(format!(
+                    "compose inputs `{left}` (shard {l}) and `{right}` (shard {r}) \
+                     live on different shards; a compose runs where its inputs are"
+                )),
+                (l, _) => Ok(l),
+            }
+        })
+    }
+
+    /// Under one index lock: `place` the write — where a plan cannot be
+    /// made, [`ShardRouter::unplanned`] decides — refuse it if its name
+    /// lives on another shard, and claim its name and `sources` on the
+    /// shard chosen.
+    fn claim(
+        &self,
+        name: &str,
+        sources: Vec<String>,
+        place: impl FnOnce(&RouteIndex) -> Result<usize, String>,
+    ) -> Result<Claim, String> {
         let mut idx = self.index_write();
-        idx.owner.entry(domain.to_owned()).or_insert(shard);
-        idx.hosts
-            .entry(domain.to_owned())
-            .or_default()
-            .insert(shard);
-        idx.hosts.entry(range.to_owned()).or_default().insert(shard);
-        idx.mappings.insert(name.to_owned(), shard);
+        let shard = place(&idx).or_else(|refusal| self.unplanned(refusal))?;
+        if let Some(other) = idx.mappings.get(name).filter(|p| p.shard != shard) {
+            let other = other.shard;
+            let split = format!("storing it on shard {shard} would split it");
+            return Err(format!("mapping `{name}` lives on shard {other}; {split}"));
+        }
+        for source in &sources {
+            claim(&mut idx.homes, source, shard);
+        }
+        claim(&mut idx.mappings, name, shard);
+        let mapping = name.to_owned();
+        Ok(Claim {
+            shard,
+            sources,
+            mapping,
+        })
     }
 
-    /// Record a mapping created by `compose`/`install` on `shard`.
-    pub fn note_mapping(&self, name: &str, shard: usize) {
-        self.index_write().mappings.insert(name.to_owned(), shard);
+    /// Settle a claimed write once its shard has answered: a write that
+    /// `stored` places its name and sources on the shard for good; one
+    /// that failed releases every claim no other write holds or settled.
+    pub(crate) fn settle(&self, claim: Claim, stored: bool) {
+        let mut idx = self.index_write();
+        for source in &claim.sources {
+            settle(&mut idx.homes, source, stored);
+        }
+        settle(&mut idx.mappings, &claim.mapping, stored);
     }
 
-    /// Target shards for a `delta` to `source`, ascending. The first
-    /// element is the accounting shard; the rest receive `"repl": true`
-    /// replicas. A source no shard hosts (and no claim covers) is
-    /// refused — there is nothing the delta could patch, and accepting
-    /// it would leave replicas diverging silently. (With one shard
-    /// that shard hosts every source: see [`ShardRouter::unplanned`].)
+    /// Target shards for a `delta` to `source`: its home, the one shard
+    /// every mapping over it lives on. A source with no settled home is
+    /// refused — no mapping reads it, and a shard that took the delta
+    /// alone would hold a copy of the source no other shard has (unless
+    /// [`ShardRouter::unplanned`] sends it to the only shard there is).
     pub fn plan_delta(&self, source: &str) -> Result<Vec<usize>, String> {
-        if !self.sources.contains(source) {
-            let unknown = ModelError::UnknownSource(source.to_owned());
-            return Err(unknown_source(source, &unknown));
-        }
-        let idx = self.index_read();
-        if let Some(hosts) = idx.hosts.get(source) {
-            if !hosts.is_empty() {
-                return Ok(hosts.iter().copied().collect());
+        let home = match self.index_read().homes.get(source) {
+            Some(home) if home.settled => Ok(home.shard),
+            _ if !self.sources.contains(source) => {
+                let unknown = ModelError::UnknownSource(source.to_owned());
+                Err(unknown_source(source, &unknown))
             }
-        }
-        if let Some(&owner) = idx.owner.get(source) {
-            return Ok(vec![owner]);
-        }
-        Err(format!(
-            "no shard hosts mappings over source `{source}`; create a mapping \
-             that reads it first (deltas route by source ownership)"
-        ))
+            _ => Err(format!(
+                "no shard hosts mappings over source `{source}`; create a mapping \
+                 that reads it first (deltas go to their source's home shard)"
+            )),
+        };
+        Ok(vec![home.or_else(|refusal| self.unplanned(refusal))?])
     }
 
     /// The shard a mapping lives on, if the router knows it.
     pub fn mapping_shard(&self, name: &str) -> Option<usize> {
-        self.index_read().mappings.get(name).copied()
-    }
-
-    /// All known mapping names with their shards, in name order (for
-    /// routable "unknown mapping" errors).
-    pub fn known_mappings(&self) -> Vec<(String, usize)> {
-        self.index_read()
-            .mappings
-            .iter()
-            .map(|(n, &s)| (n.clone(), s))
-            .collect()
-    }
-
-    /// The shard whose replica of `source` is authoritative: its owner,
-    /// else its lowest host, else shard 0 (an unowned source never
-    /// received a delta, so every replica is still the boot image).
-    pub fn source_authority(&self, source: &str) -> usize {
-        let idx = self.index_read();
-        if let Some(&o) = idx.owner.get(source) {
-            return o;
-        }
-        idx.hosts
-            .get(source)
-            .and_then(|s| s.iter().next().copied())
-            .unwrap_or(0)
+        self.index_read().mappings.get(name).map(|p| p.shard)
     }
 
     /// The shard a `query` of mapping `name` runs on, or the same
     /// `unknown mapping` error an engine gives — listing the mappings
-    /// of every shard.
+    /// of every shard — unless [`ShardRouter::unplanned`] runs it.
     pub fn plan_mapping(&self, name: &str) -> Result<usize, String> {
-        let idx = self.index_read();
-        idx.mappings
-            .get(name)
-            .copied()
-            .ok_or_else(|| unknown_mapping(name, idx.mappings.keys().map(String::as_str)))
-    }
-
-    /// Where a `compose` of `left` × `right` must run.
-    pub fn plan_compose(&self, left: &str, right: &str) -> Result<ComposePlan, String> {
-        let l = self.plan_mapping(left)?;
-        let r = self.plan_mapping(right)?;
-        if l == r {
-            Ok(ComposePlan::Single(l))
-        } else {
-            Ok(ComposePlan::Cross { left: l, right: r })
-        }
+        let plan = self.index_read().mapping(name);
+        plan.or_else(|refusal| self.unplanned(refusal))
     }
 
     /// What becomes of a decoded request no plan could be made for (one
@@ -472,8 +509,8 @@ pub fn merge_dump(dir: &str, per_shard: &[Json], counts: &[CommandCounts]) -> Js
 
 /// Merge per-shard engine stats into the sharded `stats` response:
 /// summed `commands` and `wal` aggregates (so dot-paths like
-/// `commands.delta` and `wal.lag` stay meaningful), authoritative
-/// per-source rows, all mappings annotated with their shard, and a
+/// `commands.delta` and `wal.lag` stay meaningful), each source's row
+/// from its home, all mappings annotated with their shard, and a
 /// compact per-shard breakdown under `"shards"`.
 pub fn merge_stats(router: &ShardRouter, per_shard: &[Json]) -> Json {
     let sum = |path: &[&str]| -> u64 {
@@ -492,17 +529,15 @@ pub fn merge_stats(router: &ShardRouter, per_shard: &[Json]) -> Json {
     }
     let on = |row: &Json, shard: usize| row.clone().set_field("shard", Json::Uint(shard as u64));
 
-    // Authoritative source rows: each source reported from the shard
-    // that owns its current replica.
+    // Each source reported from its home, the one shard deltas reach
+    // (a homeless one from shard 0: no delta has changed any copy).
+    // Every shard lists the sources of one boot image, in one order.
     let first = per_shard.first().map_or(&[][..], |s| rows(s, "sources"));
-    let sources = first.iter().filter_map(|entry| {
-        let name = entry.str_field("name")?;
-        let auth = router.source_authority(name);
-        let authoritative = per_shard.get(auth).map_or(&[][..], |s| rows(s, "sources"));
-        let row = authoritative
-            .iter()
-            .find(|e| e.str_field("name") == Some(name));
-        Some(on(row.unwrap_or(entry), auth))
+    let sources = first.iter().enumerate().map(|(k, entry)| {
+        let name = entry.str_field("name").unwrap_or_default();
+        let home = router.index_read().homes.get(name).map_or(0, |p| p.shard);
+        let at_home = per_shard.get(home).and_then(|s| rows(s, "sources").get(k));
+        on(at_home.unwrap_or(entry), home)
     });
     let mappings = per_shard.iter().enumerate();
     let mappings = mappings.flat_map(|(i, s)| rows(s, "mappings").iter().map(move |m| on(m, i)));
@@ -533,14 +568,85 @@ pub fn merge_stats(router: &ShardRouter, per_shard: &[Json]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol;
+    use crate::request::{Origin, Request};
+    use moma_core::exec::Parallelism;
+    use moma_model::{AttrDef, LogicalSource, ObjectType, SourceRegistry};
 
     #[test]
     fn fnv1a_is_stable() {
         // Routing must be reproducible across runs and platforms; pin
-        // the hash so an accidental "upgrade" cannot silently re-place
-        // every unclaimed domain.
+        // the hash (the published FNV-1a 64 test vectors) so an
+        // accidental "upgrade" cannot silently re-place every homeless
+        // domain.
         assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a("Publication@GS") % 4, fnv1a("Publication@GS") % 4);
-        assert_ne!(fnv1a("a"), fnv1a("b"));
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a("foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    fn router(shards: usize) -> ShardRouter {
+        let registry = || {
+            let mut reg = SourceRegistry::new();
+            for pds in ["DBLP", "ACM", "GS"] {
+                let schema = vec![AttrDef::text("title")];
+                let lds = LogicalSource::new(pds, ObjectType::new("Publication"), schema);
+                reg.register(lds).unwrap();
+            }
+            reg
+        };
+        let engines = (0..shards).map(|_| Engine::new(registry(), Parallelism::sequential()));
+        ShardRouter::new(engines.collect()).unwrap()
+    }
+
+    fn spec(name: &str, domain: &str, range: &str, hint: Option<usize>) -> MatchSpec {
+        let (d, r) = (
+            format!("Publication@{domain}"),
+            format!("Publication@{range}"),
+        );
+        let req = protocol::match_request(name, &d, &r, "title", "title", "trigram", 0.5);
+        let req = hint.map_or(req.clone(), |h| protocol::with_shard(req, h));
+        match Request::decode(&req, Origin::Trusted).unwrap() {
+            Request::Match(spec) => spec,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Claims made while planning keep one home per source among writes
+    /// in flight; a failed match releases only what no other write holds,
+    /// and a delta reaches a home only once a write has settled it.
+    #[test]
+    fn a_failed_match_releases_only_the_claims_it_alone_held() {
+        let router = router(2);
+        let home = |source: &str| {
+            let idx = router.index_read();
+            idx.homes
+                .get(&format!("Publication@{source}"))
+                .map(|p| p.shard)
+        };
+        let a = router
+            .plan_match(&spec("a", "DBLP", "ACM", Some(1)))
+            .unwrap();
+        let b = router.plan_match(&spec("b", "ACM", "GS", None)).unwrap();
+        assert_eq!((a.shard, b.shard), (1, 1), "b follows a's claim on ACM");
+        let split = router.plan_match(&spec("c", "GS", "GS", Some(0)));
+        assert!(split.err().unwrap().contains("owned by shard 1"));
+        assert!(
+            router.plan_delta("Publication@ACM").is_err(),
+            "nothing settled"
+        );
+
+        router.settle(a, false);
+        assert_eq!((home("DBLP"), home("ACM")), (None, Some(1)), "b holds ACM");
+        assert_eq!(router.mapping_shard("a"), None);
+        router.settle(b, true);
+        assert_eq!(router.plan_delta("Publication@GS"), Ok(vec![1]));
+        assert!(router.plan_delta("Publication@DBLP").is_err());
+        let again = router.plan_match(&spec("a", "DBLP", "ACM", Some(0)));
+        assert!(again.err().unwrap().contains("owned by shard 1"));
+        let renamed = router.plan_match(&spec("b", "DBLP", "DBLP", Some(0)));
+        assert!(renamed
+            .err()
+            .unwrap()
+            .contains("mapping `b` lives on shard 1"));
     }
 }

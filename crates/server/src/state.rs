@@ -59,14 +59,14 @@ use crate::request::{ComposeSpec, Delta, InstallSpec, MatchSpec, Origin, Refusal
 pub struct CommandCounts {
     /// `match` commands logged (successful or not).
     pub matches: u64,
-    /// `compose` commands logged (including coordinator `install`s of
-    /// cross-shard compose results).
+    /// `compose` commands logged (including the `install`s earlier
+    /// releases logged for cross-shard composes).
     pub composes: u64,
-    /// `delta` commands logged with this engine as the accounting shard.
+    /// `delta` commands logged.
     pub deltas: u64,
-    /// Replica `delta` records (`"repl": true`) fanned out to this shard
-    /// by the router so its mappings stay patched; excluded from the
-    /// aggregate `commands.delta` count.
+    /// Replica `delta` records (`"repl": true`) that earlier releases'
+    /// routers fanned out to this shard; replayed, but excluded from
+    /// the aggregate `commands.delta` count.
     pub repl_deltas: u64,
 }
 
@@ -170,8 +170,8 @@ impl State {
     }
 
     /// Count a logged write of `cmd`, applied or failed alike. Replica
-    /// deltas are tallied apart, so the aggregate `commands.delta`
-    /// counts each client delta once, on its accounting shard.
+    /// deltas earlier releases logged are tallied apart, so the
+    /// aggregate `commands.delta` counts each client delta once.
     fn count(&mut self, cmd: Cmd, repl: bool) {
         let counter = match cmd {
             Cmd::Match => &mut self.commands.matches,
@@ -259,13 +259,10 @@ impl State {
     }
 
     /// Execute an `install`: store a literal, pre-computed mapping table
-    /// under `name`. This is how the shard router materializes a
-    /// cross-shard compose — the coordinator gathers the input tables
-    /// from their shards, computes the compose itself and logs the
-    /// *result* here, so replay never has to reach across shards. The
-    /// installed mapping is a point-in-time snapshot: it records its
-    /// input versions in the response but carries no recipe, so later
-    /// deltas do not refresh it (re-issue the compose to refresh).
+    /// under `name`. Earlier releases' routers logged one for a compose
+    /// whose inputs lived on two shards; replay still runs it. The
+    /// installed mapping is a point-in-time snapshot with no recipe, so
+    /// later deltas do not refresh it.
     fn install(&mut self, spec: &InstallSpec) -> Result<Json, String> {
         self.count(Cmd::Install, false);
         let domain = self.resolve("domain", &spec.domain)?;
@@ -685,17 +682,6 @@ impl State {
     /// The primed matcher state behind mapping `name`, if it has one.
     pub fn primed(&self, name: &str) -> Option<&DeltaMatchState> {
         self.states.get(name)
-    }
-
-    /// `(mapping, domain source, range source)` names for every primed
-    /// matcher state, in deterministic (BTreeMap) order. The shard
-    /// router rebuilds its ownership index from this after recovery:
-    /// whatever shard a state recovered on is, by construction, the
-    /// shard that owns it.
-    pub fn state_endpoints(&self) -> Vec<(String, String, String)> {
-        let ends = self.matchers.iter();
-        let ends = ends.map(|(name, m)| (name.clone(), m.domain.clone(), m.range.clone()));
-        ends.collect()
     }
 }
 

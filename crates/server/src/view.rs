@@ -24,7 +24,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use moma_core::SnapshotEntry;
-use moma_model::{LdsId, LogicalSource};
+use moma_model::LogicalSource;
 
 use crate::commands;
 use crate::json::{self, Json};
@@ -137,7 +137,7 @@ pub struct ReadView {
     entries: Vec<SnapshotEntry>,
     /// Per entry, in the same order.
     meta: Vec<EntryMeta>,
-    /// By [`LdsId`].
+    /// By [`LdsId`](moma_model::LdsId).
     sources: Vec<SourceView>,
     commands: CommandCounts,
     wal: Option<WalPosition>,
@@ -232,11 +232,6 @@ impl ReadView {
     pub fn entry(&self, name: &str) -> Option<&SnapshotEntry> {
         let found = self.entries.binary_search_by(|e| e.name.as_str().cmp(name));
         found.ok().map(|i| &self.entries[i])
-    }
-
-    /// The `Type@PDS` name of source `id`.
-    pub fn source_name(&self, id: LdsId) -> &str {
-        &self.sources[id.0 as usize].name
     }
 
     /// The WAL position this view was published at (`None` without a

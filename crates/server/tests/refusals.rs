@@ -45,10 +45,9 @@ fn source(pds: &str) -> String {
     format!("Publication@{pds}")
 }
 
-/// `m0` (DBLP → ACM) on shard 0 and `m1` (ACM → GS) on the last shard:
-/// every source is hosted, and a delta to ACM fans out when there are
-/// two shards.
-fn setup(shards: usize) -> [Json; 2] {
+/// `m0` (DBLP → ACM) and `m1` (ACM → GS), both on shard 0, the home of
+/// every source.
+fn setup() -> [Json; 2] {
     let matcher = |name, d, r, shard| {
         let req = protocol::match_request(
             name,
@@ -63,7 +62,7 @@ fn setup(shards: usize) -> [Json; 2] {
     };
     [
         matcher("m0", "DBLP", "ACM", 0),
-        matcher("m1", "ACM", "GS", shards - 1),
+        matcher("m1", "ACM", "GS", 0),
     ]
 }
 
@@ -231,7 +230,7 @@ fn refusal_rows() -> String {
             let handle = spawn_sharded(engines, "127.0.0.1:0", Limits::default()).unwrap();
             let addr = handle.addr.to_string();
             let mut c = Client::connect_retry(&addr, Duration::from_secs(5)).unwrap();
-            for req in setup(shards) {
+            for req in setup() {
                 c.call_ok(&req).expect("setup");
             }
             drop(c);
@@ -284,7 +283,7 @@ fn after_undecodable_writes(shards: usize) -> (Json, u64) {
         .collect();
     let handle = spawn_sharded(engines, "127.0.0.1:0", Limits::default()).unwrap();
     let mut c = Client::connect_retry(&handle.addr.to_string(), Duration::from_secs(5)).unwrap();
-    for req in setup(shards) {
+    for req in setup() {
         c.call_ok(&req).expect("setup");
     }
     let matcher = protocol::match_request(

@@ -1,8 +1,10 @@
 //! Shard-routing edge cases over real TCP: unroutable deltas are
 //! refused with the same error grammar the engine uses, scatter/gather
-//! endpoints cope with a shard that owns nothing, a cross-shard compose
-//! is bit-identical to the same compose on one shard, and a torn WAL on
-//! one shard is recovered independently of its clean neighbours.
+//! endpoints cope with a shard that owns nothing, a match between
+//! sources with two different home shards is refused instead of
+//! answered from a stale copy, a state that holds one source on two
+//! shards is refused at boot, and a torn WAL on one shard is recovered
+//! independently of its clean neighbours.
 
 mod common;
 
@@ -276,86 +278,70 @@ fn scatter_gather_with_an_empty_shard() {
     let _ = fs::remove_dir_all(&dump_dir);
 }
 
-/// A compose whose inputs live on different shards produces rows
-/// bit-identical to the same compose on a single-shard server.
+/// The probe history: DBLP → ACM hinted to shard 0, GS → GS hinted to
+/// shard 1, one acknowledged delta that adds a GS publication (titled
+/// like a DBLP one), then an unhinted DBLP → GS. At one shard that last
+/// match holds the added instance. At two, DBLP's home is shard 0 and
+/// GS's is shard 1, and the match is refused naming both: it used to
+/// run on DBLP's shard, which never received the delta, and answer
+/// without the row.
 #[test]
-fn cross_shard_compose_matches_single_shard_bit_identically() {
-    let m_left = protocol::match_request(
-        "m_dg",
-        "Publication@DBLP",
-        "Publication@GS",
-        "title",
-        "title",
-        "trigram",
-        0.7,
-    );
-    let m_right = protocol::match_request(
-        "m_ga",
-        "Publication@GS",
-        "Publication@ACM",
-        "title",
-        "title",
-        "trigram",
-        0.7,
-    );
-    let compose = protocol::compose_request("c_x", "m_dg", "m_ga", "min", "max");
-
-    // Sharded run: left on shard 0, right on shard 1. The hint on
-    // m_ga is legal because Publication@GS is only *hosted* by shard 0
-    // (as m_dg's range), never claimed as an owned domain.
-    let (handle, mut c) = spawn_cluster(shard_engines(2, None));
-    c.call_ok(&protocol::with_shard(m_left.clone(), 0))
-        .expect("left match");
-    c.call_ok(&protocol::with_shard(m_right.clone(), 1))
-        .expect("right match");
-    let r = c.call_ok(&compose).expect("cross-shard compose");
-    assert_eq!(r.get("cross_shard").and_then(Json::as_bool), Some(true));
-    assert_eq!(r.get("left_shard").and_then(Json::as_u64), Some(0));
-    assert_eq!(r.get("right_shard").and_then(Json::as_u64), Some(1));
-    assert_eq!(
-        r.get("shard").and_then(Json::as_u64),
-        Some(0),
-        "result installs on the left input's shard: {r}"
-    );
-
-    let sharded_q = c.query("c_x", 0, None).expect("query c_x");
-    assert_eq!(sharded_q.get("shard").and_then(Json::as_u64), Some(0));
-
-    // The install is counted as a compose on its shard.
-    let stats = c.stats().expect("stats");
-    assert_eq!(
-        stats
-            .get("commands")
-            .and_then(|c| c.get("compose"))
-            .and_then(Json::as_u64),
-        Some(1)
-    );
-    handle.stop();
-
-    // Single-shard reference: identical commands straight at one engine.
-    let mut single = Engine::new(scenario_registry(), Parallelism::sequential());
-    for req in [&m_left, &m_right, &compose] {
-        let resp = single.execute(req);
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+fn a_match_across_two_homes_is_refused_not_answered_stale() {
+    let registry = scenario_registry();
+    let dblp = registry.lds(registry.resolve("Publication@DBLP").unwrap());
+    let title = dblp.attr_of(0, "title").unwrap().cloned().expect("a title");
+    let add = DeltaOp::Add {
+        id: "probe_g".into(),
+        fields: vec![("title".into(), title)],
+    };
+    for shards in [1, 2] {
+        let (handle, mut c) = spawn_cluster(shard_engines(shards, None));
+        c.call_ok(&protocol::with_shard(pub_match("m_da", "DBLP", "ACM"), 0))
+            .expect("DBLP → ACM");
+        c.call_ok(&protocol::with_shard(pub_match("m_gg", "GS", "GS"), 1))
+            .expect("GS → GS");
+        let delta = protocol::delta_request("Publication@GS", std::slice::from_ref(&add));
+        c.call_ok(&delta).expect("delta");
+        let r = c
+            .call(&pub_match("m_dg", "DBLP", "GS"))
+            .expect("transport ok");
+        if shards == 1 {
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+            let q = c.query("m_dg", 0, None).expect("query m_dg");
+            let rows = q.get("rows").expect("rows").to_string();
+            assert!(rows.contains(r#""probe_g""#), "{q}");
+        } else {
+            let msg = error_of(&r);
+            assert!(msg.contains("shard 0") && msg.contains("shard 1"), "{msg}");
+            let q = c.call(&protocol::query_request("m_dg", 0, None));
+            let msg = error_of(&q.expect("transport ok"));
+            assert!(msg.contains("unknown mapping `m_dg`"), "{msg}");
+        }
+        handle.stop();
     }
-    let single_q = single.execute_read(&protocol::query_request("c_x", 0, None));
-    assert_eq!(
-        single_q.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "{single_q}"
-    );
+}
 
-    assert_eq!(sharded_q.num_field("total"), single_q.num_field("total"));
-    let sharded_rows = sharded_q.get("rows").expect("sharded rows");
-    let single_rows = single_q.get("rows").expect("single rows");
+/// A state that holds one source on two shards — what an earlier
+/// release's replicated deltas left: here each shard holds a mapping
+/// over `Publication@ACM` — is refused at boot, naming the source and
+/// both shards, instead of serving a copy no delta reaches any more.
+#[test]
+fn a_source_on_two_shards_is_refused_at_boot() {
+    let mut engines = shard_engines(2, None);
+    for (engine, req) in engines.iter_mut().zip([
+        pub_match("m_da", "DBLP", "ACM"),
+        pub_match("m_ag", "ACM", "GS"),
+    ]) {
+        let r = engine.execute(&req);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+    }
+    let Err(e) = spawn_sharded(engines, "127.0.0.1:0", Limits::default()) else {
+        panic!("a source on two shards must be refused at boot");
+    };
+    let msg = e.to_string();
     assert!(
-        sharded_q.num_field("total").unwrap_or(0.0) >= 1.0,
-        "compose must produce rows for the comparison to mean anything"
-    );
-    assert_eq!(
-        sharded_rows.to_string(),
-        single_rows.to_string(),
-        "cross-shard compose rows differ from the single-shard run"
+        msg.contains("`Publication@ACM`") && msg.contains("shards 0 and 1"),
+        "{msg}"
     );
 }
 
@@ -523,59 +509,26 @@ fn one_shard_router_keeps_its_ownership_index_current() {
         assert_eq!(router.mapping_shard(name), Some(0), "{name}");
     }
     assert_eq!(router.plan_delta("Publication@DBLP"), Ok(vec![0]));
-    let known: Vec<String> = router.known_mappings().into_iter().map(|m| m.0).collect();
-    assert_eq!(known, ["c_dg", "m_ag", "m_da"]);
+    assert_eq!(router.mapping_shard("ghost"), None);
     handle.stop();
 }
 
-/// Through a 2-shard router, `match M; compose M from (A, B)` with A
-/// and B on different shards installs the result over the primed M on
-/// A's shard — and releases M's matcher: a later delta on M's domain
-/// patches A only, and M stays the installed compose (it used to turn
-/// back into the matcher's leaf mapping).
-#[test]
-fn a_cross_shard_compose_onto_a_primed_name_releases_its_matcher() {
-    let (handle, mut c) = spawn_cluster(shard_engines(2, None));
-    c.call_ok(&protocol::with_shard(pub_match("A", "DBLP", "ACM"), 0))
-        .expect("match A");
-    c.call_ok(&protocol::with_shard(pub_match("B", "ACM", "GS"), 1))
-        .expect("match B");
-    c.call_ok(&pub_match("M", "DBLP", "GS")).expect("match M");
-    let leaf = c.query("M", 0, None).expect("query M");
-    let r = c
-        .call_ok(&protocol::compose_request("M", "A", "B", "min", "max"))
-        .expect("compose M");
-    assert_eq!(r.get("cross_shard").and_then(Json::as_bool), Some(true));
-    assert_eq!(r.get("shard").and_then(Json::as_u64), Some(0), "{r}");
-    let composed = c.query("M", 0, None).expect("query M");
-    assert_ne!(composed.get("rows"), leaf.get("rows"));
-
-    let r = c
-        .call_ok(&delta_req("Publication@DBLP", "title", "d-shadow"))
-        .expect("delta");
-    let touched = r.get("mappings").and_then(Json::as_arr).expect("mappings");
-    let touched: Vec<_> = touched.iter().map(|m| m.str_field("name")).collect();
-    assert_eq!(touched, [Some("A")], "{r}");
-    let after = c.query("M", 0, None).expect("query M");
-    assert_eq!(after.get("rows"), composed.get("rows"));
-    handle.stop();
-}
-
-/// The router owns the `repl` flag of a fanned-out delta: a client that
-/// sends one — on a delta or a batch item, `true` or not — is refused at
-/// every shard count, and nothing is counted (a forged `"repl": true`
-/// used to be counted as a replica, so the delta vanished from
-/// `commands.delta`). The `cmd` of a batch item is ignored.
+/// The router owns the `repl` flag earlier releases put on replicated
+/// deltas: a client that sends one — on a delta or a batch item, `true`
+/// or not — is refused at every shard count, and nothing is counted (a
+/// forged `"repl": true` used to be counted as a replica, so the delta
+/// vanished from `commands.delta`). The `cmd` of a batch item is
+/// ignored.
 #[test]
 fn client_supplied_repl_is_refused_and_item_cmd_ignored() {
     for shards in [1, 2] {
-        // Publication@GS is hosted by every shard: as m_dg's range on
-        // shard 0 and as m_ga's domain on the last.
+        // m_dg lives on shard 0, m_aa on the last shard, over a source
+        // shard 0 does not hold when there are two.
         let (handle, mut c) = spawn_cluster(shard_engines(shards, None));
         c.call_ok(&protocol::with_shard(pub_match("m_dg", "DBLP", "GS"), 0))
             .expect("left match");
         c.call_ok(&protocol::with_shard(
-            pub_match("m_ga", "GS", "ACM"),
+            pub_match("m_aa", "ACM", "ACM"),
             shards - 1,
         ))
         .expect("right match");
@@ -602,23 +555,23 @@ fn client_supplied_repl_is_refused_and_item_cmd_ignored() {
         }
         let r = c.call_ok(&delta).expect("delta");
         let shards_hit = r.get("shards").and_then(Json::as_arr).map(<[_]>::len);
-        assert_eq!(shards_hit, (shards > 1).then_some(shards));
+        assert_eq!(shards_hit, (shards > 1).then_some(1));
         let commands = c.stats().expect("stats");
         let commands = commands.get("commands").expect("commands");
         assert_eq!(commands.get("delta").and_then(Json::as_u64), Some(1));
         let replicas = commands.get("repl_delta").and_then(Json::as_u64);
-        assert_eq!(replicas, Some(shards as u64 - 1));
+        assert_eq!(replicas, Some(0));
 
         // Items on two shards, so the batch is split; the first claims to
         // be another command and is answered as the query it is.
         let impostor =
             protocol::query_item("m_dg", 1, None).set_field("cmd", Json::Str("stats".into()));
         let results = c
-            .batch_query(vec![impostor, protocol::query_item("m_ga", 1, None)])
+            .batch_query(vec![impostor, protocol::query_item("m_aa", 1, None)])
             .expect("batch_query");
         assert_eq!(results[0].str_field("name"), Some("m_dg"), "{}", results[0]);
         assert!(results[0].get("rows").is_some(), "{}", results[0]);
-        assert_eq!(results[1].str_field("name"), Some("m_ga"));
+        assert_eq!(results[1].str_field("name"), Some("m_aa"));
         handle.stop();
     }
 }
