@@ -250,6 +250,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             };
             if replay {
                 let summary = engine.recover(std::path::Path::new(&path), policy)?;
+                for (checkpoint, reason) in &summary.checkpoint_fallbacks {
+                    eprintln!(
+                        "warning: checkpoint {}: {reason}; falling back",
+                        checkpoint.display()
+                    );
+                }
                 eprintln!(
                     "moma serve: shard {i}: recovered from {path}: checkpoint seq {}, replayed \
                      {} WAL record(s), skipped {} covered record(s), {} segment(s){}{}",

@@ -437,7 +437,7 @@ impl DeltaMatchState {
             return Err(CoreError::UnknownMapping(name.into()));
         }
         self.apply(ctx, deltas)?;
-        repository.patch(name, self.mapping.clone().named(name));
+        repository.store_as(name, self.mapping.clone().named(name));
         repository.refresh_stale()
     }
 }

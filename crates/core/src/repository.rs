@@ -5,8 +5,9 @@
 //! intermediate same-mappings derived during a match workflow."
 //!
 //! The repository is concurrency-safe (matchers may run in parallel) and
-//! persists to a directory of TSV mapping tables keyed by *instance
-//! string ids*, so files survive regeneration of the in-memory arenas.
+//! dumps to a directory of TSV mapping tables keyed by *instance string
+//! ids* ([`MappingRepository::persist_dir`]); the dump is write-only —
+//! nothing reads it back.
 //!
 //! ## Version stamps and dependency-based invalidation
 //!
@@ -31,8 +32,8 @@ use std::sync::Arc;
 use std::sync::RwLock;
 
 use moma_model::SourceRegistry;
-use moma_table::tsv::{escape_field, unescape_field};
-use moma_table::{FxHashMap, MappingTable};
+use moma_table::tsv::escape_field;
+use moma_table::FxHashMap;
 
 use crate::error::{CoreError, Result};
 use crate::mapping::{Mapping, MappingKind};
@@ -219,14 +220,6 @@ impl MappingRepository {
     pub fn store_as(&self, name: impl Into<String>, mapping: Mapping) -> Arc<Mapping> {
         let name = name.into();
         self.store_entry(name.clone(), mapping.named(name.clone()), None)
-    }
-
-    /// Replace a leaf mapping in place — the entry point used by
-    /// incremental matching when a source delta patches a materialized
-    /// mapping. Identical to [`MappingRepository::store_as`] (the new
-    /// version stamp is what marks downstream derived entries stale).
-    pub fn patch(&self, name: impl Into<String>, mapping: Mapping) -> Arc<Mapping> {
-        self.store_as(name, mapping)
     }
 
     /// Restore an entry verbatim — exact version stamp, recipe and
@@ -457,8 +450,8 @@ impl MappingRepository {
     /// Persist all mappings into `dir`, one TSV file per mapping, rows
     /// keyed by instance string ids resolved through `registry`. Names
     /// and ids are escaped ([`moma_table::tsv::escape_field`]) so values
-    /// containing tabs or newlines round-trip instead of corrupting the
-    /// file. Rows referencing tombstoned (removed) instances are
+    /// containing tabs or newlines cannot break the line / column
+    /// structure. Rows referencing tombstoned (removed) instances are
     /// skipped.
     pub fn persist_dir(&self, dir: impl AsRef<Path>, registry: &SourceRegistry) -> Result<()> {
         let dir = dir.as_ref();
@@ -497,94 +490,13 @@ impl MappingRepository {
         }
         Ok(())
     }
-
-    /// Load every `mapping_*.tsv` in `dir` into the repository, resolving
-    /// instance ids through `registry`. Rows whose ids are unknown are
-    /// skipped; files whose sources are unknown raise an error.
-    pub fn load_dir(&self, dir: impl AsRef<Path>, registry: &SourceRegistry) -> Result<usize> {
-        let mut loaded = 0usize;
-        let mut paths: Vec<_> = fs::read_dir(dir.as_ref())?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .map(|n| n.starts_with("mapping_") && n.ends_with(".tsv"))
-                    .unwrap_or(false)
-            })
-            .collect();
-        paths.sort();
-        for path in paths {
-            let text = fs::read_to_string(&path)?;
-            let mut name = String::new();
-            let mut kind = MappingKind::Same;
-            let mut domain = None;
-            let mut range = None;
-            let mut table = MappingTable::new();
-            for line in text.lines() {
-                if let Some(rest) = line.strip_prefix('#') {
-                    let mut parts = rest.split('\t');
-                    match (parts.next(), parts.next()) {
-                        (Some("name"), Some(v)) => name = unescape_field(v),
-                        (Some("kind"), Some(v)) => {
-                            kind = match unescape_field(v).strip_prefix("assoc:") {
-                                Some(t) => MappingKind::Association(t.to_owned()),
-                                None => MappingKind::Same,
-                            }
-                        }
-                        (Some("domain"), Some(v)) => {
-                            domain = Some(registry.resolve(&unescape_field(v))?)
-                        }
-                        (Some("range"), Some(v)) => {
-                            range = Some(registry.resolve(&unescape_field(v))?)
-                        }
-                        _ => {}
-                    }
-                    continue;
-                }
-                if line.is_empty() {
-                    continue;
-                }
-                let mut parts = line.split('\t');
-                let (Some(d), Some(r), Some(s)) = (parts.next(), parts.next(), parts.next()) else {
-                    continue;
-                };
-                let (Some(domain), Some(range)) = (domain, range) else {
-                    continue;
-                };
-                let (d_lds, r_lds) = (registry.lds(domain), registry.lds(range));
-                if let (Some(di), Some(ri), Ok(sim)) = (
-                    d_lds.index_of(&unescape_field(d)),
-                    r_lds.index_of(&unescape_field(r)),
-                    s.parse::<f64>(),
-                ) {
-                    table.push(di, ri, sim);
-                }
-            }
-            let (Some(domain), Some(range)) = (domain, range) else {
-                return Err(CoreError::InvalidConfig(format!(
-                    "mapping file {} lacks #domain/#range headers",
-                    path.display()
-                )));
-            };
-            table.dedup_max();
-            self.store(Mapping {
-                name,
-                kind,
-                domain,
-                range,
-                table,
-            });
-            loaded += 1;
-        }
-        Ok(loaded)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use moma_model::{AttrDef, LdsId, LogicalSource, ObjectType};
+    use moma_table::MappingTable;
 
     fn mapping(name: &str) -> Mapping {
         Mapping::same(
@@ -643,7 +555,7 @@ mod tests {
         let repo = MappingRepository::new();
         repo.store(mapping("a"));
         let v1 = repo.version("a").unwrap();
-        repo.patch("a", mapping("a"));
+        repo.store_as("a", mapping("a"));
         let v2 = repo.version("a").unwrap();
         assert!(v2 > v1);
         assert_eq!(repo.version("ghost"), None);
@@ -683,7 +595,7 @@ mod tests {
         assert!(repo.recipe("A").is_none());
 
         // Patch a leaf: the derived entry goes stale; refresh fixes it.
-        repo.patch(
+        repo.store_as(
             "B",
             Mapping::same(
                 "B",
@@ -731,7 +643,7 @@ mod tests {
             },
         )
         .unwrap();
-        repo.patch(
+        repo.store_as(
             "A",
             Mapping::same(
                 "A",
@@ -805,7 +717,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(c.table.sim_of(1, 1), Some(0.8));
-        repo.patch(
+        repo.store_as(
             "A",
             Mapping::same(
                 "A",
@@ -845,7 +757,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(repo.get("M").unwrap().table.sim_of(0, 0), Some(0.75));
-        repo.patch(
+        repo.store_as(
             "B",
             Mapping::same(
                 "B",
@@ -894,7 +806,7 @@ mod tests {
         }
 
         // Patch A and refresh; the old snapshot must not move.
-        repo.patch(
+        repo.store_as(
             "A",
             Mapping::same(
                 "A",
@@ -956,6 +868,25 @@ mod tests {
         reg
     }
 
+    /// The files `persist_dir` wrote into `dir`, in name order, and the
+    /// directory removed.
+    fn dump(repo: &MappingRepository, reg: &SourceRegistry, dir: &str) -> Vec<String> {
+        let dir = std::env::temp_dir().join(dir);
+        let _ = fs::remove_dir_all(&dir);
+        repo.persist_dir(&dir, reg).unwrap();
+        let mut paths: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        let files = paths
+            .iter()
+            .map(|p| fs::read_to_string(p).unwrap())
+            .collect();
+        let _ = fs::remove_dir_all(&dir);
+        files
+    }
+
     #[test]
     fn persistence_roundtrip() {
         let reg = registry_with_sources();
@@ -973,20 +904,15 @@ mod tests {
             LdsId(1),
             MappingTable::from_triples([(1, 1, 1.0)]),
         ));
-        let dir = std::env::temp_dir().join("moma_repo_roundtrip");
-        let _ = fs::remove_dir_all(&dir);
-        repo.persist_dir(&dir, &reg).unwrap();
-
-        let repo2 = MappingRepository::new();
-        let loaded = repo2.load_dir(&dir, &reg).unwrap();
-        assert_eq!(loaded, 2);
-        let m = repo2.get("PubSame").unwrap();
-        assert_eq!(m.table.sim_of(0, 1), Some(0.9));
-        assert_eq!(m.table.sim_of(1, 0), Some(0.4));
-        assert!(m.kind.is_same());
-        let a = repo2.get("SomeAssoc").unwrap();
-        assert_eq!(a.kind, MappingKind::Association("pubs of venue".into()));
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            dump(&repo, &reg, "moma_repo_roundtrip"),
+            [
+                "#name\tPubSame\n#kind\tsame\n#domain\tPublication@DBLP\n\
+                 #range\tPublication@ACM\nd0\tp1\t0.9\nd1\tp0\t0.4\n",
+                "#name\tSomeAssoc\n#kind\tassoc:pubs of venue\n#domain\tPublication@DBLP\n\
+                 #range\tPublication@ACM\nd1\tp1\t1\n",
+            ]
+        );
     }
 
     #[test]
@@ -1016,16 +942,11 @@ mod tests {
             LdsId(1),
             MappingTable::from_triples([(0, 0, 0.9), (1, 1, 0.4)]),
         ));
-        let dir = std::env::temp_dir().join("moma_repo_hostile_ids");
-        let _ = fs::remove_dir_all(&dir);
-        repo.persist_dir(&dir, &reg).unwrap();
-
-        let repo2 = MappingRepository::new();
-        assert_eq!(repo2.load_dir(&dir, &reg).unwrap(), 1);
-        let m = repo2.get("name with\ttab and\nnewline").unwrap();
-        assert_eq!(m.table.sim_of(0, 0), Some(0.9));
-        assert_eq!(m.table.sim_of(1, 1), Some(0.4));
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            dump(&repo, &reg, "moma_repo_hostile_ids"),
+            ["#name\tname with\\ttab and\\nnewline\n#kind\tsame\n#domain\tPublication@DBLP\n\
+              #range\tPublication@ACM\ntab\\tid\t\"quoted\" — é\t0.9\nnl\\nid\tback\\\\slash\t0.4\n"]
+        );
     }
 
     #[test]
@@ -1039,32 +960,10 @@ mod tests {
             MappingTable::from_triples([(0, 0, 1.0), (1, 1, 0.8)]),
         ));
         reg.lds_mut(LdsId(0)).remove("d1");
-        let dir = std::env::temp_dir().join("moma_repo_tombstones");
-        let _ = fs::remove_dir_all(&dir);
-        repo.persist_dir(&dir, &reg).unwrap();
-        let repo2 = MappingRepository::new();
-        repo2.load_dir(&dir, &reg).unwrap();
-        let m = repo2.get("PubSame").unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.table.sim_of(0, 0), Some(1.0));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_skips_unknown_instances() {
-        let reg = registry_with_sources();
-        let dir = std::env::temp_dir().join("moma_repo_unknown_ids");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join("mapping_0000.tsv"),
-            "#name\tX\n#kind\tsame\n#domain\tPublication@DBLP\n#range\tPublication@ACM\n\
-             d0\tp0\t1\nGHOST\tp1\t0.5\n",
-        )
-        .unwrap();
-        let repo = MappingRepository::new();
-        repo.load_dir(&dir, &reg).unwrap();
-        assert_eq!(repo.get("X").unwrap().len(), 1);
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            dump(&repo, &reg, "moma_repo_tombstones"),
+            ["#name\tPubSame\n#kind\tsame\n#domain\tPublication@DBLP\n\
+              #range\tPublication@ACM\nd0\tp0\t1\n"]
+        );
     }
 }

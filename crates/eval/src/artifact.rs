@@ -150,6 +150,61 @@ mod tests {
         }
     }
 
+    /// The paper's P/R/F triples — rows `Precision` / `Recall` /
+    /// `F-Measure`, or `<prefix> P` / `R` / `F` — satisfy F = 2PR/(P+R)
+    /// within 0.1, or the artifact's report notes the F row and column.
+    /// Exactly Table 5's three `Overall` triples do not.
+    #[test]
+    fn paper_f_measures_are_the_mean_of_their_p_and_r_or_noted() {
+        let mut offenders = Vec::new();
+        let mut checked = 0;
+        for a in ARTIFACTS {
+            let paper = |row: &str, column: &str| {
+                let hit = a.paper.iter().find(|&&(r, c, _)| r == row && c == column);
+                hit.map(|&(_, _, v)| v)
+            };
+            let mut unnoted = Vec::new();
+            for &(row, column, p) in a.paper {
+                let (r_row, f_row) = match row.strip_suffix(" P") {
+                    Some(prefix) => (format!("{prefix} R"), format!("{prefix} F")),
+                    None if row == "Precision" => ("Recall".into(), "F-Measure".into()),
+                    None => continue,
+                };
+                let (Some(r), Some(f)) = (paper(&r_row, column), paper(&f_row, column)) else {
+                    continue;
+                };
+                checked += 1;
+                if (f - 2.0 * p * r / (p + r)).abs() > 0.1 {
+                    offenders.push(format!("{} {f_row} / {column}", a.id));
+                    unnoted.push((f_row, column));
+                }
+            }
+            if unnoted.is_empty() {
+                continue;
+            }
+            let report = (a.run)(&EvalContext::small());
+            for (row, column) in unnoted {
+                assert!(
+                    report
+                        .notes
+                        .iter()
+                        .any(|n| n.contains(&row) && n.contains(column)),
+                    "{}: the paper's {row} / {column} is not 2PR/(P+R) and no note says so",
+                    a.id
+                );
+            }
+        }
+        assert_eq!(checked, 25, "complete P/R/F triples in the paper values");
+        assert_eq!(
+            offenders,
+            [
+                "table5 Overall F / Attribute (Title)",
+                "table5 Overall F / Neighborhood (Venue)",
+                "table5 Overall F / Merge",
+            ]
+        );
+    }
+
     /// The gate can fail: one falsified claim fails the artifact (what
     /// `repro` turns into exit status 1) and prints as FAILS.
     #[test]

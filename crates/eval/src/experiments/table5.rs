@@ -98,6 +98,13 @@ pub fn run(ctx: &EvalContext) -> Report {
     ] {
         r.row(label, cells);
     }
+    // The paper's Overall F is not the harmonic mean of its own Overall
+    // P and R in any column; its values are kept as printed.
+    for (column, printed, mean) in [(ATTR, 91.9, 98.2), (NH, 3.36, 2.4), ("Merge", 98.6, 99.0)] {
+        r.note(format!(
+            "the paper's Overall F for {column} is {printed}, not 2PR/(P+R) = {mean:.1} of its Overall P and R"
+        ));
+    }
     r
 }
 

@@ -1,77 +1,51 @@
 //! Figures 2 and 3: the source-mapping model and the MOMA architecture.
 
-use moma_model::cardinality::Cardinality;
-use moma_model::smm::{AssocTypeDef, PhysicalSource, SourceMappingModel};
-use moma_model::LdsId;
-
 use crate::artifact::{Artifact, Claim, Group};
 use crate::report::Report;
 use crate::setup::EvalContext;
 
-/// Figure 2: the bibliographic source-mapping model, built and rendered.
+/// The physical sources of Figure 2: name, access mode (paper Section
+/// 2.1: DBLP can be downloaded completely, ACM DL and Google Scholar only
+/// queried) and the logical sources each hosts.
+const PDS: [(&str, &str, &[&str]); 3] = [
+    ("DBLP", "downloadable", &["Publication", "Author", "Venue"]),
+    ("ACM", "query-only", &["Publication", "Author", "Venue"]),
+    ("GoogleScholar", "query-only", &["Publication"]),
+];
+
+/// The association mapping types of Figure 2: name, domain, range,
+/// cardinality and inverse type.
+#[rustfmt::skip]
+const ASSOC_TYPES: [(&str, &str, &str, &str, Option<&str>); 5] = [
+    ("AuthorPub@DBLP", "Author@DBLP", "Publication@DBLP", "n:m", Some("PubAuthor@DBLP")),
+    ("VenuePub@DBLP", "Venue@DBLP", "Publication@DBLP", "1:n", Some("PubVenue@DBLP")),
+    ("CoAuthor@DBLP", "Author@DBLP", "Author@DBLP", "n:m", None),
+    ("AuthorPub@ACM", "Author@ACM", "Publication@ACM", "n:m", Some("PubAuthor@ACM")),
+    ("VenuePub@ACM", "Venue@ACM", "Publication@ACM", "1:n", Some("PubVenue@ACM")),
+];
+
+/// Figure 2: the bibliographic source-mapping model, one line per
+/// physical source, logical source and association mapping type.
 pub fn fig2(_: &EvalContext) -> Report {
-    let mut smm = SourceMappingModel::new();
-    smm.add_physical(PhysicalSource::downloadable("DBLP"));
-    smm.add_physical(PhysicalSource::query_only("ACM"));
-    smm.add_physical(PhysicalSource::query_only("GoogleScholar"));
-    let names = [
-        "Publication@DBLP",
-        "Author@DBLP",
-        "Venue@DBLP",
-        "Publication@ACM",
-        "Author@ACM",
-        "Venue@ACM",
-        "Publication@GoogleScholar",
-    ];
-    for (i, n) in names.iter().enumerate() {
-        smm.add_logical(LdsId(i as u32), *n);
-    }
-    for (name, d, r, card, inv) in [
-        (
-            "AuthorPub@DBLP",
-            1u32,
-            0u32,
-            Cardinality::ManyToMany,
-            Some("PubAuthor@DBLP"),
-        ),
-        (
-            "VenuePub@DBLP",
-            2,
-            0,
-            Cardinality::OneToMany,
-            Some("PubVenue@DBLP"),
-        ),
-        ("CoAuthor@DBLP", 1, 1, Cardinality::ManyToMany, None),
-        (
-            "AuthorPub@ACM",
-            4,
-            3,
-            Cardinality::ManyToMany,
-            Some("PubAuthor@ACM"),
-        ),
-        (
-            "VenuePub@ACM",
-            5,
-            3,
-            Cardinality::OneToMany,
-            Some("PubVenue@ACM"),
-        ),
-    ] {
-        smm.add_assoc_type(AssocTypeDef {
-            name: name.into(),
-            domain: LdsId(d),
-            range: LdsId(r),
-            cardinality: card,
-            inverse: inv.map(str::to_owned),
-        });
-    }
-    let rendered = smm.render_ascii();
     let mut r = Report::new(
         "Figure 2. Source-mapping model for the bibliographic domain",
         vec!["SMM"],
     );
-    for line in rendered.lines() {
-        r.row(line, vec![]);
+    r.row("Source-Mapping Model", vec![]);
+    r.row("====================", vec![]);
+    for (pds, access, types) in PDS {
+        r.row(format!("PDS {pds} ({access})"), vec![]);
+        for ty in types {
+            r.row(format!("  LDS {ty}@{pds}"), vec![]);
+        }
+    }
+    r.row("Association mapping types:", vec![]);
+    for (name, domain, range, cardinality, inverse) in ASSOC_TYPES {
+        let inverse = inverse.map_or(String::new(), |i| format!("  (inverse: {i})"));
+        r.row(
+            format!("  {name} : {domain} -> {range}  [{cardinality}]{inverse}"),
+            vec![],
+        );
     }
     r
 }

@@ -7,8 +7,8 @@
 //!
 //! This crate rebuilds those capabilities:
 //!
-//! * [`source`] — the [`source::DataSource`] keyword-query access layer,
-//! * [`ops`] — the traverse operator,
+//! * [`ops`] — the source and mapping operators: [`ops::query`] (keyword
+//!   query over a registered source) and [`ops::traverse`],
 //! * [`script`] — the iFuice script language: lexer, parser and
 //!   interpreter able to run the paper's own listings, e.g. the
 //!   Section 4.3 duplicate-author workflow:
@@ -24,8 +24,6 @@
 pub mod loader;
 pub mod ops;
 pub mod script;
-pub mod source;
 
 pub use script::interp::{Interpreter, Value};
 pub use script::{run_script, run_script_with};
-pub use source::{DataSource, InMemorySource};

@@ -21,7 +21,6 @@ use moma_simstring::SimFn;
 
 use super::ast::{Expr, Script, Stmt};
 use super::parser::ParseError;
-use crate::source::{DataSource, InMemorySource};
 
 /// A runtime value.
 #[derive(Debug, Clone)]
@@ -347,12 +346,10 @@ impl<'a> Interpreter<'a> {
             }
             "query" => {
                 let lds = self.source_arg(&args, 0, "query")?;
-                let keywords = match args.get(1) {
-                    Some(Value::Str(s)) => s.clone(),
-                    _ => return Err(rt("query needs a keyword string")),
+                let Some(Value::Str(keywords)) = args.get(1) else {
+                    return Err(rt("query needs a keyword string"));
                 };
-                let src = InMemorySource::downloadable(lds);
-                let ids = src.query(self.registry, &keywords);
+                let ids = crate::ops::query(self.registry, lds, keywords);
                 Ok(Value::Instances { lds, ids })
             }
             "traverse" => {

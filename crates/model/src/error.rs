@@ -21,8 +21,6 @@ pub enum ModelError {
         expected: String,
         got: String,
     },
-    /// An association mapping type name was not found in the SMM.
-    UnknownAssocType(String),
 }
 
 impl fmt::Display for ModelError {
@@ -47,9 +45,6 @@ impl fmt::Display for ModelError {
                 got,
             } => {
                 write!(f, "attribute `{attr}` expects kind {expected}, got {got}")
-            }
-            ModelError::UnknownAssocType(name) => {
-                write!(f, "unknown association mapping type `{name}`")
             }
         }
     }
@@ -94,7 +89,7 @@ mod tests {
 
     #[test]
     fn error_is_std_error() {
-        let e: Box<dyn std::error::Error> = Box::new(ModelError::UnknownAssocType("x".into()));
-        assert!(e.to_string().contains("association"));
+        let e: Box<dyn std::error::Error> = Box::new(ModelError::UnknownSource("x".into()));
+        assert!(e.to_string().contains("unknown logical data source"));
     }
 }

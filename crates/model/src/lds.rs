@@ -1,11 +1,39 @@
 //! Logical data sources (LDS).
 
 use std::collections::HashMap;
+use std::fmt;
 
 use crate::attr::{AttrDef, AttrValue};
 use crate::error::{ModelError, Result};
 use crate::instance::ObjectInstance;
-use crate::smm::ObjectType;
+
+/// Semantic object type of an LDS, e.g. `Publication`, `Author`, `Venue`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ObjectType(String);
+
+impl ObjectType {
+    /// Create a type from its name.
+    pub fn new(name: impl Into<String>) -> Self {
+        Self(name.into())
+    }
+
+    /// Type name as string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for ObjectType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl From<&str> for ObjectType {
+    fn from(s: &str) -> Self {
+        ObjectType::new(s)
+    }
+}
 
 /// Dense handle for a logical data source inside a [`crate::SourceRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -250,6 +278,12 @@ mod tests {
             ObjectType::new("Publication"),
             vec![AttrDef::text("title"), AttrDef::year("year")],
         )
+    }
+
+    #[test]
+    fn object_type_display() {
+        assert_eq!(ObjectType::new("Venue").to_string(), "Venue");
+        assert_eq!(ObjectType::from("Author").as_str(), "Author");
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl SourceRegistry {
 mod tests {
     use super::*;
     use crate::attr::AttrDef;
-    use crate::smm::ObjectType;
+    use crate::lds::ObjectType;
 
     fn registry() -> SourceRegistry {
         let mut reg = SourceRegistry::new();

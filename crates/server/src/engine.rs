@@ -37,7 +37,7 @@
 //! `tests/snapshot_isolation.rs`).
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,6 +76,9 @@ pub struct ReplaySummary {
     pub skipped: usize,
     /// Live WAL segment files after recovery.
     pub segments: usize,
+    /// Checkpoints recovery skipped, newest first, each with the reason
+    /// it did not restore (recovery fell back past each of them).
+    pub checkpoint_fallbacks: Vec<(PathBuf, String)>,
 }
 
 /// When to rotate WAL segments and publish automatic checkpoints.
@@ -176,7 +179,8 @@ impl Engine {
 
     /// Recover from a WAL directory and attach it: restore the newest
     /// valid checkpoint (falling back to older ones, then to full
-    /// replay, if markers fail validation), re-apply only the logged
+    /// replay, if markers fail validation; the summary names each
+    /// checkpoint skipped and why), re-apply only the logged
     /// commands *after* the checkpoint's sequence number, repair any
     /// torn tail, and resume appends.
     pub fn recover(
@@ -191,6 +195,7 @@ impl Engine {
         // surviving segments connect to (first record seq must not leave
         // a gap after the checkpoint's seq).
         let mut base_seq = None;
+        let mut checkpoint_fallbacks = Vec::new();
         let checkpoints = checkpoint::list(dir).map_err(|e| format!("list checkpoints: {e}"))?;
         for cp in checkpoints.iter().rev() {
             if !scan.records.is_empty() && scan.first_seq() > cp.seq + 1 {
@@ -219,10 +224,7 @@ impl Engine {
                 Ok(Err(ImageError::Syntax(e))) => format!("state is not valid JSON ({e})"),
                 Err(reason) => reason,
             };
-            eprintln!(
-                "warning: checkpoint {}: {reason}; falling back",
-                cp.path.display()
-            );
+            checkpoint_fallbacks.push((cp.path.clone(), reason));
         }
         if base_seq.is_none() && !scan.records.is_empty() && scan.first_seq() != 1 {
             return Err(format!(
@@ -264,6 +266,7 @@ impl Engine {
             checkpoint_seq: base_seq,
             skipped: scan.records.len() - replayed,
             segments,
+            checkpoint_fallbacks,
         })
     }
 

@@ -337,7 +337,7 @@ impl State {
             ]));
         }
         for (name, mapping) in patches {
-            self.repository.patch(name, mapping);
+            self.repository.store_as(name, mapping);
         }
         let refreshed = self.repository.refresh_stale();
         let refreshed = refreshed.map_err(|e| format!("refresh stale: {e}"))?;

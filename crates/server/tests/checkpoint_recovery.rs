@@ -423,12 +423,22 @@ fn every_crash_point_of_a_checkpoint_recovers() {
                 let what = format!("checkpoint {seq}, {stage}");
                 assert_eq!(summary.checkpoint_seq, checkpoint_seq, "{what}");
                 assert_eq!(fingerprint(&recovered), full, "{what}");
+                summary
             };
             each_crash_point(&staged, &after, seq, |stage, dir, published| {
-                recovers(stage, dir, if published { seq } else { previous })
+                recovers(stage, dir, if published { seq } else { previous });
             });
             damage_marker(&after.join(checkpoint::dir_name(seq)));
-            recovers("damaged MARKER", &after, previous);
+            let summary = recovers("damaged MARKER", &after, previous);
+            let damaged = checkpoint::dir_name(seq);
+            assert!(
+                summary.checkpoint_fallbacks.iter().any(|(path, reason)| {
+                    path.ends_with(&damaged) && reason.contains("marker")
+                }),
+                "checkpoint {seq}: the summary names the damaged checkpoint and its marker \
+                 fault: {:?}",
+                summary.checkpoint_fallbacks
+            );
         }
         previous = seq;
     }

@@ -355,7 +355,7 @@ fn repository_snapshot_is_atomic_under_direct_concurrent_patching() {
         }));
     }
     for s in 0..40u32 {
-        repo.patch("left", chain(0, 1, s % 6));
+        repo.store_as("left", chain(0, 1, s % 6));
         repo.refresh_stale().unwrap();
     }
     done.store(true, Ordering::Relaxed);

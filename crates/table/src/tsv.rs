@@ -21,59 +21,25 @@ pub fn escape_field(s: &str) -> String {
     out
 }
 
-/// Inverse of [`escape_field`]. A backslash followed by anything other
-/// than `\\`/`t`/`n`/`r` — which [`escape_field`] never produces — is
-/// kept literally (lenient, so hand-edited files don't hard-fail).
-pub fn unescape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn escape_round_trips_structural_characters() {
-        for s in [
-            "plain",
-            "tab\there",
-            "new\nline",
-            "cr\rreturn",
-            "back\\slash",
-            "quote\"and'quote",
-            "mixé — ünïcode ★",
-            "\\t literal backslash-t",
-            "",
-            "\t\n\r\\",
+    fn escape_rewrites_only_structural_characters() {
+        for (s, escaped) in [
+            ("plain", "plain"),
+            ("tab\there", "tab\\there"),
+            ("new\nline", "new\\nline"),
+            ("cr\rreturn", "cr\\rreturn"),
+            ("back\\slash", "back\\\\slash"),
+            ("quote\"and'quote", "quote\"and'quote"),
+            ("mixé — ünïcode ★", "mixé — ünïcode ★"),
+            ("\\t literal backslash-t", "\\\\t literal backslash-t"),
+            ("", ""),
+            ("\t\n\r\\", "\\t\\n\\r\\\\"),
         ] {
-            let e = escape_field(s);
-            assert!(
-                !e.contains('\t') && !e.contains('\n') && !e.contains('\r'),
-                "{e:?}"
-            );
-            assert_eq!(unescape_field(&e), s, "round trip of {s:?}");
+            assert_eq!(escape_field(s), escaped, "escape of {s:?}");
         }
-        // Lenient unescape: unknown escapes and trailing backslash pass through.
-        assert_eq!(unescape_field("a\\xb"), "a\\xb");
-        assert_eq!(unescape_field("end\\"), "end\\");
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`model`] | physical/logical data sources, object instances, the source-mapping model |
+//! | [`model`] | logical data sources (each names its physical source), object instances, source deltas |
 //! | [`table`] | 3-column mapping tables in canonical order, the grouping co-scan, indexes, hash join, TSV field escaping |
 //! | [`simstring`] | similarity measures: trigram, TF-IDF, affix, edit distances, person names, … |
 //! | [`core`] | **the paper's contribution**: merge/compose/selection operators, matcher library, neighborhood matcher, mapping repository |

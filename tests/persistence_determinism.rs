@@ -24,21 +24,50 @@ fn repository_roundtrip_through_disk() {
     let _ = std::fs::remove_dir_all(&dir);
     repo.persist_dir(&dir, &scenario.registry).unwrap();
 
-    let restored = MappingRepository::new();
-    let loaded = restored.load_dir(&dir, &scenario.registry).unwrap();
-    assert_eq!(loaded, 2);
-    let back = restored.require("roundtrip.title").unwrap();
-    assert_eq!(back.table.pair_set(), mapping.table.pair_set());
-    for c in mapping.table.iter() {
-        let s = back.table.sim_of(c.domain, c.range).unwrap();
-        assert!((s - c.sim).abs() < 1e-9);
-    }
-    let assoc = restored.require("roundtrip.assoc").unwrap();
-    assert!(matches!(
-        assoc.kind,
-        moma::core::MappingKind::Association(_)
-    ));
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    let text: Vec<String> = files
+        .iter()
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect();
     let _ = std::fs::remove_dir_all(&dir);
+
+    // One file per mapping, in name order: the association first.
+    let reg = &scenario.registry;
+    let expected = |name: &str, kind: &str, m: &moma::core::Mapping| {
+        let (d_lds, r_lds) = (reg.lds(m.domain), reg.lds(m.range));
+        let mut t = format!(
+            "#name\t{name}\n#kind\t{kind}\n#domain\t{}\n#range\t{}\n",
+            d_lds.name(),
+            r_lds.name()
+        );
+        for c in m.table.iter() {
+            let (d, r) = (
+                &d_lds.get(c.domain).unwrap().id,
+                &r_lds.get(c.range).unwrap().id,
+            );
+            t.push_str(&format!("{d}\t{r}\t{}\n", c.sim));
+        }
+        t
+    };
+    let assoc = scenario.repository.require("DBLP.VenuePub").unwrap();
+    assert_eq!(text.len(), 2);
+    assert_eq!(
+        text[0],
+        expected("roundtrip.assoc", "assoc:publications of venue", &assoc)
+    );
+    assert_eq!(text[1], expected("roundtrip.title", "same", &mapping));
+    // Every correspondence is written, and its sim reads back bit for bit.
+    let rows: Vec<&str> = text[1].lines().skip(4).collect();
+    assert!(!mapping.is_empty());
+    assert_eq!(rows.len(), mapping.len());
+    for (row, c) in rows.iter().zip(mapping.table.iter()) {
+        let sim: f64 = row.rsplit('\t').next().unwrap().parse().unwrap();
+        assert_eq!(sim.to_bits(), c.sim.to_bits());
+    }
 }
 
 #[test]
