@@ -2,8 +2,8 @@
 //! [state machine](crate::state).
 //!
 //! [`Engine`] is the durability shell of one shard. It owns what does
-//! I/O — the [`Wal`], the checkpoint chain, `dump`'s files, the
-//! operator warnings — and nothing of the logical state, which is a
+//! I/O — the [`Wal`], the checkpoint chain and its failures, `dump`'s
+//! files — and nothing of the logical state, which is a
 //! [`State`]: a logged command is appended to the log and then handed
 //! to [`State::apply`]; a checkpoint is [`State::write_image`] streamed
 //! into a checkpoint file next to the log, and recovery is
@@ -36,10 +36,8 @@
 //! apply or a checkpoint (see [`crate::view`] and
 //! `tests/snapshot_isolation.rs`).
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use moma_core::exec::Parallelism;
 use moma_core::repository::SnapshotEntry;
@@ -53,10 +51,6 @@ use crate::request::{Origin, Request};
 use crate::state::{ImageError, State};
 use crate::view::{ReadView, ViewSlot, WalPosition};
 use crate::wal::{RotationPolicy, Wal};
-
-/// Minimum spacing between repeated full-re-match warnings for the same
-/// mapping (see [`Engine::warn_full_rematch`]).
-const WARN_PERIOD: Duration = Duration::from_secs(30);
 
 /// Summary of a `--replay` startup.
 #[derive(Debug, Clone)]
@@ -127,8 +121,10 @@ pub struct Engine {
     records_since_checkpoint: u64,
     /// Successful [`Engine::run_auto_checkpoint`]s (not durable).
     auto_checkpoints: u64,
-    last_warn: BTreeMap<String, Instant>,
-    warnings_suppressed: u64,
+    /// Failed [`Engine::run_auto_checkpoint`]s (not durable).
+    checkpoint_failures: u64,
+    /// The last of them: the seq it would have covered, and why it failed.
+    last_checkpoint_error: Option<(u64, String)>,
     /// Where the view of the last write is published.
     views: Arc<ViewSlot>,
 }
@@ -138,7 +134,7 @@ impl Engine {
     /// one with [`Engine::wal_create`] / [`Engine::recover`]).
     pub fn new(registry: SourceRegistry, par: Parallelism) -> Engine {
         let machine = State::new(registry, par);
-        let view = ReadView::build(&machine, None, None, 0);
+        let view = ReadView::build(&machine, None, None);
         Engine {
             machine,
             wal: None,
@@ -146,8 +142,8 @@ impl Engine {
             checkpoint_seq: 0,
             records_since_checkpoint: 0,
             auto_checkpoints: 0,
-            last_warn: BTreeMap::new(),
-            warnings_suppressed: 0,
+            checkpoint_failures: 0,
+            last_checkpoint_error: None,
             views: Arc::new(ViewSlot::new(view)),
         }
     }
@@ -300,7 +296,7 @@ impl Engine {
         let reply = match req {
             Request::Checkpoint => respond(self.checkpoint()),
             _ if req.command().class.is_logged() => match self.log(req) {
-                Ok(seq) => self.apply(req, seq),
+                Ok(seq) => self.machine.apply(req, seq),
                 Err(e) => err_response(&e),
             },
             _ => return self.run_read(req),
@@ -325,8 +321,9 @@ impl Engine {
         self.views.store(self.view_of(Some(&self.view())));
     }
 
-    /// A view of the current state: the WAL position and the warning
-    /// limiter's count with the machine's; `base` lends its id chunks.
+    /// A view of the current state: the machine's, with the WAL
+    /// position and the background checkpoints' outcomes; `base` lends
+    /// its id chunks.
     pub(crate) fn view_of(&self, base: Option<&ReadView>) -> ReadView {
         let wal = self.wal.as_ref().map(|w| WalPosition {
             seq: w.last_seq(),
@@ -334,8 +331,10 @@ impl Engine {
             segments: w.segment_count() as u64,
             dir: w.dir().display().to_string(),
             auto_checkpoints: self.auto_checkpoints,
+            checkpoint_failures: self.checkpoint_failures,
+            last_checkpoint_error: self.last_checkpoint_error.clone(),
         });
-        ReadView::build(&self.machine, base, wal, self.warnings_suppressed)
+        ReadView::build(&self.machine, base, wal)
     }
 
     /// Append `req`'s records to the WAL as one group commit (a commit
@@ -351,37 +350,6 @@ impl Engine {
         let first = appended.map_err(|e| format!("WAL append failed: {e}"))?;
         self.records_since_checkpoint += records.len() as u64;
         Ok(Some(first))
-    }
-
-    /// Apply an already-logged write, then tell the operator about any
-    /// full re-match it paid.
-    fn apply(&mut self, req: &Request, seq: Option<u64>) -> Json {
-        let resp = self.machine.apply(req, seq);
-        for (name, total) in std::mem::take(&mut self.machine.full_rematched) {
-            self.warn_full_rematch(&name, total);
-        }
-        resp
-    }
-
-    /// Log (rate-limited per mapping) that a delta paid a transparent
-    /// full re-match instead of an incremental patch — the operator
-    /// signal for configurations like TF-IDF whose corpus-global
-    /// weights make incremental maintenance unsound.
-    fn warn_full_rematch(&mut self, name: &str, total: u64) {
-        let now = Instant::now();
-        if let Some(last) = self.last_warn.get(name) {
-            if now.duration_since(*last) < WARN_PERIOD {
-                self.warnings_suppressed += 1;
-                return;
-            }
-        }
-        self.last_warn.insert(name.to_owned(), now);
-        eprintln!(
-            "warning: mapping `{name}` is not incrementally maintainable; \
-             this delta paid a full re-match ({total} so far; further \
-             warnings for it muted for {}s)",
-            WARN_PERIOD.as_secs()
-        );
     }
 
     /// Engine-level stats object, from the published view (the server
@@ -432,12 +400,21 @@ impl Engine {
     }
 
     /// Publish an automatic checkpoint (the background checkpointer's
-    /// entry point; identical to the `checkpoint` command). A failure
-    /// leaves nothing half-applied: everything the checkpoint would have
-    /// covered is already durable in the WAL.
+    /// entry point; identical to the `checkpoint` command) and count
+    /// its outcome in the view it publishes: a success in
+    /// `auto_checkpoints`, a failure in `checkpoint_failures` and
+    /// `last_checkpoint_error`. A failure leaves nothing half-applied:
+    /// everything the checkpoint would have covered is already durable
+    /// in the WAL.
     pub fn run_auto_checkpoint(&mut self) -> Result<Json, String> {
         let published = self.checkpoint();
-        self.auto_checkpoints += u64::from(published.is_ok());
+        match &published {
+            Ok(_) => self.auto_checkpoints += 1,
+            Err(e) => {
+                self.checkpoint_failures += 1;
+                self.last_checkpoint_error = Some((self.wal_seq(), e.clone()));
+            }
+        }
         self.publish();
         published
     }
@@ -764,21 +741,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A full re-match is state: the delta reply says so per mapping,
+    /// and `stats` counts it — for TF-IDF, whose corpus-global weights
+    /// make patching unsound, and for `personname`, whose prefix-filter
+    /// plan is not maintained incrementally (once it is, `p` counts 0).
     #[test]
     fn tfidf_delta_reports_full_rematch() {
         let mut e = Engine::new(tiny_registry(), Parallelism::sequential());
-        let req = protocol::match_request(
-            "t",
-            "Publication@ACM",
-            "Publication@GS",
-            "title",
-            "title",
-            "tfidf",
-            0.1,
-        );
-        let r = e.execute(&req);
-        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
-        assert_eq!(r.get("incremental").and_then(Json::as_bool), Some(false));
+        let (domain, range) = ("Publication@ACM", "Publication@GS");
+        for (name, sim, threshold) in [("t", "tfidf", 0.1), ("p", "personname", 0.5)] {
+            let req =
+                protocol::match_request(name, domain, range, "title", "title", sim, threshold);
+            let r = e.execute(&req);
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+            assert_eq!(r.get("incremental").and_then(Json::as_bool), Some(false));
+        }
 
         let ops = vec![DeltaOp::Add {
             id: "g7".into(),
@@ -789,15 +766,32 @@ mod tests {
         }];
         let r = e.execute(&protocol::delta_request("Publication@GS", &ops));
         let touched = r.get("mappings").and_then(Json::as_arr).unwrap();
-        assert_eq!(touched.len(), 1);
-        assert_eq!(
-            touched[0].get("incremental").and_then(Json::as_bool),
-            Some(false)
-        );
-        assert_eq!(
-            touched[0].get("full_rematch").and_then(Json::as_bool),
-            Some(true)
-        );
+        let touched: Vec<_> = touched
+            .iter()
+            .map(|m| {
+                let flag = |key| m.get(key).and_then(Json::as_bool);
+                (
+                    m.str_field("name"),
+                    flag("incremental"),
+                    flag("full_rematch"),
+                )
+            })
+            .collect();
+        let full = |name| (Some(name), Some(false), Some(true));
+        assert_eq!(touched, [full("p"), full("t")], "{r}");
+
+        let stats = e.stats();
+        let mappings = stats.get("mappings").and_then(Json::as_arr).unwrap();
+        let counted: Vec<_> = mappings
+            .iter()
+            .map(|m| {
+                let incremental = m.get("incremental").and_then(Json::as_bool);
+                let full_rematches = m.get("full_rematches").and_then(Json::as_u64);
+                (m.str_field("name"), incremental, full_rematches)
+            })
+            .collect();
+        let once = |name| (Some(name), Some(false), Some(1));
+        assert_eq!(counted, [once("p"), once("t")], "{stats}");
     }
 
     /// An engine holding one derived entry per [`Recipe`] variant —

@@ -75,6 +75,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLockWriteGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::commands::Cmd;
@@ -104,8 +105,9 @@ const FRAME_KEPT: usize = 1 << 20;
 const CHECKPOINT_POLL: Duration = Duration::from_millis(100);
 
 /// How long the background checkpointer backs off after a *failed*
-/// checkpoint, so a persistently failing one (poisoned WAL, full disk)
-/// does not spam a warning per poll interval.
+/// checkpoint (counted in `stats`), so a persistently failing one
+/// (poisoned WAL, full disk) is not retried under the shard's write
+/// lock every poll interval.
 const CHECKPOINT_BACKOFF: Duration = Duration::from_secs(5);
 
 /// Admission-control limits. The defaults are generous for a service
@@ -153,6 +155,9 @@ pub struct Shared {
     active_connections: AtomicU64,
     busy_refusals: AtomicU64,
     overloaded_rejections: AtomicU64,
+    /// `accept` calls that failed with an error other than
+    /// `WouldBlock` / `Interrupted`.
+    accept_errors: AtomicU64,
     /// Set when a handler panicked while holding a write lock (the lock
     /// is recovered and serving continues, but state deserves an
     /// operator's look).
@@ -262,7 +267,7 @@ pub struct ServerHandle {
     /// Bound address (useful with port 0).
     pub addr: SocketAddr,
     shared: Arc<Shared>,
-    thread: std::thread::JoinHandle<()>,
+    thread: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -299,10 +304,12 @@ pub fn spawn_sharded(engines: Vec<Engine>, addr: &str, limits: Limits) -> io::Re
     let shared = Arc::new(new_shared(engines, limits)?);
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
+    let checkpointer = start_checkpointer(&listener, &shared)?;
     let shared2 = Arc::clone(&shared);
     let thread = std::thread::Builder::new()
         .name("moma-accept".into())
-        .spawn(move || accept_loop(listener, shared2))?;
+        .spawn(move || accept_loop(listener, shared2, checkpointer))
+        .inspect_err(|_| shared.request_stop())?;
     Ok(ServerHandle {
         addr,
         shared,
@@ -315,13 +322,13 @@ pub fn spawn_sharded(engines: Vec<Engine>, addr: &str, limits: Limits) -> io::Re
 pub fn run_sharded(engines: Vec<Engine>, addr: &str, limits: Limits) -> io::Result<()> {
     let shared = Arc::new(new_shared(engines, limits)?);
     let listener = TcpListener::bind(addr)?;
-    let shards = shared.router.len();
+    let (local, shards) = (listener.local_addr()?, shared.router.len());
+    let checkpointer = start_checkpointer(&listener, &shared)?;
     eprintln!(
-        "moma serve: listening on {} ({shards} shard{})",
-        listener.local_addr()?,
+        "moma serve: listening on {local} ({shards} shard{})",
         if shards == 1 { "" } else { "s" }
     );
-    accept_loop(listener, shared);
+    accept_loop(listener, shared, checkpointer);
     Ok(())
 }
 
@@ -338,6 +345,7 @@ fn new_shared(engines: Vec<Engine>, limits: Limits) -> io::Result<Shared> {
         active_connections: AtomicU64::new(0),
         busy_refusals: AtomicU64::new(0),
         overloaded_rejections: AtomicU64::new(0),
+        accept_errors: AtomicU64::new(0),
         degraded: AtomicBool::new(false),
     })
 }
@@ -350,20 +358,22 @@ fn refuse_busy(shared: &Shared, stream: &mut TcpStream, why: &str) {
     let _ = encode_frame(&mut frame, &resp).and_then(|()| stream.write_all(&frame));
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    listener
-        .set_nonblocking(true)
-        .expect("set_nonblocking on listener");
-    // The background checkpointer lives exactly as long as the accept
-    // loop: one thread, joined below — it can never run concurrently
-    // with itself or with shutdown teardown.
-    let checkpointer = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("moma-checkpoint".into())
-            .spawn(move || checkpoint_loop(shared))
-            .ok()
-    };
+/// The two startup steps that can fail, taken before the accept loop
+/// runs so that their error is the caller's: make `listener`
+/// nonblocking and start the background checkpointer.
+fn start_checkpointer(listener: &TcpListener, shared: &Arc<Shared>) -> io::Result<JoinHandle<()>> {
+    listener.set_nonblocking(true)?;
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name("moma-checkpoint".into())
+        .spawn(move || checkpoint_loop(shared))
+}
+
+/// Accept connections until the stop flag is set. The background
+/// checkpointer lives exactly as long as this loop: one thread, joined
+/// at its end — it can never run concurrently with itself or with
+/// shutdown teardown.
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, checkpointer: JoinHandle<()>) {
     let mut handlers = Vec::new();
     while !shared.stopping() {
         match listener.accept() {
@@ -391,9 +401,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     Ok(h) => handlers.push(h),
                     // Thread exhaustion must not kill the accept loop
                     // (and with it the whole server): refuse this
-                    // connection and keep serving the rest.
-                    Err(e) => {
-                        eprintln!("moma serve: refusing connection from {peer}: spawn failed: {e}");
+                    // connection, counted in `busy_refusals`, and keep
+                    // serving the rest.
+                    Err(_) => {
                         if let Some(mut s) = refusal {
                             refuse_busy(&shared, &mut s, "out of handler threads");
                         }
@@ -404,8 +414,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 std::thread::sleep(Duration::from_millis(15));
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("moma serve: accept error: {e}");
+            Err(_) => {
+                shared.accept_errors.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
@@ -414,9 +424,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for h in handlers {
         let _ = h.join();
     }
-    if let Some(cp) = checkpointer {
-        let _ = cp.join();
-    }
+    let _ = checkpointer.join();
 }
 
 /// Background auto-checkpointer: walks the shards, peeks at each one's
@@ -455,21 +463,12 @@ fn checkpoint_loop(shared: Arc<Shared>) {
 /// Publish an automatic checkpoint on shard `i` if one is still due
 /// under its write lock (a concurrent explicit `checkpoint` command may
 /// have run since the peek); `false` when it failed. The engine counts
-/// it in the view that shows its `checkpoint_seq`, so a `stats` reader
-/// never sees one without the other.
+/// either outcome in the view that shows its `checkpoint_seq`, so a
+/// `stats` reader never sees one without the other.
 fn checkpoint_if_due(shared: &Shared, i: usize) -> bool {
     let (mut engine, recovered) = shared.router.engine_write(i);
     shared.note_recovered(recovered);
-    if !engine.checkpoint_due() {
-        return true;
-    }
-    let published = engine.run_auto_checkpoint();
-    drop(engine);
-    if let Err(e) = published {
-        eprintln!("moma serve: warning: background checkpoint failed on shard {i}: {e}");
-        return false;
-    }
-    true
+    !engine.checkpoint_due() || engine.run_auto_checkpoint().is_ok()
 }
 
 /// What the handler read from the wire.
@@ -818,6 +817,7 @@ fn with_server_counters(shared: &Shared, mut stats: Json) -> Json {
         ("active_connections", count(&shared.active_connections)),
         ("busy_refusals", count(&shared.busy_refusals)),
         ("overloaded_rejections", overloaded),
+        ("accept_errors", count(&shared.accept_errors)),
         ("auto_checkpoints", auto_checkpoints),
         ("shard_count", shared.router.len() as u64),
     ];

@@ -519,7 +519,13 @@ pub fn merge_stats(router: &ShardRouter, per_shard: &[Json]) -> Json {
     };
     let commands = CommandCounts::default().rows();
     let commands = commands.map(|(key, _)| (key, Json::Uint(sum(&["commands", key]))));
-    let wal = ["seq", "checkpoint_seq", "lag", "segments"];
+    let wal = [
+        "seq",
+        "checkpoint_seq",
+        "lag",
+        "segments",
+        "checkpoint_failures",
+    ];
     let wal = wal.map(|key| (key, Json::Uint(sum(&["wal", key]))));
     let any_wal = per_shard
         .iter()
@@ -549,7 +555,6 @@ pub fn merge_stats(router: &ShardRouter, per_shard: &[Json]) -> Json {
             ("mappings", Json::Uint(rows(s, "mappings").len() as u64)),
         ])
     });
-    let suppressed = Json::Uint(sum(&["full_rematch_warnings_suppressed"]));
     let wal = match any_wal {
         true => Json::obj(wal.to_vec()),
         false => Json::Null,
@@ -560,7 +565,6 @@ pub fn merge_stats(router: &ShardRouter, per_shard: &[Json]) -> Json {
         ("wal", wal),
         ("sources", Json::Arr(sources.collect())),
         ("mappings", Json::Arr(mappings.collect())),
-        ("full_rematch_warnings_suppressed", suppressed),
         ("shards", Json::Arr(shard_rows.collect())),
     ])
 }

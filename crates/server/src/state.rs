@@ -114,11 +114,6 @@ pub struct State {
     matchers: BTreeMap<String, MatchSpec>,
     commands: CommandCounts,
     par: Parallelism,
-    /// Mappings the last applied `delta` re-matched in full instead of
-    /// patching, with their running totals — not logical state, an
-    /// effect left for the caller to report (the engine warns the
-    /// operator; replay ignores it).
-    pub(crate) full_rematched: Vec<(String, u64)>,
 }
 
 /// A matcher context at the state's own parallelism, built without
@@ -142,7 +137,6 @@ impl State {
             matchers: BTreeMap::new(),
             commands: CommandCounts::default(),
             par,
-            full_rematched: Vec::new(),
         }
     }
 
@@ -184,7 +178,6 @@ impl State {
     }
 
     fn write(&mut self, req: &Request, seq: Option<u64>) -> Result<Json, String> {
-        self.full_rematched.clear();
         match req {
             Request::Match(spec) => self.match_and_prime(spec),
             Request::Compose(spec) => self.compose(spec),
@@ -323,10 +316,6 @@ impl State {
                 continue;
             }
             let full = state.last_was_full_rematch();
-            if full {
-                self.full_rematched
-                    .push((name.clone(), state.full_rematches()));
-            }
             patches.push((name.clone(), state.mapping().clone()));
             mappings_out.push(Json::obj(vec![
                 ("name", Json::Str(name.clone())),

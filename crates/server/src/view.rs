@@ -114,17 +114,33 @@ pub struct WalPosition {
     ///
     /// [`Engine::run_auto_checkpoint`]: crate::engine::Engine::run_auto_checkpoint
     pub auto_checkpoints: u64,
+    /// Background checkpoints that failed (not durable).
+    pub checkpoint_failures: u64,
+    /// The last of them, as `(seq, error)`: the WAL seq it would have
+    /// covered and why it failed; `None` until the first failure.
+    pub last_checkpoint_error: Option<(u64, String)>,
 }
 
 impl WalPosition {
     fn to_json(&self) -> Json {
         let lag = self.seq.saturating_sub(self.checkpoint_seq);
+        let last_error = self
+            .last_checkpoint_error
+            .as_ref()
+            .map_or(Json::Null, |(seq, e)| {
+                Json::obj(vec![
+                    ("seq", Json::Uint(*seq)),
+                    ("error", Json::Str(e.clone())),
+                ])
+            });
         Json::obj(vec![
             ("seq", Json::Uint(self.seq)),
             ("checkpoint_seq", Json::Uint(self.checkpoint_seq)),
             ("lag", Json::Uint(lag)),
             ("segments", Json::Uint(self.segments)),
             ("dir", Json::Str(self.dir.clone())),
+            ("checkpoint_failures", Json::Uint(self.checkpoint_failures)),
+            ("last_checkpoint_error", last_error),
         ])
     }
 }
@@ -141,7 +157,6 @@ pub struct ReadView {
     sources: Vec<SourceView>,
     commands: CommandCounts,
     wal: Option<WalPosition>,
-    warnings_suppressed: u64,
 }
 
 impl ReadView {
@@ -151,7 +166,6 @@ impl ReadView {
         state: &State,
         base: Option<&ReadView>,
         wal: Option<WalPosition>,
-        warnings_suppressed: u64,
     ) -> ReadView {
         let entries = state.repository().snapshot();
         let version_of = |name: &str| {
@@ -196,14 +210,13 @@ impl ReadView {
             sources,
             commands: state.command_counts(),
             wal,
-            warnings_suppressed,
         }
     }
 
     /// The view of `state` alone: no WAL, nothing borrowed.
     #[cfg(test)]
     pub(crate) fn of(state: &State) -> ReadView {
-        ReadView::build(state, None, None, 0)
+        ReadView::build(state, None, None)
     }
 
     /// Answer a read request: the one dispatch of the read commands.
@@ -294,9 +307,8 @@ impl ReadView {
         ])
     }
 
-    /// The shard's `stats` object: counters, WAL position, sources,
-    /// mappings and the warning limiter's count (the server adds its
-    /// own counters on top).
+    /// The shard's `stats` object: counters, WAL position, sources and
+    /// mappings (the server adds its own counters on top).
     pub fn stats(&self) -> Json {
         let sources = self.sources.iter().map(|s| {
             Json::obj(vec![
@@ -320,14 +332,12 @@ impl ReadView {
             Json::obj(fields)
         });
         let wal = self.wal.as_ref().map_or(Json::Null, WalPosition::to_json);
-        let suppressed = Json::Uint(self.warnings_suppressed);
         Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("commands", self.commands.to_json()),
             ("wal", wal),
             ("sources", Json::Arr(sources.collect())),
             ("mappings", Json::Arr(mappings.collect())),
-            ("full_rematch_warnings_suppressed", suppressed),
         ])
     }
 }

@@ -2,7 +2,8 @@
 //! invariant worth pinning: a checkpoint must never run concurrently
 //! with another checkpoint or with shutdown. The window is a shard's
 //! engine write lock, held by the test: the checkpointer's pass waits
-//! at that shard until the test lets go.
+//! at that shard until the test lets go. And what it fails to do is
+//! state: a failed background checkpoint shows in `stats`.
 
 mod common;
 
@@ -12,7 +13,9 @@ use std::time::{Duration, Instant};
 use common::{scenario_registry, tmp_dir};
 use moma_core::exec::Parallelism;
 use moma_model::{AttrValue, DeltaOp};
-use moma_server::{protocol, spawn_sharded, DurabilityPolicy, Engine, Json, Limits, ShardRouter};
+use moma_server::{
+    protocol, spawn_sharded, Client, DurabilityPolicy, Engine, Json, Limits, ShardRouter,
+};
 
 /// Longer than two checkpointer polls (100 ms each): once it has
 /// passed, the checkpointer is waiting for a lock the test holds.
@@ -116,5 +119,99 @@ fn background_checkpoints_are_serial_and_joined_on_shutdown() {
         [1],
         "the due checkpoint was abandoned instead of finished before shutdown"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shard `i`'s `wal` object in a `stats` reply of a server with one
+/// shard (`wal`) or more (`shards[i].wal`).
+fn shard_wal(stats: &Json, i: usize) -> Json {
+    let wal = match stats.get("shards").and_then(Json::as_arr) {
+        Some(shards) => shards[i].get("wal"),
+        None => stats.get("wal"),
+    };
+    wal.cloned().expect("a wal object")
+}
+
+fn wal_u64(wal: &Json, key: &str) -> u64 {
+    wal.get(key).and_then(Json::as_u64).expect(key)
+}
+
+/// A background checkpoint that fails is counted where `stats` shows
+/// it: the failing shard's `wal` object carries `checkpoint_failures`
+/// and `last_checkpoint_error` (the seq it would have covered, and
+/// why), the other shard counts none, and the merged `wal` sums them.
+/// Deltas are acknowledged meanwhile, and once the obstacle is gone an
+/// explicit `checkpoint` publishes. The obstacle is a plain file where
+/// the staging directory goes, which `checkpoint::publish` cannot clear.
+#[test]
+fn a_failed_background_checkpoint_shows_in_stats() {
+    let dir = tmp_dir("ckpt_fails");
+    for shards in [1, 2] {
+        let wal = dir.join(format!("n{shards}"));
+        let handle =
+            spawn_sharded(engines(shards, &wal), "127.0.0.1:0", Limits::default()).expect("spawn");
+        let mut c = Client::connect_retry(&handle.addr.to_string(), Duration::from_secs(5))
+            .expect("connect");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let matcher = |name, domain, range, shard| {
+            let req =
+                protocol::match_request(name, domain, range, "title", "title", "trigram", 0.7);
+            protocol::with_shard(req, shard)
+        };
+        // At two shards, shard 0 checkpoints its own writes first.
+        let failing = shards - 1;
+        if failing > 0 {
+            let gs = "Publication@GS";
+            c.call_ok(&matcher("m_gg", gs, gs, 0)).expect("match");
+            while wal_u64(&shard_wal(&c.stats().unwrap(), 0), "checkpoint_seq") == 0 {
+                assert!(Instant::now() < deadline, "shard 0 never checkpointed");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        let blocker = wal.join(format!("shard.{failing}")).join("checkpoint.tmp");
+        std::fs::write(&blocker, "not a directory").expect("blocker");
+        let (dblp, acm) = ("Publication@DBLP", "Publication@ACM");
+        c.call_ok(&matcher("m_da", dblp, acm, failing))
+            .expect("match");
+        let stats = loop {
+            let stats = c.stats().unwrap();
+            if wal_u64(&shard_wal(&stats, failing), "checkpoint_failures") >= 1 {
+                break stats;
+            }
+            assert!(Instant::now() < deadline, "no failure counted: {stats}");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let failed = shard_wal(&stats, failing);
+        let last = failed.get("last_checkpoint_error").expect("the last error");
+        assert_eq!(
+            last.get("seq").and_then(Json::as_u64),
+            Some(wal_u64(&failed, "seq"))
+        );
+        let error = last.str_field("error").unwrap_or_default();
+        assert!(error.starts_with("publish: "), "{last}");
+        assert_eq!(wal_u64(&failed, "checkpoint_seq"), 0, "{failed}");
+        if failing > 0 {
+            let other = shard_wal(&stats, 0);
+            assert_eq!(wal_u64(&other, "checkpoint_failures"), 0, "{other}");
+            assert_eq!(other.get("last_checkpoint_error"), Some(&Json::Null));
+            let merged = stats.get("wal").expect("the merged wal");
+            let sum = wal_u64(merged, "checkpoint_failures");
+            assert_eq!(sum, wal_u64(&failed, "checkpoint_failures"), "{stats}");
+        }
+
+        for i in 0..3 {
+            c.call_ok(&delta_req(i)).expect("a delta is acknowledged");
+        }
+        std::fs::remove_file(&blocker).expect("remove the blocker");
+        c.call_ok(&protocol::checkpoint_request())
+            .expect("checkpoint");
+        let published = shard_wal(&c.stats().unwrap(), failing);
+        let seq = wal_u64(&published, "seq");
+        assert_eq!(wal_u64(&published, "checkpoint_seq"), seq, "{published}");
+        let shard = wal.join(format!("shard.{failing}"));
+        let list = moma_server::checkpoint::list(&shard).expect("list checkpoints");
+        assert_eq!(list.last().map(|c| c.seq), Some(seq));
+        handle.stop();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,13 @@
 //! regenerated when every source got one home shard (all four matches
 //! now hint shard 0, where their sources live), which moved the
 //! `shard` annotations, the version stamps and the `stats` breakdown of
-//! those lines only (see CHANGES.md).
+//! those lines only (see CHANGES.md). Its ten `stats` lines were
+//! regenerated once more when errors became state: they lost the
+//! count of muted full-re-match warnings (it hung on the wall clock),
+//! each shard's `wal` object gained `checkpoint_failures` and
+//! `last_checkpoint_error` (0 and `null` here; the merged two-shard
+//! `wal` sums the count), and the server counters gained
+//! `accept_errors`. Every other line kept its bytes.
 
 use std::path::Path;
 use std::time::Duration;
