@@ -13,43 +13,34 @@
 //! only, then *expand* the result back over the clusters — every
 //! duplicate entry inherits its representative's correspondences.
 
-use std::sync::Arc;
-
-use moma_core::cluster::{expand_domain, representatives};
+use moma_core::cluster::{collapse_domain, expand_domain, representatives};
 use moma_core::Mapping;
 
 use crate::artifact::{Artifact, Claim, Group};
-use crate::experiments::table7;
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
 
 /// The cluster-expanded DBLP→GS mapping.
-pub fn clustered_mapping(ctx: &EvalContext) -> Arc<Mapping> {
-    ctx.cached("ext.clustered", || {
-        let scenario = &ctx.scenario;
-        let gs_count = scenario.registry.lds(scenario.ids.pub_gs).len() as u32;
-        let clusters = scenario
-            .repository
-            .get("GS.Clusters")
-            .expect("self-mapping");
-        let reps = representatives(&clusters, gs_count).expect("representatives");
+pub fn clustered_mapping(ctx: &EvalContext) -> Mapping {
+    let scenario = &ctx.scenario;
+    let gs_count = scenario.registry.lds(scenario.ids.pub_gs).len() as u32;
+    let clusters = ctx.mapping("GS.Clusters");
+    let reps = representatives(&clusters, gs_count).expect("representatives");
 
-        // Start from the Table 7 merged mapping (title + author
-        // neighborhood), inverted to GS→DBLP so the GS side is the domain
-        // we collapse/expand over.
-        let base = table7::merged_mapping(ctx).inverse();
-        let collapsed = moma_core::cluster::collapse_domain(&base, &reps);
-        let expanded = expand_domain(&collapsed, &reps);
-        expanded.inverse().named("ext.clustered")
-    })
+    // Start from the Table 7 merged mapping (title + author
+    // neighborhood), inverted to GS→DBLP so the GS side is the domain
+    // we collapse/expand over.
+    let base = ctx.mapping("Paper.Table7").inverse();
+    let collapsed = collapse_domain(&base, &reps);
+    expand_domain(&collapsed, &reps).inverse()
 }
 
 /// Run the extension experiment: baseline (Table 7 merge) vs
 /// cluster-expanded matching.
 pub fn run(ctx: &EvalContext) -> Report {
     let gold = &ctx.scenario.gold.pub_dblp_gs;
-    let baseline = MatchQuality::evaluate(&table7::merged_mapping(ctx), gold);
+    let baseline = MatchQuality::evaluate(&ctx.mapping("Paper.Table7"), gold);
     let clustered = MatchQuality::evaluate(&clustered_mapping(ctx), gold);
 
     let mut r = Report::new(
@@ -86,7 +77,7 @@ mod tests {
     #[test]
     fn expanded_mapping_covers_baseline() {
         let ctx = EvalContext::small();
-        let base = table7::merged_mapping(&ctx);
+        let base = ctx.mapping("Paper.Table7");
         let ext = clustered_mapping(&ctx);
         // Expansion only adds pairs (over clustered entries); it never
         // removes a baseline correspondence.

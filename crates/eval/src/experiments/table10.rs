@@ -1,7 +1,6 @@
 //! Table 10: summary of matching results (F-measure).
 
 use crate::artifact::{Artifact, Claim, Group};
-use crate::experiments::{table5, table6, table7, table8};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
@@ -9,12 +8,12 @@ use crate::setup::EvalContext;
 /// Run the Table 10 summary (computes the best workflow per cell).
 pub fn run(ctx: &EvalContext) -> Report {
     let gold = &ctx.scenario.gold;
-    let venue_f = MatchQuality::evaluate(&ctx.venue_same_dblp_acm(), &gold.venue_dblp_acm).f1();
-    let pub_da_f = MatchQuality::evaluate(&table5::merged_mapping(ctx), &gold.pub_dblp_acm).f1();
-    let author_da_f =
-        MatchQuality::evaluate(&table6::merged_mapping(ctx), &gold.author_dblp_acm).f1();
-    let pub_dg_f = MatchQuality::evaluate(&table7::merged_mapping(ctx), &gold.pub_dblp_gs).f1();
-    let pub_ga_f = MatchQuality::evaluate(&table8::merged_mapping(ctx), &gold.pub_gs_acm).f1();
+    let f = |name, gold| MatchQuality::evaluate(&ctx.mapping(name), gold).f1();
+    let venue_f = f("Paper.VenueBest1", &gold.venue_dblp_acm);
+    let pub_da_f = f("Paper.Table5", &gold.pub_dblp_acm);
+    let author_da_f = f("Paper.Table6", &gold.author_dblp_acm);
+    let pub_dg_f = f("Paper.Table7", &gold.pub_dblp_gs);
+    let pub_ga_f = f("Paper.Table8", &gold.pub_gs_acm);
 
     let mut r = Report::new(
         "Table 10. Summary of matching results (F-Measure)",

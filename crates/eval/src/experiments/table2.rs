@@ -6,43 +6,27 @@
 //! and an 80% threshold lifts precision above the title matcher at a
 //! small recall cost.
 
-use std::sync::Arc;
-
-use moma_core::ops::merge::{merge, MergeFn, MissingPolicy};
-use moma_core::ops::select::{select, Selection};
-use moma_core::Mapping;
-
 use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
 
-/// The Table 2 merged mapping: Avg with missing-as-zero over permissive
-/// title / author / year matchers, then an 80% threshold.
-pub fn merged_mapping(ctx: &EvalContext) -> Arc<Mapping> {
-    ctx.cached("table2.merge", || {
-        let title = ctx.pub_title_low_dblp_acm();
-        let author = ctx.pub_author_low_dblp_acm();
-        let year = ctx.pub_year_dblp_acm();
-        let merged =
-            merge(&[&title, &author, &year], MergeFn::Avg, MissingPolicy::Zero).expect("merge");
-        select(&merged, &Selection::Threshold(0.8))
-    })
-}
-
 /// Run the Table 2 experiment.
 pub fn run(ctx: &EvalContext) -> Report {
     let gold = &ctx.scenario.gold.pub_dblp_acm;
-    let title = MatchQuality::evaluate(&ctx.pub_title_dblp_acm(), gold);
-    let author = MatchQuality::evaluate(&ctx.pub_author_dblp_acm(), gold);
-    let year = MatchQuality::evaluate(&ctx.pub_year_dblp_acm(), gold);
-    let merged = MatchQuality::evaluate(&merged_mapping(ctx), gold);
+    let quality = |name| MatchQuality::evaluate(&ctx.mapping(name), gold);
+    let columns = [
+        "Paper.TitleDA",
+        "Paper.AuthorsDA",
+        "Paper.YearDA",
+        "Paper.Table2",
+    ];
 
     let mut r = Report::new(
         "Table 2. Matching DBLP-ACM publications using attribute matchers",
         vec!["Metric", "Title", "Author", "Year", "Merge"],
     );
-    r.quality_rows(&[title, author, year, merged]);
+    r.quality_rows(&columns.map(quality));
     r
 }
 

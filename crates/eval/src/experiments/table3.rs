@@ -5,57 +5,39 @@
 //! degrades; merging direct and composed retains the better alternative
 //! per pair.
 
-use moma_core::ops::compose::{compose, PathAgg, PathCombine};
-use moma_core::ops::merge::{merge, MergeFn, MissingPolicy};
-use moma_core::Mapping;
-
 use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
 
+/// Per row, the mapping of each column: the direct one, the one composed
+/// via the third source (DBLP→ACM→GS, DBLP→GS→ACM, GS→DBLP→ACM) and
+/// their merge.
+const ROWS: [(&str, [&str; 3]); 3] = [
+    ("Direct", ["Paper.TitleDG", "Paper.TitleDA", "GS.LinksACM"]),
+    (
+        "Compose",
+        ["Paper.ComposeDG", "Paper.ComposeDA", "Paper.ComposeGA"],
+    ),
+    ("Merge", ["Paper.MergeDG", "Paper.MergeDA", "Paper.MergeGA"]),
+];
+
 /// Run the Table 3 experiment.
 pub fn run(ctx: &EvalContext) -> Report {
     let gold = &ctx.scenario.gold;
-    let direct_dg = ctx.pub_title_dblp_gs();
-    let direct_da = ctx.pub_title_dblp_acm();
-    let direct_ga = ctx.scenario.repository.get("GS.LinksACM").expect("links");
-    let via =
-        |a: &Mapping, b: &Mapping| compose(a, b, PathCombine::Min, PathAgg::Max).expect("compose");
-    // Per column: the direct mapping, the one composed via the third
-    // source (DBLP→ACM→GS, DBLP→GS→ACM, GS→DBLP→ACM) and the gold standard.
-    let columns = [
-        (
-            &*direct_dg,
-            via(&direct_da, &direct_ga.inverse()),
-            &gold.pub_dblp_gs,
-        ),
-        (&*direct_da, via(&direct_dg, &direct_ga), &gold.pub_dblp_acm),
-        (
-            &*direct_ga,
-            via(&direct_dg.inverse(), &direct_da),
-            &gold.pub_gs_acm,
-        ),
-    ];
-    let f =
-        |mapping: &Mapping, gold| Report::pct(MatchQuality::evaluate(mapping, gold).f1() * 100.0);
-    let merged = |direct: &Mapping, composed: &Mapping| {
-        merge(&[direct, composed], MergeFn::Max, MissingPolicy::Ignore).expect("merge")
-    };
+    let golds = [&gold.pub_dblp_gs, &gold.pub_dblp_acm, &gold.pub_gs_acm];
     let mut r = Report::new(
         "Table 3. Matching publications via different compose paths (F-Measure)",
         vec!["Matcher", PAIRS[0], PAIRS[1], PAIRS[2]],
     );
-    r.row("Direct", columns.iter().map(|(d, _, g)| f(d, g)).collect());
-    r.row("Compose", columns.iter().map(|(_, c, g)| f(c, g)).collect());
-    r.row(
-        "Merge",
-        columns
-            .iter()
-            .map(|(d, c, g)| f(&merged(d, c), g))
-            .collect(),
-    );
-    let links_recall = MatchQuality::evaluate(&direct_ga, &gold.pub_gs_acm).recall();
+    let f = |(name, gold)| {
+        let f1 = MatchQuality::evaluate(&ctx.mapping(name), gold).f1();
+        Report::pct(f1 * 100.0)
+    };
+    for (label, names) in ROWS {
+        r.row(label, names.into_iter().zip(golds).map(f).collect());
+    }
+    let links_recall = MatchQuality::evaluate(&ctx.mapping("GS.LinksACM"), golds[2]).recall();
     r.row(
         "Direct (recall)",
         vec!["-".into(), "-".into(), Report::pct(links_recall * 100.0)],

@@ -5,8 +5,6 @@
 //! journals (small neighborhoods, 2–26 papers) lose recall at strict
 //! thresholds and need the permissive Best-1.
 
-use moma_core::ops::select::{select, Selection};
-
 use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
@@ -14,19 +12,12 @@ use crate::setup::EvalContext;
 
 /// Run the Table 4 experiment.
 pub fn run(ctx: &EvalContext) -> Report {
-    let nh = ctx.venue_nh_dblp_acm();
     let gold = &ctx.scenario.gold.venue_dblp_acm;
     let is_conf = &ctx.scenario.dblp_venue_is_conf;
 
-    let selections = [
-        ("80%", Selection::Threshold(0.8)),
-        ("50%", Selection::Threshold(0.5)),
-        ("Best-1", Selection::best1()),
-    ];
-
     let mut results: Vec<(MatchQuality, MatchQuality, MatchQuality)> = Vec::new();
-    for (_, sel) in &selections {
-        let mapping = select(&nh, sel);
+    for name in ["Paper.Venue80", "Paper.Venue50", "Paper.VenueBest1"] {
+        let mapping = ctx.mapping(name);
         let conf = MatchQuality::evaluate_domain_subset(&mapping, gold, |d| is_conf[d as usize]);
         let journal =
             MatchQuality::evaluate_domain_subset(&mapping, gold, |d| !is_conf[d as usize]);

@@ -6,72 +6,25 @@
 //! title matcher removes the recurring-title and conference/journal-twin
 //! false positives, with the biggest gain on journals.
 
-use std::sync::Arc;
-
-use moma_core::matchers::neighborhood::nh_match;
-use moma_core::ops::compose::PathAgg;
-use moma_core::ops::setops::intersection;
-use moma_core::Mapping;
-
 use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
 
-/// The raw n:1 venue neighborhood mapping over publications.
-pub fn nh_mapping(ctx: &EvalContext) -> Arc<Mapping> {
-    ctx.cached("table5.nh", || {
-        let repo = &ctx.scenario.repository;
-        let asso1 = repo.get("DBLP.PubVenue").expect("assoc");
-        let asso2 = repo.get("ACM.VenuePub").expect("assoc");
-        let venue_same = ctx.venue_same_dblp_acm();
-        nh_match(&asso1, &venue_same, &asso2, PathAgg::Relative).expect("nh")
-    })
-}
-
-/// The Table 5 merged mapping: title matches restricted to pairs whose
-/// venues match (a Min-style merge on the correspondence sets that keeps
-/// the attribute similarities).
-pub fn merged_mapping(ctx: &EvalContext) -> Arc<Mapping> {
-    ctx.cached("table5.merge", || {
-        let title = ctx.pub_title_dblp_acm();
-        let nh = nh_mapping(ctx);
-        let mut result = intersection(&title, &nh).expect("intersection");
-        // Intersection keeps min(sim) which is the tiny neighborhood
-        // score; restore the informative attribute similarity.
-        let rows: Vec<(u32, u32, f64)> = result
-            .table
-            .iter()
-            .map(|c| {
-                (
-                    c.domain,
-                    c.range,
-                    title.table.sim_of(c.domain, c.range).unwrap_or(c.sim),
-                )
-            })
-            .collect();
-        result.table = moma_table::MappingTable::from_triples(rows);
-        result
-    })
-}
-
 /// Run the Table 5 experiment.
 pub fn run(ctx: &EvalContext) -> Report {
     let gold = &ctx.scenario.gold.pub_dblp_acm;
     let is_conf = &ctx.scenario.dblp_pub_is_conf;
-    let title = ctx.pub_title_dblp_acm();
-    let nh = nh_mapping(ctx);
-    let merged = merged_mapping(ctx);
-
-    let eval3 = |m: &Mapping| {
+    let eval3 = |name| {
+        let m = &ctx.mapping(name);
         let conf = MatchQuality::evaluate_domain_subset(m, gold, |d| is_conf[d as usize]);
         let journal = MatchQuality::evaluate_domain_subset(m, gold, |d| !is_conf[d as usize]);
         let overall = MatchQuality::evaluate(m, gold);
         (conf, journal, overall)
     };
-    let t = eval3(&title);
-    let n = eval3(&nh);
-    let m = eval3(&merged);
+    let t = eval3("Paper.TitleDA");
+    let n = eval3("Paper.PubNhDA");
+    let m = eval3("Paper.Table5");
 
     let mut r = Report::new(
         "Table 5. Matching DBLP-ACM publications using neighborhood matcher (n:1 venue)",

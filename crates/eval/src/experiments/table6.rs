@@ -7,55 +7,22 @@
 //! mapping with the neighborhood recovers abbreviated authors while
 //! keeping precision.
 
-use std::sync::Arc;
-
-use moma_core::matchers::neighborhood::nh_match;
-use moma_core::ops::compose::PathAgg;
-use moma_core::ops::merge::{merge, MergeFn, MissingPolicy};
-use moma_core::ops::select::{select, Selection};
-use moma_core::Mapping;
-
 use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
 
-/// Raw n:m publication neighborhood mapping over authors.
-pub fn nh_mapping(ctx: &EvalContext) -> Arc<Mapping> {
-    ctx.cached("table6.nh", || {
-        let repo = &ctx.scenario.repository;
-        let asso1 = repo.get("DBLP.AuthorPub").expect("assoc");
-        let asso2 = repo.get("ACM.PubAuthor").expect("assoc");
-        let pub_same = ctx.pub_title_dblp_acm();
-        nh_match(&asso1, &pub_same, &asso2, PathAgg::Relative).expect("nh")
-    })
-}
-
-/// The Table 6 merged mapping: Min-with-zero merge (intersection
-/// semantics) of the permissive name mapping and the thresholded
-/// neighborhood, followed by a 0.45 threshold on the combined value.
-pub fn merged_mapping(ctx: &EvalContext) -> Arc<Mapping> {
-    ctx.cached("table6.merge", || {
-        let name_low = ctx.author_name_low_dblp_acm();
-        let nh = select(&nh_mapping(ctx), &Selection::Threshold(0.25));
-        let merged = merge(&[&name_low, &nh], MergeFn::Min, MissingPolicy::Zero).expect("merge");
-        select(&merged, &Selection::Threshold(0.35))
-    })
-}
-
 /// Run the Table 6 experiment.
 pub fn run(ctx: &EvalContext) -> Report {
     let gold = &ctx.scenario.gold.author_dblp_acm;
-    let attr = MatchQuality::evaluate(&ctx.author_name_dblp_acm(), gold);
-    let nh_alone = select(&nh_mapping(ctx), &Selection::Threshold(0.25));
-    let nh = MatchQuality::evaluate(&nh_alone, gold);
-    let merged = MatchQuality::evaluate(&merged_mapping(ctx), gold);
+    let quality = |name| MatchQuality::evaluate(&ctx.mapping(name), gold);
+    let columns = ["Paper.NameDA", "Paper.AuthorNh25DA", "Paper.Table6"];
 
     let mut r = Report::new(
         "Table 6. Matching DBLP-ACM authors using neighborhood matcher (n:m publication)",
         vec!["Metric", ATTR, NH, "Merge"],
     );
-    r.quality_rows(&[attr, nh, merged]);
+    r.quality_rows(&columns.map(quality));
     r
 }
 

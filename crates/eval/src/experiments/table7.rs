@@ -6,56 +6,22 @@
 //! because GS author lists are truncated) recovers noisy-title entries,
 //! lifting recall substantially while precision holds.
 
-use std::sync::Arc;
-
-use moma_core::matchers::neighborhood::nh_match;
-use moma_core::ops::compose::PathAgg;
-use moma_core::ops::select::{select, Selection};
-use moma_core::ops::setops::{intersection, union};
-use moma_core::Mapping;
-
 use crate::artifact::{Artifact, Claim, Group};
 use crate::metrics::MatchQuality;
 use crate::report::Report;
 use crate::setup::EvalContext;
 
-/// Raw author-neighborhood mapping DBLP→GS with `g = RelativeLeft`
-/// (robust against missing GS authors, paper Section 5.4.3).
-pub fn nh_mapping(ctx: &EvalContext) -> Arc<Mapping> {
-    ctx.cached("table7.nh", || {
-        let repo = &ctx.scenario.repository;
-        let asso1 = repo.get("DBLP.PubAuthor").expect("assoc");
-        let asso2 = repo.get("GS.AuthorPub").expect("assoc");
-        let author_same = ctx.author_same_dblp_gs();
-        nh_match(&asso1, &author_same, &asso2, PathAgg::RelativeLeft).expect("nh")
-    })
-}
-
-/// The Table 7 merged mapping: the strict title mapping united with
-/// permissive-title pairs that the author neighborhood confirms.
-pub fn merged_mapping(ctx: &EvalContext) -> Arc<Mapping> {
-    ctx.cached("table7.merge", || {
-        let title = ctx.pub_title_dblp_gs();
-        let title_low = ctx.pub_title_low_dblp_gs();
-        let nh = select(&nh_mapping(ctx), &Selection::Threshold(0.4));
-        let confirmed = intersection(&title_low, &nh).expect("intersection");
-        union(&title, &confirmed).expect("union")
-    })
-}
-
 /// Run the Table 7 experiment.
 pub fn run(ctx: &EvalContext) -> Report {
     let gold = &ctx.scenario.gold.pub_dblp_gs;
-    let attr = MatchQuality::evaluate(&ctx.pub_title_dblp_gs(), gold);
-    let nh_alone = select(&nh_mapping(ctx), &Selection::Threshold(0.35));
-    let nh = MatchQuality::evaluate(&nh_alone, gold);
-    let merged = MatchQuality::evaluate(&merged_mapping(ctx), gold);
+    let quality = |name| MatchQuality::evaluate(&ctx.mapping(name), gold);
+    let columns = ["Paper.TitleDG", "Paper.PubNh35DG", "Paper.Table7"];
 
     let mut r = Report::new(
         "Table 7. Matching DBLP-GS publications using neighborhood matcher (n:m author)",
         vec!["Metric", ATTR, NH, "Merge"],
     );
-    r.quality_rows(&[attr, nh, merged]);
+    r.quality_rows(&columns.map(quality));
     r.note("RelativeLeft used because GS author lists are incomplete");
     r
 }

@@ -15,19 +15,12 @@ use crate::artifact::{Artifact, Claim, Group};
 use crate::report::Report;
 use crate::setup::EvalContext;
 
-/// The Section 4.3 duplicate-detection script, verbatim in structure
+/// The Section 4.3 duplicate-detection script (`workflows/table9.ifuice`),
+/// verbatim in structure
 /// (with `Zero` missing-handling so that a candidate needs support from
 /// *both* evidence sources to rank highly, and `store` calls exposing the
 /// component mappings for the report's Name / Co-Author columns).
-pub const SCRIPT: &str = r#"
-$CoAuthSim = nhMatch(DBLP.CoAuthor, DBLP.AuthorAuthor, DBLP.CoAuthor);
-$NameSim = attrMatch(DBLP.Author, DBLP.Author, Trigram, 0.5, "[name]", "[name]");
-store($CoAuthSim, "table9.coauth");
-store($NameSim, "table9.name");
-$Merged = merge($CoAuthSim, $NameSim, Average, Zero);
-$Result = select($Merged, "[domain.id]<>[range.id]");
-RETURN $Result;
-"#;
+pub const SCRIPT: &str = include_str!("../../workflows/table9.ifuice");
 
 /// Run the script and report the top five candidates, best first.
 pub fn run(ctx: &EvalContext) -> Report {

@@ -262,9 +262,9 @@ pub const FIG10: Artifact = Artifact {
 /// scenario).
 pub fn fig11(ctx: &EvalContext) -> Report {
     let gold = &ctx.scenario.gold.author_dblp_acm;
-    let nh = crate::experiments::table6::nh_mapping(ctx);
-    let attr = ctx.author_name_dblp_acm();
-    let merged = crate::experiments::table6::merged_mapping(ctx);
+    let nh = ctx.mapping("Paper.AuthorNhDA");
+    let attr = ctx.mapping("Paper.NameDA");
+    let merged = ctx.mapping("Paper.Table6");
 
     let mut r = Report::new(
         "Figure 11. Match workflow for the n:m case (authors)",

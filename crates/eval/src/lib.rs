@@ -2,10 +2,17 @@
 //!
 //! One [`Artifact`] row per table and figure of the paper (Thor & Rahm,
 //! CIDR 2007, Section 5): its `run` takes an [`EvalContext`] (a
-//! generated scenario plus cached intermediate mappings) and returns a
+//! generated scenario and the paper's workflows over it) and returns a
 //! [`Report`] with the rows the paper reports, its `paper` holds the
 //! paper's numbers and its `claims` the paper's conclusions.
 //! `EXPERIMENTS.md` at the repository root is the output of `repro all`.
+//!
+//! The match workflows are iFuice scripts run through the interpreter,
+//! as the paper writes them (Section 4.3): `workflows/paper.ifuice`
+//! stores every mapping Tables 2–8, 10, Figure 11 and the extension
+//! read, `workflows/table9.ifuice` is the Section 4.3 duplicate search.
+//! An artifact's Rust keeps what a script cannot say: gold lookups,
+//! metrics and the report layout.
 //!
 //! Run everything via this crate's `repro` binary (exit status 1 when a
 //! claim fails):

@@ -1,24 +1,27 @@
-//! Shared evaluation context: the generated scenario plus cached
-//! intermediate mappings reused across experiments — mirroring MOMA's own
-//! mapping cache ("MOMA not only processes the input instances but also
-//! utilizes the mappings of the repository and the cache", Section 2.2).
+//! Shared evaluation context: the generated scenario, and the paper's
+//! match workflows run over it. The workflows are iFuice scripts in
+//! `crates/eval/workflows/*.ifuice` — `paper.ifuice` for every table
+//! built at scenario scale, `table9.ifuice` for the Section 4.3
+//! duplicate search — and an artifact reads the mappings a script
+//! stored in the scenario's repository ("MOMA not only processes the
+//! input instances but also utilizes the mappings of the repository",
+//! Section 2.2).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use moma_core::matchers::neighborhood::nh_match;
-use moma_core::matchers::{AttributeMatcher, MatchContext, Matcher};
-use moma_core::ops::compose::PathAgg;
-use moma_core::ops::select::{select, Selection};
-use moma_core::{Mapping, MappingRepository};
+use moma_core::Mapping;
 use moma_datagen::{Scenario, WorldConfig};
-use moma_model::LdsId;
-use moma_simstring::SimFn;
+use moma_ifuice::script::run_script;
 
-/// Scenario plus cached derived mappings.
+/// The workflows of Tables 2–8, 10, Figure 11 and the extension; each
+/// mapping a report reads is stored under `Paper.`.
+pub const PAPER_SCRIPT: &str = include_str!("../workflows/paper.ifuice");
+
+/// A scenario and the paper's workflows over it.
 pub struct EvalContext {
     /// The generated evaluation scenario.
     pub scenario: Scenario,
-    cache: MappingRepository,
+    paper_run: OnceLock<()>,
 }
 
 impl EvalContext {
@@ -26,7 +29,7 @@ impl EvalContext {
     pub fn new(scenario: Scenario) -> Self {
         Self {
             scenario,
-            cache: MappingRepository::new(),
+            paper_run: OnceLock::new(),
         }
     }
 
@@ -45,105 +48,21 @@ impl EvalContext {
         Self::new(Scenario::generate(config))
     }
 
-    /// The match context for running matchers.
-    pub fn match_ctx(&self) -> MatchContext<'_> {
-        MatchContext::with_repository(&self.scenario.registry, &self.scenario.repository)
+    /// The repository mapping `name` — one [`PAPER_SCRIPT`] stores, or
+    /// one of the scenario's own. The script runs on the first call.
+    pub fn mapping(&self, name: &str) -> Arc<Mapping> {
+        let Scenario {
+            registry,
+            repository,
+            ..
+        } = &self.scenario;
+        self.paper_run.get_or_init(|| {
+            run_script(PAPER_SCRIPT, registry, repository).expect("the paper workflows run");
+        });
+        repository
+            .get(name)
+            .unwrap_or_else(|| panic!("no repository mapping `{name}`"))
     }
-
-    /// Fetch-or-compute a cached mapping.
-    pub fn cached(&self, name: &str, build: impl FnOnce() -> Mapping) -> Arc<Mapping> {
-        if let Some(m) = self.cache.get(name) {
-            return m;
-        }
-        self.cache.store_as(name, build())
-    }
-
-    /// Run one attribute matcher, once, under the blocking its measure
-    /// picks.
-    fn attr(
-        &self,
-        cache_key: &str,
-        (domain, range): (LdsId, LdsId),
-        attribute: &str,
-        sim: SimFn,
-        threshold: f64,
-    ) -> Arc<Mapping> {
-        self.cached(cache_key, || {
-            let matcher = AttributeMatcher::new(attribute, attribute, sim, threshold);
-            let matched = matcher.execute(&self.match_ctx(), domain, range);
-            matched.expect("attribute matcher")
-        })
-    }
-
-    // ---- derived same-mappings ----
-
-    /// The venue same-mapping DBLP→ACM from the 1:n neighborhood matcher
-    /// with Best-1 selection — the paper's Section 5.4.2 input
-    /// ("determined with the 1:n neighborhood matching and best-1
-    /// selection").
-    pub fn venue_same_dblp_acm(&self) -> Arc<Mapping> {
-        self.cached("venueSame(D,A)", || {
-            select(&self.venue_nh_dblp_acm(), &Selection::best1())
-        })
-    }
-
-    /// Raw venue neighborhood mapping (no selection) for Table 4's
-    /// selection-strategy comparison.
-    pub fn venue_nh_dblp_acm(&self) -> Arc<Mapping> {
-        self.cached("venueNh(D,A)", || {
-            let repo = &self.scenario.repository;
-            let asso1 = repo.get("DBLP.VenuePub").expect("assoc");
-            let asso2 = repo.get("ACM.PubVenue").expect("assoc");
-            let same = self.pub_title_dblp_acm();
-            nh_match(&asso1, &same, &asso2, PathAgg::Relative).expect("nh")
-        })
-    }
-}
-
-/// The attribute matchers the experiments share, one row each:
-/// `name: domain -> range, attribute, measure, threshold`.
-macro_rules! attribute_matchers {
-    ($($(#[$doc:meta])* $name:ident: $domain:ident -> $range:ident, $attr:literal, $sim:expr, $threshold:literal;)*) => {
-        impl EvalContext {
-            $(
-                $(#[$doc])*
-                pub fn $name(&self) -> Arc<Mapping> {
-                    let ids = self.scenario.ids;
-                    self.attr(stringify!($name), (ids.$domain, ids.$range), $attr, $sim, $threshold)
-                }
-            )*
-        }
-    };
-}
-
-attribute_matchers! {
-    /// DBLP→ACM title trigram at the paper's 0.8 threshold.
-    pub_title_dblp_acm: pub_dblp -> pub_acm, "title", SimFn::Trigram, 0.8;
-    /// DBLP→ACM title trigram at a permissive 0.45 (merge input).
-    pub_title_low_dblp_acm: pub_dblp -> pub_acm, "title", SimFn::Trigram, 0.45;
-    /// DBLP→GS title trigram at 0.75 (GS titles are extraction-noisy).
-    pub_title_dblp_gs: pub_dblp -> pub_gs, "title", SimFn::Trigram, 0.75;
-    /// DBLP→GS title trigram at 0.45.
-    pub_title_low_dblp_gs: pub_dblp -> pub_gs, "title", SimFn::Trigram, 0.45;
-    /// GS→ACM title trigram at 0.75.
-    pub_title_gs_acm: pub_gs -> pub_acm, "title", SimFn::Trigram, 0.75;
-    /// GS→ACM title trigram at 0.45.
-    pub_title_low_gs_acm: pub_gs -> pub_acm, "title", SimFn::Trigram, 0.45;
-    /// DBLP→ACM author-list trigram at 0.8 (Table 2).
-    pub_author_dblp_acm: pub_dblp -> pub_acm, "authors", SimFn::Trigram, 0.8;
-    /// DBLP→ACM author-list trigram at 0.45.
-    pub_author_low_dblp_acm: pub_dblp -> pub_acm, "authors", SimFn::Trigram, 0.45;
-    /// DBLP→ACM year-equality matcher.
-    pub_year_dblp_acm: pub_dblp -> pub_acm, "year", SimFn::Year(0), 1.0;
-    /// DBLP→ACM author-name trigram at 0.8 (Table 6 attribute row).
-    author_name_dblp_acm: author_dblp -> author_acm, "name", SimFn::Trigram, 0.8;
-    /// DBLP→ACM author-name trigram at 0.3 (merge input).
-    author_name_low_dblp_acm: author_dblp -> author_acm, "name", SimFn::Trigram, 0.3;
-    /// DBLP→GS author same-mapping via the initials-aware person-name
-    /// measure (GS abbreviates first names, Section 5.4.3).
-    author_same_dblp_gs: author_dblp -> author_gs, "name", SimFn::PersonName, 0.85;
-    /// GS→ACM author same-mapping.
-    author_same_gs_acm: author_gs -> author_acm, "name", SimFn::PersonName, 0.85;
 }
 
 #[cfg(test)]
@@ -151,19 +70,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn caching_computes_once() {
+    fn the_script_runs_once() {
         let ctx = EvalContext::small();
-        let a = ctx.pub_title_dblp_acm();
-        let b = ctx.pub_title_dblp_acm();
+        let a = ctx.mapping("Paper.TitleDA");
+        let b = ctx.mapping("Paper.TitleDA");
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!a.is_empty());
     }
 
     #[test]
     fn low_threshold_is_superset() {
+        use moma_core::matchers::{AttributeMatcher, MatchContext, Matcher};
+        use moma_simstring::SimFn;
+
         let ctx = EvalContext::small();
-        let high = ctx.pub_title_dblp_acm();
-        let low = ctx.pub_title_low_dblp_acm();
+        let high = ctx.mapping("Paper.TitleDA");
+        let Scenario { registry, ids, .. } = &ctx.scenario;
+        let low = AttributeMatcher::new("title", "title", SimFn::Trigram, 0.45)
+            .execute(&MatchContext::new(registry), ids.pub_dblp, ids.pub_acm)
+            .expect("attribute matcher");
         assert!(low.len() >= high.len());
         let low_pairs = low.table.pair_set();
         for c in high.table.iter() {
@@ -174,7 +99,7 @@ mod tests {
     #[test]
     fn venue_same_mapping_mostly_correct() {
         let ctx = EvalContext::small();
-        let venue = ctx.venue_same_dblp_acm();
+        let venue = ctx.mapping("Paper.VenueBest1");
         let gold = &ctx.scenario.gold.venue_dblp_acm;
         let correct = venue
             .table
@@ -191,7 +116,7 @@ mod tests {
     #[test]
     fn year_matcher_covers_everything() {
         let ctx = EvalContext::small();
-        let year = ctx.pub_year_dblp_acm();
+        let year = ctx.mapping("Paper.YearDA");
         // Year matching is essentially the cross product within years:
         // recall must be ~100%, precision tiny (the Table 2 shape).
         let q = crate::metrics::MatchQuality::evaluate(&year, &ctx.scenario.gold.pub_dblp_acm);

@@ -104,10 +104,12 @@ const FRAME_KEPT: usize = 1 << 20;
 /// shutdown latency).
 const CHECKPOINT_POLL: Duration = Duration::from_millis(100);
 
-/// How long the background checkpointer backs off after a *failed*
-/// checkpoint (counted in `stats`), so a persistently failing one
-/// (poisoned WAL, full disk) is not retried under the shard's write
-/// lock every poll interval.
+/// How long the background checkpointer leaves a shard alone after
+/// that shard's checkpoint *failed* (counted in `stats`), so a
+/// persistently failing one (poisoned WAL, full disk) is not retried
+/// under the shard's write lock every poll interval. The back-off is
+/// per shard: the other shards keep being polled every
+/// [`CHECKPOINT_POLL`].
 const CHECKPOINT_BACKOFF: Duration = Duration::from_secs(5);
 
 /// Admission-control limits. The defaults are generous for a service
@@ -437,24 +439,22 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, checkpointer: JoinHan
 /// shutdown (`tests/checkpointer_serial.rs`). This peek is the one
 /// engine read lock the server takes.
 fn checkpoint_loop(shared: Arc<Shared>) {
+    // A shard whose checkpoint failed is skipped until its own retry
+    // time; the others keep being polled.
+    let mut retry_at = vec![Instant::now(); shared.router.len()];
     while !shared.stopping() {
-        let mut failed = false;
-        for i in 0..shared.router.len() {
+        for (i, retry_at) in retry_at.iter_mut().enumerate() {
+            if Instant::now() < *retry_at {
+                continue;
+            }
             let due = {
                 let (engine, recovered) = shared.router.engine_read(i);
                 shared.note_recovered(recovered);
                 engine.checkpoint_due()
             };
             if due && !checkpoint_if_due(&shared, i) {
-                failed = true;
+                *retry_at = Instant::now() + CHECKPOINT_BACKOFF;
             }
-        }
-        if failed {
-            let deadline = Instant::now() + CHECKPOINT_BACKOFF;
-            while Instant::now() < deadline && !shared.stopping() {
-                std::thread::sleep(CHECKPOINT_POLL);
-            }
-            continue;
         }
         std::thread::sleep(CHECKPOINT_POLL);
     }

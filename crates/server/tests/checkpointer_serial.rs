@@ -140,8 +140,10 @@ fn wal_u64(wal: &Json, key: &str) -> u64 {
 /// it: the failing shard's `wal` object carries `checkpoint_failures`
 /// and `last_checkpoint_error` (the seq it would have covered, and
 /// why), the other shard counts none, and the merged `wal` sums them.
-/// Deltas are acknowledged meanwhile, and once the obstacle is gone an
-/// explicit `checkpoint` publishes. The obstacle is a plain file where
+/// The back-off after the failure is the failing shard's alone: the
+/// other shard still checkpoints at the next poll. Deltas are
+/// acknowledged meanwhile, and once the obstacle is gone an explicit
+/// `checkpoint` publishes. The obstacle is a plain file where
 /// the staging directory goes, which `checkpoint::publish` cannot clear.
 #[test]
 fn a_failed_background_checkpoint_shows_in_stats() {
@@ -160,8 +162,8 @@ fn a_failed_background_checkpoint_shows_in_stats() {
         };
         // At two shards, shard 0 checkpoints its own writes first.
         let failing = shards - 1;
+        let gs = "Publication@GS";
         if failing > 0 {
-            let gs = "Publication@GS";
             c.call_ok(&matcher("m_gg", gs, gs, 0)).expect("match");
             while wal_u64(&shard_wal(&c.stats().unwrap(), 0), "checkpoint_seq") == 0 {
                 assert!(Instant::now() < deadline, "shard 0 never checkpointed");
@@ -197,6 +199,33 @@ fn a_failed_background_checkpoint_shows_in_stats() {
             let merged = stats.get("wal").expect("the merged wal");
             let sum = wal_u64(merged, "checkpoint_failures");
             assert_eq!(sum, wal_u64(&failed, "checkpoint_failures"), "{stats}");
+
+            // The failure was just counted, so the failing shard's
+            // back-off has just begun. It is that shard's alone: a
+            // checkpoint due on shard 0 now is published at the next
+            // poll, not after the 5 s back-off.
+            let before = wal_u64(&other, "seq");
+            let gs_delta = protocol::delta_request(
+                gs,
+                &[DeltaOp::Add {
+                    id: "ser_gs".into(),
+                    fields: vec![("title".into(), AttrValue::Text("A healthy shard".into()))],
+                }],
+            );
+            c.call_ok(&gs_delta).expect("a delta to shard 0");
+            let soon = Instant::now() + Duration::from_secs(2);
+            loop {
+                let wal0 = shard_wal(&c.stats().unwrap(), 0);
+                let seq = wal_u64(&wal0, "seq");
+                if seq > before && wal_u64(&wal0, "checkpoint_seq") == seq {
+                    break;
+                }
+                assert!(
+                    Instant::now() < soon,
+                    "shard 0 waited out shard 1's back-off: {wal0}"
+                );
+                std::thread::sleep(Duration::from_millis(20));
+            }
         }
 
         for i in 0..3 {

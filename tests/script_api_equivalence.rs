@@ -6,8 +6,9 @@ use moma::core::matchers::{AttributeMatcher, MatchContext, Matcher};
 use moma::core::ops::compose::PathAgg;
 use moma::core::ops::merge::{merge, MergeFn, MissingPolicy};
 use moma::core::ops::select::{select, select_constraint, Selection};
-use moma::datagen::Scenario;
-use moma::eval::MatchQuality;
+use moma::core::Mapping;
+use moma::datagen::{Scenario, WorldConfig};
+use moma::eval::{EvalContext, MatchQuality};
 use moma::ifuice::script::{parser, run_script, Interpreter, Value};
 use moma::server::{protocol, Engine};
 use moma::simstring::SimFn;
@@ -256,5 +257,202 @@ fn wire_and_script_lower_to_the_same_matcher() {
     ] {
         assert!(wire(sim, t).is_none(), "wire accepted {sim} at {t}");
         assert!(script(sim, t).is_none(), "script accepted {sim} at {t}");
+    }
+}
+
+/// The Rust construction each `Paper.*` mapping of the paper workflow
+/// script (`crates/eval/workflows/paper.ifuice`) replaced: the eval's
+/// attribute-matcher list, its venue neighbourhood and the per-table
+/// neighbourhood and merge builders of Tables 2–8, kept here as the
+/// reference.
+fn paper_workflows_in_rust(scenario: &Scenario) -> Vec<(&'static str, Mapping)> {
+    use moma::core::ops::compose::{compose, PathCombine};
+    use moma::core::ops::setops::{intersection, union};
+    use moma::table::MappingTable;
+
+    let ids = scenario.ids;
+    let ctx = MatchContext::with_repository(&scenario.registry, &scenario.repository);
+    let attr = |(domain, range), attribute: &str, sim: SimFn, threshold: f64| {
+        let matcher = AttributeMatcher::new(attribute, attribute, sim, threshold);
+        matcher.execute(&ctx, domain, range).unwrap()
+    };
+    let assoc = |name: &str| scenario.repository.require(name).unwrap();
+    let nh = |asso1: &str, same: &Mapping, asso2: &str, g: PathAgg| {
+        nh_match(&assoc(asso1), same, &assoc(asso2), g).unwrap()
+    };
+    let threshold = |m: &Mapping, t: f64| select(m, &Selection::Threshold(t));
+    let (da, dg, ga) = (
+        (ids.pub_dblp, ids.pub_acm),
+        (ids.pub_dblp, ids.pub_gs),
+        (ids.pub_gs, ids.pub_acm),
+    );
+    let authors_da = (ids.author_dblp, ids.author_acm);
+
+    let title_da = attr(da, "title", SimFn::Trigram, 0.8);
+    let title_low_da = attr(da, "title", SimFn::Trigram, 0.45);
+    let title_dg = attr(dg, "title", SimFn::Trigram, 0.75);
+    let title_low_dg = attr(dg, "title", SimFn::Trigram, 0.45);
+    let title_ga = attr(ga, "title", SimFn::Trigram, 0.75);
+    let title_low_ga = attr(ga, "title", SimFn::Trigram, 0.45);
+    let author_list_da = attr(da, "authors", SimFn::Trigram, 0.8);
+    let author_list_low_da = attr(da, "authors", SimFn::Trigram, 0.45);
+    let year_da = attr(da, "year", SimFn::Year(0), 1.0);
+    let name_da = attr(authors_da, "name", SimFn::Trigram, 0.8);
+    let name_low_da = attr(authors_da, "name", SimFn::Trigram, 0.3);
+    let author_dg = attr(
+        (ids.author_dblp, ids.author_gs),
+        "name",
+        SimFn::PersonName,
+        0.85,
+    );
+    let author_ga = attr(
+        (ids.author_gs, ids.author_acm),
+        "name",
+        SimFn::PersonName,
+        0.85,
+    );
+
+    let table2 = merge(
+        &[&title_low_da, &author_list_low_da, &year_da],
+        MergeFn::Avg,
+        MissingPolicy::Zero,
+    )
+    .unwrap();
+    let table2 = threshold(&table2, 0.8);
+
+    let links = assoc("GS.LinksACM");
+    let via = |a: &Mapping, b: &Mapping| compose(a, b, PathCombine::Min, PathAgg::Max).unwrap();
+    let max_merge = |direct: &Mapping, composed: &Mapping| {
+        merge(&[direct, composed], MergeFn::Max, MissingPolicy::Ignore).unwrap()
+    };
+    let compose_dg = via(&title_da, &links.inverse());
+    let compose_da = via(&title_dg, &links);
+    let compose_ga = via(&title_dg.inverse(), &title_da);
+
+    let venue_nh = nh(
+        "DBLP.VenuePub",
+        &title_da,
+        "ACM.PubVenue",
+        PathAgg::Relative,
+    );
+    let venue_same = select(&venue_nh, &Selection::best1());
+
+    let pub_nh_da = nh(
+        "DBLP.PubVenue",
+        &venue_same,
+        "ACM.VenuePub",
+        PathAgg::Relative,
+    );
+    // Intersection keeps min(sim), the tiny neighbourhood score; the
+    // title similarity is restored.
+    let mut table5 = intersection(&title_da, &pub_nh_da).unwrap();
+    let rows: Vec<(u32, u32, f64)> = table5
+        .table
+        .iter()
+        .map(|c| {
+            let sim = title_da.table.sim_of(c.domain, c.range).unwrap_or(c.sim);
+            (c.domain, c.range, sim)
+        })
+        .collect();
+    table5.table = MappingTable::from_triples(rows);
+
+    let author_nh_da = nh(
+        "DBLP.AuthorPub",
+        &title_da,
+        "ACM.PubAuthor",
+        PathAgg::Relative,
+    );
+    let author_nh25_da = threshold(&author_nh_da, 0.25);
+    let table6 = merge(
+        &[&name_low_da, &author_nh25_da],
+        MergeFn::Min,
+        MissingPolicy::Zero,
+    )
+    .unwrap();
+    let table6 = threshold(&table6, 0.35);
+
+    let confirmed = |title: &Mapping, title_low: &Mapping, nh: &Mapping| {
+        let confirmed = intersection(title_low, &threshold(nh, 0.4)).unwrap();
+        union(title, &confirmed).unwrap()
+    };
+    let pub_nh_dg = nh(
+        "DBLP.PubAuthor",
+        &author_dg,
+        "GS.AuthorPub",
+        PathAgg::RelativeLeft,
+    );
+    let pub_nh_ga = nh(
+        "GS.PubAuthor",
+        &author_ga,
+        "ACM.AuthorPub",
+        PathAgg::RelativeLeft,
+    );
+
+    vec![
+        ("Paper.AuthorNh25DA", author_nh25_da),
+        ("Paper.AuthorNhDA", author_nh_da),
+        ("Paper.AuthorsDA", author_list_da),
+        ("Paper.ComposeDA", compose_da.clone()),
+        ("Paper.ComposeDG", compose_dg.clone()),
+        ("Paper.ComposeGA", compose_ga.clone()),
+        ("Paper.MergeDA", max_merge(&title_da, &compose_da)),
+        ("Paper.MergeDG", max_merge(&title_dg, &compose_dg)),
+        ("Paper.MergeGA", max_merge(&links, &compose_ga)),
+        ("Paper.NameDA", name_da),
+        ("Paper.PubNh35DG", threshold(&pub_nh_dg, 0.35)),
+        ("Paper.PubNh35GA", threshold(&pub_nh_ga, 0.35)),
+        ("Paper.PubNhDA", pub_nh_da),
+        ("Paper.Table2", table2),
+        ("Paper.Table5", table5),
+        ("Paper.Table6", table6),
+        (
+            "Paper.Table7",
+            confirmed(&title_dg, &title_low_dg, &pub_nh_dg),
+        ),
+        (
+            "Paper.Table8",
+            confirmed(&title_ga, &title_low_ga, &pub_nh_ga),
+        ),
+        ("Paper.TitleDA", title_da.clone()),
+        ("Paper.TitleDG", title_dg.clone()),
+        ("Paper.TitleGA", title_ga),
+        ("Paper.Venue50", threshold(&venue_nh, 0.5)),
+        ("Paper.Venue80", threshold(&venue_nh, 0.8)),
+        ("Paper.VenueBest1", venue_same),
+        ("Paper.YearDA", year_da),
+    ]
+}
+
+/// The paper workflow script stores exactly the mappings the Rust
+/// construction built, row for row and bit for bit, on four generated
+/// worlds (`repro`'s diff compares rounded percentages at one seed).
+#[test]
+fn paper_script_is_the_rust_workflows_bit_for_bit() {
+    let bits = |m: &Mapping| -> Vec<(u32, u32, u64)> {
+        m.table
+            .iter()
+            .map(|c| (c.domain, c.range, c.sim.to_bits()))
+            .collect()
+    };
+    for seed in [7, 42, 1, 2] {
+        let ctx = EvalContext::with_config(WorldConfig {
+            seed,
+            ..WorldConfig::small()
+        });
+        let reference = paper_workflows_in_rust(&ctx.scenario);
+        ctx.mapping("Paper.Table2");
+        let stored: Vec<String> = ctx.scenario.repository.names();
+        let stored: Vec<&str> = stored
+            .iter()
+            .map(String::as_str)
+            .filter(|name| name.starts_with("Paper."))
+            .collect();
+        let expected: Vec<&str> = reference.iter().map(|(name, _)| *name).collect();
+        assert_eq!(stored, expected, "seed {seed}: the names the script stores");
+        for (name, mapping) in &reference {
+            let via_script = ctx.mapping(name);
+            assert_eq!(bits(&via_script), bits(mapping), "seed {seed}: {name}");
+            assert!(!mapping.is_empty(), "seed {seed}: {name} is empty");
+        }
     }
 }
